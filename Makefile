@@ -122,8 +122,7 @@ bench-obs:
 	BENCH_OBS_JSON=BENCH_obs.json $(GO) test -run TestWriteObsBenchJSON -v .
 
 # bench-perf records the execution-engine comparison (tree walker vs
-# fused/unfused bytecode vs parallel vs warp) to BENCH_perf.json. On a
-# single-core host the parallel and warp rows are stamped degraded_host.
+# fused/unfused bytecode) to BENCH_perf.json.
 bench-perf:
 	BENCH_PERF_JSON=BENCH_perf.json $(GO) test -run TestWritePerfBenchJSON -v .
 
@@ -142,18 +141,12 @@ bench-service:
 # into a scratch report and diff it against the committed BENCH_perf.json
 # baseline. Absolute ns/op is machine-dependent and the baseline may come
 # from different hardware, so the gate compares only the machine-independent
-# speedup ratios (tree->bytecode, unfused->fused, serial->parallel,
-# serial->warp), with BENCH_DIFF_THRESHOLD percent of slack for benchmark
-# noise. CI sets BENCH_DIFF_MIN_CORES=2: below it the serial->parallel
-# ratio is skipped (reported, never gated) because a single-core runner
-# only measures the serial fallback; the serial->warp ratio stays gated
-# everywhere — decode amortization needs no second core.
+# speedup ratios (tree->bytecode, unfused->fused), with
+# BENCH_DIFF_THRESHOLD percent of slack for benchmark noise.
 BENCH_DIFF_THRESHOLD ?= 15
-BENCH_DIFF_MIN_CORES ?= 1
 bench-diff:
 	BENCH_PERF_JSON=BENCH_perf.new.json $(GO) test -run TestWritePerfBenchJSON .
 	$(GO) run ./cmd/hauberk-report -bench-diff -bench-ratios-only \
 		-bench-threshold $(BENCH_DIFF_THRESHOLD) \
-		-bench-min-cores $(BENCH_DIFF_MIN_CORES) \
 		BENCH_perf.json BENCH_perf.new.json
 	rm -f BENCH_perf.new.json

@@ -9,11 +9,10 @@ import (
 
 // benchDiffCmd implements `hauberk-report -bench-diff old.json new.json`:
 // the CI perf gate. Exit codes: 0 pass, 1 regression past the threshold,
-// 2 structural failure (unreadable report, no common workloads, or a new
-// report recorded on fewer cores than -bench-min-cores demands).
+// 2 structural failure (unreadable report or no common workloads).
 func benchDiffCmd(paths []string, opts harness.BenchDiffOptions) int {
 	if len(paths) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: hauberk-report -bench-diff [-bench-threshold pct] [-bench-ratios-only] [-bench-min-cores n] old.json new.json")
+		fmt.Fprintln(os.Stderr, "usage: hauberk-report -bench-diff [-bench-threshold pct] [-bench-ratios-only] old.json new.json")
 		return 2
 	}
 	oldR, err := harness.LoadBenchReport(paths[0])

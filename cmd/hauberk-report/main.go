@@ -60,7 +60,6 @@ func main() {
 		benchDiff   = flag.Bool("bench-diff", false, "compare two BENCH_perf.json reports (old new, as positional args) and exit non-zero on regression")
 		benchThresh = flag.Float64("bench-threshold", 5, "allowed slowdown in percent before -bench-diff fails")
 		benchRatios = flag.Bool("bench-ratios-only", false, "-bench-diff compares only machine-independent speedup ratios (use across different hosts)")
-		benchCores  = flag.Int("bench-min-cores", 0, "-bench-diff skips (never fails) parallel-row regressions when the new report was recorded on fewer host cores")
 		verFlag     = flag.Bool("version", false, "print the build version and exit")
 	)
 	flag.Parse()
@@ -73,7 +72,6 @@ func main() {
 		os.Exit(benchDiffCmd(flag.Args(), harness.BenchDiffOptions{
 			ThresholdPct: *benchThresh,
 			RatiosOnly:   *benchRatios,
-			MinCores:     *benchCores,
 		}))
 	}
 	if *live != "" {

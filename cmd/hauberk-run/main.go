@@ -26,22 +26,8 @@
 // terminal state; `hauberk-report -live/-scrape/-tail` are the matching
 // clients.
 //
-// -engine selects the kernel execution engine: the compiled bytecode
-// engine (default, with superinstruction fusion), the same engine with
-// fusion disabled (unfused), the tree-walking interpreter both replaced
-// (tree), or the warp-vectorized dispatcher (warp: 32 lanes per
-// instruction decode, bit-identical to the scalar engines; launches that
-// need live serial-order hook delivery — fault overlays, mutating probes —
-// transparently degrade to scalar serial). The default bytecode engine
-// picks between scalar and warp dispatch adaptively per launch, using the
-// calibrated ns/cycle of each engine; -engine warp forces warp dispatch.
-//
-// -workers sizes campaign/profiling parallelism and -launch-workers the
-// per-launch block-shard pool of the bytecode engine; both draw extra
-// goroutines from one process-wide budget (default NumCPU-1, override
-// with -worker-budget) so nested parallelism never oversubscribes the
-// machine. Parallel launches are bit-identical to serial ones, so these
-// are pure throughput knobs.
+// -workers sizes campaign/profiling parallelism (0 = one per CPU). Every
+// kernel launch runs the one serial bytecode engine.
 //
 // With -campaign-dir the tool runs a durable fault-injection campaign for
 // the program instead of a single supervised run: every classified
@@ -110,10 +96,7 @@ func run() int {
 		saveRanges  = flag.String("save-ranges", "", "write the (possibly on-line-updated) value ranges to this JSON file at exit")
 		tracePath   = flag.String("trace", "", "write a JSONL telemetry event journal to this file")
 		metricsPath = flag.String("metrics", "", "dump Prometheus-text metrics to this file at exit")
-		engine      = flag.String("engine", "bytecode", "kernel execution engine: bytecode (fused, adaptive scalar/warp dispatch), unfused (bytecode without superinstruction fusion), tree, or warp (forced warp-vectorized dispatch)")
-		workers     = flag.Int("workers", 0, "campaign/profiling worker goroutines (0 = one per CPU, shared with -launch-workers)")
-		launchWork  = flag.Int("launch-workers", 0, "per-launch block-shard workers (0 = machine-sized, 1 = serial, >1 = explicit; bytecode engine only)")
-		budget      = flag.Int("worker-budget", -1, "process-wide extra-worker budget shared by campaign and launch parallelism (-1 = NumCPU-1)")
+		workers     = flag.Int("workers", 0, "campaign/profiling worker goroutines (0 = one per CPU)")
 
 		httpAddr   = flag.String("http", "", "serve the live monitor (/metrics, /events, /campaign, /healthz, /debug/pprof) on this address; :0 picks a port")
 		httpLinger = flag.Duration("http-linger", 0, "keep the monitor serving this long after the run completes (lets pollers observe the terminal state)")
@@ -144,38 +127,10 @@ func run() int {
 		}
 		return 0
 	}
-	if *budget >= 0 {
-		gpu.SetLaunchBudget(*budget)
-	}
 
 	spec := workloads.ByName(*program)
 	if spec == nil {
 		fmt.Fprintf(os.Stderr, "unknown program %q\n", *program)
-		return 2
-	}
-
-	var interp gpu.Interpreter
-	var nofuse bool
-	var warpMode gpu.WarpMode
-	switch *engine {
-	case "bytecode":
-		interp = gpu.InterpreterBytecode
-	case "unfused":
-		interp = gpu.InterpreterBytecode
-		nofuse = true
-	case "tree":
-		interp = gpu.InterpreterTree
-	case "warp":
-		interp = gpu.InterpreterBytecode
-		warpMode = gpu.WarpOn
-		if *launchWork == 0 {
-			// Forced warp dispatch defaults to the single-worker warp
-			// driver; an explicit -launch-workers still shards blocks, each
-			// shard iterating warps ("warp-parallel").
-			*launchWork = 1
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown engine %q\n", *engine)
 		return 2
 	}
 
@@ -268,10 +223,6 @@ func run() int {
 		return 2
 	}
 	env := harness.NewEnv(sc).WithObs(tel)
-	env.Config.Interpreter = interp
-	env.Config.DisableFusion = nofuse
-	env.Config.LaunchWorkers = *launchWork
-	env.Config.Warp = warpMode
 	env.Scale.Workers = *workers
 	ds := workloads.Dataset{Index: *dataset}
 
@@ -328,7 +279,7 @@ func run() int {
 	// with a known output. A persistent fault lives in device 0's
 	// hardware, so the self test fails there and the recovery engine
 	// migrates the program.
-	devPool := makeDevices(*devices, interp, nofuse, *launchWork, warpMode)
+	devPool := makeDevices(*devices)
 	faulty := devPool[0]
 	selfTest := func(d *gpu.Device) bool {
 		if *persistent && d == faulty {
@@ -512,15 +463,10 @@ func runCampaign(env *harness.Env, spec *workloads.Spec, ds workloads.Dataset, d
 	return 0
 }
 
-func makeDevices(n int, interp gpu.Interpreter, nofuse bool, launchWorkers int, warp gpu.WarpMode) []*gpu.Device {
-	cfg := gpu.DefaultConfig()
-	cfg.Interpreter = interp
-	cfg.DisableFusion = nofuse
-	cfg.LaunchWorkers = launchWorkers
-	cfg.Warp = warp
+func makeDevices(n int) []*gpu.Device {
 	out := make([]*gpu.Device, n)
 	for i := range out {
-		out[i] = gpu.New(cfg)
+		out[i] = gpu.New(gpu.DefaultConfig())
 	}
 	return out
 }

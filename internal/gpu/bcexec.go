@@ -3,19 +3,18 @@ package gpu
 import (
 	"math"
 	"math/bits"
-	"sync/atomic"
-	"time"
 
 	"hauberk/internal/kir"
 )
 
 // launchBytecode executes a validated launch through the compiled bytecode
-// engine. The warp aggregation, SM spreading, and early-exit-on-error
-// behaviour replicate launchTree exactly; the per-thread inner loop is the
-// flat dispatch in (*bcThread).run.
+// engine: compile (or hit the program cache), then one serial
+// (block, thread) loop with live hook delivery — for every launch, hooked or
+// not, faulted or not. The warp aggregation, SM spreading, and
+// early-exit-on-error behaviour replicate launchTree exactly; the
+// per-thread inner loop is the flat dispatch in (*bcThread).run.
 func (d *Device) launchBytecode(k *kir.Kernel, spec LaunchSpec) (*Result, error) {
 	p, hit := programFor(k, d.cfg)
-	workers, extra, useWarp, mode := d.launchPlan(p, &spec)
 	if spec.Obs.Enabled() {
 		result := "miss"
 		if hit {
@@ -25,20 +24,8 @@ func (d *Device) launchBytecode(k *kir.Kernel, spec LaunchSpec) (*Result, error)
 		m.Counter("hauberk_program_cache_total",
 			"kernel", k.Name, "result", result).Inc()
 		m.Help("hauberk_launch_modes_total",
-			"launch scheduling decisions: warp vectorization, parallel block sharding, and serial fallbacks")
-		m.Counter("hauberk_launch_modes_total", "kernel", k.Name, "mode", mode).Inc()
-		if workers > 1 {
-			m.Help("hauberk_launch_shard_workers_total",
-				"worker goroutines used by parallel launches, summed")
-			m.Counter("hauberk_launch_shard_workers_total", "kernel", k.Name).Add(int64(workers))
-		}
-	}
-	if workers > 1 {
-		defer ReleaseLaunchSlots(extra)
-		return d.launchParallel(k, spec, p, workers, useWarp)
-	}
-	if useWarp {
-		return d.launchWarp(k, spec, p)
+			"bytecode launches by execution mode (always serial: there is one engine)")
+		m.Counter("hauberk_launch_modes_total", "kernel", k.Name, "mode", "serial").Inc()
 	}
 
 	res := &Result{Threads: spec.Grid * spec.Block, MaxLive: p.maxLive, Spill: p.spillExtra > 0}
@@ -70,7 +57,6 @@ func (d *Device) launchBytecode(k *kir.Kernel, spec LaunchSpec) (*Result, error)
 		t.fastLimit = VirtualWords
 	}
 
-	start := time.Now()
 	for blk := 0; blk < spec.Grid; blk++ {
 		var warpMax float64
 		for tid := 0; tid < spec.Block; tid++ {
@@ -101,10 +87,6 @@ func (d *Device) launchBytecode(k *kir.Kernel, spec LaunchSpec) (*Result, error)
 			}
 		}
 	}
-	// Completed serial launches calibrate the adaptive launch planner:
-	// the program's per-thread cycle estimate and the process-wide
-	// engine-speed EWMA (see sched.go).
-	recordLaunchEstimate(p, sumThreadCycles, res.Threads, time.Since(start))
 	finishResult(res, d, sumWarpCycles, sumThreadCycles, sumLoopCycles)
 	return res, nil
 }
@@ -120,14 +102,9 @@ type bcThread struct {
 	regs      []uint32
 	budget    int
 	fastLimit uint32 // addresses below it never fail checkAccess
-	// shared marks a thread running on a parallel block shard: arena
-	// words are then accessed atomically, because other shards execute
-	// concurrently on the same device memory (see sched.go).
-	shared bool
 
 	cycles     float64
 	loopCycles float64
-	steps      int
 	loads      int64
 	stores     int64
 }
@@ -147,7 +124,6 @@ func (t *bcThread) run() error {
 	arena := d.arena
 	fault := d.fault
 	fastLimit := t.fastLimit
-	shared := t.shared
 	var cycles, loopCycles float64
 	var steps int
 	var loads, stores int64
@@ -221,11 +197,7 @@ loop:
 			loads++
 			var val uint32
 			if int(addr) < len(arena) {
-				if shared {
-					val = atomic.LoadUint32(&arena[addr])
-				} else {
-					val = arena[addr]
-				}
+				val = arena[addr]
 			}
 			if fault != nil {
 				val = fault(addr, val)
@@ -244,11 +216,7 @@ loop:
 			loopCycles += in.costLoop
 			stores++
 			if int(addr) < len(arena) {
-				if shared {
-					atomic.StoreUint32(&arena[addr], regs[in.c])
-				} else {
-					arena[addr] = regs[in.c]
-				}
+				arena[addr] = regs[in.c]
 			}
 
 		// Integer ALU. Costs are charged before the operation, matching the
@@ -600,11 +568,7 @@ loop:
 			loads++
 			var val uint32
 			if int(addr) < len(arena) {
-				if shared {
-					val = atomic.LoadUint32(&arena[addr])
-				} else {
-					val = arena[addr]
-				}
+				val = arena[addr]
 			}
 			if fault != nil {
 				val = fault(addr, val)
@@ -624,11 +588,7 @@ loop:
 			loads++
 			var val uint32
 			if int(addr) < len(arena) {
-				if shared {
-					val = atomic.LoadUint32(&arena[addr])
-				} else {
-					val = arena[addr]
-				}
+				val = arena[addr]
 			}
 			if fault != nil {
 				val = fault(addr, val)
@@ -686,7 +646,6 @@ loop:
 
 	t.cycles = cycles
 	t.loopCycles = loopCycles
-	t.steps = steps
 	t.loads = loads
 	t.stores = stores
 	return err

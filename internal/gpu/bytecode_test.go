@@ -9,14 +9,21 @@ import (
 	"hauberk/internal/kir"
 )
 
-// bcRecHooks records every hook callback for cross-engine comparison.
+// bcRecHooks records every hook callback for cross-engine comparison. With
+// a non-zero flipMask it is also a miniature fault injector: Probe XORs
+// the mask into the target of every odd thread, feeding the corrupted
+// value back into the kernel.
 type bcRecHooks struct {
 	NopHooks
-	log []string
+	log      []string
+	flipMask uint32
 }
 
 func (h *bcRecHooks) Probe(tc ThreadCtx, site int, v *kir.Var, hw kir.HW, val uint32) (uint32, bool) {
 	h.log = append(h.log, fmt.Sprintf("probe b%d t%d site%d %s hw%d %#x", tc.Block, tc.Thread, site, v.Name, hw, val))
+	if h.flipMask != 0 && tc.Thread%2 == 1 {
+		return val ^ h.flipMask, true
+	}
 	return val, false
 }
 
@@ -41,7 +48,7 @@ func (h *bcRecHooks) SetSDC(tc ThreadCtx, det int, kind kir.DetectKind) {
 }
 
 // diffCase is one crafted cross-engine differential: the kernel runs under
-// both engines on identically prepared devices and every observable —
+// every engine on identically prepared devices and every observable —
 // outputs, bitwise cycle counts, memory traffic, hook sequence, error — must
 // match.
 type diffCase struct {
@@ -56,6 +63,9 @@ type diffCase struct {
 	// fault, when set, installs a memory-fault overlay on every engine's
 	// device before the launch.
 	fault func(addr, val uint32) uint32
+	// flipMask, when non-zero, makes the recording hooks corrupt probed
+	// values (see bcRecHooks).
+	flipMask uint32
 }
 
 func defaultDiffSetup(d *Device, k *kir.Kernel) []Arg {
@@ -70,7 +80,64 @@ func defaultDiffSetup(d *Device, k *kir.Kernel) []Arg {
 	return args
 }
 
-func runDiff(t *testing.T, tc diffCase) (*Result, error) {
+// launchRun is everything observable about one launch.
+type launchRun struct {
+	res    *Result
+	err    error
+	arenas [][]uint32
+	log    []string
+}
+
+// launchCase runs tc's kernel k once on a fresh device configured by cfg.
+// It never touches testing.T, so concurrent tests may call it off the test
+// goroutine.
+func launchCase(tc diffCase, k *kir.Kernel, cfg Config) launchRun {
+	d := New(cfg)
+	if tc.fault != nil {
+		d.SetMemFault(tc.fault)
+	}
+	args := tc.setup(d, k)
+	hooks := &bcRecHooks{flipMask: tc.flipMask}
+	res, err := d.Launch(k, LaunchSpec{Grid: tc.grid, Block: tc.block, Args: args, Hooks: hooks})
+	var arenas [][]uint32
+	for _, buf := range d.Buffers() {
+		arenas = append(arenas, d.ReadWords(buf))
+	}
+	return launchRun{res: res, err: err, arenas: arenas, log: hooks.log}
+}
+
+// diffRuns fails the test unless got matches want bit-for-bit in every
+// observable.
+func diffRuns(t *testing.T, wantName string, want launchRun, gotName string, got launchRun) {
+	t.Helper()
+	if fmt.Sprint(want.err) != fmt.Sprint(got.err) {
+		t.Fatalf("error mismatch:\n  %s: %v\n  %s: %v", wantName, want.err, gotName, got.err)
+	}
+	if want.err != nil && reflect.TypeOf(want.err) != reflect.TypeOf(got.err) {
+		t.Fatalf("error type mismatch: %s %T, %s %T", wantName, want.err, gotName, got.err)
+	}
+	if math.Float64bits(want.res.Cycles) != math.Float64bits(got.res.Cycles) ||
+		math.Float64bits(want.res.LoopCycles) != math.Float64bits(got.res.LoopCycles) ||
+		math.Float64bits(want.res.NonLoopCycles) != math.Float64bits(got.res.NonLoopCycles) {
+		t.Fatalf("cycles not bit-identical:\n  %s: %+v\n  %s: %+v", wantName, want.res, gotName, got.res)
+	}
+	if want.res.Loads != got.res.Loads || want.res.Stores != got.res.Stores ||
+		want.res.MaxLive != got.res.MaxLive || want.res.Spill != got.res.Spill {
+		t.Fatalf("result metadata mismatch:\n  %s: %+v\n  %s: %+v", wantName, want.res, gotName, got.res)
+	}
+	if !reflect.DeepEqual(want.arenas, got.arenas) {
+		t.Fatalf("buffer contents differ between %s and %s runs", wantName, gotName)
+	}
+	if !reflect.DeepEqual(want.log, got.log) {
+		t.Fatalf("hook sequences differ:\n  %s: %v\n  %s: %v", wantName, want.log, gotName, got.log)
+	}
+}
+
+// diffEngines builds tc's kernel and holds the three engines — fused
+// bytecode (what every production launch runs), the unfused bytecode
+// stream, and the tree-walker oracle — to bit-identical observables. It
+// returns tc with its defaults filled in, the kernel, and the fused run.
+func diffEngines(t *testing.T, tc diffCase) (diffCase, *kir.Kernel, launchRun) {
 	t.Helper()
 	b := kir.NewBuilder("diff")
 	tc.build(b)
@@ -84,81 +151,20 @@ func runDiff(t *testing.T, tc diffCase) (*Result, error) {
 	if tc.setup == nil {
 		tc.setup = defaultDiffSetup
 	}
+	unfused, tree := tc.cfg, tc.cfg
+	unfused.DisableFusion = true
+	tree.Interpreter = InterpreterTree
 
-	type run struct {
-		res    *Result
-		err    error
-		arenas [][]uint32
-		log    []string
-	}
-	// Four engines: fused bytecode (the default), the unfused bytecode
-	// stream, the tree-walker oracle, and the warp-vectorized dispatcher.
-	// Every observable must be bit-identical across all four. The scalar
-	// engines pin WarpOff so the auto heuristic can't silently route them
-	// through the warp path; the warp engine forces WarpOn. Fault-overlay
-	// cases degrade the warp engine back to scalar serial by design
-	// (warpPick rejects fault devices), which keeps the row a valid — if
-	// trivial — identity.
-	engines := []struct {
-		name   string
-		interp Interpreter
-		nofuse bool
-		warp   WarpMode
-	}{
-		{"fused", InterpreterBytecode, false, WarpOff},
-		{"unfused", InterpreterBytecode, true, WarpOff},
-		{"tree", InterpreterTree, false, WarpOff},
-		{"warp", InterpreterBytecode, false, WarpOn},
-	}
-	runs := make([]run, len(engines))
-	for i, eng := range engines {
-		cfg := tc.cfg
-		cfg.Interpreter = eng.interp
-		cfg.DisableFusion = eng.nofuse
-		cfg.Warp = eng.warp
-		d := New(cfg)
-		if tc.fault != nil {
-			d.SetMemFault(tc.fault)
-		}
-		args := tc.setup(d, k)
-		// Pure-observer hooks so the warp engine actually engages (warpPick
-		// refuses impure hooks even under WarpOn); recording still works the
-		// same way through the embedded bcRecHooks.
-		hooks := &pureRecHooks{}
-		res, err := d.Launch(k, LaunchSpec{Grid: tc.grid, Block: tc.block, Args: args, Hooks: hooks})
-		var arenas [][]uint32
-		for _, buf := range d.Buffers() {
-			arenas = append(arenas, d.ReadWords(buf))
-		}
-		runs[i] = run{res: res, err: err, arenas: arenas, log: hooks.log}
-	}
+	fused := launchCase(tc, k, tc.cfg)
+	diffRuns(t, "fused", fused, "unfused", launchCase(tc, k, unfused))
+	diffRuns(t, "fused", fused, "tree", launchCase(tc, k, tree))
+	return tc, k, fused
+}
 
-	bc := runs[0]
-	for i := 1; i < len(runs); i++ {
-		name, other := engines[i].name, runs[i]
-		if fmt.Sprint(bc.err) != fmt.Sprint(other.err) {
-			t.Fatalf("error mismatch:\n  fused:    %v\n  %s: %v", bc.err, name, other.err)
-		}
-		if bc.err != nil && reflect.TypeOf(bc.err) != reflect.TypeOf(other.err) {
-			t.Fatalf("error type mismatch: fused %T, %s %T", bc.err, name, other.err)
-		}
-		if math.Float64bits(bc.res.Cycles) != math.Float64bits(other.res.Cycles) ||
-			math.Float64bits(bc.res.LoopCycles) != math.Float64bits(other.res.LoopCycles) ||
-			math.Float64bits(bc.res.NonLoopCycles) != math.Float64bits(other.res.NonLoopCycles) {
-			t.Fatalf("cycles not bit-identical:\n  fused:    %+v\n  %s: %+v", bc.res, name, other.res)
-		}
-		if bc.res.Loads != other.res.Loads || bc.res.Stores != other.res.Stores ||
-			bc.res.MaxLive != other.res.MaxLive || bc.res.Spill != other.res.Spill {
-			t.Fatalf("result metadata mismatch:\n  fused:    %+v\n  %s: %+v", bc.res, name, other.res)
-		}
-		if !reflect.DeepEqual(bc.arenas, other.arenas) {
-			t.Fatalf("buffer contents differ between fused and %s runs", name)
-		}
-		if !reflect.DeepEqual(bc.log, other.log) {
-			t.Fatalf("hook sequences differ:\n  fused:    %v\n  %s: %v", bc.log, name, other.log)
-		}
-	}
-	return bc.res, bc.err
+func runDiff(t *testing.T, tc diffCase) (*Result, error) {
+	t.Helper()
+	_, _, fused := diffEngines(t, tc)
+	return fused.res, fused.err
 }
 
 func TestEnginesDiffCrashPaths(t *testing.T) {
@@ -221,6 +227,37 @@ func TestEnginesDiffCrashPaths(t *testing.T) {
 				v := b.Def("v", kir.Load{Base: out, Index: kir.I(5000)})
 				b.Store(out, kir.I(0), kir.V(v))
 			}},
+		// Later blocks crash at earlier threads (block b at thread 24-8b),
+		// so "first in (block, thread) order" and "lowest thread id"
+		// disagree: the reported failure must be block 0, thread 24.
+		"crash-first-in-block-order": {cfg: DefaultConfig(), grid: 4, block: 32,
+			setup: bigDiffSetup(4, 32),
+			build: func(b *kir.Builder) {
+				out := b.PtrParam("out", kir.I32)
+				acc := b.Def("acc", kir.F(0))
+				b.For("i", kir.I(0), kir.I(4), func(i *kir.Var) {
+					b.Accum(acc, kir.ToF32(kir.XAdd(kir.V(i), kir.TID())))
+				})
+				b.Emit(kir.CountExec{Site: 0})
+				div := b.Def("div", kir.XSub(kir.TID(), kir.XSub(kir.I(24), kir.XMul(kir.I(8), kir.BID()))))
+				v := b.Def("v", kir.XDiv(kir.I(100), kir.V(div)))
+				b.Store(out, kir.GlobalID(), kir.V(v))
+			}},
+		// One thread of a middle block hangs against a tiny step budget;
+		// the blocks before it complete and the ones after never start.
+		"hang-middle-block": {cfg: func() Config { c := DefaultConfig(); c.StepBudget = 300; return c }(),
+			grid: 4, block: 16, setup: bigDiffSetup(4, 16),
+			build: func(b *kir.Builder) {
+				out := b.PtrParam("out", kir.I32)
+				n := b.Def("n", kir.I(0))
+				b.If(kir.XLAnd(kir.XEq(kir.BID(), kir.I(2)), kir.XEq(kir.TID(), kir.I(5))), func() {
+					b.Set(n, kir.I(1))
+				}, nil)
+				b.While(kir.XGt(kir.V(n), kir.I(0)), func() {
+					b.Set(n, kir.XAdd(kir.V(n), kir.I(1)))
+				})
+				b.Store(out, kir.GlobalID(), kir.V(n))
+			}},
 		"hang-while": {cfg: func() Config { c := DefaultConfig(); c.StepBudget = 100; return c }(),
 			build: func(b *kir.Builder) {
 				out := b.PtrParam("out", kir.I32)
@@ -242,8 +279,7 @@ func TestEnginesDiffCrashPaths(t *testing.T) {
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			res, err := runDiff(t, tc)
-			_ = res
+			_, err := runDiff(t, tc)
 			switch name {
 			case "oob-store-gpu-silent":
 				if err != nil {
@@ -252,6 +288,14 @@ func TestEnginesDiffCrashPaths(t *testing.T) {
 			case "hang-while", "hang-for":
 				if _, ok := err.(*HangError); !ok {
 					t.Fatalf("want HangError, got %v", err)
+				}
+			case "hang-middle-block":
+				if he, ok := err.(*HangError); !ok || he.Block != 2 || he.Thread != 5 {
+					t.Fatalf("want HangError at block 2 thread 5, got %v", err)
+				}
+			case "crash-first-in-block-order":
+				if ce, ok := err.(*CrashError); !ok || ce.Block != 0 || ce.Thread != 24 {
+					t.Fatalf("want CrashError at block 0 thread 24, got %v", err)
 				}
 			case "div-by-zero", "rem-by-zero-in-loop", "crash-in-for-limit",
 				"crash-in-while-cond", "crash-in-for-step",
@@ -331,6 +375,12 @@ func TestEnginesDiffSemantics(t *testing.T) {
 			_ = k
 		}},
 	}
+	// The same kernel under a mutating Probe (an armed injector): the
+	// corrupted accumulator must reach the later range check, the SetSDC
+	// branch, and the store identically on every engine.
+	impure := cases["hook-intrinsics"]
+	impure.flipMask = 0x7f800000
+	cases["impure-probe"] = impure
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			if _, err := runDiff(t, tc); err != nil {

@@ -218,18 +218,13 @@ func (c *compiler) stmt(s kir.Stmt) {
 		jz := c.emit(inst{op: opJZ, b: sa})
 		c.tempTop = mark
 		c.block(n.Then)
-		// rpc is the If's join — the immediate post-dominator where the
-		// warp engine reconverges diverged lanes. Without an Else the join
-		// doubles as the branch target; with one it sits after the Else.
 		if len(n.Else) > 0 {
 			j := c.emit(inst{op: opJmp})
 			c.insts[jz].a = int32(len(c.insts))
 			c.block(n.Else)
 			c.insts[j].a = int32(len(c.insts))
-			c.insts[jz].rpc = int32(len(c.insts))
 		} else {
 			c.insts[jz].a = int32(len(c.insts))
-			c.insts[jz].rpc = int32(len(c.insts))
 		}
 	case *kir.For:
 		c.exprTo(int32(n.Iter.ID), n.Init) // init + writeReg at outer depth
@@ -250,7 +245,6 @@ func (c *compiler) stmt(s kir.Stmt) {
 		c.tempTop = mark
 		c.emit(inst{op: opJmp, a: int32(head)})
 		c.insts[test].a = int32(len(c.insts))
-		c.insts[test].rpc = c.insts[test].a // loop exit: lanes leaving early park there
 		c.loopDepth--
 	case *kir.While:
 		c.flushPending() // statement-entry step, separate from the head step
@@ -268,7 +262,6 @@ func (c *compiler) stmt(s kir.Stmt) {
 		c.block(n.Body)
 		c.emit(inst{op: opJmp, a: int32(head)})
 		c.insts[jz].a = int32(len(c.insts))
-		c.insts[jz].rpc = c.insts[jz].a // loop exit, as for For heads
 		c.loopDepth--
 	case kir.Sync:
 		c.emit(inst{op: opSync, cost: c.costs.Sync})

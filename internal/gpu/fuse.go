@@ -109,11 +109,8 @@ func compact(p *program, dead []bool) {
 	p.insts = kept
 	for i := range p.insts {
 		switch p.insts[i].op {
-		case opJmp:
+		case opJmp, opJZ, opForTest, opCmpJZ:
 			p.insts[i].a = remap[p.insts[i].a]
-		case opJZ, opForTest, opCmpJZ:
-			p.insts[i].a = remap[p.insts[i].a]
-			p.insts[i].rpc = remap[p.insts[i].rpc]
 		}
 	}
 	for i := range p.regions {
@@ -250,7 +247,7 @@ func (f *fuser) fusePair(insts []inst, targets []bool, regIdx []int, i int) (ins
 		if !f.tempDead(insts, targets, i+2, t) || !f.tempDead(insts, targets, int(y.a), t) {
 			return inst{}, false
 		}
-		return inst{op: opCmpJZ, a: y.a, b: x.b, c: x.c, rpc: y.rpc, imm: uint32(x.op),
+		return inst{op: opCmpJZ, a: y.a, b: x.b, c: x.c, imm: uint32(x.op),
 			cost: x.cost, costLoop: x.costLoop}, true
 	}
 	return inst{}, false

@@ -56,6 +56,11 @@ func TestLaunchEmitsTelemetry(t *testing.T) {
 	if got := m.Histogram("hauberk_kernel_cycles", kernelCycleBuckets, "kernel", "tiny").Count(); got != 1 {
 		t.Fatalf("cycle histogram count = %d, want 1", got)
 	}
+	// One engine, one mode: external readers (bench/trace.go) compute the
+	// serial share from this counter and must not see 0/0.
+	if got := m.Counter("hauberk_launch_modes_total", "kernel", "tiny", "mode", "serial").Value(); got != 1 {
+		t.Fatalf("launch mode counter = %d, want 1 launch in mode serial", got)
+	}
 }
 
 func TestLaunchTelemetryClassifiesErrors(t *testing.T) {

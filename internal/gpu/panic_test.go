@@ -23,13 +23,6 @@ func (h *panicHooks) RangeCheck(tc ThreadCtx, det int, val float64) {
 	}
 }
 
-// purePanicHooks is panicHooks with the pure-observer capability, which
-// routes the launch through the parallel engine where the panic fires
-// during the reducer's buffered replay instead of inline execution.
-type purePanicHooks struct{ panicHooks }
-
-func (h *purePanicHooks) PureObserverHooks() bool { return true }
-
 // rangeCheckKernel is a minimal kernel that fires the RangeCheck hook once
 // per thread and stores a word, so a follow-up clean launch has an
 // observable output.
@@ -69,40 +62,5 @@ func TestLaunchPanickingHookSerial(t *testing.T) {
 	}
 	if res.Threads != 16 {
 		t.Errorf("clean relaunch threads = %d, want 16", res.Threads)
-	}
-}
-
-func TestLaunchPanickingHookParallelReplay(t *testing.T) {
-	forceBudget(t, 8)
-	k := rangeCheckKernel()
-	cfg := DefaultConfig()
-	cfg.Interpreter = InterpreterBytecode
-	cfg.LaunchWorkers = 4
-	cfg.Warp = WarpOff // pin the scalar parallel path; warp replay panics are covered in wexec_test.go
-	d := New(cfg)
-	buf := d.Alloc("out", kir.F32, 64)
-	hooks := &purePanicHooks{}
-	spec := LaunchSpec{Grid: 4, Block: 16, Args: []Arg{BufArg(buf)}, Hooks: hooks}
-
-	// The panic must actually cross the parallel path, or this test
-	// silently degrades into a second copy of the serial one.
-	workers, extra, _, mode := d.launchPlan(nil, &spec)
-	ReleaseLaunchSlots(extra)
-	if mode != "parallel" || workers < 2 {
-		t.Fatalf("launch plan = %d workers, mode %q; want the parallel path", workers, mode)
-	}
-
-	_, err := d.Launch(k, spec)
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("panicking pure-observer hook: got %v, want *PanicError", err)
-	}
-	if !strings.Contains(pe.Error(), "deliberate hook panic") {
-		t.Errorf("PanicError %q does not carry the panic value", pe.Error())
-	}
-
-	// And again: contained, not fatal.
-	if _, err := d.Launch(k, LaunchSpec{Grid: 4, Block: 16, Args: []Arg{BufArg(buf)}, Hooks: &NopHooks{}}); err != nil {
-		t.Fatalf("device unusable after contained parallel panic: %v", err)
 	}
 }

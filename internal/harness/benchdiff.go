@@ -15,48 +15,36 @@ import (
 // reports do not always come from the same machine: the default wall-clock
 // mode compares ns/op directly (same host, e.g. a CI runner diffing against
 // its own previous run), while ratios-only mode compares only the
-// machine-independent speedup ratios (tree→bytecode, fused→unfused,
-// serial→parallel, serial→warp), which is the honest comparison when the
-// baseline was recorded on different hardware.
+// machine-independent speedup ratios (tree→bytecode, unfused→fused), which
+// is the honest comparison when the baseline was recorded on different
+// hardware.
 
 // BenchEngineStats is one engine's measurement for one workload, mirroring
-// the per-engine objects of BENCH_perf.json. DegradedHost marks a
-// measurement taken on a host that cannot exercise the engine honestly
-// (the parallel and warp rows on a single-core machine): the number is
-// recorded for completeness but regression gates skip it.
+// the per-engine objects of BENCH_perf.json.
 type BenchEngineStats struct {
 	NsPerOp      int64   `json:"ns_per_op"`
 	CyclesPerSec float64 `json:"simulated_cycles_per_second"`
-	DegradedHost bool    `json:"degraded_host,omitempty"`
 }
 
-// BenchWorkload is one workload row of BENCH_perf.json. Unfused and Warp
-// are pointers because reports written before those engines existed lack
-// them.
+// BenchWorkload is one workload row of BENCH_perf.json. Unfused is a
+// pointer because reports written before the fusion pass existed lack it.
 type BenchWorkload struct {
-	Program         string            `json:"program"`
-	Cycles          float64           `json:"gpu_cycles"`
-	Tree            BenchEngineStats  `json:"tree"`
-	Bytecode        BenchEngineStats  `json:"bytecode"`
-	Unfused         *BenchEngineStats `json:"unfused,omitempty"`
-	Parallel        BenchEngineStats  `json:"parallel"`
-	Warp            *BenchEngineStats `json:"warp,omitempty"`
-	Speedup         float64           `json:"speedup"`
-	FusionSpeedup   float64           `json:"fusion_speedup,omitempty"`
-	ParallelSpeedup float64           `json:"parallel_speedup"`
-	WarpSpeedup     float64           `json:"warp_speedup,omitempty"`
+	Program       string            `json:"program"`
+	Cycles        float64           `json:"gpu_cycles"`
+	Tree          BenchEngineStats  `json:"tree"`
+	Bytecode      BenchEngineStats  `json:"bytecode"`
+	Unfused       *BenchEngineStats `json:"unfused,omitempty"`
+	Speedup       float64           `json:"speedup"`
+	FusionSpeedup float64           `json:"fusion_speedup,omitempty"`
 }
 
 // BenchReport is the full BENCH_perf.json document.
 type BenchReport struct {
-	Benchmark              string          `json:"benchmark"`
-	HostCores              int             `json:"host_cores"`
-	WorkerBudget           int             `json:"worker_budget"`
-	Workloads              []BenchWorkload `json:"workloads"`
-	GeomeanSpeedup         float64         `json:"geomean_speedup"`
-	GeomeanFusionSpeedup   float64         `json:"geomean_fusion_speedup,omitempty"`
-	GeomeanParallelSpeedup float64         `json:"geomean_parallel_speedup"`
-	GeomeanWarpSpeedup     float64         `json:"geomean_warp_speedup,omitempty"`
+	Benchmark            string          `json:"benchmark"`
+	HostCores            int             `json:"host_cores"`
+	Workloads            []BenchWorkload `json:"workloads"`
+	GeomeanSpeedup       float64         `json:"geomean_speedup"`
+	GeomeanFusionSpeedup float64         `json:"geomean_fusion_speedup,omitempty"`
 }
 
 // LoadBenchReport reads and validates one BENCH_perf.json document.
@@ -85,13 +73,6 @@ type BenchDiffOptions struct {
 	// ignoring absolute ns/op. Use when old and new ran on different
 	// hardware.
 	RatiosOnly bool
-	// MinCores, when positive, marks the new report as parallel-degraded
-	// if it was recorded on fewer host cores: the parallel engine falls
-	// back to serial there, so its rows and the serial->parallel ratio are
-	// skipped (reported, never gated) instead of failing the diff. The
-	// single-worker warp rows remain gated — decode amortization is real
-	// on one core.
-	MinCores int
 }
 
 // BenchEngineDelta is one engine's wall-clock movement on one workload.
@@ -130,9 +111,6 @@ type BenchDiff struct {
 	// Regressions lists every threshold violation; empty means the gate
 	// passes.
 	Regressions []string
-	// Skipped notes comparisons excluded from gating (degraded-host
-	// parallel rows); rendered so a vacuous pass is visible.
-	Skipped []string
 }
 
 // Regressed reports whether any engine moved past the threshold.
@@ -148,25 +126,17 @@ func engineStats(w *BenchWorkload, engine string) *BenchEngineStats {
 		return &w.Bytecode
 	case "unfused":
 		return w.Unfused
-	case "parallel":
-		return &w.Parallel
-	case "warp":
-		return w.Warp
 	}
 	return nil
 }
 
-var benchEngineOrder = []string{"tree", "bytecode", "unfused", "parallel", "warp"}
+var benchEngineOrder = []string{"tree", "bytecode", "unfused"}
 
 // DiffBenchReports compares two benchmark reports under opts. It returns an
 // error only for structural problems (no common workloads); performance
 // regressions are reported via BenchDiff.Regressions so the caller can
-// render the full table either way. Parallel-engine rows recorded below
-// MinCores (or stamped degraded_host) are skipped, not failed: a
-// single-core runner measures the parallel engine's serial fallback, which
-// is noise, not a regression.
+// render the full table either way.
 func DiffBenchReports(oldR, newR *BenchReport, opts BenchDiffOptions) (*BenchDiff, error) {
-	parallelDegraded := opts.MinCores > 0 && newR.HostCores < opts.MinCores
 	oldByName := make(map[string]*BenchWorkload, len(oldR.Workloads))
 	for i := range oldR.Workloads {
 		oldByName[oldR.Workloads[i].Program] = &oldR.Workloads[i]
@@ -197,9 +167,6 @@ func DiffBenchReports(oldR, newR *BenchReport, opts BenchDiffOptions) (*BenchDif
 			if so == nil || sn == nil || so.NsPerOp <= 0 || sn.NsPerOp <= 0 {
 				continue
 			}
-			if eng == "parallel" && (parallelDegraded || sn.DegradedHost) {
-				continue
-			}
 			ratio := float64(sn.NsPerOp) / float64(so.NsPerOp)
 			wd.Engines = append(wd.Engines, BenchEngineDelta{
 				Engine:   eng,
@@ -227,21 +194,12 @@ func DiffBenchReports(oldR, newR *BenchReport, opts BenchDiffOptions) (*BenchDif
 		}
 	}
 
-	if parallelDegraded {
-		d.Skipped = append(d.Skipped,
-			fmt.Sprintf("parallel rows: new report ran on %d host cores (< %d), measuring the serial fallback",
-				newR.HostCores, opts.MinCores))
-	}
-
 	ratios := []struct {
 		name     string
 		old, new float64
-		skip     bool
 	}{
-		{"tree->bytecode", oldR.GeomeanSpeedup, newR.GeomeanSpeedup, false},
-		{"unfused->fused", oldR.GeomeanFusionSpeedup, newR.GeomeanFusionSpeedup, false},
-		{"serial->parallel", oldR.GeomeanParallelSpeedup, newR.GeomeanParallelSpeedup, parallelDegraded},
-		{"serial->warp", oldR.GeomeanWarpSpeedup, newR.GeomeanWarpSpeedup, false},
+		{"tree->bytecode", oldR.GeomeanSpeedup, newR.GeomeanSpeedup},
+		{"unfused->fused", oldR.GeomeanFusionSpeedup, newR.GeomeanFusionSpeedup},
 	}
 	for _, r := range ratios {
 		if r.old <= 0 || r.new <= 0 {
@@ -249,11 +207,6 @@ func DiffBenchReports(oldR, newR *BenchReport, opts BenchDiffOptions) (*BenchDif
 		}
 		pct := (r.new/r.old - 1) * 100
 		d.Ratios = append(d.Ratios, BenchRatioDelta{Name: r.name, Old: r.old, New: r.new, DeltaPct: pct})
-		if r.skip {
-			d.Skipped = append(d.Skipped,
-				fmt.Sprintf("%s geomean ratio: degraded host, not gated", r.name))
-			continue
-		}
 		if opts.RatiosOnly && -pct > opts.ThresholdPct {
 			d.Regressions = append(d.Regressions,
 				fmt.Sprintf("%s geomean speedup fell %.1f%%: %.2fx -> %.2fx (threshold %.1f%%)",
@@ -286,12 +239,6 @@ func (d *BenchDiff) Render() string {
 		fmt.Fprintf(&b, "\nmachine-independent speedup geomeans:\n")
 		for _, r := range d.Ratios {
 			fmt.Fprintf(&b, "  %-17s %.2fx -> %.2fx (%+.1f%%)\n", r.Name, r.Old, r.New, r.DeltaPct)
-		}
-	}
-	if len(d.Skipped) > 0 {
-		fmt.Fprintf(&b, "\nskipped (not gated):\n")
-		for _, s := range d.Skipped {
-			fmt.Fprintf(&b, "  - %s\n", s)
 		}
 	}
 	if d.Regressed() {

@@ -14,26 +14,23 @@ func benchFixture(speedMul float64) *BenchReport {
 	}
 	scale := func(ns int64) int64 { return int64(float64(ns) * speedMul) }
 	unf1, unf2 := mk(scale(1300)), mk(scale(2600))
-	wp1, wp2 := mk(scale(640)), mk(scale(1280))
 	return &BenchReport{
 		Benchmark: "fixture",
 		HostCores: 4,
 		Workloads: []BenchWorkload{
 			{
 				Program: "CP", Cycles: 1000,
-				Tree: mk(scale(3000)), Bytecode: mk(scale(1000)), Unfused: &unf1, Parallel: mk(scale(500)), Warp: &wp1,
-				Speedup: 3, FusionSpeedup: 1.3, ParallelSpeedup: 2, WarpSpeedup: 1.5625,
+				Tree: mk(scale(3000)), Bytecode: mk(scale(1000)), Unfused: &unf1,
+				Speedup: 3, FusionSpeedup: 1.3,
 			},
 			{
 				Program: "SAD", Cycles: 2000,
-				Tree: mk(scale(6000)), Bytecode: mk(scale(2000)), Unfused: &unf2, Parallel: mk(scale(1000)), Warp: &wp2,
-				Speedup: 3, FusionSpeedup: 1.3, ParallelSpeedup: 2, WarpSpeedup: 1.5625,
+				Tree: mk(scale(6000)), Bytecode: mk(scale(2000)), Unfused: &unf2,
+				Speedup: 3, FusionSpeedup: 1.3,
 			},
 		},
-		GeomeanSpeedup:         3,
-		GeomeanFusionSpeedup:   1.3,
-		GeomeanParallelSpeedup: 2,
-		GeomeanWarpSpeedup:     1.5625,
+		GeomeanSpeedup:       3,
+		GeomeanFusionSpeedup: 1.3,
 	}
 }
 
@@ -50,8 +47,8 @@ func TestDiffBenchReportsCleanPass(t *testing.T) {
 			t.Fatalf("engine %s: geomean delta %v on identical reports, want 0", eng, pct)
 		}
 	}
-	if len(d.Workloads) != 2 || len(d.Workloads[0].Engines) != 5 {
-		t.Fatalf("expected 2 workloads x 5 engines, got %+v", d.Workloads)
+	if len(d.Workloads) != 2 || len(d.Workloads[0].Engines) != 3 {
+		t.Fatalf("expected 2 workloads x 3 engines, got %+v", d.Workloads)
 	}
 }
 
@@ -64,8 +61,8 @@ func TestDiffBenchReportsFlagsSlowdown(t *testing.T) {
 	if !d.Regressed() {
 		t.Fatal("20% slowdown not flagged at 5% threshold")
 	}
-	if len(d.Regressions) != 5 {
-		t.Fatalf("want one regression per engine (5), got %v", d.Regressions)
+	if len(d.Regressions) != 3 {
+		t.Fatalf("want one regression per engine (3), got %v", d.Regressions)
 	}
 	if !strings.Contains(d.Render(), "REGRESSIONS") {
 		t.Fatal("rendered diff does not surface the regressions")
@@ -106,76 +103,6 @@ func TestDiffBenchReportsRatiosOnly(t *testing.T) {
 	}
 }
 
-// TestDiffBenchReportsMinCoresSkipsParallel pins the degraded-host
-// contract: a new report recorded below MinCores does not fail the diff —
-// its parallel rows and the serial->parallel ratio are skipped (and the
-// skip is rendered), while every other engine, including the single-worker
-// warp engine, stays fully gated.
-func TestDiffBenchReportsMinCoresSkipsParallel(t *testing.T) {
-	// The degraded host's parallel engine collapsed to the serial fallback
-	// (2x slower than the 4-core baseline) — that alone must not regress.
-	single := benchFixture(1)
-	single.HostCores = 1
-	for i := range single.Workloads {
-		single.Workloads[i].Parallel.NsPerOp *= 2
-		single.Workloads[i].Parallel.DegradedHost = true
-		single.Workloads[i].ParallelSpeedup = 1
-	}
-	single.GeomeanParallelSpeedup = 1
-
-	d, err := DiffBenchReports(benchFixture(1), single, BenchDiffOptions{ThresholdPct: 5, MinCores: 2})
-	if err != nil {
-		t.Fatalf("single-core new report must be skipped, not failed: %v", err)
-	}
-	if d.Regressed() {
-		t.Fatalf("degraded-host parallel fallback flagged as regression: %v", d.Regressions)
-	}
-	if len(d.Skipped) == 0 || !strings.Contains(d.Render(), "skipped (not gated)") {
-		t.Fatal("degraded-host skip is invisible in the rendered diff")
-	}
-	for _, w := range d.Workloads {
-		for _, e := range w.Engines {
-			if e.Engine == "parallel" {
-				t.Fatalf("parallel row compared on a degraded host: %+v", e)
-			}
-		}
-	}
-	// The ratios-only gate likewise skips the collapsed parallel ratio but
-	// still flags a genuine warp regression.
-	single.GeomeanWarpSpeedup = 1.0 // was 1.5625
-	d, err = DiffBenchReports(benchFixture(1), single, BenchDiffOptions{ThresholdPct: 5, MinCores: 2, RatiosOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Regressions) != 1 || !strings.Contains(d.Regressions[0], "serial->warp") {
-		t.Fatalf("want exactly the serial->warp regression, got %v", d.Regressions)
-	}
-
-	// A baseline recorded on one core never blocks judging a healthy new
-	// report.
-	if _, err := DiffBenchReports(single, benchFixture(1), BenchDiffOptions{MinCores: 2}); err != nil {
-		t.Fatalf("MinCores must judge the new report, not the baseline: %v", err)
-	}
-}
-
-// TestDiffBenchReportsDegradedStamp pins that a degraded_host stamp on a
-// parallel row skips it even without a MinCores option (the stamp is the
-// report's own testimony that the measurement is a serial fallback).
-func TestDiffBenchReportsDegradedStamp(t *testing.T) {
-	stamped := benchFixture(1)
-	stamped.Workloads[0].Parallel.NsPerOp *= 3
-	stamped.Workloads[0].Parallel.DegradedHost = true
-	d, err := DiffBenchReports(benchFixture(1), stamped, BenchDiffOptions{ThresholdPct: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range d.Regressions {
-		if strings.Contains(r, "parallel") {
-			t.Fatalf("degraded-stamped parallel row gated: %v", r)
-		}
-	}
-}
-
 func TestDiffBenchReportsOldSchema(t *testing.T) {
 	// A baseline recorded before the fusion pass has no unfused rows and
 	// no fusion geomean; the diff must still cover the other engines.
@@ -192,7 +119,7 @@ func TestDiffBenchReportsOldSchema(t *testing.T) {
 	if _, ok := d.GeomeanDeltaPct["unfused"]; ok {
 		t.Fatal("unfused delta computed against a baseline that lacks it")
 	}
-	for _, eng := range []string{"tree", "bytecode", "parallel", "warp"} {
+	for _, eng := range []string{"tree", "bytecode"} {
 		if _, ok := d.GeomeanDeltaPct[eng]; !ok {
 			t.Fatalf("engine %s missing from the diff", eng)
 		}

@@ -247,7 +247,7 @@ func (e *Env) RunCampaign(
 		Results: make([]InjectionResult, len(plan)),
 	}
 	workers, extraWorkers := e.acquireCampaignWorkers()
-	defer gpu.ReleaseLaunchSlots(extraWorkers)
+	defer ReleaseLaunchSlots(extraWorkers)
 	if e.Obs.Enabled() {
 		e.Obs.Emit(obs.EvCampaignStart,
 			obs.Str("program", spec.Name),
@@ -298,22 +298,6 @@ func (e *Env) RunCampaign(
 		return nil, firstErr
 	}
 	out.aggregate()
-	if e.Obs.Enabled() {
-		m := e.Obs.Metrics()
-		m.Help("hauberk_injection_outcomes_total",
-			"fault-injection outcomes (Section VIII five-way classification)")
-		for o := Outcome(0); o < NumOutcomes; o++ {
-			if n := out.All[o]; n > 0 {
-				m.Counter("hauberk_injection_outcomes_total",
-					"program", spec.Name, "outcome", o.String()).Add(int64(n))
-			}
-		}
-		sp.End(
-			obs.Str("program", spec.Name),
-			obs.Int("injections", int64(len(plan))),
-			obs.Int("failures", int64(out.All[OutcomeFailure])),
-			obs.Int("undetected", int64(out.All[OutcomeUndetected])),
-			obs.Float("coverage", out.All.Coverage()))
-	}
+	e.emitCampaignDone(sp, spec, len(plan), out)
 	return out, nil
 }

@@ -12,7 +12,6 @@ import (
 
 	"hauberk/internal/core/ranges"
 	"hauberk/internal/core/translate"
-	"hauberk/internal/gpu"
 	"hauberk/internal/guardian"
 	"hauberk/internal/guardian/procexec/chaos"
 	cstore "hauberk/internal/harness/store"
@@ -203,6 +202,11 @@ func (e *Env) RunCampaignDurable(
 	if opts.Shard < 0 || opts.Shard >= opts.Shards {
 		return nil, fmt.Errorf("harness: invalid shard %d/%d", opts.Shard, opts.Shards)
 	}
+	switch opts.Isolation {
+	case "", IsolationOff, IsolationProcess:
+	default:
+		return nil, fmt.Errorf("harness: unknown isolation mode %q", opts.Isolation)
+	}
 	man := e.CampaignManifest(spec, mode, plan)
 	cs, err := cstore.Open(opts.Dir, man, opts.Shard, opts.Shards, opts.Resume)
 	if err != nil {
@@ -228,6 +232,7 @@ func (e *Env) RunCampaignDurable(
 		pending = append(pending, i)
 	}
 	resumed := owned - len(pending)
+	sp := e.Obs.Span(obs.EvCampaignDone)
 	if e.Obs.Enabled() {
 		e.Obs.Emit(obs.EvCampaignStart,
 			obs.Str("program", spec.Name),
@@ -255,6 +260,7 @@ func (e *Env) RunCampaignDurable(
 	}
 
 	workers, extraWorkers := e.acquireCampaignWorkers()
+	defer ReleaseLaunchSlots(extraWorkers)
 	var pool *isoPool
 	if opts.Isolation == IsolationProcess {
 		pool, err = e.newIsoPool(workers, opts)
@@ -264,10 +270,7 @@ func (e *Env) RunCampaignDurable(
 		// Closed (killing every live worker group) before cs.Close's
 		// final flush, so no worker process outlives the campaign.
 		defer pool.Close()
-	} else if opts.Isolation != "" && opts.Isolation != IsolationOff {
-		return nil, fmt.Errorf("harness: unknown isolation mode %q", opts.Isolation)
 	}
-	defer gpu.ReleaseLaunchSlots(extraWorkers)
 	var (
 		wg         sync.WaitGroup
 		mu         sync.Mutex
@@ -366,7 +369,7 @@ func (e *Env) RunCampaignDurable(
 		out.Results = append(out.Results, resultFromRecord(rec))
 	}
 	out.aggregate()
-	e.emitCampaignDone(spec, len(out.Results), out)
+	e.emitCampaignDone(sp, spec, len(out.Results), out)
 	return out, nil
 }
 
@@ -475,13 +478,24 @@ func (g *guard) run(ctx context.Context, inj Injection, runFn func() (*Injection
 			r, err := runFn()
 			ch <- outcome{r, err}
 		}()
+		deadline := time.Now().Add(g.timeout)
 		timer := time.NewTimer(g.timeout)
 		var got outcome
+		expired := false
 		select {
 		case <-ctx.Done():
 			timer.Stop()
 			return nil, ctx.Err()
 		case <-timer.C:
+			expired = true
+		case got = <-ch:
+			timer.Stop()
+			// A result that lands past the deadline is still a hang: on a
+			// busy host the timer and the result can become ready together,
+			// and the classification must not depend on select's coin flip.
+			expired = !time.Now().Before(deadline)
+		}
+		if expired {
 			// The run goroutine is left to finish on its own (the
 			// simulator's step budget bounds it); its result is discarded.
 			if g.onTimeout != nil {
@@ -494,8 +508,6 @@ func (g *guard) run(ctx context.Context, inj Injection, runFn func() (*Injection
 				TimedOut:  true,
 				Retries:   attempt,
 			}, nil
-		case got = <-ch:
-			timer.Stop()
 		}
 		if got.err == nil {
 			got.r.Retries = attempt
@@ -516,9 +528,9 @@ func (g *guard) run(ctx context.Context, inj Injection, runFn func() (*Injection
 	}
 }
 
-// emitCampaignDone mirrors RunCampaign's completion telemetry for the
-// durable path.
-func (e *Env) emitCampaignDone(spec *workloads.Spec, n int, out *CampaignResult) {
+// emitCampaignDone is the completion telemetry of every campaign runner:
+// the per-outcome counters and the campaign.done span event.
+func (e *Env) emitCampaignDone(sp obs.Span, spec *workloads.Spec, n int, out *CampaignResult) {
 	if !e.Obs.Enabled() {
 		return
 	}
@@ -531,7 +543,7 @@ func (e *Env) emitCampaignDone(spec *workloads.Spec, n int, out *CampaignResult)
 				"program", spec.Name, "outcome", o.String()).Add(int64(c))
 		}
 	}
-	e.Obs.Emit(obs.EvCampaignDone,
+	sp.End(
 		obs.Str("program", spec.Name),
 		obs.Int("injections", int64(n)),
 		obs.Int("failures", int64(out.All[OutcomeFailure])),

@@ -12,7 +12,6 @@ import (
 
 	"hauberk/internal/core/ranges"
 	"hauberk/internal/core/translate"
-	"hauberk/internal/gpu"
 	"hauberk/internal/guardian"
 	"hauberk/internal/guardian/procexec"
 	"hauberk/internal/guardian/procexec/chaos"
@@ -44,7 +43,6 @@ type isoRequest struct {
 	Program string       `json:"program"`
 	Dataset int          `json:"dataset"`
 	Mode    int          `json:"mode"`
-	Engine  int          `json:"engine"`
 	Cmd     swifiCommand `json:"cmd"`
 	Bits    int          `json:"bits"`
 	Class   int          `json:"class"`
@@ -81,19 +79,17 @@ func WorkerMain(in io.Reader, out io.Writer) error {
 		if err := json.Unmarshal(payload, &req); err != nil {
 			return nil, fmt.Errorf("harness: worker request %s: %w", id, err)
 		}
-		key := fmt.Sprintf("%s|%d|%d", req.Program, req.Dataset, req.Engine)
+		key := fmt.Sprintf("%s|%d", req.Program, req.Dataset)
 		st := cache[key]
 		if st == nil {
 			spec := workloads.ByName(req.Program)
 			if spec == nil {
 				return nil, fmt.Errorf("harness: worker: unknown program %q", req.Program)
 			}
-			// Workers are processes in a pool: each keeps its own launch
-			// parallelism serial so N workers use N cores, not N*NumCPU.
+			// Workers are processes in a pool: each runs one injection
+			// at a time so N workers use N cores, not N*NumCPU.
 			env := NewEnv(QuickScale())
 			env.Scale.Workers = 1
-			env.Config.Interpreter = gpu.Interpreter(req.Engine)
-			env.Config.LaunchWorkers = 1
 			ds := workloads.Dataset{Index: req.Dataset}
 			golden, err := env.Golden(spec, ds)
 			if err != nil {
@@ -206,7 +202,6 @@ func (e *Env) runInjectionIsolated(
 		Program: spec.Name,
 		Dataset: golden.Dataset.Index,
 		Mode:    int(mode),
-		Engine:  int(e.Config.Interpreter),
 		Cmd:     wireCommand(inj.Cmd),
 		Bits:    inj.Bits,
 		Class:   int(inj.Class),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"hauberk/internal/core/translate"
@@ -83,69 +84,129 @@ func runEngine(t *testing.T, interp gpu.Interpreter, nofuse bool, k *kir.Kernel,
 	return engineRun{res: res, err: err, output: inst.ReadOutput(), events: hooks.events}
 }
 
-// runWarpEngine launches through the warp-vectorized dispatcher: WarpOn
-// forces lane-vectorized execution, LaunchWorkers=1 pins the single-worker
-// warp driver, and the hooks must declare pure observation or warpPick
-// degrades the launch back to scalar serial.
-func runWarpEngine(t *testing.T, nofuse bool, k *kir.Kernel, spec *workloads.Spec) engineRun {
-	t.Helper()
-	cfg := gpu.DefaultConfig()
-	cfg.Interpreter = gpu.InterpreterBytecode
-	cfg.DisableFusion = nofuse
-	cfg.Warp = gpu.WarpOn
-	cfg.LaunchWorkers = 1
-	d := gpu.New(cfg)
-	inst := spec.Setup(d, workloads.Dataset{Index: 0})
-	hooks := &pureDiffHooks{}
-	res, err := d.Launch(k, gpu.LaunchSpec{
-		Grid:  inst.Grid,
-		Block: inst.Block,
-		Args:  inst.Args,
-		Hooks: hooks,
-	})
-	return engineRun{res: res, err: err, output: inst.ReadOutput(), events: hooks.events}
-}
-
-// TestEnginesBitIdentical is the bytecode engine's differential oracle: for
-// every evaluation workload (7 HPC + 2 graphics), original and under every
-// translator instrumentation mode, the fused bytecode engine, the unfused
-// bytecode stream, the tree-walker, and the warp-vectorized dispatcher must
-// agree bit-for-bit on outputs, total/loop/non-loop cycle counts, memory
-// traffic, the complete detector/FI hook call sequence, and the crash/hang
-// classification.
-func TestEnginesBitIdentical(t *testing.T) {
+// forEachWorkloadVariant runs fn as a subtest for every evaluation workload
+// (7 HPC + 2 graphics), original and under every translator
+// instrumentation mode, handing it the (instrumented) kernel.
+func forEachWorkloadVariant(t *testing.T, fn func(t *testing.T, k *kir.Kernel, spec *workloads.Spec)) {
 	specs := append(workloads.HPC(), workloads.Graphics()...)
 	modes := []translate.Mode{
 		translate.ModeNone, translate.ModeProfiler, translate.ModeFT,
 		translate.ModeFI, translate.ModeFIFT,
 	}
-
 	for _, spec := range specs {
-		for _, variant := range append([]string{"original"}, modeNames(modes)...) {
-			spec, variant := spec, variant
-			t.Run(spec.Name+"/"+variant, func(t *testing.T) {
-				t.Parallel()
-				k := spec.Build()
-				if variant != "original" {
-					mode := modeByName(t, modes, variant)
-					tr, err := translate.Instrument(k, translate.NewOptions(mode))
-					if err != nil {
-						t.Fatalf("instrument: %v", err)
-					}
-					k = tr.Kernel
+		t.Run(spec.Name+"/original", func(t *testing.T) { fn(t, spec.Build(), spec) })
+		for _, mode := range modes {
+			t.Run(spec.Name+"/"+mode.String(), func(t *testing.T) {
+				tr, err := translate.Instrument(spec.Build(), translate.NewOptions(mode))
+				if err != nil {
+					t.Fatalf("instrument: %v", err)
 				}
-
-				bc := runEngine(t, gpu.InterpreterBytecode, false, k, spec)
-				un := runEngine(t, gpu.InterpreterBytecode, true, k, spec)
-				tw := runEngine(t, gpu.InterpreterTree, false, k, spec)
-				wp := runWarpEngine(t, false, k, spec)
-				wu := runWarpEngine(t, true, k, spec)
-
-				compareRuns(t, bc, un)
-				compareRuns(t, bc, tw)
-				compareRuns(t, bc, wp)
-				compareRuns(t, bc, wu)
+				fn(t, tr.Kernel, spec)
 			})
+		}
+	}
+}
+
+// TestEnginesBitIdentical is the bytecode engine's differential oracle: for
+// every workload variant the fused bytecode engine, the unfused bytecode
+// stream, and the tree-walker must agree bit-for-bit on outputs,
+// total/loop/non-loop cycle counts, memory traffic, the complete
+// detector/FI hook call sequence, and the crash/hang classification.
+func TestEnginesBitIdentical(t *testing.T) {
+	forEachWorkloadVariant(t, func(t *testing.T, k *kir.Kernel, spec *workloads.Spec) {
+		t.Parallel()
+		bc := runEngine(t, gpu.InterpreterBytecode, false, k, spec)
+		un := runEngine(t, gpu.InterpreterBytecode, true, k, spec)
+		tw := runEngine(t, gpu.InterpreterTree, false, k, spec)
+
+		compareRuns(t, bc, un)
+		compareRuns(t, bc, tw)
+	})
+}
+
+// TestParallelLaunchBitIdentical pins what campaign workers depend on:
+// launches are serial, campaigns are not. Several goroutines launching the
+// same kernel at once — each on its own device, all sharing the cached
+// program and its pooled register files — must each reproduce a lone
+// launch bit-for-bit, for every workload variant.
+func TestParallelLaunchBitIdentical(t *testing.T) {
+	forEachWorkloadVariant(t, func(t *testing.T, k *kir.Kernel, spec *workloads.Spec) {
+		alone := runEngine(t, gpu.InterpreterBytecode, false, k, spec)
+		together := make([]engineRun, 4)
+		var wg sync.WaitGroup
+		for i := range together {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				together[i] = runEngine(t, gpu.InterpreterBytecode, false, k, spec)
+			}()
+		}
+		wg.Wait()
+		for _, run := range together {
+			compareRuns(t, alone, run)
+		}
+	})
+}
+
+// TestParallelLaunchWithRuntimeHooks drives the real profiler and FT
+// runtimes (hrt) the same way: concurrent environments profiling and
+// running the FT binary of one program must each match a lone run in
+// cycles, hook-call counts, and golden output.
+func TestParallelLaunchWithRuntimeHooks(t *testing.T) {
+	spec := workloads.HPC()[0]
+	ds := workloads.Dataset{Index: 0}
+
+	type ftRun struct {
+		cycles float64
+		counts gpu.HookCounts
+		output []uint32
+		err    error
+	}
+	run := func() (r ftRun) {
+		env := NewEnv(QuickScale())
+		prof, err := env.Profile(spec, []workloads.Dataset{ds})
+		if err != nil {
+			return ftRun{err: fmt.Errorf("profile: %w", err)}
+		}
+		golden, err := env.Golden(spec, ds)
+		if err != nil {
+			return ftRun{err: fmt.Errorf("golden: %w", err)}
+		}
+		tr, err := env.Instrument(spec, translate.NewOptions(translate.ModeFT))
+		if err != nil {
+			return ftRun{err: fmt.Errorf("instrument: %w", err)}
+		}
+		r.cycles, r.counts, r.err = env.launchFT(tr, spec, ds, prof.Store)
+		r.output = golden.Output
+		return r
+	}
+
+	alone := run()
+	if alone.err != nil {
+		t.Fatal(alone.err)
+	}
+	together := make([]ftRun, 4)
+	var wg sync.WaitGroup
+	for i := range together {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			together[i] = run()
+		}()
+	}
+	wg.Wait()
+	for i, r := range together {
+		if r.err != nil {
+			t.Fatalf("concurrent run %d: %v", i, r.err)
+		}
+		if math.Float64bits(r.cycles) != math.Float64bits(alone.cycles) {
+			t.Fatalf("concurrent run %d: FT cycles %v, alone %v", i, r.cycles, alone.cycles)
+		}
+		if !reflect.DeepEqual(r.counts, alone.counts) {
+			t.Fatalf("concurrent run %d: hook counts %+v, alone %+v", i, r.counts, alone.counts)
+		}
+		if !reflect.DeepEqual(r.output, alone.output) {
+			t.Fatalf("concurrent run %d: golden output differs", i)
 		}
 	}
 }
@@ -189,23 +250,4 @@ func compareRuns(t *testing.T, bc, tw engineRun) {
 			t.Fatalf("hook event %d mismatch:\n  bytecode: %+v\n  tree:     %+v", i, bc.events[i], tw.events[i])
 		}
 	}
-}
-
-func modeNames(modes []translate.Mode) []string {
-	out := make([]string, len(modes))
-	for i, m := range modes {
-		out[i] = m.String()
-	}
-	return out
-}
-
-func modeByName(t *testing.T, modes []translate.Mode, name string) translate.Mode {
-	t.Helper()
-	for _, m := range modes {
-		if m.String() == name {
-			return m
-		}
-	}
-	t.Fatalf("unknown mode %q", name)
-	return 0
 }

@@ -152,8 +152,7 @@ func (e *Env) WithObs(t *obs.Telemetry) *Env {
 	return e
 }
 
-// Clone returns a shallow copy sharing the instrument cache (and the
-// process-wide pooled scheduler state, which is global already). The
+// Clone returns a shallow copy sharing the instrument cache. The
 // copy's Scale/Config/Obs can diverge freely, which is how the daemon
 // gives every concurrent campaign its own telemetry plane while reusing
 // one set of instrumented kernels. The clone is as reentrant as the
@@ -192,16 +191,15 @@ func (e *Env) campaignWorkers() int {
 	return runtime.NumCPU()
 }
 
-// acquireCampaignWorkers sizes a campaign's worker pool from the shared
-// launch budget: the campaign always gets one worker (the caller) plus as
-// many extra slots as gpu.AcquireLaunchSlots grants, capped by
-// Scale.Workers. Campaign-level and per-launch block-shard parallelism
-// draw from the same process-wide budget, so a parallel campaign whose
-// runs launch parallel kernels shares the cores instead of multiplying
-// them. The caller must return the extra slots with
-// gpu.ReleaseLaunchSlots when the campaign completes.
+// acquireCampaignWorkers sizes a campaign's worker pool from the
+// process-wide worker budget (budget.go): the campaign always gets one
+// worker (the caller) plus as many extra slots as AcquireLaunchSlots
+// grants, capped by Scale.Workers, so concurrent campaigns in one process
+// share the cores instead of multiplying them. The caller must return the
+// extra slots with ReleaseLaunchSlots — deferred immediately after this
+// call, before anything that can return early.
 func (e *Env) acquireCampaignWorkers() (workers, extra int) {
-	extra = gpu.AcquireLaunchSlots(e.campaignWorkers() - 1)
+	extra = AcquireLaunchSlots(e.campaignWorkers() - 1)
 	return 1 + extra, extra
 }
 

@@ -37,9 +37,8 @@ type RecoveryStats struct {
 // re-execution paths get exercised exactly as the paper describes.
 //
 // Injections run on up to Scale.Workers parallel workers (machine-sized
-// when unset, and drawn from the process-wide launch budget shared with
-// the per-launch block-shard engine — see gpu.AcquireLaunchSlots), each
-// with its own devices and injector; the live range store, the
+// when unset, and drawn from the process-wide worker budget — see
+// AcquireLaunchSlots), each with its own devices and injector; the live range store, the
 // stats tallies, and the alpha controller are shared campaign-wide, as they
 // would be in one production deployment. The per-injection diagnosis is
 // deterministic; only the interleaving of on-line learning across
@@ -67,7 +66,7 @@ func (e *Env) RunRecoveryCampaign(
 		firstErr error
 	)
 	workers, extraWorkers := e.acquireCampaignWorkers()
-	defer gpu.ReleaseLaunchSlots(extraWorkers)
+	defer ReleaseLaunchSlots(extraWorkers)
 	sem := make(chan struct{}, workers)
 	for _, inj := range plan {
 		wg.Add(1)

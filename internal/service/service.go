@@ -67,7 +67,7 @@ type Config struct {
 	StoreRoot string
 	// Slots bounds concurrently executing campaigns; zero means 2.
 	// Within each slot, campaign-level worker parallelism still draws
-	// from the shared process-wide launch budget.
+	// from the shared process-wide worker budget (harness/budget.go).
 	Slots int
 	// QueueDepth bounds each tenant's queue; a full queue rejects
 	// submissions (HTTP 429). Zero means 64.

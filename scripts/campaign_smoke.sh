@@ -37,14 +37,6 @@ fi
 "$work/hauberk-report" -campaign "$work/resumed" >"$work/resumed.txt"
 diff "$work/ref.txt" "$work/resumed.txt"
 
-# Warp-engine leg: the same campaign through the warp-vectorized
-# dispatcher must produce byte-identical figure aggregates (injection
-# launches degrade to scalar serial by design — mutating probes need live
-# delivery — while golden and profiling launches vectorize).
-"$work/hauberk-run" -program CP -campaign-dir "$work/warp" -engine warp >/dev/null
-"$work/hauberk-report" -campaign "$work/warp" >"$work/warp.txt"
-diff "$work/ref.txt" "$work/warp.txt"
-
 # Shard the same campaign 2 ways and merge.
 "$work/hauberk-run" -program CP -campaign-dir "$work/sharded" -shard 0/2 >/dev/null
 "$work/hauberk-run" -program CP -campaign-dir "$work/sharded" -shard 1/2 >/dev/null
