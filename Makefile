@@ -22,7 +22,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 # fast, attributable failure.
 SMOKE_TIMEOUT ?= 600s
 
-.PHONY: all build test check fmt vet lint tools race cover bench-smoke bench-diff campaign-smoke chaos-smoke monitor-smoke service-smoke fleet-smoke bench bench-obs bench-perf bench-service
+.PHONY: all build test check fmt vet lint tools race cover bench-smoke bench-diff bench-digest campaign-smoke chaos-smoke monitor-smoke service-smoke fleet-smoke bench bench-obs bench-perf bench-service
 
 all: build
 
@@ -35,7 +35,7 @@ test:
 # check is the pre-commit gate and the single source of truth for CI:
 # every job in .github/workflows/ci.yml runs one of the targets below, so
 # a green `make check` locally means a green pipeline.
-check: fmt vet lint build cover race bench-smoke bench-diff campaign-smoke chaos-smoke monitor-smoke service-smoke fleet-smoke
+check: fmt vet lint build cover race bench-smoke bench-diff bench-digest campaign-smoke chaos-smoke monitor-smoke service-smoke fleet-smoke
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -79,6 +79,13 @@ cover:
 # iteration of every engine/workload pair, no timing claims.
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkBaselineKernels -benchtime=1x .
+
+# bench-digest pins exactness: a short seed-0 run of each campaign-benchmark
+# workload must end with ops_failed 0 and the digest_fnv committed in
+# results/bench_digests.txt (UPDATE=1 re-pins). Golden-trace resume and
+# anything else that claims to be an exact shortcut is held to it.
+bench-digest:
+	timeout $(SMOKE_TIMEOUT) ./scripts/bench_digest.sh
 
 # campaign-smoke drives the durable campaign engine through the real
 # binaries: plan, kill mid-run, resume, shard, and verify merged figures.

@@ -539,6 +539,37 @@ func TestMonitorOffLaunchAllocationFree(t *testing.T) {
 	if monitorOff != base {
 		t.Fatalf("monitor-off telemetry changed allocations per launch: %v -> %v", base, monitorOff)
 	}
+
+	// The same contract one layer up: an injection through the harness
+	// funnel (golden-trace resume, its exit and thread counters behind
+	// Obs.Enabled) allocates the same with disabled telemetry as with none.
+	if raceEnabled {
+		return // pooled devices are dropped at random; see raceEnabled
+	}
+	bareInj := obsInjection(t, nil)
+	offInj := obsInjection(t, obs.Nop())
+	bareInj()
+	offInj()
+	base = testing.AllocsPerRun(50, bareInj)
+	monitorOff = testing.AllocsPerRun(50, offInj)
+	if monitorOff != base {
+		t.Fatalf("monitor-off telemetry changed allocations per injection: %v -> %v", base, monitorOff)
+	}
+}
+
+// obsInjection prepares a CP campaign in an environment with the given
+// telemetry and returns a closure running its first planned injection.
+func obsInjection(tb testing.TB, tel *obs.Telemetry) func() {
+	e := quickEnv().WithObs(tel)
+	pc, err := e.PrepareCampaign(workloads.CP(), workloads.Dataset{Index: 0})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() {
+		if _, err := e.RunInjection(pc.Spec, pc.Golden, pc.Prof.Store, pc.Mode, pc.Plan[0]); err != nil {
+			tb.Fatal(err)
+		}
+	}
 }
 
 // TestWriteObsBenchJSON measures the instrumented-vs-nop hook path and

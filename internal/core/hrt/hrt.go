@@ -64,13 +64,20 @@ type ControlBlock struct {
 // resolving each detector's ranges from the store (nil store or missing
 // entries leave detectors unconfigured, which accepts all values).
 func NewControlBlock(meta []DetectorMeta, store *ranges.Store) *ControlBlock {
-	cb := &ControlBlock{Meta: meta, Detectors: make([]*ranges.Detector, len(meta))}
+	return &ControlBlock{Meta: meta, Detectors: ResolveDetectors(meta, store)}
+}
+
+// ResolveDetectors looks each detector's ranges up in the store by name.
+// The result is read-only configuration: a caller that builds many control
+// blocks over one (meta, store) pair resolves once and shares it.
+func ResolveDetectors(meta []DetectorMeta, store *ranges.Store) []*ranges.Detector {
+	dets := make([]*ranges.Detector, len(meta))
 	if store != nil {
 		for i, m := range meta {
-			cb.Detectors[i] = store.Get(m.Name)
+			dets[i] = store.Get(m.Name)
 		}
 	}
-	return cb
+	return dets
 }
 
 // Record appends an alarm (deferred reporting).

@@ -47,6 +47,7 @@ func (d *Device) launchBytecode(k *kir.Kernel, spec LaunchSpec) (*Result, error)
 		hooks:  spec.Hooks,
 		regs:   *regsRef,
 		budget: d.cfg.StepBudget,
+		fault:  d.overlay,
 	}
 	regs := t.regs
 	// In GPU mode any address below the virtual limit is a valid access, so
@@ -102,6 +103,11 @@ type bcThread struct {
 	regs      []uint32
 	budget    int
 	fastLimit uint32 // addresses below it never fail checkAccess
+	// fault is applied to every loaded word (nil: none). Launch passes the
+	// device overlay; Record wraps it to note which thread loaded the word.
+	fault func(addr, val uint32) uint32
+	// rec, when non-nil, receives every in-arena store (Record and Resume).
+	rec *storeLog
 
 	cycles     float64
 	loopCycles float64
@@ -122,7 +128,8 @@ func (t *bcThread) run() error {
 	regs := t.regs
 	d := t.d
 	arena := d.arena
-	fault := d.fault
+	fault := t.fault
+	rec := t.rec
 	fastLimit := t.fastLimit
 	var cycles, loopCycles float64
 	var steps int
@@ -216,6 +223,9 @@ loop:
 			loopCycles += in.costLoop
 			stores++
 			if int(addr) < len(arena) {
+				if rec != nil {
+					rec.note(addr, regs[in.c], arena[addr])
+				}
 				arena[addr] = regs[in.c]
 			}
 

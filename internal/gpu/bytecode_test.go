@@ -158,7 +158,40 @@ func diffEngines(t *testing.T, tc diffCase) (diffCase, *kir.Kernel, launchRun) {
 	fused := launchCase(tc, k, tc.cfg)
 	diffRuns(t, "fused", fused, "unfused", launchCase(tc, k, unfused))
 	diffRuns(t, "fused", fused, "tree", launchCase(tc, k, tree))
+	if resumed, ok := resumeCase(t, tc, k); ok {
+		diffRuns(t, "fused", fused, "resumed", resumed)
+	}
 	return tc, k, fused
+}
+
+// resumeCase runs tc through the resumable entry: the kernel is recorded
+// with hooks that change nothing, then resumed from thread 0 with tc's
+// hooks and no early exit, which must reproduce the full launch. ok is
+// false when the launch is ineligible: an opaque overlay (Record must
+// refuse) or a clean launch that fails.
+func resumeCase(t *testing.T, tc diffCase, k *kir.Kernel) (run launchRun, ok bool) {
+	t.Helper()
+	d := New(tc.cfg)
+	spec := LaunchSpec{Grid: tc.grid, Block: tc.block, Args: tc.setup(d, k), Hooks: &bcRecHooks{}}
+	if tc.fault != nil {
+		d.SetMemFault(tc.fault)
+		if tr, _, err := d.Record(k, spec, nil); tr != nil || err == nil {
+			t.Fatalf("Record on a device with an opaque overlay: trace %v, err %v", tr, err)
+		}
+		return launchRun{}, false
+	}
+	tr, _, _ := d.Record(k, spec, nil)
+	if tr == nil {
+		return launchRun{}, false
+	}
+	hooks := &bcRecHooks{flipMask: tc.flipMask}
+	spec.Hooks = hooks
+	res, _, err := d.Resume(k, spec, tr, 0, func() bool { return false })
+	var arenas [][]uint32
+	for _, buf := range d.Buffers() {
+		arenas = append(arenas, d.ReadWords(buf))
+	}
+	return launchRun{res: res, err: err, arenas: arenas, log: hooks.log}, true
 }
 
 func runDiff(t *testing.T, tc diffCase) (*Result, error) {

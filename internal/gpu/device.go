@@ -127,7 +127,23 @@ type Device struct {
 
 	// fault is an optional memory-fault overlay used to emulate
 	// intermittent memory faults (Section II, Figure 3); see SetMemFault.
+	// It is opaque — the closure may carry state of its own — so a device
+	// with one installed cannot be traced or resumed (see Traceable).
 	fault func(addr uint32, val uint32) uint32
+
+	// volLo/volHi bound the volatile region (see SetVolatile); volTick
+	// counts the loads it has served. Unlike fault this is device-owned
+	// state: Snapshot, Restore and the golden trace all cover it.
+	volLo, volHi uint32
+	volTick      uint32
+
+	// overlay is what the engines apply to every loaded word: the volatile
+	// model, then the fault closure; nil when neither is installed.
+	overlay func(addr uint32, val uint32) uint32
+
+	// resume is Resume's scratch, kept across calls so a pooled device
+	// re-runs injections without allocating.
+	resume resumeScratch
 }
 
 // New creates a device with the given configuration.
@@ -179,7 +195,40 @@ func (d *Device) ArenaWords() int { return len(d.arena) }
 // SetMemFault installs an overlay applied to every loaded word; nil clears
 // it. It emulates intermittent faults in a memory module or bus
 // (Section II.A, Figure 3b).
-func (d *Device) SetMemFault(f func(addr, val uint32) uint32) { d.fault = f }
+func (d *Device) SetMemFault(f func(addr, val uint32) uint32) {
+	d.fault = f
+	d.setOverlay()
+}
+
+// SetVolatile marks a buffer as memory that agents outside the simulation
+// (thread blocks of other kernels, a host work queue) keep rewriting: every
+// load from it returns the stored word plus a term that changes with each
+// such load, so no read-back ever matches what was written. The tick that
+// drives the term is device state, not closure state, which is what lets a
+// device with a volatile region be snapshotted, traced and resumed.
+func (d *Device) SetVolatile(b *Buffer) {
+	d.volLo, d.volHi = b.Off, b.Off+uint32(b.Len)
+	d.setOverlay()
+}
+
+func (d *Device) volatileLoad(addr, val uint32) uint32 {
+	if addr >= d.volLo && addr < d.volHi {
+		d.volTick++
+		return val + d.volTick*2654435761
+	}
+	return val
+}
+
+func (d *Device) setOverlay() {
+	switch f := d.fault; {
+	case d.volHi == 0:
+		d.overlay = f
+	case f == nil:
+		d.overlay = d.volatileLoad
+	default:
+		d.overlay = func(addr, val uint32) uint32 { return f(addr, d.volatileLoad(addr, val)) }
+	}
+}
 
 // checkAccess validates an address for the configured mode. It returns a
 // non-empty reason when the access must crash the kernel.
@@ -277,17 +326,25 @@ func (d *Device) Zero(b *Buffer) {
 	}
 }
 
+// Snapshot is a checkpoint of a device's mutable state: the arena words
+// and the volatile-region tick.
+type Snapshot struct {
+	Words []uint32
+	tick  uint32
+}
+
 // Snapshot captures the full arena contents (checkpoint support).
-func (d *Device) Snapshot() []uint32 {
+func (d *Device) Snapshot() Snapshot {
 	out := make([]uint32, len(d.arena))
 	copy(out, d.arena)
-	return out
+	return Snapshot{Words: out, tick: d.volTick}
 }
 
 // Restore reinstates a snapshot taken on this device.
-func (d *Device) Restore(snap []uint32) {
-	if len(snap) != len(d.arena) {
+func (d *Device) Restore(snap Snapshot) {
+	if len(snap.Words) != len(d.arena) {
 		panic("gpu: snapshot size mismatch")
 	}
-	copy(d.arena, snap)
+	copy(d.arena, snap.Words)
+	d.volTick = snap.tick
 }

@@ -121,27 +121,35 @@ func (d *Device) launch(k *kir.Kernel, spec LaunchSpec) (res *Result, err error)
 			res, err = &Result{}, &PanicError{Value: r, Stack: string(debug.Stack())}
 		}
 	}()
+	if lerr := d.checkLaunch(k, spec); lerr != nil {
+		return &Result{}, lerr
+	}
+	if d.cfg.Interpreter == InterpreterTree {
+		return d.launchTree(k, spec)
+	}
+	return d.launchBytecode(k, spec)
+}
+
+// checkLaunch validates a launch request against the device and the
+// kernel's signature.
+func (d *Device) checkLaunch(k *kir.Kernel, spec LaunchSpec) error {
 	if d.Disabled {
-		return &Result{}, &LaunchError{Reason: "device disabled"}
+		return &LaunchError{Reason: "device disabled"}
 	}
 	if spec.Grid <= 0 || spec.Block <= 0 {
-		return &Result{}, &LaunchError{Reason: "grid and block must be positive"}
+		return &LaunchError{Reason: "grid and block must be positive"}
 	}
 	if len(spec.Args) != len(k.Params) {
-		return &Result{}, &LaunchError{
+		return &LaunchError{
 			Reason: fmt.Sprintf("kernel %s wants %d args, got %d", k.Name, len(k.Params), len(spec.Args)),
 		}
 	}
 	for i, p := range k.Params {
 		if p.Type == kir.Ptr && spec.Args[i].Buf == nil {
-			return &Result{}, &LaunchError{Reason: fmt.Sprintf("param %s needs a buffer", p.Name)}
+			return &LaunchError{Reason: fmt.Sprintf("param %s needs a buffer", p.Name)}
 		}
 	}
-
-	if d.cfg.Interpreter == InterpreterTree {
-		return d.launchTree(k, spec)
-	}
-	return d.launchBytecode(k, spec)
+	return nil
 }
 
 // launchTree runs a validated launch through the recursive tree-walking
@@ -501,7 +509,7 @@ func (t *thread) eval(e kir.Expr) (uint32, error) {
 		t.charge(c.Mem)
 		t.loads++
 		val := t.ex.d.loadWord(addr)
-		if f := t.ex.d.fault; f != nil {
+		if f := t.ex.d.overlay; f != nil {
 			val = f(addr, val)
 		}
 		return val, nil

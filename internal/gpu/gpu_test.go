@@ -3,6 +3,7 @@ package gpu
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"hauberk/internal/kir"
@@ -289,6 +290,57 @@ func TestMemFaultOverlay(t *testing.T) {
 	}
 	if got := d.ReadF32(out, 0, 1)[0]; got == 1 {
 		t.Fatalf("memory fault overlay not applied")
+	}
+}
+
+// TestVolatileRegion: a store into a volatile buffer never reads back, on
+// any engine or through Record+Resume; the tick behind it is device state
+// that Snapshot and Restore carry, and a SetMemFault closure stacks on top.
+func TestVolatileRegion(t *testing.T) {
+	tc := diffCase{cfg: DefaultConfig(), grid: 2, block: 8,
+		setup: func(d *Device, k *kir.Kernel) []Arg {
+			args := bigDiffSetup(2, 8)(d, k)
+			d.SetVolatile(args[1].Buf)
+			return args
+		},
+		build: func(b *kir.Builder) {
+			out := b.PtrParam("out", kir.U32)
+			vol := b.PtrParam("vol", kir.U32)
+			b.Store(vol, kir.GlobalID(), kir.U(7))
+			first := b.Def("first", kir.Ld(vol, kir.GlobalID()))
+			second := b.Def("second", kir.Ld(vol, kir.GlobalID()))
+			b.Store(out, kir.GlobalID(), kir.XXor(kir.V(first), kir.V(second)))
+		}}
+	tc, k, run := diffEngines(t, tc)
+	for i, w := range run.arenas[0][:16] {
+		if w == 0 {
+			t.Fatalf("thread %d read the same word twice from the volatile buffer", i)
+		}
+	}
+
+	d := New(tc.cfg)
+	spec := LaunchSpec{Grid: tc.grid, Block: tc.block, Args: tc.setup(d, k)}
+	snap := d.Snapshot()
+	launch := func() []uint32 {
+		if _, err := d.Launch(k, spec); err != nil {
+			t.Fatal(err)
+		}
+		return d.ReadWords(spec.Args[0].Buf)
+	}
+	first := launch()
+	if reflect.DeepEqual(first, launch()) {
+		t.Fatal("a second launch drew the same volatile values: the tick did not advance")
+	}
+	d.Restore(snap)
+	if !reflect.DeepEqual(first, launch()) {
+		t.Fatal("Restore did not reinstate the volatile tick")
+	}
+	d.Restore(snap)
+	d.SetMemFault(func(_, v uint32) uint32 { return v + 1 })
+	for i, w := range launch() {
+		if i < 16 && w == first[i] {
+			t.Fatalf("word %d: the SetMemFault overlay was not applied over the volatile model", i)
+		}
 	}
 }
 

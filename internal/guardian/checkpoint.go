@@ -12,7 +12,7 @@ import (
 // CheCUDA-style checkpoint library of Section VI(i).
 type Checkpoint struct {
 	dev  *gpu.Device
-	snap []uint32
+	snap gpu.Snapshot
 }
 
 // Capture snapshots the device's memory.
@@ -30,7 +30,7 @@ func (c *Checkpoint) Restore() error {
 	if c == nil || c.dev == nil {
 		return errors.New("guardian: restore on empty checkpoint")
 	}
-	if got, want := len(c.snap), c.dev.ArenaWords(); got != want {
+	if got, want := len(c.snap.Words), c.dev.ArenaWords(); got != want {
 		return fmt.Errorf("guardian: corrupt checkpoint: %d words, device arena has %d", got, want)
 	}
 	c.dev.Restore(c.snap)
@@ -38,4 +38,4 @@ func (c *Checkpoint) Restore() error {
 }
 
 // Words reports the checkpoint size in 32-bit words.
-func (c *Checkpoint) Words() int { return len(c.snap) }
+func (c *Checkpoint) Words() int { return len(c.snap.Words) }

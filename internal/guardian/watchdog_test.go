@@ -86,7 +86,7 @@ func TestCheckpointRestoreCorrupt(t *testing.T) {
 	d := gpu.New(gpu.DefaultConfig())
 	d.Alloc("data", kir.I32, 8)
 	cp := Capture(d)
-	cp.snap = cp.snap[:len(cp.snap)-1] // truncated snapshot
+	cp.snap.Words = cp.snap.Words[:len(cp.snap.Words)-1] // truncated snapshot
 	err := cp.Restore()
 	if err == nil {
 		t.Fatalf("restoring a truncated checkpoint must fail, not half-restore")

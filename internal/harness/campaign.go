@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 
-	"hauberk/internal/core/hrt"
 	"hauberk/internal/core/ranges"
 	"hauberk/internal/core/translate"
 	"hauberk/internal/gpu"
@@ -93,45 +92,43 @@ func (e *Env) RunInjection(
 	mode translate.Mode,
 	inj Injection,
 ) (*InjectionResult, error) {
-	return e.runInjectionOn(e.NewDevice, spec, golden, store, mode, inj)
+	return e.runInjectionOn(e.Config, spec, golden, store, mode, inj)
 }
 
-// runInjectionOn is RunInjection with an explicit device factory (the
+// runInjectionOn is RunInjection with an explicit device configuration (the
 // CPU-mode sensitivity rows of Figure 1 inject on page-protected devices).
+// It is the one funnel every campaign runner, the isolated worker and the
+// figures go through.
 func (e *Env) runInjectionOn(
-	devFn func() *gpu.Device,
+	cfg gpu.Config,
 	spec *workloads.Spec,
 	golden *GoldenRun,
 	store *ranges.Store,
 	mode translate.Mode,
 	inj Injection,
 ) (*InjectionResult, error) {
-	tr, err := e.Instrument(spec, translate.NewOptions(mode))
+	gt, err := e.goldenTrace(cfg, spec, golden, store, mode)
 	if err != nil {
 		return nil, err
 	}
-	d := devFn()
-	inst := spec.Setup(d, golden.Dataset)
-
-	cb := hrt.NewControlBlock(tr.Detectors, store)
-	rt := hrt.NewFT(cb)
-	injector := &swifi.Injector{}
-	injector.Arm(inj.Cmd)
-	rt.Inject = injector.Probe
-
-	res := &InjectionResult{Injection: inj}
-	_, lerr := d.Launch(tr.Kernel, gpu.LaunchSpec{
-		Grid: inst.Grid, Block: inst.Block, Args: inst.Args, Hooks: rt,
-	})
-	res.Activated = injector.Injected
-	if lerr != nil {
-		res.Outcome = OutcomeFailure
-		_, res.Hang = lerr.(*gpu.HangError)
-		return res, nil
+	l := gt.launch(inj.Cmd)
+	if e.Obs.Enabled() {
+		m := e.Obs.Metrics()
+		m.Help("hauberk_injection_exit_total", "injection launches by how they ended (golden-trace resume)")
+		m.Counter("hauberk_injection_exit_total", "reason", l.exit).Inc()
+		m.Help("hauberk_injection_threads_total", "threads of injection launches executed live vs taken from the golden trace")
+		m.Counter("hauberk_injection_threads_total", "kind", "executed").Add(int64(l.executed))
+		m.Counter("hauberk_injection_threads_total", "kind", "skipped").Add(int64(l.result.Threads - l.executed))
 	}
-	out := inst.ReadOutput()
-	meets := spec.Requirement.Check(golden.Output, out)
-	res.Outcome = Classify(false, cb.SDC(), meets)
+	res := &InjectionResult{Injection: inj, Activated: l.activated}
+	if l.err != nil {
+		res.Outcome = OutcomeFailure
+		_, res.Hang = l.err.(*gpu.HangError)
+	} else {
+		meets := spec.Requirement.Check(golden.Output, l.td.inst.ReadOutput())
+		res.Outcome = Classify(false, l.cb.SDC(), meets)
+	}
+	gt.release(l.td)
 	return res, nil
 }
 

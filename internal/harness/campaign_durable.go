@@ -18,7 +18,6 @@ import (
 	"hauberk/internal/kir"
 	"hauberk/internal/obs"
 	"hauberk/internal/stats"
-	"hauberk/internal/swifi"
 	"hauberk/internal/workloads"
 )
 
@@ -373,14 +372,18 @@ func (e *Env) RunCampaignDurable(
 	return out, nil
 }
 
-// deriveWatchdogTimeout times one clean (never-matching) injection run of
-// the instrumented kernel and derives the per-injection deadline through
-// the guardian watchdog's own Section VI(i) rule: the profiled clean wall
-// time Seeds the kernel's baseline, and Deadline applies "WatchdogFactor
-// times the baseline, floored at MinTimeout". Routing the derivation
-// through Watchdog (rather than re-implementing the arithmetic) keeps the
-// campaign engine and the procexec supervisor — which seeds the same way
-// for its request deadlines — on one rule.
+// deriveWatchdogTimeout derives the per-injection deadline from the wall
+// time of one full clean run of the instrumented kernel — measured once,
+// while the golden trace is recorded, and cached with it, so a campaign
+// pays no probe launch of its own — through the guardian watchdog's own
+// Section VI(i) rule: the clean wall time Seeds the kernel's baseline, and
+// Deadline applies "WatchdogFactor times the baseline, floored at
+// MinTimeout". Routing the derivation through Watchdog (rather than
+// re-implementing the arithmetic) keeps the campaign engine and the
+// procexec supervisor — which seeds the same way for its request
+// deadlines — on one rule. The baseline is the whole grid's time, not a
+// resumed injection's: an injection that runs to its end, or on the full
+// path, must still fit the deadline.
 func (e *Env) deriveWatchdogTimeout(
 	spec *workloads.Spec,
 	golden *GoldenRun,
@@ -388,16 +391,15 @@ func (e *Env) deriveWatchdogTimeout(
 	mode translate.Mode,
 	opts CampaignOptions,
 ) (time.Duration, error) {
-	probe := Injection{Cmd: swifi.Command{Site: -1, Mask: 1}}
-	start := time.Now()
-	if _, err := e.RunInjection(spec, golden, rstore, mode, probe); err != nil {
+	gt, err := e.goldenTrace(e.Config, spec, golden, rstore, mode)
+	if err != nil {
 		return 0, fmt.Errorf("harness: clean timing run of %s: %w", spec.Name, err)
 	}
 	wd := guardian.NewWatchdog(guardian.WatchdogConfig{
 		Factor:    opts.WatchdogFactor,
 		MinCycles: float64(opts.MinTimeout) / float64(time.Millisecond),
 	})
-	wd.Seed(spec.Name, float64(time.Since(start))/float64(time.Millisecond))
+	wd.Seed(spec.Name, float64(gt.cleanWall)/float64(time.Millisecond))
 	return time.Duration(wd.Deadline(spec.Name) * float64(time.Millisecond)), nil
 }
 

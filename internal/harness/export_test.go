@@ -1,0 +1,27 @@
+package harness
+
+import (
+	"hauberk/internal/core/ranges"
+	"hauberk/internal/core/translate"
+	"hauberk/internal/gpu"
+)
+
+// forceFullLaunch makes every injection against golden under (cfg, store,
+// mode) take the ineligible path — a fresh device and the full
+// Device.Launch — by dropping the resumable part of its trace, and returns
+// the trace. It is the oracle side of the resume differentials; call it
+// before any injection runs against golden.
+func (e *Env) forceFullLaunch(cfg gpu.Config, golden *GoldenRun, store *ranges.Store, mode translate.Mode) (*goldenTrace, error) {
+	gt, err := e.goldenTrace(cfg, golden.Spec, golden, store, mode)
+	if err == nil {
+		gt.mem = nil
+	}
+	return gt, err
+}
+
+// twin returns a golden run with the same reference output and its own,
+// empty trace cache, so one test can hold a resumable and a forced-full
+// trace of the same launch.
+func (g *GoldenRun) twin() *GoldenRun {
+	return &GoldenRun{Spec: g.Spec, Dataset: g.Dataset, Output: g.Output, Result: g.Result}
+}

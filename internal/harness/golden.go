@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"sync"
 
 	"hauberk/internal/core/hrt"
 	"hauberk/internal/core/ranges"
@@ -16,6 +17,11 @@ type GoldenRun struct {
 	Dataset workloads.Dataset
 	Output  []uint32
 	Result  *gpu.Result
+
+	// traces caches the golden traces recorded against this run, one per
+	// (translate mode, range store, device config); see goldenTrace.
+	traceMu sync.Mutex
+	traces  map[traceKey]*traceEntry
 }
 
 // Golden executes the baseline binary and records the golden output
@@ -23,7 +29,13 @@ type GoldenRun struct {
 // baseline binary provides baseline performance — both execute the same
 // computation, so one launch serves both).
 func (e *Env) Golden(spec *workloads.Spec, ds workloads.Dataset) (*GoldenRun, error) {
-	d := e.NewDevice()
+	return e.goldenOn(e.Config, spec, ds)
+}
+
+// goldenOn is Golden on an explicit device configuration (Figure 1's CPU
+// rows take their reference on the page-protected device).
+func (e *Env) goldenOn(cfg gpu.Config, spec *workloads.Spec, ds workloads.Dataset) (*GoldenRun, error) {
+	d := gpu.New(cfg)
 	inst := spec.Setup(d, ds)
 	res, err := d.Launch(spec.Build(), gpu.LaunchSpec{
 		Grid: inst.Grid, Block: inst.Block, Args: inst.Args,

@@ -206,11 +206,11 @@ func (e *Env) acquireCampaignWorkers() (workers, extra int) {
 // NewDevice creates a fresh simulated device for one run.
 func (e *Env) NewDevice() *gpu.Device { return gpu.New(e.Config) }
 
-// NewCPUDevice creates a device with CPU (page-protected) semantics for
-// the Figure 1 CPU rows.
-func (e *Env) NewCPUDevice() *gpu.Device {
+// cpuConfig is the device with CPU (page-protected) semantics the Figure 1
+// CPU rows run on.
+func (e *Env) cpuConfig() gpu.Config {
 	cfg := e.Config
 	cfg.Mode = gpu.ModeCPU
 	cfg.SMs = 1
-	return gpu.New(cfg)
+	return cfg
 }

@@ -1,10 +1,7 @@
 package harness
 
 import (
-	"fmt"
-
 	"hauberk/internal/core/translate"
-	"hauberk/internal/gpu"
 	"hauberk/internal/kir"
 	"hauberk/internal/workloads"
 )
@@ -44,12 +41,12 @@ func (s *SensitivityResult) FailureRatio(c kir.DataClass) float64 {
 // CPU-program profile (low SDC, high crash) from the same injections.
 func (e *Env) Sensitivity(group string, specs []*workloads.Spec, cpuMode bool) (*SensitivityResult, error) {
 	out := &SensitivityResult{Group: group, ByClass: make(map[kir.DataClass]*Tally)}
-	devFn := e.NewDevice
+	cfg := e.Config
 	if cpuMode {
-		devFn = e.NewCPUDevice
+		cfg = e.cpuConfig()
 	}
 	for _, spec := range specs {
-		golden, err := e.goldenOn(devFn, spec)
+		golden, err := e.goldenOn(cfg, spec, workloads.Dataset{Index: 0})
 		if err != nil {
 			return nil, err
 		}
@@ -60,7 +57,7 @@ func (e *Env) Sensitivity(group string, specs []*workloads.Spec, cpuMode bool) (
 		// Figure 1 uses single-bit errors only (SEU emulation).
 		plan := e.PlanCampaign(spec, prof, []int{1})
 		for _, inj := range plan {
-			r, err := e.runInjectionOn(devFn, spec, golden, nil, translate.ModeFI, inj)
+			r, err := e.runInjectionOn(cfg, spec, golden, nil, translate.ModeFI, inj)
 			if err != nil {
 				return nil, err
 			}
@@ -74,14 +71,4 @@ func (e *Env) Sensitivity(group string, specs []*workloads.Spec, cpuMode bool) (
 		}
 	}
 	return out, nil
-}
-
-func (e *Env) goldenOn(devFn func() *gpu.Device, spec *workloads.Spec) (*GoldenRun, error) {
-	d := devFn()
-	inst := spec.Setup(d, workloads.Dataset{Index: 0})
-	res, err := d.Launch(spec.Build(), gpu.LaunchSpec{Grid: inst.Grid, Block: inst.Block, Args: inst.Args})
-	if err != nil {
-		return nil, fmt.Errorf("harness: golden run of %s: %w", spec.Name, err)
-	}
-	return &GoldenRun{Spec: spec, Dataset: workloads.Dataset{Index: 0}, Output: inst.ReadOutput(), Result: res}, nil
 }

@@ -1,0 +1,315 @@
+package harness
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+	"time"
+
+	"hauberk/internal/core/hrt"
+	"hauberk/internal/core/translate"
+	"hauberk/internal/gpu"
+	cstore "hauberk/internal/harness/store"
+	"hauberk/internal/obs"
+	"hauberk/internal/swifi"
+	"hauberk/internal/workloads"
+)
+
+// diffLaunches fails unless the resumed launch equals the full one in
+// everything an injection can observe: error, activation, alarms, the
+// whole arena (with the volatile tick) and the gpu.Result, float bits
+// included.
+func diffLaunches(t *testing.T, cmd swifi.Command, full, resumed injectionLaunch) {
+	t.Helper()
+	if fmt.Sprint(full.err) != fmt.Sprint(resumed.err) || reflect.TypeOf(full.err) != reflect.TypeOf(resumed.err) {
+		t.Fatalf("%s: error: full %v, resumed %v", cmd.Key(), full.err, resumed.err)
+	}
+	if full.activated != resumed.activated {
+		t.Fatalf("%s: activated: full %v, resumed %v", cmd.Key(), full.activated, resumed.activated)
+	}
+	if a, b := alarmBits(full.cb), alarmBits(resumed.cb); !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s: alarms: full %v, resumed %v", cmd.Key(), a, b)
+	}
+	if *full.result != *resumed.result ||
+		math.Float64bits(full.result.Cycles) != math.Float64bits(resumed.result.Cycles) ||
+		math.Float64bits(full.result.LoopCycles) != math.Float64bits(resumed.result.LoopCycles) {
+		t.Fatalf("%s: result: full %+v, resumed %+v", cmd.Key(), full.result, resumed.result)
+	}
+	if !reflect.DeepEqual(full.td.d.Snapshot(), resumed.td.d.Snapshot()) {
+		t.Fatalf("%s: device memory differs between the full and the resumed launch", cmd.Key())
+	}
+}
+
+// alarmBits renders a control block's alarms with the offending value as
+// raw bits, so a NaN alarm compares equal to itself.
+func alarmBits(cb *hrt.ControlBlock) []string {
+	var out []string
+	for _, a := range cb.Alarms() {
+		out = append(out, fmt.Sprintf("%d %v %#x %d %d", a.Detector, a.Kind, math.Float64bits(a.Value), a.Count, a.Expected))
+	}
+	return out
+}
+
+// TestResumeEqualsFullLaunch is the exactness bar of golden-trace resume:
+// on every workload, under both injection modes, every injection of the
+// quick plan — and the shapes the plan never draws: a span of instances, a
+// persistent fault, an instance the run never reaches, a command no site
+// matches, the first and the last thread's instances — produces through
+// the resumed launch exactly what a full launch on a fresh device does.
+func TestResumeEqualsFullLaunch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every quick-plan injection twice")
+	}
+	e := NewEnv(QuickScale())
+	specs := append(append(workloads.HPC(), workloads.Graphics()...), workloads.CPURef())
+	exits := make(map[string]int)
+	for _, spec := range specs {
+		cfg := e.Config
+		if spec.Class == workloads.ClassCPU {
+			cfg = e.cpuConfig()
+		}
+		golden, err := e.goldenOn(cfg, spec, workloads.Dataset{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, err := e.Profile(spec, []workloads.Dataset{golden.Dataset})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := e.PlanCampaign(spec, prof, e.Scale.BitCounts)
+		for _, mode := range []translate.Mode{translate.ModeFI, translate.ModeFIFT} {
+			store := prof.Store
+			if mode == translate.ModeFI {
+				store = nil
+			}
+			resume, err := e.goldenTrace(cfg, spec, golden, store, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resume.mem == nil {
+				t.Fatalf("%s %s: launch is not eligible for resume", spec.Name, mode)
+			}
+			full, err := e.forceFullLaunch(cfg, golden.twin(), store, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			cmds := make([]swifi.Command, 0, len(plan)+8)
+			for _, inj := range plan {
+				cmds = append(cmds, inj.Cmd)
+			}
+			site := plan[len(plan)/2].Cmd.Site
+			total := prof.ExecCounts[site]
+			cmds = append(cmds,
+				swifi.Command{Site: site, Instance: 0, Mask: 1 << 7},                           // first thread
+				swifi.Command{Site: site, Instance: total - 1, Mask: 1 << 7},                   // last thread
+				swifi.Command{Site: site, Instance: total, Mask: 1},                            // never reached
+				swifi.Command{Site: -1, Mask: 1},                                               // no such site
+				swifi.Command{Site: site, Instance: total / 2, Mask: 1 << 3, Count: total / 8}, // spans threads
+				swifi.Command{Site: site, Instance: total / 2, Mask: 1 << 20, Count: 3},
+				swifi.Command{Site: site, Instance: total / 3, Mask: 1 << 2, Persistent: true},
+				swifi.Command{Site: site, Instance: total - 2, Mask: 1 << 30, Persistent: true})
+			for _, cmd := range cmds {
+				want, got := full.launch(cmd), resume.launch(cmd)
+				diffLaunches(t, cmd, want, got)
+				exits[got.exit]++
+				resume.release(got.td)
+			}
+		}
+	}
+	t.Logf("resumed launches by exit: %v", exits)
+	for _, reason := range []string{"settled", "ran_to_end", "failed", "never_fired"} {
+		if exits[reason] == 0 {
+			t.Errorf("no launch took the %q exit", reason)
+		}
+	}
+}
+
+// TestOpaqueOverlayIsIneligible: a program whose set-up installs a
+// SetMemFault closure takes the full path — decided from the device, not
+// from its name — and still classifies as before.
+func TestOpaqueOverlayIsIneligible(t *testing.T) {
+	e := NewEnv(tinyScale())
+	base := workloads.ByName("RPES")
+	spec := *base
+	spec.Setup = func(d *gpu.Device, ds workloads.Dataset) *workloads.Instance {
+		inst := base.Setup(d, ds)
+		d.SetMemFault(func(_, v uint32) uint32 { return v })
+		return inst
+	}
+	ds := workloads.Dataset{}
+	golden, err := e.Golden(&spec, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := e.Profile(&spec, []workloads.Dataset{ds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt, err := e.goldenTrace(e.Config, &spec, golden, prof.Store, translate.ModeFIFT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gt.mem != nil {
+		t.Fatal("a launch with an opaque overlay closure was recorded")
+	}
+	plainGolden, err := e.Golden(base, ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inj := range e.PlanCampaign(&spec, prof, e.Scale.BitCounts) {
+		want, err := e.RunInjection(base, plainGolden, prof.Store, translate.ModeFIFT, inj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.RunInjection(&spec, golden, prof.Store, translate.ModeFIFT, inj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *want != *got {
+			t.Fatalf("%s: identity overlay changed the result: %+v vs %+v", inj.Cmd.Key(), want, got)
+		}
+	}
+}
+
+// campaignRecords runs a durable campaign and returns its digest and its
+// store records in plan order.
+func campaignRecords(t *testing.T, e *Env, spec *workloads.Spec, golden *GoldenRun, prof *ProfileResult, plan []Injection, opts CampaignOptions) (string, []cstore.Record) {
+	t.Helper()
+	cr, err := e.RunCampaignDurable(context.Background(), spec, golden, prof.Store, translate.ModeFIFT, plan, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := cstore.Load(opts.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cr.FigureDigest(), recs
+}
+
+// TestCampaignResumeEqualsFullPath is the whole-campaign leg: a durable
+// campaign forced down the full-launch path is the reference, and the
+// same plan through golden-trace resume — in-process, and in isolated
+// workers that are killed mid-campaign — must reproduce its figure digest
+// and every store record.
+func TestCampaignResumeEqualsFullPath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign is slow")
+	}
+	for _, name := range []string{"TPACF", "SAD"} {
+		t.Run(name, func(t *testing.T) {
+			e := NewEnv(tinyScale())
+			e.Scale.Workers = 2
+			spec := workloads.ByName(name)
+			pc, err := e.PrepareCampaign(spec, workloads.Dataset{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := pc.Golden.twin()
+			if _, err := e.forceFullLaunch(e.Config, oracle, pc.Prof.Store, pc.Mode); err != nil {
+				t.Fatal(err)
+			}
+			wantDigest, want := campaignRecords(t, e, spec, oracle, pc.Prof, pc.Plan, CampaignOptions{Dir: t.TempDir()})
+
+			tel := obs.New(&obs.MemSink{})
+			e.WithObs(tel)
+			legs := map[string]CampaignOptions{
+				"in-process": {Dir: t.TempDir()},
+				"isolated":   isoOpts(t, t.TempDir(), "kill@3"),
+			}
+			for leg, opts := range legs {
+				gotDigest, got := campaignRecords(t, e, spec, pc.Golden, pc.Prof, pc.Plan, opts)
+				if gotDigest != wantDigest {
+					t.Fatalf("%s: digest differs from the full-launch campaign:\n%s\nvs\n%s", leg, gotDigest, wantDigest)
+				}
+				for i := range got {
+					got[i].Retries = 0 // a killed worker's injection is retried; the record is otherwise the same
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: store records differ from the full-launch campaign:\n%+v\nvs\n%+v", leg, got, want)
+				}
+			}
+			if n := tel.Metrics().Counter("hauberk_injection_exit_total", "reason", "ineligible").Value(); n != 0 {
+				t.Errorf("%d injections of the resume legs took the full path", n)
+			}
+		})
+	}
+}
+
+// TestWatchdogBaselineIsFullLaunch is the regression test for the baseline
+// collapsing to a resumed injection's microseconds: the derived deadline
+// must be at least WatchdogFactor times a full clean launch, and a second
+// campaign on the same golden run must not time another launch.
+func TestWatchdogBaselineIsFullLaunch(t *testing.T) {
+	e := NewEnv(tinyScale())
+	spec, golden, prof, _ := planTiny(t, e)
+	tr, err := e.Instrument(spec, translate.NewOptions(translate.ModeFIFT))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fastest of several bare full launches: noise only ever adds time,
+	// so the recorded baseline (one launch, plus set-up and recording) can
+	// only be above it.
+	fullLaunch := time.Duration(math.MaxInt64)
+	for i := 0; i < 5; i++ {
+		d := e.NewDevice()
+		inst := spec.Setup(d, golden.Dataset)
+		start := time.Now()
+		if _, err := d.Launch(tr.Kernel, gpu.LaunchSpec{Grid: inst.Grid, Block: inst.Block, Args: inst.Args}); err != nil {
+			t.Fatal(err)
+		}
+		fullLaunch = min(fullLaunch, time.Since(start))
+	}
+	opts := CampaignOptions{WatchdogFactor: 10, MinTimeout: time.Nanosecond}.withDefaults()
+	timeout, err := e.deriveWatchdogTimeout(spec, golden, prof.Store, translate.ModeFIFT, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if floor := time.Duration(opts.WatchdogFactor) * fullLaunch; timeout < floor {
+		t.Fatalf("derived deadline %v is below %v = %g x a full clean launch (%v)", timeout, floor, opts.WatchdogFactor, fullLaunch)
+	}
+	// Run an injection (microseconds on the resumed path), then derive again.
+	if _, err := e.RunInjection(spec, golden, prof.Store, translate.ModeFIFT, Injection{Cmd: swifi.Command{Site: -1, Mask: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	again, err := e.deriveWatchdogTimeout(spec, golden, prof.Store, translate.ModeFIFT, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != timeout {
+		t.Fatalf("deadline moved from %v to %v between campaigns on one golden run", timeout, again)
+	}
+}
+
+// TestInjectionTelemetry checks the resume counters: every injection is
+// counted under exactly one exit reason, executed plus skipped threads add
+// up to the grid, and the trace size is published.
+func TestInjectionTelemetry(t *testing.T) {
+	e := NewEnv(tinyScale())
+	tel := obs.New(&obs.MemSink{})
+	e.WithObs(tel)
+	spec, golden, prof, plan := planTiny(t, e)
+	for _, inj := range plan {
+		if _, err := e.RunInjection(spec, golden, prof.Store, translate.ModeFIFT, inj); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := tel.Metrics()
+	var exits int64
+	for _, reason := range []string{"settled", "ran_to_end", "failed", "never_fired", "ineligible"} {
+		exits += m.Counter("hauberk_injection_exit_total", "reason", reason).Value()
+	}
+	if exits != int64(len(plan)) {
+		t.Fatalf("exit reasons count %d injections, ran %d", exits, len(plan))
+	}
+	executed := m.Counter("hauberk_injection_threads_total", "kind", "executed").Value()
+	skipped := m.Counter("hauberk_injection_threads_total", "kind", "skipped").Value()
+	if threads := int64(len(plan)) * int64(golden.Result.Threads); executed+skipped != threads || executed == 0 || skipped == 0 {
+		t.Fatalf("threads executed %d + skipped %d, want a split of %d", executed, skipped, threads)
+	}
+	if b := m.Gauge("hauberk_golden_trace_bytes", "program", spec.Name, "mode", translate.ModeFIFT.String()).Value(); b <= 0 {
+		t.Fatalf("hauberk_golden_trace_bytes = %v", b)
+	}
+}

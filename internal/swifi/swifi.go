@@ -143,6 +143,25 @@ func (inj *Injector) Probe(_ gpu.ThreadCtx, site int, v *kir.Var, hw kir.HW, val
 // Executions returns how many times the armed site ran.
 func (inj *Injector) Executions() int64 { return inj.count }
 
+// Preset tells an armed injector that the site already ran executions
+// times, none of them at or past the target instance — the state a launch
+// resumed part-way (gpu.Device.Resume) must start its hooks in.
+func (inj *Injector) Preset(executions int64) { inj.count = executions }
+
+// Spent reports that the injector will not corrupt another value: it is
+// disarmed, or it is transient and the site has run past the last
+// targeted instance. A persistent fault is never spent.
+func (inj *Injector) Spent() bool {
+	if !inj.Armed {
+		return true
+	}
+	span := inj.Cmd.Count
+	if span < 1 {
+		span = 1
+	}
+	return !inj.Cmd.Persistent && inj.count >= inj.Cmd.Instance+span
+}
+
 // RandomMask returns a mask with exactly bits distinct bits set, drawn
 // from rng. Masks model the error-bit counts of Figure 14 (1, 3, 6, 10,
 // 15 corrupted bits).

@@ -112,6 +112,40 @@ func TestInjectorPersistent(t *testing.T) {
 	}
 }
 
+// TestInjectorPresetAndSpent covers the resume contract: an injector
+// preset to the executions a skipped prefix performed corrupts the same
+// instances as one that counted them itself, and Spent turns true exactly
+// when no later Probe can corrupt — never for a persistent fault.
+func TestInjectorPresetAndSpent(t *testing.T) {
+	v := &kir.Var{Name: "x", Type: kir.F32}
+	inj := &Injector{}
+	inj.Arm(Command{Site: 0, Instance: 5, Count: 2, Mask: 1})
+	inj.Preset(4)
+	if inj.Spent() {
+		t.Fatal("spent before the target instance")
+	}
+	for n := 4; n < 8; n++ {
+		val := probeN(inj, v, 1)[0]
+		if corrupted := n == 5 || n == 6; (val != 100) != corrupted {
+			t.Fatalf("instance %d corruption = %v, want %v", n, val != 100, corrupted)
+		}
+		if spent := n >= 6; inj.Spent() != spent {
+			t.Fatalf("after instance %d: Spent() = %v, want %v", n, inj.Spent(), spent)
+		}
+	}
+	if !inj.Spent() || !inj.Injected || inj.Executions() != 8 {
+		t.Fatalf("after the span: spent %v injected %v executions %d", inj.Spent(), inj.Injected, inj.Executions())
+	}
+	inj.Arm(Command{Site: 0, Instance: 0, Mask: 1, Persistent: true})
+	probeN(inj, v, 3)
+	if inj.Spent() {
+		t.Fatal("a persistent fault is never spent")
+	}
+	if !(&Injector{}).Spent() {
+		t.Fatal("an unarmed injector is spent")
+	}
+}
+
 func TestUnarmedInjectorInert(t *testing.T) {
 	v := &kir.Var{Name: "x", Type: kir.I32}
 	inj := &Injector{}

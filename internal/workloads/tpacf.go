@@ -97,16 +97,7 @@ func setupTPACF(d *gpu.Device, ds Dataset) *Instance {
 	// blocks keep rewriting: every read returns a different value. A
 	// corrupted histogram address landing here never reads back the
 	// written value, so the retry loop spins — the paper's TPACF hang.
-	scratch := d.Alloc("workqueue", kir.I32, tpacfScratch)
-	lo, hi := scratch.Off, scratch.Off+uint32(scratch.Len)
-	var volatileTick uint32
-	d.SetMemFault(func(addr, val uint32) uint32 {
-		if addr >= lo && addr < hi {
-			volatileTick++
-			return val + volatileTick*2654435761
-		}
-		return val
-	})
+	d.SetVolatile(d.Alloc("workqueue", kir.I32, tpacfScratch))
 
 	sphere := func(b *gpu.Buffer, n int, f func(theta, phi float64) float64) {
 		vals := make([]float32, n)
