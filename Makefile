@@ -80,10 +80,11 @@ cover:
 bench-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkBaselineKernels -benchtime=1x .
 
-# bench-digest pins exactness: a short seed-0 run of each campaign-benchmark
-# workload must end with ops_failed 0 and the digest_fnv committed in
-# results/bench_digests.txt (UPDATE=1 re-pins). Golden-trace resume and
-# anything else that claims to be an exact shortcut is held to it.
+# bench-digest pins exactness: short runs of each campaign-benchmark
+# workload on seeds 0-3 (~45 s in all) must end with ops_failed 0 and the
+# digest_fnv committed in results/bench_digests.txt (UPDATE=1 re-pins).
+# Golden-trace resume, the derived hang budget and anything else that
+# claims to classify every injection as before is held to it.
 bench-digest:
 	timeout $(SMOKE_TIMEOUT) ./scripts/bench_digest.sh
 

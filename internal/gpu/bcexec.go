@@ -46,7 +46,7 @@ func (d *Device) launchBytecode(k *kir.Kernel, spec LaunchSpec) (*Result, error)
 		spec:   &spec,
 		hooks:  spec.Hooks,
 		regs:   *regsRef,
-		budget: d.cfg.StepBudget,
+		budget: d.stepBudget(&spec),
 		fault:  d.overlay,
 	}
 	regs := t.regs
@@ -82,6 +82,7 @@ func (d *Device) launchBytecode(k *kir.Kernel, spec LaunchSpec) (*Result, error)
 			}
 			res.Loads += t.loads
 			res.Stores += t.stores
+			res.MaxSteps = max(res.MaxSteps, t.steps)
 			if err != nil {
 				finishResult(res, d, sumWarpCycles, sumThreadCycles, sumLoopCycles)
 				return res, err
@@ -113,6 +114,7 @@ type bcThread struct {
 	loopCycles float64
 	loads      int64
 	stores     int64
+	steps      int
 }
 
 func (t *bcThread) crash(reason string) error {
@@ -143,7 +145,7 @@ loop:
 		if in.flags&fStep != 0 {
 			steps++
 			if steps > t.budget {
-				err = &HangError{Block: t.tc.Block, Thread: t.tc.Thread, Steps: steps}
+				err = &HangError{Block: t.tc.Block, Thread: t.tc.Thread, Steps: steps, Budget: t.budget}
 				break loop
 			}
 		}
@@ -658,6 +660,7 @@ loop:
 	t.loopCycles = loopCycles
 	t.loads = loads
 	t.stores = stores
+	t.steps = steps
 	return err
 }
 

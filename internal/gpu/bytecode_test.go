@@ -66,6 +66,8 @@ type diffCase struct {
 	// flipMask, when non-zero, makes the recording hooks corrupt probed
 	// values (see bcRecHooks).
 	flipMask uint32
+	// stepBudget is the launch's LaunchSpec.StepBudget (0: the device's).
+	stepBudget int
 }
 
 func defaultDiffSetup(d *Device, k *kir.Kernel) []Arg {
@@ -98,7 +100,7 @@ func launchCase(tc diffCase, k *kir.Kernel, cfg Config) launchRun {
 	}
 	args := tc.setup(d, k)
 	hooks := &bcRecHooks{flipMask: tc.flipMask}
-	res, err := d.Launch(k, LaunchSpec{Grid: tc.grid, Block: tc.block, Args: args, Hooks: hooks})
+	res, err := d.Launch(k, LaunchSpec{Grid: tc.grid, Block: tc.block, Args: args, Hooks: hooks, StepBudget: tc.stepBudget})
 	var arenas [][]uint32
 	for _, buf := range d.Buffers() {
 		arenas = append(arenas, d.ReadWords(buf))
@@ -122,7 +124,8 @@ func diffRuns(t *testing.T, wantName string, want launchRun, gotName string, got
 		t.Fatalf("cycles not bit-identical:\n  %s: %+v\n  %s: %+v", wantName, want.res, gotName, got.res)
 	}
 	if want.res.Loads != got.res.Loads || want.res.Stores != got.res.Stores ||
-		want.res.MaxLive != got.res.MaxLive || want.res.Spill != got.res.Spill {
+		want.res.MaxLive != got.res.MaxLive || want.res.Spill != got.res.Spill ||
+		want.res.MaxSteps != got.res.MaxSteps {
 		t.Fatalf("result metadata mismatch:\n  %s: %+v\n  %s: %+v", wantName, want.res, gotName, got.res)
 	}
 	if !reflect.DeepEqual(want.arenas, got.arenas) {
@@ -185,7 +188,7 @@ func resumeCase(t *testing.T, tc diffCase, k *kir.Kernel) (run launchRun, ok boo
 		return launchRun{}, false
 	}
 	hooks := &bcRecHooks{flipMask: tc.flipMask}
-	spec.Hooks = hooks
+	spec.Hooks, spec.StepBudget = hooks, tc.stepBudget
 	res, _, err := d.Resume(k, spec, tr, 0, func() bool { return false })
 	var arenas [][]uint32
 	for _, buf := range d.Buffers() {

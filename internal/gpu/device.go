@@ -75,8 +75,11 @@ type Config struct {
 	WarpSize      int // accounting width: a warp costs its slowest thread
 	RegsPerThread int // register file per thread, in 32-bit registers
 	// StepBudget bounds the number of statements one thread may execute;
-	// beyond it the launch reports a HangError. It models the guardian's
-	// execution-time watchdog.
+	// beyond it the launch reports a HangError. It is the backstop of the
+	// guardian's execution-time watchdog: a launch with a clean baseline
+	// carries the watchdog's own, much tighter bound in
+	// LaunchSpec.StepBudget, and this one is left to the launches that are
+	// the baseline.
 	StepBudget int
 	Costs      CostModel
 	// Interpreter picks the execution engine; the zero value is the

@@ -17,19 +17,23 @@ func (e *CrashError) Error() string {
 	return fmt.Sprintf("gpu: kernel crash in block %d thread %d: %s", e.Block, e.Thread, e.Reason)
 }
 
-// HangError reports that a thread exceeded its instruction budget. On real
+// HangError reports that a thread exceeded its statement budget. On real
 // hardware the kernel would simply not terminate; the guardian process
 // detects this via its execution-time watchdog (Section VI(i)). The
 // simulator bounds execution and surfaces the condition as a HangError so
-// the guardian model can classify it.
+// the guardian model can classify it. Budget is the bound the thread
+// crossed: LaunchSpec.StepBudget when the launch carried one (the
+// guardian's T times the clean run's longest thread), else
+// Config.StepBudget.
 type HangError struct {
 	Block  int
 	Thread int
 	Steps  int
+	Budget int
 }
 
 func (e *HangError) Error() string {
-	return fmt.Sprintf("gpu: kernel hang in block %d thread %d after %d steps", e.Block, e.Thread, e.Steps)
+	return fmt.Sprintf("gpu: kernel hang in block %d thread %d after %d steps (budget %d)", e.Block, e.Thread, e.Steps, e.Budget)
 }
 
 // LaunchError reports an invalid launch (bad arguments, resource limits).

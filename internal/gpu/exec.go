@@ -33,6 +33,12 @@ type LaunchSpec struct {
 	Block int // threads per block
 	Args  []Arg
 	Hooks Hooks // nil for uninstrumented kernels
+	// StepBudget, when positive, replaces Config.StepBudget for this launch:
+	// the hang rule of a launch that has a clean baseline — the guardian's
+	// T times the baseline's Result.MaxSteps (Section VI(i)). Zero leaves
+	// the device-wide backstop in charge, which is right for launches that
+	// are the baseline: golden, profile and recording runs.
+	StepBudget int
 	// Obs, when enabled, journals a kernel.launch event at entry and a
 	// kernel.retire span (status, cycle split, memory traffic) at exit,
 	// and feeds the launch counters/cycle histogram of the metrics
@@ -57,6 +63,10 @@ type Result struct {
 	Spill   bool
 	// Loads/Stores count global memory accesses.
 	Loads, Stores int64
+	// MaxSteps is the statement count of the launch's longest thread. The
+	// modelled GPU runs threads in parallel, so this — not the sum — is what
+	// sets the kernel's time, and what a hang budget is a multiple of.
+	MaxSteps int
 }
 
 // kernelCycleBuckets spreads modelled kernel times over the decades the
@@ -130,6 +140,14 @@ func (d *Device) launch(k *kir.Kernel, spec LaunchSpec) (res *Result, err error)
 	return d.launchBytecode(k, spec)
 }
 
+// stepBudget resolves the launch's per-thread statement budget.
+func (d *Device) stepBudget(spec *LaunchSpec) int {
+	if spec.StepBudget > 0 {
+		return spec.StepBudget
+	}
+	return d.cfg.StepBudget
+}
+
 // checkLaunch validates a launch request against the device and the
 // kernel's signature.
 func (d *Device) checkLaunch(k *kir.Kernel, spec LaunchSpec) error {
@@ -158,11 +176,12 @@ func (d *Device) checkLaunch(k *kir.Kernel, spec LaunchSpec) error {
 func (d *Device) launchTree(k *kir.Kernel, spec LaunchSpec) (*Result, error) {
 	an := kir.Analyze(k)
 	ex := &exec{
-		d:     d,
-		k:     k,
-		spec:  spec,
-		hooks: spec.Hooks,
-		cost:  d.cfg.Costs,
+		d:      d,
+		k:      k,
+		spec:   spec,
+		hooks:  spec.Hooks,
+		cost:   d.cfg.Costs,
+		budget: d.stepBudget(&spec),
 	}
 	if an.MaxLive > d.cfg.RegsPerThread {
 		frac := float64(an.MaxLive-d.cfg.RegsPerThread) / float64(an.MaxLive)
@@ -200,6 +219,7 @@ func (d *Device) launchTree(k *kir.Kernel, spec LaunchSpec) (*Result, error) {
 			}
 			res.Loads += t.loads
 			res.Stores += t.stores
+			res.MaxSteps = max(res.MaxSteps, t.steps)
 			if err != nil {
 				finishResult(res, d, sumWarpCycles, sumThreadCycles, sumLoopCycles)
 				return res, err
@@ -227,6 +247,7 @@ type exec struct {
 	hooks      Hooks
 	cost       CostModel
 	spillExtra float64
+	budget     int // statements one thread may execute
 }
 
 // thread is the per-thread interpreter state.
@@ -255,8 +276,8 @@ func (t *thread) crash(format string, args ...any) error {
 
 func (t *thread) step() error {
 	t.steps++
-	if t.steps > t.ex.d.cfg.StepBudget {
-		return &HangError{Block: t.tc.Block, Thread: t.tc.Thread, Steps: t.steps}
+	if t.steps > t.ex.budget {
+		return &HangError{Block: t.tc.Block, Thread: t.tc.Thread, Steps: t.steps, Budget: t.ex.budget}
 	}
 	return nil
 }

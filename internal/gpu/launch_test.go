@@ -255,6 +255,57 @@ func TestWarpHangAttribution(t *testing.T) {
 	}
 }
 
+// TestPerLaunchStepBudget pins the hang rule from the engine side. The
+// kernel's loop bound is probed, so a fault makes the odd threads run k
+// times their clean length and then finish. Under a per-launch budget of
+// T = 10 times the clean launch's longest thread, k below T still
+// classifies by its output and k above T is a HangError — the same one,
+// step count included, from Device.Launch on every engine and from
+// Record+Resume — although the device-wide backstop would have let it
+// finish.
+func TestPerLaunchStepBudget(t *testing.T) {
+	tc := diffCase{cfg: DefaultConfig(), grid: 2, block: 8, setup: bigDiffSetup(2, 8),
+		build: func(b *kir.Builder) {
+			out := b.PtrParam("out", kir.I32)
+			n := b.Def("n", kir.I(16))
+			b.Emit(kir.FIProbe{Site: 0, Target: n, HW: kir.HWALU})
+			s := b.Def("s", kir.I(0))
+			b.For("i", kir.I(0), kir.V(n), func(i *kir.Var) {
+				b.Set(s, kir.XAdd(kir.V(s), kir.V(i)))
+			})
+			b.Store(out, kir.GlobalID(), kir.V(s))
+		}}
+	clean, err := runDiff(t, tc)
+	if err != nil || clean.MaxSteps == 0 {
+		t.Fatalf("clean launch: MaxSteps %d, err %v", clean.MaxSteps, err)
+	}
+	tc.stepBudget = 10 * clean.MaxSteps
+
+	tc.flipMask = 1 << 6 // n = 80: 5x the clean trip count
+	slow, err := runDiff(t, tc)
+	if err != nil {
+		t.Fatalf("a thread 5x its clean length must finish under a 10x budget: %v", err)
+	}
+	if slow.MaxSteps <= 4*clean.MaxSteps || slow.MaxSteps >= tc.stepBudget {
+		t.Fatalf("slow launch's longest thread ran %d steps, clean %d", slow.MaxSteps, clean.MaxSteps)
+	}
+
+	tc.flipMask = 1 << 9 // n = 528: 33x
+	_, err = runDiff(t, tc)
+	var he *HangError
+	if !errors.As(err, &he) {
+		t.Fatalf("a thread 33x its clean length under a 10x budget: %v, want *HangError", err)
+	}
+	if he.Block != 0 || he.Thread != 1 || he.Steps != tc.stepBudget+1 || he.Budget != tc.stepBudget {
+		t.Fatalf("hang %+v, want block 0 thread 1 after %d steps", he, tc.stepBudget+1)
+	}
+
+	tc.stepBudget = 0 // the backstop alone lets the same fault finish
+	if _, err := runDiff(t, tc); err != nil {
+		t.Fatalf("the same fault under Config.StepBudget: %v", err)
+	}
+}
+
 // TestMemFaultLaunchStaysDeterministic runs a launch with a memory-fault
 // overlay whose result depends on the order loads observe it. Launches
 // evaluate in serial (block, thread) order, so repeated runs — and the

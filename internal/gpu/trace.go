@@ -51,6 +51,7 @@ type threadRec struct {
 	loads, stores      int64
 	storeEnd           int    // end of the thread's entries in Trace.stores
 	tick               uint32 // volatile tick after the thread
+	steps              uint32 // statements executed (fills the struct's padding)
 }
 
 // loadRun says the words [lo, hi) were last loaded by golden thread last.
@@ -151,7 +152,7 @@ func (d *Device) newTracedLaunch(k *kir.Kernel, spec *LaunchSpec) (*tracedLaunch
 		spec:   spec,
 		hooks:  spec.Hooks,
 		regs:   *x.regsRef,
-		budget: d.cfg.StepBudget,
+		budget: d.stepBudget(spec),
 		fault:  d.overlay,
 	}
 	if d.cfg.Mode == ModeGPU {
@@ -164,7 +165,7 @@ func (d *Device) newTracedLaunch(k *kir.Kernel, spec *LaunchSpec) (*tracedLaunch
 func (x *tracedLaunch) close() { x.p.putRegs(x.regsRef) }
 
 // fold adds thread number serial's counters to the launch.
-func (x *tracedLaunch) fold(serial int, cycles, loopCycles float64, loads, stores int64) {
+func (x *tracedLaunch) fold(serial int, cycles, loopCycles float64, loads, stores int64, steps int) {
 	x.threadCycles += cycles
 	x.loopSum += loopCycles
 	if cycles > x.warpMax {
@@ -176,13 +177,14 @@ func (x *tracedLaunch) fold(serial int, cycles, loopCycles float64, loads, store
 	}
 	x.res.Loads += loads
 	x.res.Stores += stores
+	x.res.MaxSteps = max(x.res.MaxSteps, steps)
 }
 
 // foldGolden adds the recorded threads [from, to).
 func (x *tracedLaunch) foldGolden(tr *Trace, from, to int) {
 	for s := from; s < to; s++ {
 		r := &tr.threads[s]
-		x.fold(s, r.cycles, r.loopCycles, r.loads, r.stores)
+		x.fold(s, r.cycles, r.loopCycles, r.loads, r.stores, int(r.steps))
 	}
 }
 
@@ -199,7 +201,7 @@ func (x *tracedLaunch) runThread(serial int) error {
 	}
 	x.tc = ThreadCtx{Block: serial / x.spec.Block, Thread: serial % x.spec.Block}
 	err := x.run()
-	x.fold(serial, x.cycles, x.loopCycles, x.loads, x.stores)
+	x.fold(serial, x.cycles, x.loopCycles, x.loads, x.stores, x.steps)
 	return err
 }
 
@@ -268,7 +270,7 @@ func (d *Device) Record(k *kir.Kernel, spec LaunchSpec, threadDone func(serial i
 		}
 		tr.threads = append(tr.threads, threadRec{
 			cycles: x.cycles, loopCycles: x.loopCycles, loads: x.loads, stores: x.stores,
-			storeEnd: len(log.recs), tick: d.volTick,
+			storeEnd: len(log.recs), tick: d.volTick, steps: uint32(x.steps),
 		})
 		if threadDone != nil {
 			threadDone(s)

@@ -64,8 +64,11 @@ type traceCase struct {
 	cfg         Config
 	grid, block int
 	sites       int
-	build       func(b *kir.Builder)
-	setup       func(d *Device, k *kir.Kernel) []Arg
+	// stepBudget is the faulted launches' LaunchSpec.StepBudget; the clean
+	// recording runs under the device's own.
+	stepBudget int
+	build      func(b *kir.Builder)
+	setup      func(d *Device, k *kir.Kernel) []Arg
 }
 
 // goldenRecord is a recorded clean launch plus the hook state at every
@@ -73,7 +76,8 @@ type traceCase struct {
 type goldenRecord struct {
 	d        *Device
 	k        *kir.Kernel
-	spec     LaunchSpec
+	spec     LaunchSpec // the clean launch
+	budget   int        // StepBudget of the faulted ones
 	tr       *Trace
 	probes   [][]int64 // probes[t][site]: Probe calls of threads < t
 	alarms   []string
@@ -84,7 +88,7 @@ func recordCase(t *testing.T, tc traceCase) *goldenRecord {
 	t.Helper()
 	b := kir.NewBuilder("trace")
 	tc.build(b)
-	g := &goldenRecord{d: New(tc.cfg), k: b.Kernel()}
+	g := &goldenRecord{d: New(tc.cfg), k: b.Kernel(), budget: tc.stepBudget}
 	g.spec = LaunchSpec{Grid: tc.grid, Block: tc.block, Args: tc.setup(g.d, g.k)}
 	clean := &oneFault{site: -1, perSit: make([]int64, tc.sites)}
 	g.spec.Hooks = clean
@@ -123,7 +127,7 @@ type outcome struct {
 func (tc traceCase) full(k *kir.Kernel, f oneFault) outcome {
 	d := New(tc.cfg)
 	f.alarms = nil
-	res, err := d.Launch(k, LaunchSpec{Grid: tc.grid, Block: tc.block, Args: tc.setup(d, k), Hooks: &f})
+	res, err := d.Launch(k, LaunchSpec{Grid: tc.grid, Block: tc.block, Args: tc.setup(d, k), Hooks: &f, StepBudget: tc.stepBudget})
 	return outcome{res: res, err: err, snap: d.Snapshot(), alarms: f.alarms}
 }
 
@@ -140,7 +144,7 @@ func (g *goldenRecord) resumed(f oneFault) (o outcome, from, stop int) {
 	}
 	f.alarms = append([]string(nil), g.alarmsOf(0, from)...)
 	spec := g.spec
-	spec.Hooks = &f
+	spec.Hooks, spec.StepBudget = &f, g.budget
 	res, stop, err := g.d.Resume(g.k, spec, g.tr, from, f.spent)
 	if err == nil {
 		f.alarms = append(f.alarms, g.alarmsOf(stop, n)...)
@@ -220,8 +224,6 @@ func perThreadSetup(grid, block int) func(d *Device, k *kir.Kernel) []Arg {
 func traceCases() map[string]traceCase {
 	cpu := DefaultConfig()
 	cpu.Mode, cpu.SMs = ModeCPU, 1
-	hang := DefaultConfig()
-	hang.StepBudget = 400
 	return map[string]traceCase{
 		// One output word per thread, read by nobody: every fault that
 		// stays inside its thread's word settles one thread later.
@@ -279,7 +281,8 @@ func traceCases() map[string]traceCase {
 				b.Store(out, kir.V(idx), kir.V(sum))
 			}},
 		// Faults that crash (zero divisor, address outside the process) and
-		// hang (a loop bound that never comes) part-way through the grid.
+		// hang (a loop bound that never comes, against a per-launch budget
+		// the recording did not run under) part-way through the grid.
 		"crash": {cfg: cpu, grid: 2, block: 16, sites: 2, setup: perThreadSetup(2, 16),
 			build: func(b *kir.Builder) {
 				out := b.PtrParam("out", kir.I32)
@@ -289,7 +292,7 @@ func traceCases() map[string]traceCase {
 				b.Emit(kir.FIProbe{Site: 1, Target: gid, HW: kir.HWALU})
 				b.Store(out, kir.V(gid), kir.XDiv(kir.I(100), kir.V(den)))
 			}},
-		"hang": {cfg: hang, grid: 2, block: 16, sites: 1, setup: perThreadSetup(2, 16),
+		"hang": {cfg: DefaultConfig(), stepBudget: 400, grid: 2, block: 16, sites: 1, setup: perThreadSetup(2, 16),
 			build: func(b *kir.Builder) {
 				out := b.PtrParam("out", kir.I32)
 				n := b.Def("n", kir.I(3))

@@ -129,8 +129,9 @@ type Config struct {
 	// learning). May be nil.
 	//
 	// Preemptive hang detection is handled by the simulator's step
-	// budget; the Watchdog type implements the guardian's timing policy
-	// for callers that track kernel execution times themselves.
+	// budget, which callers with a clean baseline derive per launch from
+	// the Watchdog type's rule (see watchdog.go); Watchdog also serves
+	// callers that track kernel execution times themselves.
 	OnFalseAlarm func(alarms []hrt.Alarm)
 	// Obs, when enabled, journals one event per Figure 11 state
 	// transition: each supervised execution, BIST self-tests, device

@@ -4,10 +4,19 @@ package guardian
 // (Section VI(i)): a GPU kernel is presumed hung when its execution time
 // exceeds both T times its previous execution time and a minimum interval.
 // The FT library reports each kernel's measured time to the guardian
-// through an IPC primitive; in this reproduction the kernel time is the
-// simulator's cycle count, and the simulator's step budget acts as the
-// kill signal. The watchdog bookkeeping below decides *whether* a given
-// duration would have been classified as a hang.
+// through an IPC primitive. In this reproduction the rule is applied in
+// two units, both through Seed and Deadline below so there is one
+// arithmetic: simulated kernel time, where the kill signal is the
+// simulator's per-launch step budget — Deadline of the clean run's longest
+// thread (threads run in parallel on the modelled GPU, so the slowest one
+// is the kernel's time), in statements, with DefaultWatchdog's T and a
+// floor the harness names (harness.hangBudget; gpu.Config.StepBudget is
+// only the backstop for launches that have no clean baseline) — and host
+// wall time, where the campaign engine and the procexec supervisor derive
+// an injection's deadline from the clean run's measured duration. The
+// bookkeeping below decides *whether* a given duration would have been
+// classified as a hang; "cycles" in its names stands for whichever unit
+// the caller seeds it with.
 type WatchdogConfig struct {
 	// Factor is T, the multiple of the previous execution time (the
 	// paper's example uses 10).

@@ -19,6 +19,18 @@ func (e *Env) forceFullLaunch(cfg gpu.Config, golden *GoldenRun, store *ranges.S
 	return gt, err
 }
 
+// forceBackstopBudget makes every injection against golden under (cfg,
+// store, mode) run under the device's Config.StepBudget alone instead of
+// the derived hang budget: the oracle TestHangBudgetReclassifiesNothing
+// compares against. Call it before any injection runs against golden.
+func (e *Env) forceBackstopBudget(cfg gpu.Config, golden *GoldenRun, store *ranges.Store, mode translate.Mode) error {
+	gt, err := e.goldenTrace(cfg, golden.Spec, golden, store, mode)
+	if err == nil {
+		gt.hangBudget = cfg.StepBudget
+	}
+	return err
+}
+
 // twin returns a golden run with the same reference output and its own,
 // empty trace cache, so one test can hold a resumable and a forced-full
 // trace of the same launch.

@@ -111,18 +111,20 @@ func (e *Env) GraphicsFaultStudy(spec *workloads.Spec, errorCounts []int) ([]Gra
 		}
 		c := GraphicsFaultCase{Errors: n, Failed: r.Outcome == OutcomeFailure}
 		if !c.Failed {
-			// Re-run to inspect the actual frame for pixel accounting.
+			// Re-run to inspect the actual frame for pixel accounting, under
+			// the hang budget the injection above ran under.
 			d := e.NewDevice()
 			inst := spec.Setup(d, workloads.Dataset{Index: 0})
-			tr, err := e.Instrument(spec, translate.NewOptions(translate.ModeFI))
+			gt, err := e.goldenTrace(e.Config, spec, golden, nil, translate.ModeFI)
 			if err != nil {
 				return nil, err
 			}
 			injector := &swifi.Injector{}
 			injector.Arm(inj.Cmd)
 			rt := newProbeOnly(injector.Probe)
-			if _, err := d.Launch(tr.Kernel, gpu.LaunchSpec{
+			if _, err := d.Launch(gt.tr.Kernel, gpu.LaunchSpec{
 				Grid: inst.Grid, Block: inst.Block, Args: inst.Args, Hooks: rt,
+				StepBudget: gt.hangBudget,
 			}); err == nil {
 				frame := inst.ReadOutput()
 				c.CorruptPixels = countCorrupt(golden.Output, frame, 0.05)

@@ -49,10 +49,14 @@ func (e *Env) RunRecoveryCampaign(
 	store *ranges.Store,
 	plan []Injection,
 ) (*RecoveryStats, error) {
-	tr, err := e.Instrument(spec, translate.NewOptions(translate.ModeFIFT))
+	// The clean run under the deployed store is the hang baseline of every
+	// supervised execution, first run and re-execution alike (on-line
+	// widening of the live clone changes alarms, not control flow).
+	gt, err := e.goldenTrace(e.Config, spec, golden, store, translate.ModeFIFT)
 	if err != nil {
 		return nil, err
 	}
+	tr := gt.tr
 	stats := &RecoveryStats{AlphaController: guardian.NewAlphaController()}
 	stats.AlphaController.Obs = e.Obs
 	// One store shared across the campaign: on-line learning and alpha
@@ -89,6 +93,7 @@ func (e *Env) RunRecoveryCampaign(
 				rt.Inject = injector.Probe // injector fires once; re-executions are clean
 				res, lerr := dev.Launch(tr.Kernel, gpu.LaunchSpec{
 					Grid: inst.Grid, Block: inst.Block, Args: inst.Args, Hooks: rt,
+					StepBudget: gt.hangBudget,
 				})
 				out := &guardian.RunOutcome{Err: lerr, Cycles: res.Cycles}
 				if lerr == nil {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"sync"
 	"time"
 	"unsafe"
@@ -9,6 +10,7 @@ import (
 	"hauberk/internal/core/ranges"
 	"hauberk/internal/core/translate"
 	"hauberk/internal/gpu"
+	"hauberk/internal/guardian"
 	"hauberk/internal/kir"
 	"hauberk/internal/swifi"
 	"hauberk/internal/workloads"
@@ -30,13 +32,34 @@ type traceEntry struct {
 	err  error
 }
 
+// hangFloorSteps is the least step budget a faulted launch is given,
+// however short its clean baseline: the analogue of the minimum interval
+// of the paper's hang rule (Section VI(i)), below which the guardian never
+// presumes a kernel hung.
+const hangFloorSteps = 1 << 16
+
+// hangBudget is the per-thread step budget of a faulted launch whose clean
+// twin's longest thread ran longest steps: the guardian's own rule — T
+// times the previous execution, floored at the minimum interval — with the
+// device-wide Config.StepBudget kept as the backstop. The longest thread is
+// the baseline because the modelled GPU runs threads in parallel: the
+// kernel's time is its slowest thread's.
+func hangBudget(cfg gpu.Config, kernel string, longest int) int {
+	wd := guardian.NewWatchdog(guardian.WatchdogConfig{
+		Factor:    guardian.DefaultWatchdog().Factor,
+		MinCycles: hangFloorSteps,
+	})
+	wd.Seed(kernel, float64(longest))
+	return min(cfg.StepBudget, int(wd.Deadline(kernel)))
+}
+
 // goldenTrace is one clean instrumented launch of a program, recorded once
 // and shared read-only by every injection run against it (DESIGN.md §5,
 // "Golden-trace resume"): what the instrumentation and the range store
-// resolve to, the clean run's wall time, and — when the launch can be
-// resumed — the device-memory trace plus the hook state at every thread
-// boundary, which is what lets an injection execute only the threads its
-// fault can reach.
+// resolve to, the clean run's wall time and hang budget, and — when the
+// launch can be resumed — the device-memory trace plus the hook state at
+// every thread boundary, which is what lets an injection execute only the
+// threads its fault can reach.
 type goldenTrace struct {
 	spec      *workloads.Spec
 	ds        workloads.Dataset
@@ -48,11 +71,14 @@ type goldenTrace struct {
 	// every thread of the instrumented launch, read-back and check — the
 	// baseline the campaign watchdog multiplies.
 	cleanWall time.Duration
+	// hangBudget is the step budget of every faulted launch against this
+	// trace (see hangBudget), from the clean run's longest thread.
+	hangBudget int
 
 	// mem is nil when the launch is ineligible for resume: the device
 	// carries an opaque overlay closure, the engine is the tree-walking
-	// oracle, or the clean launch itself failed. Such injections take a
-	// fresh device and the full Device.Launch.
+	// oracle, or the clean launch stores more than a trace holds. Such
+	// injections take a fresh device and the full Device.Launch.
 	mem *gpu.Trace
 	// probes[site*threads+t] counts thread t's Probe calls at site.
 	probes []uint32
@@ -108,10 +134,11 @@ func (e *Env) recordTrace(cfg gpu.Config, spec *workloads.Spec, golden *GoldenRu
 	td := gt.newDevice()
 	cb := gt.controlBlock()
 	rt := hrt.NewFT(cb)
-	lspec := td.launchSpec(rt)
+	lspec := td.launchSpec(rt, 0)
+	var res *gpu.Result
 	var lerr error
 	if !td.d.Traceable() {
-		_, lerr = td.d.Launch(tr.Kernel, lspec)
+		res, lerr = td.d.Launch(tr.Kernel, lspec)
 	} else {
 		threads := lspec.Grid * lspec.Block
 		counts := make([]uint32, len(tr.Sites))
@@ -122,7 +149,7 @@ func (e *Env) recordTrace(cfg gpu.Config, spec *workloads.Spec, golden *GoldenRu
 			}
 			return val, false
 		}
-		gt.mem, _, lerr = td.d.Record(tr.Kernel, lspec, func(t int) {
+		gt.mem, res, lerr = td.d.Record(tr.Kernel, lspec, func(t int) {
 			for site := range counts {
 				gt.probes[site*threads+t] = counts[site]
 				counts[site] = 0
@@ -130,15 +157,27 @@ func (e *Env) recordTrace(cfg gpu.Config, spec *workloads.Spec, golden *GoldenRu
 			gt.alarmEnd = append(gt.alarmEnd, int32(len(cb.Alarms())))
 		})
 	}
-	if lerr == nil {
-		spec.Requirement.Check(golden.Output, td.inst.ReadOutput())
+	// The clean run is the baseline of the watchdog, of the hang budget and
+	// of every resumed launch: one that fails, or computes something else
+	// than the golden run, must fail the campaign, not quietly run it on
+	// the full path against a broken baseline.
+	if lerr != nil {
+		return nil, fmt.Errorf("harness: clean %s run of %s failed: %w", mode, spec.Name, lerr)
+	}
+	if !spec.Requirement.Check(golden.Output, td.inst.ReadOutput()) {
+		return nil, fmt.Errorf("harness: clean %s run of %s misses the output requirement against the golden run", mode, spec.Name)
 	}
 	gt.cleanWall = time.Since(start)
+	gt.hangBudget = hangBudget(cfg, spec.Name, res.MaxSteps)
 	if gt.mem != nil {
 		gt.alarms = cb.Alarms()
 		gt.pool.Put(td)
-		if e.Obs.Enabled() {
-			m := e.Obs.Metrics()
+	}
+	if e.Obs.Enabled() {
+		m := e.Obs.Metrics()
+		m.Help("hauberk_hang_budget_steps", "per-thread step budget of a program's faulted launches (T x the clean run's longest thread, floored)")
+		m.Gauge("hauberk_hang_budget_steps", "program", spec.Name, "mode", mode.String()).Set(float64(gt.hangBudget))
+		if gt.mem != nil {
 			m.Help("hauberk_golden_trace_bytes", "memory held by a program's golden trace")
 			m.Gauge("hauberk_golden_trace_bytes", "program", spec.Name, "mode", mode.String()).Set(float64(gt.bytes()))
 		}
@@ -160,8 +199,10 @@ func (gt *goldenTrace) controlBlock() *hrt.ControlBlock {
 	return &hrt.ControlBlock{Meta: gt.tr.Detectors, Detectors: gt.detectors}
 }
 
-func (td *tracedDevice) launchSpec(hooks gpu.Hooks) gpu.LaunchSpec {
-	return gpu.LaunchSpec{Grid: td.inst.Grid, Block: td.inst.Block, Args: td.inst.Args, Hooks: hooks}
+// launchSpec is the program's launch with the given hooks and per-launch
+// step budget (0: the device's own, for the clean run).
+func (td *tracedDevice) launchSpec(hooks gpu.Hooks, stepBudget int) gpu.LaunchSpec {
+	return gpu.LaunchSpec{Grid: td.inst.Grid, Block: td.inst.Block, Args: td.inst.Args, Hooks: hooks, StepBudget: stepBudget}
 }
 
 // resumePoint returns the thread holding the command's first targeted
@@ -225,7 +266,7 @@ func (gt *goldenTrace) launch(cmd swifi.Command) injectionLaunch {
 
 	if gt.mem == nil {
 		l.td = gt.newDevice()
-		l.result, l.err = l.td.d.Launch(gt.tr.Kernel, l.td.launchSpec(rt))
+		l.result, l.err = l.td.d.Launch(gt.tr.Kernel, l.td.launchSpec(rt, gt.hangBudget))
 		l.activated = injector.Injected
 		l.exit, l.executed = "ineligible", l.result.Threads
 		return l
@@ -240,12 +281,14 @@ func (gt *goldenTrace) launch(cmd swifi.Command) injectionLaunch {
 	injector.Preset(executions)
 	gt.replayAlarms(l.cb, 0, from)
 	var stop int
-	l.result, stop, l.err = l.td.d.Resume(gt.tr.Kernel, l.td.launchSpec(rt), gt.mem, from, injector.Spent)
+	l.result, stop, l.err = l.td.d.Resume(gt.tr.Kernel, l.td.launchSpec(rt, gt.hangBudget), gt.mem, from, injector.Spent)
 	l.activated = injector.Injected
 	l.executed = stop - from
-	switch {
+	switch _, hung := l.err.(*gpu.HangError); {
+	case hung:
+		l.exit = "hung"
 	case l.err != nil:
-		l.exit = "failed"
+		l.exit = "crashed"
 	case from == threads:
 		l.exit = "never_fired"
 	case stop == threads:

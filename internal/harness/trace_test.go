@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"hauberk/internal/core/hrt"
+	"hauberk/internal/core/ranges"
 	"hauberk/internal/core/translate"
 	"hauberk/internal/gpu"
+	"hauberk/internal/guardian"
 	cstore "hauberk/internal/harness/store"
 	"hauberk/internal/obs"
 	"hauberk/internal/swifi"
@@ -63,27 +66,11 @@ func TestResumeEqualsFullLaunch(t *testing.T) {
 		t.Skip("runs every quick-plan injection twice")
 	}
 	e := NewEnv(QuickScale())
-	specs := append(append(workloads.HPC(), workloads.Graphics()...), workloads.CPURef())
 	exits := make(map[string]int)
-	for _, spec := range specs {
-		cfg := e.Config
-		if spec.Class == workloads.ClassCPU {
-			cfg = e.cpuConfig()
-		}
-		golden, err := e.goldenOn(cfg, spec, workloads.Dataset{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prof, err := e.Profile(spec, []workloads.Dataset{golden.Dataset})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan := e.PlanCampaign(spec, prof, e.Scale.BitCounts)
+	for _, spec := range allSpecs() {
+		cfg, golden, prof, plan := stagePlan(t, e, spec)
 		for _, mode := range []translate.Mode{translate.ModeFI, translate.ModeFIFT} {
-			store := prof.Store
-			if mode == translate.ModeFI {
-				store = nil
-			}
+			store := storeFor(prof, mode)
 			resume, err := e.goldenTrace(cfg, spec, golden, store, mode)
 			if err != nil {
 				t.Fatal(err)
@@ -120,10 +107,192 @@ func TestResumeEqualsFullLaunch(t *testing.T) {
 		}
 	}
 	t.Logf("resumed launches by exit: %v", exits)
-	for _, reason := range []string{"settled", "ran_to_end", "failed", "never_fired"} {
+	// "hung" included: the oracle ran the quick plan's TPACF hangs under the
+	// same derived budget (forceFullLaunch keeps the trace's hangBudget).
+	for _, reason := range []string{"settled", "ran_to_end", "crashed", "hung", "never_fired"} {
 		if exits[reason] == 0 {
 			t.Errorf("no launch took the %q exit", reason)
 		}
+	}
+}
+
+func allSpecs() []*workloads.Spec {
+	return append(append(workloads.HPC(), workloads.Graphics()...), workloads.CPURef())
+}
+
+// stagePlan prepares spec's dataset-0 campaign at e's scale on the device
+// its class runs on: golden run, profile and plan.
+func stagePlan(t *testing.T, e *Env, spec *workloads.Spec) (gpu.Config, *GoldenRun, *ProfileResult, []Injection) {
+	t.Helper()
+	cfg := e.Config
+	if spec.Class == workloads.ClassCPU {
+		cfg = e.cpuConfig()
+	}
+	golden, err := e.goldenOn(cfg, spec, workloads.Dataset{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := e.Profile(spec, []workloads.Dataset{golden.Dataset})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg, golden, prof, e.PlanCampaign(spec, prof, e.Scale.BitCounts)
+}
+
+// storeFor is the range store a campaign of the mode runs against.
+func storeFor(prof *ProfileResult, mode translate.Mode) *ranges.Store {
+	if mode == translate.ModeFI {
+		return nil
+	}
+	return prof.Store
+}
+
+// TestHangBudgetRule pins the derivation: T (the guardian's default factor)
+// times the clean run's longest thread, never below the floor, never above
+// the device's backstop.
+func TestHangBudgetRule(t *testing.T) {
+	cfg := gpu.DefaultConfig()
+	T := int(guardian.DefaultWatchdog().Factor)
+	for _, c := range []struct{ longest, want int }{
+		{0, hangFloorSteps},
+		{3890, hangFloorSteps}, // TPACF: 10 x 3,890 is under the floor
+		{hangFloorSteps, T * hangFloorSteps},
+		{cfg.StepBudget/T + 1, cfg.StepBudget},
+		{cfg.StepBudget, cfg.StepBudget},
+	} {
+		if got := hangBudget(cfg, "k", c.longest); got != c.want {
+			t.Errorf("hangBudget(longest %d) = %d, want %d", c.longest, got, c.want)
+		}
+	}
+}
+
+// TestHangBudgetReclassifiesNothing is the evidence the hang rule's
+// semantic change rests on: a faulted thread that outruns T x the longest
+// clean thread is now a hang even if it would have finished inside the
+// 4 Mi backstop, and on every shipped plan no injection is such a thread —
+// each one classifies under the derived budget exactly as it does under
+// the backstop. The full plans of the hang-prone programs are included,
+// and the test fails if it saw no hang to compare.
+func TestHangBudgetReclassifiesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every quick-plan injection twice, and three full plans")
+	}
+	legs := []struct {
+		name  string
+		scale Scale
+		specs []*workloads.Spec
+	}{
+		{"quick", QuickScale(), allSpecs()},
+		{"full", FullScale(), []*workloads.Spec{workloads.ByName("RPES"), workloads.ByName("ray-trace"), workloads.ByName("TPACF")}},
+	}
+	hangs := make(map[string]int)
+	injections := 0
+	var hangTime, backstopHangTime time.Duration
+	for _, leg := range legs {
+		e := NewEnv(leg.scale)
+		for _, spec := range leg.specs {
+			cfg, golden, prof, plan := stagePlan(t, e, spec)
+			backstop := golden.twin()
+			for _, mode := range []translate.Mode{translate.ModeFI, translate.ModeFIFT} {
+				store := storeFor(prof, mode)
+				derived, err := e.goldenTrace(cfg, spec, golden, store, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if derived.hangBudget <= 0 || derived.hangBudget >= cfg.StepBudget {
+					t.Fatalf("%s %s: hang budget %d is not below the %d-step backstop", spec.Name, mode, derived.hangBudget, cfg.StepBudget)
+				}
+				if err := e.forceBackstopBudget(cfg, backstop, store, mode); err != nil {
+					t.Fatal(err)
+				}
+				for _, inj := range plan {
+					start := time.Now()
+					got, err := e.runInjectionOn(cfg, spec, golden, store, mode, inj)
+					if err != nil {
+						t.Fatal(err)
+					}
+					mid := time.Now()
+					want, err := e.runInjectionOn(cfg, spec, backstop, store, mode, inj)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Hang {
+						hangTime += mid.Sub(start)
+						backstopHangTime += time.Since(mid)
+					}
+					if *got != *want {
+						t.Errorf("%s %s %s: budget %d classifies %+v, the backstop %+v", spec.Name, mode, inj.Cmd.Key(), derived.hangBudget, got, want)
+					}
+					if got.Hang {
+						hangs[spec.Name+"/"+leg.name]++
+					}
+					injections++
+				}
+			}
+		}
+	}
+	t.Logf("%d injections, hangs by program/plan: %v; time in hang injections %v, under the backstop %v",
+		injections, hangs, hangTime, backstopHangTime)
+	for _, prone := range []string{"TPACF/quick", "TPACF/full", "ray-trace/full"} {
+		if hangs[prone] == 0 {
+			t.Errorf("no hang in %s: the comparison is vacuous there", prone)
+		}
+	}
+}
+
+// TestBrokenCleanRunFailsCampaign: the clean instrumented run is the
+// baseline of the watchdog, the hang budget and every resumed launch, so
+// one that crashes — or computes something other than the golden output —
+// is an error of every injection against it, not a silent fall-back to the
+// full path.
+func TestBrokenCleanRunFailsCampaign(t *testing.T) {
+	base := workloads.ByName("RPES")
+	for name, breakIt := range map[string]func(inst *workloads.Instance, d *gpu.Device){
+		"crashes": func(inst *workloads.Instance, _ *gpu.Device) {
+			for i, a := range inst.Args {
+				if a.Buf != nil {
+					wild := *a.Buf
+					wild.Off = gpu.VirtualWords
+					inst.Args[i] = gpu.BufArg(&wild)
+				}
+			}
+		},
+		"wrong output": func(inst *workloads.Instance, d *gpu.Device) {
+			for _, a := range inst.Args {
+				if a.Buf != nil {
+					d.FlipBits(a.Buf, 0, 1<<30)
+				}
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := NewEnv(tinyScale())
+			broken := false
+			spec := *base
+			spec.Setup = func(d *gpu.Device, ds workloads.Dataset) *workloads.Instance {
+				inst := base.Setup(d, ds)
+				if broken {
+					breakIt(inst, d)
+				}
+				return inst
+			}
+			pc, err := e.PrepareCampaign(&spec, workloads.Dataset{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			broken = true
+			if _, err := e.RunInjection(&spec, pc.Golden, pc.Prof.Store, pc.Mode, pc.Plan[0]); err == nil {
+				t.Fatal("injection against a broken clean run classified instead of failing")
+			} else if !strings.Contains(err.Error(), "clean") {
+				t.Fatalf("error does not name the clean run: %v", err)
+			}
+			if _, err := e.RunCampaign(&spec, pc.Golden, pc.Prof.Store, pc.Mode, pc.Plan); err == nil {
+				t.Fatal("campaign against a broken clean run succeeded")
+			}
+			if _, err := e.RunCampaignDurable(context.Background(), &spec, pc.Golden, pc.Prof.Store, pc.Mode, pc.Plan, CampaignOptions{Dir: t.TempDir()}); err == nil {
+				t.Fatal("durable campaign against a broken clean run succeeded")
+			}
+		})
 	}
 }
 
@@ -193,14 +362,16 @@ func campaignRecords(t *testing.T, e *Env, spec *workloads.Spec, golden *GoldenR
 // campaign forced down the full-launch path is the reference, and the
 // same plan through golden-trace resume — in-process, and in isolated
 // workers that are killed mid-campaign — must reproduce its figure digest
-// and every store record.
+// and every store record. The oracle runs under the same derived hang
+// budget (forceFullLaunch drops only the resumable part of the trace), and
+// TPACF's plan is the quick one because that is where its hangs are.
 func TestCampaignResumeEqualsFullPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign is slow")
 	}
-	for _, name := range []string{"TPACF", "SAD"} {
+	for name, scale := range map[string]Scale{"TPACF": QuickScale(), "SAD": tinyScale()} {
 		t.Run(name, func(t *testing.T) {
-			e := NewEnv(tinyScale())
+			e := NewEnv(scale)
 			e.Scale.Workers = 2
 			spec := workloads.ByName(name)
 			pc, err := e.PrepareCampaign(spec, workloads.Dataset{})
@@ -212,6 +383,9 @@ func TestCampaignResumeEqualsFullPath(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantDigest, want := campaignRecords(t, e, spec, oracle, pc.Prof, pc.Plan, CampaignOptions{Dir: t.TempDir()})
+			if name == "TPACF" && strings.Contains(wantDigest, "hangs=0\n") {
+				t.Fatalf("TPACF's plan holds no hang:\n%s", wantDigest)
+			}
 
 			tel := obs.New(&obs.MemSink{})
 			e.WithObs(tel)
@@ -298,7 +472,7 @@ func TestInjectionTelemetry(t *testing.T) {
 	}
 	m := tel.Metrics()
 	var exits int64
-	for _, reason := range []string{"settled", "ran_to_end", "failed", "never_fired", "ineligible"} {
+	for _, reason := range []string{"settled", "ran_to_end", "crashed", "hung", "never_fired", "ineligible"} {
 		exits += m.Counter("hauberk_injection_exit_total", "reason", reason).Value()
 	}
 	if exits != int64(len(plan)) {
@@ -311,5 +485,8 @@ func TestInjectionTelemetry(t *testing.T) {
 	}
 	if b := m.Gauge("hauberk_golden_trace_bytes", "program", spec.Name, "mode", translate.ModeFIFT.String()).Value(); b <= 0 {
 		t.Fatalf("hauberk_golden_trace_bytes = %v", b)
+	}
+	if b := m.Gauge("hauberk_hang_budget_steps", "program", spec.Name, "mode", translate.ModeFIFT.String()).Value(); b != hangFloorSteps {
+		t.Fatalf("hauberk_hang_budget_steps = %v, want CP's floor of %d", b, hangFloorSteps)
 	}
 }
