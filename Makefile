@@ -22,7 +22,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 # fast, attributable failure.
 SMOKE_TIMEOUT ?= 600s
 
-.PHONY: all build test check fmt vet lint tools race cover bench-smoke bench-diff bench-digest campaign-smoke chaos-smoke monitor-smoke service-smoke fleet-smoke bench bench-obs bench-perf bench-service
+.PHONY: all build test check fmt vet lint tools race cover bench-smoke bench-diff bench-digest report-digest campaign-smoke chaos-smoke monitor-smoke service-smoke fleet-smoke bench bench-obs bench-perf bench-service
 
 all: build
 
@@ -35,7 +35,7 @@ test:
 # check is the pre-commit gate and the single source of truth for CI:
 # every job in .github/workflows/ci.yml runs one of the targets below, so
 # a green `make check` locally means a green pipeline.
-check: fmt vet lint build cover race bench-smoke bench-diff bench-digest campaign-smoke chaos-smoke monitor-smoke service-smoke fleet-smoke
+check: fmt vet lint build cover race bench-smoke bench-diff bench-digest report-digest campaign-smoke chaos-smoke monitor-smoke service-smoke fleet-smoke
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -87,6 +87,14 @@ bench-smoke:
 # claims to classify every injection as before is held to it.
 bench-digest:
 	timeout $(SMOKE_TIMEOUT) ./scripts/bench_digest.sh
+
+# report-digest pins the figures: `hauberk-report -fig all -scale quick -md`
+# less its one wall-clock table (Section IX.D) must equal
+# results/report-quick.md (~6 s; UPDATE=1 re-pins). A change to the campaign
+# runner, the planner or the classification that moves a figure cell fails
+# here.
+report-digest:
+	timeout $(SMOKE_TIMEOUT) ./scripts/report_digest.sh
 
 # campaign-smoke drives the durable campaign engine through the real
 # binaries: plan, kill mid-run, resume, shard, and verify merged figures.

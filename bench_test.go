@@ -10,6 +10,7 @@
 package hauberk_test
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"os"
@@ -199,23 +200,18 @@ func BenchmarkFig14_Coverage(b *testing.B) {
 	for _, spec := range workloads.HPC() {
 		spec := spec
 		b.Run(spec.Name, func(b *testing.B) {
-			golden, err := e.Golden(spec, workloads.Dataset{Index: 0})
+			pc, err := e.PrepareCampaign(spec, workloads.Dataset{Index: 0})
 			if err != nil {
 				b.Fatal(err)
 			}
-			prof, err := e.Profile(spec, []workloads.Dataset{{Index: 0}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			plan := e.PlanCampaign(spec, prof, e.Scale.BitCounts)
 			for i := 0; i < b.N; i++ {
-				cr, err := e.RunCampaign(spec, golden, prof.Store, translate.ModeFIFT, plan)
+				cr, err := e.RunPrepared(context.Background(), pc, harness.CampaignOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
 				b.ReportMetric(100*cr.All.Coverage(), "coverage-%")
 				b.ReportMetric(100*cr.All.Frac(harness.OutcomeUndetected), "undetected-%")
-				b.ReportMetric(float64(len(plan)), "injections")
+				b.ReportMetric(float64(len(pc.Plan)), "injections")
 			}
 		})
 	}

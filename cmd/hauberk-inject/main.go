@@ -10,10 +10,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -58,38 +58,23 @@ func main() {
 	scale.Workers = *workers
 	env := harness.NewEnv(scale)
 
-	ds := workloads.Dataset{Index: 0}
-	golden, err := env.Golden(spec, ds)
+	pc, err := env.PrepareCampaign(spec, workloads.Dataset{Index: 0})
 	check(err)
-	prof, err := env.Profile(spec, []workloads.Dataset{ds})
-	check(err)
-	plan := env.PlanCampaign(spec, prof, bitCounts)
+	pc.Mode = m
 	fmt.Printf("%s: injecting %d faults (%d sites x %d masks, %s mode)\n",
-		spec.Name, len(plan), min(len(prof.Sites), *sites), *masks, m)
+		spec.Name, len(pc.Plan), min(len(pc.Prof.Sites), *sites), *masks, m)
 
-	cr, err := env.RunCampaign(spec, golden, prof.Store, m, plan)
+	cr, err := env.RunPrepared(context.Background(), pc, harness.CampaignOptions{})
 	check(err)
 
 	tbl := &harness.Table{
 		Title:  fmt.Sprintf("%s fault injection outcomes (%s)", spec.Name, m),
 		Header: []string{"bits", "runs", "failure %", "masked %", "det&masked %", "detected %", "undetected %", "coverage %"},
 	}
-	var keys []int
-	for b := range cr.ByBits {
-		keys = append(keys, b)
+	for _, b := range cr.BitCounts() {
+		tbl.AddOutcomeRow(cr.ByBits[b], b, cr.ByBits[b].Total())
 	}
-	sort.Ints(keys)
-	for _, b := range keys {
-		t := cr.ByBits[b]
-		tbl.AddRow(fmt.Sprintf("%d", b), t.Total(),
-			100*t.Frac(harness.OutcomeFailure), 100*t.Frac(harness.OutcomeMasked),
-			100*t.Frac(harness.OutcomeDetectedMasked), 100*t.Frac(harness.OutcomeDetected),
-			100*t.Frac(harness.OutcomeUndetected), 100*t.Coverage())
-	}
-	tbl.AddRow("all", cr.All.Total(),
-		100*cr.All.Frac(harness.OutcomeFailure), 100*cr.All.Frac(harness.OutcomeMasked),
-		100*cr.All.Frac(harness.OutcomeDetectedMasked), 100*cr.All.Frac(harness.OutcomeDetected),
-		100*cr.All.Frac(harness.OutcomeUndetected), 100*cr.All.Coverage())
+	tbl.AddOutcomeRow(&cr.All, "all", cr.All.Total())
 	fmt.Print(tbl.Render())
 	fmt.Printf("hangs detected by the guardian watchdog: %d\n", cr.Hangs)
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,21 +26,15 @@ func main() {
 	env := harness.NewEnv(scale)
 
 	spec := workloads.MRIQ()
-	ds := workloads.Dataset{Index: 0}
-
-	golden, err := env.Golden(spec, ds)
+	pc, err := env.PrepareCampaign(spec, workloads.Dataset{Index: 0})
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof, err := env.Profile(spec, []workloads.Dataset{ds})
-	if err != nil {
-		log.Fatal(err)
-	}
-	plan := env.PlanCampaign(spec, prof, scale.BitCounts)
-	fmt.Printf("planned %d injections into %s\n\n", len(plan), spec.Name)
+	fmt.Printf("planned %d injections into %s\n\n", len(pc.Plan), spec.Name)
 
 	for _, mode := range []translate.Mode{translate.ModeFI, translate.ModeFIFT} {
-		cr, err := env.RunCampaign(spec, golden, prof.Store, mode, plan)
+		pc.Mode = mode
+		cr, err := env.RunPrepared(context.Background(), pc, harness.CampaignOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -244,27 +244,6 @@ func TestSupervisorBadArgvIsErrSpawn(t *testing.T) {
 	}
 }
 
-func TestSupervisorWatchdogDerivesDeadline(t *testing.T) {
-	// No explicit timeout: the deadline comes from the guardian watchdog's
-	// Section VI(i) rule, seeded with a profiled baseline in milliseconds.
-	wd := guardian.NewWatchdog(guardian.WatchdogConfig{Factor: 10, MinCycles: 100})
-	wd.Seed("echo", 10) // 10ms baseline → 100ms floor applies
-	s, _ := newSupervisor(t, []string{chaos.EnvVar + "=spin@0"}, func(c *procexec.Config) {
-		c.MaxRestarts = -1
-		c.WarmupGrace = 50 * time.Millisecond
-		c.Watchdog = wd
-	})
-	start := time.Now()
-	_, err := s.Do(context.Background(), "echo", nil, 0)
-	var hang *guardian.WorkerHangError
-	if !errors.As(err, &hang) {
-		t.Fatalf("spin under watchdog deadline: got %v, want *WorkerHangError", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("derived deadline took %v; the watchdog rule (100ms+grace) should fire fast", elapsed)
-	}
-}
-
 func TestSupervisorContextCancellationKillsWorker(t *testing.T) {
 	s, _ := newSupervisor(t, []string{chaos.EnvVar + "=spin@0"}, func(c *procexec.Config) {
 		c.MaxRestarts = -1

@@ -14,9 +14,9 @@
 //     heartbeat frames and one result frame out;
 //   - SIGCHLD → the supervisor's frame reader observing EOF and Wait
 //     classifying the exit (signal/non-zero status → WorkerCrashError);
-//   - the execution-time watchdog → a per-request deadline seeded from
-//     the profiled clean runtime (guardian.Watchdog's rule) plus a
-//     heartbeat-miss window (→ WorkerHangError);
+//   - the execution-time watchdog → a per-request deadline the caller
+//     derives from the profiled clean runtime (guardian.Watchdog's rule,
+//     applied in harness) plus a heartbeat-miss window (→ WorkerHangError);
 //   - restart-on-failure → guardian.BackoffPolicy-paced respawns, bounded
 //     by MaxRestarts.
 //

@@ -48,15 +48,6 @@ type Config struct {
 	// freshly spawned worker, which must re-stage the program (profile,
 	// golden run) before executing (default 15s).
 	WarmupGrace time.Duration
-	// Watchdog, when set, derives the deadline for Do calls with no
-	// explicit timeout from the Section VI(i) rule: Factor times the
-	// kernel's baseline, floored at MinCycles — with baselines Seeded
-	// from profiled clean runtimes and Observed from completed requests
-	// (units: milliseconds).
-	Watchdog *guardian.Watchdog
-	// WatchdogKind keys Watchdog baselines for a request id (default:
-	// the id itself).
-	WatchdogKind func(id string) string
 	// Chaos injects deterministic spawn failures (see the chaos
 	// package); worker-side chaos rides in Env/HAUBERK_CHAOS.
 	Chaos *chaos.Plan
@@ -124,9 +115,10 @@ type workerProc struct {
 }
 
 // Do executes one request on the worker, spawning or restarting it as
-// needed. timeout bounds the request's execution (0 derives it from
-// Config.Watchdog when set, else no deadline); on expiry the worker's
-// process group is killed and the attempt classified as a hang. Crashes
+// needed. timeout bounds the request's execution (0: no deadline; the
+// campaign runner derives one per request from the clean run's time, the
+// Section VI(i) rule); on expiry the worker's process group is killed and
+// the attempt classified as a hang. Crashes
 // and hangs are retried on a fresh worker up to MaxRestarts times with
 // back-off; a persistent failure returns the final *WorkerCrashError or
 // *WorkerHangError for the caller to classify. Spawn failures return
@@ -134,14 +126,6 @@ type workerProc struct {
 func (s *Supervisor) Do(ctx context.Context, id string, payload json.RawMessage, timeout time.Duration) (json.RawMessage, error) {
 	s.opMu.Lock()
 	defer s.opMu.Unlock()
-
-	kind := id
-	if s.cfg.WatchdogKind != nil {
-		kind = s.cfg.WatchdogKind(id)
-	}
-	if timeout <= 0 && s.cfg.Watchdog != nil {
-		timeout = time.Duration(s.cfg.Watchdog.Deadline(kind) * float64(time.Millisecond))
-	}
 
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -154,12 +138,8 @@ func (s *Supervisor) Do(ctx context.Context, id string, payload json.RawMessage,
 			case <-time.After(delay):
 			}
 		}
-		start := time.Now()
 		resp, err := s.doOnce(ctx, id, payload, timeout)
 		if err == nil {
-			if s.cfg.Watchdog != nil {
-				s.cfg.Watchdog.Observe(kind, float64(time.Since(start))/float64(time.Millisecond))
-			}
 			return resp, nil
 		}
 		if ctx.Err() != nil {

@@ -12,8 +12,9 @@ package guardian
 // is the kernel's time), in statements, with DefaultWatchdog's T and a
 // floor the harness names (harness.hangBudget; gpu.Config.StepBudget is
 // only the backstop for launches that have no clean baseline) — and host
-// wall time, where the campaign engine and the procexec supervisor derive
-// an injection's deadline from the clean run's measured duration. The
+// wall time, where the campaign runner derives an injection's deadline from
+// the clean run's measured duration (harness.deriveWatchdogTimeout) and
+// sends it to the procexec supervisor with each request. The
 // bookkeeping below decides *whether* a given duration would have been
 // classified as a hang; "cycles" in its names stands for whichever unit
 // the caller seeds it with.
@@ -59,9 +60,9 @@ func (w *Watchdog) Observe(kernel string, cycles float64) {
 // unless a real observation (or earlier seed) already exists. Without a
 // baseline, WouldKill falls back to killing anything past MinCycles — a
 // legitimately long first run would be misclassified as a hang, so
-// callers that profiled the program (the durable campaign engine derives
-// its timeout this way, and the procexec supervisor its request deadline)
-// should seed before the first WouldKill query. Non-positive values are
+// callers that profiled the program (the campaign runner derives its
+// timeout and its step budget this way) should seed before the first
+// WouldKill query. Non-positive values are
 // ignored.
 func (w *Watchdog) Seed(kernel string, cycles float64) {
 	if cycles <= 0 {

@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"hauberk/internal/core/ranges"
 	"hauberk/internal/core/translate"
 	"hauberk/internal/gpu"
 	"hauberk/internal/kir"
-	"hauberk/internal/obs"
 	"hauberk/internal/stats"
 	"hauberk/internal/swifi"
 	"hauberk/internal/workloads"
@@ -84,7 +82,9 @@ type InjectionResult struct {
 
 // RunInjection executes one fault-injection experiment with the given
 // library mode (ModeFI for baseline sensitivity, ModeFIFT for Hauberk
-// coverage) and classifies the outcome against the golden run.
+// coverage) on a device of e.Config and classifies the outcome against the
+// golden run. It is the one funnel the campaign runner, the isolated
+// worker and the figures go through.
 func (e *Env) RunInjection(
 	spec *workloads.Spec,
 	golden *GoldenRun,
@@ -92,22 +92,7 @@ func (e *Env) RunInjection(
 	mode translate.Mode,
 	inj Injection,
 ) (*InjectionResult, error) {
-	return e.runInjectionOn(e.Config, spec, golden, store, mode, inj)
-}
-
-// runInjectionOn is RunInjection with an explicit device configuration (the
-// CPU-mode sensitivity rows of Figure 1 inject on page-protected devices).
-// It is the one funnel every campaign runner, the isolated worker and the
-// figures go through.
-func (e *Env) runInjectionOn(
-	cfg gpu.Config,
-	spec *workloads.Spec,
-	golden *GoldenRun,
-	store *ranges.Store,
-	mode translate.Mode,
-	inj Injection,
-) (*InjectionResult, error) {
-	gt, err := e.goldenTrace(cfg, spec, golden, store, mode)
+	gt, err := e.goldenTrace(spec, golden, store, mode)
 	if err != nil {
 		return nil, err
 	}
@@ -132,21 +117,6 @@ func (e *Env) runInjectionOn(
 	return res, nil
 }
 
-// containPanic invokes fn, converting an escaped panic into a classified
-// crash failure for the injection — the same OutcomeFailure a
-// *gpu.PanicError at the launch boundary yields. Campaign workers run fn
-// on pool goroutines with no caller to recover them, so without this a
-// single panicking workload would tear down the whole campaign process.
-func containPanic(inj Injection, fn func() (*InjectionResult, error)) (r *InjectionResult, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			r = &InjectionResult{Injection: inj, Outcome: OutcomeFailure}
-			err = nil
-		}
-	}()
-	return fn()
-}
-
 // CampaignResult aggregates a program's campaign.
 type CampaignResult struct {
 	Spec    *workloads.Spec
@@ -162,8 +132,8 @@ type CampaignResult struct {
 }
 
 // aggregate rebuilds the tallies (All, ByBits, ByClass, Hangs) from
-// Results. It is shared by the in-memory runner, the durable runner, and
-// the shard merger, so every path derives figure aggregates identically.
+// Results. It is shared by the campaign runner and the shard merger, so
+// both derive figure aggregates identically.
 func (cr *CampaignResult) aggregate() {
 	cr.All = Tally{}
 	cr.Hangs = 0
@@ -190,6 +160,17 @@ func (cr *CampaignResult) aggregate() {
 	}
 }
 
+// BitCounts returns the error-bit counts the campaign injected, ascending:
+// the row order of every by-bit-count table.
+func (cr *CampaignResult) BitCounts() []int {
+	bits := make([]int, 0, len(cr.ByBits))
+	for b := range cr.ByBits {
+		bits = append(bits, b)
+	}
+	sort.Ints(bits)
+	return bits
+}
+
 // FigureDigest renders the campaign's aggregate figures (overall tally,
 // per-bit-count and per-class breakdowns, hang count) as a deterministic
 // string. Two campaigns whose digests are byte-identical produce the same
@@ -206,12 +187,7 @@ func (cr *CampaignResult) FigureDigest() string {
 		fmt.Fprintf(&sb, " coverage=%.6f\n", t.Coverage())
 	}
 	writeTally("all", &cr.All)
-	bits := make([]int, 0, len(cr.ByBits))
-	for b := range cr.ByBits {
-		bits = append(bits, b)
-	}
-	sort.Ints(bits)
-	for _, b := range bits {
+	for _, b := range cr.BitCounts() {
 		writeTally(fmt.Sprintf("bits[%d]", b), cr.ByBits[b])
 	}
 	classes := make([]int, 0, len(cr.ByClass))
@@ -223,78 +199,4 @@ func (cr *CampaignResult) FigureDigest() string {
 		writeTally(fmt.Sprintf("class[%s]", kir.DataClass(c)), cr.ByClass[kir.DataClass(c)])
 	}
 	return sb.String()
-}
-
-// RunCampaign executes a full injection campaign for one program. With
-// an enabled e.Obs it journals campaign.start, a campaign.progress event
-// roughly every tenth of the plan, and a campaign.done event with the
-// aggregated coverage; per-outcome tallies feed the
-// hauberk_injection_outcomes_total counter family.
-func (e *Env) RunCampaign(
-	spec *workloads.Spec,
-	golden *GoldenRun,
-	store *ranges.Store,
-	mode translate.Mode,
-	plan []Injection,
-) (*CampaignResult, error) {
-	out := &CampaignResult{
-		Spec:    spec,
-		ByBits:  make(map[int]*Tally),
-		ByClass: make(map[kir.DataClass]*Tally),
-		Results: make([]InjectionResult, len(plan)),
-	}
-	workers, extraWorkers := e.acquireCampaignWorkers()
-	defer ReleaseLaunchSlots(extraWorkers)
-	if e.Obs.Enabled() {
-		e.Obs.Emit(obs.EvCampaignStart,
-			obs.Str("program", spec.Name),
-			obs.Int("injections", int64(len(plan))),
-			obs.Int("mode", int64(mode)))
-	}
-	sp := e.Obs.Span(obs.EvCampaignDone)
-	progressEvery := len(plan) / 10
-	if progressEvery == 0 {
-		progressEvery = 1
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		done     int
-		firstErr error
-	)
-	sem := make(chan struct{}, workers)
-	for i := range plan {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			r, err := containPanic(plan[i], func() (*InjectionResult, error) {
-				return e.RunInjection(spec, golden, store, mode, plan[i])
-			})
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("injection %d: %w", i, err)
-				}
-				return
-			}
-			out.Results[i] = *r
-			done++
-			if e.Obs.Enabled() && done%progressEvery == 0 && done < len(plan) {
-				e.Obs.Emit(obs.EvCampaignProgress,
-					obs.Str("program", spec.Name),
-					obs.Int("done", int64(done)),
-					obs.Int("total", int64(len(plan))))
-			}
-		}(i)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	out.aggregate()
-	e.emitCampaignDone(sp, spec, len(plan), out)
-	return out, nil
 }

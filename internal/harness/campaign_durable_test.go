@@ -1,14 +1,19 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"hauberk/internal/core/translate"
 	"hauberk/internal/guardian"
+	cstore "hauberk/internal/harness/store"
 	"hauberk/internal/workloads"
 )
 
@@ -23,76 +28,65 @@ func tinyScale() Scale {
 	}
 }
 
-// planTiny builds a small campaign for CP and its prerequisites.
-func planTiny(t *testing.T, e *Env) (*workloads.Spec, *GoldenRun, *ProfileResult, []Injection) {
+// planTiny prepares a small campaign of CP.
+func planTiny(t *testing.T, e *Env) *PreparedCampaign {
 	t.Helper()
-	spec := workloads.ByName("CP")
-	ds := workloads.Dataset{Index: 0}
-	golden, err := e.Golden(spec, ds)
+	pc, err := e.PrepareCampaign(workloads.ByName("CP"), workloads.Dataset{Index: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := e.Profile(spec, []workloads.Dataset{ds})
-	if err != nil {
-		t.Fatal(err)
+	if len(pc.Plan) < 8 {
+		t.Fatalf("tiny plan has only %d injections", len(pc.Plan))
 	}
-	plan := e.PlanCampaign(spec, prof, e.Scale.BitCounts)
-	if len(plan) < 8 {
-		t.Fatalf("tiny plan has only %d injections", len(plan))
-	}
-	return spec, golden, prof, plan
+	return pc
 }
 
 // TestCampaignResumeDifferential is the kill-and-resume guarantee: a
 // campaign interrupted at ~50% and resumed yields figure aggregates
-// byte-identical to the same campaign run uninterrupted, and to the plain
-// in-memory runner.
+// byte-identical to the same campaign run uninterrupted, and to the same
+// campaign run with no store directory at all.
 func TestCampaignResumeDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign is slow")
 	}
 	e := NewEnv(tinyScale())
 	e.Scale.Workers = 1 // serial dispatch makes the interrupt point exact
-	spec, golden, prof, plan := planTiny(t, e)
+	pc := planTiny(t, e)
 
-	// Reference 1: the in-memory runner.
-	mem, err := e.RunCampaign(spec, golden, prof.Store, translate.ModeFIFT, plan)
+	// Reference 1: the store kept in memory.
+	mem, err := e.RunPrepared(context.Background(), pc, CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Reference 2: an uninterrupted durable run.
-	full, err := e.RunCampaignDurable(context.Background(), spec, golden, prof.Store,
-		translate.ModeFIFT, plan, CampaignOptions{Dir: t.TempDir()})
+	full, err := e.RunPrepared(context.Background(), pc, CampaignOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := full.FigureDigest(), mem.FigureDigest(); got != want {
-		t.Fatalf("durable digest differs from in-memory runner:\n%s\nvs\n%s", got, want)
+		t.Fatalf("durable digest differs from the in-memory store's:\n%s\nvs\n%s", got, want)
 	}
 
 	// Interrupt at ~50%: cancel once half the shard is durably recorded.
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	half := len(plan) / 2
-	_, err = e.RunCampaignDurable(ctx, spec, golden, prof.Store, translate.ModeFIFT, plan,
-		CampaignOptions{Dir: dir, OnResult: func(done, total int) {
-			if done >= half {
-				cancel()
-			}
-		}})
+	half := len(pc.Plan) / 2
+	_, err = e.RunPrepared(ctx, pc, CampaignOptions{Dir: dir, OnResult: func(done, total int) {
+		if done >= half {
+			cancel()
+		}
+	}})
 	if !errors.Is(err, ErrCampaignInterrupted) {
 		t.Fatalf("interrupted campaign returned %v, want ErrCampaignInterrupted", err)
 	}
 
 	// Resume from the kill: without Resume the store must refuse…
-	if _, err := e.RunCampaignDurable(context.Background(), spec, golden, prof.Store,
-		translate.ModeFIFT, plan, CampaignOptions{Dir: dir}); err == nil {
+	if _, err := e.RunPrepared(context.Background(), pc, CampaignOptions{Dir: dir}); err == nil {
 		t.Fatal("re-launch without Resume accepted a non-empty store")
 	}
 	// …and with Resume it completes only the remainder.
-	resumed, err := e.RunCampaignDurable(context.Background(), spec, golden, prof.Store,
-		translate.ModeFIFT, plan, CampaignOptions{Dir: dir, Resume: true})
+	resumed, err := e.RunPrepared(context.Background(), pc, CampaignOptions{Dir: dir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,6 +104,9 @@ func TestCampaignResumeDifferential(t *testing.T) {
 	if !reflect.DeepEqual(loaded.Results, resumed.Results) {
 		t.Fatal("loaded results differ from the resumed run's results")
 	}
+	if !reflect.DeepEqual(loaded.Results, mem.Results) {
+		t.Fatal("loaded results differ from the in-memory run's results")
+	}
 }
 
 // TestCampaignShardDifferential proves -shard 0/2 + -shard 1/2 merged
@@ -119,10 +116,9 @@ func TestCampaignShardDifferential(t *testing.T) {
 		t.Skip("campaign is slow")
 	}
 	e := NewEnv(tinyScale())
-	spec, golden, prof, plan := planTiny(t, e)
+	pc := planTiny(t, e)
 
-	whole, err := e.RunCampaignDurable(context.Background(), spec, golden, prof.Store,
-		translate.ModeFIFT, plan, CampaignOptions{Dir: t.TempDir()})
+	whole, err := e.RunPrepared(context.Background(), pc, CampaignOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,15 +126,14 @@ func TestCampaignShardDifferential(t *testing.T) {
 	dir := t.TempDir()
 	var shardTotal int
 	for shard := 0; shard < 2; shard++ {
-		part, err := e.RunCampaignDurable(context.Background(), spec, golden, prof.Store,
-			translate.ModeFIFT, plan, CampaignOptions{Dir: dir, Shard: shard, Shards: 2})
+		part, err := e.RunPrepared(context.Background(), pc, CampaignOptions{Dir: dir, Shard: shard, Shards: 2})
 		if err != nil {
 			t.Fatalf("shard %d/2: %v", shard, err)
 		}
 		shardTotal += part.All.Total()
 	}
-	if shardTotal != len(plan) {
-		t.Fatalf("shards cover %d injections, want %d", shardTotal, len(plan))
+	if shardTotal != len(pc.Plan) {
+		t.Fatalf("shards cover %d injections, want %d", shardTotal, len(pc.Plan))
 	}
 	// Loading before both shards finish must fail loudly — simulated by a
 	// directory holding only shard 0.
@@ -158,14 +153,44 @@ func TestCampaignIncompleteMergeFails(t *testing.T) {
 		t.Skip("campaign is slow")
 	}
 	e := NewEnv(tinyScale())
-	spec, golden, prof, plan := planTiny(t, e)
+	pc := planTiny(t, e)
 	dir := t.TempDir()
-	if _, err := e.RunCampaignDurable(context.Background(), spec, golden, prof.Store,
-		translate.ModeFIFT, plan, CampaignOptions{Dir: dir, Shard: 0, Shards: 2}); err != nil {
+	if _, err := e.RunPrepared(context.Background(), pc, CampaignOptions{Dir: dir, Shard: 0, Shards: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := LoadCampaignDir(dir); err == nil {
 		t.Fatal("LoadCampaignDir aggregated a campaign missing shard 1/2")
+	}
+}
+
+// TestLoadCampaignDirRejectsForeignIndex: a log holding records {0, 1, 99}
+// of a 3-injection campaign is neither complete nor mergeable — the record
+// for an index outside the plan must not be folded in place of injection 2.
+func TestLoadCampaignDirRejectsForeignIndex(t *testing.T) {
+	e := NewEnv(tinyScale())
+	pc := planTiny(t, e)
+	pc.Plan = pc.Plan[:3]
+	dir := t.TempDir()
+	if _, err := e.RunPrepared(context.Background(), pc, CampaignOptions{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadCampaignDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	log := filepath.Join(dir, cstore.ShardFile(0, 1))
+	raw, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := bytes.Replace(raw, []byte(`"idx":2,`), []byte(`"idx":99,`), 1)
+	if bytes.Equal(forged, raw) {
+		t.Fatalf("no record 2 in %s", raw)
+	}
+	if err := os.WriteFile(log, forged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadCampaignDir(dir); err == nil || !strings.Contains(err.Error(), "injection 99 is outside the 3-injection plan") {
+		t.Fatalf("LoadCampaignDir over records {0, 1, 99}: got %v, want the out-of-plan index rejected", err)
 	}
 }
 
@@ -176,15 +201,14 @@ func TestCampaignWatchdogClassifiesHang(t *testing.T) {
 		t.Skip("campaign is slow")
 	}
 	e := NewEnv(tinyScale())
-	spec, golden, prof, plan := planTiny(t, e)
-	plan = plan[:4]
-	cr, err := e.RunCampaignDurable(context.Background(), spec, golden, prof.Store,
-		translate.ModeFIFT, plan, CampaignOptions{Dir: t.TempDir(), Timeout: time.Nanosecond})
+	pc := planTiny(t, e)
+	pc.Plan = pc.Plan[:4]
+	cr, err := e.RunPrepared(context.Background(), pc, CampaignOptions{Dir: t.TempDir(), Timeout: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cr.Hangs != len(plan) {
-		t.Fatalf("watchdog classified %d hangs, want %d", cr.Hangs, len(plan))
+	if cr.Hangs != len(pc.Plan) {
+		t.Fatalf("watchdog classified %d hangs, want %d", cr.Hangs, len(pc.Plan))
 	}
 	for i, r := range cr.Results {
 		if !r.TimedOut || r.Outcome != OutcomeFailure || !r.Hang {

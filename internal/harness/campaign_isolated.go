@@ -50,7 +50,7 @@ type isoRequest struct {
 
 // isoResponse is the classified outcome shipped back. It carries exactly
 // the fields recordOf needs beyond the plan's own (bits, class), so the
-// durable store record is identical to the in-process one.
+// store record is identical to the in-process one.
 type isoResponse struct {
 	Outcome   int  `json:"outcome"`
 	Hang      bool `json:"hang"`
@@ -116,16 +116,15 @@ func WorkerMain(in io.Reader, out io.Writer) error {
 	return procexec.Serve(in, out, h, procexec.ServeOptions{Chaos: plan})
 }
 
-// isoPool hands out one procexec.Supervisor per campaign worker slot, so
-// up to `workers` injections run in distinct worker subprocesses at once.
-type isoPool struct {
-	sups chan *procexec.Supervisor
-	all  []*procexec.Supervisor
-}
+// isoPool holds one procexec.Supervisor per campaign worker slot (see
+// dispatch), so up to that many injections run in distinct worker
+// subprocesses at once.
+type isoPool []*procexec.Supervisor
 
-// newIsoPool builds n lazily-spawning supervisors for a campaign. The
+// newIsoPool builds a lazily-spawning supervisor for every slot dispatch
+// can hand out; a slot the worker budget does not grant never spawns. The
 // per-injection watchdog deadline travels per-request through Do.
-func (e *Env) newIsoPool(n int, opts CampaignOptions) (*isoPool, error) {
+func (e *Env) newIsoPool(opts CampaignOptions) (isoPool, error) {
 	argv := opts.WorkerArgv
 	if len(argv) == 0 {
 		exe, err := os.Executable()
@@ -140,9 +139,9 @@ func (e *Env) newIsoPool(n int, opts CampaignOptions) (*isoPool, error) {
 	if restarts <= 0 {
 		restarts = -1
 	}
-	p := &isoPool{sups: make(chan *procexec.Supervisor, n)}
-	for i := 0; i < n; i++ {
-		s := procexec.NewSupervisor(procexec.Config{
+	p := make(isoPool, e.campaignWorkers())
+	for i := range p {
+		p[i] = procexec.NewSupervisor(procexec.Config{
 			Argv:        argv,
 			Env:         opts.WorkerEnv,
 			MaxRestarts: restarts,
@@ -151,8 +150,6 @@ func (e *Env) newIsoPool(n int, opts CampaignOptions) (*isoPool, error) {
 			Chaos:       opts.Chaos,
 			Obs:         e.Obs,
 		})
-		p.all = append(p.all, s)
-		p.sups <- s
 	}
 	return p, nil
 }
@@ -160,12 +157,9 @@ func (e *Env) newIsoPool(n int, opts CampaignOptions) (*isoPool, error) {
 // Close shuts every supervisor down, killing any live worker group. The
 // campaign calls it before its final store flush so no worker process
 // outlives the run.
-func (p *isoPool) Close() {
-	if p == nil {
-		return
-	}
+func (p isoPool) Close() {
 	var wg sync.WaitGroup
-	for _, s := range p.all {
+	for _, s := range p {
 		wg.Add(1)
 		go func(s *procexec.Supervisor) {
 			defer wg.Done()
@@ -186,22 +180,16 @@ func (p *isoPool) Close() {
 // gracefully to the in-process guarded path.
 func (e *Env) runInjectionIsolated(
 	ctx context.Context,
-	pool *isoPool,
-	spec *workloads.Spec,
-	golden *GoldenRun,
-	rstore *ranges.Store,
-	mode translate.Mode,
+	sup *procexec.Supervisor,
+	pc *PreparedCampaign,
 	inj Injection,
 	timeout time.Duration,
 	opts CampaignOptions,
 ) (*InjectionResult, error) {
-	sup := <-pool.sups
-	defer func() { pool.sups <- sup }()
-
 	req := isoRequest{
-		Program: spec.Name,
-		Dataset: golden.Dataset.Index,
-		Mode:    int(mode),
+		Program: pc.Spec.Name,
+		Dataset: pc.Golden.Dataset.Index,
+		Mode:    int(pc.Mode),
 		Cmd:     wireCommand(inj.Cmd),
 		Bits:    inj.Bits,
 		Class:   int(inj.Class),
@@ -230,11 +218,11 @@ func (e *Env) runInjectionIsolated(
 		// contains panics, just without a process boundary).
 		if e.Obs.Enabled() {
 			e.Obs.Emit(obs.EvWorkerFallback,
-				obs.Str("program", spec.Name),
+				obs.Str("program", pc.Spec.Name),
 				obs.Str("reason", err.Error()))
 			e.Obs.Metrics().Counter("hauberk_worker_spawn_fallbacks_total").Inc()
 		}
-		return e.runInjectionGuarded(ctx, spec, golden, rstore, mode, inj, timeout, opts)
+		return e.runInjectionGuarded(ctx, pc, inj, timeout, opts)
 
 	default:
 		var crash *guardian.WorkerCrashError

@@ -9,11 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"hauberk/internal/core/translate"
 	"hauberk/internal/guardian"
 	"hauberk/internal/guardian/procexec/chaos"
 	"hauberk/internal/obs"
-	"hauberk/internal/workloads"
 )
 
 // isoWorkerEnv re-execs the test binary as an injection worker, the same
@@ -63,29 +61,39 @@ func TestIsolatedCampaignDigestIdentical(t *testing.T) {
 	}
 	e := NewEnv(tinyScale())
 	e.Scale.Workers = 2
-	spec, golden, prof, plan := planTiny(t, e)
+	pc := planTiny(t, e)
 
-	ref, err := e.RunCampaignDurable(context.Background(), spec, golden, prof.Store,
-		translate.ModeFIFT, plan, CampaignOptions{Dir: t.TempDir()})
+	ref, err := e.RunPrepared(context.Background(), pc, CampaignOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	sink := &obs.MemSink{}
 	e.WithObs(obs.New(sink))
-	iso, err := e.RunCampaignDurable(context.Background(), spec, golden, prof.Store,
-		translate.ModeFIFT, plan, isoOpts(t, t.TempDir(), ""))
+	iso, err := e.RunPrepared(context.Background(), pc, isoOpts(t, t.TempDir(), ""))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := iso.FigureDigest(), ref.FigureDigest(); got != want {
 		t.Fatalf("isolated digest differs from in-process run:\n%s\nvs\n%s", got, want)
 	}
-	if n := e.Obs.Metrics().Counter("hauberk_worker_spawns_total").Value(); n < 1 {
-		t.Errorf("hauberk_worker_spawns_total = %d; the isolated run spawned no workers", n)
+	// The same boundary with the store kept in memory.
+	spawned := e.Obs.Metrics().Counter("hauberk_worker_spawns_total").Value()
+	if spawned < 1 {
+		t.Errorf("hauberk_worker_spawns_total = %d; the isolated run spawned no workers", spawned)
+	}
+	isoMem, err := e.RunPrepared(context.Background(), pc, isoOpts(t, "", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := isoMem.FigureDigest(), ref.FigureDigest(); got != want {
+		t.Fatalf("isolated in-memory digest differs from in-process run:\n%s\nvs\n%s", got, want)
+	}
+	if n := e.Obs.Metrics().Counter("hauberk_worker_spawns_total").Value(); n <= spawned {
+		t.Errorf("the isolated in-memory run spawned no workers")
 	}
 	if n := e.Obs.Metrics().Counter("hauberk_worker_crashes_total").Value(); n != 0 {
-		t.Errorf("hauberk_worker_crashes_total = %d on a clean run", n)
+		t.Errorf("hauberk_worker_crashes_total = %d on clean runs", n)
 	}
 }
 
@@ -101,10 +109,9 @@ func TestIsolatedCampaignChaosKillAndResume(t *testing.T) {
 	}
 	e := NewEnv(tinyScale())
 	e.Scale.Workers = 1 // serial dispatch makes the interrupt point exact
-	spec, golden, prof, plan := planTiny(t, e)
+	pc := planTiny(t, e)
 
-	ref, err := e.RunCampaignDurable(context.Background(), spec, golden, prof.Store,
-		translate.ModeFIFT, plan, CampaignOptions{Dir: t.TempDir()})
+	ref, err := e.RunPrepared(context.Background(), pc, CampaignOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +121,7 @@ func TestIsolatedCampaignChaosKillAndResume(t *testing.T) {
 	// must not move.
 	sink := &obs.MemSink{}
 	e.WithObs(obs.New(sink))
-	full, err := e.RunCampaignDurable(context.Background(), spec, golden, prof.Store,
-		translate.ModeFIFT, plan, isoOpts(t, t.TempDir(), "kill@2"))
+	full, err := e.RunPrepared(context.Background(), pc, isoOpts(t, t.TempDir(), "kill@2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,22 +139,21 @@ func TestIsolatedCampaignChaosKillAndResume(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	half := len(plan) / 2
+	half := len(pc.Plan) / 2
 	opts := isoOpts(t, dir, "kill@2")
 	opts.OnResult = func(done, total int) {
 		if done >= half {
 			cancel()
 		}
 	}
-	_, err = e.RunCampaignDurable(ctx, spec, golden, prof.Store, translate.ModeFIFT, plan, opts)
+	_, err = e.RunPrepared(ctx, pc, opts)
 	if !errors.Is(err, ErrCampaignInterrupted) {
 		t.Fatalf("interrupted campaign returned %v, want ErrCampaignInterrupted", err)
 	}
 
 	ropts := isoOpts(t, dir, "kill@2")
 	ropts.Resume = true
-	resumed, err := e.RunCampaignDurable(context.Background(), spec, golden, prof.Store,
-		translate.ModeFIFT, plan, ropts)
+	resumed, err := e.RunPrepared(context.Background(), pc, ropts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,9 +164,9 @@ func TestIsolatedCampaignChaosKillAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loaded.Results) != len(plan) {
+	if len(loaded.Results) != len(pc.Plan) {
 		t.Fatalf("store holds %d records for a %d-injection plan (lost or duplicated work)",
-			len(loaded.Results), len(plan))
+			len(loaded.Results), len(pc.Plan))
 	}
 	if got, want := loaded.FigureDigest(), ref.FigureDigest(); got != want {
 		t.Fatalf("loaded digest differs:\n%s\nvs\n%s", got, want)
@@ -177,10 +182,9 @@ func TestIsolatedCampaignSpawnFallback(t *testing.T) {
 	}
 	e := NewEnv(tinyScale())
 	e.Scale.Workers = 2
-	spec, golden, prof, plan := planTiny(t, e)
+	pc := planTiny(t, e)
 
-	ref, err := e.RunCampaignDurable(context.Background(), spec, golden, prof.Store,
-		translate.ModeFIFT, plan, CampaignOptions{Dir: t.TempDir()})
+	ref, err := e.RunPrepared(context.Background(), pc, CampaignOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +196,7 @@ func TestIsolatedCampaignSpawnFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	iso, err := e.RunCampaignDurable(context.Background(), spec, golden, prof.Store,
-		translate.ModeFIFT, plan, opts)
+	iso, err := e.RunPrepared(context.Background(), pc, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +218,7 @@ func TestIsolatedCampaignPersistentFaultsClassified(t *testing.T) {
 	}
 	e := NewEnv(tinyScale())
 	e.Scale.Workers = 4
-	spec, golden, prof, plan := planTiny(t, e)
+	pc := planTiny(t, e)
 
 	for _, tc := range []struct {
 		name, spec string
@@ -229,14 +232,13 @@ func TestIsolatedCampaignPersistentFaultsClassified(t *testing.T) {
 			opts.Retries = -1                     // no worker restarts: fail fast
 			opts.Timeout = 400 * time.Millisecond // spin is caught by this deadline
 			opts.WorkerWarmupGrace = 5 * time.Millisecond
-			out, err := e.RunCampaignDurable(context.Background(), spec, golden, prof.Store,
-				translate.ModeFIFT, plan, opts)
+			out, err := e.RunPrepared(context.Background(), pc, opts)
 			if err != nil {
 				t.Fatalf("campaign under %s did not complete: %v", tc.spec, err)
 			}
-			if got := out.All[OutcomeFailure]; got != len(plan) {
+			if got := out.All[OutcomeFailure]; got != len(pc.Plan) {
 				t.Fatalf("%d/%d injections classified as failure under %s",
-					got, len(plan), tc.spec)
+					got, len(pc.Plan), tc.spec)
 			}
 			for _, r := range out.Results {
 				if r.Hang != tc.wantHang {
@@ -251,19 +253,7 @@ func TestIsolatedCampaignPersistentFaultsClassified(t *testing.T) {
 // TestIsolatedCampaignUnknownMode rejects typoed isolation modes up front.
 func TestIsolatedCampaignUnknownMode(t *testing.T) {
 	e := NewEnv(tinyScale())
-	spec := workloads.ByName("CP")
-	ds := workloads.Dataset{Index: 0}
-	golden, err := e.Golden(spec, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, err := e.Profile(spec, []workloads.Dataset{ds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := e.PlanCampaign(spec, prof, e.Scale.BitCounts)
-	_, err = e.RunCampaignDurable(context.Background(), spec, golden, prof.Store,
-		translate.ModeFIFT, plan, CampaignOptions{Dir: t.TempDir(), Isolation: "container"})
+	_, err := e.RunPrepared(context.Background(), planTiny(t, e), CampaignOptions{Dir: t.TempDir(), Isolation: "container"})
 	if err == nil || !strings.Contains(err.Error(), "unknown isolation mode") {
 		t.Fatalf("unknown isolation mode: got %v, want rejection", err)
 	}
@@ -283,22 +273,5 @@ func TestGuardRunContainsPanic(t *testing.T) {
 	}
 	if r.Outcome != OutcomeFailure || r.Hang {
 		t.Fatalf("panicking run classified as %+v, want non-hang failure", r)
-	}
-}
-
-// TestContainPanic covers the same layer in the in-memory runner's worker
-// pool.
-func TestContainPanic(t *testing.T) {
-	inj := Injection{Bits: 1}
-	r, err := containPanic(inj, func() (*InjectionResult, error) {
-		panic("deliberate pool panic")
-	})
-	if err != nil || r.Outcome != OutcomeFailure {
-		t.Fatalf("containPanic = (%+v, %v), want a failure result", r, err)
-	}
-	want := &InjectionResult{Injection: inj, Outcome: OutcomeMasked}
-	r, err = containPanic(inj, func() (*InjectionResult, error) { return want, nil })
-	if err != nil || r != want {
-		t.Fatalf("containPanic did not pass a clean result through: (%+v, %v)", r, err)
 	}
 }

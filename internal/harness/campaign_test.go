@@ -1,6 +1,10 @@
 package harness
 
 import (
+	"context"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"hauberk/internal/core/translate"
@@ -13,19 +17,13 @@ func TestFig14CoverageShape(t *testing.T) {
 		t.Skip("campaign is slow")
 	}
 	e := NewEnv(QuickScale())
-	ds := workloads.Dataset{Index: 0}
 	var all Tally
 	for _, spec := range workloads.HPC() {
-		golden, err := e.Golden(spec, ds)
+		pc, err := e.PrepareCampaign(spec, workloads.Dataset{Index: 0})
 		if err != nil {
-			t.Fatalf("%s golden: %v", spec.Name, err)
+			t.Fatalf("%s prepare: %v", spec.Name, err)
 		}
-		prof, err := e.Profile(spec, []workloads.Dataset{ds})
-		if err != nil {
-			t.Fatalf("%s profile: %v", spec.Name, err)
-		}
-		plan := e.PlanCampaign(spec, prof, e.Scale.BitCounts)
-		cr, err := e.RunCampaign(spec, golden, prof.Store, translate.ModeFIFT, plan)
+		cr, err := e.RunPrepared(context.Background(), pc, CampaignOptions{})
 		if err != nil {
 			t.Fatalf("%s campaign: %v", spec.Name, err)
 		}
@@ -85,4 +83,74 @@ func TestFig01SensitivityShape(t *testing.T) {
 		t.Errorf("CPU pointer SDC %.1f%% should be below GPU HPC %.1f%%",
 			100*cpu.SDCRatio(kir.ClassPointer), 100*hpc.SDCRatio(kir.ClassPointer))
 	}
+}
+
+// TestSensitivityEqualsSerialLoop is Figure 1's parity bar: the study runs
+// through the campaign runner (workers, store, watchdog), and every row —
+// GPU and CPU — must equal, tally for tally, the plain serial loop of
+// RunInjection calls it used to be, on an env set up the same way.
+func TestSensitivityEqualsSerialLoop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign is slow")
+	}
+	e := NewEnv(QuickScale())
+	for _, g := range []struct {
+		name  string
+		specs []*workloads.Spec
+		cpu   bool
+	}{
+		{"GPU HPC", workloads.HPC(), false},
+		{"GPU graphics", workloads.Graphics(), false},
+		{"CPU programs", []*workloads.Spec{workloads.CPURef()}, true},
+	} {
+		got, err := e.Sensitivity(g.name, g.specs, g.cpu)
+		if err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+
+		env := e.Clone()
+		if g.cpu {
+			env.Config = e.cpuConfig()
+		}
+		want := make(map[kir.DataClass]*Tally)
+		runs := 0
+		for _, spec := range g.specs {
+			golden, err := env.Golden(spec, workloads.Dataset{Index: 0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof, err := env.Profile(spec, []workloads.Dataset{{Index: 0}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, inj := range env.PlanCampaign(spec, prof, []int{1}) {
+				r, err := env.RunInjection(spec, golden, nil, translate.ModeFI, inj)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want[inj.Class] == nil {
+					want[inj.Class] = &Tally{}
+				}
+				want[inj.Class].Add(r.Outcome)
+				runs++
+			}
+		}
+		if got.Runs != runs || runs == 0 {
+			t.Errorf("%s: Sensitivity ran %d injections, the serial loop %d", g.name, got.Runs, runs)
+		}
+		if !reflect.DeepEqual(got.ByClass, want) {
+			t.Errorf("%s: tallies differ:\nSensitivity %v\nserial loop %v", g.name, tallies(got.ByClass), tallies(want))
+		}
+	}
+}
+
+// tallies renders a by-class tally map for a failure message.
+func tallies(m map[kir.DataClass]*Tally) string {
+	var sb strings.Builder
+	for _, c := range []kir.DataClass{kir.ClassPointer, kir.ClassInteger, kir.ClassFloat} {
+		if m[c] != nil {
+			fmt.Fprintf(&sb, " %s=%v", c, *m[c])
+		}
+	}
+	return sb.String()
 }

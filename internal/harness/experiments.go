@@ -1,8 +1,8 @@
 package harness
 
 import (
+	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"hauberk/internal/core/translate"
@@ -213,44 +213,24 @@ func Fig14(e *Env) (*Table, error) {
 	var total Tally
 	var singleBit Tally
 	for _, spec := range workloads.HPC() {
-		golden, err := e.Golden(spec, workloads.Dataset{Index: 0})
+		pc, err := e.PrepareCampaign(spec, workloads.Dataset{Index: 0})
 		if err != nil {
 			return nil, err
 		}
-		prof, err := e.Profile(spec, []workloads.Dataset{{Index: 0}})
+		cr, err := e.RunPrepared(context.TODO(), pc, CampaignOptions{})
 		if err != nil {
 			return nil, err
 		}
-		plan := e.PlanCampaign(spec, prof, e.Scale.BitCounts)
-		cr, err := e.RunCampaign(spec, golden, prof.Store, translate.ModeFIFT, plan)
-		if err != nil {
-			return nil, err
-		}
-		bits := make([]int, 0, len(cr.ByBits))
-		for b := range cr.ByBits {
-			bits = append(bits, b)
-		}
-		sort.Ints(bits)
-		for _, b := range bits {
-			tal := cr.ByBits[b]
-			t.AddRow(spec.Name, fmt.Sprintf("%d", b),
-				100*tal.Frac(OutcomeFailure), 100*tal.Frac(OutcomeMasked),
-				100*tal.Frac(OutcomeDetectedMasked), 100*tal.Frac(OutcomeDetected),
-				100*tal.Frac(OutcomeUndetected), 100*tal.Coverage())
+		for _, b := range cr.BitCounts() {
+			t.AddOutcomeRow(cr.ByBits[b], spec.Name, b)
 		}
 		total.Merge(cr.All)
 		if tal := cr.ByBits[1]; tal != nil {
 			singleBit.Merge(*tal)
 		}
 	}
-	t.AddRow("AVG(all)", "*",
-		100*total.Frac(OutcomeFailure), 100*total.Frac(OutcomeMasked),
-		100*total.Frac(OutcomeDetectedMasked), 100*total.Frac(OutcomeDetected),
-		100*total.Frac(OutcomeUndetected), 100*total.Coverage())
-	t.AddRow("AVG(1-bit)", "1",
-		100*singleBit.Frac(OutcomeFailure), 100*singleBit.Frac(OutcomeMasked),
-		100*singleBit.Frac(OutcomeDetectedMasked), 100*singleBit.Frac(OutcomeDetected),
-		100*singleBit.Frac(OutcomeUndetected), 100*singleBit.Coverage())
+	t.AddOutcomeRow(&total, "AVG(all)", "*")
+	t.AddOutcomeRow(&singleBit, "AVG(1-bit)", "1")
 	return t, nil
 }
 

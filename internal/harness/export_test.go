@@ -3,30 +3,29 @@ package harness
 import (
 	"hauberk/internal/core/ranges"
 	"hauberk/internal/core/translate"
-	"hauberk/internal/gpu"
 )
 
-// forceFullLaunch makes every injection against golden under (cfg, store,
-// mode) take the ineligible path — a fresh device and the full
+// forceFullLaunch makes every injection against golden under (e.Config,
+// store, mode) take the ineligible path — a fresh device and the full
 // Device.Launch — by dropping the resumable part of its trace, and returns
 // the trace. It is the oracle side of the resume differentials; call it
 // before any injection runs against golden.
-func (e *Env) forceFullLaunch(cfg gpu.Config, golden *GoldenRun, store *ranges.Store, mode translate.Mode) (*goldenTrace, error) {
-	gt, err := e.goldenTrace(cfg, golden.Spec, golden, store, mode)
+func (e *Env) forceFullLaunch(golden *GoldenRun, store *ranges.Store, mode translate.Mode) (*goldenTrace, error) {
+	gt, err := e.goldenTrace(golden.Spec, golden, store, mode)
 	if err == nil {
 		gt.mem = nil
 	}
 	return gt, err
 }
 
-// forceBackstopBudget makes every injection against golden under (cfg,
-// store, mode) run under the device's Config.StepBudget alone instead of
+// forceBackstopBudget makes every injection against golden under
+// (e.Config, store, mode) run under the device's Config.StepBudget alone instead of
 // the derived hang budget: the oracle TestHangBudgetReclassifiesNothing
 // compares against. Call it before any injection runs against golden.
-func (e *Env) forceBackstopBudget(cfg gpu.Config, golden *GoldenRun, store *ranges.Store, mode translate.Mode) error {
-	gt, err := e.goldenTrace(cfg, golden.Spec, golden, store, mode)
+func (e *Env) forceBackstopBudget(golden *GoldenRun, store *ranges.Store, mode translate.Mode) error {
+	gt, err := e.goldenTrace(golden.Spec, golden, store, mode)
 	if err == nil {
-		gt.hangBudget = cfg.StepBudget
+		gt.hangBudget = e.Config.StepBudget
 	}
 	return err
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	"hauberk/internal/core/hrt"
@@ -109,20 +110,20 @@ type AlphaCoverageRow struct {
 // AlphaCoverage sweeps alpha on one program's coverage campaign
 // (single-bit faults, as in the paper's MRI-FHD analysis).
 func (e *Env) AlphaCoverage(spec *workloads.Spec, alphas []float64) ([]AlphaCoverageRow, error) {
-	golden, err := e.Golden(spec, workloads.Dataset{Index: 0})
+	env := e.Clone()
+	env.Scale.BitCounts = []int{1}
+	pc, err := env.PrepareCampaign(spec, workloads.Dataset{Index: 0})
 	if err != nil {
 		return nil, err
 	}
-	prof, err := e.Profile(spec, []workloads.Dataset{{Index: 0}})
-	if err != nil {
-		return nil, err
-	}
-	plan := e.PlanCampaign(spec, prof, []int{1})
 	var out []AlphaCoverageRow
 	for _, a := range alphas {
-		store := prof.Store.Clone()
-		store.SetAlpha(a)
-		cr, err := e.RunCampaign(spec, golden, store, translate.ModeFIFT, plan)
+		// The same campaign against a copy of the range store widened by a.
+		run, prof := *pc, *pc.Prof
+		prof.Store = pc.Prof.Store.Clone()
+		prof.Store.SetAlpha(a)
+		run.Prof = &prof
+		cr, err := env.RunPrepared(context.TODO(), &run, CampaignOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -115,7 +115,7 @@ func (e *Env) GraphicsFaultStudy(spec *workloads.Spec, errorCounts []int) ([]Gra
 			// the hang budget the injection above ran under.
 			d := e.NewDevice()
 			inst := spec.Setup(d, workloads.Dataset{Index: 0})
-			gt, err := e.goldenTrace(e.Config, spec, golden, nil, translate.ModeFI)
+			gt, err := e.goldenTrace(spec, golden, nil, translate.ModeFI)
 			if err != nil {
 				return nil, err
 			}

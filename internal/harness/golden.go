@@ -29,13 +29,7 @@ type GoldenRun struct {
 // baseline binary provides baseline performance — both execute the same
 // computation, so one launch serves both).
 func (e *Env) Golden(spec *workloads.Spec, ds workloads.Dataset) (*GoldenRun, error) {
-	return e.goldenOn(e.Config, spec, ds)
-}
-
-// goldenOn is Golden on an explicit device configuration (Figure 1's CPU
-// rows take their reference on the page-protected device).
-func (e *Env) goldenOn(cfg gpu.Config, spec *workloads.Spec, ds workloads.Dataset) (*GoldenRun, error) {
-	d := gpu.New(cfg)
+	d := e.NewDevice()
 	inst := spec.Setup(d, ds)
 	res, err := d.Launch(spec.Build(), gpu.LaunchSpec{
 		Grid: inst.Grid, Block: inst.Block, Args: inst.Args,

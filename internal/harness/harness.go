@@ -191,18 +191,6 @@ func (e *Env) campaignWorkers() int {
 	return runtime.NumCPU()
 }
 
-// acquireCampaignWorkers sizes a campaign's worker pool from the
-// process-wide worker budget (budget.go): the campaign always gets one
-// worker (the caller) plus as many extra slots as AcquireLaunchSlots
-// grants, capped by Scale.Workers, so concurrent campaigns in one process
-// share the cores instead of multiplying them. The caller must return the
-// extra slots with ReleaseLaunchSlots — deferred immediately after this
-// call, before anything that can return early.
-func (e *Env) acquireCampaignWorkers() (workers, extra int) {
-	extra = AcquireLaunchSlots(e.campaignWorkers() - 1)
-	return 1 + extra, extra
-}
-
 // NewDevice creates a fresh simulated device for one run.
 func (e *Env) NewDevice() *gpu.Device { return gpu.New(e.Config) }
 

@@ -1,9 +1,9 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
-	"hauberk/internal/core/translate"
 	"hauberk/internal/workloads"
 )
 
@@ -60,18 +60,13 @@ func TestCampaignDeterminism(t *testing.T) {
 	e := NewEnv(QuickScale())
 	e.Scale.MaxSites = 6
 	e.Scale.MasksPerSite = 4
-	spec := workloads.PNS()
-	ds := workloads.Dataset{Index: 0}
-	golden, err := e.Golden(spec, ds)
+	e.Scale.BitCounts = []int{1, 6}
+	pc, err := e.PrepareCampaign(workloads.PNS(), workloads.Dataset{Index: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := e.Profile(spec, []workloads.Dataset{ds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan1 := e.PlanCampaign(spec, prof, []int{1, 6})
-	plan2 := e.PlanCampaign(spec, prof, []int{1, 6})
+	plan1 := pc.Plan
+	plan2 := e.PlanCampaign(pc.Spec, pc.Prof, e.Scale.BitCounts)
 	if len(plan1) != len(plan2) {
 		t.Fatalf("plans differ in size")
 	}
@@ -80,11 +75,12 @@ func TestCampaignDeterminism(t *testing.T) {
 			t.Fatalf("plan not deterministic at %d: %v vs %v", i, plan1[i].Cmd, plan2[i].Cmd)
 		}
 	}
-	r1, err := e.RunCampaign(spec, golden, prof.Store, translate.ModeFIFT, plan1)
+	r1, err := e.RunPrepared(context.Background(), pc, CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e.RunCampaign(spec, golden, prof.Store, translate.ModeFIFT, plan2)
+	pc.Plan = plan2
+	r2, err := e.RunPrepared(context.Background(), pc, CampaignOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

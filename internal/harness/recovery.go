@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"sync"
 
 	"hauberk/internal/core/hrt"
@@ -36,13 +37,13 @@ type RecoveryStats struct {
 // arm once and do not re-fire on re-execution, so the guardian's
 // re-execution paths get exercised exactly as the paper describes.
 //
-// Injections run on up to Scale.Workers parallel workers (machine-sized
-// when unset, and drawn from the process-wide worker budget — see
-// AcquireLaunchSlots), each with its own devices and injector; the live range store, the
-// stats tallies, and the alpha controller are shared campaign-wide, as they
-// would be in one production deployment. The per-injection diagnosis is
-// deterministic; only the interleaving of on-line learning across
-// injections depends on scheduling.
+// Injections run on the campaign workers dispatch hands out (up to
+// Scale.Workers, drawn from the process-wide worker budget), each with its
+// own devices and injector; the live range store, the stats tallies, and
+// the alpha controller are shared campaign-wide, as they would be in one
+// production deployment. The per-injection diagnosis is deterministic; only
+// the interleaving of on-line learning across injections depends on
+// scheduling.
 func (e *Env) RunRecoveryCampaign(
 	spec *workloads.Spec,
 	golden *GoldenRun,
@@ -52,7 +53,7 @@ func (e *Env) RunRecoveryCampaign(
 	// The clean run under the deployed store is the hang baseline of every
 	// supervised execution, first run and re-execution alike (on-line
 	// widening of the live clone changes alarms, not control flow).
-	gt, err := e.goldenTrace(e.Config, spec, golden, store, translate.ModeFIFT)
+	gt, err := e.goldenTrace(spec, golden, store, translate.ModeFIFT)
 	if err != nil {
 		return nil, err
 	}
@@ -64,109 +65,93 @@ func (e *Env) RunRecoveryCampaign(
 	// Check/Absorb synchronize internally.
 	live := store.Clone()
 
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex // guards stats and the alpha controller
-		firstErr error
-	)
-	workers, extraWorkers := e.acquireCampaignWorkers()
-	defer ReleaseLaunchSlots(extraWorkers)
-	sem := make(chan struct{}, workers)
-	for _, inj := range plan {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(inj Injection) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			injector := &swifi.Injector{}
-			injector.Arm(inj.Cmd)
+	var mu sync.Mutex // guards stats and the alpha controller
+	err = e.dispatch(context.TODO(), len(plan), func(_ context.Context, _, i int) error {
+		injector := &swifi.Injector{}
+		injector.Arm(plan[i].Cmd)
 
-			pool := guardian.NewDevicePool(
-				[]*gpu.Device{e.NewDevice(), e.NewDevice()},
-				func(*gpu.Device) bool { return true }, // transient faults: BIST passes
-				2,
-			)
-			run := func(dev *gpu.Device) *guardian.RunOutcome {
-				inst := spec.Setup(dev, golden.Dataset)
-				cb := hrt.NewControlBlock(tr.Detectors, live)
-				rt := hrt.NewFT(cb)
-				rt.Inject = injector.Probe // injector fires once; re-executions are clean
-				res, lerr := dev.Launch(tr.Kernel, gpu.LaunchSpec{
-					Grid: inst.Grid, Block: inst.Block, Args: inst.Args, Hooks: rt,
-					StepBudget: gt.hangBudget,
-				})
-				out := &guardian.RunOutcome{Err: lerr, Cycles: res.Cycles}
-				if lerr == nil {
-					out.Output = inst.ReadOutput()
-					out.SDC = cb.SDC()
-					out.Alarms = cb.Alarms()
-				}
-				return out
+		pool := guardian.NewDevicePool(
+			[]*gpu.Device{e.NewDevice(), e.NewDevice()},
+			func(*gpu.Device) bool { return true }, // transient faults: BIST passes
+			2,
+		)
+		run := func(dev *gpu.Device) *guardian.RunOutcome {
+			inst := spec.Setup(dev, golden.Dataset)
+			cb := hrt.NewControlBlock(tr.Detectors, live)
+			rt := hrt.NewFT(cb)
+			rt.Inject = injector.Probe // injector fires once; re-executions are clean
+			res, lerr := dev.Launch(tr.Kernel, gpu.LaunchSpec{
+				Grid: inst.Grid, Block: inst.Block, Args: inst.Args, Hooks: rt,
+				StepBudget: gt.hangBudget,
+			})
+			out := &guardian.RunOutcome{Err: lerr, Cycles: res.Cycles}
+			if lerr == nil {
+				out.Output = inst.ReadOutput()
+				out.SDC = cb.SDC()
+				out.Alarms = cb.Alarms()
 			}
-			cfg := guardian.Config{
-				Pool: pool,
-				Obs:  e.Obs,
-				OnFalseAlarm: func(alarms []hrt.Alarm) {
-					for _, a := range alarms {
-						if a.Kind != kir.DetectRange { // only range alarms carry a value to learn
-							continue
-						}
-						if a.Detector < len(tr.Detectors) {
-							if det := live.Get(tr.Detectors[a.Detector].Name); det != nil {
-								det.Absorb(a.Value)
-								mu.Lock()
-								stats.RangesWidened++
-								mu.Unlock()
-								if e.Obs.Enabled() {
-									e.Obs.Emit(obs.EvRangeWiden,
-										obs.Int("detector", int64(a.Detector)),
-										obs.Str("name", tr.Detectors[a.Detector].Name),
-										obs.Float("value", a.Value))
-									e.Obs.Metrics().Counter("hauberk_ranges_widened_total").Inc()
-								}
+			return out
+		}
+		cfg := guardian.Config{
+			Pool: pool,
+			Obs:  e.Obs,
+			OnFalseAlarm: func(alarms []hrt.Alarm) {
+				for _, a := range alarms {
+					if a.Kind != kir.DetectRange { // only range alarms carry a value to learn
+						continue
+					}
+					if a.Detector < len(tr.Detectors) {
+						if det := live.Get(tr.Detectors[a.Detector].Name); det != nil {
+							det.Absorb(a.Value)
+							mu.Lock()
+							stats.RangesWidened++
+							mu.Unlock()
+							if e.Obs.Enabled() {
+								e.Obs.Emit(obs.EvRangeWiden,
+									obs.Int("detector", int64(a.Detector)),
+									obs.Str("name", tr.Detectors[a.Detector].Name),
+									obs.Float("value", a.Value))
+								e.Obs.Metrics().Counter("hauberk_ranges_widened_total").Inc()
 							}
 						}
 					}
-				},
-			}
-			rep, serr := guardian.Supervise(cfg, run)
-			mu.Lock()
-			defer mu.Unlock()
-			if serr != nil {
-				if firstErr == nil {
-					firstErr = serr
 				}
-				return
+			},
+		}
+		rep, serr := guardian.Supervise(cfg, run)
+		mu.Lock()
+		defer mu.Unlock()
+		if serr != nil {
+			return serr
+		}
+		stats.Runs++
+		stats.Reexecutions += rep.Executions - 1
+		switch rep.Diagnosis {
+		case guardian.DiagClean:
+			stats.Clean++
+		case guardian.DiagTransient:
+			stats.TransientFixed++
+		case guardian.DiagFalseAlarm:
+			stats.FalseAlarms++
+		case guardian.DiagDeviceFault:
+			stats.DeviceFaults++
+		case guardian.DiagSoftwareError:
+			stats.SoftwareErrors++
+		case guardian.DiagGaveUp:
+			stats.GaveUp++
+		}
+		if rep.Diagnosis != guardian.DiagGaveUp && rep.Final != nil && rep.Final.Err == nil {
+			if spec.Requirement.Check(golden.Output, rep.Final.Output) {
+				stats.FinalCorrect++
 			}
-			stats.Runs++
-			stats.Reexecutions += rep.Executions - 1
-			switch rep.Diagnosis {
-			case guardian.DiagClean:
-				stats.Clean++
-			case guardian.DiagTransient:
-				stats.TransientFixed++
-			case guardian.DiagFalseAlarm:
-				stats.FalseAlarms++
-			case guardian.DiagDeviceFault:
-				stats.DeviceFaults++
-			case guardian.DiagSoftwareError:
-				stats.SoftwareErrors++
-			case guardian.DiagGaveUp:
-				stats.GaveUp++
-			}
-			if rep.Diagnosis != guardian.DiagGaveUp && rep.Final != nil && rep.Final.Err == nil {
-				if spec.Requirement.Check(golden.Output, rep.Final.Output) {
-					stats.FinalCorrect++
-				}
-			}
-			if rep.Executions > 1 {
-				stats.AlphaController.ObserveDiagnosis(rep.Diagnosis == guardian.DiagFalseAlarm, live)
-			}
-		}(inj)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		}
+		if rep.Executions > 1 {
+			stats.AlphaController.ObserveDiagnosis(rep.Diagnosis == guardian.DiagFalseAlarm, live)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return stats, nil
 }

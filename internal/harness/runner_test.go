@@ -2,50 +2,49 @@ package harness
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"hauberk/internal/core/translate"
-	"hauberk/internal/workloads"
 )
 
-// TestPreparedCampaignMatchesDurable pins the service refactor's
-// contract: PrepareCampaign + RunPrepared is the same computation as
-// RunCampaignDurable on the directly derived plan, and one shared
-// preparation backs multiple runs with byte-identical figure digests.
-func TestPreparedCampaignMatchesDurable(t *testing.T) {
+// TestPreparedCampaignBacksTwoRuns pins the contract the daemon rests on:
+// one shared preparation backs any number of runs, each with its own
+// store, with byte-identical figure digests.
+func TestPreparedCampaignBacksTwoRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign is slow")
 	}
 	e := NewEnv(tinyScale())
-	spec := workloads.ByName("CP")
-	ds := workloads.Dataset{Index: 0}
-
-	pc, err := e.PrepareCampaign(spec, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pc := planTiny(t, e)
 	if pc.Mode != translate.ModeFIFT {
 		t.Fatalf("prepared mode = %v, want ModeFIFT", pc.Mode)
 	}
-	if len(pc.Plan) < 8 {
-		t.Fatalf("prepared plan has only %d injections", len(pc.Plan))
-	}
-
-	ref, err := e.RunCampaignDurable(context.Background(), spec, pc.Golden,
-		pc.Prof.Store, pc.Mode, pc.Plan, CampaignOptions{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Two runs against the one preparation, each with its own store.
+	var ref string
 	for i := 0; i < 2; i++ {
 		got, err := e.RunPrepared(context.Background(), pc, CampaignOptions{Dir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.FigureDigest() != ref.FigureDigest() {
-			t.Fatalf("RunPrepared %d digest differs from RunCampaignDurable:\n%s\nvs\n%s",
-				i, got.FigureDigest(), ref.FigureDigest())
+		if i == 0 {
+			ref = got.FigureDigest()
+		} else if got.FigureDigest() != ref {
+			t.Fatalf("second run's digest differs from the first's:\n%s\nvs\n%s", got.FigureDigest(), ref)
+		}
+	}
+}
+
+// TestRunPreparedRejectsBadOptions: options that cannot mean anything fail
+// before any injection runs.
+func TestRunPreparedRejectsBadOptions(t *testing.T) {
+	e := NewEnv(tinyScale())
+	pc := planTiny(t, e)
+	for want, opts := range map[string]CampaignOptions{
+		"needs its store dir": {Resume: true},
+		"invalid shard":       {Shard: 2, Shards: 2},
+	} {
+		if _, err := e.RunPrepared(context.Background(), pc, opts); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%+v: got %v, want an error saying %q", opts, err, want)
 		}
 	}
 }

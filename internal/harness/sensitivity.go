@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"context"
+
 	"hauberk/internal/core/translate"
 	"hauberk/internal/kir"
 	"hauberk/internal/workloads"
@@ -36,39 +38,37 @@ func (s *SensitivityResult) FailureRatio(c kir.DataClass) float64 {
 	return t.Frac(OutcomeFailure)
 }
 
-// Sensitivity runs the Figure 1 study for a program group. cpuMode runs
-// the programs on a page-protected scalar device, reproducing the
-// CPU-program profile (low SDC, high crash) from the same injections.
+// Sensitivity runs the Figure 1 study for a program group: one FI-mode
+// campaign of single-bit errors (SEU emulation) per program, tallied per
+// data class. cpuMode runs the programs on a page-protected scalar device,
+// reproducing the CPU-program profile (low SDC, high crash) from the same
+// injections.
 func (e *Env) Sensitivity(group string, specs []*workloads.Spec, cpuMode bool) (*SensitivityResult, error) {
 	out := &SensitivityResult{Group: group, ByClass: make(map[kir.DataClass]*Tally)}
-	cfg := e.Config
+	env := e.Clone()
+	env.Scale.BitCounts = []int{1}
 	if cpuMode {
-		cfg = e.cpuConfig()
+		env.Config = e.cpuConfig()
 	}
 	for _, spec := range specs {
-		golden, err := e.goldenOn(cfg, spec, workloads.Dataset{Index: 0})
+		pc, err := env.PrepareCampaign(spec, workloads.Dataset{Index: 0})
 		if err != nil {
 			return nil, err
 		}
-		prof, err := e.Profile(spec, []workloads.Dataset{{Index: 0}})
+		pc.Mode = translate.ModeFI
+		cr, err := env.RunPrepared(context.TODO(), pc, CampaignOptions{})
 		if err != nil {
 			return nil, err
 		}
-		// Figure 1 uses single-bit errors only (SEU emulation).
-		plan := e.PlanCampaign(spec, prof, []int{1})
-		for _, inj := range plan {
-			r, err := e.runInjectionOn(cfg, spec, golden, nil, translate.ModeFI, inj)
-			if err != nil {
-				return nil, err
-			}
-			t := out.ByClass[inj.Class]
+		for class, tal := range cr.ByClass {
+			t := out.ByClass[class]
 			if t == nil {
 				t = &Tally{}
-				out.ByClass[inj.Class] = t
+				out.ByClass[class] = t
 			}
-			t.Add(r.Outcome)
-			out.Runs++
+			t.Merge(*tal)
 		}
+		out.Runs += cr.All.Total()
 	}
 	return out, nil
 }

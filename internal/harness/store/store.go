@@ -15,6 +15,9 @@
 // most the injection in flight; a truncated trailing line (the partial
 // write of the record being appended when the process died) is tolerated
 // and re-run on resume.
+//
+// A campaign whose results are consumed by the process that ran it opens
+// the store with no directory: same Store, no files, records in memory.
 package store
 
 import (
@@ -103,7 +106,9 @@ func ShardFile(shard, shards int) string {
 
 // Store is one shard's append-only result log plus the set of records
 // already completed (loaded at open, extended by Append). Safe for
-// concurrent Append calls.
+// concurrent Append calls. A store opened with no directory has no log (f
+// and w are nil): its records live in done alone, for campaigns whose
+// result is consumed by the process that ran them.
 type Store struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -117,10 +122,14 @@ type Store struct {
 // existing one it verifies the manifest matches (a mismatch means the
 // directory holds a different campaign — refusing protects the log from
 // silent corruption). When resume is false an existing non-empty shard
-// log is an error, so accidental re-launches don't double-append.
+// log is an error, so accidental re-launches don't double-append. An
+// empty dir opens a store that keeps its records in memory only.
 func Open(dir string, m Manifest, shard, shards int, resume bool) (*Store, error) {
 	if shards < 1 || shard < 0 || shard >= shards {
 		return nil, fmt.Errorf("store: invalid shard %d/%d", shard, shards)
+	}
+	if dir == "" {
+		return &Store{done: make(map[int]Record)}, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -146,7 +155,7 @@ func Open(dir string, m Manifest, shard, shards int, resume bool) (*Store, error
 	}
 
 	path := filepath.Join(dir, ShardFile(shard, shards))
-	done, err := readRecords(path, true)
+	done, err := readRecords(path, m.Injections, shard, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -163,6 +172,12 @@ func Open(dir string, m Manifest, shard, shards int, resume bool) (*Store, error
 // Append durably records one completed injection: the line is flushed to
 // the OS before Append returns, so a later kill cannot lose it.
 func (s *Store) Append(r Record) error {
+	if s.f == nil {
+		s.mu.Lock()
+		s.done[r.Idx] = r
+		s.mu.Unlock()
+		return nil
+	}
 	raw, err := json.Marshal(r)
 	if err != nil {
 		return fmt.Errorf("store: encode record: %w", err)
@@ -199,6 +214,9 @@ func (s *Store) Completed() int {
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.f == nil {
+		return nil
+	}
 	if err := s.w.Flush(); err != nil {
 		return err
 	}
@@ -209,6 +227,9 @@ func (s *Store) Sync() error {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.f == nil {
+		return nil
+	}
 	err := s.w.Flush()
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
@@ -216,10 +237,12 @@ func (s *Store) Close() error {
 	return err
 }
 
-// readRecords loads a shard log. tolerateTail drops a malformed final
-// line (the partial write of a killed process); malformed interior lines
-// always abort, since they mean real corruption.
-func readRecords(path string, tolerateTail bool) (map[int]Record, error) {
+// readRecords loads a shard log of an injections-long plan. A malformed
+// final line (the partial write of a killed process) is dropped; malformed
+// interior lines always abort, since they mean real corruption — as does a
+// record whose index lies outside the plan or outside shard/shards' share
+// of it, which would otherwise stand in for an injection that never ran.
+func readRecords(path string, injections, shard, shards int) (map[int]Record, error) {
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return map[int]Record{}, nil
@@ -235,10 +258,18 @@ func readRecords(path string, tolerateTail bool) (map[int]Record, error) {
 		}
 		var r Record
 		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			if tolerateTail && i == len(lines)-1 {
+			if i == len(lines)-1 {
 				break // truncated final record: the in-flight injection re-runs
 			}
 			return nil, fmt.Errorf("store: %s line %d: %w", path, i+1, err)
+		}
+		if r.Idx < 0 || r.Idx >= injections {
+			return nil, fmt.Errorf("store: %s line %d: record for injection %d is outside the %d-injection plan",
+				path, i+1, r.Idx, injections)
+		}
+		if r.Idx%shards != shard {
+			return nil, fmt.Errorf("store: %s line %d: record for injection %d does not belong to shard %d/%d",
+				path, i+1, r.Idx, shard, shards)
 		}
 		if have, ok := done[r.Idx]; ok && have.Conflicts(r) {
 			return nil, fmt.Errorf("store: %s line %d: duplicate record for injection %d disagrees with an earlier line (outcome %d vs %d)",
@@ -275,7 +306,9 @@ func Load(dir string) (Manifest, []Record, error) {
 	merged := make(map[int]Record)
 	source := make(map[int]string)
 	for _, p := range paths {
-		recs, err := readRecords(p, true)
+		// Any log may hold any index of the plan here: salvaged partial logs
+		// of a failed-over shard merge under their own names.
+		recs, err := readRecords(p, m.Injections, 0, 1)
 		if err != nil {
 			return m, nil, err
 		}
@@ -298,7 +331,9 @@ func Load(dir string) (Manifest, []Record, error) {
 }
 
 // Missing returns how many of the manifest's injections have no record
-// yet (0 means the campaign is complete across the loaded shards).
+// yet (0 means the campaign is complete across the loaded shards). Load
+// returns each index of the plan at most once and no other, so the count
+// is exact.
 func Missing(m Manifest, recs []Record) int {
 	return m.Injections - len(recs)
 }

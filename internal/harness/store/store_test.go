@@ -283,3 +283,75 @@ func TestShardFileNaming(t *testing.T) {
 		t.Fatalf("ShardFile = %q", got)
 	}
 }
+
+// TestStoreRejectsIndicesOutsidePlan: a record whose index the plan does
+// not hold — or, when a shard is resumed, one the shard does not own —
+// must fail the read, naming file, line and index; counted by length it
+// would stand in for an injection that never ran.
+func TestStoreRejectsIndicesOutsidePlan(t *testing.T) {
+	m := testManifest()
+	m.Injections = 3
+	for name, tc := range map[string]struct {
+		line       string
+		wantInLoad string
+		wantInOpen string
+	}{
+		"past the plan": {`{"idx":99,"id":"z","outcome":1,"bits":1}`, "record for injection 99 is outside the 3-injection plan", "record for injection 99 is outside the 3-injection plan"},
+		"negative":      {`{"idx":-1,"id":"z","outcome":1,"bits":1}`, "record for injection -1 is outside", "record for injection -1 is outside"},
+		// Index 1 is in the plan, so a merge takes it from any log; only the
+		// resume of shard 0/2 knows it is not that shard's.
+		"another shard's": {`{"idx":1,"id":"b","outcome":1,"bits":1}`, "", "record for injection 1 does not belong to shard 0/2"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir, m, 0, 2, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			writeShardLines(t, dir, ShardFile(0, 2),
+				`{"idx":0,"id":"a","outcome":1,"bits":1}`,
+				tc.line)
+			where := ShardFile(0, 2) + " line 2: "
+
+			_, recs, err := Load(dir)
+			switch {
+			case tc.wantInLoad == "" && err != nil:
+				t.Fatalf("Load: %v", err)
+			case tc.wantInLoad == "" && Missing(m, recs) != 1:
+				t.Fatalf("Load: missing = %d, want 1", Missing(m, recs))
+			case tc.wantInLoad != "" && (err == nil || !strings.Contains(err.Error(), where+tc.wantInLoad)):
+				t.Fatalf("Load: got %v, want an error holding %q", err, where+tc.wantInLoad)
+			}
+			if _, err := Open(dir, m, 0, 2, true); err == nil || !strings.Contains(err.Error(), where+tc.wantInOpen) {
+				t.Fatalf("Open for resume: got %v, want an error holding %q", err, where+tc.wantInOpen)
+			}
+		})
+	}
+}
+
+// TestStoreInMemory: with no directory the store keeps its records and
+// touches no file.
+func TestStoreInMemory(t *testing.T) {
+	s, err := Open("", testManifest(), 1, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, idx := range []int{1, 3} {
+		if err := s.Append(Record{Idx: idx, ID: "id", Outcome: 2, Bits: 6}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r, ok := s.Done(3); !ok || r.Outcome != 2 || s.Completed() != 2 {
+		t.Fatalf("Done(3) = %+v, %v; Completed() = %d", r, ok, s.Completed())
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open("", testManifest(), 2, 2, false); err == nil {
+		t.Error("Open accepted shard 2/2 for an in-memory store")
+	}
+}

@@ -30,6 +30,16 @@ func (t *Table) AddRow(cells ...any) {
 	t.Rows = append(t.Rows, row)
 }
 
+// AddOutcomeRow appends a row of the lead cells followed by the tally's
+// five outcome shares and its coverage, in percent and in Figure 14's
+// column order: the row every by-bit-count outcome table is made of.
+func (t *Table) AddOutcomeRow(tal *Tally, lead ...any) {
+	t.AddRow(append(lead,
+		100*tal.Frac(OutcomeFailure), 100*tal.Frac(OutcomeMasked),
+		100*tal.Frac(OutcomeDetectedMasked), 100*tal.Frac(OutcomeDetected),
+		100*tal.Frac(OutcomeUndetected), 100*tal.Coverage())...)
+}
+
 // Render produces the aligned text form.
 func (t *Table) Render() string {
 	var sb strings.Builder

@@ -100,11 +100,11 @@ type tracedDevice struct {
 }
 
 // goldenTrace returns the (cached) trace of golden's program under the
-// given instrumentation mode, range store and device configuration,
+// given instrumentation mode and range store on a device of e.Config,
 // recording it on first use. Concurrent campaign workers share one
 // recording.
-func (e *Env) goldenTrace(cfg gpu.Config, spec *workloads.Spec, golden *GoldenRun, store *ranges.Store, mode translate.Mode) (*goldenTrace, error) {
-	key := traceKey{mode: mode, store: store, cfg: cfg}
+func (e *Env) goldenTrace(spec *workloads.Spec, golden *GoldenRun, store *ranges.Store, mode translate.Mode) (*goldenTrace, error) {
+	key := traceKey{mode: mode, store: store, cfg: e.Config}
 	golden.traceMu.Lock()
 	ent := golden.traces[key]
 	if ent == nil {
@@ -116,18 +116,18 @@ func (e *Env) goldenTrace(cfg gpu.Config, spec *workloads.Spec, golden *GoldenRu
 	}
 	golden.traceMu.Unlock()
 	ent.once.Do(func() {
-		ent.gt, ent.err = e.recordTrace(cfg, spec, golden, store, mode)
+		ent.gt, ent.err = e.recordTrace(spec, golden, store, mode)
 	})
 	return ent.gt, ent.err
 }
 
-func (e *Env) recordTrace(cfg gpu.Config, spec *workloads.Spec, golden *GoldenRun, store *ranges.Store, mode translate.Mode) (*goldenTrace, error) {
+func (e *Env) recordTrace(spec *workloads.Spec, golden *GoldenRun, store *ranges.Store, mode translate.Mode) (*goldenTrace, error) {
 	tr, err := e.Instrument(spec, translate.NewOptions(mode))
 	if err != nil {
 		return nil, err
 	}
 	gt := &goldenTrace{
-		spec: spec, ds: golden.Dataset, cfg: cfg,
+		spec: spec, ds: golden.Dataset, cfg: e.Config,
 		tr: tr, detectors: hrt.ResolveDetectors(tr.Detectors, store),
 	}
 	start := time.Now()
@@ -168,7 +168,7 @@ func (e *Env) recordTrace(cfg gpu.Config, spec *workloads.Spec, golden *GoldenRu
 		return nil, fmt.Errorf("harness: clean %s run of %s misses the output requirement against the golden run", mode, spec.Name)
 	}
 	gt.cleanWall = time.Since(start)
-	gt.hangBudget = hangBudget(cfg, spec.Name, res.MaxSteps)
+	gt.hangBudget = hangBudget(e.Config, spec.Name, res.MaxSteps)
 	if gt.mem != nil {
 		gt.alarms = cb.Alarms()
 		gt.pool.Put(td)

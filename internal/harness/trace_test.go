@@ -65,20 +65,19 @@ func TestResumeEqualsFullLaunch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every quick-plan injection twice")
 	}
-	e := NewEnv(QuickScale())
 	exits := make(map[string]int)
 	for _, spec := range allSpecs() {
-		cfg, golden, prof, plan := stagePlan(t, e, spec)
+		e, golden, prof, plan := stagePlan(t, QuickScale(), spec)
 		for _, mode := range []translate.Mode{translate.ModeFI, translate.ModeFIFT} {
 			store := storeFor(prof, mode)
-			resume, err := e.goldenTrace(cfg, spec, golden, store, mode)
+			resume, err := e.goldenTrace(spec, golden, store, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if resume.mem == nil {
 				t.Fatalf("%s %s: launch is not eligible for resume", spec.Name, mode)
 			}
-			full, err := e.forceFullLaunch(cfg, golden.twin(), store, mode)
+			full, err := e.forceFullLaunch(golden.twin(), store, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,23 +119,19 @@ func allSpecs() []*workloads.Spec {
 	return append(append(workloads.HPC(), workloads.Graphics()...), workloads.CPURef())
 }
 
-// stagePlan prepares spec's dataset-0 campaign at e's scale on the device
-// its class runs on: golden run, profile and plan.
-func stagePlan(t *testing.T, e *Env, spec *workloads.Spec) (gpu.Config, *GoldenRun, *ProfileResult, []Injection) {
+// stagePlan prepares spec's dataset-0 campaign at the given scale on an
+// env with the device its class runs on: golden run, profile and plan.
+func stagePlan(t *testing.T, scale Scale, spec *workloads.Spec) (*Env, *GoldenRun, *ProfileResult, []Injection) {
 	t.Helper()
-	cfg := e.Config
+	e := NewEnv(scale)
 	if spec.Class == workloads.ClassCPU {
-		cfg = e.cpuConfig()
+		e.Config = e.cpuConfig()
 	}
-	golden, err := e.goldenOn(cfg, spec, workloads.Dataset{})
+	pc, err := e.PrepareCampaign(spec, workloads.Dataset{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := e.Profile(spec, []workloads.Dataset{golden.Dataset})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cfg, golden, prof, e.PlanCampaign(spec, prof, e.Scale.BitCounts)
+	return e, pc.Golden, pc.Prof, pc.Plan
 }
 
 // storeFor is the range store a campaign of the mode runs against.
@@ -189,30 +184,29 @@ func TestHangBudgetReclassifiesNothing(t *testing.T) {
 	injections := 0
 	var hangTime, backstopHangTime time.Duration
 	for _, leg := range legs {
-		e := NewEnv(leg.scale)
 		for _, spec := range leg.specs {
-			cfg, golden, prof, plan := stagePlan(t, e, spec)
+			e, golden, prof, plan := stagePlan(t, leg.scale, spec)
 			backstop := golden.twin()
 			for _, mode := range []translate.Mode{translate.ModeFI, translate.ModeFIFT} {
 				store := storeFor(prof, mode)
-				derived, err := e.goldenTrace(cfg, spec, golden, store, mode)
+				derived, err := e.goldenTrace(spec, golden, store, mode)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if derived.hangBudget <= 0 || derived.hangBudget >= cfg.StepBudget {
-					t.Fatalf("%s %s: hang budget %d is not below the %d-step backstop", spec.Name, mode, derived.hangBudget, cfg.StepBudget)
+				if derived.hangBudget <= 0 || derived.hangBudget >= e.Config.StepBudget {
+					t.Fatalf("%s %s: hang budget %d is not below the %d-step backstop", spec.Name, mode, derived.hangBudget, e.Config.StepBudget)
 				}
-				if err := e.forceBackstopBudget(cfg, backstop, store, mode); err != nil {
+				if err := e.forceBackstopBudget(backstop, store, mode); err != nil {
 					t.Fatal(err)
 				}
 				for _, inj := range plan {
 					start := time.Now()
-					got, err := e.runInjectionOn(cfg, spec, golden, store, mode, inj)
+					got, err := e.RunInjection(spec, golden, store, mode, inj)
 					if err != nil {
 						t.Fatal(err)
 					}
 					mid := time.Now()
-					want, err := e.runInjectionOn(cfg, spec, backstop, store, mode, inj)
+					want, err := e.RunInjection(spec, backstop, store, mode, inj)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -286,10 +280,10 @@ func TestBrokenCleanRunFailsCampaign(t *testing.T) {
 			} else if !strings.Contains(err.Error(), "clean") {
 				t.Fatalf("error does not name the clean run: %v", err)
 			}
-			if _, err := e.RunCampaign(&spec, pc.Golden, pc.Prof.Store, pc.Mode, pc.Plan); err == nil {
+			if _, err := e.RunPrepared(context.Background(), pc, CampaignOptions{}); err == nil {
 				t.Fatal("campaign against a broken clean run succeeded")
 			}
-			if _, err := e.RunCampaignDurable(context.Background(), &spec, pc.Golden, pc.Prof.Store, pc.Mode, pc.Plan, CampaignOptions{Dir: t.TempDir()}); err == nil {
+			if _, err := e.RunPrepared(context.Background(), pc, CampaignOptions{Dir: t.TempDir()}); err == nil {
 				t.Fatal("durable campaign against a broken clean run succeeded")
 			}
 		})
@@ -317,7 +311,7 @@ func TestOpaqueOverlayIsIneligible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt, err := e.goldenTrace(e.Config, &spec, golden, prof.Store, translate.ModeFIFT)
+	gt, err := e.goldenTrace(&spec, golden, prof.Store, translate.ModeFIFT)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,9 +339,9 @@ func TestOpaqueOverlayIsIneligible(t *testing.T) {
 
 // campaignRecords runs a durable campaign and returns its digest and its
 // store records in plan order.
-func campaignRecords(t *testing.T, e *Env, spec *workloads.Spec, golden *GoldenRun, prof *ProfileResult, plan []Injection, opts CampaignOptions) (string, []cstore.Record) {
+func campaignRecords(t *testing.T, e *Env, pc *PreparedCampaign, opts CampaignOptions) (string, []cstore.Record) {
 	t.Helper()
-	cr, err := e.RunCampaignDurable(context.Background(), spec, golden, prof.Store, translate.ModeFIFT, plan, opts)
+	cr, err := e.RunPrepared(context.Background(), pc, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,11 +372,12 @@ func TestCampaignResumeEqualsFullPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle := pc.Golden.twin()
-			if _, err := e.forceFullLaunch(e.Config, oracle, pc.Prof.Store, pc.Mode); err != nil {
+			oracle := *pc
+			oracle.Golden = pc.Golden.twin()
+			if _, err := e.forceFullLaunch(oracle.Golden, pc.Prof.Store, pc.Mode); err != nil {
 				t.Fatal(err)
 			}
-			wantDigest, want := campaignRecords(t, e, spec, oracle, pc.Prof, pc.Plan, CampaignOptions{Dir: t.TempDir()})
+			wantDigest, want := campaignRecords(t, e, &oracle, CampaignOptions{Dir: t.TempDir()})
 			if name == "TPACF" && strings.Contains(wantDigest, "hangs=0\n") {
 				t.Fatalf("TPACF's plan holds no hang:\n%s", wantDigest)
 			}
@@ -394,7 +389,7 @@ func TestCampaignResumeEqualsFullPath(t *testing.T) {
 				"isolated":   isoOpts(t, t.TempDir(), "kill@3"),
 			}
 			for leg, opts := range legs {
-				gotDigest, got := campaignRecords(t, e, spec, pc.Golden, pc.Prof, pc.Plan, opts)
+				gotDigest, got := campaignRecords(t, e, pc, opts)
 				if gotDigest != wantDigest {
 					t.Fatalf("%s: digest differs from the full-launch campaign:\n%s\nvs\n%s", leg, gotDigest, wantDigest)
 				}
@@ -414,11 +409,12 @@ func TestCampaignResumeEqualsFullPath(t *testing.T) {
 
 // TestWatchdogBaselineIsFullLaunch is the regression test for the baseline
 // collapsing to a resumed injection's microseconds: the derived deadline
-// must be at least WatchdogFactor times a full clean launch, and a second
-// campaign on the same golden run must not time another launch.
+// must be at least T (the guardian's factor) times a full clean launch, and
+// a second campaign on the same golden run must not time another launch.
 func TestWatchdogBaselineIsFullLaunch(t *testing.T) {
 	e := NewEnv(tinyScale())
-	spec, golden, prof, _ := planTiny(t, e)
+	pc := planTiny(t, e)
+	spec, golden := pc.Spec, pc.Golden
 	tr, err := e.Instrument(spec, translate.NewOptions(translate.ModeFIFT))
 	if err != nil {
 		t.Fatal(err)
@@ -436,19 +432,20 @@ func TestWatchdogBaselineIsFullLaunch(t *testing.T) {
 		}
 		fullLaunch = min(fullLaunch, time.Since(start))
 	}
-	opts := CampaignOptions{WatchdogFactor: 10, MinTimeout: time.Nanosecond}.withDefaults()
-	timeout, err := e.deriveWatchdogTimeout(spec, golden, prof.Store, translate.ModeFIFT, opts)
+	// A vanishing floor, so the derived part of the rule is what is seen.
+	timeout, err := e.deriveWatchdogTimeout(pc, time.Nanosecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if floor := time.Duration(opts.WatchdogFactor) * fullLaunch; timeout < floor {
-		t.Fatalf("derived deadline %v is below %v = %g x a full clean launch (%v)", timeout, floor, opts.WatchdogFactor, fullLaunch)
+	T := guardian.DefaultWatchdog().Factor
+	if floor := time.Duration(T) * fullLaunch; timeout < floor {
+		t.Fatalf("derived deadline %v is below %v = %g x a full clean launch (%v)", timeout, floor, T, fullLaunch)
 	}
 	// Run an injection (microseconds on the resumed path), then derive again.
-	if _, err := e.RunInjection(spec, golden, prof.Store, translate.ModeFIFT, Injection{Cmd: swifi.Command{Site: -1, Mask: 1}}); err != nil {
+	if _, err := e.RunInjection(spec, golden, pc.Prof.Store, pc.Mode, Injection{Cmd: swifi.Command{Site: -1, Mask: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	again, err := e.deriveWatchdogTimeout(spec, golden, prof.Store, translate.ModeFIFT, opts)
+	again, err := e.deriveWatchdogTimeout(pc, time.Nanosecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,9 +461,10 @@ func TestInjectionTelemetry(t *testing.T) {
 	e := NewEnv(tinyScale())
 	tel := obs.New(&obs.MemSink{})
 	e.WithObs(tel)
-	spec, golden, prof, plan := planTiny(t, e)
+	pc := planTiny(t, e)
+	spec, golden, plan := pc.Spec, pc.Golden, pc.Plan
 	for _, inj := range plan {
-		if _, err := e.RunInjection(spec, golden, prof.Store, translate.ModeFIFT, inj); err != nil {
+		if _, err := e.RunInjection(spec, golden, pc.Prof.Store, pc.Mode, inj); err != nil {
 			t.Fatal(err)
 		}
 	}

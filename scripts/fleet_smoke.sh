@@ -33,7 +33,12 @@ go build -ldflags "-X hauberk/internal/version.Version=$VERSION" \
   echo "fleet smoke: hauberk-fleet -version does not report $VERSION" >&2; exit 1; }
 
 # One reference digest serves every leg: same program, scale, dataset.
-"$work/hauberk-run" -program CP -scale quick -campaign-dir "$work/ref" \
+# TPACF at full scale is the longest campaign there is (~0.6 s, ~0.2 s a
+# shard): leg 3 must land a kill -9 while a shard is mid-run, and a quick CP
+# shard is over in milliseconds since golden-trace resume — before the kill.
+prog=TPACF
+scale=full
+"$work/hauberk-run" -program "$prog" -scale "$scale" -campaign-dir "$work/ref" \
   | sed -n '/^figure digest:$/,$p' | tail -n +2 >"$work/ref.digest"
 
 # start_node <tag>: launch hauberkd on an ephemeral port with its own
@@ -72,7 +77,7 @@ start_node a2; n2=$base
 start_node a3; n3=$base
 echo "fleet smoke: roster $n1 $n2 $n3"
 
-"$work/hauberk-fleet" -nodes "$n1,$n2,$n3" -program CP -scale quick -shards 3 \
+"$work/hauberk-fleet" -nodes "$n1,$n2,$n3" -program "$prog" -scale "$scale" -shards 3 \
   -merge-dir "$work/merge-clean" -poll 50ms \
   >"$work/clean.out" 2>"$work/clean.log"
 digest "$work/clean.out" >"$work/clean.digest"
@@ -90,7 +95,7 @@ echo "fleet smoke: clean 3-node digest identical to hauberk-run"
 # construction (the attempt sequence never restarts), so the bounded
 # retry envelope must absorb them and the digest must not move.
 HAUBERK_CHAOS='netdrop@2,netstall@6,netdrop@11' \
-  "$work/hauberk-fleet" -nodes "$n1,$n2,$n3" -program CP -scale quick -shards 3 \
+  "$work/hauberk-fleet" -nodes "$n1,$n2,$n3" -program "$prog" -scale "$scale" -shards 3 \
   -merge-dir "$work/merge-chaos" -poll 50ms -rpc-timeout 2s \
   >"$work/chaos.out" 2>"$work/chaos.log"
 digest "$work/chaos.out" >"$work/chaos.digest"
@@ -105,7 +110,7 @@ start_node k1; k1=$base
 start_node k2; k2=$base
 start_node k3; k3=$base
 
-"$work/hauberk-fleet" -nodes "$k1,$k2,$k3" -program CP -scale quick -shards 3 \
+"$work/hauberk-fleet" -nodes "$k1,$k2,$k3" -program "$prog" -scale "$scale" -shards 3 \
   -merge-dir "$work/merge-kill" -poll 50ms -rpc-timeout 2s -max-attempts 2 \
   >"$work/kill.out" 2>"$work/kill.log" &
 fleet_pid=$!

@@ -80,12 +80,15 @@ echo "service smoke: daemon digest identical to hauberk-run (tiny CP)"
 # --- cancel-while-queued, then SIGTERM mid-campaign --------------------
 # slots=1: a full-scale campaign occupies the only slot, so a tiny
 # submission behind it is reliably cancel-while-queued; the full campaign
-# is then the SIGTERM target. A full campaign still only takes seconds,
-# so if it outruns the poll below, retry with a fresh submission.
+# is then the SIGTERM target. It is TPACF's: the longest full campaign
+# there is (~0.6 s; RPES's is over in ~50 ms since golden-trace resume,
+# less than it takes the poll below to see it running and signal). If it
+# still outruns the poll, retry with a fresh submission.
+long=TPACF
 canceled_id=""
 interrupted_id=""
 for attempt in 1 2 3; do
-  rid=$(submit_id RPES -scale full)
+  rid=$(submit_id "$long" -scale full)
 
   if [ -z "$canceled_id" ]; then
     qid=$(submit_id CP -scale tiny)
@@ -154,14 +157,14 @@ report -id "$interrupted_id" -wait -wait-timeout 10m >/dev/null || {
 # The resumed campaign's digest must be byte-identical to an
 # uninterrupted hauberk-run of the same plan — over the API and straight
 # from the daemon's store directory.
-"$work/hauberk-run" -program RPES -scale full -campaign-dir "$work/ref-full" \
+"$work/hauberk-run" -program "$long" -scale full -campaign-dir "$work/ref-full" \
   | sed -n '/^figure digest:$/,$p' | tail -n +2 >"$work/ref-full.digest"
 report -id "$interrupted_id" -digest >"$work/resumed.digest"
 diff "$work/ref-full.digest" "$work/resumed.digest"
 "$work/hauberk-report" -campaign "$store/$interrupted_id" \
   | sed -n '/^figure digest:$/,$p' | tail -n +2 >"$work/resumed-dir.digest"
 diff "$work/ref-full.digest" "$work/resumed-dir.digest"
-echo "service smoke: resumed digest identical to uninterrupted hauberk-run (full RPES)"
+echo "service smoke: resumed digest identical to uninterrupted hauberk-run (full $long)"
 
 # The canceled campaign must still be canceled, not resurrected.
 status_line "$canceled_id" | grep -q " canceled" || {
