@@ -76,9 +76,11 @@ cover:
 		{ echo "coverage $$total% fell below the recorded $(COVER_FLOOR)% floor"; exit 1; }
 
 # bench-smoke is the does-it-still-run gate for the baseline kernels: one
-# iteration of every engine/workload pair, no timing claims.
+# iteration of every engine/workload pair, no timing claims. The benchmark
+# lives in internal/gpu because the unfused stream and the tree walker it
+# compares against are test-only code there.
 bench-smoke:
-	$(GO) test -run '^$$' -bench BenchmarkBaselineKernels -benchtime=1x .
+	$(GO) test -run '^$$' -bench BenchmarkBaselineKernels -benchtime=1x ./internal/gpu
 
 # bench-digest pins exactness: short runs of each campaign-benchmark
 # workload on seeds 0-3 (~45 s in all) must end with ops_failed 0 and the
@@ -138,9 +140,10 @@ bench-obs:
 	BENCH_OBS_JSON=BENCH_obs.json $(GO) test -run TestWriteObsBenchJSON -v .
 
 # bench-perf records the execution-engine comparison (tree walker vs
-# fused/unfused bytecode) to BENCH_perf.json.
+# fused/unfused bytecode) to BENCH_perf.json. go test runs in the package
+# directory, hence the absolute path.
 bench-perf:
-	BENCH_PERF_JSON=BENCH_perf.json $(GO) test -run TestWritePerfBenchJSON -v .
+	BENCH_PERF_JSON=$(CURDIR)/BENCH_perf.json $(GO) test -count=1 -run TestWritePerfBenchJSON -v ./internal/gpu
 
 # bench-service records the campaign-service load profile to
 # BENCH_service.json: hauberk-load self-hosts a daemon and pushes
@@ -161,7 +164,7 @@ bench-service:
 # BENCH_DIFF_THRESHOLD percent of slack for benchmark noise.
 BENCH_DIFF_THRESHOLD ?= 15
 bench-diff:
-	BENCH_PERF_JSON=BENCH_perf.new.json $(GO) test -run TestWritePerfBenchJSON .
+	BENCH_PERF_JSON=$(CURDIR)/BENCH_perf.new.json $(GO) test -count=1 -run TestWritePerfBenchJSON ./internal/gpu
 	$(GO) run ./cmd/hauberk-report -bench-diff -bench-ratios-only \
 		-bench-threshold $(BENCH_DIFF_THRESHOLD) \
 		BENCH_perf.json BENCH_perf.new.json

@@ -6,15 +6,15 @@
 //
 // Figures are emitted through b.Log (visible with -v) and the headline
 // numbers through b.ReportMetric, so CI trends catch regressions in the
-// reproduced results, not just in wall-clock speed.
+// reproduced results, not just in wall-clock speed. The simulator's own
+// engine benchmark (BenchmarkBaselineKernels, BENCH_perf.json) lives with
+// the engine and its test-only oracles in internal/gpu.
 package hauberk_test
 
 import (
 	"context"
 	"encoding/json"
-	"math"
 	"os"
-	"runtime"
 	"testing"
 
 	"hauberk/internal/core/hrt"
@@ -27,70 +27,6 @@ import (
 )
 
 func quickEnv() *harness.Env { return harness.NewEnv(harness.QuickScale()) }
-
-// benchEngines names the execution configurations compared by the
-// baseline throughput benchmarks: the bytecode engine every production
-// launch runs (fused, the default), the same engine with superinstruction
-// fusion disabled, and the tree-walking interpreter kept as the
-// differential-test oracle.
-var benchEngines = []struct {
-	name   string
-	interp gpu.Interpreter
-	nofuse bool
-}{
-	{"bytecode", gpu.InterpreterBytecode, false},
-	{"unfused", gpu.InterpreterBytecode, true},
-	{"tree", gpu.InterpreterTree, false},
-}
-
-// baselineLaunch stages one workload on a fresh device with the given
-// engine and returns a closure that re-launches it, plus the (engine-independent) simulated cycle count. Device
-// construction and input staging stay outside the measured region so the
-// benchmark isolates interpreter throughput.
-func baselineLaunch(tb testing.TB, spec *workloads.Spec, interp gpu.Interpreter, nofuse bool) (func(), float64) {
-	cfg := gpu.DefaultConfig()
-	cfg.Interpreter = interp
-	cfg.DisableFusion = nofuse
-	d := gpu.New(cfg)
-	k := spec.Build()
-	inst := spec.Setup(d, workloads.Dataset{Index: 0})
-	ls := gpu.LaunchSpec{Grid: inst.Grid, Block: inst.Block, Args: inst.Args}
-	// One warm-up launch: compiles the bytecode program (later launches
-	// hit the program cache, the production steady state).
-	res, err := d.Launch(k, ls)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return func() {
-		if _, err := d.Launch(k, ls); err != nil {
-			tb.Fatal(err)
-		}
-	}, res.Cycles
-}
-
-// BenchmarkBaselineKernels measures raw simulator throughput per program
-// and per execution engine: the substrate cost on which every other
-// experiment stands. Compare engines with
-//
-//	go test -bench BenchmarkBaselineKernels -v .
-func BenchmarkBaselineKernels(b *testing.B) {
-	for _, eng := range benchEngines {
-		eng := eng
-		b.Run(eng.name, func(b *testing.B) {
-			for _, spec := range workloads.HPC() {
-				spec := spec
-				b.Run(spec.Name, func(b *testing.B) {
-					launch, cycles := baselineLaunch(b, spec, eng.interp, eng.nofuse)
-					b.ReportMetric(cycles, "gpu-cycles")
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						launch()
-					}
-				})
-			}
-		})
-	}
-}
 
 // BenchmarkFig01_Sensitivity regenerates Figure 1.
 func BenchmarkFig01_Sensitivity(b *testing.B) {
@@ -613,87 +549,6 @@ func TestWriteObsBenchJSON(t *testing.T) {
 	}
 	t.Logf("wrote %s: nop %d ns/op, enabled %d ns/op (%.1f%% overhead)",
 		path, report.NopNsPerOp, report.EnabledNsPerOp, report.OverheadPercent)
-}
-
-// TestWritePerfBenchJSON measures the execution engines on every HPC
-// workload and writes the comparison to the file named by BENCH_PERF_JSON
-// (skipped when the variable is unset):
-//
-//	BENCH_PERF_JSON=BENCH_perf.json go test -run TestWritePerfBenchJSON .
-//
-// For each workload it records wall-clock ns/op, simulated GPU cycles,
-// and simulated-cycles-per-second of host time for the tree walker and the
-// bytecode engine with and without fusion; the headline numbers are the
-// geometric-mean speedups of the bytecode engine over the tree walker and
-// of fused over unfused bytecode.
-func TestWritePerfBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_PERF_JSON")
-	if path == "" {
-		t.Skip("set BENCH_PERF_JSON=<path> to measure and record the engine comparison")
-	}
-	// Each engine/workload pair is sampled several times and the fastest
-	// sample wins: ns/op on a shared host is contaminated by one-sided
-	// scheduling noise (other tenants can only ever slow a run down, never
-	// speed it up), so min-of-N is the robust estimator and a single noisy
-	// sample cannot fabricate a phantom regression in the committed
-	// baseline.
-	const perfSamples = 3
-	measure := func(spec *workloads.Spec, interp gpu.Interpreter, nofuse bool) (testing.BenchmarkResult, float64) {
-		launch, cycles := baselineLaunch(t, spec, interp, nofuse)
-		var best testing.BenchmarkResult
-		for i := 0; i < perfSamples; i++ {
-			res := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					launch()
-				}
-			})
-			if i == 0 || res.NsPerOp() < best.NsPerOp() {
-				best = res
-			}
-		}
-		return best, cycles
-	}
-	var rows []harness.BenchWorkload
-	logSum, logSumFuse := 0.0, 0.0
-	for _, spec := range workloads.HPC() {
-		tree, cycles := measure(spec, gpu.InterpreterTree, false)
-		bc, _ := measure(spec, gpu.InterpreterBytecode, false)
-		unf, _ := measure(spec, gpu.InterpreterBytecode, true)
-		engine := func(r testing.BenchmarkResult) harness.BenchEngineStats {
-			return harness.BenchEngineStats{NsPerOp: r.NsPerOp(), CyclesPerSec: cycles * 1e9 / float64(r.NsPerOp())}
-		}
-		unfused := engine(unf)
-		row := harness.BenchWorkload{
-			Program:       spec.Name,
-			Cycles:        cycles,
-			Tree:          engine(tree),
-			Bytecode:      engine(bc),
-			Unfused:       &unfused,
-			Speedup:       float64(tree.NsPerOp()) / float64(bc.NsPerOp()),
-			FusionSpeedup: float64(unf.NsPerOp()) / float64(bc.NsPerOp()),
-		}
-		logSum += math.Log(row.Speedup)
-		logSumFuse += math.Log(row.FusionSpeedup)
-		rows = append(rows, row)
-		t.Logf("%-8s tree %d ns/op, bytecode %d ns/op (%.2fx, fusion %.2fx)",
-			spec.Name, row.Tree.NsPerOp, row.Bytecode.NsPerOp, row.Speedup, row.FusionSpeedup)
-	}
-	report := harness.BenchReport{
-		Benchmark:            "BenchmarkBaselineKernels: tree walker vs bytecode engine (fused and unfused)",
-		HostCores:            runtime.NumCPU(),
-		Workloads:            rows,
-		GeomeanSpeedup:       math.Exp(logSum / float64(len(rows))),
-		GeomeanFusionSpeedup: math.Exp(logSumFuse / float64(len(rows))),
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: geomean speedup %.2fx (tree->bytecode), %.2fx (unfused->fused)",
-		path, report.GeomeanSpeedup, report.GeomeanFusionSpeedup)
 }
 
 // BenchmarkRecoveryCampaign drives injections through the full Figure 11

@@ -2,9 +2,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"os"
 	"time"
 
@@ -40,8 +38,20 @@ func campaignsCmd(o campaignsOpts) int {
 	if o.digest {
 		o.wait = true // a digest only exists at the terminal state
 	}
+	cl := campaignsClient(o.base)
+	ctx := context.Background()
+	if o.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, o.timeout)
+		defer cancel()
+	}
 	if o.submit != "" {
-		st, err := submitCampaign(o)
+		st, err := cl.Submit(ctx, service.Submission{
+			Tenant:  o.tenant,
+			Program: o.submit,
+			Scale:   o.scale,
+			Dataset: o.dataset,
+		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "campaigns: %v\n", err)
 			return 1
@@ -57,7 +67,7 @@ func campaignsCmd(o campaignsOpts) int {
 			fmt.Fprintln(os.Stderr, "campaigns: -cancel needs -id")
 			return 2
 		}
-		st, err := cancelCampaign(o.base, o.id)
+		st, err := cl.Cancel(ctx, o.id)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "campaigns: %v\n", err)
 			return 1
@@ -71,7 +81,7 @@ func campaignsCmd(o campaignsOpts) int {
 		}
 		return tailEvents(o.base+"/v1/campaigns/"+o.id, o.events, o.timeout)
 	case o.id != "":
-		st, err := waitCampaign(o)
+		st, err := waitCampaign(ctx, cl, o)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "campaigns: %v\n", err)
 			return 1
@@ -93,70 +103,34 @@ func campaignsCmd(o campaignsOpts) int {
 		}
 		return 0
 	default:
-		return listCampaigns(o.base)
+		list, err := cl.List(ctx)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "campaigns: %v\n", err)
+			return 1
+		}
+		printList(list)
+		return 0
 	}
 }
 
-// submitCampaign posts through the fleet transport, which bounds the
-// 429 retry loop: admission pushback retries at most MaxAttempts times,
-// each honored Retry-After capped and jittered — a daemon stuck
-// answering 429 can no longer park the client until its deadline.
-func submitCampaign(o campaignsOpts) (service.Status, error) {
+// campaignsClient is the one hauberkd API client of -campaigns: every
+// verb goes through the fleet transport, which bounds retries — admission
+// pushback (429) retries at most MaxAttempts times, each honored
+// Retry-After capped and jittered, so a daemon stuck answering 429 cannot
+// park the client until its deadline.
+func campaignsClient(base string) *fleet.Client {
 	tr := fleet.NewTransport(httpClient.Timeout)
 	tr.MaxAttempts = 6
-	ctx, cancel := context.WithTimeout(context.Background(), o.timeout)
-	defer cancel()
-	return tr.Client(o.base).Submit(ctx, service.Submission{
-		Tenant:  o.tenant,
-		Program: o.submit,
-		Scale:   o.scale,
-		Dataset: o.dataset,
-	})
-}
-
-func getCampaign(base, id string) (service.Status, error) {
-	var st service.Status
-	resp, err := httpClient.Get(base + "/v1/campaigns/" + id)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close() //nolint:errcheck
-	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("GET %s: %s", id, resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return st, fmt.Errorf("decode status: %w", err)
-	}
-	return st, nil
-}
-
-func cancelCampaign(base, id string) (service.Status, error) {
-	var st service.Status
-	req, err := http.NewRequest(http.MethodDelete, base+"/v1/campaigns/"+id, nil)
-	if err != nil {
-		return st, err
-	}
-	resp, err := httpClient.Do(req)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close() //nolint:errcheck
-	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("DELETE %s: %s", id, resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return st, fmt.Errorf("decode status: %w", err)
-	}
-	return st, nil
+	return tr.Client(base)
 }
 
 // waitCampaign fetches the target's status, polling to a terminal state
 // when o.wait is set (rendering a progress line per state change).
-func waitCampaign(o campaignsOpts) (service.Status, error) {
+func waitCampaign(ctx context.Context, cl *fleet.Client, o campaignsOpts) (service.Status, error) {
 	deadline := time.Now().Add(o.timeout)
 	var lastLine string
 	for {
-		st, err := getCampaign(o.base, o.id)
+		st, err := cl.Status(ctx, o.id)
 		if err != nil {
 			return st, err
 		}
@@ -189,26 +163,9 @@ func printStatus(st service.Status) {
 	}
 }
 
-func listCampaigns(base string) int {
-	resp, err := httpClient.Get(base + "/v1/campaigns")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "campaigns: %v\n", err)
-		return 1
-	}
-	defer resp.Body.Close() //nolint:errcheck
-	if resp.StatusCode != http.StatusOK {
-		fmt.Fprintf(os.Stderr, "campaigns: GET /v1/campaigns: %s\n", resp.Status)
-		return 1
-	}
-	var doc struct {
-		Campaigns []service.Status `json:"campaigns"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		fmt.Fprintf(os.Stderr, "campaigns: decode list: %v\n", err)
-		return 1
-	}
+func printList(list []service.Status) {
 	fmt.Printf("%-9s %-10s %-10s %-6s %-12s %s\n", "ID", "TENANT", "PROGRAM", "SCALE", "STATE", "PROGRESS")
-	for _, st := range doc.Campaigns {
+	for _, st := range list {
 		prog := "-"
 		if st.Progress.Total > 0 {
 			prog = fmt.Sprintf("%d/%d", st.Progress.Completed, st.Progress.Total)
@@ -216,6 +173,5 @@ func listCampaigns(base string) int {
 		fmt.Printf("%-9s %-10s %-10s %-6s %-12s %s\n",
 			st.ID, st.Tenant, st.Program, st.Scale, st.State, prog)
 	}
-	fmt.Printf("%d campaigns\n", len(doc.Campaigns))
-	return 0
+	fmt.Printf("%d campaigns\n", len(list))
 }

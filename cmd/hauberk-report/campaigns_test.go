@@ -2,10 +2,13 @@ package main
 
 import (
 	"context"
+	"errors"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
 
+	"hauberk/internal/fleet"
 	"hauberk/internal/service"
 )
 
@@ -40,11 +43,10 @@ func TestCampaignsClientRoundTrip(t *testing.T) {
 		t.Skip("drives a real campaign")
 	}
 	base := startTestDaemon(t)
+	cl := campaignsClient(base)
+	ctx := context.Background()
 
-	st, err := submitCampaign(campaignsOpts{
-		base: base, submit: "CP", scale: "tiny", tenant: "default",
-		timeout: time.Minute,
-	})
+	st, err := cl.Submit(ctx, service.Submission{Tenant: "default", Program: "CP", Scale: "tiny"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +78,15 @@ func TestCampaignsClientRoundTrip(t *testing.T) {
 	if code := campaignsCmd(cancel); code != 0 {
 		t.Fatalf("-cancel exited %d", code)
 	}
-	if got, err := getCampaign(base, st.ID); err != nil || got.State != service.StateDone {
+	if got, err := cl.Status(ctx, st.ID); err != nil || got.State != service.StateDone {
 		t.Fatalf("terminal campaign after cancel: state=%v err=%v (cancel of a done campaign must be a no-op)", got.State, err)
 	}
+	if list, err := cl.List(ctx); err != nil || len(list) != 1 || list[0].ID != st.ID {
+		t.Fatalf("list = %+v, %v; want the one campaign %s", list, err, st.ID)
+	}
 
-	if _, err := getCampaign(base, "c999999"); err == nil {
-		t.Fatal("getCampaign(unknown) succeeded, want error")
+	var se *fleet.StatusError
+	if _, err := cl.Status(ctx, "c999999"); !errors.As(err, &se) || se.Code != http.StatusNotFound {
+		t.Fatalf("status of an unknown id: %v, want a 404 *fleet.StatusError", err)
 	}
 }

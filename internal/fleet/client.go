@@ -267,6 +267,15 @@ func (c *Client) Status(ctx context.Context, id string) (service.Status, error) 
 	return st, err
 }
 
+// List fetches every campaign the node knows.
+func (c *Client) List(ctx context.Context) ([]service.Status, error) {
+	var doc struct {
+		Campaigns []service.Status `json:"campaigns"`
+	}
+	err := c.do(ctx, http.MethodGet, "/v1/campaigns", nil, http.StatusOK, &doc)
+	return doc.Campaigns, err
+}
+
 // Cancel cancels one campaign.
 func (c *Client) Cancel(ctx context.Context, id string) (service.Status, error) {
 	var st service.Status

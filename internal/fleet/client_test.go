@@ -104,6 +104,26 @@ func TestClientPermanent4xxDoesNotRetry(t *testing.T) {
 	}
 }
 
+func TestClientList(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet || r.URL.Path != "/v1/campaigns" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Write([]byte(`{"campaigns":[{"id":"c000001","state":"done"},{"id":"c000002","state":"queued"}]}`)) //nolint:errcheck
+	}))
+	defer srv.Close()
+
+	tr, _ := testTransport(time.Second)
+	list, err := tr.Client(srv.URL).List(context.Background())
+	if err != nil {
+		t.Fatalf("list: %v", err)
+	}
+	if len(list) != 2 || list[0].ID != "c000001" || list[1].State != service.StateQueued {
+		t.Fatalf("list = %+v", list)
+	}
+}
+
 func TestClient5xxRetriesThenSucceeds(t *testing.T) {
 	var hits atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -457,6 +457,13 @@ func (co *Coordinator) dispatchPending(ctx context.Context) (bool, error) {
 			if ctx.Err() != nil {
 				return dispatched, fmt.Errorf("fleet: %w", ctx.Err())
 			}
+			// Every daemon validates a submission the same way, so one this
+			// node refused outright (a 4xx) is refused by the whole roster:
+			// abort rather than cycle it through the nodes forever.
+			var se *StatusError
+			if errors.As(err, &se) {
+				return dispatched, fmt.Errorf("fleet: submission rejected: %w", err)
+			}
 			v := n.health.observe(false)
 			co.cfg.Logf("fleet: %s: submit shard %d: %v (verdict %s)", n.client.Name, shard, err, v)
 			continue

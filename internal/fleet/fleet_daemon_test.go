@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"context"
+	"errors"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -92,6 +94,30 @@ func TestFleetDigestMatchesSingleNode(t *testing.T) {
 	}
 	if want := referenceDigest(t, "CP", "tiny", 0); res.Digest != want {
 		t.Fatalf("fleet digest diverged from single-node run:\nfleet:\n%s\nsingle:\n%s", res.Digest, want)
+	}
+}
+
+// TestFleetFailsFastOnRejectedSubmission: a submission the daemons refuse
+// (here a dataset index CP does not define) aborts the run at the first
+// dispatch with the daemon's 400, instead of cycling through the roster.
+func TestFleetFailsFastOnRejectedSubmission(t *testing.T) {
+	co, err := New(Config{
+		Nodes:      []string{startNode(t, 30*time.Second).Addr(), startNode(t, 30*time.Second).Addr()},
+		Submission: service.Submission{Tenant: "fleet", Program: "CP", Scale: "tiny", Dataset: 52},
+		Shards:     2,
+		MergeDir:   t.TempDir(),
+		Poll:       20 * time.Millisecond,
+		Logf:       t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	_, err = co.Run(ctx)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+		t.Fatalf("Run with an out-of-range dataset: %v, want the daemon's 400", err)
 	}
 }
 

@@ -7,27 +7,13 @@ import (
 	"hauberk/internal/kir"
 )
 
-// launchBytecode executes a validated launch through the compiled bytecode
-// engine: compile (or hit the program cache), then one serial
-// (block, thread) loop with live hook delivery — for every launch, hooked or
-// not, faulted or not. The warp aggregation, SM spreading, and
-// early-exit-on-error behaviour replicate launchTree exactly; the
-// per-thread inner loop is the flat dispatch in (*bcThread).run.
-func (d *Device) launchBytecode(k *kir.Kernel, spec LaunchSpec) (*Result, error) {
-	p, hit := programFor(k, d.cfg)
-	if spec.Obs.Enabled() {
-		result := "miss"
-		if hit {
-			result = "hit"
-		}
-		m := spec.Obs.Metrics()
-		m.Counter("hauberk_program_cache_total",
-			"kernel", k.Name, "result", result).Inc()
-		m.Help("hauberk_launch_modes_total",
-			"bytecode launches by execution mode (always serial: there is one engine)")
-		m.Counter("hauberk_launch_modes_total", "kernel", k.Name, "mode", "serial").Inc()
-	}
-
+// runProgram executes a validated launch of k's compiled program p: one
+// serial (block, thread) loop with live hook delivery — for every launch,
+// hooked or not, faulted or not. The warp aggregation, SM spreading, and
+// early-exit-on-error behaviour replicate the tree-walking oracle's
+// (oracle_test.go) exactly; the per-thread inner loop is the flat dispatch
+// in (*bcThread).run.
+func (d *Device) runProgram(p *program, k *kir.Kernel, spec LaunchSpec) (*Result, error) {
 	res := &Result{Threads: spec.Grid * spec.Block, MaxLive: p.maxLive, Spill: p.spillExtra > 0}
 	warp := d.cfg.WarpSize
 	var sumWarpCycles, sumThreadCycles, sumLoopCycles float64
@@ -204,6 +190,10 @@ loop:
 			cycles += in.cost
 			loopCycles += in.costLoop
 			loads++
+			// Past the physical arena but inside the address space is
+			// unallocated device memory: reads see zero (often a harmless
+			// value — one of the masking paths real GPUs exhibit) and
+			// writes vanish.
 			var val uint32
 			if int(addr) < len(arena) {
 				val = arena[addr]

@@ -13,11 +13,11 @@ import (
 // a 10k-injection campaign compile each instrumented kernel variant once.
 //
 // Determinism contract: the dispatch loop must produce bit-identical cycle
-// counts to the tree-walker in exec.go. float64 addition is commutative but
-// not associative, so the compiler never merges two separate charge() calls
-// of the tree-walker into one folded constant; it only drops charges that
-// are exactly zero (adding +0.0 to a non-negative accumulator is a bitwise
-// identity). Every instruction therefore carries the charge values the tree
+// counts to the tree-walking oracle in oracle_test.go. float64 addition is
+// commutative but not associative, so the compiler never merges two
+// separate charge() calls of the tree-walker into one folded constant; it
+// only drops charges that are exactly zero (adding +0.0 to a non-negative
+// accumulator is a bitwise identity). Every instruction therefore carries the charge values the tree
 // would have issued at the same point, in the same order. The same +0.0
 // identity makes loop attribution branchless: each instruction carries a
 // second charge (costLoop) added unconditionally to the loop-time
@@ -194,7 +194,7 @@ type program struct {
 	regions   []errRegion
 
 	// unfusedLen is the instruction count before superinstruction fusion
-	// (== len(insts) when fusion is disabled); the difference is the
+	// (== len(insts) for an unfused compile); the difference is the
 	// dispatch iterations fusion saves per straight-line pass.
 	unfusedLen int
 
@@ -222,22 +222,14 @@ func (p *program) getRegs() *[]uint32 {
 // putRegs recycles a register file obtained from getRegs.
 func (p *program) putRegs(r *[]uint32) { p.regPool.Put(r) }
 
-// fusionVersion identifies the superinstruction fusion pass generation; it
-// participates in the program cache key so a cached fused program is never
-// served to a device that disabled fusion (and vice versa), and so future
-// catalog changes invalidate stale cache entries by construction.
-const fusionVersion = 1
-
 // progKey identifies a compiled program: the kernel (kernels are read-only
 // at launch time, so pointer identity is sound) plus everything the cost
-// folding depends on — the cost model values, the register file size that
-// determines the spill penalty, and the fusion pass generation (0 when
-// fusion is disabled).
+// folding depends on — the cost model values and the register file size
+// that determines the spill penalty. Every cached program is fused.
 type progKey struct {
 	k     *kir.Kernel
 	costs CostModel
 	regs  int
-	fuse  uint8
 }
 
 // progCacheCap bounds the cache; on overflow the whole cache is dropped
@@ -257,11 +249,7 @@ var progCacheHits, progCacheMisses atomic.Int64
 // the program came from the cache. The fast path is a read-locked map
 // lookup with no allocation.
 func programFor(k *kir.Kernel, cfg Config) (p *program, hit bool) {
-	fuse := uint8(fusionVersion)
-	if cfg.DisableFusion {
-		fuse = 0
-	}
-	key := progKey{k: k, costs: cfg.Costs, regs: cfg.RegsPerThread, fuse: fuse}
+	key := progKey{k: k, costs: cfg.Costs, regs: cfg.RegsPerThread}
 	progCache.RLock()
 	p = progCache.m[key]
 	progCache.RUnlock()
@@ -269,7 +257,7 @@ func programFor(k *kir.Kernel, cfg Config) (p *program, hit bool) {
 		progCacheHits.Add(1)
 		return p, true
 	}
-	p = compileProgram(k, cfg.Costs, cfg.RegsPerThread, fuse != 0)
+	p = compileProgram(k, cfg.Costs, cfg.RegsPerThread, true)
 	progCache.Lock()
 	if q := progCache.m[key]; q != nil {
 		p = q // another launch compiled it first

@@ -90,17 +90,17 @@ type launchRun struct {
 	log    []string
 }
 
-// launchCase runs tc's kernel k once on a fresh device configured by cfg.
-// It never touches testing.T, so concurrent tests may call it off the test
-// goroutine.
-func launchCase(tc diffCase, k *kir.Kernel, cfg Config) launchRun {
-	d := New(cfg)
+// launchCase runs tc's kernel k once on engine e and a fresh device
+// configured by tc.cfg. It never touches testing.T, so concurrent tests may
+// call it off the test goroutine.
+func launchCase(tc diffCase, k *kir.Kernel, e engine) launchRun {
+	d := New(tc.cfg)
 	if tc.fault != nil {
 		d.SetMemFault(tc.fault)
 	}
 	args := tc.setup(d, k)
 	hooks := &bcRecHooks{flipMask: tc.flipMask}
-	res, err := d.Launch(k, LaunchSpec{Grid: tc.grid, Block: tc.block, Args: args, Hooks: hooks, StepBudget: tc.stepBudget})
+	res, err := d.launchOn(e, k, LaunchSpec{Grid: tc.grid, Block: tc.block, Args: args, Hooks: hooks, StepBudget: tc.stepBudget})
 	var arenas [][]uint32
 	for _, buf := range d.Buffers() {
 		arenas = append(arenas, d.ReadWords(buf))
@@ -154,13 +154,9 @@ func diffEngines(t *testing.T, tc diffCase) (diffCase, *kir.Kernel, launchRun) {
 	if tc.setup == nil {
 		tc.setup = defaultDiffSetup
 	}
-	unfused, tree := tc.cfg, tc.cfg
-	unfused.DisableFusion = true
-	tree.Interpreter = InterpreterTree
-
-	fused := launchCase(tc, k, tc.cfg)
-	diffRuns(t, "fused", fused, "unfused", launchCase(tc, k, unfused))
-	diffRuns(t, "fused", fused, "tree", launchCase(tc, k, tree))
+	fused := launchCase(tc, k, engineFused)
+	diffRuns(t, "fused", fused, "unfused", launchCase(tc, k, engineUnfused))
+	diffRuns(t, "fused", fused, "tree", launchCase(tc, k, engineTree))
 	if resumed, ok := resumeCase(t, tc, k); ok {
 		diffRuns(t, "fused", fused, "resumed", resumed)
 	}

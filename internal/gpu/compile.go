@@ -9,7 +9,8 @@ import (
 // compileProgram lowers a kernel into a flat bytecode program with cycle
 // costs folded in for the given cost model and register file size.
 //
-// The lowering preserves the tree-walker's observable semantics exactly:
+// The lowering preserves the observable semantics of the tree-walking
+// oracle (oracle_test.go) exactly:
 //
 //   - Charge order. Each charge() call of the tree-walker maps to exactly
 //     one cost field of one instruction (or an opCharge), in program order.
@@ -30,7 +31,8 @@ import (
 //
 // When fuse is set the lowered program additionally runs the
 // superinstruction fusion pass (fuse.go), which preserves all of the above
-// by construction.
+// by construction. Production always fuses (programFor); the unfused
+// stream is compiled only by the differential tests.
 func compileProgram(k *kir.Kernel, costs CostModel, regsPerThread int, fuse bool) *program {
 	an := kir.Analyze(k)
 	spill := 0.0

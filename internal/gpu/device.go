@@ -52,22 +52,6 @@ const (
 	ModeCPU
 )
 
-// Interpreter selects the kernel execution engine.
-type Interpreter uint8
-
-// Execution engines. Both produce bit-identical results, cycle counts, and
-// hook call sequences. Production code always runs the bytecode engine; the
-// tree-walker survives as the differential-test oracle and is selected only
-// from tests.
-const (
-	// InterpreterBytecode (the default) compiles kernels to a flat
-	// register program once per (kernel, cost configuration) and runs a
-	// non-recursive dispatch loop (see bytecode.go / compile.go).
-	InterpreterBytecode Interpreter = iota
-	// InterpreterTree walks the kir tree recursively (exec.go).
-	InterpreterTree
-)
-
 // Config describes the simulated device.
 type Config struct {
 	Mode          Mode
@@ -82,14 +66,6 @@ type Config struct {
 	// the baseline.
 	StepBudget int
 	Costs      CostModel
-	// Interpreter picks the execution engine; the zero value is the
-	// compiled bytecode engine. Set only by the differential tests.
-	Interpreter Interpreter
-	// DisableFusion turns off the post-compile superinstruction fusion
-	// pass (fuse.go). Fused and unfused programs are bit-identical in
-	// outputs, cycle accounting, and failure attribution; the knob exists
-	// for the differential tests only.
-	DisableFusion bool
 }
 
 // DefaultConfig returns a GT200-like device: 30 SMs, 32-wide warps, 20
@@ -140,7 +116,7 @@ type Device struct {
 	volLo, volHi uint32
 	volTick      uint32
 
-	// overlay is what the engines apply to every loaded word: the volatile
+	// overlay is what the engine applies to every loaded word: the volatile
 	// model, then the fault closure; nil when neither is installed.
 	overlay func(addr uint32, val uint32) uint32
 
@@ -249,25 +225,6 @@ func (d *Device) checkAccess(addr uint32) string {
 		return fmt.Sprintf("address %#x outside device address space", addr)
 	}
 	return ""
-}
-
-// loadWord reads one word with GPU semantics: addresses beyond the
-// physical arena but inside the flat address space read unallocated device
-// memory, which is zeroed — so a wild read often returns a harmless value,
-// one of the masking paths real GPUs exhibit.
-func (d *Device) loadWord(addr uint32) uint32 {
-	if int(addr) < len(d.arena) {
-		return d.arena[addr]
-	}
-	return 0
-}
-
-// storeWord writes one word; writes beyond the physical arena land in
-// unallocated device memory and have no observable effect.
-func (d *Device) storeWord(addr, val uint32) {
-	if int(addr) < len(d.arena) {
-		d.arena[addr] = val
-	}
 }
 
 // --- host <-> device transfer helpers ------------------------------------

@@ -1,10 +1,9 @@
-package harness
+package gpu_test
 
 import (
 	"fmt"
 	"math"
 	"reflect"
-	"sync"
 	"testing"
 
 	"hauberk/internal/core/translate"
@@ -28,7 +27,7 @@ type hookEvent struct {
 }
 
 // diffHooks records the full hook call sequence. Probe corrupts nothing, so
-// instrumented kernels run their fault-free paths under both engines.
+// instrumented kernels run their fault-free paths under every engine.
 type diffHooks struct {
 	gpu.NopHooks
 	events []hookEvent
@@ -67,15 +66,12 @@ type engineRun struct {
 	events []hookEvent
 }
 
-func runEngine(t *testing.T, interp gpu.Interpreter, nofuse bool, k *kir.Kernel, spec *workloads.Spec) engineRun {
+func runEngine(t *testing.T, e gpu.Engine, k *kir.Kernel, spec *workloads.Spec) engineRun {
 	t.Helper()
-	cfg := gpu.DefaultConfig()
-	cfg.Interpreter = interp
-	cfg.DisableFusion = nofuse
-	d := gpu.New(cfg)
+	d := gpu.New(gpu.DefaultConfig())
 	inst := spec.Setup(d, workloads.Dataset{Index: 0})
 	hooks := &diffHooks{}
-	res, err := d.Launch(k, gpu.LaunchSpec{
+	res, err := d.LaunchOn(e, k, gpu.LaunchSpec{
 		Grid:  inst.Grid,
 		Block: inst.Block,
 		Args:  inst.Args,
@@ -107,108 +103,21 @@ func forEachWorkloadVariant(t *testing.T, fn func(t *testing.T, k *kir.Kernel, s
 	}
 }
 
-// TestEnginesBitIdentical is the bytecode engine's differential oracle: for
-// every workload variant the fused bytecode engine, the unfused bytecode
-// stream, and the tree-walker must agree bit-for-bit on outputs,
-// total/loop/non-loop cycle counts, memory traffic, the complete
+// TestEnginesBitIdentical is the bytecode engine's differential oracle on
+// the real workloads: for every workload variant the fused bytecode engine,
+// the unfused bytecode stream, and the tree-walker must agree bit-for-bit on
+// outputs, total/loop/non-loop cycle counts, memory traffic, the complete
 // detector/FI hook call sequence, and the crash/hang classification.
 func TestEnginesBitIdentical(t *testing.T) {
 	forEachWorkloadVariant(t, func(t *testing.T, k *kir.Kernel, spec *workloads.Spec) {
 		t.Parallel()
-		bc := runEngine(t, gpu.InterpreterBytecode, false, k, spec)
-		un := runEngine(t, gpu.InterpreterBytecode, true, k, spec)
-		tw := runEngine(t, gpu.InterpreterTree, false, k, spec)
+		bc := runEngine(t, gpu.EngineFused, k, spec)
+		un := runEngine(t, gpu.EngineUnfused, k, spec)
+		tw := runEngine(t, gpu.EngineTree, k, spec)
 
 		compareRuns(t, bc, un)
 		compareRuns(t, bc, tw)
 	})
-}
-
-// TestParallelLaunchBitIdentical pins what campaign workers depend on:
-// launches are serial, campaigns are not. Several goroutines launching the
-// same kernel at once — each on its own device, all sharing the cached
-// program and its pooled register files — must each reproduce a lone
-// launch bit-for-bit, for every workload variant.
-func TestParallelLaunchBitIdentical(t *testing.T) {
-	forEachWorkloadVariant(t, func(t *testing.T, k *kir.Kernel, spec *workloads.Spec) {
-		alone := runEngine(t, gpu.InterpreterBytecode, false, k, spec)
-		together := make([]engineRun, 4)
-		var wg sync.WaitGroup
-		for i := range together {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				together[i] = runEngine(t, gpu.InterpreterBytecode, false, k, spec)
-			}()
-		}
-		wg.Wait()
-		for _, run := range together {
-			compareRuns(t, alone, run)
-		}
-	})
-}
-
-// TestParallelLaunchWithRuntimeHooks drives the real profiler and FT
-// runtimes (hrt) the same way: concurrent environments profiling and
-// running the FT binary of one program must each match a lone run in
-// cycles, hook-call counts, and golden output.
-func TestParallelLaunchWithRuntimeHooks(t *testing.T) {
-	spec := workloads.HPC()[0]
-	ds := workloads.Dataset{Index: 0}
-
-	type ftRun struct {
-		cycles float64
-		counts gpu.HookCounts
-		output []uint32
-		err    error
-	}
-	run := func() (r ftRun) {
-		env := NewEnv(QuickScale())
-		prof, err := env.Profile(spec, []workloads.Dataset{ds})
-		if err != nil {
-			return ftRun{err: fmt.Errorf("profile: %w", err)}
-		}
-		golden, err := env.Golden(spec, ds)
-		if err != nil {
-			return ftRun{err: fmt.Errorf("golden: %w", err)}
-		}
-		tr, err := env.Instrument(spec, translate.NewOptions(translate.ModeFT))
-		if err != nil {
-			return ftRun{err: fmt.Errorf("instrument: %w", err)}
-		}
-		r.cycles, r.counts, r.err = env.launchFT(tr, spec, ds, prof.Store)
-		r.output = golden.Output
-		return r
-	}
-
-	alone := run()
-	if alone.err != nil {
-		t.Fatal(alone.err)
-	}
-	together := make([]ftRun, 4)
-	var wg sync.WaitGroup
-	for i := range together {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			together[i] = run()
-		}()
-	}
-	wg.Wait()
-	for i, r := range together {
-		if r.err != nil {
-			t.Fatalf("concurrent run %d: %v", i, r.err)
-		}
-		if math.Float64bits(r.cycles) != math.Float64bits(alone.cycles) {
-			t.Fatalf("concurrent run %d: FT cycles %v, alone %v", i, r.cycles, alone.cycles)
-		}
-		if !reflect.DeepEqual(r.counts, alone.counts) {
-			t.Fatalf("concurrent run %d: hook counts %+v, alone %+v", i, r.counts, alone.counts)
-		}
-		if !reflect.DeepEqual(r.output, alone.output) {
-			t.Fatalf("concurrent run %d: golden output differs", i)
-		}
-	}
 }
 
 func compareRuns(t *testing.T, bc, tw engineRun) {

@@ -119,7 +119,7 @@ func TestParallelSerialIdentical(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < 3; i++ { // relaunch: recycle pooled register files
-						runs[w] = launchCase(tc, k, tc.cfg)
+						runs[w] = launchCase(tc, k, engineFused)
 					}
 				}()
 			}
@@ -316,26 +316,27 @@ func TestMemFaultLaunchStaysDeterministic(t *testing.T) {
 	v := b.Def("v", kir.Load{Base: out, Index: kir.GlobalID()})
 	b.Store(out, kir.GlobalID(), kir.XAdd(kir.V(v), kir.U(1)))
 	k := b.Kernel()
-	run := func(interp Interpreter) []uint32 {
-		cfg := DefaultConfig()
-		cfg.Interpreter = interp
-		d := New(cfg)
+	run := func(e engine) []uint32 {
+		d := New(DefaultConfig())
 		buf := d.Alloc("out", kir.U32, 512)
 		calls := uint32(0)
 		d.SetMemFault(func(addr, val uint32) uint32 {
 			calls++
 			return val ^ (calls & 1) // value depends on the observation order
 		})
-		if _, err := d.Launch(k, LaunchSpec{Grid: 8, Block: 64, Args: []Arg{BufArg(buf)}}); err != nil {
+		if _, err := d.launchOn(e, k, LaunchSpec{Grid: 8, Block: 64, Args: []Arg{BufArg(buf)}}); err != nil {
 			t.Fatal(err)
 		}
 		return d.ReadWords(buf)
 	}
-	want := run(InterpreterBytecode)
-	if !reflect.DeepEqual(want, run(InterpreterBytecode)) {
+	want := run(engineFused)
+	if !reflect.DeepEqual(want, run(engineFused)) {
 		t.Fatal("mem-fault launch is not reproducible run to run")
 	}
-	if !reflect.DeepEqual(want, run(InterpreterTree)) {
+	if !reflect.DeepEqual(want, run(engineUnfused)) {
+		t.Fatal("mem-fault launch observes the overlay in a different order than the unfused stream")
+	}
+	if !reflect.DeepEqual(want, run(engineTree)) {
 		t.Fatal("mem-fault launch observes the overlay in a different order than the tree-walker")
 	}
 	for i, w := range want {

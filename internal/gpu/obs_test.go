@@ -171,7 +171,7 @@ func TestNopTelemetryLaunchAllocationFree(t *testing.T) {
 }
 
 // BenchmarkNopTelemetryLaunch measures the telemetry-off launch path (the
-// zero-overhead claim the exec.go instrumentation makes). Compare against
+// zero-overhead claim the launch.go instrumentation makes). Compare against
 // BenchmarkEnabledTelemetryLaunch with -benchmem: allocs/op must match the
 // un-instrumented baseline.
 func BenchmarkNopTelemetryLaunch(b *testing.B) {

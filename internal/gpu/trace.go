@@ -117,14 +117,14 @@ func (tr *Trace) lastLoad(addr uint32) int32 {
 
 // Traceable reports whether launches on this device can be recorded and
 // resumed: not with an opaque SetMemFault closure installed (its state is
-// invisible to Restore), and not on the tree-walking oracle.
+// invisible to Restore).
 func (d *Device) Traceable() bool {
-	return d.fault == nil && d.cfg.Interpreter == InterpreterBytecode
+	return d.fault == nil
 }
 
 // tracedLaunch is one launch run thread by thread — the state Record and
 // Resume share. Per-thread counters, live or golden, are folded into the
-// Result in serial order with launchBytecode's arithmetic term for term, so
+// Result in serial order with runProgram's arithmetic term for term, so
 // a Result assembled from both is bit-identical to a full launch's.
 type tracedLaunch struct {
 	bcThread

@@ -401,12 +401,6 @@ func TestResumeRefusesOpaqueOverlay(t *testing.T) {
 	if _, _, err := g.d.Resume(g.k, g.spec, g.tr, 0, nil); !errors.As(err, &le) {
 		t.Fatalf("Resume with an opaque overlay: %v, want *LaunchError", err)
 	}
-	g.d.SetMemFault(nil)
-	tree := tc.cfg
-	tree.Interpreter = InterpreterTree
-	if New(tree).Traceable() {
-		t.Fatal("tree-walker device reports Traceable")
-	}
 }
 
 // TestTraceStoreBudget: a live thread that stores without bound loses its

@@ -326,3 +326,37 @@ func (e *Env) deriveWatchdogTimeout(pc *PreparedCampaign, floor time.Duration) (
 	wd.Seed(pc.Spec.Name, float64(gt.cleanWall)/float64(time.Millisecond))
 	return time.Duration(wd.Deadline(pc.Spec.Name) * float64(time.Millisecond)), nil
 }
+
+// heartbeatLagBuckets are the upper bounds (ms) for the campaign- and
+// worker-heartbeat-lag histograms exposed at /metrics: the gap between
+// consecutive recorded results (campaign) or liveness frames (worker).
+var heartbeatLagBuckets = []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
+
+// ErrCampaignInterrupted reports that a campaign stopped before completing
+// its shard because the context was cancelled (SIGINT/SIGTERM in the CLI).
+// The store has been flushed, so re-launching with resume continues from
+// the completed set.
+var ErrCampaignInterrupted = errors.New("campaign interrupted; store flushed, re-launch with resume")
+
+// emitCampaignDone is a campaign's completion telemetry: the per-outcome
+// counters and the campaign.done span event.
+func (e *Env) emitCampaignDone(sp obs.Span, spec *workloads.Spec, n int, out *CampaignResult) {
+	if !e.Obs.Enabled() {
+		return
+	}
+	m := e.Obs.Metrics()
+	m.Help("hauberk_injection_outcomes_total",
+		"fault-injection outcomes (Section VIII five-way classification)")
+	for o := Outcome(0); o < NumOutcomes; o++ {
+		if c := out.All[o]; c > 0 {
+			m.Counter("hauberk_injection_outcomes_total",
+				"program", spec.Name, "outcome", o.String()).Add(int64(c))
+		}
+	}
+	sp.End(
+		obs.Str("program", spec.Name),
+		obs.Int("injections", int64(n)),
+		obs.Int("failures", int64(out.All[OutcomeFailure])),
+		obs.Int("undetected", int64(out.All[OutcomeUndetected])),
+		obs.Float("coverage", out.All.Coverage()))
+}

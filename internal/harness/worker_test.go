@@ -258,20 +258,3 @@ func TestIsolatedCampaignUnknownMode(t *testing.T) {
 		t.Fatalf("unknown isolation mode: got %v, want rejection", err)
 	}
 }
-
-// TestGuardRunContainsPanic covers the in-process containment layer: a
-// panic escaping the launch-level recover (setup, classification) becomes
-// a classified crash failure, never a dead campaign goroutine.
-func TestGuardRunContainsPanic(t *testing.T) {
-	g := guard{timeout: time.Second}
-	inj := Injection{Bits: 3}
-	r, err := g.run(context.Background(), inj, func() (*InjectionResult, error) {
-		panic("deliberate injection panic")
-	})
-	if err != nil {
-		t.Fatalf("guard.run returned error %v for a panicking run", err)
-	}
-	if r.Outcome != OutcomeFailure || r.Hang {
-		t.Fatalf("panicking run classified as %+v, want non-hang failure", r)
-	}
-}

@@ -67,7 +67,7 @@ type Config struct {
 	StoreRoot string
 	// Slots bounds concurrently executing campaigns; zero means 2.
 	// Within each slot, campaign-level worker parallelism still draws
-	// from the shared process-wide worker budget (harness/budget.go).
+	// from the shared process-wide worker budget (harness/dispatch.go).
 	Slots int
 	// QueueDepth bounds each tenant's queue; a full queue rejects
 	// submissions (HTTP 429). Zero means 64.
@@ -93,7 +93,8 @@ type Submission struct {
 	Program string `json:"program"`
 	// Scale is "tiny", "quick" or "full"; empty means "tiny".
 	Scale string `json:"scale"`
-	// Dataset selects the input dataset index.
+	// Dataset selects the input dataset index, in [0, NumDatasets) of
+	// the program.
 	Dataset int `json:"dataset"`
 	// Weight, when positive, (re)sets the tenant's fair-share weight.
 	Weight int `json:"weight"`
@@ -282,8 +283,15 @@ func (d *Daemon) Submit(sub Submission) (*Campaign, error) {
 	if sub.Isolation == "" {
 		sub.Isolation = d.cfg.Isolation
 	}
-	if workloads.ByName(sub.Program) == nil {
+	spec := workloads.ByName(sub.Program)
+	if spec == nil {
 		return nil, fmt.Errorf("service: unknown program %q", sub.Program)
+	}
+	// Generators seed on the index, so an index the program does not define
+	// would run silently on made-up input (and pin a prepared entry per
+	// distinct index in d.prepared).
+	if sub.Dataset < 0 || sub.Dataset >= spec.NumDatasets {
+		return nil, fmt.Errorf("service: dataset %d out of range for %s (0-%d)", sub.Dataset, spec.Name, spec.NumDatasets-1)
 	}
 	if _, ok := harness.ScaleByName(sub.Scale); !ok {
 		return nil, fmt.Errorf("service: unknown scale %q", sub.Scale)
@@ -371,15 +379,7 @@ func (d *Daemon) Cancel(id string) (Status, error) {
 	c.mu.Unlock()
 
 	if removed := d.sched.CancelQueued(id); removed != nil {
-		c.mu.Lock()
-		c.state = StateCanceled
-		c.finishedAt = time.Now()
-		c.mu.Unlock()
-		if err := c.persist(); err != nil {
-			d.cfg.Logf("hauberkd: persist %s: %v", id, err)
-		}
-		d.reg.Counter("hauberkd_campaign_outcomes_total",
-			"tenant", c.Tenant, "state", string(StateCanceled)).Inc()
+		d.finish(c, StateCanceled, nil)
 		return c.Status(), nil
 	}
 	if cancel != nil {
@@ -419,10 +419,8 @@ func (d *Daemon) execute(c *Campaign) {
 
 	c.mu.Lock()
 	if c.canceled {
-		c.state = StateCanceled
-		c.finishedAt = time.Now()
 		c.mu.Unlock()
-		d.finish(c, StateCanceled)
+		d.finish(c, StateCanceled, nil)
 		return
 	}
 	c.cancel = cancel
@@ -458,21 +456,13 @@ func (d *Daemon) execute(c *Campaign) {
 	case errors.Is(err, harness.ErrCampaignInterrupted):
 		c.mu.Lock()
 		canceled := c.canceled
-		c.cancel = nil
+		c.mu.Unlock()
 		if canceled {
-			c.state = StateCanceled
-			c.finishedAt = time.Now()
+			d.finish(c, StateCanceled, nil)
 		} else {
 			// Daemon drain: the store is flushed and resumable; the
 			// persisted state requeues (and resumes) it on restart.
-			c.state = StateInterrupted
-			c.resume = true
-		}
-		c.mu.Unlock()
-		if canceled {
-			d.finish(c, StateCanceled)
-		} else {
-			d.finish(c, StateInterrupted)
+			d.finish(c, StateInterrupted, func() { c.resume = true })
 		}
 	case err != nil:
 		d.fail(c, err)
@@ -492,35 +482,35 @@ func (d *Daemon) execute(c *Campaign) {
 			}
 			digest = merged.FigureDigest()
 		}
-		c.mu.Lock()
-		c.cancel = nil
-		c.state = StateDone
-		c.digest = digest
-		c.finishedAt = time.Now()
-		c.mu.Unlock()
-		d.finish(c, StateDone)
+		d.finish(c, StateDone, func() { c.digest = digest })
 	}
 }
 
 // fail records a terminal failure.
 func (d *Daemon) fail(c *Campaign, err error) {
-	c.mu.Lock()
-	c.cancel = nil
-	c.state = StateFailed
-	c.errMsg = err.Error()
-	c.finishedAt = time.Now()
-	c.mu.Unlock()
-	d.finish(c, StateFailed)
+	d.finish(c, StateFailed, func() { c.errMsg = err.Error() })
 }
 
-// finish persists a campaign's terminal (or resumable) state and
-// records the per-tenant outcome metric.
-func (d *Daemon) finish(c *Campaign, state State) {
+// finish moves a campaign to a terminal (or resumable) state, running set
+// (if any) under the same lock, records the per-tenant outcome metric and
+// persists. The metric is counted before the state is published, so
+// whoever observes the state also sees its outcome on /metrics.
+func (d *Daemon) finish(c *Campaign, state State, set func()) {
+	d.reg.Counter("hauberkd_campaign_outcomes_total",
+		"tenant", c.Tenant, "state", string(state)).Inc()
+	c.mu.Lock()
+	c.cancel = nil
+	c.state = state
+	if state.Terminal() {
+		c.finishedAt = time.Now()
+	}
+	if set != nil {
+		set()
+	}
+	c.mu.Unlock()
 	if err := c.persist(); err != nil {
 		d.cfg.Logf("hauberkd: persist %s: %v", c.ID, err)
 	}
-	d.reg.Counter("hauberkd_campaign_outcomes_total",
-		"tenant", c.Tenant, "state", string(state)).Inc()
 	d.cfg.Logf("hauberkd: %s %s (%s %s/%d) -> %s",
 		c.ID, c.Tenant, c.Program, c.ScaleName, c.Dataset, state)
 }

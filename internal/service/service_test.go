@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -436,6 +438,72 @@ func TestSubmissionValidation(t *testing.T) {
 	}
 	if got := len(d.List()); got != 0 {
 		t.Errorf("invalid submissions left %d campaign records", got)
+	}
+}
+
+// TestSubmitRejectsOutOfRangeDataset: a dataset index the program does not
+// define is a 400 over HTTP that allocates no campaign directory and does
+// not count as a submission; the last valid index is still accepted.
+func TestSubmitRejectsOutOfRangeDataset(t *testing.T) {
+	root := t.TempDir()
+	d := startDaemon(t, root, 1, 4)
+	base := "http://" + d.Addr()
+	post := func(dataset int) int {
+		t.Helper()
+		body, _ := json.Marshal(Submission{Program: "CP", Scale: "tiny", Dataset: dataset})
+		resp, err := http.Post(base+"/v1/campaigns", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST: %v", err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()              //nolint:errcheck
+		return resp.StatusCode
+	}
+	submissions := func() string {
+		t.Helper()
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatalf("GET metrics: %v", err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close() //nolint:errcheck
+		for _, line := range strings.Split(string(raw), "\n") {
+			if strings.HasPrefix(line, "hauberkd_submissions_total") {
+				return line
+			}
+		}
+		return ""
+	}
+	entries := func() int {
+		t.Helper()
+		des, err := os.ReadDir(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(des)
+	}
+
+	last := workloads.ByName("CP").NumDatasets - 1
+	if code := post(last); code != http.StatusCreated {
+		t.Fatalf("dataset %d: %d, want 201", last, code)
+	}
+	wantSubs, wantEntries := submissions(), entries()
+	if wantSubs == "" {
+		t.Fatal("accepted submission not counted in hauberkd_submissions_total")
+	}
+	for _, ds := range []int{-7, last + 1, 1 << 30} {
+		if code := post(ds); code != http.StatusBadRequest {
+			t.Errorf("dataset %d: %d, want 400", ds, code)
+		}
+	}
+	if got := submissions(); got != wantSubs {
+		t.Errorf("rejected datasets moved the submission counter: %q -> %q", wantSubs, got)
+	}
+	if got := entries(); got != wantEntries {
+		t.Errorf("rejected datasets left %d store entries, want %d", got, wantEntries)
+	}
+	if got := len(d.List()); got != 1 {
+		t.Errorf("daemon holds %d campaigns, want the one accepted", got)
 	}
 }
 

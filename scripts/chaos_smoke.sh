@@ -6,7 +6,7 @@
 # guarantee: a mid-campaign signal kills every worker process group before
 # the resumable exit, leaving no orphans, and the resumed campaign is
 # byte-identical to an undisturbed one. Complements the in-process
-# differential tests in internal/harness/campaign_isolated_test.go.
+# differential tests in internal/harness/worker_test.go.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
