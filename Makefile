@@ -22,7 +22,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 # fast, attributable failure.
 SMOKE_TIMEOUT ?= 600s
 
-.PHONY: all build test check fmt vet lint tools race cover bench-smoke bench-diff bench-digest report-digest campaign-smoke chaos-smoke monitor-smoke service-smoke fleet-smoke bench bench-obs bench-perf bench-service
+.PHONY: all build test check fmt vet lint tools race cover fuzz bench-smoke bench-diff bench-digest report-digest campaign-smoke chaos-smoke monitor-smoke service-smoke fleet-smoke bench bench-obs bench-perf bench-service
 
 all: build
 
@@ -35,7 +35,7 @@ test:
 # check is the pre-commit gate and the single source of truth for CI:
 # every job in .github/workflows/ci.yml runs one of the targets below, so
 # a green `make check` locally means a green pipeline.
-check: fmt vet lint build cover race bench-smoke bench-diff bench-digest report-digest campaign-smoke chaos-smoke monitor-smoke service-smoke fleet-smoke
+check: fmt vet lint build cover fuzz race bench-smoke bench-diff bench-digest report-digest campaign-smoke chaos-smoke monitor-smoke service-smoke fleet-smoke
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -74,6 +74,13 @@ cover:
 	echo "total coverage: $$total% (floor: $(COVER_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) }' || \
 		{ echo "coverage $$total% fell below the recorded $(COVER_FLOOR)% floor"; exit 1; }
+
+# fuzz runs FuzzResumeCarry (internal/gpu) for 30 s: generated histogram
+# kernels, resumed with and without carried differences, must equal a full
+# launch bit for bit. Plain `go test` replays only its committed corpus
+# (internal/gpu/testdata/fuzz).
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzResumeCarry$$' -fuzztime=30s ./internal/gpu
 
 # bench-smoke is the does-it-still-run gate for the baseline kernels: one
 # iteration of every engine/workload pair, no timing claims. The benchmark

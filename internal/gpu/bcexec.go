@@ -95,6 +95,8 @@ type bcThread struct {
 	fault func(addr, val uint32) uint32
 	// rec, when non-nil, receives every in-arena store (Record and Resume).
 	rec *storeLog
+	// trc receives Record's program's notes (trace.go).
+	trc *traceRecorder
 
 	cycles     float64
 	loopCycles float64
@@ -521,6 +523,9 @@ loop:
 		case opSync:
 			cycles += in.cost
 			loopCycles += in.costLoop
+
+		case opNote:
+			t.trc.note(regs, in)
 
 		// Superinstructions (fuse.go): each replicates the exact charge
 		// order and crash points of the unfused pair it replaces. The

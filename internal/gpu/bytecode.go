@@ -126,6 +126,11 @@ const (
 	opProfileSample // like opRangeCheck, no charge
 	opSetSDC        // a = kir.DetectKind, imm = detector
 	opSync
+
+	// opNote tells Record's recorder about the instruction that follows
+	// (d = note kind, trace.go). Only the program Record compiles carries
+	// notes; they charge nothing and count no step.
+	opNote
 )
 
 // Instruction flags.
@@ -137,7 +142,7 @@ const (
 )
 
 // inst is one bytecode instruction. a/b/c are register slots or jump
-// targets (d is a fourth slot used only by superinstructions); imm carries
+// targets (d is a superinstruction's fourth slot, or opNote's kind); imm carries
 // opcode-specific payload (builtin, site, detector, crash-message index).
 // cost is charged at the opcode's semantic charge point — before the
 // operation for ALU ops and crashes, after the access check for memory ops
@@ -257,7 +262,7 @@ func programFor(k *kir.Kernel, cfg Config) (p *program, hit bool) {
 		progCacheHits.Add(1)
 		return p, true
 	}
-	p = compileProgram(k, cfg.Costs, cfg.RegsPerThread, true)
+	p = compileProgram(k, cfg.Costs, cfg.RegsPerThread, true, nil)
 	progCache.Lock()
 	if q := progCache.m[key]; q != nil {
 		p = q // another launch compiled it first

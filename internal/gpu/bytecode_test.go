@@ -185,7 +185,7 @@ func resumeCase(t *testing.T, tc diffCase, k *kir.Kernel) (run launchRun, ok boo
 	}
 	hooks := &bcRecHooks{flipMask: tc.flipMask}
 	spec.Hooks, spec.StepBudget = hooks, tc.stepBudget
-	res, _, err := d.Resume(k, spec, tr, 0, func() bool { return false })
+	res, _, _, err := d.Resume(k, spec, tr, 0, func() bool { return false })
 	var arenas [][]uint32
 	for _, buf := range d.Buffers() {
 		arenas = append(arenas, d.ReadWords(buf))

@@ -33,7 +33,12 @@ import (
 // superinstruction fusion pass (fuse.go), which preserves all of the above
 // by construction. Production always fuses (programFor); the unfused
 // stream is compiled only by the differential tests.
-func compileProgram(k *kir.Kernel, costs CostModel, regsPerThread int, fuse bool) *program {
+//
+// With a delta analysis the program is Record's: every memory access,
+// accumulator update and detector call is preceded or followed by an
+// opNote for the trace recorder, which charges nothing and counts no step,
+// so the launch is otherwise the one every other program runs.
+func compileProgram(k *kir.Kernel, costs CostModel, regsPerThread int, fuse bool, delta *kir.Delta) *program {
 	an := kir.Analyze(k)
 	spill := 0.0
 	if an.MaxLive > regsPerThread {
@@ -46,6 +51,7 @@ func compileProgram(k *kir.Kernel, costs CostModel, regsPerThread int, fuse bool
 		wcost:     costs.RegMove + spill,
 		nv:        k.NumVars(),
 		constSlot: make(map[uint32]int32),
+		delta:     delta,
 	}
 	collectConsts(k.Body, c)
 	c.tempBase = c.nv + len(c.consts)
@@ -86,6 +92,34 @@ type compiler struct {
 
 	loopDepth int
 	pendStep  bool
+
+	// delta, when set, makes this Record's program (see note); transparent
+	// marks the Load being compiled as a transparent site.
+	delta       *kir.Delta
+	transparent bool
+}
+
+// note appends a recorder note when compiling Record's program. It leaves
+// a pending statement step to the next real instruction.
+func (c *compiler) note(kind int32, in inst) {
+	if c.delta != nil {
+		in.op, in.d, in.cost = opNote, kind, 0
+		c.insts = append(c.insts, in)
+	}
+}
+
+// noteDef follows a definition of dst = e: an admitted accumulator
+// restarts on a constant and sums a transparent load's word on a shifted
+// term.
+func (c *compiler) noteDef(dst *kir.Var, e kir.Expr) {
+	if c.delta == nil || !c.delta.Accumulator(dst) {
+		return
+	}
+	if _, ok := e.(kir.Const); ok {
+		c.note(noteReset, inst{a: int32(dst.ID)})
+	} else if key, ok := c.delta.Term(dst, e); ok {
+		c.note(noteAcc, inst{a: int32(dst.ID), b: int32(key.Base.ID), imm: key.Index})
+	}
 }
 
 // collectConsts assigns constant-pool slots in a deterministic pre-order
@@ -201,14 +235,24 @@ func (c *compiler) stmt(s kir.Stmt) {
 	c.pendStep = true // every statement entry counts one interpreter step
 	switch n := s.(type) {
 	case kir.Define:
+		if c.delta != nil {
+			_, c.transparent = c.delta.Load(n)
+		}
 		c.exprTo(int32(n.Dst.ID), n.E)
+		c.noteDef(n.Dst, n.E)
 	case kir.Assign:
 		c.exprTo(int32(n.Dst.ID), n.E)
+		c.noteDef(n.Dst, n.E)
 	case kir.Store:
 		mark := c.tempTop
 		ia := c.operand(n.Index)
 		va := c.operand(n.Val)
 		c.chargeSpill() // base pointer readReg
+		kind := noteStore
+		if c.delta != nil && c.delta.Store(n) {
+			kind = noteStoreT
+		}
+		c.note(kind, inst{b: int32(n.Base.ID), c: ia})
 		c.emit(inst{op: opStore, a: int32(n.Base.ID), b: ia, c: va, cost: c.costs.Mem})
 		c.tempTop = mark
 	case *kir.If:
@@ -276,20 +320,28 @@ func (c *compiler) stmt(s kir.Stmt) {
 		if n.Accum.Type == kir.F32 {
 			cost = c.costs.RangeCheckFP
 		}
-		c.emit(inst{op: opRangeCheck, a: int32(n.Accum.ID), b: countSlot(n.Count),
-			c: avgKindOf(n.Accum.Type), imm: uint32(n.Detector), cost: cost})
+		in := inst{op: opRangeCheck, a: int32(n.Accum.ID), b: countSlot(n.Count),
+			c: avgKindOf(n.Accum.Type), imm: uint32(n.Detector), cost: cost}
+		c.note(noteRange, in)
+		c.emit(in)
 	case kir.EqualCheck:
 		// The check cost is charged before Expected evaluates.
 		c.emit(inst{op: opCharge, cost: c.costs.EqualCheck})
 		mark := c.tempTop
 		ea := c.operand(n.Expected)
-		c.emit(inst{op: opEqualCheck, a: int32(n.Count.ID), b: ea, imm: uint32(n.Detector)})
+		in := inst{op: opEqualCheck, a: int32(n.Count.ID), b: ea, imm: uint32(n.Detector)}
+		c.note(noteEqual, in)
+		c.emit(in)
 		c.tempTop = mark
 	case kir.ProfileSample:
-		c.emit(inst{op: opProfileSample, a: int32(n.Accum.ID), b: countSlot(n.Count),
-			c: avgKindOf(n.Accum.Type), imm: uint32(n.Detector)})
+		in := inst{op: opProfileSample, a: int32(n.Accum.ID), b: countSlot(n.Count),
+			c: avgKindOf(n.Accum.Type), imm: uint32(n.Detector)}
+		c.note(noteProfile, in)
+		c.emit(in)
 	case kir.SetSDC:
-		c.emit(inst{op: opSetSDC, a: int32(n.Kind), imm: uint32(n.Detector), cost: c.costs.SetSDC})
+		in := inst{op: opSetSDC, a: int32(n.Kind), imm: uint32(n.Detector), cost: c.costs.SetSDC}
+		c.note(noteSDC, in)
+		c.emit(in)
 	default:
 		c.crashInst(0, fmt.Sprintf("unknown statement %T", s))
 	}
@@ -398,6 +450,11 @@ func (c *compiler) exprInto(d int32, e kir.Expr) {
 		mark := c.tempTop
 		ia := c.operand(n.Index)
 		c.chargeSpill() // base pointer readReg
+		kind := noteLoad
+		if c.transparent {
+			kind, c.transparent = noteLoadT, false
+		}
+		c.note(kind, inst{b: int32(n.Base.ID), c: ia})
 		c.emit(inst{op: opLoad, a: d, b: int32(n.Base.ID), c: ia, cost: c.costs.Mem})
 		c.tempTop = mark
 	case kir.Call:

@@ -48,7 +48,7 @@ func (d *Device) launchOn(e engine, k *kir.Kernel, spec LaunchSpec) (res *Result
 	key := progKey{k: k, costs: d.cfg.Costs, regs: d.cfg.RegsPerThread}
 	p, ok := unfusedPrograms.Load(key)
 	if !ok {
-		p, _ = unfusedPrograms.LoadOrStore(key, compileProgram(k, d.cfg.Costs, d.cfg.RegsPerThread, false))
+		p, _ = unfusedPrograms.LoadOrStore(key, compileProgram(k, d.cfg.Costs, d.cfg.RegsPerThread, false, nil))
 	}
 	return d.runProgram(p.(*program), k, spec)
 }

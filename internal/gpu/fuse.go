@@ -357,7 +357,7 @@ func readsSlot(in *inst, s int32) bool {
 		opEqI, opNeI, opLtS, opLeS, opGtS, opGeS, opLtU, opLeU, opGtU, opGeU,
 		opAddF, opSubF, opMulF, opDivF, opEqF, opNeF, opLtF, opLeF, opGtF, opGeF:
 		return in.b == s || in.c == s
-	case opStore:
+	case opStore, opNote:
 		return in.a == s || in.b == s || in.c == s
 	case opProbe:
 		return in.a == s

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"cmp"
 	"runtime/debug"
 	"slices"
 	"sort"
@@ -12,10 +13,13 @@ import (
 // Golden-trace resume (DESIGN.md §5). A launch evaluates its threads in one
 // serial (block, thread) order, threads start from fresh registers, and
 // they communicate only through device memory. So a clean launch can be
-// recorded once — per thread its stores and counters, per word the last
-// thread that loaded it — and a launch that differs from it only in what
-// its hooks do from some thread on can be executed from that thread, and
-// stopped as soon as nothing it changed can reach a later thread.
+// recorded once — per thread its stores, counters and detector calls, per
+// word the last thread that loaded it and the last that touched it through
+// a site the delta analysis (kir.AnalyzeDelta) calls opaque — and a launch
+// that differs from it only in what its hooks do from some thread on can be
+// executed from that thread, and stopped as soon as what it changed either
+// cannot reach a later thread or reaches it only through transparent
+// sites, whose effect is the recorded one plus a shift.
 
 // storeRec is one in-arena store of a recorded thread.
 type storeRec struct {
@@ -45,28 +49,49 @@ func (l *storeLog) note(addr, val, old uint32) {
 const maxTraceStores = 1 << 18
 
 // threadRec is what one golden thread contributes to the launch besides
-// its stores.
+// its stores and detector calls.
 type threadRec struct {
 	cycles, loopCycles float64
 	loads, stores      int64
-	storeEnd           int    // end of the thread's entries in Trace.stores
+	storeEnd, callEnd  int32  // end of the thread's entries in Trace.stores and Trace.calls
 	tick               uint32 // volatile tick after the thread
-	steps              uint32 // statements executed (fills the struct's padding)
+	steps              uint32 // statements executed
 }
 
-// loadRun says the words [lo, hi) were last loaded by golden thread last.
-type loadRun struct {
+// wordRun says the words [lo, hi) were last accessed, in the sense of the
+// index holding the run, by golden thread last.
+type wordRun struct {
 	lo, hi uint32
 	last   int32
 }
+
+// callRec is one detector call of a recorded thread.
+type callRec struct {
+	det  int32
+	kind uint8 // noteRange, noteProfile, noteEqual or noteSDC
+	avg  uint8 // range and profile: the accumulator's avgKind
+	// a, b: the raw accumulator and count (0 without one) of a range check
+	// or profile sample, the count and expected value of an equal check,
+	// the kir.DetectKind of a SetSDC.
+	a, b    uint32
+	provEnd int32 // end of the call's terms in Trace.prov
+}
+
+// provRec says an accumulator summed n values loaded from word addr through
+// transparent sites since it last restarted. A call's terms are ascending
+// by addr.
+type provRec struct{ addr, n uint32 }
 
 // Trace is the read-only record of one clean launch, from which Resume
 // re-executes only part of the grid. It holds the arena image at launch
 // entry (the pages that are not all zero — guard pages and untouched
 // scratch cost nothing), the store log, per-thread cycle and traffic
-// counters, and a run-length index of each loaded word's last-loading
-// thread. There are no per-boundary arena copies, so a trace is smaller
-// than the arena it describes plus a few words per thread and per store.
+// counters, the detector calls with the transparent-load terms of each
+// range check's accumulator, and two run-length indexes over words: the
+// last thread to load each before storing it, and the last to touch it
+// through an opaque site. There are no per-boundary arena copies, so a
+// trace is smaller than the arena it describes plus a few words per thread,
+// store and detector call.
 type Trace struct {
 	kernel      *kir.Kernel
 	grid, block int
@@ -76,7 +101,10 @@ type Trace struct {
 	tick0       uint32
 	stores      []storeRec
 	threads     []threadRec
-	loads       []loadRun // ascending, disjoint
+	loads       []wordRun // ascending, disjoint
+	opaque      []wordRun // ascending, disjoint
+	calls       []callRec
+	prov        []provRec
 }
 
 // Threads returns the launch's thread count.
@@ -87,7 +115,9 @@ func (tr *Trace) Bytes() int {
 	return len(tr.image)*4 + len(tr.pages)*4 +
 		len(tr.stores)*int(unsafe.Sizeof(storeRec{})) +
 		len(tr.threads)*int(unsafe.Sizeof(threadRec{})) +
-		len(tr.loads)*int(unsafe.Sizeof(loadRun{}))
+		(len(tr.loads)+len(tr.opaque))*int(unsafe.Sizeof(wordRun{})) +
+		len(tr.calls)*int(unsafe.Sizeof(callRec{})) +
+		len(tr.prov)*int(unsafe.Sizeof(provRec{}))
 }
 
 // storeEnd returns how many log entries the threads before s wrote.
@@ -95,7 +125,15 @@ func (tr *Trace) storeEnd(s int) int {
 	if s == 0 {
 		return 0
 	}
-	return tr.threads[s-1].storeEnd
+	return int(tr.threads[s-1].storeEnd)
+}
+
+// callEnd returns how many detector calls the threads before s made.
+func (tr *Trace) callEnd(s int) int {
+	if s == 0 {
+		return 0
+	}
+	return int(tr.threads[s-1].callEnd)
 }
 
 // tickAt returns the volatile tick at the boundary before thread s.
@@ -106,13 +144,29 @@ func (tr *Trace) tickAt(s int) uint32 {
 	return tr.threads[s-1].tick
 }
 
-// lastLoad returns the last golden thread that loaded addr, or -1.
-func (tr *Trace) lastLoad(addr uint32) int32 {
-	i := sort.Search(len(tr.loads), func(i int) bool { return tr.loads[i].hi > addr })
-	if i < len(tr.loads) && tr.loads[i].lo <= addr {
-		return tr.loads[i].last
+// lastIn returns the thread runs records for addr, or -1.
+func lastIn(runs []wordRun, addr uint32) int32 {
+	i := sort.Search(len(runs), func(i int) bool { return runs[i].hi > addr })
+	if i < len(runs) && runs[i].lo <= addr {
+		return runs[i].last
 	}
 	return -1
+}
+
+// wordRuns compresses a per-word last-thread array (-1: none) into runs.
+func wordRuns(last []int32) []wordRun {
+	var runs []wordRun
+	for a, l := range last {
+		if l < 0 {
+			continue
+		}
+		if i := len(runs) - 1; i >= 0 && runs[i].hi == uint32(a) && runs[i].last == l {
+			runs[i].hi++
+		} else {
+			runs = append(runs, wordRun{lo: uint32(a), hi: uint32(a) + 1, last: l})
+		}
+	}
+	return runs
 }
 
 // Traceable reports whether launches on this device can be recorded and
@@ -136,15 +190,22 @@ type tracedLaunch struct {
 }
 
 // newTracedLaunch validates and compiles the launch and takes a register
-// file from the program's pool; close returns it.
-func (d *Device) newTracedLaunch(k *kir.Kernel, spec *LaunchSpec) (*tracedLaunch, error) {
+// file from the program's pool; close returns it. A recording launch runs
+// the kernel compiled with the recorder's notes (compileProgram), any other
+// the cached program every launch runs.
+func (d *Device) newTracedLaunch(k *kir.Kernel, spec *LaunchSpec, record bool) (*tracedLaunch, error) {
 	if !d.Traceable() {
 		return nil, &LaunchError{Reason: "device is not traceable"}
 	}
 	if err := d.checkLaunch(k, *spec); err != nil {
 		return nil, err
 	}
-	p, _ := programFor(k, d.cfg)
+	var p *program
+	if record {
+		p = compileProgram(k, d.cfg.Costs, d.cfg.RegsPerThread, true, kir.AnalyzeDelta(k))
+	} else {
+		p, _ = programFor(k, d.cfg)
+	}
 	x := &tracedLaunch{k: k, regsRef: p.getRegs()}
 	x.bcThread = bcThread{
 		d:      d,
@@ -210,6 +271,118 @@ func (x *tracedLaunch) finish() *Result {
 	return x.res
 }
 
+// Kinds of opNote (inst.d) in Record's program.
+const (
+	noteLoad    int32 = iota // b, c: an opaque load's base and index slots
+	noteLoadT                // the same for a transparent load
+	noteStore                // b, c: an opaque store's base and index slots
+	noteStoreT               // the same for a transparent store
+	noteAcc                  // a: accumulator slot; regs[b]+imm: the word a transparent load of the term read
+	noteReset                // a: accumulator slot, set to a constant
+	noteRange                // the operands of the opRangeCheck that follows
+	noteProfile              // of the opProfileSample that follows
+	noteEqual                // of the opEqualCheck that follows
+	noteSDC                  // of the opSetSDC that follows
+)
+
+// traceRecorder receives the notes of Record's program.
+type traceRecorder struct {
+	serial   int32
+	stored   []int32 // per word: 1 + the last thread that stored it
+	lastLoad []int32 // per word: the last thread that loaded it before storing it, or -1
+	lastOpq  []int32 // per word: the last thread that touched it through an opaque site, or -1
+	accs     []accTerms
+	calls    []callRec
+	prov     []provRec
+}
+
+// accTerms are the transparent-load terms an accumulator slot summed since
+// it last restarted.
+type accTerms struct {
+	slot  int32
+	terms []provRec
+}
+
+func newTraceRecorder(words int) *traceRecorder {
+	r := &traceRecorder{stored: make([]int32, words), lastLoad: make([]int32, words), lastOpq: make([]int32, words)}
+	for i := range r.lastLoad {
+		r.lastLoad[i], r.lastOpq[i] = -1, -1
+	}
+	return r
+}
+
+// begin starts thread serial: its registers are fresh, so every
+// accumulator restarts.
+func (r *traceRecorder) begin(serial int) {
+	r.serial = int32(serial)
+	for i := range r.accs {
+		r.accs[i].terms = r.accs[i].terms[:0]
+	}
+}
+
+func (r *traceRecorder) acc(slot int32) *accTerms {
+	for i := range r.accs {
+		if r.accs[i].slot == slot {
+			return &r.accs[i]
+		}
+	}
+	r.accs = append(r.accs, accTerms{slot: slot})
+	return &r.accs[len(r.accs)-1]
+}
+
+func (r *traceRecorder) note(regs []uint32, in *inst) {
+	switch in.d {
+	case noteLoad, noteLoadT, noteStore, noteStoreT:
+		addr := regs[in.b] + regs[in.c]
+		if int(addr) >= len(r.stored) {
+			return // outside the arena: nothing is kept there
+		}
+		if in.d == noteStore || in.d == noteStoreT {
+			r.stored[addr] = r.serial + 1
+		} else if r.stored[addr] != r.serial+1 {
+			r.lastLoad[addr] = r.serial
+		}
+		if in.d == noteLoad || in.d == noteStore {
+			r.lastOpq[addr] = r.serial
+		}
+	case noteAcc:
+		a := r.acc(in.a)
+		addr := regs[in.b] + in.imm
+		for i := range a.terms {
+			if a.terms[i].addr == addr {
+				a.terms[i].n++
+				return
+			}
+		}
+		a.terms = append(a.terms, provRec{addr: addr, n: 1})
+	case noteReset:
+		a := r.acc(in.a)
+		a.terms = a.terms[:0]
+	case noteRange, noteProfile:
+		c := callRec{det: int32(in.imm), kind: uint8(in.d), avg: uint8(in.c), a: regs[in.a]}
+		if in.b >= 0 {
+			c.b = regs[in.b]
+		}
+		start := len(r.prov)
+		for _, a := range r.accs {
+			if a.slot == in.a {
+				r.prov = append(r.prov, a.terms...)
+			}
+		}
+		slices.SortFunc(r.prov[start:], func(x, y provRec) int { return cmp.Compare(x.addr, y.addr) })
+		r.call(c)
+	case noteEqual:
+		r.call(callRec{det: int32(in.imm), kind: uint8(in.d), a: regs[in.a], b: regs[in.b]})
+	case noteSDC:
+		r.call(callRec{det: int32(in.imm), kind: uint8(in.d), a: uint32(in.a)})
+	}
+}
+
+func (r *traceRecorder) call(c callRec) {
+	c.provEnd = int32(len(r.prov))
+	r.calls = append(r.calls, c)
+}
+
 // Record runs the launch exactly as Launch would and returns its Trace.
 // threadDone, if set, is called after each thread retires with the thread's
 // serial index (block*Block + thread), so the caller can cut its hooks'
@@ -221,7 +394,7 @@ func (d *Device) Record(k *kir.Kernel, spec LaunchSpec, threadDone func(serial i
 			tr, res, err = nil, &Result{}, &PanicError{Value: r, Stack: string(debug.Stack())}
 		}
 	}()
-	x, err := d.newTracedLaunch(k, &spec)
+	x, err := d.newTracedLaunch(k, &spec, true)
 	if err != nil {
 		return nil, &Result{}, err
 	}
@@ -244,33 +417,17 @@ func (d *Device) Record(k *kir.Kernel, spec LaunchSpec, threadDone func(serial i
 	}
 	log := storeLog{limit: maxTraceStores}
 	x.rec = &log
-
-	// Loads are noted through the overlay slot, so the load path itself
-	// is the one every launch runs.
-	lastLoad := make([]int32, len(d.arena))
-	for i := range lastLoad {
-		lastLoad[i] = -1
-	}
-	var serial int32
-	overlay := d.overlay
-	x.fault = func(addr, val uint32) uint32 {
-		if int(addr) < len(lastLoad) {
-			lastLoad[addr] = serial
-		}
-		if overlay != nil {
-			val = overlay(addr, val)
-		}
-		return val
-	}
+	rec := newTraceRecorder(len(d.arena))
+	x.trc = rec
 
 	for s := 0; s < x.res.Threads; s++ {
-		serial = int32(s)
+		rec.begin(s)
 		if err := x.runThread(s); err != nil {
 			return nil, x.finish(), err
 		}
 		tr.threads = append(tr.threads, threadRec{
 			cycles: x.cycles, loopCycles: x.loopCycles, loads: x.loads, stores: x.stores,
-			storeEnd: len(log.recs), tick: d.volTick, steps: uint32(x.steps),
+			storeEnd: int32(len(log.recs)), callEnd: int32(len(rec.calls)), tick: d.volTick, steps: uint32(x.steps),
 		})
 		if threadDone != nil {
 			threadDone(s)
@@ -281,25 +438,22 @@ func (d *Device) Record(k *kir.Kernel, spec LaunchSpec, threadDone func(serial i
 		return nil, res, nil
 	}
 	tr.stores = slices.Clip(log.recs)
-	for a, l := range lastLoad {
-		if l < 0 {
-			continue
-		}
-		if i := len(tr.loads) - 1; i >= 0 && tr.loads[i].hi == uint32(a) && tr.loads[i].last == l {
-			tr.loads[i].hi++
-		} else {
-			tr.loads = append(tr.loads, loadRun{lo: uint32(a), hi: uint32(a) + 1, last: l})
-		}
-	}
+	tr.loads, tr.opaque = wordRuns(rec.lastLoad), wordRuns(rec.lastOpq)
+	tr.calls, tr.prov = slices.Clip(rec.calls), slices.Clip(rec.prov)
 	return tr, res, nil
 }
+
+// carriedWord is a word Resume carries: its golden value at the boundary
+// and the wrapping shift live − golden.
+type carriedWord struct{ addr, gold, delta uint32 }
 
 // resumeScratch is the per-device working state of Resume.
 type resumeScratch struct {
 	live storeLog // the current live thread's stores
 	// gold maps every word that may differ from the golden run to the
 	// golden value at the current thread boundary.
-	gold map[uint32]uint32
+	gold  map[uint32]uint32
+	carry []carriedWord
 }
 
 // Resume runs the launch tr recorded, on a device laid out like the one
@@ -307,31 +461,35 @@ type resumeScratch struct {
 // the trace (arena image plus their stores, their counters folded in);
 // threads from from on execute live with spec.Hooks; and at the first thread
 // boundary where settled() holds — the caller's hooks will behave as they
-// did in the golden run from here on — and no word that differs from the
-// golden state is loaded by a later golden thread, the remaining threads are
-// taken from the trace again. The caller must have put its hooks in the
-// state the golden run left them in before thread from.
+// did in the golden run from here on — and every word that differs from the
+// golden state is either dead (no later golden thread loads it before
+// storing it) or carried (later golden threads touch it only through
+// transparent sites), the remaining threads are taken from the trace again.
+// The caller must have put its hooks in the state the golden run left them
+// in before thread from.
 //
 // The Result, the error and device memory equal what Launch produces for
 // the same hooks on a fresh device. stop is the first thread that did not
-// execute live: on success the caller owes its hooks the golden threads
-// from stop on (none when the launch ran to its end); on error it is the
-// thread after the failing one.
-func (d *Device) Resume(k *kir.Kernel, spec LaunchSpec, tr *Trace, from int, settled func() bool) (res *Result, stop int, err error) {
+// execute live (on error, the thread after the failing one). When carried,
+// Resume has delivered the detector calls of threads stop on to spec.Hooks,
+// re-evaluated on the carried shifts, and the caller owes its hooks only
+// their other golden calls; otherwise it owes them every golden call of
+// threads stop on (none when the launch ran to its end).
+func (d *Device) Resume(k *kir.Kernel, spec LaunchSpec, tr *Trace, from int, settled func() bool) (res *Result, stop int, carried bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res, err = &Result{}, &PanicError{Value: r, Stack: string(debug.Stack())}
+			res, carried, err = &Result{}, false, &PanicError{Value: r, Stack: string(debug.Stack())}
 		}
 	}()
-	x, err := d.newTracedLaunch(k, &spec)
+	x, err := d.newTracedLaunch(k, &spec, false)
 	stop = from
 	if err != nil {
-		return &Result{}, stop, err
+		return &Result{}, stop, false, err
 	}
 	defer x.close()
 	n := tr.Threads()
 	if k != tr.kernel || spec.Grid != tr.grid || spec.Block != tr.block || len(d.arena) != tr.arenaWords || from < 0 || from > n {
-		return &Result{}, stop, &LaunchError{Reason: "launch does not match the golden trace"}
+		return &Result{}, stop, false, &LaunchError{Reason: "launch does not match the golden trace"}
 	}
 
 	arena := d.arena
@@ -359,37 +517,52 @@ func (d *Device) Resume(k *kir.Kernel, spec LaunchSpec, tr *Trace, from int, set
 		sc.live.limit = 1024 + 2*(tr.storeEnd(stop+1)-tr.storeEnd(stop))
 		stop++
 		if err := x.runThread(stop - 1); err != nil {
-			return x.finish(), stop, err
+			return x.finish(), stop, false, err
 		}
-		if d.divergenceDead(tr, stop) && settled() {
+		if ok, carry := d.settle(tr, stop); ok && settled() {
+			carried = carry
 			break
+		}
+	}
+	if carried {
+		slices.SortFunc(sc.carry, func(a, b carriedWord) int { return cmp.Compare(a.addr, b.addr) })
+		x.replayCalls(tr, stop, n, sc.carry)
+		for _, c := range sc.carry {
+			arena[c.addr] = c.gold
 		}
 	}
 	for _, st := range tr.stores[tr.storeEnd(stop):] {
 		arena[st.addr] = st.val
 	}
+	if carried {
+		for _, c := range sc.carry {
+			arena[c.addr] += c.delta
+		}
+	}
 	d.volTick += tr.tickAt(n) - tr.tickAt(stop)
 	x.foldGolden(tr, stop, n)
-	return x.finish(), stop, nil
+	return x.finish(), stop, carried, nil
 }
 
-// divergenceDead advances the golden side to the boundary before thread b
-// (thread b-1 has just run live) and reports whether every difference
-// between device state and the golden state there is dead: no golden thread
-// from b on loads a differing word or draws a differing volatile tick. By
-// induction over those threads — fresh registers, identical loads, hence
-// identical stores — the rest of the launch then is the golden run.
-func (d *Device) divergenceDead(tr *Trace, b int) bool {
+// settle advances the golden side to the boundary before thread b (thread
+// b-1 has just run live) and reports whether the rest of the launch can be
+// taken from the trace: the volatile tick is equal or never drawn again,
+// and every word that differs from the golden state there is dead — no
+// golden thread from b on loads it before storing it — or carried: from b
+// on golden threads touch it only through transparent sites, and it is not
+// volatile. carried reports whether any word needs carrying; sc.carry then
+// holds them. By induction over the later threads (DESIGN.md §5) the rest
+// of the launch is the golden run plus, on every carried word, its shift.
+func (d *Device) settle(tr *Trace, b int) (ok, carried bool) {
 	sc := &d.resume
 	if sc.live.lost {
-		return false
+		return false, false
 	}
-	// A differing tick is dead when no later golden thread draws one.
-	dead := d.volTick == tr.tickAt(b) || tr.tickAt(b) == tr.tickAt(tr.Threads())
+	ok = d.volTick == tr.tickAt(b) || tr.tickAt(b) == tr.tickAt(tr.Threads())
 	golden := tr.stores[tr.storeEnd(b-1):tr.storeEnd(b)]
 	// The common masked fault: the thread stored what the golden one did.
 	if len(sc.gold) == 0 && sameStores(sc.live.recs, golden) {
-		return dead
+		return ok, false
 	}
 	// A word the live thread touched first held the golden value at the
 	// previous boundary (else it would be in gold already); then the
@@ -402,14 +575,71 @@ func (d *Device) divergenceDead(tr *Trace, b int) bool {
 	for _, st := range golden {
 		sc.gold[st.addr] = st.val
 	}
+	sc.carry = sc.carry[:0]
 	for addr, val := range sc.gold {
-		if d.arena[addr] == val {
+		switch live := d.arena[addr]; {
+		case live == val:
 			delete(sc.gold, addr)
-		} else if int(tr.lastLoad(addr)) >= b {
-			dead = false
+		case int(lastIn(tr.loads, addr)) < b:
+			// dead
+		case int(lastIn(tr.opaque, addr)) < b && (addr < d.volLo || addr >= d.volHi):
+			sc.carry = append(sc.carry, carriedWord{addr: addr, gold: val, delta: live - val})
+		default:
+			ok = false
 		}
 	}
-	return dead
+	return ok, ok && len(sc.carry) > 0
+}
+
+// replayCalls delivers the detector calls of golden threads [from, to) to
+// the launch's hooks, each range check and profile sample re-evaluated on
+// its accumulator plus n·δ for every carried word it summed n times — the
+// value the live thread would compute (wrapping, as opAddI does). carry
+// ascends by address.
+func (x *tracedLaunch) replayCalls(tr *Trace, from, to int, carry []carriedWord) {
+	h := x.hooks
+	if h == nil {
+		return
+	}
+	i := tr.callEnd(from)
+	p := 0
+	if i > 0 {
+		p = int(tr.calls[i-1].provEnd)
+	}
+	for s := from; s < to; s++ {
+		tc := ThreadCtx{Block: s / tr.block, Thread: s % tr.block}
+		for ; i < int(tr.threads[s].callEnd); i++ {
+			c := &tr.calls[i]
+			switch kind := int32(c.kind); kind {
+			case noteRange, noteProfile:
+				acc := c.a
+				// Both lists ascend by address: merge them.
+				terms := tr.prov[p:c.provEnd]
+				for i, j := 0, 0; i < len(terms) && j < len(carry); {
+					switch t, w := terms[i], carry[j]; {
+					case t.addr < w.addr:
+						i++
+					case t.addr > w.addr:
+						j++
+					default:
+						acc += t.n * w.delta
+						i, j = i+1, j+1
+					}
+				}
+				v := avgDivide(avgConvert(int32(c.avg), acc), int32(c.b))
+				if kind == noteRange {
+					h.RangeCheck(tc, int(c.det), v)
+				} else {
+					h.ProfileSample(tc, int(c.det), v)
+				}
+			case noteEqual:
+				h.EqualCheck(tc, int(c.det), int32(c.a), int32(c.b))
+			case noteSDC:
+				h.SetSDC(tc, int(c.det), kir.DetectKind(c.a))
+			}
+			p = int(c.provEnd)
+		}
+	}
 }
 
 func sameStores(a, b []storeRec) bool {

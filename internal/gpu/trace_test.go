@@ -13,14 +13,17 @@ import (
 // oneFault is a miniature fault injector and detector runtime: Probe XORs
 // mask into span consecutive executions of one site starting at instance
 // (all of them when persistent), and every detector callback is logged as
-// an alarm. It is what swifi.Injector plus hrt.Runtime are to the harness,
-// kept here because this package cannot import them.
+// an alarm — a range check with its value, or, under a limit, only when
+// its value exceeds the limit, as a profiled range would. It is what
+// swifi.Injector plus hrt.Runtime are to the harness, kept here because
+// this package cannot import them.
 type oneFault struct {
 	NopHooks
 	site           int
 	instance, span int64
 	mask           uint32
 	persistent     bool
+	limit          float64
 
 	count  int64   // executions of site so far
 	perSit []int64 // Probe calls per site (recording runs)
@@ -45,7 +48,12 @@ func (h *oneFault) Probe(_ ThreadCtx, site int, _ *kir.Var, _ kir.HW, val uint32
 func (h *oneFault) spent() bool { return !h.persistent && h.count >= h.instance+h.span }
 
 func (h *oneFault) RangeCheck(tc ThreadCtx, det int, val float64) {
-	h.alarms = append(h.alarms, fmt.Sprintf("range b%d t%d det%d %#x", tc.Block, tc.Thread, det, math.Float64bits(val)))
+	switch {
+	case h.limit == 0:
+		h.alarms = append(h.alarms, fmt.Sprintf("range b%d t%d det%d %#x", tc.Block, tc.Thread, det, math.Float64bits(val)))
+	case val > h.limit:
+		h.alarms = append(h.alarms, fmt.Sprintf("range b%d t%d det%d", tc.Block, tc.Thread, det))
+	}
 }
 
 func (h *oneFault) EqualCheck(tc ThreadCtx, det int, count, expected int32) {
@@ -67,6 +75,7 @@ type traceCase struct {
 	// stepBudget is the faulted launches' LaunchSpec.StepBudget; the clean
 	// recording runs under the device's own.
 	stepBudget int
+	limit      float64 // the hooks' range limit (oneFault.limit)
 	build      func(b *kir.Builder)
 	setup      func(d *Device, k *kir.Kernel) []Arg
 }
@@ -78,6 +87,7 @@ type goldenRecord struct {
 	k        *kir.Kernel
 	spec     LaunchSpec // the clean launch
 	budget   int        // StepBudget of the faulted ones
+	limit    float64
 	tr       *Trace
 	probes   [][]int64 // probes[t][site]: Probe calls of threads < t
 	alarms   []string
@@ -88,9 +98,9 @@ func recordCase(t *testing.T, tc traceCase) *goldenRecord {
 	t.Helper()
 	b := kir.NewBuilder("trace")
 	tc.build(b)
-	g := &goldenRecord{d: New(tc.cfg), k: b.Kernel(), budget: tc.stepBudget}
+	g := &goldenRecord{d: New(tc.cfg), k: b.Kernel(), budget: tc.stepBudget, limit: tc.limit}
 	g.spec = LaunchSpec{Grid: tc.grid, Block: tc.block, Args: tc.setup(g.d, g.k)}
-	clean := &oneFault{site: -1, perSit: make([]int64, tc.sites)}
+	clean := &oneFault{site: -1, perSit: make([]int64, tc.sites), limit: tc.limit}
 	g.spec.Hooks = clean
 	g.probes = append(g.probes, make([]int64, tc.sites))
 	tr, _, err := g.d.Record(g.k, g.spec, func(int) {
@@ -126,15 +136,15 @@ type outcome struct {
 // full runs the fault on a fresh device through Device.Launch: the oracle.
 func (tc traceCase) full(k *kir.Kernel, f oneFault) outcome {
 	d := New(tc.cfg)
-	f.alarms = nil
+	f.alarms, f.limit = nil, tc.limit
 	res, err := d.Launch(k, LaunchSpec{Grid: tc.grid, Block: tc.block, Args: tc.setup(d, k), Hooks: &f, StepBudget: tc.stepBudget})
 	return outcome{res: res, err: err, snap: d.Snapshot(), alarms: f.alarms}
 }
 
 // resumed runs the fault through Resume on the recording device (so device
 // reuse across injections is part of what is tested) and reports where the
-// live part started and stopped.
-func (g *goldenRecord) resumed(f oneFault) (o outcome, from, stop int) {
+// live part started and stopped, and whether the rest was carried.
+func (g *goldenRecord) resumed(f oneFault) (o outcome, from, stop int, carried bool) {
 	n := g.tr.Threads()
 	from = n
 	if f.site >= 0 && f.site < len(g.probes[0]) {
@@ -142,14 +152,14 @@ func (g *goldenRecord) resumed(f oneFault) (o outcome, from, stop int) {
 		}
 		f.count = g.probes[from][f.site]
 	}
-	f.alarms = append([]string(nil), g.alarmsOf(0, from)...)
+	f.alarms, f.limit = append([]string(nil), g.alarmsOf(0, from)...), g.limit
 	spec := g.spec
 	spec.Hooks, spec.StepBudget = &f, g.budget
-	res, stop, err := g.d.Resume(g.k, spec, g.tr, from, f.spent)
-	if err == nil {
+	res, stop, carried, err := g.d.Resume(g.k, spec, g.tr, from, f.spent)
+	if err == nil && !carried {
 		f.alarms = append(f.alarms, g.alarmsOf(stop, n)...)
 	}
-	return outcome{res: res, err: err, snap: g.d.Snapshot(), alarms: f.alarms}, from, stop
+	return outcome{res: res, err: err, snap: g.d.Snapshot(), alarms: f.alarms}, from, stop, carried
 }
 
 func diffOutcomes(t *testing.T, want, got outcome) {
@@ -267,6 +277,19 @@ func traceCases() map[string]traceCase {
 					b.Store(hist, kir.V(bin), kir.V(nv))
 				})
 			}},
+		// Every thread overwrites a shared word before it reads it back: a
+		// fault that changed the word is dead one thread later, though
+		// every later thread loads it.
+		"overwrite": {cfg: DefaultConfig(), grid: 2, block: 16, sites: 1, setup: perThreadSetup(2, 16),
+			build: func(b *kir.Builder) {
+				out := b.PtrParam("out", kir.I32)
+				shared := b.PtrParam("shared", kir.I32)
+				v := b.Def("v", kir.XMul(kir.GlobalID(), kir.I(3)))
+				b.Emit(kir.FIProbe{Site: 0, Target: v, HW: kir.HWALU})
+				b.Store(shared, kir.I(0), kir.V(v))
+				r := b.Def("r", kir.Ld(shared, kir.I(0)))
+				b.Store(out, kir.GlobalID(), kir.XAdd(kir.V(r), kir.I(1)))
+			}},
 		// A corrupted index stores into a table every later thread reads.
 		"wild-store": {cfg: DefaultConfig(), grid: 2, block: 16, sites: 1, setup: perThreadSetup(2, 16),
 			build: func(b *kir.Builder) {
@@ -340,11 +363,17 @@ func TestResumeMatchesLaunch(t *testing.T) {
 			settled := 0
 			for _, f := range g.faultsFor() {
 				want := tc.full(g.k, f)
-				got, from, stop := g.resumed(f)
+				got, from, stop, _ := g.resumed(f)
 				t.Logf("fault %+v: live threads [%d, %d) of %d, err %v", f, from, stop, n, got.err)
 				diffOutcomes(t, want, got)
 				if got.err == nil && stop < n {
 					settled++
+				}
+				// A thread that stores a word before loading it does not
+				// keep that word's difference alive: a single-instance fault
+				// settles at the boundary after its own thread.
+				if name == "overwrite" && got.err == nil && from < n && f.span == 1 && !f.persistent && stop != from+1 {
+					t.Fatalf("fault %+v: live threads [%d, %d), want one", f, from, stop)
 				}
 				// Where later threads read what the target thread wrote, a
 				// fault that changed memory may not exit early: the chain
@@ -353,7 +382,7 @@ func TestResumeMatchesLaunch(t *testing.T) {
 				if mustReach, ok := map[string]int{"chain": n, "histogram": n - 4}[name]; ok && got.err == nil {
 					clean := g.spec
 					clean.Hooks = &oneFault{site: -1}
-					if _, _, err := g.d.Resume(g.k, clean, g.tr, n, nil); err != nil {
+					if _, _, _, err := g.d.Resume(g.k, clean, g.tr, n, nil); err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got.snap, g.d.Snapshot()) && stop < mustReach {
@@ -378,7 +407,7 @@ func TestResumeWildStoreIsSeen(t *testing.T) {
 	out := g.spec.Args[0].Buf
 	// XOR thread 3's index so out[idx] aliases table[2].
 	f := oneFault{site: 0, instance: 3, span: 1, mask: 3 ^ (table.Off - out.Off + 2)}
-	got, from, stop := g.resumed(f)
+	got, from, stop, _ := g.resumed(f)
 	diffOutcomes(t, tc.full(g.k, f), got)
 	if from != 3 || stop != g.tr.Threads() {
 		t.Fatalf("live threads [%d, %d), want [3, %d): later threads load the corrupted table", from, stop, g.tr.Threads())
@@ -398,7 +427,7 @@ func TestResumeRefusesOpaqueOverlay(t *testing.T) {
 	if _, _, err := g.d.Record(g.k, g.spec, nil); !errors.As(err, &le) {
 		t.Fatalf("Record with an opaque overlay: %v, want *LaunchError", err)
 	}
-	if _, _, err := g.d.Resume(g.k, g.spec, g.tr, 0, nil); !errors.As(err, &le) {
+	if _, _, _, err := g.d.Resume(g.k, g.spec, g.tr, 0, nil); !errors.As(err, &le) {
 		t.Fatalf("Resume with an opaque overlay: %v, want *LaunchError", err)
 	}
 }
@@ -419,7 +448,7 @@ func TestTraceStoreBudget(t *testing.T) {
 		}}
 	g := recordCase(t, tc)
 	f := oneFault{site: 0, instance: 1, span: 1, mask: 1 << 13} // 8194 stores of the same word
-	got, _, stop := g.resumed(f)
+	got, _, stop, _ := g.resumed(f)
 	diffOutcomes(t, tc.full(g.k, f), got)
 	if stop != g.tr.Threads() {
 		t.Fatalf("stopped at thread %d with a lost store log", stop)

@@ -254,8 +254,9 @@ type injectionLaunch struct {
 // launch runs one injection against the trace. An eligible launch restores
 // the threads before the one holding the target instance from the trace,
 // executes from there with the real hooks, and stops at the first thread
-// boundary where the injector is spent and nothing the fault changed is
-// read again; the rest is the clean run. The caller returns l.td with
+// boundary where the injector is spent and everything the fault changed is
+// either never read again or carried (Device.Resume); the rest is the
+// clean run, shifted on the carried words. The caller returns l.td with
 // gt.release when it is done reading device memory.
 func (gt *goldenTrace) launch(cmd swifi.Command) injectionLaunch {
 	l := injectionLaunch{cb: gt.controlBlock()}
@@ -281,7 +282,8 @@ func (gt *goldenTrace) launch(cmd swifi.Command) injectionLaunch {
 	injector.Preset(executions)
 	gt.replayAlarms(l.cb, 0, from)
 	var stop int
-	l.result, stop, l.err = l.td.d.Resume(gt.tr.Kernel, l.td.launchSpec(rt, gt.hangBudget), gt.mem, from, injector.Spent)
+	var carried bool
+	l.result, stop, carried, l.err = l.td.d.Resume(gt.tr.Kernel, l.td.launchSpec(rt, gt.hangBudget), gt.mem, from, injector.Spent)
 	l.activated = injector.Injected
 	l.executed = stop - from
 	switch _, hung := l.err.(*gpu.HangError); {
@@ -293,10 +295,12 @@ func (gt *goldenTrace) launch(cmd swifi.Command) injectionLaunch {
 		l.exit = "never_fired"
 	case stop == threads:
 		l.exit = "ran_to_end"
+	case carried:
+		l.exit = "carried"
 	default:
 		l.exit = "settled"
 	}
-	if l.err == nil {
+	if l.err == nil && !carried {
 		gt.replayAlarms(l.cb, stop, threads)
 	}
 	return l

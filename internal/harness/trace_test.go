@@ -59,16 +59,30 @@ func alarmBits(cb *hrt.ControlBlock) []string {
 // on every workload, under both injection modes, every injection of the
 // quick plan — and the shapes the plan never draws: a span of instances, a
 // persistent fault, an instance the run never reaches, a command no site
-// matches, the first and the last thread's instances — produces through
-// the resumed launch exactly what a full launch on a fresh device does.
+// matches, the first and the last thread's instances — plus TPACF's full
+// FI&FT plan produces through the resumed launch exactly what a full
+// launch on a fresh device does. Every exit reason must be taken, carried
+// ones included.
 func TestResumeEqualsFullLaunch(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every quick-plan injection twice")
+		t.Skip("runs every quick-plan injection, and TPACF's full plan, twice")
 	}
-	exits := make(map[string]int)
+	type leg struct {
+		scale Scale
+		spec  *workloads.Spec
+		modes []translate.Mode
+	}
+	var legs []leg
 	for _, spec := range allSpecs() {
-		e, golden, prof, plan := stagePlan(t, QuickScale(), spec)
-		for _, mode := range []translate.Mode{translate.ModeFI, translate.ModeFIFT} {
+		legs = append(legs, leg{QuickScale(), spec, []translate.Mode{translate.ModeFI, translate.ModeFIFT}})
+	}
+	// The fleet_full path: TPACF's full plan, where carried exits dominate.
+	legs = append(legs, leg{FullScale(), workloads.ByName("TPACF"), []translate.Mode{translate.ModeFIFT}})
+	exits := make(map[string]int)
+	for _, leg := range legs {
+		spec := leg.spec
+		e, golden, prof, plan := stagePlan(t, leg.scale, spec)
+		for _, mode := range leg.modes {
 			store := storeFor(prof, mode)
 			resume, err := e.goldenTrace(spec, golden, store, mode)
 			if err != nil {
@@ -108,7 +122,7 @@ func TestResumeEqualsFullLaunch(t *testing.T) {
 	t.Logf("resumed launches by exit: %v", exits)
 	// "hung" included: the oracle ran the quick plan's TPACF hangs under the
 	// same derived budget (forceFullLaunch keeps the trace's hangBudget).
-	for _, reason := range []string{"settled", "ran_to_end", "crashed", "hung", "never_fired"} {
+	for _, reason := range []string{"settled", "carried", "ran_to_end", "crashed", "hung", "never_fired"} {
 		if exits[reason] == 0 {
 			t.Errorf("no launch took the %q exit", reason)
 		}
@@ -470,7 +484,7 @@ func TestInjectionTelemetry(t *testing.T) {
 	}
 	m := tel.Metrics()
 	var exits int64
-	for _, reason := range []string{"settled", "ran_to_end", "crashed", "hung", "never_fired", "ineligible"} {
+	for _, reason := range []string{"settled", "carried", "ran_to_end", "crashed", "hung", "never_fired", "ineligible"} {
 		exits += m.Counter("hauberk_injection_exit_total", "reason", reason).Value()
 	}
 	if exits != int64(len(plan)) {

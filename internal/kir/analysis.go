@@ -341,6 +341,414 @@ func (li *LoopInfo) TripCount() Expr {
 	return Call{Fn: Max, Args: []Expr{count, ConstI32(0)}}
 }
 
+// --- Delta transparency ---------------------------------------------------
+
+// DeltaKey names the word a delta-transparent load site reads: Base[Index],
+// where Base is a pointer variable no Assign re-targets and Index is a
+// constant.
+type DeltaKey struct {
+	Base  *Var
+	Index uint32
+}
+
+// Delta is the delta-transparency analysis of a kernel, the static half of
+// golden-trace carry (DESIGN.md §5). Suppose a thread runs exactly as a
+// reference twin did except that some words it loads hold the reference
+// value plus a wrapping shift δ. An integer load site is transparent when
+// the loaded value — FI probes taken as the identity — reaches nothing but
+//
+//   - wrapping integer + or − with an unshifted operand (the result carries
+//     the same shift);
+//   - a store back through the same pointer variable and constant index;
+//   - == or != against a value carrying the same word's shift (the result
+//     is the reference result);
+//   - an integer accumulator whose only definitions are a constant and
+//     acc = acc + x, and whose only uses are RangeCheck and ProfileSample.
+//
+// Then the thread takes its twin's path, each store through a transparent
+// site writes the twin's value plus δ to the same word, and each such
+// accumulator holds the twin's value plus count·δ per word it summed.
+// Everything else is opaque: float uses, ordered compares, conversions,
+// address arithmetic, a store to another address or of an unshifted value
+// over the word, any other accumulator shape. A shifted variable must be
+// defined once and used only after its definition within the same block,
+// where its pointer is not redefined, so the word a shifted value came from
+// is the word its pointer names wherever the value is used.
+type Delta struct {
+	tags  map[*Var]dtag
+	loads map[*Var]DeltaKey // transparent load sites, by the variable each defines
+}
+
+type dkind uint8
+
+const (
+	dClean  dkind = iota // the reference value
+	dShift               // the reference value plus one word's shift
+	dAcc                 // an accumulator that summed shifted values
+	dOpaque              // a shifted value reached some other use
+)
+
+// dtag is the abstract value of a variable or expression; keys are the
+// words whose shifts reached it (exactly one for dShift).
+type dtag struct {
+	kind dkind
+	keys []DeltaKey
+}
+
+// AnalyzeDelta classifies k's load sites, stores and accumulators. Every
+// candidate site — an integer Define of Base[constant] through a pointer
+// no Assign re-targets — starts transparent; a pass that finds a shifted
+// value reaching an opaque use demotes the words it came from, and the
+// passes repeat until none does. Shifts originate only at candidates not
+// yet demoted, so each pass demotes at least one and the loop ends.
+func AnalyzeDelta(k *Kernel) *Delta {
+	f := newDeltaFacts(k)
+	demoted := make(map[DeltaKey]bool)
+	for {
+		p := &deltaPass{Delta: &Delta{tags: make(map[*Var]dtag), loads: make(map[*Var]DeltaKey)}, f: f, demoted: demoted}
+		p.run()
+		if len(p.bad) == 0 {
+			return p.Delta
+		}
+		for _, key := range p.bad {
+			demoted[key] = true
+		}
+	}
+}
+
+// Load reports whether def is a transparent load site, and the word it reads.
+func (d *Delta) Load(def Define) (DeltaKey, bool) {
+	key, ok := d.loads[def.Dst]
+	return key, ok
+}
+
+// Store reports whether st is a transparent store: it writes a value
+// carrying the shift of the very word it writes.
+func (d *Delta) Store(st Store) bool {
+	c, ok := st.Index.(Const)
+	t := d.eval(st.Val)
+	return ok && t.kind == dShift && t.keys[0] == DeltaKey{Base: st.Base, Index: c.Bits}
+}
+
+// Accumulator reports whether v is an admitted accumulator that sums values
+// loaded through transparent sites.
+func (d *Delta) Accumulator(v *Var) bool { return d.tags[v].kind == dAcc }
+
+// Term returns the word whose shift the accumulator definition acc = e
+// adds, when e adds a shifted value.
+func (d *Delta) Term(acc *Var, e Expr) (DeltaKey, bool) {
+	if !d.Accumulator(acc) {
+		return DeltaKey{}, false
+	}
+	term, ok := accTerm(acc, e)
+	if !ok {
+		return DeltaKey{}, false
+	}
+	if t := d.eval(term); t.kind == dShift {
+		return t.keys[0], true
+	}
+	return DeltaKey{}, false
+}
+
+// eval is the abstract value of e under the variables' tags.
+func (d *Delta) eval(e Expr) dtag {
+	switch n := e.(type) {
+	case VarRef:
+		t := d.tags[n.V]
+		if t.kind == dAcc {
+			t.kind = dOpaque
+		}
+		return t
+	case Load:
+		return join(d.eval(VarRef{V: n.Base}), d.eval(n.Index))
+	case Bin:
+		l, r := d.eval(n.L), d.eval(n.R)
+		wrapping := isIntType(n.L.ResultType())
+		switch {
+		case wrapping && (n.Op == Add || n.Op == Sub) && l.kind == dShift && r.kind == dClean:
+			return l
+		case wrapping && n.Op == Add && l.kind == dClean && r.kind == dShift:
+			return r
+		case (n.Op == Eq || n.Op == Ne) && l.kind == dShift && r.kind == dShift && l.keys[0] == r.keys[0]:
+			return dtag{}
+		}
+		return join(l, r)
+	case Un:
+		return join(d.eval(n.X))
+	case Call:
+		var ts []dtag
+		for _, a := range n.Args {
+			ts = append(ts, d.eval(a))
+		}
+		return join(ts...)
+	case Convert:
+		return join(d.eval(n.X))
+	case Bitcast:
+		return join(d.eval(n.X))
+	}
+	return dtag{}
+}
+
+// join is the value of an operation no rule admits: clean when every
+// operand is, else opaque over every key that reached an operand.
+func join(ts ...dtag) dtag {
+	var out dtag
+	for _, t := range ts {
+		if t.kind != dClean {
+			out.kind = dOpaque
+			out.keys = append(out.keys, t.keys...)
+		}
+	}
+	return out
+}
+
+func isIntType(t Type) bool { return t == I32 || t == U32 }
+
+// accTerm splits an accumulator definition acc + term (or term + acc) whose
+// term does not read acc.
+func accTerm(acc *Var, e Expr) (Expr, bool) {
+	b, ok := e.(Bin)
+	if !ok || b.Op != Add {
+		return nil, false
+	}
+	if r, ok := b.L.(VarRef); ok && r.V == acc && !ReadsVar(b.R, acc) {
+		return b.R, true
+	}
+	if r, ok := b.R.(VarRef); ok && r.V == acc && !ReadsVar(b.L, acc) {
+		return b.L, true
+	}
+	return nil, false
+}
+
+// deltaFacts are the tag-independent facts the passes share.
+type deltaFacts struct {
+	k       *Kernel
+	uses    map[*Var]int      // reads in expressions and as store bases (collectUses)
+	assigns map[*Var]int      // Assign statements per variable
+	accums  map[*Var]bool     // accumulator-shaped variables
+	cands   map[*Var]DeltaKey // candidate load sites, by the variable each defines
+}
+
+// countReads counts how often v is read in b (collectUses's reads: the
+// intrinsics' variable operands are checked separately).
+func countReads(b Block, v *Var) int {
+	var used []*Var
+	for _, s := range b {
+		collectUses(s, &used)
+	}
+	n := 0
+	for _, u := range used {
+		if u == v {
+			n++
+		}
+	}
+	return n
+}
+
+func newDeltaFacts(k *Kernel) *deltaFacts {
+	f := &deltaFacts{k: k, uses: make(map[*Var]int), assigns: make(map[*Var]int),
+		accums: make(map[*Var]bool), cands: make(map[*Var]DeltaKey)}
+	var used []*Var
+	for _, s := range k.Body {
+		collectUses(s, &used)
+	}
+	for _, v := range used {
+		f.uses[v]++
+	}
+	defs := make(map[*Var]int)
+	shaped := make(map[*Var]int) // definitions of the accumulator shape
+	terms := make(map[*Var]int)  // of which acc + term
+	WalkStmts(k.Body, func(s Stmt) bool {
+		var dst *Var
+		var e Expr
+		switch n := s.(type) {
+		case Define:
+			dst, e = n.Dst, n.E
+			if ld, ok := n.E.(Load); ok && isIntType(dst.Type) && ld.Base != nil && ld.Base.Type == Ptr {
+				if c, ok := ld.Index.(Const); ok {
+					f.cands[dst] = DeltaKey{Base: ld.Base, Index: c.Bits}
+				}
+			}
+		case Assign:
+			dst, e = n.Dst, n.E
+			f.assigns[dst]++
+		default:
+			return true
+		}
+		defs[dst]++
+		if _, ok := e.(Const); ok {
+			shaped[dst]++
+		} else if _, ok := accTerm(dst, e); ok {
+			shaped[dst]++
+			terms[dst]++
+		}
+		return true
+	})
+	for v, n := range defs {
+		// Every definition has the shape and the only expression reads are
+		// the accumulator's own terms.
+		if v != nil && !v.Param && isIntType(v.Type) && shaped[v] == n && f.uses[v] == terms[v] {
+			f.accums[v] = true
+		}
+	}
+	for dst, key := range f.cands {
+		if f.assigns[key.Base] > 0 || f.accums[dst] {
+			delete(f.cands, dst)
+		}
+	}
+	return f
+}
+
+// deltaPass is one classification pass under a fixed set of demoted words;
+// bad collects the words whose shift reached an opaque use.
+type deltaPass struct {
+	*Delta
+	f       *deltaFacts
+	demoted map[DeltaKey]bool
+	bad     []DeltaKey
+}
+
+func (p *deltaPass) run() {
+	p.block(p.f.k.Body)
+	// The intrinsics' variable operands, under the final tags: a check sees
+	// an accumulator or an unshifted value, a count only an unshifted one.
+	WalkStmts(p.f.k.Body, func(s Stmt) bool {
+		switch n := s.(type) {
+		case RangeCheck:
+			p.checkOperands(n.Accum, n.Count)
+		case ProfileSample:
+			p.checkOperands(n.Accum, n.Count)
+		case EqualCheck:
+			p.clean(p.eval(VarRef{V: n.Count}))
+		}
+		return true
+	})
+}
+
+func (p *deltaPass) checkOperands(accum, count *Var) {
+	if t := p.tags[accum]; t.kind != dClean && t.kind != dAcc {
+		p.bad = append(p.bad, t.keys...)
+	}
+	if count != nil {
+		p.clean(p.eval(VarRef{V: count}))
+	}
+}
+
+// clean requires t to be unshifted.
+func (p *deltaPass) clean(t dtag) {
+	if t.kind != dClean {
+		p.bad = append(p.bad, t.keys...)
+	}
+}
+
+func (p *deltaPass) block(b Block) {
+	for i, s := range b {
+		switch n := s.(type) {
+		case Define:
+			p.define(n.Dst, n.E, b[i+1:])
+		case Assign:
+			if p.f.accums[n.Dst] {
+				p.accumulate(n.Dst, n.E)
+			} else {
+				p.clean(p.eval(n.E))
+			}
+		case Store:
+			p.store(n)
+		case *If:
+			p.clean(p.eval(n.Cond))
+			p.block(n.Then)
+			p.block(n.Else)
+		case *For:
+			p.clean(join(p.eval(n.Init), p.eval(n.Limit), p.eval(n.Step)))
+			p.block(n.Body)
+		case *While:
+			p.clean(p.eval(n.Cond))
+			p.block(n.Body)
+		case EqualCheck:
+			p.clean(p.eval(n.Expected))
+		}
+	}
+}
+
+func (p *deltaPass) define(dst *Var, e Expr, rest Block) {
+	if p.f.accums[dst] {
+		p.accumulate(dst, e)
+		return
+	}
+	if key, ok := p.f.cands[dst]; ok && !p.demoted[key] {
+		if p.shifted(dst, key, rest) {
+			p.loads[dst] = key
+		}
+		return
+	}
+	switch t := p.eval(e); t.kind {
+	case dClean:
+	case dShift:
+		if isIntType(dst.Type) {
+			p.shifted(dst, t.keys[0], rest)
+		} else {
+			p.bad = append(p.bad, t.keys...)
+		}
+	default:
+		p.bad = append(p.bad, t.keys...)
+	}
+}
+
+// shifted tags dst, defined at the head of rest, with key's shift if the
+// scope rule holds: dst is never re-assigned, every read of it lies in
+// rest, and rest does not redefine key's pointer.
+func (p *deltaPass) shifted(dst *Var, key DeltaKey, rest Block) bool {
+	redefined := false
+	WalkStmts(rest, func(s Stmt) bool {
+		if d, ok := s.(Define); ok && d.Dst == key.Base {
+			redefined = true
+		}
+		return true
+	})
+	if p.f.assigns[dst] > 0 || countReads(rest, dst) != p.f.uses[dst] || redefined {
+		p.bad = append(p.bad, key)
+		return false
+	}
+	p.tags[dst] = dtag{kind: dShift, keys: []DeltaKey{key}}
+	return true
+}
+
+func (p *deltaPass) accumulate(acc *Var, e Expr) {
+	term, ok := accTerm(acc, e)
+	if !ok {
+		return // a constant: the accumulator restarts
+	}
+	switch t := p.eval(term); t.kind {
+	case dClean:
+	case dShift:
+		cur := p.tags[acc]
+		p.tags[acc] = dtag{kind: dAcc, keys: append(cur.keys, t.keys...)}
+	default:
+		p.bad = append(p.bad, t.keys...)
+	}
+}
+
+func (p *deltaPass) store(st Store) {
+	p.clean(join(p.eval(VarRef{V: st.Base}), p.eval(st.Index)))
+	c, constIdx := st.Index.(Const)
+	switch t := p.eval(st.Val); t.kind {
+	case dShift:
+		if !constIdx || t.keys[0] != (DeltaKey{Base: st.Base, Index: c.Bits}) {
+			p.bad = append(p.bad, t.keys...)
+		}
+	case dClean:
+		// An unshifted value stored over a word a candidate site loads
+		// resets that word's shift: the site cannot be transparent.
+		for _, key := range p.f.cands {
+			if key.Base == st.Base && (!constIdx || key.Index == c.Bits) && !p.demoted[key] {
+				p.bad = append(p.bad, key)
+			}
+		}
+	default:
+		p.bad = append(p.bad, t.keys...)
+	}
+}
+
 // maxLive estimates peak register pressure: variables are assigned linear
 // positions in preorder; a variable is live from its definition to its last
 // use, extended to the end of any loop that uses it but defines it outside.
