@@ -50,7 +50,7 @@ func run() int {
 	mergeDir := flag.String("merge-dir", "", "directory for fetched shard logs and the merged result (required)")
 	tenant := flag.String("tenant", "fleet", "tenant name for the shard submissions")
 	isolation := flag.String("isolation", "", "worker isolation on the nodes: off or process (empty = node default)")
-	poll := flag.Duration("poll", 150*time.Millisecond, "coordinator event-loop cadence")
+	poll := flag.Duration("poll", 150*time.Millisecond, "retry cadence: dispatch retries while a shard waits for a node, and the least gap between status requests to one node (completion itself is long-polled)")
 	rpcTimeout := flag.Duration("rpc-timeout", 10*time.Second, "per-RPC deadline")
 	maxAttempts := flag.Int("max-attempts", 4, "attempts per RPC before the node counts as failed")
 	timeout := flag.Duration("timeout", 10*time.Minute, "overall campaign deadline")

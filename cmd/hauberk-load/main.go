@@ -150,8 +150,8 @@ type result struct {
 }
 
 // drive runs the load: o.clients goroutines submit o.n campaigns round-
-// robin across o.tenants, honoring 429 Retry-After, then poll each to a
-// terminal state.
+// robin across o.tenants, honoring 429 Retry-After, then long-poll each
+// to a terminal state.
 func drive(base string, o opts) (*benchDoc, error) {
 	client := &http.Client{Transport: &http.Transport{
 		MaxIdleConns:        o.clients * 2,
@@ -248,7 +248,7 @@ func drive(base string, o opts) (*benchDoc, error) {
 }
 
 // submitAndWait submits one campaign (retrying on 429 per Retry-After)
-// and polls it to a terminal state.
+// and long-polls it to a terminal state.
 func submitAndWait(client *http.Client, base string, o opts, i int, deadline time.Time, rejected *atomic.Int64) (result, error) {
 	body, err := json.Marshal(service.Submission{
 		Tenant:  fmt.Sprintf("tenant-%d", i%o.tenants),
@@ -300,7 +300,8 @@ func submitAndWait(client *http.Client, base string, o opts, i int, deadline tim
 		if time.Now().After(deadline) {
 			return result{}, fmt.Errorf("deadline exceeded waiting for %s", st.ID)
 		}
-		resp, err := client.Get(base + "/v1/campaigns/" + st.ID)
+		asked := time.Now()
+		resp, err := client.Get(base + "/v1/campaigns/" + st.ID + "?wait=" + statusWait.String())
 		if err != nil {
 			return result{}, err
 		}
@@ -324,9 +325,16 @@ func submitAndWait(client *http.Client, base string, o opts, i int, deadline tim
 				e2eDur:    time.Since(submitStart),
 			}, nil
 		}
-		time.Sleep(25 * time.Millisecond)
+		// An unsettled answer that came back early (interrupted by a drain,
+		// or a daemon without ?wait=) is re-asked no sooner than 25 ms after
+		// the previous ask.
+		time.Sleep(time.Until(asked.Add(25 * time.Millisecond)))
 	}
 }
+
+// statusWait bounds one status long-poll: the daemon answers as soon as
+// the campaign settles, or after this long with it still running.
+const statusWait = 10 * time.Second
 
 // pctMS returns the p-th percentile of durations in milliseconds.
 func pctMS(durs []time.Duration, p int) float64 {

@@ -21,7 +21,7 @@ type campaignsOpts struct {
 	tenant  string
 	id      string // target campaign for status/cancel/events/digest
 	cancel  bool
-	wait    bool // poll the target to a terminal state
+	wait    bool // long-poll the target to a terminal state
 	events  int  // stream this many events from the target (0 = off)
 	digest  bool // print only the digest (exact bytes, for diffing)
 	poll    time.Duration
@@ -30,7 +30,7 @@ type campaignsOpts struct {
 
 // campaignsCmd is the hauberkd client: with -submit it POSTs a
 // campaign (printing the new id), with -id it targets an existing one;
-// -wait polls to a terminal state, -cancel DELETEs, -events tails the
+// -wait long-polls to a terminal state, -cancel DELETEs, -events tails the
 // campaign's live feed, -digest prints the digest bytes alone. With no
 // action flags it lists every campaign the daemon knows.
 func campaignsCmd(o campaignsOpts) int {
@@ -124,13 +124,19 @@ func campaignsClient(base string) *fleet.Client {
 	return tr.Client(base)
 }
 
-// waitCampaign fetches the target's status, polling to a terminal state
-// when o.wait is set (rendering a progress line per state change).
+// waitCampaign fetches the target's status; with o.wait it long-polls to
+// a terminal state, each request parked on the daemon for up to o.poll,
+// rendering a progress line per change.
 func waitCampaign(ctx context.Context, cl *fleet.Client, o campaignsOpts) (service.Status, error) {
 	deadline := time.Now().Add(o.timeout)
 	var lastLine string
+	var wait time.Duration
+	if o.wait {
+		wait = o.poll
+	}
 	for {
-		st, err := cl.Status(ctx, o.id)
+		asked := time.Now()
+		st, err := cl.Wait(ctx, o.id, wait)
 		if err != nil {
 			return st, err
 		}
@@ -145,7 +151,9 @@ func waitCampaign(ctx context.Context, cl *fleet.Client, o campaignsOpts) (servi
 		if time.Now().After(deadline) {
 			return st, fmt.Errorf("%s still %s after %s", st.ID, st.State, o.timeout)
 		}
-		time.Sleep(o.poll)
+		// An early unsettled answer (interrupted by a drain, or a daemon
+		// without ?wait=) still paces the loop at o.poll.
+		time.Sleep(time.Until(asked.Add(wait)))
 	}
 }
 

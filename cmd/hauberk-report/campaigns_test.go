@@ -78,7 +78,7 @@ func TestCampaignsClientRoundTrip(t *testing.T) {
 	if code := campaignsCmd(cancel); code != 0 {
 		t.Fatalf("-cancel exited %d", code)
 	}
-	if got, err := cl.Status(ctx, st.ID); err != nil || got.State != service.StateDone {
+	if got, err := cl.Wait(ctx, st.ID, 0); err != nil || got.State != service.StateDone {
 		t.Fatalf("terminal campaign after cancel: state=%v err=%v (cancel of a done campaign must be a no-op)", got.State, err)
 	}
 	if list, err := cl.List(ctx); err != nil || len(list) != 1 || list[0].ID != st.ID {
@@ -86,7 +86,7 @@ func TestCampaignsClientRoundTrip(t *testing.T) {
 	}
 
 	var se *fleet.StatusError
-	if _, err := cl.Status(ctx, "c999999"); !errors.As(err, &se) || se.Code != http.StatusNotFound {
+	if _, err := cl.Wait(ctx, "c999999", 0); !errors.As(err, &se) || se.Code != http.StatusNotFound {
 		t.Fatalf("status of an unknown id: %v, want a 404 *fleet.StatusError", err)
 	}
 }

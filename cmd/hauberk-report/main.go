@@ -39,7 +39,7 @@ func main() {
 		campaign = flag.String("campaign", "", "merge the shard logs of this campaign store directory (written by `hauberk-run -campaign-dir`) and report the aggregate figures")
 
 		live     = flag.String("live", "", "poll this monitor base URL's /campaign endpoint (from `hauberk-run -http`) and render live progress until the campaign completes")
-		poll     = flag.Duration("poll", 500*time.Millisecond, "poll interval for -live")
+		poll     = flag.Duration("poll", 500*time.Millisecond, "poll interval for -live; with -campaigns -wait, the longest one status request parks on the daemon")
 		scrape   = flag.String("scrape", "", "GET /healthz, /readyz and /metrics from this monitor base URL and strict-parse the exposition")
 		tail     = flag.String("tail", "", "stream events from this monitor base URL's /events endpoint and verify sequence order")
 		tailN    = flag.Int("tail-n", 10, "number of events -tail waits for")
@@ -52,7 +52,7 @@ func main() {
 		tenant      = flag.String("tenant", "default", "-campaigns -submit: tenant name")
 		id          = flag.String("id", "", "-campaigns: target campaign id")
 		cancelFlag  = flag.Bool("cancel", false, "-campaigns: cancel the target campaign")
-		wait        = flag.Bool("wait", false, "-campaigns: poll the target campaign to a terminal state; non-zero exit unless done")
+		wait        = flag.Bool("wait", false, "-campaigns: long-poll the target campaign to a terminal state; non-zero exit unless done")
 		eventsN     = flag.Int("events", 0, "-campaigns: stream this many events from the target campaign's feed")
 		digestOnly  = flag.Bool("digest", false, "-campaigns: print only the campaign's figure digest bytes")
 		waitTimeout = flag.Duration("wait-timeout", 5*time.Minute, "-campaigns: deadline for -wait and 429 retries")

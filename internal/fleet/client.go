@@ -50,7 +50,8 @@ type Transport struct {
 	RetryAfterCap time.Duration
 	// Chaos, when non-nil, injects the plan's net-family faults.
 	Chaos *chaos.Plan
-	// Sleep replaces time.Sleep in tests; nil sleeps for real.
+	// Sleep replaces time.Sleep (retry backoff, chaos stalls and the
+	// coordinator's status pacing) in tests; nil sleeps for real.
 	Sleep func(time.Duration)
 	// Jitter returns a factor in [0,1) for retry-delay spreading; nil
 	// uses math/rand. Tests pin it for determinism.
@@ -260,10 +261,21 @@ func (c *Client) Submit(ctx context.Context, sub service.Submission) (service.St
 	return st, err
 }
 
-// Status fetches one campaign's status.
-func (c *Client) Status(ctx context.Context, id string) (service.Status, error) {
+// Wait long-polls one campaign's status: the node answers as soon as the
+// campaign settles (done, failed, canceled or interrupted), or after d
+// with the status as it then is. d is clamped to half the per-RPC timeout,
+// so a parked request is never mistaken for a dead node; d <= 0 answers
+// at once. A node that predates ?wait= answers at once as well.
+func (c *Client) Wait(ctx context.Context, id string, d time.Duration) (service.Status, error) {
+	path := "/v1/campaigns/" + id
+	if lim := c.t.HTTP.Timeout / 2; lim > 0 && d > lim {
+		d = lim
+	}
+	if d > 0 {
+		path += "?wait=" + d.String()
+	}
 	var st service.Status
-	err := c.do(ctx, http.MethodGet, "/v1/campaigns/"+id, nil, http.StatusOK, &st)
+	err := c.do(ctx, http.MethodGet, path, nil, http.StatusOK, &st)
 	return st, err
 }
 

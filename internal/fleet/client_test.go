@@ -94,7 +94,7 @@ func TestClientPermanent4xxDoesNotRetry(t *testing.T) {
 	defer srv.Close()
 
 	tr, _ := testTransport(time.Second)
-	_, err := tr.Client(srv.URL).Status(context.Background(), "c000099")
+	_, err := tr.Client(srv.URL).Wait(context.Background(), "c000099", 0)
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusNotFound {
 		t.Fatalf("err = %v, want a 404 StatusError", err)
@@ -161,7 +161,7 @@ func TestClientChaosNetDrop(t *testing.T) {
 	}
 	tr, _ := testTransport(time.Second)
 	tr.Chaos = plan
-	st, err := tr.Client(srv.URL).Status(context.Background(), "c000001")
+	st, err := tr.Client(srv.URL).Wait(context.Background(), "c000001", 0)
 	if err != nil {
 		t.Fatalf("status through netdrop: %v", err)
 	}
@@ -187,7 +187,7 @@ func TestClientChaosNetStall(t *testing.T) {
 	}
 	tr, slept := testTransport(3 * time.Second)
 	tr.Chaos = plan
-	if _, err := tr.Client(srv.URL).Status(context.Background(), "c000001"); err != nil {
+	if _, err := tr.Client(srv.URL).Wait(context.Background(), "c000001", 0); err != nil {
 		t.Fatalf("status through netstall: %v", err)
 	}
 	// The stall consumed exactly the per-RPC deadline (instant via the
@@ -220,5 +220,34 @@ func TestClientErrorNamesNode(t *testing.T) {
 	_, err := tr.Client("192.0.2.1:1").Node(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "192.0.2.1:1") {
 		t.Fatalf("err %v must name the node", err)
+	}
+}
+
+// TestClientWaitClampsToRPCDeadline: a status long-poll asks the node to
+// park for at most half the per-RPC deadline, so a parked request always
+// answers before the transport would count it as a failed attempt; a
+// zero wait asks for none.
+func TestClientWaitClampsToRPCDeadline(t *testing.T) {
+	var queries []string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		queries = append(queries, r.URL.RawQuery)
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"id":"c000001","state":"done"}`)) //nolint:errcheck
+	}))
+	defer srv.Close()
+
+	tr, _ := testTransport(2 * time.Second)
+	cl := tr.Client(srv.URL)
+	ctx := context.Background()
+	for _, d := range []time.Duration{time.Minute, 300 * time.Millisecond} {
+		if st, err := cl.Wait(ctx, "c000001", d); err != nil || st.State != service.StateDone {
+			t.Fatalf("Wait(%s) = %+v, %v", d, st, err)
+		}
+	}
+	if _, err := cl.Wait(ctx, "c000001", 0); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"wait=1s", "wait=300ms", ""}; strings.Join(queries, "|") != strings.Join(want, "|") {
+		t.Errorf("queries %q, want %q", queries, want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"hauberk/internal/harness"
@@ -33,7 +34,11 @@ type Config struct {
 	// MergeDir is where fetched shard logs land and the read-side merge
 	// runs (required; the directory is created).
 	MergeDir string
-	// Poll is the event-loop cadence (default 150ms).
+	// Poll is the retry cadence (default 150ms): how often a shard that
+	// waits for a free node retries dispatch, and the least gap between
+	// two status requests to one node. Shard completion is pushed by a
+	// status long-poll, so Poll does not pace a campaign whose shards all
+	// have a node.
 	Poll time.Duration
 	// ShardAttempts bounds dispatch attempts per shard before the whole
 	// campaign fails (default 3) — a shard that fails on distinct nodes
@@ -82,6 +87,10 @@ type node struct {
 	// lastDone/lastMove track assignment progress for the stall check.
 	lastDone int
 	lastMove time.Time
+	// watching marks a status long-poll in flight; lastWatch is when the
+	// latest one was sent.
+	watching  bool
+	lastWatch time.Time
 }
 
 func (n *node) busy() bool { return n.shard >= 0 }
@@ -91,6 +100,8 @@ type shardState struct {
 	attempts int
 	fetched  bool
 	inflight bool
+	// avoid is the node the shard last failed over from.
+	avoid *node
 }
 
 // Coordinator farms one campaign plan over a roster of hauberkd nodes.
@@ -159,6 +170,20 @@ func New(cfg Config) (*Coordinator, error) {
 	return co, nil
 }
 
+// statusWait is how long one status long-poll may park on a node before
+// it answers unsettled; Client.Wait clamps it under the per-RPC deadline.
+// It bounds how stale the stall check's progress reading can get.
+const statusWait = 30 * time.Second
+
+// watchEvent is one node's answer to a status long-poll: the status (or
+// RPC error) of campaign id, which the node may have moved on from since.
+type watchEvent struct {
+	n   *node
+	id  string
+	st  service.Status
+	err error
+}
+
 // Run drives the campaign to completion: dispatch every shard, fold
 // node health, fail shards over when their node dies or drains, fetch
 // and merge the shard logs, and fold the merged figures. It returns
@@ -166,18 +191,27 @@ func New(cfg Config) (*Coordinator, error) {
 // an error when the plan cannot finish (context expired, a shard
 // exhausted its attempts, every node quarantined, or the merge found
 // cross-node disagreement).
+//
+// Each round ends when a node answers a status long-poll, so a shard is
+// fetched as soon as it settles; only while a shard waits for a free node
+// does a round also end after Poll, to retry the dispatch.
 func (co *Coordinator) Run(ctx context.Context) (*Result, error) {
 	co.cfg.Logf("fleet: %d shards over %d nodes (%s %s/%d)",
 		co.cfg.Shards, len(co.nodes), co.cfg.Submission.Program,
 		co.cfg.Submission.Scale, co.cfg.Submission.Dataset)
+	// Long-polls run under their own context, cancelled and awaited on the
+	// way out so none outlives Run; each node has at most one in flight,
+	// so the buffer never blocks a sender.
+	wctx, stopWatches := context.WithCancel(ctx)
+	var watches sync.WaitGroup
+	defer watches.Wait()
+	defer stopWatches()
+	events := make(chan watchEvent, len(co.nodes))
 	stuck := 0
 	for !co.done() {
 		if err := ctx.Err(); err != nil {
 			co.cancelInflight()
 			return nil, fmt.Errorf("fleet: %w", err)
-		}
-		if err := co.pollInflight(ctx); err != nil {
-			return nil, err
 		}
 		co.probeIdle(ctx)
 		dispatched, err := co.dispatchPending(ctx)
@@ -185,9 +219,6 @@ func (co *Coordinator) Run(ctx context.Context) (*Result, error) {
 			return nil, err
 		}
 		co.stampMetrics()
-		if co.done() {
-			break
-		}
 		// Forward-progress guard: nothing running, nothing dispatched,
 		// and no node will ever take work again means the roster is
 		// dead. Probation probes get many rounds to rescue a node that
@@ -199,9 +230,20 @@ func (co *Coordinator) Run(ctx context.Context) (*Result, error) {
 		} else {
 			stuck = 0
 		}
-		if err := co.tr.sleep(ctx, co.cfg.Poll); err != nil {
+		co.watchInflight(wctx, &watches, events)
+		var retry <-chan time.Time
+		if co.anyPending() {
+			retry = time.After(co.cfg.Poll)
+		}
+		select {
+		case ev := <-events:
+			if err := co.observe(ctx, ev); err != nil {
+				return nil, err
+			}
+		case <-retry:
+		case <-ctx.Done():
 			co.cancelInflight()
-			return nil, fmt.Errorf("fleet: %w", err)
+			return nil, fmt.Errorf("fleet: %w", ctx.Err())
 		}
 	}
 
@@ -244,78 +286,106 @@ func (co *Coordinator) allQuarantined() bool {
 	return true
 }
 
-// pollInflight advances every busy node's assignment: fetch its status,
-// fold the outcome into node health, and fetch/fail-over/fail the shard
-// as the state demands.
-func (co *Coordinator) pollInflight(ctx context.Context) error {
+// anyPending reports whether a shard waits for a node: neither in flight
+// nor fetched.
+func (co *Coordinator) anyPending() bool {
+	for _, s := range co.shards {
+		if !s.fetched && !s.inflight {
+			return true
+		}
+	}
+	return false
+}
+
+// watchInflight starts a status long-poll on every busy node that has
+// none in flight; the answer comes back on events. A node that answered
+// unsettled is asked again no sooner than Poll after its previous ask, so
+// a node that answers at once (no ?wait= support) is polled at that
+// cadence rather than spun on.
+func (co *Coordinator) watchInflight(ctx context.Context, wg *sync.WaitGroup, events chan<- watchEvent) {
 	for _, n := range co.nodes {
-		if !n.busy() {
+		if !n.busy() || n.watching {
 			continue
 		}
-		st, err := n.client.Status(ctx, n.id)
-		if err != nil {
-			if ctx.Err() != nil {
-				return fmt.Errorf("fleet: %w", ctx.Err())
+		n.watching = true
+		delay := max(time.Until(n.lastWatch.Add(co.cfg.Poll)), 0)
+		n.lastWatch = time.Now().Add(delay)
+		wg.Add(1)
+		go func(n *node, id string) {
+			defer wg.Done()
+			ev := watchEvent{n: n, id: id}
+			if ev.err = co.tr.sleep(ctx, delay); ev.err == nil {
+				ev.st, ev.err = n.client.Wait(ctx, id, statusWait)
 			}
-			v := n.health.observe(false)
-			co.cfg.Logf("fleet: %s: status %s: %v (verdict %s)", n.client.Name, n.id, err, v)
-			if v == Quarantined {
-				// The node is gone (or as good as): salvage whatever
-				// partial log it can still serve and re-dispatch.
-				if err := co.failover(ctx, n, "node unreachable"); err != nil {
-					return err
-				}
-			}
-			continue
+			events <- ev
+		}(n, n.id)
+	}
+}
+
+// observe advances one node's assignment from its long-poll answer: fold
+// the outcome into node health, and fetch/fail-over/fail the shard as
+// the state demands. An answer about an assignment the node no longer
+// holds (it failed over while the request was parked) is dropped.
+func (co *Coordinator) observe(ctx context.Context, ev watchEvent) error {
+	n, st := ev.n, ev.st
+	n.watching = false
+	if !n.busy() || n.id != ev.id {
+		return nil
+	}
+	if ev.err != nil {
+		if ctx.Err() != nil {
+			return fmt.Errorf("fleet: %w", ctx.Err())
 		}
-		switch st.State {
-		case service.StateDone:
-			n.health.observe(true)
-			if err := co.fetchShard(ctx, n); err != nil {
-				if ctx.Err() != nil || errors.Is(err, errPlanMismatch) {
-					return err
-				}
-				v := n.health.observe(false)
-				co.cfg.Logf("fleet: %s: fetch shard %d: %v (verdict %s)", n.client.Name, n.shard, err, v)
-				if v == Quarantined {
-					if ferr := co.failover(ctx, n, "store fetch failing"); ferr != nil {
-						return ferr
-					}
-				}
-			}
-		case service.StateInterrupted:
-			// The daemon drained (SIGTERM) or restarted mid-shard. The
-			// store checkpointed, so this is failover-eligible, not
-			// failed: salvage the partial log, count the drop against
-			// the node, re-dispatch elsewhere.
-			n.health.observe(false)
-			co.cfg.Logf("fleet: %s: shard %d interrupted on node (drain/restart); failing over", n.client.Name, n.shard)
-			if err := co.failover(ctx, n, "node drained mid-shard"); err != nil {
+		v := n.health.observe(false)
+		co.cfg.Logf("fleet: %s: status %s: %v (verdict %s)", n.client.Name, n.id, ev.err, v)
+		if v == Quarantined {
+			// The node is gone (or as good as): salvage whatever
+			// partial log it can still serve and re-dispatch.
+			return co.failover(ctx, n, "node unreachable")
+		}
+		return nil
+	}
+	switch st.State {
+	case service.StateDone:
+		n.health.observe(true)
+		if err := co.fetchShard(ctx, n); err != nil {
+			if ctx.Err() != nil || errors.Is(err, errPlanMismatch) {
 				return err
 			}
-		case service.StateFailed, service.StateCanceled:
+			v := n.health.observe(false)
+			co.cfg.Logf("fleet: %s: fetch shard %d: %v (verdict %s)", n.client.Name, n.shard, err, v)
+			if v == Quarantined {
+				return co.failover(ctx, n, "store fetch failing")
+			}
+		}
+	case service.StateInterrupted:
+		// The daemon drained (SIGTERM) or restarted mid-shard. The
+		// store checkpointed, so this is failover-eligible, not
+		// failed: salvage the partial log, count the drop against
+		// the node, re-dispatch elsewhere.
+		n.health.observe(false)
+		co.cfg.Logf("fleet: %s: shard %d interrupted on node (drain/restart); failing over", n.client.Name, n.shard)
+		return co.failover(ctx, n, "node drained mid-shard")
+	case service.StateFailed, service.StateCanceled:
+		n.health.observe(false)
+		shard := n.shard
+		co.release(n)
+		s := co.shards[shard]
+		s.inflight = false
+		co.cfg.Logf("fleet: %s: shard %d %s on node: %s", n.client.Name, shard, st.State, st.Error)
+		if s.attempts >= co.cfg.ShardAttempts {
+			return fmt.Errorf("fleet: shard %d failed %d times (last on %s: %s)",
+				shard, s.attempts, n.client.Name, st.Error)
+		}
+	default: // queued or running: check for a wedged executor
+		n.health.observe(true)
+		if st.Progress.Completed != n.lastDone {
+			n.lastDone, n.lastMove = st.Progress.Completed, time.Now()
+		} else if time.Since(n.lastMove) > co.cfg.StallTimeout {
 			n.health.observe(false)
-			shard := n.shard
-			co.release(n)
-			s := co.shards[shard]
-			s.inflight = false
-			co.cfg.Logf("fleet: %s: shard %d %s on node: %s", n.client.Name, shard, st.State, st.Error)
-			if s.attempts >= co.cfg.ShardAttempts {
-				return fmt.Errorf("fleet: shard %d failed %d times (last on %s: %s)",
-					shard, s.attempts, n.client.Name, st.Error)
-			}
-		default: // queued or running: check for a wedged executor
-			n.health.observe(true)
-			if st.Progress.Completed != n.lastDone {
-				n.lastDone, n.lastMove = st.Progress.Completed, time.Now()
-			} else if time.Since(n.lastMove) > co.cfg.StallTimeout {
-				n.health.observe(false)
-				co.cfg.Logf("fleet: %s: shard %d stalled at %d/%d for %s; failing over",
-					n.client.Name, n.shard, st.Progress.Completed, st.Progress.Total, co.cfg.StallTimeout)
-				if err := co.failover(ctx, n, "assignment stalled"); err != nil {
-					return err
-				}
-			}
+			co.cfg.Logf("fleet: %s: shard %d stalled at %d/%d for %s; failing over",
+				n.client.Name, n.shard, st.Progress.Completed, st.Progress.Total, co.cfg.StallTimeout)
+			return co.failover(ctx, n, "assignment stalled")
 		}
 	}
 	return nil
@@ -360,6 +430,7 @@ func (co *Coordinator) failover(ctx context.Context, n *node, why string) error 
 	cancel()
 	co.release(n)
 	co.shards[shard].inflight = false
+	co.shards[shard].avoid = n
 	co.failovers++
 	co.reg.Counter("hauberk_fleet_failovers_total").Inc()
 	co.cfg.Logf("fleet: failover shard %d (%s); re-dispatching", shard, why)
@@ -446,9 +517,9 @@ func (co *Coordinator) dispatchPending(ctx context.Context) (bool, error) {
 		if s.fetched || s.inflight {
 			continue
 		}
-		n := co.pickNode()
+		n := co.pickNode(s.avoid)
 		if n == nil {
-			break // no dispatchable node free; try again next round
+			continue // no dispatchable node free; try again next round
 		}
 		sub := co.cfg.Submission
 		sub.Shard, sub.Shards = shard, co.cfg.Shards
@@ -470,7 +541,7 @@ func (co *Coordinator) dispatchPending(ctx context.Context) (bool, error) {
 		}
 		n.health.observe(true)
 		n.shard, n.id = shard, st.ID
-		n.lastDone, n.lastMove = 0, time.Now()
+		n.lastDone, n.lastMove, n.lastWatch = 0, time.Now(), time.Time{}
 		s.inflight = true
 		s.attempts++
 		dispatched = true
@@ -481,17 +552,31 @@ func (co *Coordinator) dispatchPending(ctx context.Context) (bool, error) {
 	return dispatched, nil
 }
 
-// pickNode returns the best free node: healthy beats degraded, ties
-// break by roster order for determinism. Quarantined nodes are skipped.
-func (co *Coordinator) pickNode() *node {
-	var best *node
+// pickNode returns the best free node for a shard: healthy beats
+// degraded, ties break by roster order for determinism. Quarantined nodes
+// are skipped, and so is avoid — the node the shard last failed over
+// from — while any other node could still take the shard once it frees
+// up: a node that just drained or died is the worst place to re-run it.
+func (co *Coordinator) pickNode(avoid *node) *node {
+	var best, fallback *node
+	others := false
 	for _, n := range co.nodes {
-		if n.busy() || n.health.Verdict() == Quarantined {
+		if n.health.Verdict() == Quarantined {
 			continue
 		}
-		if best == nil || n.health.Verdict() < best.health.Verdict() {
+		if n == avoid {
+			if !n.busy() {
+				fallback = n
+			}
+			continue
+		}
+		others = true
+		if !n.busy() && (best == nil || n.health.Verdict() < best.health.Verdict()) {
 			best = n
 		}
+	}
+	if !others {
+		return fallback
 	}
 	return best
 }

@@ -358,3 +358,58 @@ func TestCoordinatorConfigValidation(t *testing.T) {
 		t.Error("New accepted a missing merge dir")
 	}
 }
+
+// TestPickNodeAvoidsFailedOverNode: a failed-over shard waits for another
+// live node, even a busy one, rather than go back to the node it left;
+// it returns there only when no other node could ever take it.
+func TestPickNodeAvoidsFailedOverNode(t *testing.T) {
+	a, b := &node{health: newNodeHealth(VerdictPolicy{}), shard: -1}, &node{health: newNodeHealth(VerdictPolicy{}), shard: 1}
+	co := &Coordinator{nodes: []*node{a, b}}
+	if got := co.pickNode(a); got != nil {
+		t.Errorf("pickNode(avoid a) with b busy = %p, want nil (wait for b)", got)
+	}
+	if got := co.pickNode(nil); got != a {
+		t.Errorf("pickNode(nil) = %p, want the free node a", got)
+	}
+	b.shard = -1
+	if got := co.pickNode(a); got != b {
+		t.Errorf("pickNode(avoid a) with b free = %p, want b", got)
+	}
+	for i := 0; i < 3; i++ {
+		b.health.observe(false)
+	}
+	if got := co.pickNode(a); got != a {
+		t.Errorf("pickNode(avoid a) with b quarantined = %p, want a, the only node left", got)
+	}
+}
+
+// TestCoordinatorPacesNodesWithoutLongPoll: the fake nodes ignore ?wait=
+// and answer at once, like a daemon that predates the long-poll. The
+// coordinator must then ask each node no faster than Poll, not spin.
+func TestCoordinatorPacesNodesWithoutLongPoll(t *testing.T) {
+	script := func(sub service.Submission) ([]service.State, service.StoreSnapshot) {
+		running := service.StateRunning
+		return []service.State{running, running, running, running, running, service.StateDone}, fullSnapshot(sub.Shard)
+	}
+	a, b := newFakeNode(t, script), newFakeNode(t, script)
+	cfg := fastConfig(t, a.srv.URL, b.srv.URL)
+	cfg.Poll = 20 * time.Millisecond
+	cfg.Transport.Sleep = nil // the pacing delay sleeps for real
+	co, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	res, err := co.Run(context.Background())
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	// Six answers per node, the last five each at least Poll after the one
+	// before.
+	if took := time.Since(t0); took < 5*cfg.Poll {
+		t.Errorf("run took %s against nodes that answer at once, want >= %s (paced at Poll)", took, 5*cfg.Poll)
+	}
+	if got, want := res.Digest, expectedDigest(t); got != want {
+		t.Errorf("paced digest diverged:\nfleet:\n%s\nexpected:\n%s", got, want)
+	}
+}

@@ -3,7 +3,9 @@ package fleet
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -262,5 +264,46 @@ func TestFleetFailoverOnNodeDeath(t *testing.T) {
 	}
 	if want := referenceDigest(t, "CP", "quick", 0); out.res.Digest != want {
 		t.Fatalf("failover digest diverged from single-node run:\nfleet:\n%s\nsingle:\n%s", out.res.Digest, want)
+	}
+}
+
+// TestFleetPushesShardCompletion: with the retry cadence set far beyond
+// the campaign's length, the coordinator still finishes promptly, because
+// each node answers a status long-poll the moment its shard settles. The
+// nodes count those answers as settled waits.
+func TestFleetPushesShardCompletion(t *testing.T) {
+	daemons := []*service.Daemon{startNode(t, 30*time.Second), startNode(t, 30*time.Second)}
+	co, err := New(Config{
+		Nodes:      []string{daemons[0].Addr(), daemons[1].Addr()},
+		Submission: service.Submission{Tenant: "fleet", Program: "CP", Scale: "tiny"},
+		Shards:     2,
+		MergeDir:   t.TempDir(),
+		Poll:       time.Hour,
+		Logf:       t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	t0 := time.Now()
+	res, err := co.Run(ctx)
+	if err != nil {
+		t.Fatalf("Run with an hour-long poll: %v", err)
+	}
+	t.Logf("fleet campaign took %s", time.Since(t0))
+	if want := referenceDigest(t, "CP", "tiny", 0); res.Digest != want {
+		t.Fatalf("fleet digest diverged from single-node run:\nfleet:\n%s\nsingle:\n%s", res.Digest, want)
+	}
+	for _, d := range daemons {
+		resp, err := http.Get("http://" + d.Addr() + "/metrics")
+		if err != nil {
+			t.Fatalf("GET metrics: %v", err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close() //nolint:errcheck
+		if !strings.Contains(string(raw), `hauberkd_status_waits_total{result="settled"} 1`) {
+			t.Errorf("node %s did not answer exactly one settled status wait:\n%s", d.Addr(), raw)
+		}
 	}
 }

@@ -32,6 +32,13 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
+// settled reports whether the campaign has stopped executing in this
+// daemon process: terminal, or interrupted by a drain. A settled campaign
+// never becomes queued or running again until the daemon restarts.
+func (s State) settled() bool {
+	return s != StateQueued && s != StateRunning
+}
+
 // Campaign is one submitted campaign's record in the daemon: identity,
 // schedule state, and the per-campaign telemetry plane (broadcaster,
 // progress tracker) backing /v1/campaigns/{id} and its /events feed.
@@ -61,6 +68,9 @@ type Campaign struct {
 	// (the campaign was interrupted, or the daemon restarted mid-run).
 	resume bool
 	cancel context.CancelFunc
+	// changed is closed and replaced on every state change, waking the
+	// long-poll status requests parked in await.
+	changed chan struct{}
 
 	// enqueuedAt is stamped by the scheduler for queue-latency metrics.
 	enqueuedAt time.Time
@@ -94,6 +104,7 @@ func newCampaign(id string, sub Submission, dir string) *Campaign {
 		Shard:       sub.Shard,
 		Shards:      shards,
 		state:       StateQueued,
+		changed:     make(chan struct{}),
 		submittedAt: time.Now(),
 		dir:         dir,
 		bcast:       b,
@@ -168,6 +179,45 @@ func (c *Campaign) State() State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.state
+}
+
+// setStateLocked moves the campaign to s and wakes every await caller;
+// c.mu must be held.
+func (c *Campaign) setStateLocked(s State) {
+	c.state = s
+	close(c.changed)
+	c.changed = make(chan struct{})
+}
+
+// Reasons an await returns, the result label of hauberkd_status_waits_total.
+const (
+	waitSettled = "settled" // the campaign settled (or already had)
+	waitExpired = "expired" // the wait bound elapsed first
+	waitAborted = "aborted" // the client went away or the daemon began draining
+)
+
+// await blocks until the campaign settles, d elapses, ctx ends or stop
+// closes, and reports which came first.
+func (c *Campaign) await(ctx context.Context, stop <-chan struct{}, d time.Duration) string {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	for {
+		c.mu.Lock()
+		settled, changed := c.state.settled(), c.changed
+		c.mu.Unlock()
+		if settled {
+			return waitSettled
+		}
+		select {
+		case <-changed:
+		case <-timer.C:
+			return waitExpired
+		case <-ctx.Done():
+			return waitAborted
+		case <-stop:
+			return waitAborted
+		}
+	}
 }
 
 // meta is the submission's durable form, persisted as submission.json

@@ -24,7 +24,9 @@ import (
 //	                                 queue is full, with Retry-After;
 //	                                 503 while draining)
 //	GET    /v1/campaigns             list all campaign statuses
-//	GET    /v1/campaigns/{id}        one campaign's status
+//	GET    /v1/campaigns/{id}        one campaign's status; ?wait=5s
+//	                                 holds the answer until the campaign
+//	                                 settles or the wait elapses
 //	DELETE /v1/campaigns/{id}        cancel (dequeue or interrupt)
 //	GET    /v1/campaigns/{id}/events that campaign's live event feed
 //	                                 (NDJSON/SSE, ?replay=N)
@@ -170,11 +172,29 @@ func (a *apiServer) handleList(w http.ResponseWriter, r *http.Request) {
 	}{a.d.List()})
 }
 
+// maxStatusWait caps a status long-poll, so a parked request cannot
+// outlive any sane client deadline.
+const maxStatusWait = time.Minute
+
+// handleStatus answers at once, or with ?wait=<duration> (Go syntax,
+// e.g. 5s) holds the request until the campaign settles — done, failed,
+// canceled or interrupted — or the wait elapses, whichever is first. Both
+// answer 200 with the status as it then is. A drain releases every parked
+// request, so a long-poll never holds up Shutdown.
 func (a *apiServer) handleStatus(w http.ResponseWriter, r *http.Request) {
 	c, err := a.d.Get(r.PathValue("id"))
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
+	}
+	if q := r.URL.Query().Get("wait"); q != "" {
+		wait, err := time.ParseDuration(q)
+		if err != nil || wait < 0 {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("bad wait %q: want a non-negative duration such as 5s", q))
+			return
+		}
+		why := c.await(r.Context(), a.d.baseCtx.Done(), min(wait, maxStatusWait))
+		a.d.reg.Counter("hauberkd_status_waits_total", "result", why).Inc()
 	}
 	writeJSON(w, http.StatusOK, c.Status())
 }

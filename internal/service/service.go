@@ -182,6 +182,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	d.reg.Help("hauberkd_campaign_outcomes_total", "finished campaigns per tenant and terminal state")
 	d.reg.Help("hauberkd_submissions_total", "accepted campaign submissions per tenant")
 	d.reg.Help("hauberkd_rejections_total", "submissions rejected by admission control per tenant")
+	d.reg.Help("hauberkd_status_waits_total", "status long-polls (?wait=) by how they ended: settled, expired or aborted")
 	d.http = newAPIServer(d)
 	if err := d.recover(); err != nil {
 		return nil, err
@@ -424,7 +425,7 @@ func (d *Daemon) execute(c *Campaign) {
 		return
 	}
 	c.cancel = cancel
-	c.state = StateRunning
+	c.setStateLocked(StateRunning)
 	if c.startedAt.IsZero() {
 		c.startedAt = time.Now()
 	}
@@ -500,13 +501,13 @@ func (d *Daemon) finish(c *Campaign, state State, set func()) {
 		"tenant", c.Tenant, "state", string(state)).Inc()
 	c.mu.Lock()
 	c.cancel = nil
-	c.state = state
 	if state.Terminal() {
 		c.finishedAt = time.Now()
 	}
 	if set != nil {
 		set()
 	}
+	c.setStateLocked(state)
 	c.mu.Unlock()
 	if err := c.persist(); err != nil {
 		d.cfg.Logf("hauberkd: persist %s: %v", c.ID, err)

@@ -539,3 +539,131 @@ func TestMetaRoundTrip(t *testing.T) {
 		t.Fatalf("restore lost the shard scope: %d/%d", r.Shard, r.Shards)
 	}
 }
+
+// getStatus GETs one campaign's status with the given query and reports
+// the HTTP code, the decoded status and how long the answer took.
+func getStatus(t *testing.T, base, id, query string) (int, Status, time.Duration) {
+	t.Helper()
+	t0 := time.Now()
+	resp, err := http.Get(base + "/v1/campaigns/" + id + query)
+	if err != nil {
+		t.Errorf("GET status%s: %v", query, err)
+		return 0, Status{}, 0
+	}
+	defer resp.Body.Close() //nolint:errcheck
+	var st Status
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Errorf("decode status%s: %v", query, err)
+		}
+	}
+	return resp.StatusCode, st, time.Since(t0)
+}
+
+// TestStatusLongPoll: GET /v1/campaigns/{id}?wait= answers the moment the
+// campaign settles, or with the campaign still running once the wait
+// elapses; a malformed wait is a 400. Each parked request is counted by
+// how it ended.
+func TestStatusLongPoll(t *testing.T) {
+	release := make(chan struct{})
+	SetTestOptsHook(func(c *Campaign, opts *harness.CampaignOptions) {
+		opts.OnResult = func(done, total int) { <-release } // pin mid-run
+	})
+	defer SetTestOptsHook(nil)
+	d := startDaemon(t, t.TempDir(), 1, 4)
+	base := "http://" + d.Addr()
+	c, err := d.Submit(Submission{Program: "CP", Scale: "tiny"})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	awaitState(t, c, func(s State) bool { return s == StateRunning }, "running")
+
+	if code, st, took := getStatus(t, base, c.ID, "?wait=100ms"); code != http.StatusOK ||
+		st.State != StateRunning || took < 100*time.Millisecond {
+		t.Errorf("wait on a pinned campaign: %d %s after %s, want 200 running after >= 100ms", code, st.State, took)
+	}
+	for _, q := range []string{"?wait=soon", "?wait=-1s"} {
+		if code, _, _ := getStatus(t, base, c.ID, q); code != http.StatusBadRequest {
+			t.Errorf("GET status%s: %d, want 400", q, code)
+		}
+	}
+
+	type answer struct {
+		code int
+		st   Status
+		took time.Duration
+	}
+	parked := make(chan answer, 1)
+	go func() {
+		code, st, took := getStatus(t, base, c.ID, "?wait=1m")
+		parked <- answer{code, st, took}
+	}()
+	time.Sleep(50 * time.Millisecond) // let the request park before the campaign can finish
+	close(release)
+	a := <-parked
+	if a.code != http.StatusOK || a.st.State != StateDone || a.st.Digest == "" || a.took >= 30*time.Second {
+		t.Errorf("parked wait: %d %s (digest %q) after %s, want 200 done with its digest well before the 1m bound",
+			a.code, a.st.State, a.st.Digest, a.took)
+	}
+	// A settled campaign answers a wait at once.
+	if code, st, took := getStatus(t, base, c.ID, "?wait=1m"); code != http.StatusOK ||
+		st.State != StateDone || took >= 30*time.Second {
+		t.Errorf("wait on a done campaign: %d %s after %s, want 200 done at once", code, st.State, took)
+	}
+	for result, want := range map[string]int64{waitExpired: 1, waitSettled: 2} {
+		if got := d.reg.Counter("hauberkd_status_waits_total", "result", result).Value(); got != want {
+			t.Errorf("hauberkd_status_waits_total{result=%q} = %d, want %d", result, got, want)
+		}
+	}
+}
+
+// TestStatusLongPollReleasedByDrain: a status request parked on a running
+// campaign answers as soon as the daemon starts draining, even when the
+// campaign outlives the drain window, so a long-poll never holds Shutdown
+// for its whole wait.
+func TestStatusLongPollReleasedByDrain(t *testing.T) {
+	d, err := NewDaemon(Config{
+		Addr: "127.0.0.1:0", StoreRoot: t.TempDir(), Slots: 1,
+		DrainTimeout: 100 * time.Millisecond, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("NewDaemon: %v", err)
+	}
+	release := make(chan struct{})
+	SetTestOptsHook(func(c *Campaign, opts *harness.CampaignOptions) {
+		opts.OnResult = func(done, total int) { <-release } // pin past the drain window
+	})
+	defer SetTestOptsHook(nil)
+	if err := d.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	c, err := d.Submit(Submission{Program: "CP", Scale: "tiny"})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	awaitState(t, c, func(s State) bool { return s == StateRunning }, "running")
+
+	parked := make(chan int, 1)
+	go func() {
+		code, _, _ := getStatus(t, "http://"+d.Addr(), c.ID, "?wait=1m")
+		parked <- code
+	}()
+	time.Sleep(50 * time.Millisecond) // let the request park
+	t0 := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := d.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown with a status request parked: %v", err)
+	}
+	if code := <-parked; code != http.StatusOK {
+		t.Errorf("parked wait answered %d across the drain, want 200", code)
+	}
+	if took := time.Since(t0); took >= 10*time.Second {
+		t.Errorf("drain took %s with a status request parked, want it released at once", took)
+	}
+	// Unpin, and let the executor checkpoint before the store is removed.
+	close(release)
+	if err := d.sched.AwaitIdle(ctx); err != nil {
+		t.Errorf("executor never exited after the unpin: %v", err)
+	}
+}

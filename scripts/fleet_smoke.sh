@@ -6,8 +6,8 @@
 #   2. net chaos: HAUBERK_CHAOS netdrop/netstall entries fault the
 #      coordinator's own RPC stream — the bounded retry envelope must
 #      absorb them without moving the digest;
-#   3. node death: kill -9 one daemon while its shard is mid-run — the
-#      coordinator must fail the shard over and still merge to the
+#   3. node death: kill -9 one daemon while it holds an unfinished shard —
+#      the coordinator must fail the shard over and still merge to the
 #      identical digest.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -105,7 +105,10 @@ echo "fleet smoke: digest identical under netdrop/netstall chaos"
 # --- leg 3: kill -9 a node mid-shard, require failover -----------------
 # Fresh trio so the victim's store has exactly one campaign to watch.
 # Shard 0 always dispatches to the first roster node, so that node is
-# the victim; its manifest.json appears when the shard starts running.
+# the victim. Its submission.json appears when it accepts the shard, a
+# fresh daemon then spends its first ~100 ms preparing the plan (golden
+# run, profile, trace), and the coordinator learns of completion at once
+# (status long-poll), so the kill lands as soon as the shard is accepted.
 start_node k1; k1=$base
 start_node k2; k2=$base
 start_node k3; k3=$base
@@ -116,18 +119,18 @@ start_node k3; k3=$base
 fleet_pid=$!
 
 started=""
-for _ in $(seq 1 400); do
-  if ls "$work"/store-k1/*/manifest.json >/dev/null 2>&1; then
+for _ in $(seq 1 2000); do
+  if ls "$work"/store-k1/*/submission.json >/dev/null 2>&1; then
     started=yes
     break
   fi
   if ! kill -0 "$fleet_pid" 2>/dev/null; then
     break
   fi
-  sleep 0.05
+  sleep 0.01
 done
 if [ -z "$started" ]; then
-  echo "fleet smoke: shard 0 never started on the victim node" >&2
+  echo "fleet smoke: the victim node never accepted shard 0" >&2
   cat "$work/kill.log" >&2
   exit 1
 fi
