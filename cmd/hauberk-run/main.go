@@ -224,6 +224,9 @@ func run() int {
 	}
 	env := harness.NewEnv(sc).WithObs(tel)
 	env.Scale.Workers = *workers
+	// Isolated workers outlive the campaign in the Env's pool; close them
+	// on the way out (a SIGINT/SIGTERM kills them sooner, see runCampaign).
+	defer env.CloseWorkers()
 	ds := workloads.Dataset{Index: *dataset}
 
 	if *campaignDir != "" {
@@ -406,9 +409,10 @@ func runCampaign(env *harness.Env, spec *workloads.Spec, ds workloads.Dataset, d
 	// resumable exit (and none keeps writing its half of a pipe nobody
 	// reads). Supervisors kill their own worker on context cancellation
 	// too; this is the guarantee for workers idle between requests. This
-	// goroutine must fire on a real signal only: on normal completion the
-	// pool closes its own workers, and the monitor stays up through
-	// -http-linger so late pollers can observe the terminal state.
+	// goroutine must fire on a real signal only: on normal completion run
+	// closes the Env's pooled workers on its way out, and the monitor stays
+	// up through -http-linger so late pollers can observe the terminal
+	// state.
 	go func() {
 		select {
 		case <-sigCh:

@@ -45,8 +45,8 @@ type Config struct {
 	// engine's doubling policy from 25ms capped at 1s).
 	Backoff guardian.BackoffPolicy
 	// WarmupGrace extends the request deadline for the first request of a
-	// freshly spawned worker, which must re-stage the program (profile,
-	// golden run) before executing (default 15s).
+	// freshly spawned worker, or of one told to Restage, which must stage
+	// the program (profile, golden run) before executing (default 15s).
 	WarmupGrace time.Duration
 	// Chaos injects deterministic spawn failures (see the chaos
 	// package); worker-side chaos rides in Env/HAUBERK_CHAOS.
@@ -79,7 +79,8 @@ func (c Config) withDefaults() Config {
 
 // Supervisor owns one worker subprocess at a time, restarting it across
 // crashes and hangs. It serializes requests: one Do call runs at a time
-// (campaigns hold a pool of Supervisors for parallelism).
+// (the harness pools Supervisors, one per campaign worker slot, for
+// parallelism).
 type Supervisor struct {
 	cfg Config
 
@@ -110,7 +111,7 @@ type workerProc struct {
 	events chan frameEvent
 	stderr *tailBuffer
 	pgid   int
-	served int // requests completed by this process
+	served int // requests completed since the process last staged (see Restage)
 	reaped sync.Once
 }
 
@@ -156,6 +157,29 @@ func (s *Supervisor) Do(ctx context.Context, id string, payload json.RawMessage,
 		if attempt >= s.cfg.MaxRestarts {
 			return nil, lastErr
 		}
+	}
+}
+
+// SetObs points the supervisor's worker lifecycle telemetry at t, so a
+// pooled supervisor reports to whoever holds it now. Call it between
+// requests.
+func (s *Supervisor) SetObs(t *obs.Telemetry) {
+	s.opMu.Lock()
+	defer s.opMu.Unlock()
+	s.cfg.Obs = t
+}
+
+// Restage tells the supervisor that the live worker's next request stages
+// an experiment it has not run before, so that request gets the warm-up
+// grace a freshly spawned worker's first request gets. Call it between
+// requests.
+func (s *Supervisor) Restage() {
+	s.opMu.Lock()
+	defer s.opMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.w != nil {
+		s.w.served = 0
 	}
 }
 
@@ -358,8 +382,8 @@ func (w *workerProc) reap() *os.ProcessState {
 
 // Close shuts the supervisor down: stdin is closed so an idle worker
 // exits cleanly, then the process group is killed and reaped. Close is
-// idempotent and must run before the campaign's final store flush, so no
-// worker outlives the run.
+// idempotent; the harness calls it when a pooled supervisor has sat idle
+// too long or its Env's workers are closed.
 func (s *Supervisor) Close() {
 	s.mu.Lock()
 	s.closed = true

@@ -8,14 +8,16 @@ import (
 	"hauberk/internal/obs"
 )
 
-// runInjectionGuarded wraps one injection in the watchdog-and-retry
-// envelope: a wall-clock expiry classifies the run as a hang failure (the
-// simulator's step budget catches simulated hangs; the watchdog catches
-// the harness itself wedging), and infrastructure errors retry with
-// exponential back-off up to opts.Retries times.
+// runInjectionGuarded wraps one injection against the campaign's golden
+// trace gt in the watchdog-and-retry envelope: a wall-clock expiry
+// classifies the run as a hang failure (the simulator's step budget
+// catches simulated hangs; the watchdog catches the harness itself
+// wedging), and infrastructure errors retry with exponential back-off up
+// to opts.Retries times.
 func (e *Env) runInjectionGuarded(
 	ctx context.Context,
 	pc *PreparedCampaign,
+	gt *goldenTrace,
 	inj Injection,
 	timeout time.Duration,
 	opts CampaignOptions,
@@ -46,7 +48,7 @@ func (e *Env) runInjectionGuarded(
 		},
 	}
 	return g.run(ctx, inj, func() (*InjectionResult, error) {
-		return e.RunInjection(spec, pc.Golden, pc.Prof.Store, pc.Mode, inj)
+		return e.injectOn(gt, pc.Golden, inj), nil
 	})
 }
 

@@ -123,17 +123,19 @@ type Env struct {
 	// call WithObs) before launching experiments to collect a journal.
 	Obs *obs.Telemetry
 
-	cache *instCache
+	shared *envShared
 }
 
-// instCache is the shared instrumented-kernel cache. It lives behind a
-// pointer so Clone-derived environments (one per daemon campaign, each
-// with its own telemetry) share one cache: instrumentation is
-// deterministic and its results read-only, so reuse across concurrent
-// campaigns is safe and keeps per-submission setup cheap.
-type instCache struct {
-	mu sync.Mutex
-	m  map[string]*translate.Result
+// envShared is the state an Env shares with every Clone of it (one per
+// daemon campaign, each with its own telemetry): the instrumented-kernel
+// cache — instrumentation is deterministic and its results read-only, so
+// reuse across concurrent campaigns is safe and keeps per-submission
+// setup cheap — and the pool of isolated workers, so a campaign checks
+// out warm worker processes instead of spawning its own.
+type envShared struct {
+	mu      sync.Mutex // guards inst
+	inst    map[string]*translate.Result
+	workers workerPool
 }
 
 // NewEnv builds an environment with the default simulated device.
@@ -142,7 +144,7 @@ func NewEnv(scale Scale) *Env {
 		Scale:  scale,
 		Config: gpu.DefaultConfig(),
 		Obs:    obs.Nop(),
-		cache:  &instCache{m: make(map[string]*translate.Result)},
+		shared: &envShared{inst: make(map[string]*translate.Result)},
 	}
 }
 
@@ -152,22 +154,23 @@ func (e *Env) WithObs(t *obs.Telemetry) *Env {
 	return e
 }
 
-// Clone returns a shallow copy sharing the instrument cache. The
-// copy's Scale/Config/Obs can diverge freely, which is how the daemon
-// gives every concurrent campaign its own telemetry plane while reusing
-// one set of instrumented kernels. The clone is as reentrant as the
-// original: campaign runs hold no Env state beyond the cache.
+// Clone returns a shallow copy sharing the instrument cache and the
+// worker pool. The copy's Scale/Config/Obs can diverge freely, which is
+// how the daemon gives every concurrent campaign its own telemetry plane
+// while reusing one set of instrumented kernels and worker processes. The
+// clone is as reentrant as the original: campaign runs hold no Env state
+// beyond what is shared.
 func (e *Env) Clone() *Env {
-	return &Env{Scale: e.Scale, Config: e.Config, Obs: e.Obs, cache: e.cache}
+	return &Env{Scale: e.Scale, Config: e.Config, Obs: e.Obs, shared: e.shared}
 }
 
 // Instrument returns the (cached) instrumentation of a program for the
 // given options.
 func (e *Env) Instrument(spec *workloads.Spec, opts translate.Options) (*translate.Result, error) {
 	key := fmt.Sprintf("%s|%d|%d|%v|%v|%v|%s", spec.Name, opts.Mode, opts.MaxVar, opts.NonLoop, opts.Loop, opts.NaiveDup, opts.OnlyVar)
-	c := e.cache
+	c := e.shared
 	c.mu.Lock()
-	if r, ok := c.m[key]; ok {
+	if r, ok := c.inst[key]; ok {
 		c.mu.Unlock()
 		return r, nil
 	}
@@ -177,7 +180,7 @@ func (e *Env) Instrument(spec *workloads.Spec, opts translate.Options) (*transla
 		return nil, fmt.Errorf("harness: instrument %s: %w", spec.Name, err)
 	}
 	c.mu.Lock()
-	c.m[key] = r
+	c.inst[key] = r
 	c.mu.Unlock()
 	return r, nil
 }

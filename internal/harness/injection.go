@@ -83,8 +83,9 @@ type InjectionResult struct {
 // RunInjection executes one fault-injection experiment with the given
 // library mode (ModeFI for baseline sensitivity, ModeFIFT for Hauberk
 // coverage) on a device of e.Config and classifies the outcome against the
-// golden run. It is the one funnel the campaign runner, the isolated
-// worker and the figures go through.
+// golden run. It is the one funnel the figures and tests go through; a
+// campaign, and the isolated worker, resolve the golden trace once and
+// call injectOn per injection.
 func (e *Env) RunInjection(
 	spec *workloads.Spec,
 	golden *GoldenRun,
@@ -96,6 +97,12 @@ func (e *Env) RunInjection(
 	if err != nil {
 		return nil, err
 	}
+	return e.injectOn(gt, golden, inj), nil
+}
+
+// injectOn runs one injection against a resolved golden trace of golden
+// and classifies it.
+func (e *Env) injectOn(gt *goldenTrace, golden *GoldenRun, inj Injection) *InjectionResult {
 	l := gt.launch(inj.Cmd)
 	if e.Obs.Enabled() {
 		m := e.Obs.Metrics()
@@ -110,11 +117,11 @@ func (e *Env) RunInjection(
 		res.Outcome = OutcomeFailure
 		_, res.Hang = l.err.(*gpu.HangError)
 	} else {
-		meets := spec.Requirement.Check(golden.Output, l.td.inst.ReadOutput())
+		meets := gt.spec.Requirement.Check(golden.Output, l.td.inst.ReadOutput())
 		res.Outcome = Classify(false, l.cb.SDC(), meets)
 	}
 	gt.release(l.td)
-	return res, nil
+	return res
 }
 
 // CampaignResult aggregates a program's campaign.

@@ -92,9 +92,10 @@ type CampaignOptions struct {
 	OnResult func(done, total int)
 	// Isolation selects the executor: "" or IsolationOff runs injections
 	// in the campaign process; IsolationProcess runs each in a supervised
-	// worker subprocess (internal/guardian/procexec) so a panic, runaway
-	// loop or OOM kills one worker, never the campaign. Spawn failures
-	// degrade gracefully to the in-process path per injection.
+	// worker subprocess (internal/guardian/procexec), checked out of the
+	// Env's worker pool, so a panic, runaway loop or OOM kills one worker,
+	// never the campaign. Spawn failures degrade gracefully to the
+	// in-process path per injection.
 	Isolation string
 	// WorkerArgv is the worker command line for IsolationProcess
 	// (default: the running binary with -worker). Tests point it at the
@@ -106,9 +107,10 @@ type CampaignOptions struct {
 	// (worker-side chaos rides in the inherited HAUBERK_CHAOS variable;
 	// see internal/guardian/procexec/chaos).
 	Chaos *chaos.Plan
-	// WorkerWarmupGrace extends the first request's deadline on a freshly
-	// spawned worker, which must re-stage the program before executing
-	// (0 = the procexec default). Tests shrink it.
+	// WorkerWarmupGrace extends the first request's deadline on a worker
+	// that must stage the program before executing — a fresh one, or a
+	// pooled one that last served another experiment (0 = the procexec
+	// default). Tests shrink it.
 	WorkerWarmupGrace time.Duration
 }
 
@@ -198,22 +200,24 @@ func (e *Env) RunPrepared(ctx context.Context, pc *PreparedCampaign, opts Campai
 		}
 	}
 
+	// One golden trace backs every injection of the campaign, and its
+	// clean run is the watchdog's baseline.
+	gt, err := e.goldenTrace(spec, pc.Golden, pc.Prof.Store, pc.Mode)
+	if err != nil {
+		return nil, fmt.Errorf("harness: clean timing run of %s: %w", spec.Name, err)
+	}
 	timeout := opts.Timeout
 	if timeout <= 0 {
-		timeout, err = e.deriveWatchdogTimeout(pc, watchdogFloor)
-		if err != nil {
-			return nil, err
-		}
+		timeout = deriveWatchdogTimeout(gt, watchdogFloor)
 	}
-	var pool isoPool
+	var iso *isoCampaign
 	if opts.Isolation == IsolationProcess {
-		pool, err = e.newIsoPool(opts)
-		if err != nil {
+		if iso, err = e.newIsoCampaign(pc, opts); err != nil {
 			return nil, err
 		}
-		// Closed (killing every live worker group) before cs.Close's
-		// final flush, so no worker process outlives the campaign.
-		defer pool.Close()
+		// The supervisors go back to the Env's pool, their workers alive
+		// for the next campaign — unless this one was interrupted.
+		defer func() { iso.release(ctx.Err() != nil) }()
 	}
 	var (
 		mu         sync.Mutex // guards done, lastAppend and the order of progress reports
@@ -224,10 +228,10 @@ func (e *Env) RunPrepared(ctx context.Context, pc *PreparedCampaign, opts Campai
 		idx := pending[k]
 		var r *InjectionResult
 		var err error
-		if pool != nil {
-			r, err = e.runInjectionIsolated(ctx, pool[slot], pc, plan[idx], timeout, opts)
+		if iso != nil {
+			r, err = e.runInjectionIsolated(ctx, iso, slot, pc, gt, plan[idx], timeout, opts)
 		} else {
-			r, err = e.runInjectionGuarded(ctx, pc, plan[idx], timeout, opts)
+			r, err = e.runInjectionGuarded(ctx, pc, gt, plan[idx], timeout, opts)
 		}
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -305,7 +309,7 @@ func (e *Env) RunPrepared(ctx context.Context, pc *PreparedCampaign, opts Campai
 
 // deriveWatchdogTimeout derives the per-injection deadline from the wall
 // time of one full clean run of the instrumented kernel — measured once,
-// while the golden trace is recorded, and cached with it, so a campaign
+// while the golden trace gt is recorded, and cached with it, so a campaign
 // pays no probe launch of its own — through the guardian watchdog's own
 // Section VI(i) rule: the clean wall time Seeds the kernel's baseline, and
 // Deadline applies "T (the guardian's default) times the baseline, floored
@@ -314,17 +318,13 @@ func (e *Env) RunPrepared(ctx context.Context, pc *PreparedCampaign, opts Campai
 // step-budget rule (hangBudget) on one definition. The baseline is the
 // whole grid's time, not a resumed injection's: an injection that runs to
 // its end, or on the full path, must still fit the deadline.
-func (e *Env) deriveWatchdogTimeout(pc *PreparedCampaign, floor time.Duration) (time.Duration, error) {
-	gt, err := e.goldenTrace(pc.Spec, pc.Golden, pc.Prof.Store, pc.Mode)
-	if err != nil {
-		return 0, fmt.Errorf("harness: clean timing run of %s: %w", pc.Spec.Name, err)
-	}
+func deriveWatchdogTimeout(gt *goldenTrace, floor time.Duration) time.Duration {
 	wd := guardian.NewWatchdog(guardian.WatchdogConfig{
 		Factor:    guardian.DefaultWatchdog().Factor,
 		MinCycles: float64(floor) / float64(time.Millisecond),
 	})
-	wd.Seed(pc.Spec.Name, float64(gt.cleanWall)/float64(time.Millisecond))
-	return time.Duration(wd.Deadline(pc.Spec.Name) * float64(time.Millisecond)), nil
+	wd.Seed(gt.spec.Name, float64(gt.cleanWall)/float64(time.Millisecond))
+	return time.Duration(wd.Deadline(gt.spec.Name) * float64(time.Millisecond))
 }
 
 // heartbeatLagBuckets are the upper bounds (ms) for the campaign- and

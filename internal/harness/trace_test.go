@@ -447,10 +447,11 @@ func TestWatchdogBaselineIsFullLaunch(t *testing.T) {
 		fullLaunch = min(fullLaunch, time.Since(start))
 	}
 	// A vanishing floor, so the derived part of the rule is what is seen.
-	timeout, err := e.deriveWatchdogTimeout(pc, time.Nanosecond)
+	gt, err := e.goldenTrace(spec, golden, pc.Prof.Store, pc.Mode)
 	if err != nil {
 		t.Fatal(err)
 	}
+	timeout := deriveWatchdogTimeout(gt, time.Nanosecond)
 	T := guardian.DefaultWatchdog().Factor
 	if floor := time.Duration(T) * fullLaunch; timeout < floor {
 		t.Fatalf("derived deadline %v is below %v = %g x a full clean launch (%v)", timeout, floor, T, fullLaunch)
@@ -459,11 +460,11 @@ func TestWatchdogBaselineIsFullLaunch(t *testing.T) {
 	if _, err := e.RunInjection(spec, golden, pc.Prof.Store, pc.Mode, Injection{Cmd: swifi.Command{Site: -1, Mask: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	again, err := e.deriveWatchdogTimeout(pc, time.Nanosecond)
+	gt, err = e.goldenTrace(spec, golden, pc.Prof.Store, pc.Mode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again != timeout {
+	if again := deriveWatchdogTimeout(gt, time.Nanosecond); again != timeout {
 		t.Fatalf("deadline moved from %v to %v between campaigns on one golden run", timeout, again)
 	}
 }

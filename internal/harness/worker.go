@@ -2,20 +2,24 @@ package harness
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
 	"hauberk/internal/core/ranges"
 	"hauberk/internal/core/translate"
+	"hauberk/internal/gpu"
 	"hauberk/internal/guardian"
 	"hauberk/internal/guardian/procexec"
 	"hauberk/internal/guardian/procexec/chaos"
-	"hauberk/internal/kir"
 	"hauberk/internal/obs"
 	"hauberk/internal/swifi"
 	"hauberk/internal/workloads"
@@ -35,17 +39,18 @@ const (
 )
 
 // isoRequest is the wire form of one injection run shipped to a worker.
-// Everything the worker needs to re-stage the experiment is derivable
-// deterministically from these fields (program specs, golden runs and
-// range profiles are pure functions of program+dataset), which is what
-// keeps isolated campaigns byte-identical to in-process ones.
+// The worker stages the experiment itself from (program, dataset, mode) —
+// golden runs and range profiles are pure functions of them, which is
+// what keeps isolated campaigns byte-identical to in-process ones — and
+// Staging is the parent's stagingHash of the experiment it prepared: a
+// worker whose own staging hashes differently refuses the request rather
+// than run another experiment than the campaign's.
 type isoRequest struct {
 	Program string       `json:"program"`
 	Dataset int          `json:"dataset"`
 	Mode    int          `json:"mode"`
+	Staging uint64       `json:"staging"`
 	Cmd     swifiCommand `json:"cmd"`
-	Bits    int          `json:"bits"`
-	Class   int          `json:"class"`
 }
 
 // isoResponse is the classified outcome shipped back. It carries exactly
@@ -55,6 +60,127 @@ type isoResponse struct {
 	Outcome   int  `json:"outcome"`
 	Hang      bool `json:"hang"`
 	Activated bool `json:"activated"`
+}
+
+// stagingHash identifies the experiment injections run against, as far as
+// their outcome depends on it: program, dataset, library mode, the golden
+// output, the range store's detectors (by name: ranges and alpha) and the
+// device config. The parent hashes what it prepared, once per campaign;
+// a worker hashes what it staged itself.
+func stagingHash(spec *workloads.Spec, golden *GoldenRun, store *ranges.Store, mode translate.Mode, cfg gpu.Config) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s|%d|%d|%+v|%d|", spec.Name, golden.Dataset.Index, mode, cfg, len(golden.Output))
+	buf := make([]byte, 0, 4*len(golden.Output))
+	for _, w := range golden.Output {
+		buf = binary.LittleEndian.AppendUint32(buf, w)
+	}
+	h.Write(buf) //nolint:errcheck // hash writes never fail
+	// A private copy reads without the detectors' locks.
+	store = store.Clone()
+	for _, name := range store.Names() {
+		d := store.Get(name)
+		fmt.Fprintf(h, "%s|%d|%x|", name, len(d.Ranges), math.Float64bits(d.Alpha))
+		for _, r := range d.Ranges {
+			fmt.Fprintf(h, "%x,%x|", math.Float64bits(r.Min), math.Float64bits(r.Max))
+		}
+	}
+	return h.Sum64()
+}
+
+// workerStagings bounds the (program, dataset) stagings one worker keeps:
+// a long-lived worker that serves many datasets must not hold every golden
+// run and golden trace it ever built.
+const workerStagings = 8
+
+// staging is what a worker built for one (program, dataset): the golden
+// run and profiled range store, and per library mode the golden trace
+// with its staging hash.
+type staging struct {
+	key    string
+	spec   *workloads.Spec
+	golden *GoldenRun
+	store  *ranges.Store
+	modes  map[translate.Mode]*stagedMode
+}
+
+type stagedMode struct {
+	gt   *goldenTrace
+	hash uint64
+}
+
+// workerState is a worker process's staging cache: an LRU of at most
+// capacity stagings, most recently used first, built on one Env so the
+// instrumented kernels are shared between them.
+type workerState struct {
+	env      *Env
+	capacity int
+	lru      []*staging
+}
+
+func newWorkerState(capacity int) *workerState {
+	// Workers are processes in a pool: each runs one injection at a time
+	// so N workers use N cores, not N*NumCPU.
+	env := NewEnv(QuickScale())
+	env.Scale.Workers = 1
+	return &workerState{env: env, capacity: capacity}
+}
+
+// stage returns the staging of (program, dataset), building it on a miss
+// and evicting the least recently used one beyond capacity.
+func (w *workerState) stage(program string, dataset int) (*staging, error) {
+	key := fmt.Sprintf("%s|%d", program, dataset)
+	for i, st := range w.lru {
+		if st.key == key {
+			copy(w.lru[1:i+1], w.lru[:i])
+			w.lru[0] = st
+			return st, nil
+		}
+	}
+	spec := workloads.ByName(program)
+	if spec == nil {
+		return nil, fmt.Errorf("harness: worker: unknown program %q", program)
+	}
+	ds := workloads.Dataset{Index: dataset}
+	golden, err := w.env.Golden(spec, ds)
+	if err != nil {
+		return nil, err
+	}
+	prof, err := w.env.Profile(spec, []workloads.Dataset{ds})
+	if err != nil {
+		return nil, err
+	}
+	st := &staging{key: key, spec: spec, golden: golden, store: prof.Store, modes: make(map[translate.Mode]*stagedMode)}
+	w.lru = append([]*staging{st}, w.lru...)
+	if len(w.lru) > w.capacity {
+		w.lru[w.capacity] = nil
+		w.lru = w.lru[:w.capacity]
+	}
+	return st, nil
+}
+
+// run serves one request: stage, refuse a request whose staging hash is
+// not the worker's, then inject against the staged golden trace.
+func (w *workerState) run(req isoRequest) (isoResponse, error) {
+	st, err := w.stage(req.Program, req.Dataset)
+	if err != nil {
+		return isoResponse{}, err
+	}
+	mode := translate.Mode(req.Mode)
+	sm := st.modes[mode]
+	if sm == nil {
+		gt, err := w.env.goldenTrace(st.spec, st.golden, st.store, mode)
+		if err != nil {
+			return isoResponse{}, err
+		}
+		sm = &stagedMode{gt: gt, hash: stagingHash(st.spec, st.golden, st.store, mode, w.env.Config)}
+		st.modes[mode] = sm
+	}
+	if sm.hash != req.Staging {
+		return isoResponse{}, fmt.Errorf("harness: worker staged %s dataset %d (%s) as %016x but the campaign prepared %016x: "+
+			"its range store or device config is not the worker's", req.Program, req.Dataset, mode, sm.hash, req.Staging)
+	}
+	r := w.env.injectOn(sm.gt, st.golden, Injection{Cmd: req.Cmd.command()})
+	return isoResponse{Outcome: int(r.Outcome), Hang: r.Hang, Activated: r.Activated}, nil
 }
 
 // WorkerMain is the body of `hauberk-run -worker`: serve injection
@@ -67,64 +193,145 @@ func WorkerMain(in io.Reader, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	type staged struct {
-		env    *Env
-		spec   *workloads.Spec
-		golden *GoldenRun
-		rstore *ranges.Store
-	}
-	cache := make(map[string]*staged)
+	w := newWorkerState(workerStagings)
 	h := func(id string, payload json.RawMessage) (json.RawMessage, error) {
 		var req isoRequest
 		if err := json.Unmarshal(payload, &req); err != nil {
 			return nil, fmt.Errorf("harness: worker request %s: %w", id, err)
 		}
-		key := fmt.Sprintf("%s|%d", req.Program, req.Dataset)
-		st := cache[key]
-		if st == nil {
-			spec := workloads.ByName(req.Program)
-			if spec == nil {
-				return nil, fmt.Errorf("harness: worker: unknown program %q", req.Program)
-			}
-			// Workers are processes in a pool: each runs one injection
-			// at a time so N workers use N cores, not N*NumCPU.
-			env := NewEnv(QuickScale())
-			env.Scale.Workers = 1
-			ds := workloads.Dataset{Index: req.Dataset}
-			golden, err := env.Golden(spec, ds)
-			if err != nil {
-				return nil, err
-			}
-			prof, err := env.Profile(spec, []workloads.Dataset{ds})
-			if err != nil {
-				return nil, err
-			}
-			st = &staged{env: env, spec: spec, golden: golden, rstore: prof.Store}
-			cache[key] = st
-		}
-		inj := Injection{Cmd: req.Cmd.command(), Bits: req.Bits, Class: kir.DataClass(req.Class)}
-		r, err := st.env.RunInjection(st.spec, st.golden, st.rstore, translate.Mode(req.Mode), inj)
+		resp, err := w.run(req)
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(isoResponse{
-			Outcome:   int(r.Outcome),
-			Hang:      r.Hang,
-			Activated: r.Activated,
-		})
+		return json.Marshal(resp)
 	}
 	return procexec.Serve(in, out, h, procexec.ServeOptions{Chaos: plan})
 }
 
-// isoPool holds one procexec.Supervisor per campaign worker slot (see
-// dispatch), so up to that many injections run in distinct worker
-// subprocesses at once.
-type isoPool []*procexec.Supervisor
+// workerIdleTimeout is how long a pooled worker may sit idle before its
+// supervisor is closed, so a dropped Env — or a daemon gone quiet — does
+// not keep worker processes alive until its process exits.
+const workerIdleTimeout = time.Second
 
-// newIsoPool builds a lazily-spawning supervisor for every slot dispatch
-// can hand out; a slot the worker budget does not grant never spawns. The
-// per-injection watchdog deadline travels per-request through Do.
-func (e *Env) newIsoPool(opts CampaignOptions) (isoPool, error) {
+// workerPool holds the idle isolated-worker supervisors of an Env and its
+// clones, keyed by the whole worker configuration (see newIsoCampaign). A
+// campaign checks out one supervisor per dispatch slot and returns it with
+// its worker alive, so the next campaign with the same configuration pays
+// no spawn and, for the same experiment, no staging.
+type workerPool struct {
+	mu      sync.Mutex
+	idle    map[string][]*pooledWorker // by key, least recently returned first
+	reaping bool                       // a reap is scheduled
+}
+
+// pooledWorker is one supervisor of the pool.
+type pooledWorker struct {
+	sup *procexec.Supervisor
+	key string
+	// staged is the staging hash of the last campaign that held it: the
+	// experiment its worker staged last.
+	staged    uint64
+	idleSince time.Time
+}
+
+// checkout takes the most recently returned idle supervisor for key, or
+// builds one from cfg whose worker spawns on first use.
+func (p *workerPool) checkout(key string, cfg procexec.Config) *pooledWorker {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if ws := p.idle[key]; len(ws) > 0 {
+		w := ws[len(ws)-1]
+		if len(ws) == 1 {
+			delete(p.idle, key)
+		} else {
+			p.idle[key] = slices.Delete(ws, len(ws)-1, len(ws))
+		}
+		return w
+	}
+	return &pooledWorker{sup: procexec.NewSupervisor(cfg), key: key}
+}
+
+// checkin returns a supervisor to the pool, where reap closes it once it
+// has sat idle for workerIdleTimeout.
+func (p *workerPool) checkin(w *pooledWorker) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	w.idleSince = time.Now()
+	if p.idle == nil {
+		p.idle = make(map[string][]*pooledWorker)
+	}
+	p.idle[w.key] = append(p.idle[w.key], w)
+	if !p.reaping {
+		p.reaping = true
+		time.AfterFunc(workerIdleTimeout, p.reap)
+	}
+}
+
+// reap closes the supervisors idle for workerIdleTimeout and schedules
+// itself again while any remain.
+func (p *workerPool) reap() {
+	var expired []*pooledWorker
+	p.mu.Lock()
+	now := time.Now()
+	next := time.Duration(0)
+	for key, ws := range p.idle {
+		n := 0
+		for n < len(ws) && now.Sub(ws[n].idleSince) >= workerIdleTimeout {
+			n++
+		}
+		expired = append(expired, ws[:n]...)
+		if n == len(ws) {
+			delete(p.idle, key)
+			continue
+		}
+		ws = slices.Delete(ws, 0, n)
+		p.idle[key] = ws
+		if left := workerIdleTimeout - now.Sub(ws[0].idleSince); next == 0 || left < next {
+			next = left
+		}
+	}
+	p.reaping = next > 0
+	if p.reaping {
+		time.AfterFunc(next, p.reap)
+	}
+	p.mu.Unlock()
+	for _, w := range expired {
+		w.sup.Close()
+	}
+}
+
+// CloseWorkers closes every idle isolated worker of e and its clones; one
+// a running campaign holds is closed once it has sat idle for
+// workerIdleTimeout after that campaign returns it. The binaries call it
+// on their way out, so no worker outlives them.
+func (e *Env) CloseWorkers() {
+	p := &e.shared.workers
+	p.mu.Lock()
+	idle := p.idle
+	p.idle = nil
+	p.mu.Unlock()
+	for _, ws := range idle {
+		for _, w := range ws {
+			w.sup.Close()
+		}
+	}
+}
+
+// isoCampaign is one campaign's hold on its Env's worker pool: the worker
+// configuration it checks supervisors out under, the staging hash of its
+// experiment, and the supervisor each dispatch slot holds.
+type isoCampaign struct {
+	pool    *workerPool
+	key     string
+	cfg     procexec.Config
+	obs     *obs.Telemetry
+	staging uint64
+	held    []*pooledWorker // by dispatch slot; a slot checks out on first use
+}
+
+// newIsoCampaign resolves the campaign's worker configuration and staging
+// hash. A slot the worker budget does not grant never checks out.
+func (e *Env) newIsoCampaign(pc *PreparedCampaign, opts CampaignOptions) (*isoCampaign, error) {
 	argv := opts.WorkerArgv
 	if len(argv) == 0 {
 		exe, err := os.Executable()
@@ -139,49 +346,75 @@ func (e *Env) newIsoPool(opts CampaignOptions) (isoPool, error) {
 	if restarts <= 0 {
 		restarts = -1
 	}
-	p := make(isoPool, e.campaignWorkers())
-	for i := range p {
-		p[i] = procexec.NewSupervisor(procexec.Config{
+	return &isoCampaign{
+		pool: &e.shared.workers,
+		// The whole worker configuration, so a chaos campaign never
+		// inherits a clean worker nor a clean campaign a chaos one. The
+		// chaos plan counts by identity.
+		key: fmt.Sprintf("%q %q %p %d %v %v", argv, opts.WorkerEnv, opts.Chaos, restarts, opts.Backoff, opts.WorkerWarmupGrace),
+		cfg: procexec.Config{
 			Argv:        argv,
 			Env:         opts.WorkerEnv,
 			MaxRestarts: restarts,
 			Backoff:     opts.Backoff,
 			WarmupGrace: opts.WorkerWarmupGrace,
 			Chaos:       opts.Chaos,
-			Obs:         e.Obs,
-		})
-	}
-	return p, nil
+		},
+		obs:     e.Obs,
+		staging: stagingHash(pc.Spec, pc.Golden, pc.Prof.Store, pc.Mode, e.Config),
+		held:    make([]*pooledWorker, e.campaignWorkers()),
+	}, nil
 }
 
-// Close shuts every supervisor down, killing any live worker group. The
-// campaign calls it before its final store flush so no worker process
-// outlives the run.
-func (p isoPool) Close() {
-	var wg sync.WaitGroup
-	for _, s := range p {
-		wg.Add(1)
-		go func(s *procexec.Supervisor) {
-			defer wg.Done()
-			s.Close()
-		}(s)
+// supervisor returns the supervisor slot holds, checking one out on the
+// slot's first use: its worker lifecycle telemetry now goes to this
+// campaign, and a worker that last staged another experiment gets the
+// warm-up grace again for its first request. The per-injection watchdog
+// deadline travels per request through Do.
+func (ic *isoCampaign) supervisor(slot int) *procexec.Supervisor {
+	w := ic.held[slot]
+	if w == nil {
+		w = ic.pool.checkout(ic.key, ic.cfg)
+		w.sup.SetObs(ic.obs)
+		if w.staged != ic.staging {
+			w.sup.Restage()
+			w.staged = ic.staging
+		}
+		ic.held[slot] = w
 	}
-	wg.Wait()
+	return w.sup
 }
 
-// runInjectionIsolated executes one injection in a supervised worker
-// subprocess and maps process deaths onto the campaign's classification:
+// release returns the campaign's supervisors to the pool. An interrupted
+// campaign closes them instead, so no worker keeps running after an
+// interrupt and the slot spawns afresh on its next checkout.
+func (ic *isoCampaign) release(interrupted bool) {
+	for _, w := range ic.held {
+		switch {
+		case w == nil:
+		case interrupted:
+			w.sup.Close()
+		default:
+			ic.pool.checkin(w)
+		}
+	}
+}
+
+// runInjectionIsolated executes one injection in the worker slot holds
+// and maps process deaths onto the campaign's classification:
 // a worker crash (panic, SIGKILL, corrupt protocol) that survives the
 // supervisor's restarts is a crash failure, a worker hang (heartbeat
 // miss or watchdog deadline) a hang failure — the same outcomes the
 // in-process path produces for *gpu.CrashError and watchdog expiry, which
 // is what keeps figure digests byte-identical across isolation modes.
 // When the worker cannot be spawned at all the injection degrades
-// gracefully to the in-process guarded path.
+// gracefully to the in-process guarded path against gt.
 func (e *Env) runInjectionIsolated(
 	ctx context.Context,
-	sup *procexec.Supervisor,
+	ic *isoCampaign,
+	slot int,
 	pc *PreparedCampaign,
+	gt *goldenTrace,
 	inj Injection,
 	timeout time.Duration,
 	opts CampaignOptions,
@@ -190,15 +423,14 @@ func (e *Env) runInjectionIsolated(
 		Program: pc.Spec.Name,
 		Dataset: pc.Golden.Dataset.Index,
 		Mode:    int(pc.Mode),
+		Staging: ic.staging,
 		Cmd:     wireCommand(inj.Cmd),
-		Bits:    inj.Bits,
-		Class:   int(inj.Class),
 	}
 	payload, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := sup.Do(ctx, inj.Cmd.Key(), payload, timeout)
+	resp, err := ic.supervisor(slot).Do(ctx, inj.Cmd.Key(), payload, timeout)
 	switch {
 	case err == nil:
 		var out isoResponse
@@ -222,7 +454,7 @@ func (e *Env) runInjectionIsolated(
 				obs.Str("reason", err.Error()))
 			e.Obs.Metrics().Counter("hauberk_worker_spawn_fallbacks_total").Inc()
 		}
-		return e.runInjectionGuarded(ctx, pc, inj, timeout, opts)
+		return e.runInjectionGuarded(ctx, pc, gt, inj, timeout, opts)
 
 	default:
 		var crash *guardian.WorkerCrashError

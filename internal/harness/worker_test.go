@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hauberk/internal/guardian"
+	"hauberk/internal/guardian/procexec"
 	"hauberk/internal/guardian/procexec/chaos"
 	"hauberk/internal/obs"
 )
@@ -77,7 +78,8 @@ func TestIsolatedCampaignDigestIdentical(t *testing.T) {
 	if got, want := iso.FigureDigest(), ref.FigureDigest(); got != want {
 		t.Fatalf("isolated digest differs from in-process run:\n%s\nvs\n%s", got, want)
 	}
-	// The same boundary with the store kept in memory.
+	// The same boundary with the store kept in memory, on the workers the
+	// first campaign left in the Env's pool.
 	spawned := e.Obs.Metrics().Counter("hauberk_worker_spawns_total").Value()
 	if spawned < 1 {
 		t.Errorf("hauberk_worker_spawns_total = %d; the isolated run spawned no workers", spawned)
@@ -89,8 +91,8 @@ func TestIsolatedCampaignDigestIdentical(t *testing.T) {
 	if got, want := isoMem.FigureDigest(), ref.FigureDigest(); got != want {
 		t.Fatalf("isolated in-memory digest differs from in-process run:\n%s\nvs\n%s", got, want)
 	}
-	if n := e.Obs.Metrics().Counter("hauberk_worker_spawns_total").Value(); n <= spawned {
-		t.Errorf("the isolated in-memory run spawned no workers")
+	if n := e.Obs.Metrics().Counter("hauberk_worker_spawns_total").Value(); n != spawned {
+		t.Errorf("the second isolated campaign on one Env spawned %d workers; it should check out the pooled ones", n-spawned)
 	}
 	if n := e.Obs.Metrics().Counter("hauberk_worker_crashes_total").Value(); n != 0 {
 		t.Errorf("hauberk_worker_crashes_total = %d on clean runs", n)
@@ -256,5 +258,281 @@ func TestIsolatedCampaignUnknownMode(t *testing.T) {
 	_, err := e.RunPrepared(context.Background(), planTiny(t, e), CampaignOptions{Dir: t.TempDir(), Isolation: "container"})
 	if err == nil || !strings.Contains(err.Error(), "unknown isolation mode") {
 		t.Fatalf("unknown isolation mode: got %v, want rejection", err)
+	}
+}
+
+// idleWorkers counts the supervisors e's worker pool holds idle.
+func idleWorkers(e *Env) int {
+	p := &e.shared.workers
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, ws := range p.idle {
+		n += len(ws)
+	}
+	return n
+}
+
+// TestWorkerPoolOutlivesCampaigns: back-to-back isolated campaigns on one
+// Env and its clones spawn one worker per granted slot in all, not one per
+// slot per campaign, with the digest unmoved; a fresh Env spawns its own.
+func TestWorkerPoolOutlivesCampaigns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign is slow")
+	}
+	e := NewEnv(tinyScale())
+	e.Scale.Workers = 2
+	pc := planTiny(t, e)
+	ref, err := e.RunPrepared(context.Background(), pc, CampaignOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := obs.New(&obs.MemSink{})
+	e.WithObs(tel)
+	spawns := func() int64 { return tel.Metrics().Counter("hauberk_worker_spawns_total").Value() }
+	for k, env := range []*Env{e, e.Clone(), e, e.Clone()} {
+		iso, err := env.RunPrepared(context.Background(), pc, isoOpts(t, "", ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := iso.FigureDigest(), ref.FigureDigest(); got != want {
+			t.Fatalf("campaign %d: isolated digest differs from in-process run:\n%s\nvs\n%s", k, got, want)
+		}
+	}
+	if n, idle := spawns(), idleWorkers(e); n < 1 || n != int64(idle) || idle > e.campaignWorkers() {
+		t.Fatalf("4 campaigns spawned %d workers and pooled %d; want one per granted slot (at most %d)", n, idle, e.campaignWorkers())
+	}
+
+	before := spawns()
+	fresh := NewEnv(tinyScale()).WithObs(tel)
+	fresh.Scale.Workers = 1
+	if _, err := fresh.RunPrepared(context.Background(), pc, isoOpts(t, "", "")); err != nil {
+		t.Fatal(err)
+	}
+	if spawns() != before+1 {
+		t.Errorf("a fresh Env spawned %d workers, want its own one", spawns()-before)
+	}
+}
+
+// TestWorkerPoolKeysByConfiguration: campaigns whose worker environment
+// or chaos plan differ never share a worker; the same configuration does.
+func TestWorkerPoolKeysByConfiguration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign is slow")
+	}
+	e := NewEnv(tinyScale())
+	e.Scale.Workers = 1
+	tel := obs.New(&obs.MemSink{})
+	e.WithObs(tel)
+	pc := planTiny(t, e)
+	clean := isoOpts(t, "", "")
+	otherEnv := isoOpts(t, "", "")
+	otherEnv.WorkerEnv = append(otherEnv.WorkerEnv, "HAUBERK_TEST_POOL=1")
+	withChaos := isoOpts(t, "", "")
+	var err error
+	if withChaos.Chaos, err = chaos.Parse("spawnfail@99"); err != nil {
+		t.Fatal(err)
+	}
+	// Each campaign checks out right after the last one returned its
+	// worker, well inside workerIdleTimeout.
+	for i, step := range []struct {
+		opts   CampaignOptions
+		spawns int64
+	}{{clean, 1}, {clean, 1}, {otherEnv, 2}, {withChaos, 3}} {
+		if _, err := e.RunPrepared(context.Background(), pc, step.opts); err != nil {
+			t.Fatal(err)
+		}
+		if n, want := tel.Metrics().Counter("hauberk_worker_spawns_total").Value(), step.spawns; n != want {
+			t.Fatalf("after campaign %d: %d spawns, want %d (one per distinct worker configuration)", i, n, want)
+		}
+	}
+}
+
+// TestWorkerPoolInterruptedCampaignRespawns: an interrupted campaign leaves
+// no worker behind, and the next campaign's slot spawns afresh.
+func TestWorkerPoolInterruptedCampaignRespawns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign is slow")
+	}
+	e := NewEnv(tinyScale())
+	e.Scale.Workers = 1
+	tel := obs.New(&obs.MemSink{})
+	e.WithObs(tel)
+	pc := planTiny(t, e)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := isoOpts(t, t.TempDir(), "")
+	opts.OnResult = func(done, _ int) {
+		if done >= 2 {
+			cancel()
+		}
+	}
+	if _, err := e.RunPrepared(ctx, pc, opts); !errors.Is(err, ErrCampaignInterrupted) {
+		t.Fatalf("interrupted campaign returned %v, want ErrCampaignInterrupted", err)
+	}
+	if n := idleWorkers(e); n != 0 {
+		t.Fatalf("the interrupted campaign pooled %d supervisors, want its workers closed", n)
+	}
+	if _, err := e.RunPrepared(context.Background(), pc, isoOpts(t, "", "")); err != nil {
+		t.Fatal(err)
+	}
+	if n := tel.Metrics().Counter("hauberk_worker_spawns_total").Value(); n != 2 {
+		t.Fatalf("%d spawns, want 2: the campaign after the interrupt spawns its own worker", n)
+	}
+}
+
+// TestWorkerPoolReapsIdleWorkers: a worker idle for workerIdleTimeout is
+// closed, so a dropped Env leaves no process behind.
+func TestWorkerPoolReapsIdleWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign is slow")
+	}
+	e := NewEnv(tinyScale())
+	e.Scale.Workers = 1
+	if _, err := e.RunPrepared(context.Background(), planTiny(t, e), isoOpts(t, "", "")); err != nil {
+		t.Fatal(err)
+	}
+	if n := idleWorkers(e); n != 1 {
+		t.Fatalf("%d pooled supervisors after the campaign, want 1", n)
+	}
+	time.Sleep(2 * workerIdleTimeout)
+	if n := idleWorkers(e); n != 0 {
+		t.Fatalf("%d supervisors still pooled after %v idle", n, 2*workerIdleTimeout)
+	}
+	if n := procexec.KillAllWorkers(); n != 0 {
+		t.Fatalf("KillAllWorkers found %d live workers after the idle interval", n)
+	}
+}
+
+// TestWorkerTelemetryFollowsHolder: a pooled supervisor reports to the
+// campaign holding it. The worker's chaos kill lands on its first request
+// of the second campaign, so that campaign's journal — and only it —
+// records the crash and the restart.
+func TestWorkerTelemetryFollowsHolder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign is slow")
+	}
+	base := NewEnv(tinyScale())
+	base.Scale.Workers = 1
+	pc := planTiny(t, base)
+	opts := isoOpts(t, "", fmt.Sprintf("kill@%d", len(pc.Plan)))
+	var sinks [2]*obs.MemSink
+	for i := range sinks {
+		sinks[i] = &obs.MemSink{}
+		if _, err := base.Clone().WithObs(obs.New(sinks[i])).RunPrepared(context.Background(), pc, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	count := func(s *obs.MemSink, typ string) int {
+		n := 0
+		for _, ev := range s.Events() {
+			if ev.Type == typ {
+				n++
+			}
+		}
+		return n
+	}
+	for i, want := range []map[string]int{
+		{obs.EvWorkerSpawn: 1, obs.EvWorkerCrash: 0, obs.EvWorkerRestart: 0},
+		{obs.EvWorkerSpawn: 1, obs.EvWorkerCrash: 1, obs.EvWorkerRestart: 1},
+	} {
+		for typ, n := range want {
+			if got := count(sinks[i], typ); got != n {
+				t.Errorf("campaign %d journal: %d %s events, want %d", i+1, got, typ, n)
+			}
+		}
+	}
+}
+
+// TestIsolatedCampaignRefusesEditedStaging: a campaign whose range store
+// was widened after preparation is not the experiment a worker stages, so
+// the isolated run fails loudly instead of running the unedited one; the
+// unedited campaign still runs on the same workers.
+func TestIsolatedCampaignRefusesEditedStaging(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign is slow")
+	}
+	e := NewEnv(tinyScale())
+	e.Scale.Workers = 1
+	pc := planTiny(t, e)
+	widened := *pc
+	prof := *pc.Prof
+	prof.Store = pc.Prof.Store.Clone()
+	prof.Store.SetAlpha(2)
+	widened.Prof = &prof
+	if _, err := e.RunPrepared(context.Background(), &widened, CampaignOptions{}); err != nil {
+		t.Fatalf("the widened campaign in-process: %v", err)
+	}
+	_, err := e.RunPrepared(context.Background(), &widened, isoOpts(t, "", ""))
+	if err == nil || !strings.Contains(err.Error(), "campaign prepared") {
+		t.Fatalf("widened-store isolated campaign returned %v, want a staging mismatch", err)
+	}
+	ref, err := e.RunPrepared(context.Background(), pc, CampaignOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	iso, err := e.RunPrepared(context.Background(), pc, isoOpts(t, "", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := iso.FigureDigest(), ref.FigureDigest(); got != want {
+		t.Fatalf("unedited isolated digest differs from in-process run:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestWorkerStagingLRU pins the worker's staging cache: a hit moves the
+// entry to the front, a miss beyond capacity evicts the least recently
+// used, and an evicted experiment re-staged gives the same outcome.
+func TestWorkerStagingLRU(t *testing.T) {
+	e := NewEnv(tinyScale())
+	pc := planTiny(t, e)
+	req := isoRequest{
+		Program: pc.Spec.Name,
+		Dataset: pc.Golden.Dataset.Index,
+		Mode:    int(pc.Mode),
+		Staging: stagingHash(pc.Spec, pc.Golden, pc.Prof.Store, pc.Mode, e.Config),
+		Cmd:     wireCommand(pc.Plan[0].Cmd),
+	}
+	want, err := e.RunInjection(pc.Spec, pc.Golden, pc.Prof.Store, pc.Mode, pc.Plan[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newWorkerState(2)
+	keys := func() []string {
+		var out []string
+		for _, st := range w.lru {
+			out = append(out, st.key)
+		}
+		return out
+	}
+	first, err := w.run(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		dataset int
+		want    string
+	}{
+		{1, "CP|1 CP|0"},
+		{0, "CP|0 CP|1"}, // a hit moves to the front
+		{2, "CP|2 CP|0"}, // a miss evicts the least recently used
+		{1, "CP|1 CP|2"},
+	} {
+		if _, err := w.stage("CP", step.dataset); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(keys(), " "); got != step.want {
+			t.Fatalf("after staging CP|%d: LRU %q, want %q", step.dataset, got, step.want)
+		}
+	}
+	again, err := w.run(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(keys(), " "); got != "CP|0 CP|1" {
+		t.Fatalf("after re-staging CP|0: LRU %q", got)
+	}
+	if first != again || first.Outcome != int(want.Outcome) || first.Hang != want.Hang || first.Activated != want.Activated {
+		t.Fatalf("re-staged outcome %+v, first %+v, in-process %+v", again, first, *want)
 	}
 }

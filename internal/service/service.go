@@ -526,7 +526,7 @@ func (d *Daemon) Draining() bool {
 // Shutdown drains gracefully: stop admission, stop dispatch, cancel the
 // running campaigns' contexts so they checkpoint through the durable
 // store, wait (bounded by DrainTimeout, then ctx) for them to flush,
-// and close the HTTP server. Queued and interrupted campaigns stay
+// close the pooled isolated workers, and close the HTTP server. Queued and interrupted campaigns stay
 // persisted and requeue on the next Start.
 func (d *Daemon) Shutdown(ctx context.Context) error {
 	d.mu.Lock()
@@ -545,6 +545,9 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	if err := d.sched.AwaitIdle(drainCtx); err != nil {
 		d.cfg.Logf("hauberkd: drain incomplete: %v", err)
 	}
+	// The campaigns' isolated workers stay pooled between campaigns; none
+	// may outlive the daemon.
+	d.env.CloseWorkers()
 	err := d.http.shutdown(ctx)
 	d.cfg.Logf("hauberkd: stopped")
 	return err

@@ -43,4 +43,15 @@ diff "$work/ref.txt" "$work/resumed.txt"
 "$work/hauberk-report" -campaign "$work/sharded" >"$work/sharded.txt"
 diff "$work/ref.txt" "$work/sharded.txt"
 
-echo "campaign smoke: resume and shard-merge reports are byte-identical to the uninterrupted run"
+# The same campaign in isolated workers. The workers outlive the campaign
+# in the run's worker pool, but not the run: a clean exit closes them.
+"$work/hauberk-run" -program CP -campaign-dir "$work/isolated" -isolation process >/dev/null
+if pgrep -f "$work/hauberk-run" >/dev/null; then
+  echo "campaign smoke: worker processes survived the clean -isolation process exit:" >&2
+  pgrep -af "$work/hauberk-run" >&2
+  exit 1
+fi
+"$work/hauberk-report" -campaign "$work/isolated" >"$work/isolated.txt"
+diff "$work/ref.txt" "$work/isolated.txt"
+
+echo "campaign smoke: resume, shard-merge and isolated reports are byte-identical to the uninterrupted run; no worker outlives its run"
