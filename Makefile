@@ -46,10 +46,19 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# lint is go vet plus staticcheck. CI installs the pinned version via
-# `make tools`; environments without it (and without network to fetch it)
-# skip that half with a note rather than failing.
+# lint is go vet, the HTTP-client guard and staticcheck. The guard keeps
+# one HTTP/retry idiom: an http.Client literal in non-test Go code is only
+# allowed in internal/fleet (the transport every client shares) and bench/,
+# plus cmd/hauberk-load until its recording role is retired or it moves
+# onto fleet.Client. CI installs the pinned staticcheck via `make tools`;
+# environments without it (and without network to fetch it) skip that
+# half with a note rather than failing.
 lint: vet
+	@sites=$$(grep -rn --include='*.go' --exclude='*_test.go' 'http\.Client{' . | \
+		grep -v -e '^\./internal/fleet/' -e '^\./bench/' -e '^\./cmd/hauberk-load/'); \
+	if [ -n "$$sites" ]; then \
+		echo "http.Client built outside internal/fleet (use fleet.NewTransport):"; echo "$$sites"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -75,12 +84,15 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) }' || \
 		{ echo "coverage $$total% fell below the recorded $(COVER_FLOOR)% floor"; exit 1; }
 
-# fuzz runs FuzzResumeCarry (internal/gpu) for 30 s: generated histogram
-# kernels, resumed with and without carried differences, must equal a full
-# launch bit for bit. Plain `go test` replays only its committed corpus
-# (internal/gpu/testdata/fuzz).
+# fuzz spends 30 s on two targets. FuzzResumeCarry (internal/gpu, 15 s):
+# generated histogram kernels, resumed with and without carried
+# differences, must equal a full launch bit for bit. FuzzEventStream
+# (internal/fleet, 15 s): the one event-feed reader and the read API's
+# ?wait=/?replay= parsing. Plain `go test` replays only their seeds and
+# committed corpora (testdata/fuzz).
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzResumeCarry$$' -fuzztime=30s ./internal/gpu
+	$(GO) test -run '^$$' -fuzz '^FuzzResumeCarry$$' -fuzztime=15s ./internal/gpu
+	$(GO) test -run '^$$' -fuzz '^FuzzEventStream$$' -fuzztime=15s ./internal/fleet
 
 # bench-smoke is the does-it-still-run gate for the baseline kernels: one
 # iteration of every engine/workload pair, no timing claims. The benchmark
@@ -117,10 +129,11 @@ campaign-smoke:
 chaos-smoke:
 	timeout $(SMOKE_TIMEOUT) ./scripts/chaos_smoke.sh
 
-# monitor-smoke exercises the embedded HTTP monitor through the real
-# binaries: run a campaign with -http, scrape /metrics through the strict
-# exposition parser, stream /events, poll /campaign to completion, and
-# verify figure digests are byte-identical with the monitor on or off.
+# monitor-smoke exercises `hauberk-run -http` through the real binaries
+# and hauberkd's read API: stream the run's event feed (-campaigns -id
+# -events), scrape /metrics through the strict exposition parser, long-poll
+# the run to done (-wait) and check its served digest, and verify figure
+# reports are byte-identical with the monitor on or off.
 monitor-smoke:
 	VERSION=$(VERSION) timeout $(SMOKE_TIMEOUT) ./scripts/monitor_smoke.sh
 

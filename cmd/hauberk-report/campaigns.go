@@ -10,11 +10,12 @@ import (
 	"hauberk/internal/service"
 )
 
-// campaignsOpts drives the hauberkd client mode (-campaigns): the smoke
-// scripts and operators use it to submit, watch, cancel, and verify
-// campaigns without curl.
+// campaignsOpts drives the campaign client mode (-campaigns) against a
+// hauberkd or a `hauberk-run -http` monitor, which serve one read API:
+// the smoke scripts and operators use it to submit, watch, cancel, and
+// verify campaigns without curl.
 type campaignsOpts struct {
-	base    string // daemon base URL
+	base    string // daemon or monitor base URL
 	submit  string // program to submit; empty = no submission
 	scale   string
 	dataset int
@@ -34,7 +35,6 @@ type campaignsOpts struct {
 // campaign's live feed, -digest prints the digest bytes alone. With no
 // action flags it lists every campaign the daemon knows.
 func campaignsCmd(o campaignsOpts) int {
-	o.base = normalizeBase(o.base)
 	if o.digest {
 		o.wait = true // a digest only exists at the terminal state
 	}
@@ -79,7 +79,21 @@ func campaignsCmd(o campaignsOpts) int {
 			fmt.Fprintln(os.Stderr, "campaigns: -events needs -id (or -submit)")
 			return 2
 		}
-		return tailEvents(o.base+"/v1/campaigns/"+o.id, o.events, o.timeout)
+		got := 0
+		err := cl.Events(ctx, o.id, func(e fleet.Event) bool {
+			got++
+			fmt.Printf("%6d %s\n", e.Seq, e.Type)
+			return got < o.events
+		})
+		if err == nil && got < o.events {
+			err = fmt.Errorf("event feed ended after %d/%d events", got, o.events)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "campaigns: %v\n", err)
+			return 1
+		}
+		fmt.Printf("events: %d streamed in sequence order\n", got)
+		return 0
 	case o.id != "":
 		st, err := waitCampaign(ctx, cl, o)
 		if err != nil {
@@ -113,13 +127,13 @@ func campaignsCmd(o campaignsOpts) int {
 	}
 }
 
-// campaignsClient is the one hauberkd API client of -campaigns: every
-// verb goes through the fleet transport, which bounds retries — admission
-// pushback (429) retries at most MaxAttempts times, each honored
-// Retry-After capped and jittered, so a daemon stuck answering 429 cannot
-// park the client until its deadline.
+// campaignsClient is the one HTTP client of hauberk-report (-campaigns,
+// -scrape): every verb goes through the fleet transport, which bounds
+// retries — admission pushback (429) retries at most MaxAttempts times,
+// each honored Retry-After capped and jittered, so a daemon stuck
+// answering 429 cannot park the client until its deadline.
 func campaignsClient(base string) *fleet.Client {
-	tr := fleet.NewTransport(httpClient.Timeout)
+	tr := fleet.NewTransport(0)
 	tr.MaxAttempts = 6
 	return tr.Client(base)
 }

@@ -1,12 +1,13 @@
 // Command hauberk-report regenerates the paper's evaluation tables and
 // figures. Each figure of the paper maps to one table here; see DESIGN.md
 // for the per-experiment index. It also renders telemetry event journals
-// (written by `hauberk-run -trace`) as human-readable timelines, and acts
-// as the client for the live monitor embedded by `hauberk-run -http`:
-// -live polls /campaign and renders progress until the campaign
-// completes, -scrape health-checks the monitor and strict-parses a live
-// /metrics exposition, -tail streams the /events journal verifying
-// sequence order, and -promlint strict-parses an exposition file.
+// (written by `hauberk-run -trace`) as human-readable timelines, and is
+// the client of the one campaign read API that hauberkd and
+// `hauberk-run -http` both serve: -campaigns lists campaigns, follows one
+// by -id (-wait to its terminal state, -events N of its event feed in
+// sequence order, -digest), and against hauberkd also submits and
+// cancels; -scrape health-checks either binary and strict-parses its live
+// /metrics exposition; -promlint strict-parses an exposition file.
 //
 // Usage:
 //
@@ -14,9 +15,9 @@
 //	hauberk-report -fig 13 -scale full
 //	hauberk-report -fig all -scale full -md > EXPERIMENTS-data.md
 //	hauberk-report -trace /tmp/t.jsonl
-//	hauberk-report -live 127.0.0.1:8344
+//	hauberk-report -campaigns 127.0.0.1:8344 -id r012345 -wait
+//	hauberk-report -campaigns 127.0.0.1:8344 -id r012345 -events 25
 //	hauberk-report -scrape 127.0.0.1:8344
-//	hauberk-report -tail 127.0.0.1:8344 -tail-n 25
 package main
 
 import (
@@ -38,15 +39,11 @@ func main() {
 		trace    = flag.String("trace", "", "render this JSONL event journal as a detect/diagnose/recover timeline instead of regenerating figures")
 		campaign = flag.String("campaign", "", "merge the shard logs of this campaign store directory (written by `hauberk-run -campaign-dir`) and report the aggregate figures")
 
-		live     = flag.String("live", "", "poll this monitor base URL's /campaign endpoint (from `hauberk-run -http`) and render live progress until the campaign completes")
-		poll     = flag.Duration("poll", 500*time.Millisecond, "poll interval for -live; with -campaigns -wait, the longest one status request parks on the daemon")
-		scrape   = flag.String("scrape", "", "GET /healthz, /readyz and /metrics from this monitor base URL and strict-parse the exposition")
-		tail     = flag.String("tail", "", "stream events from this monitor base URL's /events endpoint and verify sequence order")
-		tailN    = flag.Int("tail-n", 10, "number of events -tail waits for")
-		tailWait = flag.Duration("tail-wait", 30*time.Second, "how long -tail waits for its events before giving up")
+		poll     = flag.Duration("poll", 500*time.Millisecond, "-campaigns -wait: the longest one status request parks on the server")
+		scrape   = flag.String("scrape", "", "GET /healthz, /readyz and /metrics from this hauberkd or `hauberk-run -http` base URL and strict-parse the exposition")
 		promlint = flag.String("promlint", "", "strict-parse this Prometheus text exposition file (\"-\" = stdin)")
 
-		campaigns   = flag.String("campaigns", "", "hauberkd base URL: list campaigns, or act on one with -submit/-id/-cancel/-wait/-events/-digest")
+		campaigns   = flag.String("campaigns", "", "hauberkd or `hauberk-run -http` base URL: list campaigns, or act on one with -submit/-id/-cancel/-wait/-events/-digest")
 		submit      = flag.String("submit", "", "-campaigns: submit a campaign of this program (scale from -scale, dataset from -dataset)")
 		dataset     = flag.Int("dataset", 0, "-campaigns -submit: dataset index")
 		tenant      = flag.String("tenant", "default", "-campaigns -submit: tenant name")
@@ -74,14 +71,8 @@ func main() {
 			RatiosOnly:   *benchRatios,
 		}))
 	}
-	if *live != "" {
-		os.Exit(liveCampaign(*live, *poll))
-	}
 	if *scrape != "" {
 		os.Exit(scrapeMonitor(*scrape))
-	}
-	if *tail != "" {
-		os.Exit(tailEvents(*tail, *tailN, *tailWait))
 	}
 	if *promlint != "" {
 		os.Exit(promlintPath(*promlint))

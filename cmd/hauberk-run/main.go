@@ -15,16 +15,17 @@
 // `hauberk-report -trace t.jsonl`. With -metrics a Prometheus-text
 // exposition is dumped at exit.
 //
-// With -http the process embeds a live monitor serving /metrics
-// (Prometheus text), /events (NDJSON or SSE journal tail), /campaign
-// (JSON progress/ETA/failure-class status), /healthz, /readyz and
-// /debug/pprof on the given address (":0" picks a port, printed at
-// startup). The monitor is a pure observer — figure digests are
+// With -http the process serves its run as one campaign over hauberkd's
+// read API — GET /v1/campaigns, /v1/campaigns/{id} (?wait= long-polls to
+// the terminal state) and /v1/campaigns/{id}/events (NDJSON or SSE) —
+// next to /metrics, /healthz, /readyz and /debug/pprof, on the given
+// address (":0" picks a port; the address and the campaign ID are printed
+// at startup). The monitor is a pure observer — figure digests are
 // byte-identical with it on or off — and with -http unset none of it is
 // constructed, preserving the zero-allocation telemetry hot path.
 // -http-linger keeps it serving after the run so pollers can observe the
-// terminal state; `hauberk-report -live/-scrape/-tail` are the matching
-// clients.
+// terminal state; `hauberk-report -campaigns <addr> -id <id>` and
+// `-scrape <addr>` are the matching clients, the same as for hauberkd.
 //
 // -workers sizes campaign/profiling parallelism (0 = one per CPU). Every
 // kernel launch runs the one serial bytecode engine.
@@ -66,7 +67,7 @@ import (
 	"hauberk/internal/harness"
 	"hauberk/internal/kir"
 	"hauberk/internal/obs"
-	"hauberk/internal/obs/obshttp"
+	"hauberk/internal/service"
 	"hauberk/internal/swifi"
 	"hauberk/internal/version"
 	"hauberk/internal/workloads"
@@ -83,8 +84,9 @@ const exitResumable = 7
 func main() { os.Exit(run()) }
 
 // run does the work and returns the process exit code; deferred cleanup
-// (journal flush, metrics dump, range save) runs before main exits.
-func run() int {
+// (monitor's final state, journal flush, metrics dump, range save) runs
+// before main exits.
+func run() (code int) {
 	var (
 		program     = flag.String("program", "CP", "benchmark program name")
 		variant     = flag.String("variant", "hauberk", "baseline, hauberk, hauberk-nl, hauberk-l")
@@ -98,7 +100,7 @@ func run() int {
 		metricsPath = flag.String("metrics", "", "dump Prometheus-text metrics to this file at exit")
 		workers     = flag.Int("workers", 0, "campaign/profiling worker goroutines (0 = one per CPU)")
 
-		httpAddr   = flag.String("http", "", "serve the live monitor (/metrics, /events, /campaign, /healthz, /debug/pprof) on this address; :0 picks a port")
+		httpAddr   = flag.String("http", "", "serve the run as one campaign over hauberkd's read API (/v1/campaigns...) plus /metrics, /healthz, /readyz and /debug/pprof on this address; :0 picks a port")
 		httpLinger = flag.Duration("http-linger", 0, "keep the monitor serving this long after the run completes (lets pollers observe the terminal state)")
 		verFlag    = flag.Bool("version", false, "print the build version and exit")
 
@@ -148,31 +150,42 @@ func run() int {
 		return 2
 	}
 
+	shard, shards, err := harness.ParseShard(*shardSpec)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+
 	// Telemetry: a journal sink when -trace is given; -metrics alone
 	// still enables collection (events are discarded, counters kept);
-	// -http wraps whichever sink is configured in a fan-out broadcaster
-	// feeding the live monitor. With all three unset the telemetry stays
-	// the shared nop and hot paths keep their zero-allocation guarantee.
+	// -http serves the run as one campaign whose telemetry fans out to
+	// the journal and the monitor. With all three unset the telemetry
+	// stays the shared nop and hot paths keep their zero-allocation
+	// guarantee.
 	tel := obs.Nop()
-	var monitor *obshttp.Server
+	var monitor *service.Monitor
+	var digest string
 	if *tracePath != "" || *metricsPath != "" || *httpAddr != "" {
-		var sink obs.Sink
+		var journal obs.Sink
 		if *tracePath != "" {
-			journal, err := obs.OpenJournal(*tracePath)
+			j, err := obs.OpenJournal(*tracePath)
 			if err != nil {
 				return fail(err)
 			}
-			sink = journal
+			journal = j
 		}
-		var broadcaster *obs.Broadcaster
-		var tracker *obs.ProgressTracker
 		if *httpAddr != "" {
-			broadcaster = obs.NewBroadcaster(sink)
-			tracker = obs.NewProgressTracker()
-			broadcaster.Attach(tracker)
-			sink = broadcaster
+			monitor, err = service.ServeMonitor(*httpAddr, service.Submission{
+				Program: spec.Name, Scale: *scaleName, Dataset: *dataset,
+				Isolation: *isolation, Shard: shard, Shards: shards,
+			}, journal)
+			if err != nil {
+				return fail(err)
+			}
+			tel = monitor.Telemetry()
+		} else {
+			tel = obs.New(journal)
 		}
-		tel = obs.New(sink)
 		defer func() {
 			if err := tel.Close(); err != nil {
 				fmt.Fprintf(os.Stderr, "trace: %v\n", err)
@@ -189,22 +202,21 @@ func run() int {
 				}
 			}()
 		}
-		if *httpAddr != "" {
-			monitor = obshttp.New(obshttp.Config{
-				Addr:        *httpAddr,
-				Registry:    tel.Metrics(),
-				Broadcaster: broadcaster,
-				Tracker:     tracker,
-			})
-			if err := monitor.Start(); err != nil {
-				return fail(err)
-			}
-			fmt.Printf("monitor: listening on http://%s\n", monitor.Addr())
+		if monitor != nil {
+			fmt.Printf("monitor: listening on http://%s campaign %s\n", monitor.Addr(), monitor.ID())
 			// Registered after the tel.Close defer, so LIFO ordering runs
-			// it first: the monitor (after an optional linger that lets
-			// pollers observe the terminal /campaign state) drains before
-			// the broadcaster and journal close under it.
+			// it first: the run's final state is published, then (after an
+			// optional linger that lets pollers observe it) the monitor
+			// drains before the broadcaster and journal close under it.
 			defer func() {
+				switch code {
+				case 0:
+					monitor.Finish(service.StateDone, digest, nil)
+				case exitResumable:
+					monitor.Finish(service.StateInterrupted, "", nil)
+				default:
+					monitor.Finish(service.StateFailed, "", fmt.Errorf("hauberk-run exit status %d", code))
+				}
 				if *httpLinger > 0 {
 					time.Sleep(*httpLinger)
 				}
@@ -230,7 +242,8 @@ func run() int {
 	ds := workloads.Dataset{Index: *dataset}
 
 	if *campaignDir != "" {
-		return runCampaign(env, spec, ds, *campaignDir, *resume, *shardSpec, *abortAfter, *isolation, monitor)
+		code, digest = runCampaign(env, spec, ds, *campaignDir, *resume, shard, shards, *abortAfter, *isolation, monitor)
+		return code
 	}
 
 	// The FT library loads profiled value ranges from a file at the entry
@@ -380,21 +393,17 @@ func run() int {
 
 // runCampaign is the durable campaign mode: plan deterministically,
 // run (or resume) this process's shard under the watchdog, and on
-// SIGINT/SIGTERM flush the store and exit with the resumable status.
-func runCampaign(env *harness.Env, spec *workloads.Spec, ds workloads.Dataset, dir string, resume bool, shardSpec string, abortAfter int, isolation string, monitor *obshttp.Server) int {
-	shard, shards, err := harness.ParseShard(shardSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
+// SIGINT/SIGTERM flush the store and exit with the resumable status. It
+// returns the exit code and, for a whole-plan campaign, the figure digest.
+func runCampaign(env *harness.Env, spec *workloads.Spec, ds workloads.Dataset, dir string, resume bool, shard, shards, abortAfter int, isolation string, monitor *service.Monitor) (int, string) {
 	chaosPlan, err := chaos.FromEnv()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		return 2
+		return 2, ""
 	}
 	pc, err := env.PrepareCampaign(spec, ds)
 	if err != nil {
-		return fail(err)
+		return fail(err), ""
 	}
 	fmt.Printf("campaign: %d injections planned for %s (shard %d/%d, store %s, isolation %s)\n",
 		len(pc.Plan), spec.Name, shard, shards, dir, isolation)
@@ -448,23 +457,24 @@ func runCampaign(env *harness.Env, spec *workloads.Spec, ds workloads.Dataset, d
 	cr, err := env.RunPrepared(ctx, pc, opts)
 	if errors.Is(err, harness.ErrCampaignInterrupted) {
 		fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
-		return exitResumable
+		return exitResumable, ""
 	}
 	if err != nil {
-		return fail(err)
+		return fail(err), ""
 	}
 	if shards > 1 {
 		fmt.Printf("shard %d/%d complete: %d injections recorded; merge with `hauberk-report -campaign %s` once all shards finish\n",
 			shard, shards, cr.All.Total(), dir)
-		return 0
+		return 0, ""
 	}
 	man, merged, err := harness.LoadCampaignDir(dir)
 	if err != nil {
-		return fail(err)
+		return fail(err), ""
 	}
+	digest := merged.FigureDigest()
 	fmt.Print(harness.CampaignTable(man, merged).Render())
-	fmt.Printf("figure digest:\n%s", merged.FigureDigest())
-	return 0
+	fmt.Printf("figure digest:\n%s", digest)
+	return 0, digest
 }
 
 func makeDevices(n int) []*gpu.Device {

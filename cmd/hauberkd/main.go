@@ -12,7 +12,7 @@
 //	         [-slots 2] [-queue-depth 64] [-isolation off|process]
 //	         [-drain-timeout 30s]
 //
-// See `hauberk-report -campaigns -base <url>` for the matching client.
+// See `hauberk-report -campaigns <url>` for the matching client.
 package main
 
 import (

@@ -10,6 +10,7 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -199,7 +200,11 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, wan
 	}
 	switch {
 	case resp.StatusCode == wantCode:
-		if out == nil {
+		switch out := out.(type) {
+		case nil:
+			return nil
+		case *[]byte:
+			*out = raw
 			return nil
 		}
 		if err := json.Unmarshal(raw, out); err != nil {
@@ -315,4 +320,82 @@ func (c *Client) Node(ctx context.Context) (service.NodeStatus, error) {
 // failure is a signal to record, not a fault to absorb.
 func (c *Client) Probe(ctx context.Context) error {
 	return c.once(ctx, http.MethodGet, "/readyz", nil, http.StatusOK, nil)
+}
+
+// Get fetches one path's raw body under the retry envelope: a monitor's
+// /metrics exposition, or a health probe.
+func (c *Client) Get(ctx context.Context, path string) ([]byte, error) {
+	var raw []byte
+	err := c.do(ctx, http.MethodGet, path, nil, http.StatusOK, &raw)
+	return raw, err
+}
+
+// Event is what a client checks of one event-feed entry: its journal
+// sequence number and type.
+type Event struct {
+	Seq  uint64 `json:"seq"`
+	Type string `json:"type"`
+}
+
+// Events streams one campaign's event feed — retained history, then live
+// events — handing each to fn until fn returns false, the feed ends, or
+// ctx ends. A feed is a long-lived response: it runs under ctx's
+// deadline, not the per-RPC timeout, and outside the retry envelope.
+func (c *Client) Events(ctx context.Context, id string, fn func(Event) bool) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/v1/campaigns/"+id+"/events", nil)
+	if err != nil {
+		return err
+	}
+	stream := *c.t.HTTP
+	stream.Timeout = 0
+	resp, err := stream.Do(req)
+	if err != nil {
+		return fmt.Errorf("fleet: %s: events of %s: %w", c.Name, id, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
+		return fmt.Errorf("fleet: %s: events of %s: %w", c.Name, id,
+			&StatusError{Code: resp.StatusCode, Msg: string(bytes.TrimSpace(raw))})
+	}
+	if err := readEvents(resp.Body, fn); err != nil {
+		return fmt.Errorf("fleet: %s: events of %s: %w", c.Name, id, err)
+	}
+	return nil
+}
+
+// maxEventLine bounds one feed line; a journal event is a few hundred
+// bytes.
+const maxEventLine = 64 << 10
+
+// readEvents is the one event-feed reader: NDJSON lines, or SSE frames
+// ("data: " lines between blank ones). Every event must be a JSON object
+// with a type and a sequence number above its predecessor's; a feed that
+// breaks that is an error, never skipped.
+func readEvents(r io.Reader, fn func(Event) bool) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 4<<10), maxEventLine)
+	var last uint64
+	for n := 1; sc.Scan(); {
+		line := bytes.TrimPrefix(sc.Bytes(), []byte("data: "))
+		if len(line) == 0 {
+			continue
+		}
+		var e Event
+		if err := json.Unmarshal(line, &e); err != nil {
+			return fmt.Errorf("event %d is not a JSON event: %w", n, err)
+		}
+		if e.Type == "" {
+			return fmt.Errorf("event %d has no type", n)
+		}
+		if e.Seq <= last {
+			return fmt.Errorf("event %d: sequence regressed: %d after %d", n, e.Seq, last)
+		}
+		last = e.Seq
+		n++
+		if !fn(e) {
+			return nil
+		}
+	}
+	return sc.Err()
 }

@@ -247,9 +247,9 @@ func (e *Env) RunPrepared(ctx context.Context, pc *PreparedCampaign, opts Campai
 		done++
 		if e.Obs.Enabled() {
 			// One progress event per recorded result — the progress-
-			// bearing feed the live monitor's /campaign tracker and
-			// /events tail aggregate (outcome and hang ride along so
-			// failure classes can be tallied without the store).
+			// bearing feed a campaign's status tracker and event feed
+			// aggregate (outcome and hang ride along so failure classes
+			// can be tallied without the store).
 			e.Obs.Emit(obs.EvCampaignProgress,
 				obs.Str("program", spec.Name),
 				obs.Int("done", int64(done)),

@@ -13,7 +13,7 @@ import (
 // never blocks on a slow subscriber: when a subscriber's buffer is full
 // the event is dropped for that subscriber and its drop counter
 // incremented — the journal stays complete, only the live tail thins.
-// This is what lets the /events HTTP endpoint hang off the hot emit
+// This is what lets a campaign's HTTP event feed hang off the hot emit
 // path without ever back-pressuring a campaign.
 //
 // A bounded history ring buffer retains the most recent events so a

@@ -27,7 +27,6 @@ import (
 	"os"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -137,8 +136,8 @@ type Event struct {
 
 // AppendJSON renders the event as one flat JSON object (fields are
 // top-level keys next to seq/ts/type, which keeps the JSONL greppable).
-// The journal sink and the /events streaming endpoint share this encoder,
-// so a live tail is byte-identical to the file it mirrors.
+// The journal sink and the event-feed endpoint share this encoder, so a
+// live feed is byte-identical to the file it mirrors.
 func (e *Event) AppendJSON(dst []byte) []byte {
 	dst = append(dst, `{"seq":`...)
 	dst = strconv.AppendUint(dst, e.Seq, 10)
@@ -197,7 +196,9 @@ func appendJSONFloat(dst []byte, v float64) []byte {
 }
 
 // Sink consumes journal events. Implementations must be safe for
-// concurrent Emit calls.
+// concurrent Emit calls. Emit runs under the emitting Telemetry's lock
+// (that is what keeps a sink's events in Seq order), so it must not emit
+// through that Telemetry.
 type Sink interface {
 	Emit(e Event)
 	Close() error
@@ -218,9 +219,13 @@ func (NopSink) Close() error { return nil }
 type Telemetry struct {
 	sink    Sink
 	reg     *Registry
-	seq     atomic.Uint64
 	clock   func() time.Time
 	enabled bool
+
+	// mu makes stamping a sequence number and delivering the event one
+	// step, so concurrent emitters reach the sink in Seq order.
+	mu  sync.Mutex
+	seq uint64
 }
 
 // nop is the shared disabled instance; its registry still works (so code
@@ -263,7 +268,10 @@ func (t *Telemetry) Emit(typ string, fields ...Field) {
 	if !t.Enabled() {
 		return
 	}
-	t.sink.Emit(Event{Seq: t.seq.Add(1), Wall: t.clock(), Type: typ, Fields: fields})
+	t.mu.Lock()
+	t.seq++
+	t.sink.Emit(Event{Seq: t.seq, Wall: t.clock(), Type: typ, Fields: fields})
+	t.mu.Unlock()
 }
 
 // Close flushes and closes the sink.

@@ -72,6 +72,51 @@ func TestConcurrentEmitUniqueSeqs(t *testing.T) {
 	}
 }
 
+// TestConcurrentEmitDeliversInSeqOrder pins that a sequence number is
+// stamped and delivered in one step: concurrent emitters must reach the
+// journal and every live subscriber in strictly increasing Seq, which is
+// what an event-feed reader checks.
+func TestConcurrentEmitDeliversInSeqOrder(t *testing.T) {
+	const workers, per = 8, 20000
+	journal := &MemSink{}
+	b := NewBroadcaster(journal)
+	sub := b.Subscribe(workers * per)
+	tel := New(b)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				tel.Emit(EvAlarm)
+			}
+		}()
+	}
+	wg.Wait()
+	tel.Close() //nolint:errcheck
+	check := func(who string, seqs []uint64) {
+		t.Helper()
+		if len(seqs) != workers*per {
+			t.Fatalf("%s saw %d events, want %d", who, len(seqs), workers*per)
+		}
+		for i := 1; i < len(seqs); i++ {
+			if seqs[i] <= seqs[i-1] {
+				t.Fatalf("%s: sequence regressed at event %d: %d after %d", who, i, seqs[i], seqs[i-1])
+			}
+		}
+	}
+	var live []uint64
+	for e := range sub.Events() {
+		live = append(live, e.Seq)
+	}
+	check("subscriber", live)
+	var logged []uint64
+	for _, e := range journal.Events() {
+		logged = append(logged, e.Seq)
+	}
+	check("journal", logged)
+}
+
 func TestFieldValues(t *testing.T) {
 	cases := []struct {
 		name string

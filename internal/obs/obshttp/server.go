@@ -1,36 +1,24 @@
-// Package obshttp is the embedded live-observability plane: a small
-// HTTP server that exposes the process's obs telemetry while a run or
-// campaign is in flight, enabled by `hauberk-run -http <addr>`.
-//
-// Endpoints:
+// Package obshttp is what every hauberk HTTP listener mounts once:
+// hauberkd's API server and the monitor behind `hauberk-run -http` are
+// both a Server from here, with their campaign routes (the daemon's /v1
+// API, see internal/service) mounted next to the shared ones:
 //
 //	/metrics      Prometheus text exposition of the obs registry plus
 //	              process series (build info, uptime, goroutines,
 //	              dropped live events)
-//	/events       live tail of the event journal: NDJSON by default,
-//	              Server-Sent Events with ?format=sse or an
-//	              Accept: text/event-stream header; ?replay=N bounds
-//	              how much retained history precedes the live stream
-//	/campaign     JSON campaign status document (progress, rate, ETA,
-//	              failure classes, retry/backoff, worker lifecycle)
 //	/healthz      liveness (200 once serving)
-//	/readyz       readiness (503 until the first event arrives)
+//	/readyz       readiness, answered by the binary's probe
 //	/debug/pprof  the standard Go profiling handlers
 //
-// The server is strictly an observer: it subscribes to the event
-// broadcaster and reads the registry, never touching the campaign
+// EventsHandler is the one event-feed handler both binaries serve per
+// campaign. The plane is strictly an observer: it subscribes to event
+// broadcasters and reads the registry, never touching the campaign
 // engine, which is why figure digests are byte-identical with the
-// monitor on or off. With -http unset none of this is constructed and
-// the telemetry hot path keeps its zero-allocation guarantee.
-//
-// This is the serving scaffold for the hauberkd roadmap item: the
-// daemon will mount campaign submission next to these read paths and
-// reuse the same broadcaster/tracker/registry plumbing per tenant.
+// monitor on or off.
 package obshttp
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -48,41 +36,52 @@ type Config struct {
 	// Addr is the listen address (e.g. "127.0.0.1:8344"; ":0" picks an
 	// ephemeral port, reported by Addr after Start).
 	Addr string
-	// Registry is scraped by /metrics (required).
+	// Registry is scraped by /metrics.
 	Registry *obs.Registry
-	// Broadcaster feeds /events subscribers; nil disables /events (410).
-	Broadcaster *obs.Broadcaster
-	// Tracker backs /campaign; nil disables it (410).
-	Tracker *obs.ProgressTracker
+	// Dropped, when set, reports the live events dropped across the
+	// listener's event feeds (hauberk_events_dropped_total).
+	Dropped func() int64
+	// Ready answers /readyz: false answers 503 with the reason. Nil is
+	// always ready.
+	Ready func() (bool, string)
 }
 
-// Server is one embedded monitor instance.
+// Server is one listener: the shared mounts plus whatever the binary
+// adds with Handle before Start.
 type Server struct {
-	cfg   Config
-	ln    net.Listener
-	srv   *http.Server
-	start time.Time
-	done  chan struct{}
-	err   error
+	cfg    Config
+	mux    *http.ServeMux
+	routes []string
+	ln     net.Listener
+	srv    *http.Server
+	start  time.Time
+	done   chan struct{}
+	err    error
 }
 
-// New builds a monitor server (not yet listening).
+// New builds a server with the shared mounts (not yet listening).
 func New(cfg Config) *Server {
-	s := &Server{cfg: cfg, done: make(chan struct{})}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/events", s.handleEvents)
-	mux.HandleFunc("/campaign", s.handleCampaign)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	s := &Server{cfg: cfg, mux: http.NewServeMux(), done: make(chan struct{})}
+	s.Handle("GET /metrics", s.handleMetrics)
+	s.Handle("GET /healthz", s.handleHealthz)
+	s.Handle("GET /readyz", s.handleReadyz)
+	s.Handle("/debug/pprof/", pprof.Index)
+	s.Handle("/debug/pprof/cmdline", pprof.Cmdline)
+	s.Handle("/debug/pprof/profile", pprof.Profile)
+	s.Handle("/debug/pprof/symbol", pprof.Symbol)
+	s.Handle("/debug/pprof/trace", pprof.Trace)
+	s.srv = &http.Server{Handler: s.mux, ReadHeaderTimeout: 5 * time.Second}
 	return s
 }
+
+// Handle mounts one route (a net/http ServeMux pattern).
+func (s *Server) Handle(pattern string, h http.HandlerFunc) {
+	s.mux.HandleFunc(pattern, h)
+	s.routes = append(s.routes, pattern)
+}
+
+// Routes lists the mounted patterns in mount order.
+func (s *Server) Routes() []string { return append([]string(nil), s.routes...) }
 
 // Start binds the listener and serves in the background. It returns
 // once the address is bound, so Addr is immediately valid.
@@ -111,8 +110,9 @@ func (s *Server) Addr() string {
 }
 
 // Shutdown drains in-flight requests; when the context expires first
-// (an /events stream with a connected client never goes idle) the
+// (an event stream with a connected client never goes idle) the
 // remaining connections are force-closed so shutdown always completes.
+// Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.srv.Shutdown(ctx)
 	if err != nil {
@@ -128,68 +128,52 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// --- /metrics ---------------------------------------------------------------
-
-// MetricsHandler serves a registry as Prometheus text exposition. stamp,
-// if non-nil, runs before every write so serving-standard series
-// (uptime, goroutines, build info) are fresh at scrape time. Exported so
-// hauberkd mounts the exact handler the embedded monitor uses.
-func MetricsHandler(reg *obs.Registry, stamp func(*obs.Registry)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if reg == nil {
-			http.Error(w, "no metrics registry", http.StatusServiceUnavailable)
-			return
-		}
-		if stamp != nil {
-			stamp(reg)
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WriteProm(w) //nolint:errcheck // client gone mid-write is not actionable
-	}
-}
-
-// handleMetrics refreshes the process-level series and writes the whole
-// registry as Prometheus text.
+// handleMetrics stamps the serving-standard series (build info, uptime,
+// goroutines, dropped live events) and writes the whole registry as
+// Prometheus text.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	MetricsHandler(s.cfg.Registry, s.stampProcessSeries)(w, r)
-}
-
-// stampProcessSeries refreshes the serving-standard series on the
-// registry at scrape time.
-func (s *Server) stampProcessSeries(reg *obs.Registry) {
-	dropped := func() int64 { return 0 }
-	if b := s.cfg.Broadcaster; b != nil {
-		dropped = b.Dropped
+	reg := s.cfg.Registry
+	if reg == nil {
+		http.Error(w, "no metrics registry", http.StatusServiceUnavailable)
+		return
 	}
-	StampProcessSeries(reg, s.start, dropped)
-}
-
-// StampProcessSeries refreshes the serving-standard series (build info,
-// uptime since start, goroutine count, dropped live events) on a
-// registry. dropped may be nil when no broadcaster is wired.
-func StampProcessSeries(reg *obs.Registry, start time.Time, dropped func() int64) {
 	reg.Help("hauberk_build_info", "build identity; value is always 1")
 	reg.Gauge("hauberk_build_info",
 		"version", version.Version, "goversion", version.GoVersion()).Set(1)
-	reg.Help("hauberk_uptime_seconds", "seconds since the monitor server started")
-	reg.Gauge("hauberk_uptime_seconds").Set(time.Since(start).Seconds())
+	reg.Help("hauberk_uptime_seconds", "seconds since the server started")
+	reg.Gauge("hauberk_uptime_seconds").Set(time.Since(s.start).Seconds())
 	reg.Help("hauberk_goroutines", "live goroutines in the process")
 	reg.Gauge("hauberk_goroutines").Set(float64(runtime.NumGoroutine()))
-	if dropped != nil {
+	if s.cfg.Dropped != nil {
 		reg.Help("hauberk_events_dropped_total",
-			"live-tail events dropped across all /events subscribers (journal stays complete)")
-		reg.Gauge("hauberk_events_dropped_total").Set(float64(dropped()))
+			"live-tail events dropped across all event-feed subscribers (journal stays complete)")
+		reg.Gauge("hauberk_events_dropped_total").Set(float64(s.cfg.Dropped()))
 	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	reg.WriteProm(w) //nolint:errcheck // client gone mid-write is not actionable
 }
 
-// --- /events ----------------------------------------------------------------
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain")
+	fmt.Fprintln(w, "ok")
+}
+
+func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	if s.cfg.Ready != nil {
+		if ok, reason := s.cfg.Ready(); !ok {
+			http.Error(w, reason, http.StatusServiceUnavailable)
+			return
+		}
+	}
+	w.Header().Set("Content-Type", "text/plain")
+	fmt.Fprintln(w, "ready")
+}
 
 // EventsHandler streams a broadcaster's event journal: retained history
 // first (bounded by ?replay=N), then live events until the client
-// disconnects. NDJSON lines by default; SSE frames with ?format=sse or
-// an Accept: text/event-stream header. Exported so hauberkd serves each
-// campaign's event feed through the same code path as the monitor's
-// process-wide /events.
+// disconnects or the broadcaster closes. NDJSON lines by default; SSE
+// frames with ?format=sse or an Accept: text/event-stream header. A nil
+// broadcaster answers 410.
 func EventsHandler(b *obs.Broadcaster) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if b == nil {
@@ -265,65 +249,4 @@ func EventsHandler(b *obs.Broadcaster) http.HandlerFunc {
 			}
 		}
 	}
-}
-
-// handleEvents streams the event journal through the shared handler.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	EventsHandler(s.cfg.Broadcaster)(w, r)
-}
-
-// --- /campaign --------------------------------------------------------------
-
-func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
-	t := s.cfg.Tracker
-	if t == nil {
-		http.Error(w, "campaign tracking disabled", http.StatusGone)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(t.Snapshot()) //nolint:errcheck
-}
-
-// --- health -----------------------------------------------------------------
-
-// HealthzHandler is the liveness check: 200 once serving.
-func HealthzHandler() http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain")
-		fmt.Fprintln(w, "ok")
-	}
-}
-
-// ReadyzHandler reports readiness through the supplied probe: a false
-// result answers 503 with the reason.
-func ReadyzHandler(ready func() (bool, string)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if ready != nil {
-			if ok, reason := ready(); !ok {
-				http.Error(w, reason, http.StatusServiceUnavailable)
-				return
-			}
-		}
-		w.Header().Set("Content-Type", "text/plain")
-		fmt.Fprintln(w, "ready")
-	}
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	HealthzHandler()(w, r)
-}
-
-// handleReadyz reports readiness: serving and, when a tracker is wired,
-// at least one journal event folded in (the run has actually started).
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	ReadyzHandler(func() (bool, string) {
-		if t := s.cfg.Tracker; t != nil {
-			if snap := t.Snapshot(); snap.LastSeq == 0 && snap.State == "idle" {
-				return false, "no telemetry yet"
-			}
-		}
-		return true, ""
-	})(w, r)
 }

@@ -15,16 +15,14 @@ import (
 	"hauberk/internal/obs/promtext"
 )
 
-// startMonitor boots a full monitor stack on an ephemeral port: journal
-// broadcaster, progress tracker tap, registry — the same wiring
-// hauberk-run uses.
-func startMonitor(t *testing.T) (*Server, *obs.Broadcaster, *obs.ProgressTracker, *obs.Registry) {
+// startMonitor boots a server on an ephemeral port with a broadcaster's
+// feed mounted at /events and its drop counter on /metrics.
+func startMonitor(t *testing.T) (*Server, *obs.Broadcaster, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	b := obs.NewBroadcaster(nil)
-	tracker := obs.NewProgressTracker()
-	b.Attach(tracker)
-	s := New(Config{Addr: "127.0.0.1:0", Registry: reg, Broadcaster: b, Tracker: tracker})
+	s := New(Config{Addr: "127.0.0.1:0", Registry: reg, Dropped: b.Dropped})
+	s.Handle("GET /events", EventsHandler(b))
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +32,7 @@ func startMonitor(t *testing.T) (*Server, *obs.Broadcaster, *obs.ProgressTracker
 		s.Shutdown(ctx) //nolint:errcheck
 		b.Close()       //nolint:errcheck
 	})
-	return s, b, tracker, reg
+	return s, b, reg
 }
 
 func get(t *testing.T, url string) (int, string) {
@@ -56,7 +54,7 @@ func emit(b *obs.Broadcaster, seq uint64, typ string, fields ...obs.Field) {
 }
 
 func TestMonitorMetricsEndpoint(t *testing.T) {
-	s, _, _, reg := startMonitor(t)
+	s, _, reg := startMonitor(t)
 	reg.Counter("hauberk_faults_injected_total", "program", "CP").Add(7)
 	reg.Histogram("hauberk_detect_ms", []float64{1, 10, 100}).Observe(3)
 
@@ -96,7 +94,7 @@ func TestMonitorMetricsEndpoint(t *testing.T) {
 }
 
 func TestMonitorEventsNDJSON(t *testing.T) {
-	s, b, _, _ := startMonitor(t)
+	s, b, _ := startMonitor(t)
 	for i := 1; i <= 3; i++ {
 		emit(b, uint64(i), obs.EvCampaignProgress, obs.Int("done", int64(i)))
 	}
@@ -133,7 +131,7 @@ func TestMonitorEventsNDJSON(t *testing.T) {
 }
 
 func TestMonitorEventsSSEAndReplayBound(t *testing.T) {
-	s, b, _, _ := startMonitor(t)
+	s, b, _ := startMonitor(t)
 	for i := 1; i <= 10; i++ {
 		emit(b, uint64(i), obs.EvCampaignProgress)
 	}
@@ -174,46 +172,9 @@ func TestMonitorEventsSSEAndReplayBound(t *testing.T) {
 	}
 }
 
-func TestMonitorCampaignAndReadiness(t *testing.T) {
-	s, b, _, _ := startMonitor(t)
-
-	if code, _ := get(t, "http://"+s.Addr()+"/healthz"); code != http.StatusOK {
-		t.Fatalf("healthz: %d", code)
-	}
-	// Before any telemetry the monitor is alive but not ready.
-	if code, _ := get(t, "http://"+s.Addr()+"/readyz"); code != http.StatusServiceUnavailable {
-		t.Fatalf("readyz before events: %d, want 503", code)
-	}
-
-	emit(b, 1, obs.EvCampaignStart,
-		obs.Str("program", "CP"), obs.Int("injections", 4), obs.Int("shard", 0), obs.Int("shards", 1))
-	emit(b, 2, obs.EvCampaignProgress,
-		obs.Str("program", "CP"), obs.Int("done", 1), obs.Int("total", 4),
-		obs.Int("shard", 0), obs.Int("shards", 1), obs.Str("outcome", "masked"))
-
-	if code, _ := get(t, "http://"+s.Addr()+"/readyz"); code != http.StatusOK {
-		t.Fatalf("readyz after events: %d, want 200", code)
-	}
-
-	code, body := get(t, "http://"+s.Addr()+"/campaign")
-	if code != http.StatusOK {
-		t.Fatalf("campaign: %d", code)
-	}
-	var snap obs.ProgressSnapshot
-	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatalf("campaign JSON: %v\n%s", err, body)
-	}
-	if snap.State != "running" || snap.Program != "CP" || snap.Completed != 1 || snap.Total != 4 {
-		t.Fatalf("campaign snapshot: %+v", snap)
-	}
-	if snap.Outcomes["masked"] != 1 {
-		t.Fatalf("campaign outcomes: %v", snap.Outcomes)
-	}
-}
-
 func TestMonitorDisabledEndpoints(t *testing.T) {
-	reg := obs.NewRegistry()
-	s := New(Config{Addr: "127.0.0.1:0", Registry: reg})
+	s := New(Config{Addr: "127.0.0.1:0", Registry: obs.NewRegistry()})
+	s.Handle("GET /events", EventsHandler(nil))
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -225,17 +186,19 @@ func TestMonitorDisabledEndpoints(t *testing.T) {
 	if code, _ := get(t, "http://"+s.Addr()+"/events"); code != http.StatusGone {
 		t.Fatalf("events without broadcaster: %d, want 410", code)
 	}
-	if code, _ := get(t, "http://"+s.Addr()+"/campaign"); code != http.StatusGone {
-		t.Fatalf("campaign without tracker: %d, want 410", code)
+	// The process-wide status document is gone: a campaign's status is
+	// the /v1 read API's (internal/service).
+	if code, _ := get(t, "http://"+s.Addr()+"/campaign"); code != http.StatusNotFound {
+		t.Fatalf("/campaign: %d, want 404", code)
 	}
-	// Without a tracker, readiness degrades to liveness.
+	// Without a probe, readiness degrades to liveness.
 	if code, _ := get(t, "http://"+s.Addr()+"/readyz"); code != http.StatusOK {
-		t.Fatalf("readyz without tracker: %d", code)
+		t.Fatalf("readyz without probe: %d", code)
 	}
 }
 
 func TestMonitorPprofMounted(t *testing.T) {
-	s, _, _, _ := startMonitor(t)
+	s, _, _ := startMonitor(t)
 	code, body := get(t, "http://"+s.Addr()+"/debug/pprof/cmdline")
 	if code != http.StatusOK || body == "" {
 		t.Fatalf("pprof cmdline: %d %q", code, body)
@@ -245,9 +208,9 @@ func TestMonitorPprofMounted(t *testing.T) {
 // TestMonitorShutdownWithOpenStream pins the force-close fallback: an
 // /events client that never disconnects must not wedge Shutdown.
 func TestMonitorShutdownWithOpenStream(t *testing.T) {
-	reg := obs.NewRegistry()
 	b := obs.NewBroadcaster(nil)
-	s := New(Config{Addr: "127.0.0.1:0", Registry: reg, Broadcaster: b})
+	s := New(Config{Addr: "127.0.0.1:0", Registry: obs.NewRegistry()})
+	s.Handle("GET /events", EventsHandler(b))
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}

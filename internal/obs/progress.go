@@ -10,12 +10,13 @@ import (
 // counts, an EWMA injection rate with an ETA, failure-class tallies,
 // retry/backoff state, and worker spawns/crashes/hangs/restarts. It is
 // a Sink, attached synchronously to the Broadcaster so its view is
-// never behind the journal, and Snapshot renders the current state for
-// the /campaign HTTP endpoint.
+// never behind the journal, and Snapshot renders the current state as
+// the progress of a campaign's status (GET /v1/campaigns/{id}, served by
+// hauberkd and by `hauberk-run -http`).
 //
 // The tracker derives everything from events — it holds no reference
-// into the harness — so the same aggregation works on a live stream, a
-// replayed journal file, or (later) the hauberkd submission feed.
+// into the harness — so the same aggregation works on a live stream or
+// a replayed journal file.
 type ProgressTracker struct {
 	mu sync.Mutex
 	s  ProgressSnapshot
@@ -48,7 +49,7 @@ type WorkerStats struct {
 	Fallbacks int `json:"fallbacks"`
 }
 
-// ProgressSnapshot is the JSON status document served at /campaign.
+// ProgressSnapshot is the progress document of a campaign's status.
 type ProgressSnapshot struct {
 	// State is idle | running | interrupted | done.
 	State   string `json:"state"`

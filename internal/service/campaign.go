@@ -82,12 +82,11 @@ type Campaign struct {
 }
 
 // newCampaign wires the in-memory record with its telemetry plane: a
-// broadcaster (no inner journal file — the durable store is the record
-// of truth) with a synchronous progress tracker, exactly the monitor
-// plumbing of `hauberk-run -http`, but scoped to this one campaign. The
-// submission must already be validated and defaulted (Shards >= 1).
-func newCampaign(id string, sub Submission, dir string) *Campaign {
-	b := obs.NewBroadcaster(nil)
+// broadcaster over inner (nil in the daemon — the durable store is the
+// record of truth; the -trace journal under `hauberk-run -http`) with a
+// synchronous progress tracker. Shards < 1 means the whole plan.
+func newCampaign(id string, sub Submission, dir string, inner obs.Sink) *Campaign {
+	b := obs.NewBroadcaster(inner)
 	tr := obs.NewProgressTracker()
 	b.Attach(tr)
 	shards := sub.Shards
@@ -136,8 +135,7 @@ type Status struct {
 	Digest string `json:"digest,omitempty"`
 	Error  string `json:"error,omitempty"`
 	// Progress is the live tracker snapshot (completed/total, rate,
-	// ETA, outcome tallies) — same document the monitor's /campaign
-	// endpoint serves.
+	// ETA, outcome tallies, retry/backoff and worker lifecycle).
 	Progress obs.ProgressSnapshot `json:"progress"`
 }
 
@@ -187,6 +185,21 @@ func (c *Campaign) setStateLocked(s State) {
 	c.state = s
 	close(c.changed)
 	c.changed = make(chan struct{})
+}
+
+// setState moves the campaign to state, stamping the finish time of a
+// terminal one and running set (if any) under the same lock.
+func (c *Campaign) setState(state State, set func()) {
+	c.mu.Lock()
+	c.cancel = nil
+	if state.Terminal() {
+		c.finishedAt = time.Now()
+	}
+	if set != nil {
+		set()
+	}
+	c.setStateLocked(state)
+	c.mu.Unlock()
 }
 
 // Reasons an await returns, the result label of hauberkd_status_waits_total.
@@ -303,7 +316,7 @@ func restoreCampaign(m meta, dir string) *Campaign {
 		Tenant: m.Tenant, Program: m.Program, Scale: m.Scale,
 		Dataset: m.Dataset, Isolation: m.Isolation,
 		Shard: m.Shard, Shards: m.Shards,
-	}, dir)
+	}, dir, nil)
 	c.state = m.State
 	c.submittedAt = m.SubmittedAt
 	c.startedAt = m.StartedAt

@@ -13,7 +13,7 @@ import (
 // testCampaign builds a minimal in-memory campaign record for scheduler
 // tests (no daemon, no disk).
 func testCampaign(id, tenant string) *Campaign {
-	return newCampaign(id, Submission{Tenant: tenant, Program: "CP", Scale: "tiny"}, "")
+	return newCampaign(id, Submission{Tenant: tenant, Program: "CP", Scale: "tiny"}, "", nil)
 }
 
 // gatedExec returns an exec hook that records dispatch order and blocks

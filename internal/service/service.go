@@ -21,6 +21,7 @@ import (
 
 	"hauberk/internal/harness"
 	"hauberk/internal/obs"
+	"hauberk/internal/obs/obshttp"
 	"hauberk/internal/workloads"
 )
 
@@ -127,7 +128,7 @@ type Daemon struct {
 	env *harness.Env // base env; cloned per campaign with its own telemetry
 
 	sched *scheduler
-	http  *apiServer
+	http  *obshttp.Server
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -260,7 +261,7 @@ func (d *Daemon) Start() error {
 			d.cfg.Logf("hauberkd: requeue %s: %v", c.ID, err)
 		}
 	}
-	if err := d.http.start(d.cfg.Addr); err != nil {
+	if err := d.http.Start(); err != nil {
 		return err
 	}
 	d.cfg.Logf("hauberkd: listening on %s (slots=%d queue-depth=%d store=%s)",
@@ -269,7 +270,7 @@ func (d *Daemon) Start() error {
 }
 
 // Addr is the bound HTTP address (valid after Start).
-func (d *Daemon) Addr() string { return d.http.addr() }
+func (d *Daemon) Addr() string { return d.http.Addr() }
 
 // Submit admits one campaign: allocate an id and directory, persist the
 // submission, enqueue it. ErrQueueFull and ErrDraining are admission
@@ -316,7 +317,7 @@ func (d *Daemon) Submit(sub Submission) (*Campaign, error) {
 	}
 	id := fmt.Sprintf("c%06d", d.nextID)
 	dir := filepath.Join(d.cfg.StoreRoot, id)
-	c := newCampaign(id, sub, dir)
+	c := newCampaign(id, sub, dir, nil)
 	if err := d.sched.Submit(c, sub.Weight); err != nil {
 		d.mu.Unlock()
 		d.reg.Counter("hauberkd_rejections_total", "tenant", sub.Tenant).Inc()
@@ -499,16 +500,7 @@ func (d *Daemon) fail(c *Campaign, err error) {
 func (d *Daemon) finish(c *Campaign, state State, set func()) {
 	d.reg.Counter("hauberkd_campaign_outcomes_total",
 		"tenant", c.Tenant, "state", string(state)).Inc()
-	c.mu.Lock()
-	c.cancel = nil
-	if state.Terminal() {
-		c.finishedAt = time.Now()
-	}
-	if set != nil {
-		set()
-	}
-	c.setStateLocked(state)
-	c.mu.Unlock()
+	c.setState(state, set)
 	if err := c.persist(); err != nil {
 		d.cfg.Logf("hauberkd: persist %s: %v", c.ID, err)
 	}
@@ -532,7 +524,7 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	d.mu.Lock()
 	if d.draining {
 		d.mu.Unlock()
-		return d.http.shutdown(ctx)
+		return d.http.Shutdown(ctx)
 	}
 	d.draining = true
 	d.mu.Unlock()
@@ -548,7 +540,7 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	// The campaigns' isolated workers stay pooled between campaigns; none
 	// may outlive the daemon.
 	d.env.CloseWorkers()
-	err := d.http.shutdown(ctx)
+	err := d.http.Shutdown(ctx)
 	d.cfg.Logf("hauberkd: stopped")
 	return err
 }

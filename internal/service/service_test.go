@@ -513,7 +513,7 @@ func TestMetaRoundTrip(t *testing.T) {
 	c := newCampaign("c000042", Submission{
 		Tenant: "acme", Program: "SAD", Scale: "quick", Dataset: 1,
 		Isolation: "process", Shard: 2, Shards: 3,
-	}, dir)
+	}, dir, nil)
 	c.mu.Lock()
 	c.state = StateInterrupted
 	c.digest = "partial"
@@ -541,7 +541,8 @@ func TestMetaRoundTrip(t *testing.T) {
 }
 
 // getStatus GETs one campaign's status with the given query and reports
-// the HTTP code, the decoded status and how long the answer took.
+// the HTTP code, the decoded status and how long the answer took. The
+// decode is strict: both binaries must serve exactly Status.
 func getStatus(t *testing.T, base, id, query string) (int, Status, time.Duration) {
 	t.Helper()
 	t0 := time.Now()
@@ -553,7 +554,9 @@ func getStatus(t *testing.T, base, id, query string) (int, Status, time.Duration
 	defer resp.Body.Close() //nolint:errcheck
 	var st Status
 	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		dec := json.NewDecoder(resp.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&st); err != nil {
 			t.Errorf("decode status%s: %v", query, err)
 		}
 	}

@@ -45,6 +45,7 @@ scale=full
 # store, record its pid in pid_<tag>, and set $base to its address.
 start_node() {
   local tag=$1 log="$work/$1.log"
+  : >"$log" # exists before the first read below, however late the launch
   "$work/hauberkd" -store "$work/store-$tag" -addr 127.0.0.1:0 -slots 1 \
     -queue-depth 8 -drain-timeout 60s >"$log" 2>&1 &
   local pid=$!

@@ -36,6 +36,7 @@ base=""
 # start_daemon <logfile>: launch hauberkd on an ephemeral port against the
 # shared store and set $base from its announced address.
 start_daemon() {
+  : >"$1" # exists before the first read below, however late the launch
   "$work/hauberkd" -store "$store" -addr 127.0.0.1:0 -slots 1 -queue-depth 8 \
     -drain-timeout 60s >"$1" 2>&1 &
   daemon_pid=$!
@@ -63,7 +64,9 @@ report() { "$work/hauberk-report" -campaigns "$base" "$@"; }
 submit_id() { report -submit "$@" | awk '/^submitted /{print $2}'; }
 
 # status_line <id>: the one-line status (ID tenant=X PROGRAM SCALE/DS STATE [N/M]).
-status_line() { report -id "$1" | head -n1; }
+# sed reads the whole answer: `head -n1` would exit early and SIGPIPE the
+# client (fatal under pipefail) once a done campaign's digest follows.
+status_line() { report -id "$1" | sed -n 1p; }
 
 start_daemon "$work/d1.log"
 echo "service smoke: hauberkd at $base"
@@ -81,13 +84,15 @@ echo "service smoke: daemon digest identical to hauberk-run (tiny CP)"
 # slots=1: a full-scale campaign occupies the only slot, so a tiny
 # submission behind it is reliably cancel-while-queued; the full campaign
 # is then the SIGTERM target. It is TPACF's: the longest full campaign
-# there is (~0.6 s; RPES's is over in ~50 ms since golden-trace resume,
-# less than it takes the poll below to see it running and signal). If it
-# still outruns the poll, retry with a fresh submission.
+# there is, yet only ~60-130 ms on a 2-vCPU box since golden-trace resume
+# carries its histogram. If it outruns the poll, or finishes between the
+# poll and the drain (the drain then rightly records it done), retry with
+# a fresh submission — on a restarted daemon in the second case. A poll
+# lands mid-run about half the time, hence eight attempts.
 long=TPACF
 canceled_id=""
 interrupted_id=""
-for attempt in 1 2 3; do
+for attempt in 1 2 3 4 5 6 7 8; do
   rid=$(submit_id "$long" -scale full)
 
   if [ -z "$canceled_id" ]; then
@@ -121,13 +126,22 @@ for attempt in 1 2 3; do
       exit 1
     }
     daemon_pid=""
-    interrupted_id=$rid
-    break
+    if grep -q '"state": "interrupted"' "$store/$rid/submission.json"; then
+      interrupted_id=$rid
+      break
+    fi
+    grep -q '"state": "done"' "$store/$rid/submission.json" || {
+      echo "service smoke: $rid neither interrupted nor done after the drain" >&2
+      cat "$store/$rid/submission.json" >&2
+      exit 1
+    }
+    st="done before the drain reached it"
+    start_daemon "$work/d1.log"
   fi
   echo "service smoke: $rid reached $st before SIGTERM could land (attempt $attempt); resubmitting"
 done
 if [ -z "$interrupted_id" ]; then
-  echo "service smoke: could not catch a campaign mid-run in 3 attempts" >&2
+  echo "service smoke: could not catch a campaign mid-run in 8 attempts" >&2
   exit 1
 fi
 
