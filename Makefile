@@ -84,15 +84,17 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) }' || \
 		{ echo "coverage $$total% fell below the recorded $(COVER_FLOOR)% floor"; exit 1; }
 
-# fuzz spends 30 s on two targets. FuzzResumeCarry (internal/gpu, 15 s):
-# generated histogram kernels, resumed with and without carried
-# differences, must equal a full launch bit for bit. FuzzEventStream
-# (internal/fleet, 15 s): the one event-feed reader and the read API's
-# ?wait=/?replay= parsing. Plain `go test` replays only their seeds and
-# committed corpora (testdata/fuzz).
+# fuzz spends 30 s on three targets, 10 s each. FuzzResumeCarry
+# (internal/gpu): generated histogram kernels, resumed with and without
+# carried differences, must equal a full launch bit for bit.
+# FuzzEventStream (internal/fleet): the one event-feed reader and the read
+# API's ?wait=/?replay= parsing. FuzzReadFrame (internal/guardian/procexec):
+# the worker protocol's frame reader over a buffered stream. Plain `go test`
+# replays only their seeds and committed corpora (testdata/fuzz).
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzResumeCarry$$' -fuzztime=15s ./internal/gpu
-	$(GO) test -run '^$$' -fuzz '^FuzzEventStream$$' -fuzztime=15s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzResumeCarry$$' -fuzztime=10s ./internal/gpu
+	$(GO) test -run '^$$' -fuzz '^FuzzEventStream$$' -fuzztime=10s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime=10s ./internal/guardian/procexec
 
 # bench-smoke is the does-it-still-run gate for the baseline kernels: one
 # iteration of every engine/workload pair, no timing claims. The benchmark

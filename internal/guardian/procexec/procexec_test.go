@@ -26,7 +26,13 @@ func TestMain(m *testing.M) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		err = procexec.Serve(os.Stdin, os.Stdout, testHandler, procexec.ServeOptions{Chaos: plan})
+		// A "quiet" worker all but stops heartbeating, so only its results
+		// show it is alive.
+		var hb time.Duration
+		if os.Getenv("PROCEXEC_TEST_WORKER") == "quiet" {
+			hb = time.Hour
+		}
+		err = procexec.Serve(os.Stdin, os.Stdout, testHandler, procexec.ServeOptions{Chaos: plan, Heartbeat: hb})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -37,10 +43,14 @@ func TestMain(m *testing.M) {
 }
 
 // testHandler dispatches on the request ID: "echo" returns the payload,
-// "apperr" fails without dying, "panic" dies with a stack trace.
+// "sleep" echoes it after 20 ms, "apperr" fails without dying, "panic"
+// dies with a stack trace.
 func testHandler(id string, payload json.RawMessage) (json.RawMessage, error) {
 	switch {
 	case strings.HasPrefix(id, "echo"):
+		return payload, nil
+	case strings.HasPrefix(id, "sleep"):
+		time.Sleep(20 * time.Millisecond)
 		return payload, nil
 	case strings.HasPrefix(id, "apperr"):
 		return nil, errors.New("deterministic application failure")
@@ -282,5 +292,217 @@ func TestSupervisorCloseIsIdempotent(t *testing.T) {
 	s.Close()
 	if _, err := s.Do(context.Background(), "echo", nil, time.Second); err == nil {
 		t.Fatalf("Do after Close must fail")
+	}
+}
+
+// echoRun builds n requests, kind-0 … kind-(n-1), whose payloads are their
+// indices.
+func echoRun(kind string, n int, timeout time.Duration) []procexec.Request {
+	reqs := make([]procexec.Request, n)
+	for i := range reqs {
+		reqs[i] = procexec.Request{ID: fmt.Sprintf("%s-%d", kind, i), Payload: json.RawMessage(fmt.Sprint(i)), Timeout: timeout}
+	}
+	return reqs
+}
+
+// TestRunChaosInsideRun arms each worker-side chaos mode at index k of an
+// N-request run. The worker runs its requests serially, so exactly
+// request k is the one retried on a fresh worker (or, with restarts off,
+// classified), and every other request is answered once, in order. N is
+// at most 2k, so the fresh worker's sequence never reaches k again.
+func TestRunChaosInsideRun(t *testing.T) {
+	const n, k = 6, 3
+	for _, tc := range []struct {
+		mode      string
+		hang      bool // classified as a hang, not a crash
+		heartbeat bool // caught by the heartbeat-miss window, not the deadline
+	}{
+		{"kill", false, false},
+		{"corrupt", false, false},
+		{"panic", false, false},
+		{"stall", true, true},
+		{"spin", true, false},
+	} {
+		for _, retried := range []bool{true, false} {
+			name := tc.mode + "/classified"
+			if retried {
+				name = tc.mode + "/retried"
+			}
+			t.Run(name, func(t *testing.T) {
+				s, tel := newSupervisor(t, []string{fmt.Sprintf("%s=%s@%d", chaos.EnvVar, tc.mode, k)}, func(c *procexec.Config) {
+					c.WarmupGrace = 2 * time.Second
+					if !retried {
+						c.MaxRestarts = -1
+					}
+				})
+				timeout := 10 * time.Second
+				if tc.mode == "spin" {
+					timeout = 300 * time.Millisecond // only the deadline sees a spin
+				}
+				var order []int
+				err := s.Run(context.Background(), echoRun("echo", n, timeout), func(i int, resp json.RawMessage, err error) error {
+					order = append(order, i)
+					if i == k && !retried {
+						var crash *guardian.WorkerCrashError
+						var hang *guardian.WorkerHangError
+						switch {
+						case tc.hang && errors.As(err, &hang):
+							if hang.HeartbeatMiss != tc.heartbeat {
+								t.Errorf("request %d: HeartbeatMiss = %v, want %v (%v)", i, hang.HeartbeatMiss, tc.heartbeat, hang)
+							}
+						case !tc.hang && errors.As(err, &crash):
+						default:
+							t.Errorf("request %d: got %v, want it classified as a %s", i, err, map[bool]string{true: "hang", false: "crash"}[tc.hang])
+						}
+						return nil
+					}
+					if err != nil || string(resp) != fmt.Sprint(i) {
+						t.Errorf("request %d: got %s, %v; want its echo", i, resp, err)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				if fmt.Sprint(order) != fmt.Sprint([]int{0, 1, 2, 3, 4, 5}) {
+					t.Fatalf("recorded %v, want every request once, in order", order)
+				}
+				failures := counter(tel, "hauberk_worker_crashes_total") + counter(tel, "hauberk_worker_hangs_total")
+				if failures != 1 {
+					t.Errorf("%d worker failures, want 1: request %d's", failures, k)
+				}
+				wantRestarts := int64(0)
+				if retried {
+					wantRestarts = 1
+				}
+				if got := counter(tel, "hauberk_worker_restarts_total"); got != wantRestarts {
+					t.Errorf("restarts = %d, want %d", got, wantRestarts)
+				}
+				if got := counter(tel, "hauberk_worker_spawns_total"); got != 2 {
+					t.Errorf("spawns = %d, want 2: the worker that failed and the one that finished the run", got)
+				}
+			})
+		}
+	}
+}
+
+// TestRunApplicationErrorLeavesNoStaleFrame: a run stopped at an
+// application error with requests still in flight kills its worker, so
+// the next Run on the supervisor reads none of their results. A run that
+// records the error and goes on keeps its worker.
+func TestRunApplicationErrorLeavesNoStaleFrame(t *testing.T) {
+	s, tel := newSupervisor(t, nil, nil)
+	reqs := echoRun("echo", 4, 5*time.Second)
+	reqs[1].ID = "apperr-1"
+	var recorded []int
+	var tolerated error
+	if err := s.Run(context.Background(), reqs, func(i int, _ json.RawMessage, err error) error {
+		recorded = append(recorded, i)
+		if err != nil {
+			tolerated = err
+		}
+		return nil
+	}); err != nil || tolerated == nil || len(recorded) != 4 {
+		t.Fatalf("tolerant run: err %v, recorded %v, application error %v", err, recorded, tolerated)
+	}
+	if got := counter(tel, "hauberk_worker_spawns_total"); got != 1 {
+		t.Fatalf("a run that recorded its application error respawned the worker (%d spawns)", got)
+	}
+
+	stop := errors.New("stop at the application error")
+	recorded = nil
+	err := s.Run(context.Background(), reqs, func(i int, _ json.RawMessage, err error) error {
+		recorded = append(recorded, i)
+		if err != nil {
+			return stop
+		}
+		return nil
+	})
+	if !errors.Is(err, stop) || fmt.Sprint(recorded) != "[0 1]" {
+		t.Fatalf("stopped run: err %v, recorded %v; want the record error after requests 0 and 1", err, recorded)
+	}
+	resp, err := s.Do(context.Background(), "echo-next", json.RawMessage(`"next"`), 5*time.Second)
+	if err != nil || string(resp) != `"next"` {
+		t.Fatalf("Do after the stopped run: got %s, %v", resp, err)
+	}
+	if got := counter(tel, "hauberk_worker_crashes_total"); got != 0 {
+		t.Errorf("the next request read a stale frame (%d crashes)", got)
+	}
+	if got := counter(tel, "hauberk_worker_spawns_total"); got != 2 {
+		t.Errorf("spawns = %d, want 2: the stopped run's worker had requests in flight", got)
+	}
+}
+
+// TestRunCancelMidRunKillsWorker: cancelling ctx in the middle of a run
+// returns ctx's error and leaves no worker process group alive.
+func TestRunCancelMidRunKillsWorker(t *testing.T) {
+	s, _ := newSupervisor(t, nil, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	recorded := 0
+	err := s.Run(ctx, echoRun("sleep", 10, 5*time.Second), func(int, json.RawMessage, error) error {
+		if recorded++; recorded == 2 {
+			cancel()
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run: got %v, want context.Canceled", err)
+	}
+	if recorded != 2 {
+		t.Errorf("%d results recorded after a cancel at the 2nd", recorded)
+	}
+	if n := procexec.LiveWorkers(); n != 0 {
+		t.Fatalf("%d worker process groups alive after the cancelled run", n)
+	}
+}
+
+// TestRunLongerThanHeartbeatWindow: a run of short requests that together
+// outlast the heartbeat-miss window is not a hang — every result restarts
+// the window. The worker's heartbeat is slowed so that results are its
+// only sign of life.
+func TestRunLongerThanHeartbeatWindow(t *testing.T) {
+	s, tel := newSupervisor(t, []string{"PROCEXEC_TEST_WORKER=quiet"}, func(c *procexec.Config) {
+		c.HeartbeatMisses = 8 // a 200 ms window
+		c.MaxRestarts = -1
+	})
+	// Spawn first, so process start-up is not in the run's window.
+	if _, err := s.Do(context.Background(), "echo", json.RawMessage(`0`), 5*time.Second); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	start := time.Now()
+	if err := s.Run(context.Background(), echoRun("sleep", 25, 5*time.Second), func(i int, _ json.RawMessage, err error) error {
+		if err != nil {
+			t.Errorf("request %d: %v", i, err)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed < 400*time.Millisecond {
+		t.Fatalf("the run took %v, not longer than two heartbeat windows; the test proves nothing", elapsed)
+	}
+	if got := counter(tel, "hauberk_worker_hangs_total"); got != 0 {
+		t.Errorf("hangs = %d, want 0", got)
+	}
+}
+
+// TestRunRefusesOversizedRun: a run of several requests must fit well
+// inside the worker's pipe buffer, since Run writes all of it before it
+// reads a result; a larger one is refused before any worker spawns. One
+// large request is fine.
+func TestRunRefusesOversizedRun(t *testing.T) {
+	s, tel := newSupervisor(t, nil, nil)
+	big := json.RawMessage(`"` + strings.Repeat("x", 20<<10) + `"`)
+	reqs := []procexec.Request{{ID: "echo-0", Payload: big}, {ID: "echo-1", Payload: big}}
+	err := s.Run(context.Background(), reqs, func(int, json.RawMessage, error) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "run encodes to") {
+		t.Fatalf("oversized run: got %v, want it refused", err)
+	}
+	if got := counter(tel, "hauberk_worker_spawns_total"); got != 0 {
+		t.Errorf("an oversized run spawned %d workers", got)
+	}
+	if resp, err := s.Do(context.Background(), "echo", big, 5*time.Second); err != nil || string(resp) != string(big) {
+		t.Fatalf("one large request: got %d bytes, %v", len(resp), err)
 	}
 }

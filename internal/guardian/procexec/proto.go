@@ -10,8 +10,9 @@
 //   - fork/exec → Supervisor spawns the worker argv in its own process
 //     group (Setpgid), so a kill reaches every descendant;
 //   - the FT library's IPC execution-time reports → length-prefixed JSON
-//     frames on the worker's stdin/stdout: one run frame in, periodic
-//     heartbeat frames and one result frame out;
+//     frames on the worker's stdin/stdout: a pipelined run of run frames
+//     in, written ahead of their results, and per request periodic
+//     heartbeat frames and one result frame out, in request order;
 //   - SIGCHLD → the supervisor's frame reader observing EOF and Wait
 //     classifying the exit (signal/non-zero status → WorkerCrashError);
 //   - the execution-time watchdog → a per-request deadline the caller
@@ -66,24 +67,33 @@ type Frame struct {
 // corruption, not a request to allocate gigabytes.
 const maxFrameLen = 16 << 20
 
-// WriteFrame writes one length-prefixed frame.
+// WriteFrame writes one length-prefixed frame in a single write, so the
+// header and body of a frame never travel in separate pipe writes.
 func WriteFrame(w io.Writer, f *Frame) error {
-	body, err := json.Marshal(f)
+	buf, err := appendFrame(nil, f)
 	if err != nil {
-		return fmt.Errorf("procexec: encode frame: %w", err)
+		return err
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("procexec: write frame: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
+	if _, err := w.Write(buf); err != nil {
 		return fmt.Errorf("procexec: write frame: %w", err)
 	}
 	return nil
 }
 
-// ReadFrame reads one length-prefixed frame. io.EOF is returned verbatim
+// appendFrame appends f's length-prefixed encoding to dst, so a run of
+// frames can leave in one write.
+func appendFrame(dst []byte, f *Frame) ([]byte, error) {
+	body, err := json.Marshal(f)
+	if err != nil {
+		return dst, fmt.Errorf("procexec: encode frame: %w", err)
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(body)))
+	return append(dst, body...), nil
+}
+
+// ReadFrame reads one length-prefixed frame; both ends read their stream
+// through a bufio.Reader, so a frame costs no read syscall of its own when
+// its peer wrote several at once. io.EOF is returned verbatim
 // on a clean close (stream ended between frames); any partial read or
 // undecodable body is a distinct error, because it means the peer died
 // mid-write or corrupted the stream.

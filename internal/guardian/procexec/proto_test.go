@@ -1,10 +1,12 @@
 package procexec
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -74,4 +76,93 @@ func TestReadFrameGarbageBody(t *testing.T) {
 	if _, err := ReadFrame(&buf); err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Errorf("garbage body: got %v, want corrupt-body error", err)
 	}
+}
+
+// countingWriter counts Write calls.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestWriteFrameIsOneWrite: header and body leave in one write, so a
+// frame costs the worker one syscall.
+func TestWriteFrameIsOneWrite(t *testing.T) {
+	var w countingWriter
+	if err := WriteFrame(&w, &Frame{Type: FrameResult, ID: "inj-7", Payload: []byte(`{"x":1}`)}); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes != 1 {
+		t.Fatalf("WriteFrame made %d writes, want 1", w.writes)
+	}
+	if f, err := ReadFrame(&w.Buffer); err != nil || f.ID != "inj-7" {
+		t.Fatalf("ReadFrame: %+v, %v", f, err)
+	}
+}
+
+// frameHeader is a bare length prefix.
+func frameHeader(n uint32) []byte {
+	return binary.BigEndian.AppendUint32(nil, n)
+}
+
+// FuzzReadFrame decodes a byte stream as a run of frames through a
+// bufio.Reader, the way both ends read. It must never panic, a frame must
+// never allocate much past maxFrameLen whatever its length prefix claims,
+// and every frame it decodes must re-encode to a fixpoint: decoding the
+// encoding and encoding again gives the same bytes and the same fields.
+func FuzzReadFrame(f *testing.F) {
+	// The negative cases above.
+	f.Add([]byte{0x00, 0x01})
+	f.Add(append(frameHeader(100), `{"type":"result"`...))
+	f.Add(frameHeader(0))
+	f.Add(frameHeader(maxFrameLen + 1))
+	f.Add(append(frameHeader(4), "garb"...))
+	// A well-formed run of frames.
+	var run []byte
+	for _, fr := range []*Frame{
+		{Type: FrameRun, ID: "inj-7", Payload: []byte(`{"x":1}`)},
+		{Type: FrameHeartbeat, ID: "inj-7", Seq: 3},
+		{Type: FrameError, ID: "inj-7", Error: "boom"},
+	} {
+		var err error
+		if run, err = appendFrame(run, fr); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(run)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bufio.NewReader(bytes.NewReader(data))
+		var before, after runtime.MemStats
+		for {
+			runtime.ReadMemStats(&before)
+			fr, err := ReadFrame(r)
+			runtime.ReadMemStats(&after)
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > maxFrameLen+64*uint64(len(data))+1<<20 {
+				t.Fatalf("one frame of a %d-byte stream allocated %d bytes", len(data), alloc)
+			}
+			if err != nil {
+				return
+			}
+			enc, err := appendFrame(nil, fr)
+			if err != nil {
+				t.Fatalf("decoded frame %+v does not encode: %v", fr, err)
+			}
+			again, err := ReadFrame(bytes.NewReader(enc))
+			if err != nil {
+				t.Fatalf("re-encoded frame does not decode: %v", err)
+			}
+			enc2, err := appendFrame(nil, again)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(enc, enc2) || again.Type != fr.Type || again.ID != fr.ID || again.Error != fr.Error || again.Seq != fr.Seq {
+				t.Fatalf("frame does not re-encode equal:\n%q\n%q", enc, enc2)
+			}
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package procexec
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -78,13 +79,13 @@ func (c Config) withDefaults() Config {
 }
 
 // Supervisor owns one worker subprocess at a time, restarting it across
-// crashes and hangs. It serializes requests: one Do call runs at a time
+// crashes and hangs. It serializes requests: one Run (or Do) at a time
 // (the harness pools Supervisors, one per campaign worker slot, for
 // parallelism).
 type Supervisor struct {
 	cfg Config
 
-	opMu sync.Mutex // one in-flight Do
+	opMu sync.Mutex // one in-flight Run
 	mu   sync.Mutex // guards the fields below
 	w    *workerProc
 	// spawnSeq counts spawn attempts (chaos spawnfail addressing).
@@ -92,16 +93,19 @@ type Supervisor struct {
 	closed   bool
 }
 
-// NewSupervisor builds a supervisor; the first Do spawns the worker.
+// NewSupervisor builds a supervisor; the first Run spawns the worker.
 func NewSupervisor(cfg Config) *Supervisor {
 	return &Supervisor{cfg: cfg.withDefaults()}
 }
 
-// frameEvent is one reader-goroutine observation: a frame or the terminal
-// stream error (EOF, truncation, corruption).
+// frameEvent is one reader-goroutine observation, stamped with its
+// arrival time: a frame or the terminal stream error (EOF, truncation,
+// corruption). A timer tick of the frame-wait loop is an event with
+// neither.
 type frameEvent struct {
 	f   *Frame
 	err error
+	at  time.Time
 }
 
 // workerProc is one live worker subprocess.
@@ -115,49 +119,127 @@ type workerProc struct {
 	reaped sync.Once
 }
 
-// Do executes one request on the worker, spawning or restarting it as
-// needed. timeout bounds the request's execution (0: no deadline; the
-// campaign runner derives one per request from the clean run's time, the
-// Section VI(i) rule); on expiry the worker's process group is killed and
-// the attempt classified as a hang. Crashes
-// and hangs are retried on a fresh worker up to MaxRestarts times with
-// back-off; a persistent failure returns the final *WorkerCrashError or
-// *WorkerHangError for the caller to classify. Spawn failures return
-// ErrSpawn-wrapped errors immediately (degrade to in-process execution).
+// Request is one request of a run.
+type Request struct {
+	// ID names the request on the wire; frames echo it.
+	ID      string
+	Payload json.RawMessage
+	// Timeout bounds the request's execution, from the arrival of the
+	// previous result (or from the write of the run, for its first
+	// request); 0: no deadline. On expiry the worker's process group is
+	// killed and the request classified as a hang.
+	Timeout time.Duration
+}
+
+// maxRunBytes bounds the encoded frames of a run of more than one
+// request. Run writes a whole run before it reads any result, which
+// cannot deadlock while the run fits the worker's stdin pipe buffer
+// (64 KiB on Linux) with room to spare.
+const maxRunBytes = 32 << 10
+
+// Do executes one request on the worker: a one-request Run. timeout
+// bounds the request's execution (0: no deadline; the campaign runner
+// derives one per request from the clean run's time, the Section VI(i)
+// rule). It returns the response, or the request's error as Run records
+// it: a final *WorkerCrashError or *WorkerHangError for the caller to
+// classify, an ErrSpawn-wrapped error (degrade to in-process execution),
+// the handler's application error, or ctx's error.
 func (s *Supervisor) Do(ctx context.Context, id string, payload json.RawMessage, timeout time.Duration) (json.RawMessage, error) {
+	var resp json.RawMessage
+	var rerr error
+	err := s.Run(ctx, []Request{{ID: id, Payload: payload, Timeout: timeout}}, func(_ int, r json.RawMessage, err error) error {
+		resp, rerr = r, err
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return resp, rerr
+}
+
+// Run executes reqs on the worker in order, spawning or restarting it as
+// needed, and pipelines them: every run frame leaves in one write, then
+// the results are read as the worker produces them. record is called once
+// per request, in order, with its response or its error, as each arrives.
+//
+// A request's own failure goes to record, not to Run's return:
+//
+//   - A crash or hang is the first unanswered request's: the worker runs
+//     its requests serially, so that is the one that died, and the ones
+//     after it never started. That request is retried on a fresh worker up
+//     to MaxRestarts times with back-off, the rest of the run re-sent
+//     behind it; a persistent failure is recorded as its final
+//     *WorkerCrashError or *WorkerHangError, and the run goes on.
+//   - A spawn failure (ErrSpawn) is recorded for the request at hand,
+//     unretried; the next request tries to spawn again.
+//   - An application failure (the handler's error) is recorded as is; the
+//     worker stays alive.
+//
+// Run stops early when record returns an error, which Run returns, or
+// when ctx is cancelled (ctx's error). A worker with requests still in
+// flight is then killed, so the supervisor's next holder never reads
+// their results.
+func (s *Supervisor) Run(ctx context.Context, reqs []Request, record func(i int, resp json.RawMessage, err error) error) error {
 	s.opMu.Lock()
 	defer s.opMu.Unlock()
 
-	var lastErr error
-	for attempt := 0; ; attempt++ {
+	// offs[i] is where request i's frame starts in wire: a pass re-sends
+	// the tail of the run from its first unanswered request.
+	var wire []byte
+	offs := make([]int, len(reqs))
+	for i, r := range reqs {
+		offs[i] = len(wire)
+		var err error
+		if wire, err = appendFrame(wire, &Frame{Type: FrameRun, ID: r.ID, Payload: r.Payload}); err != nil {
+			return err
+		}
+	}
+	if len(reqs) > 1 && len(wire) > maxRunBytes {
+		return fmt.Errorf("procexec: a %d-request run encodes to %d bytes, over the %d a pipelined write may hold", len(reqs), len(wire), maxRunBytes)
+	}
+
+	next := 0    // the first request without a recorded outcome
+	attempt := 0 // failed attempts of reqs[next]
+	for next < len(reqs) {
 		if attempt > 0 {
 			delay := time.Duration(s.cfg.Backoff.Delay(attempt-1)) * time.Millisecond
-			s.emitRestart(id, attempt, delay)
+			s.emitRestart(reqs[next].ID, attempt, delay)
 			select {
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return ctx.Err()
 			case <-time.After(delay):
 			}
 		}
-		resp, err := s.doOnce(ctx, id, payload, timeout)
-		if err == nil {
-			return resp, nil
+		base := next
+		n, fail, err := s.pass(ctx, reqs[next:], wire[offs[next]:], func(i int, resp json.RawMessage, err error) error {
+			return record(base+i, resp, err)
+		})
+		if err != nil {
+			return err
+		}
+		if n > 0 {
+			next, attempt = next+n, 0
+		}
+		if fail == nil {
+			continue
 		}
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 		var crash *guardian.WorkerCrashError
 		var hang *guardian.WorkerHangError
-		if !errors.As(err, &crash) && !errors.As(err, &hang) {
-			// Spawn failures and application errors are not process
-			// deaths: restarting would not change them.
-			return nil, err
+		if (errors.As(fail, &crash) || errors.As(fail, &hang)) && attempt < s.cfg.MaxRestarts {
+			attempt++
+			continue
 		}
-		lastErr = err
-		if attempt >= s.cfg.MaxRestarts {
-			return nil, lastErr
+		// A spawn failure — restarting would not change it — or a death
+		// that outlived its restarts.
+		if err := record(next, nil, fail); err != nil {
+			return err
 		}
+		next, attempt = next+1, 0
 	}
+	return nil
 }
 
 // SetObs points the supervisor's worker lifecycle telemetry at t, so a
@@ -183,90 +265,181 @@ func (s *Supervisor) Restage() {
 	}
 }
 
-// doOnce runs one attempt on a (possibly fresh) worker.
-func (s *Supervisor) doOnce(ctx context.Context, id string, payload json.RawMessage, timeout time.Duration) (json.RawMessage, error) {
+// pass is the frame-wait loop: it writes the run frames wire encodes for
+// reqs to one (possibly fresh) worker and records their results in order.
+// It returns how many it recorded and, when it ends early, either the
+// failure of the next request (a crash or hang, the worker discarded; or
+// a spawn error) or the error that stops the run (ctx's or record's).
+func (s *Supervisor) pass(ctx context.Context, reqs []Request, wire []byte, record func(int, json.RawMessage, error) error) (n int, fail, stop error) {
 	w, err := s.worker()
 	if err != nil {
-		return nil, err
+		return 0, err, nil
 	}
-	deadline := timeout
-	if deadline > 0 && w.served == 0 {
-		deadline += s.cfg.WarmupGrace
-	}
-
-	if err := WriteFrame(w.stdin, &Frame{Type: FrameRun, ID: id, Payload: payload}); err != nil {
+	start := time.Now()
+	if _, err := w.stdin.Write(wire); err != nil {
 		// The pipe broke: the worker died between requests.
-		return nil, s.fail(w, &guardian.WorkerCrashError{ExitCode: -1, Reason: "run frame write failed: " + err.Error()})
+		return 0, s.fail(w, &guardian.WorkerCrashError{ExitCode: -1, Reason: "run frame write failed: " + err.Error()}), nil
 	}
-
-	hbWindow := s.cfg.Heartbeat * time.Duration(s.cfg.HeartbeatMisses)
-	hbTimer := time.NewTimer(hbWindow)
-	defer hbTimer.Stop()
-	var reqC <-chan time.Time
-	if deadline > 0 {
-		reqTimer := time.NewTimer(deadline)
-		defer reqTimer.Stop()
-		reqC = reqTimer.C
-	}
-	lastBeat := time.Now()
-
+	st := waitState{hbWindow: s.cfg.Heartbeat * time.Duration(s.cfg.HeartbeatMisses)}
+	st.head(reqs[0].ID, s.budget(w, reqs[0].Timeout), start)
+	timer := time.NewTimer(time.Until(st.expiry()))
+	defer timer.Stop()
 	for {
-		select {
-		case <-ctx.Done():
+		ev, err := w.await(ctx, timer.C)
+		if err != nil {
 			// Cancellation (SIGINT/SIGTERM upstream): kill the whole
 			// worker group so nothing keeps running — or writing — after
 			// the campaign flushes its store and exits.
 			s.fail(w, nil) //nolint:errcheck
-			return nil, ctx.Err()
-
-		case ev := <-w.events:
-			if ev.err != nil {
-				// The stream ended: clean EOF mid-request and corrupt
-				// frames alike mean the worker died before its result.
-				reason := "worker stream ended before result"
-				if !errors.Is(ev.err, io.EOF) {
-					reason = ev.err.Error()
-				}
-				return nil, s.fail(w, &guardian.WorkerCrashError{ExitCode: -1, Reason: reason})
-			}
-			f := ev.f
-			switch {
-			case f.Type == FrameHeartbeat:
-				if f.ID == id {
-					now := time.Now()
-					s.noteHeartbeat(now.Sub(lastBeat))
-					lastBeat = now
-					if !hbTimer.Stop() {
-						<-hbTimer.C
-					}
-					hbTimer.Reset(hbWindow)
-				}
-				// Stale heartbeats from a just-completed request are
-				// harmless; drop them without resetting the window.
-			case f.Type == FrameResult && f.ID == id:
-				w.served++
-				return f.Payload, nil
-			case f.Type == FrameError && f.ID == id:
-				w.served++
-				return nil, fmt.Errorf("procexec: worker: %s", f.Error)
-			default:
-				return nil, s.fail(w, &guardian.WorkerCrashError{
-					ExitCode: -1,
-					Reason:   fmt.Sprintf("protocol confusion: unexpected %q frame for id %q", f.Type, f.ID),
-				})
-			}
-
-		case <-hbTimer.C:
-			return nil, s.fail(w, &guardian.WorkerHangError{
-				HeartbeatMiss: true,
-				Reason:        fmt.Sprintf("no frame for %v", hbWindow),
-			})
-
-		case <-reqC:
-			return nil, s.fail(w, &guardian.WorkerHangError{
-				Reason: fmt.Sprintf("request exceeded %v (watchdog)", deadline),
-			})
+			return n, nil, err
 		}
+		prev := st.beat
+		v, resp, err := st.judge(ev)
+		switch v {
+		case failed:
+			return n, s.fail(w, err), nil
+		case beat:
+			s.noteHeartbeat(ev.at.Sub(prev))
+		case answered:
+			w.served++
+			n++
+			if rerr := record(n-1, resp, err); rerr != nil {
+				if n < len(reqs) {
+					s.fail(w, nil) //nolint:errcheck
+				}
+				return n, nil, rerr
+			}
+			if n == len(reqs) {
+				return n, nil, nil
+			}
+			st.head(reqs[n].ID, s.budget(w, reqs[n].Timeout), ev.at)
+		}
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+		timer.Reset(time.Until(st.expiry()))
+	}
+}
+
+// budget is a request's watchdog budget on w: its timeout, plus the
+// warm-up grace while w has served nothing since it last staged.
+func (s *Supervisor) budget(w *workerProc, timeout time.Duration) time.Duration {
+	if timeout > 0 && w.served == 0 {
+		timeout += s.cfg.WarmupGrace
+	}
+	return timeout
+}
+
+// await returns the worker's next event, or a tick once timer fires. A
+// frame that was queued when the tick was taken comes first, so every
+// frame is judged by its own arrival stamp, never by which channel select
+// happened to pick.
+func (w *workerProc) await(ctx context.Context, timer <-chan time.Time) (frameEvent, error) {
+	if err := ctx.Err(); err != nil {
+		return frameEvent{}, err
+	}
+	select {
+	case ev := <-w.events:
+		return ev, nil
+	case <-ctx.Done():
+		return frameEvent{}, ctx.Err()
+	case at := <-timer:
+		select {
+		case ev := <-w.events:
+			return ev, nil
+		default:
+			return frameEvent{at: at}, nil
+		}
+	}
+}
+
+// waitState is the frame-wait loop's view of a pass: the request awaiting
+// its result and the two clocks that can declare the worker hung. judge
+// holds every classification rule, apart from pipes and timers, so tests
+// can feed it synthetic (frame, arrival) sequences.
+type waitState struct {
+	id       string        // the head request: the first without a result
+	budget   time.Duration // its watchdog budget (0: none), grace included
+	due      time.Time     // its deadline; zero without one
+	beat     time.Time     // the last sign of life the window counts from
+	hbWindow time.Duration // the heartbeat-miss window
+}
+
+// verdict is judge's decision on one event.
+type verdict int
+
+const (
+	waiting  verdict = iota // nothing resolved
+	beat                    // a heartbeat of the head request restarted the window
+	answered                // the head request's result or application error
+	failed                  // the worker crashed or hung: kill it
+)
+
+// head makes id the request awaiting its result, armed at at: its
+// deadline and the heartbeat window both count from there.
+func (st *waitState) head(id string, budget time.Duration, at time.Time) {
+	st.id, st.budget, st.beat, st.due = id, budget, at, time.Time{}
+	if budget > 0 {
+		st.due = at.Add(budget)
+	}
+}
+
+// expiry is when the loop's timer must tick: the head's deadline or the
+// end of the heartbeat window, whichever comes first.
+func (st *waitState) expiry() time.Time {
+	t := st.beat.Add(st.hbWindow)
+	if !st.due.IsZero() && st.due.Before(t) {
+		t = st.due
+	}
+	return t
+}
+
+// judge classifies one event. Whatever it carries, an event stamped on or
+// past the head's deadline is a watchdog hang, and one stamped a whole
+// heartbeat window after the last sign of life a heartbeat-miss hang: a
+// result that lands late is a hang however select ordered it against the
+// timer, the rule guard.run applies in-process. A heartbeat of the head
+// request and its result restart the window; a stale heartbeat does not.
+func (st *waitState) judge(ev frameEvent) (verdict, json.RawMessage, error) {
+	switch {
+	case !st.due.IsZero() && !ev.at.Before(st.due):
+		return failed, nil, &guardian.WorkerHangError{
+			Reason: fmt.Sprintf("request exceeded %v (watchdog)", st.budget),
+		}
+	case ev.at.Sub(st.beat) >= st.hbWindow:
+		return failed, nil, &guardian.WorkerHangError{
+			HeartbeatMiss: true,
+			Reason:        fmt.Sprintf("no frame for %v", st.hbWindow),
+		}
+	case ev.err != nil:
+		// The stream ended: clean EOF mid-request and corrupt frames
+		// alike mean the worker died before its result.
+		reason := "worker stream ended before result"
+		if !errors.Is(ev.err, io.EOF) {
+			reason = ev.err.Error()
+		}
+		return failed, nil, &guardian.WorkerCrashError{ExitCode: -1, Reason: reason}
+	case ev.f == nil:
+		return waiting, nil, nil // a tick before either clock ran out
+	}
+	f := ev.f
+	switch {
+	case f.Type == FrameHeartbeat && f.ID == st.id:
+		st.beat = ev.at
+		return beat, nil, nil
+	case f.Type == FrameHeartbeat:
+		return waiting, nil, nil
+	case f.Type == FrameResult && f.ID == st.id:
+		return answered, f.Payload, nil
+	case f.Type == FrameError && f.ID == st.id:
+		return answered, nil, fmt.Errorf("procexec: worker: %s", f.Error)
+	}
+	return failed, nil, &guardian.WorkerCrashError{
+		ExitCode: -1,
+		Reason:   fmt.Sprintf("protocol confusion: unexpected %q frame for id %q", f.Type, f.ID),
 	}
 }
 
@@ -315,13 +488,14 @@ func (s *Supervisor) worker() (*workerProc, error) {
 	}
 	liveGroups.Store(w.pgid, struct{}{})
 	go func() {
+		r := bufio.NewReader(stdout)
 		for {
-			f, err := ReadFrame(stdout)
+			// Stamped here, on arrival, not when the loop gets to it.
+			f, err := ReadFrame(r)
+			w.events <- frameEvent{f: f, err: err, at: time.Now()}
 			if err != nil {
-				w.events <- frameEvent{err: err}
 				return
 			}
-			w.events <- frameEvent{f: f}
 		}
 	}()
 	s.w = w

@@ -1,6 +1,7 @@
 package procexec
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -36,8 +37,11 @@ type ServeOptions struct {
 }
 
 // Serve runs the worker side of the protocol: read run frames from in,
-// execute them through h with heartbeats flowing, write result frames to
-// out, until in reaches EOF (the supervisor closed stdin → clean exit).
+// execute them through h one at a time, in arrival order, with heartbeats
+// flowing, and write each result frame to out as soon as it is ready,
+// until in reaches EOF (the supervisor closed stdin → clean exit). The
+// supervisor may write a whole run of requests ahead of their results;
+// they wait, unread, in the pipe and in Serve's read buffer.
 //
 // Serve is what `hauberk-run -worker` executes with os.Stdin/os.Stdout.
 // It must own out exclusively — any other write to the stream corrupts
@@ -47,15 +51,41 @@ func Serve(in io.Reader, out io.Writer, h Handler, opts ServeOptions) error {
 	if hb <= 0 {
 		hb = DefaultHeartbeat
 	}
-	var wmu sync.Mutex // serializes heartbeat and result frames
-	write := func(f *Frame) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		return WriteFrame(out, f)
-	}
+	var (
+		wmu   sync.Mutex // serializes frames on out; guards cur and beats
+		cur   string     // the request in progress; "" between requests
+		beats int        // heartbeats sent for cur
+	)
+	// One heartbeat goroutine for the worker's life beats the request in
+	// progress. A result is written under wmu after cur is cleared, so no
+	// heartbeat of a request follows its result.
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		t := time.NewTicker(hb)
+		defer t.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-t.C:
+			}
+			wmu.Lock()
+			var err error
+			if cur != "" {
+				beats++
+				err = WriteFrame(out, &Frame{Type: FrameHeartbeat, ID: cur, Seq: beats})
+			}
+			wmu.Unlock()
+			if err != nil {
+				return // supervisor gone; the next result write fails too
+			}
+		}
+	}()
 
+	r := bufio.NewReader(in)
 	for seq := 0; ; seq++ {
-		req, err := ReadFrame(in)
+		req, err := ReadFrame(r)
 		if errors.Is(err, io.EOF) {
 			return nil
 		}
@@ -72,10 +102,11 @@ func Serve(in io.Reader, out io.Writer, h Handler, opts ServeOptions) error {
 			// Die with no goodbye, taking the whole process group.
 			killOwnGroup()
 		case chaos.ModeStall:
-			// Fall silent: no heartbeats, no result. Only the supervisor's
-			// heartbeat-miss rule can see this; it will kill the group.
-			// (Sleeping, not select{}: the runtime's deadlock detector
-			// would otherwise turn the hang into a tidy crash.)
+			// Fall silent: no heartbeats (cur stays empty), no result.
+			// Only the supervisor's heartbeat-miss rule can see this; it
+			// will kill the group. (Sleeping, not select{}: the runtime's
+			// deadlock detector would otherwise turn the hang into a tidy
+			// crash.)
 			block()
 		case chaos.ModeCorrupt:
 			// A frame truncated mid-write by a dying process: emit a
@@ -88,25 +119,9 @@ func Serve(in io.Reader, out io.Writer, h Handler, opts ServeOptions) error {
 			panic(fmt.Sprintf("chaos: injected worker panic (request seq %d)", seq))
 		}
 
-		stop := make(chan struct{})
-		var hbWG sync.WaitGroup
-		hbWG.Add(1)
-		go func(id string) {
-			defer hbWG.Done()
-			t := time.NewTicker(hb)
-			defer t.Stop()
-			for n := 1; ; n++ {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					if write(&Frame{Type: FrameHeartbeat, ID: id, Seq: n}) != nil {
-						return // supervisor gone; the request's result write will fail too
-					}
-				}
-			}
-		}(req.ID)
-
+		wmu.Lock()
+		cur, beats = req.ID, 0
+		wmu.Unlock()
 		if mode == chaos.ModeSpin {
 			// Emulate a workload that never terminates but whose process
 			// stays healthy: heartbeats keep flowing, the result never
@@ -115,13 +130,15 @@ func Serve(in io.Reader, out io.Writer, h Handler, opts ServeOptions) error {
 		}
 
 		payload, herr := h(req.ID, req.Payload)
-		close(stop)
-		hbWG.Wait()
 		resp := &Frame{Type: FrameResult, ID: req.ID, Payload: payload}
 		if herr != nil {
 			resp = &Frame{Type: FrameError, ID: req.ID, Error: herr.Error()}
 		}
-		if err := write(resp); err != nil {
+		wmu.Lock()
+		cur = ""
+		err = WriteFrame(out, resp)
+		wmu.Unlock()
+		if err != nil {
 			return err
 		}
 	}

@@ -54,20 +54,25 @@ func releaseWorkerSlots(n int) {
 	}
 }
 
-// dispatch runs body(ctx, slot, i) for every i in [0, n) and is the one
-// place campaign worker goroutines start. The campaign gets one worker plus
-// as many extra slots as the process-wide budget grants, capped by
-// Scale.Workers, so concurrent campaigns in one process share the cores
-// instead of multiplying them; the slots are acquired and released here and
-// nowhere else, so no return path of a campaign can leak them. Workers take
-// indices in ascending order; slot, in [0, campaignWorkers()), names the
-// worker and is held by one body at a time.
+// dispatch runs body(ctx, slot, lo, hi) over runs [lo, hi) that together
+// cover [0, n) once, and is the one place campaign worker goroutines
+// start. The campaign gets one worker plus as many extra slots as the
+// process-wide budget grants, capped by Scale.Workers, so concurrent
+// campaigns in one process share the cores instead of multiplying them;
+// the slots are acquired and released here and nowhere else, so no return
+// path of a campaign can leak them. Runs are handed out in ascending order;
+// slot, in [0, campaignWorkers()), names the worker and is held by one body
+// at a time.
+//
+// A run is min(maxRun, max(1, remaining / (2 × slots))) indices long, so
+// the tail of a plan still spreads over every slot; maxRun 1 hands out one
+// index at a time, which is what every in-process caller takes.
 //
 // The first error stops the hand-out and cancels the ctx the bodies run
 // under, so work in flight winds down instead of finishing a plan whose
 // campaign has already failed; it is the error returned. Cancelling the
 // caller's ctx stops the hand-out the same way and is not an error here.
-func (e *Env) dispatch(ctx context.Context, n int, body func(ctx context.Context, slot, i int) error) error {
+func (e *Env) dispatch(ctx context.Context, n, maxRun int, body func(ctx context.Context, slot, lo, hi int) error) error {
 	extra := acquireWorkerSlots(e.campaignWorkers() - 1)
 	defer releaseWorkerSlots(extra)
 	ctx, cancel := context.WithCancel(ctx)
@@ -78,21 +83,22 @@ func (e *Env) dispatch(ctx context.Context, n int, body func(ctx context.Context
 		next     int
 		firstErr error
 	)
-	take := func() (int, bool) {
+	take := func() (lo, hi int, ok bool) {
 		mu.Lock()
 		defer mu.Unlock()
 		if next >= n || ctx.Err() != nil {
-			return 0, false
+			return 0, 0, false
 		}
-		next++
-		return next - 1, true
+		lo = next
+		next += min(maxRun, max(1, (n-next)/(2*(extra+1))))
+		return lo, next, true
 	}
 	for slot := 0; slot <= extra; slot++ {
 		wg.Add(1)
 		go func(slot int) {
 			defer wg.Done()
-			for i, ok := take(); ok; i, ok = take() {
-				if err := body(ctx, slot, i); err != nil {
+			for lo, hi, ok := take(); ok; lo, hi, ok = take() {
+				if err := body(ctx, slot, lo, hi); err != nil {
 					mu.Lock()
 					if firstErr == nil {
 						firstErr = err

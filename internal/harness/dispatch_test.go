@@ -93,7 +93,7 @@ func TestDispatchStopsAtFirstError(t *testing.T) {
 		ran   []int
 		slots = make(map[int]bool)
 	)
-	err := e.dispatch(context.Background(), n, func(ctx context.Context, slot, i int) error {
+	err := e.dispatch(context.Background(), n, 1, func(ctx context.Context, slot, i, _ int) error {
 		mu.Lock()
 		ran = append(ran, i)
 		slots[slot] = true
@@ -129,7 +129,7 @@ func TestDispatchStopsAtFirstError(t *testing.T) {
 	// A cancelled caller stops the hand-out too, and is not an error here.
 	ctx, cancel := context.WithCancel(context.Background())
 	count := 0
-	if err := e.dispatch(ctx, n, func(context.Context, int, int) error {
+	if err := e.dispatch(ctx, n, 1, func(context.Context, int, int, int) error {
 		mu.Lock()
 		defer mu.Unlock()
 		if count++; count == k {
@@ -141,5 +141,57 @@ func TestDispatchStopsAtFirstError(t *testing.T) {
 	}
 	if count < k || count > k+workers {
 		t.Fatalf("%d bodies ran around a cancel at the %dth on %d workers", count, k, workers)
+	}
+}
+
+// TestDispatchRunsCoverPlan: the runs dispatch hands out cover every index
+// exactly once, each slot's in ascending order, never longer than maxRun
+// and short enough that the tail still reaches every slot; maxRun 1 is
+// the in-process hand-out, one index at a time.
+func TestDispatchRunsCoverPlan(t *testing.T) {
+	const workers = 3
+	forceBudget(t, workers-1)
+	e := NewEnv(tinyScale())
+	e.Scale.Workers = workers
+	for _, tc := range []struct{ n, maxRun int }{{200, 16}, {4, 16}, {1, 16}, {200, 1}} {
+		var (
+			mu     sync.Mutex
+			seen   = make([]int, tc.n)
+			last   = make(map[int]int) // slot → its last hi
+			maxLen int
+		)
+		err := e.dispatch(context.Background(), tc.n, tc.maxRun, func(_ context.Context, slot, lo, hi int) error {
+			mu.Lock()
+			defer mu.Unlock()
+			if lo >= hi || hi > tc.n {
+				t.Errorf("n=%d: run [%d, %d) is empty or past the plan", tc.n, lo, hi)
+			}
+			if end, ok := last[slot]; ok && lo < end {
+				t.Errorf("n=%d: slot %d took [%d, %d) after a run ending at %d", tc.n, slot, lo, hi, end)
+			}
+			last[slot] = hi
+			maxLen = max(maxLen, hi-lo)
+			if remaining := tc.n - lo; hi-lo > max(1, remaining/(2*workers)) {
+				t.Errorf("n=%d: run [%d, %d) of %d remaining leaves the tail to one slot", tc.n, lo, hi, remaining)
+			}
+			for i := lo; i < hi; i++ {
+				seen[i]++
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range seen {
+			if c != 1 {
+				t.Fatalf("n=%d maxRun=%d: index %d handed out %d times", tc.n, tc.maxRun, i, c)
+			}
+		}
+		if maxLen > tc.maxRun {
+			t.Errorf("n=%d: a run of %d indices exceeds maxRun %d", tc.n, maxLen, tc.maxRun)
+		}
+		if tc.n == 200 && tc.maxRun == 16 && maxLen != 16 {
+			t.Errorf("a 200-index plan on %d slots never took a full run (longest %d)", workers, maxLen)
+		}
 	}
 }

@@ -66,7 +66,7 @@ func (e *Env) RunRecoveryCampaign(
 	live := store.Clone()
 
 	var mu sync.Mutex // guards stats and the alpha controller
-	err = e.dispatch(context.TODO(), len(plan), func(_ context.Context, _, i int) error {
+	err = e.dispatch(context.TODO(), len(plan), 1, func(_ context.Context, _, i, _ int) error {
 		injector := &swifi.Injector{}
 		injector.Arm(plan[i].Cmd)
 

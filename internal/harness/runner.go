@@ -224,21 +224,7 @@ func (e *Env) RunPrepared(ctx context.Context, pc *PreparedCampaign, opts Campai
 		done       = resumed
 		lastAppend time.Time
 	)
-	err = e.dispatch(ctx, len(pending), func(ctx context.Context, slot, k int) error {
-		idx := pending[k]
-		var r *InjectionResult
-		var err error
-		if iso != nil {
-			r, err = e.runInjectionIsolated(ctx, iso, slot, pc, gt, plan[idx], timeout, opts)
-		} else {
-			r, err = e.runInjectionGuarded(ctx, pc, gt, plan[idx], timeout, opts)
-		}
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return nil // an interrupt, reported below from ctx; or a sibling failed first
-			}
-			return fmt.Errorf("injection %d: %w", idx, err)
-		}
+	record := func(idx int, r *InjectionResult) error {
 		mu.Lock()
 		defer mu.Unlock()
 		if err := cs.Append(recordOf(idx, plan[idx], r)); err != nil {
@@ -271,6 +257,30 @@ func (e *Env) RunPrepared(ctx context.Context, pc *PreparedCampaign, opts Campai
 			opts.OnResult(done, owned)
 		}
 		return nil
+	}
+	// An isolated slot takes a run of pending indices and pipelines it
+	// through its worker; an in-process one takes one index at a time.
+	maxRun := 1
+	if iso != nil {
+		maxRun = isoRunMax
+	}
+	err = e.dispatch(ctx, len(pending), maxRun, func(ctx context.Context, slot, lo, hi int) error {
+		var err error
+		if iso != nil {
+			err = e.runIsolated(ctx, iso, slot, pc, gt, pending[lo:hi], timeout, opts, record)
+		} else {
+			idx := pending[lo]
+			var r *InjectionResult
+			if r, err = e.runInjectionGuarded(ctx, pc, gt, plan[idx], timeout, opts); err != nil {
+				err = fmt.Errorf("injection %d: %w", idx, err)
+			} else {
+				err = record(idx, r)
+			}
+		}
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return nil // an interrupt, reported below from ctx; or a sibling failed first
+		}
+		return err
 	})
 	if err != nil {
 		return nil, err

@@ -370,7 +370,7 @@ func (e *Env) newIsoCampaign(pc *PreparedCampaign, opts CampaignOptions) (*isoCa
 // slot's first use: its worker lifecycle telemetry now goes to this
 // campaign, and a worker that last staged another experiment gets the
 // warm-up grace again for its first request. The per-injection watchdog
-// deadline travels per request through Do.
+// deadline travels per request through Run.
 func (ic *isoCampaign) supervisor(slot int) *procexec.Supervisor {
 	w := ic.held[slot]
 	if w == nil {
@@ -400,37 +400,71 @@ func (ic *isoCampaign) release(interrupted bool) {
 	}
 }
 
-// runInjectionIsolated executes one injection in the worker slot holds
-// and maps process deaths onto the campaign's classification:
-// a worker crash (panic, SIGKILL, corrupt protocol) that survives the
-// supervisor's restarts is a crash failure, a worker hang (heartbeat
-// miss or watchdog deadline) a hang failure — the same outcomes the
-// in-process path produces for *gpu.CrashError and watchdog expiry, which
-// is what keeps figure digests byte-identical across isolation modes.
-// When the worker cannot be spawned at all the injection degrades
-// gracefully to the in-process guarded path against gt.
-func (e *Env) runInjectionIsolated(
+// isoRunMax is the longest run of injections an isolated slot takes and
+// pipelines through its worker: 16 requests of ≈ 200 bytes encode to
+// ≈ 3 KiB, far inside the pipe buffer procexec writes a whole run into.
+const isoRunMax = 16
+
+// runIsolated executes the injections at plan indices run (ascending) in
+// the worker slot holds, pipelined, and records each result in order as it
+// arrives. It maps process deaths onto the campaign's classification: a
+// worker crash (panic, SIGKILL, corrupt protocol) that survives the
+// supervisor's restarts is a crash failure, a worker hang (heartbeat miss
+// or watchdog deadline) a hang failure — the same outcomes the in-process
+// path produces for *gpu.CrashError and watchdog expiry, which is what
+// keeps figure digests byte-identical across isolation modes. When the
+// worker cannot be spawned at all an injection degrades gracefully to the
+// in-process guarded path against gt.
+func (e *Env) runIsolated(
 	ctx context.Context,
 	ic *isoCampaign,
 	slot int,
 	pc *PreparedCampaign,
 	gt *goldenTrace,
+	run []int,
+	timeout time.Duration,
+	opts CampaignOptions,
+	record func(idx int, r *InjectionResult) error,
+) error {
+	reqs := make([]procexec.Request, len(run))
+	for k, idx := range run {
+		inj := pc.Plan[idx]
+		payload, err := json.Marshal(isoRequest{
+			Program: pc.Spec.Name,
+			Dataset: pc.Golden.Dataset.Index,
+			Mode:    int(pc.Mode),
+			Staging: ic.staging,
+			Cmd:     wireCommand(inj.Cmd),
+		})
+		if err != nil {
+			return err
+		}
+		reqs[k] = procexec.Request{ID: inj.Cmd.Key(), Payload: payload, Timeout: timeout}
+	}
+	return ic.supervisor(slot).Run(ctx, reqs, func(k int, resp json.RawMessage, err error) error {
+		idx := run[k]
+		r, err := e.isolatedResult(ctx, pc, gt, pc.Plan[idx], resp, err, timeout, opts)
+		if err != nil {
+			return fmt.Errorf("injection %d: %w", idx, err)
+		}
+		return record(idx, r)
+	})
+}
+
+// isolatedResult classifies one injection's worker response, or its
+// error as procexec recorded it.
+func (e *Env) isolatedResult(
+	ctx context.Context,
+	pc *PreparedCampaign,
+	gt *goldenTrace,
 	inj Injection,
+	resp json.RawMessage,
+	err error,
 	timeout time.Duration,
 	opts CampaignOptions,
 ) (*InjectionResult, error) {
-	req := isoRequest{
-		Program: pc.Spec.Name,
-		Dataset: pc.Golden.Dataset.Index,
-		Mode:    int(pc.Mode),
-		Staging: ic.staging,
-		Cmd:     wireCommand(inj.Cmd),
-	}
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := ic.supervisor(slot).Do(ctx, inj.Cmd.Key(), payload, timeout)
+	var crash *guardian.WorkerCrashError
+	var hang *guardian.WorkerHangError
 	switch {
 	case err == nil:
 		var out isoResponse
@@ -456,17 +490,12 @@ func (e *Env) runInjectionIsolated(
 		}
 		return e.runInjectionGuarded(ctx, pc, gt, inj, timeout, opts)
 
-	default:
-		var crash *guardian.WorkerCrashError
-		var hang *guardian.WorkerHangError
-		if errors.As(err, &crash) {
-			return &InjectionResult{Injection: inj, Outcome: OutcomeFailure}, nil
-		}
-		if errors.As(err, &hang) {
-			return &InjectionResult{Injection: inj, Outcome: OutcomeFailure, Hang: true, TimedOut: true}, nil
-		}
-		return nil, err
+	case errors.As(err, &crash):
+		return &InjectionResult{Injection: inj, Outcome: OutcomeFailure}, nil
+	case errors.As(err, &hang):
+		return &InjectionResult{Injection: inj, Outcome: OutcomeFailure, Hang: true, TimedOut: true}, nil
 	}
+	return nil, err
 }
 
 // swifiCommand is the JSON wire form of swifi.Command (declared here so

@@ -2,9 +2,11 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"hauberk/internal/guardian"
 	"hauberk/internal/guardian/procexec"
 	"hauberk/internal/guardian/procexec/chaos"
+	cstore "hauberk/internal/harness/store"
 	"hauberk/internal/obs"
 )
 
@@ -172,6 +175,63 @@ func TestIsolatedCampaignChaosKillAndResume(t *testing.T) {
 	}
 	if got, want := loaded.FigureDigest(), ref.FigureDigest(); got != want {
 		t.Fatalf("loaded digest differs:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestIsolatedCampaignChaosInsideRuns: with the plan handed out in
+// pipelined runs, a chaos kill or corrupt entry lands in the middle of a
+// run, with later requests of the run already written to the dying
+// worker. The digest must equal the in-process one, and the store's log
+// must hold every plan index exactly once: the request that died is
+// retried, the ones queued behind it re-sent, none recorded twice.
+func TestIsolatedCampaignChaosInsideRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign is slow")
+	}
+	forceBudget(t, 1)
+	e := NewEnv(tinyScale())
+	e.Scale.Workers = 2
+	pc := planTiny(t, e)
+	if first := len(pc.Plan) / 4; first <= 5 {
+		t.Fatalf("a %d-injection plan's first runs (%d) are too short for kill@5 to land inside one", len(pc.Plan), first)
+	}
+	ref, err := e.RunPrepared(context.Background(), pc, CampaignOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// One mode per campaign: a fresh worker counts from 0 again, so of two
+	// entries only the lower index would ever fire.
+	for _, spec := range []string{"kill@5", "corrupt@5"} {
+		e.WithObs(obs.New(&obs.MemSink{}))
+		dir := t.TempDir()
+		iso, err := e.RunPrepared(context.Background(), pc, isoOpts(t, dir, spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := iso.FigureDigest(), ref.FigureDigest(); got != want {
+			t.Fatalf("%s digest differs from the in-process run:\n%s\nvs\n%s", spec, got, want)
+		}
+		if n := e.Obs.Metrics().Counter("hauberk_worker_crashes_total").Value(); n < 1 {
+			t.Errorf("%s: no worker crashed", spec)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, cstore.ShardFile(0, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := make([]int, len(pc.Plan))
+		for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+			var rec cstore.Record
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("%s: store line %q: %v", spec, line, err)
+			}
+			seen[rec.Idx]++
+		}
+		for idx, n := range seen {
+			if n != 1 {
+				t.Errorf("%s: plan index %d has %d records in the store, want 1", spec, idx, n)
+			}
+		}
 	}
 }
 
