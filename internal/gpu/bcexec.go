@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"errors"
 	"math"
 	"math/bits"
 
@@ -26,16 +27,17 @@ func (d *Device) runProgram(p *program, k *kir.Kernel, spec LaunchSpec) (*Result
 	regsRef := p.getRegs()
 	defer p.putRegs(regsRef)
 
+	budget := d.stepBudget(&spec)
 	t := bcThread{
 		d:      d,
 		p:      p,
 		spec:   &spec,
 		hooks:  spec.Hooks,
 		regs:   *regsRef,
-		budget: d.stepBudget(&spec),
+		budget: budget,
+		hang:   budget,
 		fault:  d.overlay,
 	}
-	regs := t.regs
 	// In GPU mode any address below the virtual limit is a valid access, so
 	// the dispatch loop can skip the (non-inlinable) checkAccess call on the
 	// fast path. CPU mode keeps the limit at zero: every access goes through
@@ -47,15 +49,7 @@ func (d *Device) runProgram(p *program, k *kir.Kernel, spec LaunchSpec) (*Result
 	for blk := 0; blk < spec.Grid; blk++ {
 		var warpMax float64
 		for tid := 0; tid < spec.Block; tid++ {
-			clear(regs[:p.nv])
-			for i, par := range k.Params {
-				if par.Type == kir.Ptr {
-					regs[par.ID] = spec.Args[i].Buf.Off
-				} else {
-					regs[par.ID] = spec.Args[i].Scalar
-				}
-			}
-			t.tc = ThreadCtx{Block: blk, Thread: tid}
+			t.start(k, ThreadCtx{Block: blk, Thread: tid})
 			err := t.run()
 			sumThreadCycles += t.cycles
 			sumLoopCycles += t.loopCycles
@@ -79,16 +73,24 @@ func (d *Device) runProgram(p *program, k *kir.Kernel, spec LaunchSpec) (*Result
 	return res, nil
 }
 
-// bcThread is the per-thread state of the bytecode engine. The counters are
-// overwritten (not accumulated) by each run call.
+// bcThread is the per-thread state of the bytecode engine. run continues
+// the thread from pc with the counters where the last run (or start, or a
+// restored checkpoint) left them.
 type bcThread struct {
-	d         *Device
-	p         *program
-	spec      *LaunchSpec
-	hooks     Hooks
-	tc        ThreadCtx
-	regs      []uint32
-	budget    int
+	d     *Device
+	p     *program
+	spec  *LaunchSpec
+	hooks Hooks
+	tc    ThreadCtx
+	regs  []uint32
+	// hang is the thread's statement budget (a HangError past it). budget
+	// is what the step count is compared with at every statement: hang,
+	// or in Record the next checkpoint when that comes first — crossing it
+	// then pauses the thread instead (errPause).
+	budget, hang int
+	// site, when non-zero, is 1 + the only probe site whose Probe hook is
+	// called: a resumed injection's, whose injector ignores every other.
+	site      uint32
 	fastLimit uint32 // addresses below it never fail checkAccess
 	// fault is applied to every loaded word (nil: none). Launch passes the
 	// device overlay; Record wraps it to note which thread loaded the word.
@@ -98,11 +100,33 @@ type bcThread struct {
 	// trc receives Record's program's notes (trace.go).
 	trc *traceRecorder
 
+	pc         int
 	cycles     float64
 	loopCycles float64
 	loads      int64
 	stores     int64
 	steps      int
+}
+
+// errPause is how run reports that the thread stopped at the statement
+// boundary budget marked for a checkpoint; pc and the counters say where.
+var errPause = errors.New("gpu: thread paused at a checkpoint")
+
+// start sets the thread up at its first statement: fresh variables, the
+// launch's arguments in the parameter slots, zero counters.
+func (t *bcThread) start(k *kir.Kernel, tc ThreadCtx) {
+	regs := t.regs
+	clear(regs[:t.p.nv])
+	for i, par := range k.Params {
+		if par.Type == kir.Ptr {
+			regs[par.ID] = t.spec.Args[i].Buf.Off
+		} else {
+			regs[par.ID] = t.spec.Args[i].Scalar
+		}
+	}
+	t.tc = tc
+	t.pc, t.steps, t.loads, t.stores = 0, 0, 0, 0
+	t.cycles, t.loopCycles = 0, 0
 }
 
 func (t *bcThread) crash(reason string) error {
@@ -121,11 +145,10 @@ func (t *bcThread) run() error {
 	fault := t.fault
 	rec := t.rec
 	fastLimit := t.fastLimit
-	var cycles, loopCycles float64
-	var steps int
-	var loads, stores int64
+	cycles, loopCycles := t.cycles, t.loopCycles
+	steps, loads, stores := t.steps, t.loads, t.stores
 	var err error
-	pc := 0
+	pc := t.pc
 
 loop:
 	for pc < len(insts) {
@@ -133,7 +156,12 @@ loop:
 		if in.flags&fStep != 0 {
 			steps++
 			if steps > t.budget {
-				err = &HangError{Block: t.tc.Block, Thread: t.tc.Thread, Steps: steps, Budget: t.budget}
+				if steps <= t.hang {
+					steps-- // the statement at pc has not run
+					err = errPause
+				} else {
+					err = &HangError{Block: t.tc.Block, Thread: t.tc.Thread, Steps: steps, Budget: t.hang}
+				}
 				break loop
 			}
 		}
@@ -484,7 +512,7 @@ loop:
 			}
 
 		case opProbe:
-			if t.hooks != nil {
+			if t.hooks != nil && (t.site == 0 || t.site == in.imm+1) {
 				val, changed := t.hooks.Probe(t.tc, int(in.imm), p.vars[in.a], kir.HW(in.b), regs[in.a])
 				if changed {
 					regs[in.a] = val
@@ -639,7 +667,7 @@ loop:
 	// head expression crashed. A crash inside a head-expression region owes
 	// that charge before propagating; hangs do not (the tree's step check
 	// precedes the head evaluation). Region charges are always loop time.
-	if err != nil {
+	if err != nil && err != errPause {
 		if _, hang := err.(*HangError); !hang {
 			for _, r := range p.regions {
 				if pc >= r.start && pc < r.end {
@@ -651,6 +679,7 @@ loop:
 		}
 	}
 
+	t.pc = pc
 	t.cycles = cycles
 	t.loopCycles = loopCycles
 	t.loads = loads

@@ -174,18 +174,18 @@ func resumeCase(t *testing.T, tc diffCase, k *kir.Kernel) (run launchRun, ok boo
 	spec := LaunchSpec{Grid: tc.grid, Block: tc.block, Args: tc.setup(d, k), Hooks: &bcRecHooks{}}
 	if tc.fault != nil {
 		d.SetMemFault(tc.fault)
-		if tr, _, err := d.Record(k, spec, nil); tr != nil || err == nil {
+		if tr, _, err := d.Record(k, spec, nil, nil); tr != nil || err == nil {
 			t.Fatalf("Record on a device with an opaque overlay: trace %v, err %v", tr, err)
 		}
 		return launchRun{}, false
 	}
-	tr, _, _ := d.Record(k, spec, nil)
+	tr, _, _ := d.Record(k, spec, nil, nil)
 	if tr == nil {
 		return launchRun{}, false
 	}
 	hooks := &bcRecHooks{flipMask: tc.flipMask}
 	spec.Hooks, spec.StepBudget = hooks, tc.stepBudget
-	res, _, _, err := d.Resume(k, spec, tr, 0, func() bool { return false })
+	res, _, err := d.Resume(k, spec, tr, ResumeAt{}, -1, func() bool { return false })
 	var arenas [][]uint32
 	for _, buf := range d.Buffers() {
 		arenas = append(arenas, d.ReadWords(buf))

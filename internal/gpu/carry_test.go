@@ -255,16 +255,23 @@ func genCarryCase(seed uint64) traceCase {
 // FuzzResumeCarry holds Resume to Device.Launch, bit for bit, on generated
 // histogram kernels that mix transparent and opaque uses of the bins, with
 // the fault drawn from (site, instance, mask): site's top bit makes it
-// persistent. The seed corpus is testdata/fuzz/FuzzResumeCarry.
+// persistent. The kernels are recorded with a checkpoint before every
+// statement, and the launch resumes from the ckpt-th (mod their count plus
+// one; 0 is the thread's start) of the target thread's checkpoints that
+// precede the target instance. The seed corpus is
+// testdata/fuzz/FuzzResumeCarry.
 func FuzzResumeCarry(f *testing.F) {
-	f.Fuzz(func(t *testing.T, seed uint64, site uint8, instance uint16, mask uint32) {
+	f.Fuzz(func(t *testing.T, seed uint64, site uint8, instance uint16, mask uint32, ckpt uint8) {
+		defer CheckpointEvery(1)()
 		tc := genCarryCase(seed)
 		g := recordCase(t, tc)
 		if err := kir.Validate(g.k); err != nil {
 			t.Fatal(err)
 		}
 		fault := oneFault{site: int(site&0x7f) % (tc.sites + 1), instance: int64(instance) % 64, span: 1, mask: mask, persistent: site&0x80 != 0}
-		got, _, _, _ := g.resumed(fault)
+		at := g.resumePoint(fault)
+		at.Checkpoint = int(ckpt) % (at.Checkpoint + 1)
+		got, _ := g.resumeAt(fault, at, fault.site)
 		diffOutcomes(t, tc.full(g.k, fault), got)
 	})
 }

@@ -22,6 +22,7 @@ package gpu
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hauberk/internal/kir"
 )
@@ -163,6 +164,48 @@ func (d *Device) Alloc(name string, elem kir.Type, n int) *Buffer {
 	d.buffers = append(d.buffers, b)
 	d.nextOff = start + uint32(pages*PageWords)
 	return b
+}
+
+// Layout is a device's memory map — configuration, buffers, mapped pages
+// and volatile region — without the arena's contents.
+type Layout struct {
+	cfg          Config
+	words        int
+	mapped       []bool
+	buffers      []*Buffer
+	nextOff      uint32
+	volLo, volHi uint32
+}
+
+// Layout returns d's memory map. A SetMemFault closure is not part of it.
+func (d *Device) Layout() *Layout {
+	return &Layout{
+		cfg: d.cfg, words: len(d.arena), mapped: slices.Clone(d.mapped), buffers: slices.Clone(d.buffers),
+		nextOff: d.nextOff, volLo: d.volLo, volHi: d.volHi,
+	}
+}
+
+// New returns a device laid out by l, with a zeroed arena and buffers of
+// its own.
+func (l *Layout) New() *Device {
+	d := New(l.cfg)
+	d.arena = make([]uint32, l.words)
+	d.mapped = slices.Clone(l.mapped)
+	d.buffers = make([]*Buffer, len(l.buffers))
+	for i, b := range l.buffers {
+		c := *b
+		d.buffers[i] = &c
+	}
+	d.nextOff = l.nextOff
+	d.volLo, d.volHi = l.volLo, l.volHi
+	d.setOverlay()
+	return d
+}
+
+// Moved returns the buffer of d, a device l.New made, that stands where
+// the layout's buffer b does.
+func (l *Layout) Moved(d *Device, b *Buffer) *Buffer {
+	return d.buffers[slices.Index(l.buffers, b)]
 }
 
 // Buffers returns all allocations (for memory-footprint audits, Fig. 2).

@@ -160,3 +160,55 @@ func compareRuns(t *testing.T, bc, tw engineRun) {
 		}
 	}
 }
+
+// TestCheckpointsOnShippedKernels pins what intra-thread checkpoints rest
+// on for the ten shipped kernels: under every instrumentation mode the
+// program Record compiles (with its recorder notes) and the cached one
+// start the same number of statements, so a checkpoint maps between them
+// by statement ordinal; and a launch resumed from checkpoints spread over
+// the grid reproduces the recorded one bit for bit.
+func TestCheckpointsOnShippedKernels(t *testing.T) {
+	defer gpu.CheckpointEvery(64)()
+	cfg := gpu.DefaultConfig()
+	for _, spec := range append(append(workloads.HPC(), workloads.Graphics()...), workloads.CPURef()) {
+		t.Run(spec.Name, func(t *testing.T) {
+			var k *kir.Kernel
+			for _, mode := range []translate.Mode{translate.ModeNone, translate.ModeProfiler, translate.ModeFT, translate.ModeFI, translate.ModeFIFT} {
+				tr, err := translate.Instrument(spec.Build(), translate.NewOptions(mode))
+				if err != nil {
+					t.Fatalf("instrument %s: %v", mode, err)
+				}
+				if rec, cached := gpu.StatementCounts(tr.Kernel, cfg); rec != cached {
+					t.Fatalf("%s: Record's program starts %d statements, the cached one %d", mode, rec, cached)
+				}
+				k = tr.Kernel // the FI&FT kernel campaigns resume
+			}
+			d := gpu.New(cfg)
+			inst := spec.Setup(d, workloads.Dataset{})
+			spec := gpu.LaunchSpec{Grid: inst.Grid, Block: inst.Block, Args: inst.Args, Hooks: gpu.NopHooks{}}
+			trace, want, err := d.Record(k, spec, nil, nil)
+			if err != nil || trace == nil {
+				t.Fatalf("record: trace %v, err %v", trace, err)
+			}
+			wantMem := d.Snapshot()
+			resumed := 0
+			for th := 0; th < trace.Threads(); th += max(1, trace.Threads()/7) {
+				n := trace.Checkpoints(th)
+				for _, c := range []int{1, (n + 1) / 2, n} {
+					if c == 0 {
+						continue
+					}
+					got, _, err := d.Resume(k, spec, trace, gpu.ResumeAt{Thread: th, Checkpoint: c}, -1, func() bool { return true })
+					if err != nil {
+						t.Fatal(err)
+					}
+					if *got != *want || !reflect.DeepEqual(d.Snapshot(), wantMem) {
+						t.Fatalf("resumed from thread %d checkpoint %d: %+v, want %+v (or memory differs)", th, c, got, want)
+					}
+					resumed++
+				}
+			}
+			t.Logf("%d resumes from checkpoints", resumed)
+		})
+	}
+}

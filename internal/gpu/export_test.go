@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"math"
 	"runtime/debug"
 	"sync"
 
@@ -70,4 +71,28 @@ const (
 // LaunchOn is launchOn for package gpu_test.
 func (d *Device) LaunchOn(e Engine, k *kir.Kernel, spec LaunchSpec) (*Result, error) {
 	return d.launchOn(e, k, spec)
+}
+
+// CheckpointEvery makes every Record until restore runs take a checkpoint
+// every steps statements (1: before every statement but a thread's first)
+// and keep them all, however much they hold.
+func CheckpointEvery(steps int) (restore func()) {
+	every, bytes := checkpointEvery, checkpointBytes
+	checkpointEvery, checkpointBytes = steps, math.MaxInt
+	return func() { checkpointEvery, checkpointBytes = every, bytes }
+}
+
+// StatementCounts returns how many statements start in the program Record
+// compiles for k and in the cached one every other launch runs.
+func StatementCounts(k *kir.Kernel, cfg Config) (record, cached int) {
+	count := func(p *program) (n int) {
+		for i := range p.insts {
+			if p.insts[i].flags&fStep != 0 {
+				n++
+			}
+		}
+		return n
+	}
+	cp, _ := programFor(k, cfg)
+	return count(compileProgram(k, cfg.Costs, cfg.RegsPerThread, true, kir.AnalyzeDelta(k))), count(cp)
 }

@@ -115,15 +115,16 @@ func TestFusionShrinksAndPreservesCharges(t *testing.T) {
 	}
 }
 
-// TestFusionCatalogFires pins that each superinstruction in the catalog is
-// actually produced for the code shape it targets — guarding against the
-// pass silently regressing into a no-op.
-func TestFusionCatalogFires(t *testing.T) {
-	cases := []struct {
-		name  string
-		op    opcode
-		build func(b *kir.Builder)
-	}{
+// fusionCase is one shape the fusion pass turns into a superinstruction.
+type fusionCase struct {
+	name  string
+	op    opcode
+	build func(b *kir.Builder)
+}
+
+// fusionCatalog returns one kernel shape per superinstruction.
+func fusionCatalog() []fusionCase {
+	return []fusionCase{
 		{"mul-add-right", opMulAddF, func(b *kir.Builder) {
 			out := b.PtrParam("out", kir.F32)
 			a := b.Def("a", kir.F(2))
@@ -169,6 +170,13 @@ func TestFusionCatalogFires(t *testing.T) {
 			b.Store(out, kir.TID(), kir.V(acc))
 		}},
 	}
+}
+
+// TestFusionCatalogFires pins that each superinstruction in the catalog is
+// actually produced for the code shape it targets — guarding against the
+// pass silently regressing into a no-op.
+func TestFusionCatalogFires(t *testing.T) {
+	cases := fusionCatalog()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fused, unfused := compileBoth(buildKernel(tc.name, tc.build))

@@ -19,7 +19,10 @@ import (
 // that differs from it only in what its hooks do from some thread on can be
 // executed from that thread, and stopped as soon as what it changed either
 // cannot reach a later thread or reaches it only through transparent
-// sites, whose effect is the recorded one plus a shift.
+// sites, whose effect is the recorded one plus a shift. Within a thread,
+// Record also keeps checkpoints at statement boundaries (DESIGN.md §5,
+// "Intra-thread checkpoints"), so the first live thread starts from the
+// last one before its hooks stop behaving as they did in the golden run.
 
 // storeRec is one in-arena store of a recorded thread.
 type storeRec struct {
@@ -48,14 +51,46 @@ func (l *storeLog) note(addr, val, old uint32) {
 // stores more is not recorded.
 const maxTraceStores = 1 << 18
 
+// A trace's checkpoints fall every K statements of a thread, K a power-of-two
+// multiple of minCheckpointSteps: Record starts at the minimum and, whenever
+// the checkpoints outgrow maxCheckpointBytes, doubles K and drops the ones
+// off the new spacing. A thread shorter than minCheckpointSteps — RPES's,
+// the graphics kernels' — has none.
+const (
+	minCheckpointSteps = 256
+	maxCheckpointBytes = 128 << 10
+)
+
+// checkpointEvery and checkpointBytes are the two limits above; tests force
+// a checkpoint at every statement through them (export_test.go).
+var checkpointEvery, checkpointBytes = minCheckpointSteps, maxCheckpointBytes
+
+// stepMismatch is what Record panics with when its program and the cached
+// one disagree on statement boundaries — a compiler bug, never an input.
+const stepMismatch = "gpu: Record's program and the cached program disagree on statement boundaries"
+
 // threadRec is what one golden thread contributes to the launch besides
 // its stores and detector calls.
 type threadRec struct {
 	cycles, loopCycles float64
 	loads, stores      int64
 	storeEnd, callEnd  int32  // end of the thread's entries in Trace.stores and Trace.calls
+	ckptEnd            int32  // end of the thread's checkpoints in Trace.ckpts
 	tick               uint32 // volatile tick after the thread
 	steps              uint32 // statements executed
+}
+
+// checkpoint is a golden thread paused before a statement. Expression
+// temporaries do not outlive their statement, so there the thread's whole
+// state is its variable slots (Trace.ckptRegs), the statement, its
+// counters, and the volatile tick and stores of the device.
+type checkpoint struct {
+	cycles, loopCycles float64
+	loads, stores      int64
+	storeEnd           int32  // end of the thread's stores so far in Trace.stores
+	pc                 int32  // the statement's first instruction in the cached program
+	steps              uint32 // statements executed
+	tick               uint32 // volatile tick
 }
 
 // wordRun says the words [lo, hi) were last accessed, in the sense of the
@@ -89,9 +124,10 @@ type provRec struct{ addr, n uint32 }
 // counters, the detector calls with the transparent-load terms of each
 // range check's accumulator, and two run-length indexes over words: the
 // last thread to load each before storing it, and the last to touch it
-// through an opaque site. There are no per-boundary arena copies, so a
-// trace is smaller than the arena it describes plus a few words per thread,
-// store and detector call.
+// through an opaque site, and the threads' checkpoints. There are no
+// per-boundary arena copies, so a trace is smaller than the arena it
+// describes plus a few words per thread, store and detector call, and
+// maxCheckpointBytes.
 type Trace struct {
 	kernel      *kir.Kernel
 	grid, block int
@@ -105,6 +141,15 @@ type Trace struct {
 	opaque      []wordRun // ascending, disjoint
 	calls       []callRec
 	prov        []provRec
+
+	// ckpts are the threads' checkpoints in serial order, every statements
+	// apart; checkpoint i holds ckptRegs[i*nv:(i+1)*nv] and what Record's
+	// save callback kept with it, ckptState[i*stateWords:(i+1)*stateWords].
+	ckpts          []checkpoint
+	ckptRegs       []uint32
+	ckptState      []uint32
+	nv, stateWords int
+	every          int
 }
 
 // Threads returns the launch's thread count.
@@ -117,7 +162,32 @@ func (tr *Trace) Bytes() int {
 		len(tr.threads)*int(unsafe.Sizeof(threadRec{})) +
 		(len(tr.loads)+len(tr.opaque))*int(unsafe.Sizeof(wordRun{})) +
 		len(tr.calls)*int(unsafe.Sizeof(callRec{})) +
-		len(tr.prov)*int(unsafe.Sizeof(provRec{}))
+		len(tr.prov)*int(unsafe.Sizeof(provRec{})) +
+		len(tr.ckpts)*tr.checkpointBytes()
+}
+
+// checkpointBytes is what one checkpoint holds.
+func (tr *Trace) checkpointBytes() int {
+	return int(unsafe.Sizeof(checkpoint{})) + 4*(tr.nv+tr.stateWords)
+}
+
+// Checkpoints returns how many checkpoints thread t has; ResumeAt numbers
+// them from 1.
+func (tr *Trace) Checkpoints(t int) int { return tr.ckptEnd(t+1) - tr.ckptEnd(t) }
+
+// CheckpointState returns what Record's save callback saved at
+// thread t's i-th checkpoint.
+func (tr *Trace) CheckpointState(t, i int) []uint32 {
+	c := tr.ckptEnd(t) + i - 1
+	return tr.ckptState[c*tr.stateWords : (c+1)*tr.stateWords]
+}
+
+// ckptEnd returns how many checkpoints the threads before s hold.
+func (tr *Trace) ckptEnd(s int) int {
+	if s == 0 {
+		return 0
+	}
+	return int(tr.threads[s-1].ckptEnd)
 }
 
 // storeEnd returns how many log entries the threads before s wrote.
@@ -207,13 +277,15 @@ func (d *Device) newTracedLaunch(k *kir.Kernel, spec *LaunchSpec, record bool) (
 		p, _ = programFor(k, d.cfg)
 	}
 	x := &tracedLaunch{k: k, regsRef: p.getRegs()}
+	budget := d.stepBudget(spec)
 	x.bcThread = bcThread{
 		d:      d,
 		p:      p,
 		spec:   spec,
 		hooks:  spec.Hooks,
 		regs:   *x.regsRef,
-		budget: d.stepBudget(spec),
+		budget: budget,
+		hang:   budget,
 		fault:  d.overlay,
 	}
 	if d.cfg.Mode == ModeGPU {
@@ -249,18 +321,31 @@ func (x *tracedLaunch) foldGolden(tr *Trace, from, to int) {
 	}
 }
 
-// runThread runs thread number serial live, from fresh registers, and
-// folds its counters in.
-func (x *tracedLaunch) runThread(serial int) error {
-	clear(x.regs[:x.p.nv])
-	for i, par := range x.k.Params {
-		if par.Type == kir.Ptr {
-			x.regs[par.ID] = x.spec.Args[i].Buf.Off
-		} else {
-			x.regs[par.ID] = x.spec.Args[i].Scalar
-		}
+// begin sets thread number serial up at its first statement.
+func (x *tracedLaunch) begin(serial int) {
+	x.start(x.k, ThreadCtx{Block: serial / x.spec.Block, Thread: serial % x.spec.Block})
+}
+
+// restore puts thread number serial, set up by begin, at its checkpoint c
+// of tr: registers, statement and counters, plus the thread's own stores
+// before it — applied to the arena and noted in the live store log, as if
+// they had just run — and the volatile tick.
+func (x *tracedLaunch) restore(tr *Trace, serial, c int) {
+	ck := &tr.ckpts[c]
+	copy(x.regs[:tr.nv], tr.ckptRegs[c*tr.nv:])
+	x.pc, x.steps = int(ck.pc), int(ck.steps)
+	x.cycles, x.loopCycles, x.loads, x.stores = ck.cycles, ck.loopCycles, ck.loads, ck.stores
+	arena := x.d.arena
+	for _, st := range tr.stores[tr.storeEnd(serial):ck.storeEnd] {
+		x.rec.note(st.addr, st.val, st.old)
+		arena[st.addr] = st.val
 	}
-	x.tc = ThreadCtx{Block: serial / x.spec.Block, Thread: serial % x.spec.Block}
+	x.d.volTick = ck.tick
+}
+
+// runThread runs thread number serial live from where begin or restore
+// left it, and folds its counters in.
+func (x *tracedLaunch) runThread(serial int) error {
 	err := x.run()
 	x.fold(serial, x.cycles, x.loopCycles, x.loads, x.stores, x.steps)
 	return err
@@ -386,9 +471,12 @@ func (r *traceRecorder) call(c callRec) {
 // Record runs the launch exactly as Launch would and returns its Trace.
 // threadDone, if set, is called after each thread retires with the thread's
 // serial index (block*Block + thread), so the caller can cut its hooks'
-// state at the same boundaries. A launch that fails, or stores more than
-// maxTraceStores words, yields no trace.
-func (d *Device) Record(k *kir.Kernel, spec LaunchSpec, threadDone func(serial int)) (tr *Trace, res *Result, err error) {
+// state at the same boundaries. save, if set, is called at each
+// checkpoint the trace takes, with the thread's serial index: it appends
+// the hooks' state there to state (the same number of words every time)
+// and returns it, and CheckpointState hands it back. A launch that fails,
+// or stores more than maxTraceStores words, yields no trace.
+func (d *Device) Record(k *kir.Kernel, spec LaunchSpec, threadDone func(serial int), save func(serial int, state []uint32) []uint32) (tr *Trace, res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			tr, res, err = nil, &Result{}, &PanicError{Value: r, Stack: string(debug.Stack())}
@@ -405,6 +493,8 @@ func (d *Device) Record(k *kir.Kernel, spec LaunchSpec, threadDone func(serial i
 		arenaWords: len(d.arena),
 		tick0:      d.volTick,
 		threads:    make([]threadRec, 0, x.res.Threads),
+		nv:         x.p.nv,
+		every:      checkpointEvery,
 	}
 	for p := 0; p < len(d.arena)/PageWords; p++ {
 		if slices.ContainsFunc(d.arena[p*PageWords:(p+1)*PageWords], func(w uint32) bool { return w != 0 }) {
@@ -419,15 +509,46 @@ func (d *Device) Record(k *kir.Kernel, spec LaunchSpec, threadDone func(serial i
 	x.rec = &log
 	rec := newTraceRecorder(len(d.arena))
 	x.trc = rec
+	cached, _ := programFor(k, d.cfg)
+	pcs := statementPCs(x.p, cached)
 
 	for s := 0; s < x.res.Threads; s++ {
 		rec.begin(s)
-		if err := x.runThread(s); err != nil {
+		x.begin(s)
+		for {
+			x.budget = min(x.hang, (x.steps/tr.every+1)*tr.every)
+			if err = x.run(); err != errPause {
+				break
+			}
+			tr.ckpts = append(tr.ckpts, checkpoint{
+				cycles: x.cycles, loopCycles: x.loopCycles, loads: x.loads, stores: x.stores,
+				storeEnd: int32(len(log.recs)), pc: pcs[x.pc], steps: uint32(x.steps), tick: d.volTick,
+			})
+			tr.ckptRegs = append(tr.ckptRegs, x.regs[:tr.nv]...)
+			if save != nil {
+				n := len(tr.ckptState)
+				tr.ckptState = save(s, tr.ckptState)
+				if len(tr.ckpts) == 1 {
+					tr.stateWords = len(tr.ckptState) - n
+				} else if len(tr.ckptState)-n != tr.stateWords {
+					panic("gpu: Record's save callback saved a different number of words")
+				}
+			}
+			if len(tr.ckpts) == 1 {
+				tr.reserve()
+			}
+			if len(tr.ckpts)*tr.checkpointBytes() > checkpointBytes {
+				tr.thin()
+			}
+		}
+		x.fold(s, x.cycles, x.loopCycles, x.loads, x.stores, x.steps)
+		if err != nil {
 			return nil, x.finish(), err
 		}
 		tr.threads = append(tr.threads, threadRec{
 			cycles: x.cycles, loopCycles: x.loopCycles, loads: x.loads, stores: x.stores,
-			storeEnd: int32(len(log.recs)), callEnd: int32(len(rec.calls)), tick: d.volTick, steps: uint32(x.steps),
+			storeEnd: int32(len(log.recs)), callEnd: int32(len(rec.calls)), ckptEnd: int32(len(tr.ckpts)),
+			tick: d.volTick, steps: uint32(x.steps),
 		})
 		if threadDone != nil {
 			threadDone(s)
@@ -440,7 +561,80 @@ func (d *Device) Record(k *kir.Kernel, spec LaunchSpec, threadDone func(serial i
 	tr.stores = slices.Clip(log.recs)
 	tr.loads, tr.opaque = wordRuns(rec.lastLoad), wordRuns(rec.lastOpq)
 	tr.calls, tr.prov = slices.Clip(rec.calls), slices.Clip(rec.prov)
+	if len(tr.ckpts) < cap(tr.ckpts) { // keep only what is held
+		tr.ckpts, tr.ckptRegs, tr.ckptState = slices.Clone(tr.ckpts), slices.Clone(tr.ckptRegs), slices.Clone(tr.ckptState)
+	}
 	return tr, res, nil
+}
+
+// reserve sizes the checkpoint arrays, once the first checkpoint says how
+// large one is, for as many as the budget holds — one more never stays,
+// since thinning follows — so recording them allocates once. A test's
+// lifted budget reserves nothing.
+func (tr *Trace) reserve() {
+	if checkpointBytes > maxCheckpointBytes {
+		return
+	}
+	n := checkpointBytes/tr.checkpointBytes() + 1
+	tr.ckpts = slices.Grow(tr.ckpts, n-len(tr.ckpts))
+	tr.ckptRegs = slices.Grow(tr.ckptRegs, n*tr.nv-len(tr.ckptRegs))
+	tr.ckptState = slices.Grow(tr.ckptState, n*tr.stateWords-len(tr.ckptState))
+}
+
+// statementPCs maps every statement's first instruction in Record's
+// program p to the same statement's in the cached program q. Both compile
+// one kernel in one order, and a note neither carries a statement step nor
+// hides one from fusion, so the i-th fStep instruction of each starts the
+// same statement; a count that differs is a compiler bug and panics.
+func statementPCs(p, q *program) []int32 {
+	pcs := make([]int32, len(p.insts))
+	j := 0
+	for pc := range p.insts {
+		if p.insts[pc].flags&fStep == 0 {
+			continue
+		}
+		for j < len(q.insts) && q.insts[j].flags&fStep == 0 {
+			j++
+		}
+		if j == len(q.insts) {
+			panic(stepMismatch)
+		}
+		pcs[pc] = int32(j)
+		j++
+	}
+	for ; j < len(q.insts); j++ {
+		if q.insts[j].flags&fStep != 0 {
+			panic(stepMismatch)
+		}
+	}
+	return pcs
+}
+
+// thin doubles the checkpoint spacing and drops the checkpoints off it.
+// Checkpoints sit at multiples of the spacing, so every other one stays.
+func (tr *Trace) thin() {
+	tr.every *= 2
+	kept, lo := 0, 0
+	keep := func(hi int) {
+		for c := lo; c < hi; c++ {
+			if int(tr.ckpts[c].steps)%tr.every != 0 {
+				continue
+			}
+			tr.ckpts[kept] = tr.ckpts[c]
+			copy(tr.ckptRegs[kept*tr.nv:], tr.ckptRegs[c*tr.nv:(c+1)*tr.nv])
+			copy(tr.ckptState[kept*tr.stateWords:], tr.ckptState[c*tr.stateWords:(c+1)*tr.stateWords])
+			kept++
+		}
+		lo = hi
+	}
+	for s := range tr.threads {
+		keep(int(tr.threads[s].ckptEnd))
+		tr.threads[s].ckptEnd = int32(kept)
+	}
+	keep(len(tr.ckpts)) // the thread being recorded
+	tr.ckpts = tr.ckpts[:kept]
+	tr.ckptRegs = tr.ckptRegs[:kept*tr.nv]
+	tr.ckptState = tr.ckptState[:kept*tr.stateWords]
 }
 
 // carriedWord is a word Resume carries: its golden value at the boundary
@@ -456,40 +650,77 @@ type resumeScratch struct {
 	carry []carriedWord
 }
 
+// ResumeAt is where Resume starts executing live: thread Thread, from its
+// first statement (Checkpoint 0) or from its Checkpoint-th checkpoint.
+type ResumeAt struct{ Thread, Checkpoint int }
+
+// ResumeExit says how far a resumed launch ran live.
+type ResumeExit struct {
+	// Stop is the first thread that did not execute live (on error, the
+	// thread after the failing one).
+	Stop int
+	// Carried reports that the threads from Stop on were taken from the
+	// trace with the differing words shifted (see Resume).
+	Carried bool
+	// Live counts the statements executed live, Restored the golden ones
+	// taken from the trace instead: the threads before the resume point,
+	// the first live thread's up to its checkpoint, and — unless the launch
+	// failed — the threads from Stop on.
+	Live, Restored int64
+}
+
 // Resume runs the launch tr recorded, on a device laid out like the one
-// that recorded it, as three parts: threads before from are restored from
-// the trace (arena image plus their stores, their counters folded in);
-// threads from from on execute live with spec.Hooks; and at the first thread
+// that recorded it, as three parts: what comes before at is restored from
+// the trace (arena image plus the stores of the threads before at.Thread
+// and of that thread up to its checkpoint, their counters folded in);
+// execution from at on is live with spec.Hooks; and at the first thread
 // boundary where settled() holds — the caller's hooks will behave as they
 // did in the golden run from here on — and every word that differs from the
 // golden state is either dead (no later golden thread loads it before
 // storing it) or carried (later golden threads touch it only through
 // transparent sites), the remaining threads are taken from the trace again.
 // The caller must have put its hooks in the state the golden run left them
-// in before thread from.
+// in at at. With site >= 0 the live part calls Probe only at that probe
+// site: right for hooks that change nothing at any other, such as an
+// injector armed for site.
 //
 // The Result, the error and device memory equal what Launch produces for
-// the same hooks on a fresh device. stop is the first thread that did not
-// execute live (on error, the thread after the failing one). When carried,
-// Resume has delivered the detector calls of threads stop on to spec.Hooks,
-// re-evaluated on the carried shifts, and the caller owes its hooks only
-// their other golden calls; otherwise it owes them every golden call of
-// threads stop on (none when the launch ran to its end).
-func (d *Device) Resume(k *kir.Kernel, spec LaunchSpec, tr *Trace, from int, settled func() bool) (res *Result, stop int, carried bool, err error) {
+// the same hooks on a fresh device. When ex.Carried, Resume has delivered
+// the detector calls of threads ex.Stop on to spec.Hooks, re-evaluated on
+// the carried shifts, and the caller owes its hooks only their other
+// golden calls; otherwise it owes them every golden call of threads
+// ex.Stop on (none when the launch ran to its end).
+func (d *Device) Resume(k *kir.Kernel, spec LaunchSpec, tr *Trace, at ResumeAt, site int, settled func() bool) (res *Result, ex ResumeExit, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res, carried, err = &Result{}, false, &PanicError{Value: r, Stack: string(debug.Stack())}
+			res, ex.Carried, err = &Result{}, false, &PanicError{Value: r, Stack: string(debug.Stack())}
 		}
 	}()
 	x, err := d.newTracedLaunch(k, &spec, false)
-	stop = from
+	from := at.Thread
+	ex.Stop = from
 	if err != nil {
-		return &Result{}, stop, false, err
+		return &Result{}, ex, err
 	}
 	defer x.close()
 	n := tr.Threads()
-	if k != tr.kernel || spec.Grid != tr.grid || spec.Block != tr.block || len(d.arena) != tr.arenaWords || from < 0 || from > n {
-		return &Result{}, stop, false, &LaunchError{Reason: "launch does not match the golden trace"}
+	if k != tr.kernel || spec.Grid != tr.grid || spec.Block != tr.block || len(d.arena) != tr.arenaWords || x.p.nv != tr.nv ||
+		from < 0 || from > n || at.Checkpoint < 0 || at.Checkpoint > 0 && (from == n || at.Checkpoint > tr.Checkpoints(from)) {
+		return &Result{}, ex, &LaunchError{Reason: "launch does not match the golden trace"}
+	}
+	ck := -1
+	if at.Checkpoint > 0 {
+		ck = tr.ckptEnd(from) + at.Checkpoint - 1
+		// A launch that hangs before the checkpoint never reaches it.
+		if int(tr.ckpts[ck].steps) > x.hang {
+			return &Result{}, ex, &LaunchError{Reason: "checkpoint lies past the launch's step budget"}
+		}
+		if x.p.insts[tr.ckpts[ck].pc].flags&fStep == 0 {
+			panic("gpu: checkpoint is not at a statement of the cached program")
+		}
+	}
+	if site >= 0 {
+		x.site = uint32(site) + 1
 	}
 
 	arena := d.arena
@@ -502,6 +733,7 @@ func (d *Device) Resume(k *kir.Kernel, spec LaunchSpec, tr *Trace, from int, set
 	}
 	d.volTick = tr.tickAt(from)
 	x.foldGolden(tr, 0, from)
+	ex.Restored = tr.steps(0, from)
 
 	sc := &d.resume
 	if sc.gold == nil {
@@ -510,21 +742,32 @@ func (d *Device) Resume(k *kir.Kernel, spec LaunchSpec, tr *Trace, from int, set
 	clear(sc.gold)
 	sc.live.lost = false
 	x.rec = &sc.live
-	for stop < n {
+	for ex.Stop < n {
 		// A live thread may store a few times what its golden twin did;
 		// one that stores without bound forfeits the early exit.
+		s := ex.Stop
 		sc.live.recs = sc.live.recs[:0]
-		sc.live.limit = 1024 + 2*(tr.storeEnd(stop+1)-tr.storeEnd(stop))
-		stop++
-		if err := x.runThread(stop - 1); err != nil {
-			return x.finish(), stop, false, err
+		sc.live.limit = 1024 + 2*(tr.storeEnd(s+1)-tr.storeEnd(s))
+		x.begin(s)
+		restored := 0
+		if s == from && ck >= 0 {
+			x.restore(tr, s, ck)
+			restored = x.steps
 		}
-		if ok, carry := d.settle(tr, stop); ok && settled() {
-			carried = carry
+		ex.Stop++
+		err := x.runThread(s)
+		ex.Live += int64(x.steps - restored)
+		ex.Restored += int64(restored)
+		if err != nil {
+			return x.finish(), ex, err
+		}
+		if ok, carry := d.settle(tr, ex.Stop); ok && settled() {
+			ex.Carried = carry
 			break
 		}
 	}
-	if carried {
+	stop := ex.Stop
+	if ex.Carried {
 		slices.SortFunc(sc.carry, func(a, b carriedWord) int { return cmp.Compare(a.addr, b.addr) })
 		x.replayCalls(tr, stop, n, sc.carry)
 		for _, c := range sc.carry {
@@ -534,14 +777,24 @@ func (d *Device) Resume(k *kir.Kernel, spec LaunchSpec, tr *Trace, from int, set
 	for _, st := range tr.stores[tr.storeEnd(stop):] {
 		arena[st.addr] = st.val
 	}
-	if carried {
+	if ex.Carried {
 		for _, c := range sc.carry {
 			arena[c.addr] += c.delta
 		}
 	}
 	d.volTick += tr.tickAt(n) - tr.tickAt(stop)
 	x.foldGolden(tr, stop, n)
-	return x.finish(), stop, carried, nil
+	ex.Restored += tr.steps(stop, n)
+	return x.finish(), ex, nil
+}
+
+// steps returns the statements golden threads [from, to) executed.
+func (tr *Trace) steps(from, to int) int64 {
+	var n int64
+	for s := from; s < to; s++ {
+		n += int64(tr.threads[s].steps)
+	}
+	return n
 }
 
 // settle advances the golden side to the boundary before thread b (thread

@@ -3,7 +3,9 @@ package gpu
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -25,7 +27,12 @@ type oneFault struct {
 	persistent     bool
 	limit          float64
 
+	// anySite makes every site's Probe calls count: the fault then hits
+	// the launch's instance-th Probe call, wherever it is.
+	anySite bool
+
 	count  int64   // executions of site so far
+	fired  bool    // a value was corrupted
 	perSit []int64 // Probe calls per site (recording runs)
 	alarms []string
 }
@@ -34,7 +41,7 @@ func (h *oneFault) Probe(_ ThreadCtx, site int, _ *kir.Var, _ kir.HW, val uint32
 	if site < len(h.perSit) {
 		h.perSit[site]++
 	}
-	if site != h.site {
+	if site != h.site && !h.anySite {
 		return val, false
 	}
 	n := h.count
@@ -42,6 +49,7 @@ func (h *oneFault) Probe(_ ThreadCtx, site int, _ *kir.Var, _ kir.HW, val uint32
 	if n < h.instance || (!h.persistent && n >= h.instance+h.span) {
 		return val, false
 	}
+	h.fired = true
 	return val ^ h.mask, true
 }
 
@@ -81,7 +89,9 @@ type traceCase struct {
 }
 
 // goldenRecord is a recorded clean launch plus the hook state at every
-// thread boundary — the gpu-level twin of harness.goldenTrace.
+// thread boundary and checkpoint — the gpu-level twin of
+// harness.goldenTrace. A checkpoint's saved state is the clean run's Probe
+// calls per site before it, then its alarm count.
 type goldenRecord struct {
 	d        *Device
 	k        *kir.Kernel
@@ -106,12 +116,33 @@ func recordCase(t *testing.T, tc traceCase) *goldenRecord {
 	tr, _, err := g.d.Record(g.k, g.spec, func(int) {
 		g.probes = append(g.probes, append([]int64(nil), clean.perSit...))
 		g.alarmEnd = append(g.alarmEnd, len(clean.alarms))
+	}, func(_ int, state []uint32) []uint32 {
+		for _, c := range clean.perSit {
+			state = append(state, uint32(c))
+		}
+		return append(state, uint32(len(clean.alarms)))
 	})
 	if err != nil || tr == nil {
 		t.Fatalf("clean launch did not record: trace %v, err %v", tr, err)
 	}
 	g.tr, g.alarms = tr, clean.alarms
 	return g
+}
+
+// before returns the clean run's Probe calls per site and its alarm count
+// before at.
+func (g *goldenRecord) before(at ResumeAt) (probes []int64, alarms int) {
+	if at.Checkpoint == 0 {
+		if at.Thread > 0 {
+			alarms = g.alarmEnd[at.Thread-1]
+		}
+		return g.probes[at.Thread], alarms
+	}
+	state := g.tr.CheckpointState(at.Thread, at.Checkpoint)
+	for _, c := range state[:len(state)-1] {
+		probes = append(probes, int64(c))
+	}
+	return probes, int(state[len(state)-1])
 }
 
 // alarmsOf returns the clean run's alarms of threads [from, to).
@@ -131,6 +162,7 @@ type outcome struct {
 	err    error
 	snap   Snapshot
 	alarms []string
+	fired  bool
 }
 
 // full runs the fault on a fresh device through Device.Launch: the oracle.
@@ -138,28 +170,61 @@ func (tc traceCase) full(k *kir.Kernel, f oneFault) outcome {
 	d := New(tc.cfg)
 	f.alarms, f.limit = nil, tc.limit
 	res, err := d.Launch(k, LaunchSpec{Grid: tc.grid, Block: tc.block, Args: tc.setup(d, k), Hooks: &f, StepBudget: tc.stepBudget})
-	return outcome{res: res, err: err, snap: d.Snapshot(), alarms: f.alarms}
+	return outcome{res: res, err: err, snap: d.Snapshot(), alarms: f.alarms, fired: f.fired}
 }
 
 // resumed runs the fault through Resume on the recording device (so device
-// reuse across injections is part of what is tested) and reports where the
-// live part started and stopped, and whether the rest was carried.
+// reuse across injections is part of what is tested), from the last
+// checkpoint before its target instance with Probe delivered at its site
+// only, as the harness does, and reports where the live part started and
+// stopped, and whether the rest was carried.
 func (g *goldenRecord) resumed(f oneFault) (o outcome, from, stop int, carried bool) {
+	at := g.resumePoint(f)
+	o, ex := g.resumeAt(f, at, f.site)
+	return o, at.Thread, ex.Stop, ex.Carried
+}
+
+// resumePoint returns the thread holding the fault's target instance (the
+// thread count when there is none) and the last of the thread's
+// checkpoints before the instance; those before it precede it too.
+func (g *goldenRecord) resumePoint(f oneFault) ResumeAt {
 	n := g.tr.Threads()
-	from = n
+	at := ResumeAt{Thread: n}
 	if f.site >= 0 && f.site < len(g.probes[0]) {
-		for from = 0; from < n && g.probes[from+1][f.site] <= max(f.instance, 0); from++ {
+		target := max(f.instance, 0)
+		for at.Thread = 0; at.Thread < n && g.probes[at.Thread+1][f.site] <= target; at.Thread++ {
 		}
-		f.count = g.probes[from][f.site]
+		for c := 1; at.Thread < n && c <= g.tr.Checkpoints(at.Thread); c++ {
+			if int64(g.tr.CheckpointState(at.Thread, c)[f.site]) <= target {
+				at.Checkpoint = c
+			}
+		}
 	}
-	f.alarms, f.limit = append([]string(nil), g.alarmsOf(0, from)...), g.limit
+	return at
+}
+
+// resumeAt runs the fault through Resume from at, with its hooks preset to
+// the clean run's state there, delivering Probe only at site (-1: at every
+// site).
+func (g *goldenRecord) resumeAt(f oneFault, at ResumeAt, site int) (outcome, ResumeExit) {
+	probes, alarms := g.before(at)
+	switch {
+	case f.anySite:
+		f.count = 0
+		for _, c := range probes {
+			f.count += c
+		}
+	case f.site >= 0 && f.site < len(probes):
+		f.count = probes[f.site]
+	}
+	f.alarms, f.limit = append([]string(nil), g.alarms[:alarms]...), g.limit
 	spec := g.spec
 	spec.Hooks, spec.StepBudget = &f, g.budget
-	res, stop, carried, err := g.d.Resume(g.k, spec, g.tr, from, f.spent)
-	if err == nil && !carried {
-		f.alarms = append(f.alarms, g.alarmsOf(stop, n)...)
+	res, ex, err := g.d.Resume(g.k, spec, g.tr, at, site, f.spent)
+	if err == nil && !ex.Carried {
+		f.alarms = append(f.alarms, g.alarmsOf(ex.Stop, g.tr.Threads())...)
 	}
-	return outcome{res: res, err: err, snap: g.d.Snapshot(), alarms: f.alarms}, from, stop, carried
+	return outcome{res: res, err: err, snap: g.d.Snapshot(), alarms: f.alarms, fired: f.fired}, ex
 }
 
 func diffOutcomes(t *testing.T, want, got outcome) {
@@ -185,6 +250,9 @@ func diffOutcomes(t *testing.T, want, got outcome) {
 	}
 	if !reflect.DeepEqual(want.alarms, got.alarms) {
 		t.Fatalf("alarms differ:\n  launch: %v\n  resume: %v", want.alarms, got.alarms)
+	}
+	if want.fired != got.fired {
+		t.Fatalf("activation differs: launch %v, resume %v", want.fired, got.fired)
 	}
 }
 
@@ -382,7 +450,7 @@ func TestResumeMatchesLaunch(t *testing.T) {
 				if mustReach, ok := map[string]int{"chain": n, "histogram": n - 4}[name]; ok && got.err == nil {
 					clean := g.spec
 					clean.Hooks = &oneFault{site: -1}
-					if _, _, _, err := g.d.Resume(g.k, clean, g.tr, n, nil); err != nil {
+					if _, _, err := g.d.Resume(g.k, clean, g.tr, ResumeAt{Thread: n}, -1, nil); err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got.snap, g.d.Snapshot()) && stop < mustReach {
@@ -424,10 +492,10 @@ func TestResumeRefusesOpaqueOverlay(t *testing.T) {
 		t.Fatal("device with a SetMemFault closure reports Traceable")
 	}
 	var le *LaunchError
-	if _, _, err := g.d.Record(g.k, g.spec, nil); !errors.As(err, &le) {
+	if _, _, err := g.d.Record(g.k, g.spec, nil, nil); !errors.As(err, &le) {
 		t.Fatalf("Record with an opaque overlay: %v, want *LaunchError", err)
 	}
-	if _, _, _, err := g.d.Resume(g.k, g.spec, g.tr, 0, nil); !errors.As(err, &le) {
+	if _, _, err := g.d.Resume(g.k, g.spec, g.tr, ResumeAt{}, -1, nil); !errors.As(err, &le) {
 		t.Fatalf("Resume with an opaque overlay: %v, want *LaunchError", err)
 	}
 }
@@ -455,5 +523,201 @@ func TestTraceStoreBudget(t *testing.T) {
 	}
 	if c := cap(g.d.resume.live.recs); c > 4096 {
 		t.Fatalf("live store log grew to %d entries", c)
+	}
+}
+
+// withProbes returns body with an FI probe after every definition and
+// assignment, at any depth, numbering sites from *site on.
+func withProbes(body kir.Block, site *int) kir.Block {
+	var out kir.Block
+	for _, s := range body {
+		out = append(out, s)
+		switch n := s.(type) {
+		case kir.Define:
+			out = append(out, kir.FIProbe{Site: *site, Target: n.Dst, HW: kir.HWALU})
+			*site++
+		case kir.Assign:
+			out = append(out, kir.FIProbe{Site: *site, Target: n.Dst, HW: kir.HWALU})
+			*site++
+		case *kir.If:
+			n.Then, n.Else = withProbes(n.Then, site), withProbes(n.Else, site)
+		case *kir.For:
+			n.Body = withProbes(n.Body, site)
+		case *kir.While:
+			n.Body = withProbes(n.Body, site)
+		}
+	}
+	return out
+}
+
+// fusionTraceCases turns the fusion catalog into resume cases: each shape
+// with a probe after every definition.
+func fusionTraceCases() map[string]traceCase {
+	out := make(map[string]traceCase)
+	for _, fc := range fusionCatalog() {
+		build := func(b *kir.Builder) {
+			fc.build(b)
+			site := 0
+			b.Kernel().Body = withProbes(b.Kernel().Body, &site)
+		}
+		b := kir.NewBuilder(fc.name)
+		build(b)
+		sites := 0
+		kir.WalkStmts(b.Kernel().Body, func(s kir.Stmt) bool {
+			if _, ok := s.(kir.FIProbe); ok {
+				sites++
+			}
+			return true
+		})
+		out["fused/"+fc.name] = traceCase{cfg: DefaultConfig(), grid: 2, block: 8, sites: sites, setup: perThreadSetup(2, 8), build: build}
+	}
+	return out
+}
+
+// TestResumeFromEveryCheckpoint holds a launch resumed from any statement
+// boundary of any thread to Device.Launch on a fresh device: with a
+// checkpoint before every statement, every crafted case and every fusible
+// shape is resumed from each checkpoint (and each thread start) with a
+// fault at the next Probe call, whatever its site, and must match in
+// error, activation, alarms, the whole arena and the Result's bits; so
+// must every fault TestResumeMatchesLaunch enumerates.
+func TestResumeFromEveryCheckpoint(t *testing.T) {
+	defer CheckpointEvery(1)()
+	cases := traceCases()
+	maps.Copy(cases, fusionTraceCases())
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			g := recordCase(t, tc)
+			resumed, fired := 0, 0
+			for th := range g.tr.Threads() {
+				for c := range g.tr.Checkpoints(th) + 1 {
+					at := ResumeAt{Thread: th, Checkpoint: c}
+					probes, _ := g.before(at)
+					f := oneFault{anySite: true, span: 1, mask: []uint32{1 << 4, 0xffffffff, 1 << 31}[c%3]}
+					for _, n := range probes {
+						f.instance += n
+					}
+					want := tc.full(g.k, f)
+					got, _ := g.resumeAt(f, at, -1)
+					diffOutcomes(t, want, got)
+					resumed++
+					if got.fired {
+						fired++
+					}
+				}
+			}
+			if resumed <= 2*g.tr.Threads() || fired == 0 {
+				t.Fatalf("%d resumes over %d threads, %d faults fired: want checkpoints and faults", resumed, g.tr.Threads(), fired)
+			}
+			// And the harness's way: the enumerated faults of one site,
+			// from the last checkpoint before each, Probe at that site only.
+			for _, f := range g.faultsFor() {
+				got, _, _, _ := g.resumed(f)
+				diffOutcomes(t, tc.full(g.k, f), got)
+			}
+		})
+	}
+}
+
+// TestCheckpointSpacing pins the memory rule: checkpoints sit at multiples
+// of a spacing that starts at minCheckpointSteps and doubles whenever they
+// outgrow the byte budget — so long, even threads fill more than half of
+// it — and threads shorter than the least spacing hold none.
+func TestCheckpointSpacing(t *testing.T) {
+	loop := func(iters int32) traceCase {
+		return traceCase{cfg: DefaultConfig(), grid: 2, block: 4, sites: 1, setup: perThreadSetup(2, 4),
+			build: func(b *kir.Builder) {
+				out := b.PtrParam("out", kir.I32)
+				acc := b.Def("acc", kir.I(0))
+				b.For("i", kir.I(0), kir.I(iters), func(i *kir.Var) {
+					b.Set(acc, kir.XAdd(kir.V(acc), kir.V(i)))
+					b.Emit(kir.FIProbe{Site: 0, Target: acc, HW: kir.HWALU})
+				})
+				b.Store(out, kir.GlobalID(), kir.V(acc))
+			}}
+	}
+	if g := recordCase(t, loop(minCheckpointSteps/4)); len(g.tr.ckpts) != 0 {
+		t.Fatalf("threads of about %d statements hold %d checkpoints", minCheckpointSteps*3/4, len(g.tr.ckpts))
+	}
+	defer func(b int) { checkpointBytes = b }(checkpointBytes)
+	checkpointBytes = 4 << 10
+	g := recordCase(t, loop(20000))
+	tr := g.tr
+	bytes := len(tr.ckpts) * tr.checkpointBytes()
+	if tr.every <= minCheckpointSteps || tr.every%minCheckpointSteps != 0 || bits.OnesCount(uint(tr.every/minCheckpointSteps)) != 1 {
+		t.Fatalf("spacing %d: want a power-of-two multiple of %d above it", tr.every, minCheckpointSteps)
+	}
+	if bytes > checkpointBytes || 2*bytes <= checkpointBytes {
+		t.Fatalf("checkpoints hold %d bytes of a %d budget", bytes, checkpointBytes)
+	}
+	for th := range tr.Threads() {
+		if got, want := tr.Checkpoints(th), int(tr.threads[th].steps-1)/tr.every; got != want {
+			t.Fatalf("thread %d: %d checkpoints, want %d", th, got, want)
+		}
+		for c := 1; c <= tr.Checkpoints(th); c++ {
+			if s := tr.ckpts[tr.ckptEnd(th)+c-1].steps; int(s) != c*tr.every {
+				t.Fatalf("thread %d checkpoint %d at statement %d, want %d", th, c, s, c*tr.every)
+			}
+		}
+	}
+	// And they resume: a fault past the middle of the last thread.
+	f := oneFault{site: 0, instance: g.probes[tr.Threads()][0] - 7000, span: 1, mask: 1 << 9}
+	got, _, _, _ := g.resumed(f)
+	diffOutcomes(t, loop(20000).full(g.k, f), got)
+}
+
+// TestPauseAllocatesNothing: a thread paused at a checkpoint returns the
+// errPause sentinel, and pausing and continuing allocate nothing.
+func TestPauseAllocatesNothing(t *testing.T) {
+	tc := traceCases()["independent"]
+	b := kir.NewBuilder("pause")
+	tc.build(b)
+	k := b.Kernel()
+	d := New(tc.cfg)
+	spec := LaunchSpec{Grid: tc.grid, Block: tc.block, Args: tc.setup(d, k)}
+	x, err := d.newTracedLaunch(k, &spec, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.close()
+	pauses := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		x.begin(0)
+		for {
+			x.budget = x.steps + 3
+			if err = x.run(); err != errPause {
+				break
+			}
+			pauses++
+		}
+	})
+	if err != nil || pauses == 0 || allocs != 0 {
+		t.Fatalf("err %v after %d pauses, %v allocations per thread", err, pauses, allocs)
+	}
+}
+
+// TestResumeRefusesBadCheckpoint: a checkpoint the thread does not have, or
+// one past the launch's step budget (the launch would hang before reaching
+// it), is a launch error, not a resume from somewhere else.
+func TestResumeRefusesBadCheckpoint(t *testing.T) {
+	defer CheckpointEvery(1)()
+	g := recordCase(t, traceCases()["independent"])
+	n := g.tr.Threads()
+	last := g.tr.Checkpoints(0)
+	spec := g.spec
+	for _, c := range []struct {
+		at     ResumeAt
+		budget int
+	}{
+		{ResumeAt{Thread: 0, Checkpoint: last + 1}, 0},
+		{ResumeAt{Thread: n, Checkpoint: 1}, 0},
+		{ResumeAt{Thread: 0, Checkpoint: -1}, 0},
+		{ResumeAt{Thread: 0, Checkpoint: last}, last - 1},
+	} {
+		spec.StepBudget = c.budget
+		var le *LaunchError
+		if _, _, err := g.d.Resume(g.k, spec, g.tr, c.at, -1, nil); !errors.As(err, &le) {
+			t.Fatalf("resume from %+v under budget %d: %v, want *LaunchError", c.at, c.budget, err)
+		}
 	}
 }

@@ -111,6 +111,9 @@ func (e *Env) injectOn(gt *goldenTrace, golden *GoldenRun, inj Injection) *Injec
 		m.Help("hauberk_injection_threads_total", "threads of injection launches executed live vs taken from the golden trace")
 		m.Counter("hauberk_injection_threads_total", "kind", "executed").Add(int64(l.executed))
 		m.Counter("hauberk_injection_threads_total", "kind", "skipped").Add(int64(l.result.Threads - l.executed))
+		m.Help("hauberk_injection_steps_total", "statements of injection launches executed live vs taken from the golden trace")
+		m.Counter("hauberk_injection_steps_total", "kind", "live").Add(l.live)
+		m.Counter("hauberk_injection_steps_total", "kind", "restored").Add(l.restored)
 	}
 	res := &InjectionResult{Injection: inj, Activated: l.activated}
 	if l.err != nil {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 	"unsafe"
@@ -58,8 +59,8 @@ func hangBudget(cfg gpu.Config, kernel string, longest int) int {
 // "Golden-trace resume"): what the instrumentation and the range store
 // resolve to, the clean run's wall time and hang budget, and — when the
 // launch can be resumed — the device-memory trace plus the hook state at
-// every thread boundary, which is what lets an injection execute only the
-// threads its fault can reach.
+// every thread boundary and checkpoint, which is what lets an injection
+// execute only the part of the launch its fault can reach.
 type goldenTrace struct {
 	spec      *workloads.Spec
 	ds        workloads.Dataset
@@ -80,17 +81,22 @@ type goldenTrace struct {
 	// oracle, or the clean launch stores more than a trace holds. Such
 	// injections take a fresh device and the full Device.Launch.
 	mem *gpu.Trace
-	// probes[site*threads+t] counts thread t's Probe calls at site.
+	// probes[site*threads+t] counts thread t's Probe calls at site. The
+	// state saved with each of a thread's checkpoints is the thread's
+	// Probe calls per site up to it, then the alarms it raised up to it.
 	probes []uint32
 	// alarms are the clean run's alarms; thread t raised
 	// alarms[alarmEnd[t-1]:alarmEnd[t]].
 	alarms   []hrt.Alarm
 	alarmEnd []int32
 
-	// pool holds set-up devices (*tracedDevice) between injections; Resume
+	// pool holds devices (*tracedDevice) between injections; Resume
 	// rewrites the whole arena, so a device is reusable whatever the last
-	// injection did to it.
-	pool sync.Pool
+	// injection did to it — and a fresh one needs only the recording
+	// device's layout, not the program's set-up (blankDevice).
+	pool   sync.Pool
+	layout *gpu.Layout
+	inst   workloads.Instance // the recording device's, Device cleared
 }
 
 // tracedDevice is a device with the program set up on it.
@@ -149,12 +155,16 @@ func (e *Env) recordTrace(spec *workloads.Spec, golden *GoldenRun, store *ranges
 			}
 			return val, false
 		}
+		alarms := 0 // raised before the current thread
 		gt.mem, res, lerr = td.d.Record(tr.Kernel, lspec, func(t int) {
 			for site := range counts {
 				gt.probes[site*threads+t] = counts[site]
 				counts[site] = 0
 			}
-			gt.alarmEnd = append(gt.alarmEnd, int32(len(cb.Alarms())))
+			alarms = len(cb.Alarms())
+			gt.alarmEnd = append(gt.alarmEnd, int32(alarms))
+		}, func(_ int, state []uint32) []uint32 {
+			return append(append(state, counts...), uint32(len(cb.Alarms())-alarms))
 		})
 	}
 	// The clean run is the baseline of the watchdog, of the hang budget and
@@ -171,6 +181,8 @@ func (e *Env) recordTrace(spec *workloads.Spec, golden *GoldenRun, store *ranges
 	gt.hangBudget = hangBudget(e.Config, spec.Name, res.MaxSteps)
 	if gt.mem != nil {
 		gt.alarms = cb.Alarms()
+		gt.layout, gt.inst = td.d.Layout(), *td.inst
+		gt.inst.Device = nil
 		gt.pool.Put(td)
 	}
 	if e.Obs.Enabled() {
@@ -195,6 +207,22 @@ func (gt *goldenTrace) newDevice() *tracedDevice {
 	return &tracedDevice{d: d, inst: gt.spec.Setup(d, gt.ds)}
 }
 
+// blankDevice returns a device laid out like the recording one, with a
+// zeroed arena, and the program's instance on it: all a resumed launch
+// needs, since Resume images the arena from the trace.
+func (gt *goldenTrace) blankDevice() *tracedDevice {
+	d := gt.layout.New()
+	inst := gt.inst
+	inst.Device, inst.Args = d, slices.Clone(inst.Args)
+	for i := range inst.Args {
+		if b := inst.Args[i].Buf; b != nil {
+			inst.Args[i].Buf = gt.layout.Moved(d, b)
+		}
+	}
+	inst.Output = gt.layout.Moved(d, inst.Output)
+	return &tracedDevice{d: d, inst: &inst}
+}
+
 func (gt *goldenTrace) controlBlock() *hrt.ControlBlock {
 	return &hrt.ControlBlock{Meta: gt.tr.Detectors, Detectors: gt.detectors}
 }
@@ -205,33 +233,47 @@ func (td *tracedDevice) launchSpec(hooks gpu.Hooks, stepBudget int) gpu.LaunchSp
 	return gpu.LaunchSpec{Grid: td.inst.Grid, Block: td.inst.Block, Args: td.inst.Args, Hooks: hooks, StepBudget: stepBudget}
 }
 
-// resumePoint returns the thread holding the command's first targeted
-// instance — the thread count when the clean run never reaches it — and
-// how often the site ran before that thread.
-func (gt *goldenTrace) resumePoint(cmd swifi.Command) (from int, executions int64) {
+// resumePoint returns where the command's first targeted instance lies —
+// its thread (the thread count when the clean run never reaches it) and
+// that thread's last checkpoint before it — how often the site ran before
+// that point, and how many alarms the clean run raised before it.
+func (gt *goldenTrace) resumePoint(cmd swifi.Command) (at gpu.ResumeAt, executions int64, alarms int) {
 	threads := gt.mem.Threads()
-	if cmd.Site < 0 || cmd.Site >= len(gt.tr.Sites) {
-		return threads, 0
-	}
-	for t, c := range gt.probes[cmd.Site*threads : (cmd.Site+1)*threads] {
-		if executions+int64(c) > cmd.Instance {
-			return t, executions
+	at.Thread = threads
+	if cmd.Site >= 0 && cmd.Site < len(gt.tr.Sites) {
+		for t, c := range gt.probes[cmd.Site*threads : (cmd.Site+1)*threads] {
+			if executions+int64(c) > cmd.Instance {
+				at.Thread = t
+				break
+			}
+			executions += int64(c)
 		}
-		executions += int64(c)
 	}
-	return threads, executions
+	alarms = gt.alarmsBefore(at.Thread)
+	if at.Thread == threads {
+		return at, executions, alarms
+	}
+	for i := gt.mem.Checkpoints(at.Thread); i > 0; i-- {
+		state := gt.mem.CheckpointState(at.Thread, i)
+		if ran := int64(state[cmd.Site]); executions+ran <= cmd.Instance {
+			at.Checkpoint = i
+			return at, executions + ran, alarms + int(state[len(state)-1])
+		}
+	}
+	return at, executions, alarms
 }
 
-// replayAlarms records the clean run's alarms of threads [from, to).
-func (gt *goldenTrace) replayAlarms(cb *hrt.ControlBlock, from, to int) {
-	lo := 0
-	if from > 0 {
-		lo = int(gt.alarmEnd[from-1])
+// alarmsBefore returns how many alarms the clean run's threads before t
+// raised.
+func (gt *goldenTrace) alarmsBefore(t int) int {
+	if t == 0 {
+		return 0
 	}
-	hi := lo
-	if to > 0 {
-		hi = int(gt.alarmEnd[to-1])
-	}
+	return int(gt.alarmEnd[t-1])
+}
+
+// replayAlarms records the clean run's alarms [lo, hi).
+func (gt *goldenTrace) replayAlarms(cb *hrt.ControlBlock, lo, hi int) {
 	for _, a := range gt.alarms[lo:hi] {
 		cb.Record(a)
 	}
@@ -246,18 +288,22 @@ type injectionLaunch struct {
 	err       error
 	activated bool
 	// exit says how the launch ended (the hauberk_injection_exit_total
-	// reasons); executed counts the threads that ran live.
-	exit     string
-	executed int
+	// reasons); executed counts the threads that ran live, and live and
+	// restored the statements executed and taken from the trace.
+	exit           string
+	executed       int
+	live, restored int64
 }
 
 // launch runs one injection against the trace. An eligible launch restores
-// the threads before the one holding the target instance from the trace,
-// executes from there with the real hooks, and stops at the first thread
-// boundary where the injector is spent and everything the fault changed is
-// either never read again or carried (Device.Resume); the rest is the
-// clean run, shifted on the carried words. The caller returns l.td with
-// gt.release when it is done reading device memory.
+// what comes before the target instance's thread from the trace, and that
+// thread up to its last checkpoint before the instance, executes from
+// there with the real hooks — the injector's Probe called at its site
+// only — and stops at the first thread boundary where the injector is
+// spent and everything the fault changed is either never read again or
+// carried (Device.Resume); the rest is the clean run, shifted on the
+// carried words. The caller returns l.td with gt.release when it is done
+// reading device memory.
 func (gt *goldenTrace) launch(cmd swifi.Command) injectionLaunch {
 	l := injectionLaunch{cb: gt.controlBlock()}
 	rt := hrt.NewFT(l.cb)
@@ -275,33 +321,32 @@ func (gt *goldenTrace) launch(cmd swifi.Command) injectionLaunch {
 
 	l.td, _ = gt.pool.Get().(*tracedDevice)
 	if l.td == nil {
-		l.td = gt.newDevice()
+		l.td = gt.blankDevice()
 	}
 	threads := gt.mem.Threads()
-	from, executions := gt.resumePoint(cmd)
+	at, executions, alarms := gt.resumePoint(cmd)
 	injector.Preset(executions)
-	gt.replayAlarms(l.cb, 0, from)
-	var stop int
-	var carried bool
-	l.result, stop, carried, l.err = l.td.d.Resume(gt.tr.Kernel, l.td.launchSpec(rt, gt.hangBudget), gt.mem, from, injector.Spent)
+	gt.replayAlarms(l.cb, 0, alarms)
+	var ex gpu.ResumeExit
+	l.result, ex, l.err = l.td.d.Resume(gt.tr.Kernel, l.td.launchSpec(rt, gt.hangBudget), gt.mem, at, cmd.Site, injector.Spent)
 	l.activated = injector.Injected
-	l.executed = stop - from
+	l.executed, l.live, l.restored = ex.Stop-at.Thread, ex.Live, ex.Restored
 	switch _, hung := l.err.(*gpu.HangError); {
 	case hung:
 		l.exit = "hung"
 	case l.err != nil:
 		l.exit = "crashed"
-	case from == threads:
+	case at.Thread == threads:
 		l.exit = "never_fired"
-	case stop == threads:
+	case ex.Stop == threads:
 		l.exit = "ran_to_end"
-	case carried:
+	case ex.Carried:
 		l.exit = "carried"
 	default:
 		l.exit = "settled"
 	}
-	if l.err == nil && !carried {
-		gt.replayAlarms(l.cb, stop, threads)
+	if l.err == nil && !ex.Carried {
+		gt.replayAlarms(l.cb, gt.alarmsBefore(ex.Stop), len(gt.alarms))
 	}
 	return l
 }

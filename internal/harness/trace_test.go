@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -62,26 +63,28 @@ func alarmBits(cb *hrt.ControlBlock) []string {
 // matches, the first and the last thread's instances — plus TPACF's full
 // FI&FT plan produces through the resumed launch exactly what a full
 // launch on a fresh device does. Every exit reason must be taken, carried
-// ones included.
+// ones included; launches must start at a checkpoint in every long-thread
+// HPC program and never in RPES; half of them run on blank devices.
 func TestResumeEqualsFullLaunch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every quick-plan injection, and TPACF's full plan, twice")
 	}
 	type leg struct {
-		scale Scale
+		scale string
 		spec  *workloads.Spec
 		modes []translate.Mode
 	}
 	var legs []leg
 	for _, spec := range allSpecs() {
-		legs = append(legs, leg{QuickScale(), spec, []translate.Mode{translate.ModeFI, translate.ModeFIFT}})
+		legs = append(legs, leg{"quick", spec, []translate.Mode{translate.ModeFI, translate.ModeFIFT}})
 	}
 	// The fleet_full path: TPACF's full plan, where carried exits dominate.
-	legs = append(legs, leg{FullScale(), workloads.ByName("TPACF"), []translate.Mode{translate.ModeFIFT}})
+	legs = append(legs, leg{"full", workloads.ByName("TPACF"), []translate.Mode{translate.ModeFIFT}})
 	exits := make(map[string]int)
 	for _, leg := range legs {
 		spec := leg.spec
-		e, golden, prof, plan := stagePlan(t, leg.scale, spec)
+		scale, _ := ScaleByName(leg.scale)
+		e, golden, prof, plan := stagePlan(t, scale, spec)
 		for _, mode := range leg.modes {
 			store := storeFor(prof, mode)
 			resume, err := e.goldenTrace(spec, golden, store, mode)
@@ -111,11 +114,32 @@ func TestResumeEqualsFullLaunch(t *testing.T) {
 				swifi.Command{Site: site, Instance: total / 2, Mask: 1 << 20, Count: 3},
 				swifi.Command{Site: site, Instance: total / 3, Mask: 1 << 2, Persistent: true},
 				swifi.Command{Site: site, Instance: total - 2, Mask: 1 << 30, Persistent: true})
-			for _, cmd := range cmds {
+			fromCheckpoint := 0
+			for i, cmd := range cmds {
 				want, got := full.launch(cmd), resume.launch(cmd)
 				diffLaunches(t, cmd, want, got)
 				exits[got.exit]++
-				resume.release(got.td)
+				if at, _, _ := resume.resumePoint(cmd); at.Checkpoint > 0 {
+					fromCheckpoint++
+				}
+				// Every other device goes unreturned, so the next launch
+				// misses the pool and takes a blank device.
+				if i%2 == 0 {
+					resume.release(got.td)
+				}
+			}
+			checkpoints := 0
+			for th := range resume.mem.Threads() {
+				checkpoints += resume.mem.Checkpoints(th)
+			}
+			t.Logf("%s %s at %s scale: %d checkpoints, trace %d bytes; %d of %d launches started at one",
+				spec.Name, mode, leg.scale, checkpoints, resume.bytes(), fromCheckpoint, len(cmds))
+			switch {
+			case leg.scale != "quick":
+			case spec.Name == "RPES" && fromCheckpoint > 0:
+				t.Errorf("RPES %s: %d launches started at a checkpoint; its threads are too short to hold one", mode, fromCheckpoint)
+			case slices.Contains(longThreadPrograms, spec.Name) && fromCheckpoint == 0:
+				t.Errorf("%s %s: no launch started at a checkpoint", spec.Name, mode)
 			}
 		}
 	}
@@ -128,6 +152,10 @@ func TestResumeEqualsFullLaunch(t *testing.T) {
 		}
 	}
 }
+
+// longThreadPrograms are the HPC programs whose threads run thousands of
+// statements, so their golden traces hold checkpoints.
+var longThreadPrograms = []string{"CP", "MRI-FHD", "MRI-Q", "PNS", "SAD", "TPACF"}
 
 func allSpecs() []*workloads.Spec {
 	return append(append(workloads.HPC(), workloads.Graphics()...), workloads.CPURef())
@@ -471,7 +499,8 @@ func TestWatchdogBaselineIsFullLaunch(t *testing.T) {
 
 // TestInjectionTelemetry checks the resume counters: every injection is
 // counted under exactly one exit reason, executed plus skipped threads add
-// up to the grid, and the trace size is published.
+// up to the grid, statements are counted live and restored, and the trace
+// size, checkpoints included, is published.
 func TestInjectionTelemetry(t *testing.T) {
 	e := NewEnv(tinyScale())
 	tel := obs.New(&obs.MemSink{})
@@ -496,8 +525,22 @@ func TestInjectionTelemetry(t *testing.T) {
 	if threads := int64(len(plan)) * int64(golden.Result.Threads); executed+skipped != threads || executed == 0 || skipped == 0 {
 		t.Fatalf("threads executed %d + skipped %d, want a split of %d", executed, skipped, threads)
 	}
-	if b := m.Gauge("hauberk_golden_trace_bytes", "program", spec.Name, "mode", translate.ModeFIFT.String()).Value(); b <= 0 {
-		t.Fatalf("hauberk_golden_trace_bytes = %v", b)
+	live := m.Counter("hauberk_injection_steps_total", "kind", "live").Value()
+	restored := m.Counter("hauberk_injection_steps_total", "kind", "restored").Value()
+	if live <= 0 || restored <= 0 {
+		t.Fatalf("statements live %d, restored %d: want both", live, restored)
+	}
+	// The trace's size counts its checkpoints: CP's threads hold some.
+	gt, err := e.goldenTrace(spec, golden, pc.Prof.Store, pc.Mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpoints := 0
+	for th := range gt.mem.Threads() {
+		checkpoints += gt.mem.Checkpoints(th)
+	}
+	if b := m.Gauge("hauberk_golden_trace_bytes", "program", spec.Name, "mode", translate.ModeFIFT.String()).Value(); b != float64(gt.bytes()) || checkpoints == 0 {
+		t.Fatalf("hauberk_golden_trace_bytes = %v, trace holds %d bytes in all, %d checkpoints", b, gt.bytes(), checkpoints)
 	}
 	if b := m.Gauge("hauberk_hang_budget_steps", "program", spec.Name, "mode", translate.ModeFIFT.String()).Value(); b != hangFloorSteps {
 		t.Fatalf("hauberk_hang_budget_steps = %v, want CP's floor of %d", b, hangFloorSteps)
