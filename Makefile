@@ -84,17 +84,21 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) }' || \
 		{ echo "coverage $$total% fell below the recorded $(COVER_FLOOR)% floor"; exit 1; }
 
-# fuzz spends 30 s on three targets, 10 s each. FuzzResumeCarry
+# fuzz spends 40 s on four targets, 10 s each. FuzzResumeCarry
 # (internal/gpu): generated histogram kernels, resumed with and without
 # carried differences, must equal a full launch bit for bit.
 # FuzzEventStream (internal/fleet): the one event-feed reader and the read
 # API's ?wait=/?replay= parsing. FuzzReadFrame (internal/guardian/procexec):
-# the worker protocol's frame reader over a buffered stream. Plain `go test`
-# replays only their seeds and committed corpora (testdata/fuzz).
+# the worker protocol's frame reader over a buffered stream.
+# FuzzReadRecords (internal/harness/store): the campaign store's JSONL
+# reader, which must accept only records inside the plan and the shard.
+# Plain `go test` replays only their seeds and committed corpora
+# (testdata/fuzz).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzResumeCarry$$' -fuzztime=10s ./internal/gpu
 	$(GO) test -run '^$$' -fuzz '^FuzzEventStream$$' -fuzztime=10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime=10s ./internal/guardian/procexec
+	$(GO) test -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime=10s ./internal/harness/store
 
 # bench-smoke is the does-it-still-run gate for the baseline kernels: one
 # iteration of every engine/workload pair, no timing claims. The benchmark

@@ -44,18 +44,16 @@ type Config struct {
 	// campaign fails (default 3) — a shard that fails on distinct nodes
 	// is a plan problem, not a node problem.
 	ShardAttempts int
-	// StallTimeout declares an assignment hung when its progress
-	// counter hasn't moved for this long (default 2m): the node still
-	// answers status RPCs but its executor is wedged, so the shard
-	// fails over as if the node had died.
-	StallTimeout time.Duration
-	// Policy tunes the per-node verdict fold.
-	Policy VerdictPolicy
 	// Registry collects hauberk_fleet_* metrics; nil allocates one.
 	Registry *obs.Registry
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
+
+// stallTimeout declares an assignment hung when its progress counter
+// hasn't moved for this long: the node still answers status RPCs but its
+// executor is wedged, so the shard fails over as if the node had died.
+const stallTimeout = 2 * time.Minute
 
 // Result is a completed fleet campaign.
 type Result struct {
@@ -134,9 +132,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.ShardAttempts <= 0 {
 		cfg.ShardAttempts = 3
 	}
-	if cfg.StallTimeout <= 0 {
-		cfg.StallTimeout = 2 * time.Minute
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
 	}
@@ -154,7 +149,7 @@ func New(cfg Config) (*Coordinator, error) {
 	for _, base := range cfg.Nodes {
 		co.nodes = append(co.nodes, &node{
 			client: tr.Client(base),
-			health: newNodeHealth(cfg.Policy),
+			health: &nodeHealth{},
 			shard:  -1,
 		})
 	}
@@ -381,10 +376,10 @@ func (co *Coordinator) observe(ctx context.Context, ev watchEvent) error {
 		n.health.observe(true)
 		if st.Progress.Completed != n.lastDone {
 			n.lastDone, n.lastMove = st.Progress.Completed, time.Now()
-		} else if time.Since(n.lastMove) > co.cfg.StallTimeout {
+		} else if time.Since(n.lastMove) > stallTimeout {
 			n.health.observe(false)
 			co.cfg.Logf("fleet: %s: shard %d stalled at %d/%d for %s; failing over",
-				n.client.Name, n.shard, st.Progress.Completed, st.Progress.Total, co.cfg.StallTimeout)
+				n.client.Name, n.shard, st.Progress.Completed, st.Progress.Total, stallTimeout)
 			return co.failover(ctx, n, "assignment stalled")
 		}
 	}

@@ -310,9 +310,7 @@ func TestCoordinatorQuarantinesDeadNode(t *testing.T) {
 	dead.Close() // connection refused from the first RPC
 
 	b := newFakeNode(t, completeImmediately)
-	cfg := fastConfig(t, deadURL, b.srv.URL)
-	cfg.Policy = VerdictPolicy{QuarantineAfter: 2, RecoverAfter: 2}
-	co, err := New(cfg)
+	co, err := New(fastConfig(t, deadURL, b.srv.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +361,7 @@ func TestCoordinatorConfigValidation(t *testing.T) {
 // live node, even a busy one, rather than go back to the node it left;
 // it returns there only when no other node could ever take it.
 func TestPickNodeAvoidsFailedOverNode(t *testing.T) {
-	a, b := &node{health: newNodeHealth(VerdictPolicy{}), shard: -1}, &node{health: newNodeHealth(VerdictPolicy{}), shard: 1}
+	a, b := &node{health: &nodeHealth{}, shard: -1}, &node{health: &nodeHealth{}, shard: 1}
 	co := &Coordinator{nodes: []*node{a, b}}
 	if got := co.pickNode(a); got != nil {
 		t.Errorf("pickNode(avoid a) with b busy = %p, want nil (wait for b)", got)

@@ -14,9 +14,9 @@ const (
 	// Degraded nodes recently failed a probe or RPC (or dropped a
 	// shard); they are deprioritized but still dispatchable.
 	Degraded
-	// Quarantined nodes failed QuarantineAfter consecutive times; they
+	// Quarantined nodes failed quarantineAfter consecutive times; they
 	// are drained and skipped. Probation: successful probes demote the
-	// verdict one step per RecoverAfter successes, so a recovered node
+	// verdict one step per recoverAfter successes, so a recovered node
 	// re-earns trust (Quarantined -> Degraded -> Healthy) instead of
 	// snapping straight back to the front of the roster.
 	Quarantined
@@ -34,50 +34,34 @@ func (v Verdict) String() string {
 	return "verdict(?)"
 }
 
-// VerdictPolicy tunes the health fold.
-type VerdictPolicy struct {
-	// QuarantineAfter is how many consecutive failures quarantine a
-	// node (minimum 1; default 3).
-	QuarantineAfter int
-	// RecoverAfter is how many consecutive successes demote the verdict
-	// one step toward Healthy (minimum 1; default 2).
-	RecoverAfter int
-}
-
-func (p VerdictPolicy) withDefaults() VerdictPolicy {
-	if p.QuarantineAfter < 1 {
-		p.QuarantineAfter = 3
-	}
-	if p.RecoverAfter < 1 {
-		p.RecoverAfter = 2
-	}
-	return p
-}
+// The health fold's ladder: quarantineAfter consecutive failures
+// quarantine a node, and recoverAfter consecutive successes demote its
+// verdict one step toward Healthy.
+const (
+	quarantineAfter = 3
+	recoverAfter    = 2
+)
 
 // nodeHealth folds a stream of per-node observations (probe results,
 // RPC outcomes, campaign dispositions) into a Verdict. Not safe for
-// concurrent use; the coordinator's event loop owns it.
+// concurrent use; the coordinator's event loop owns it. The zero value
+// is a Healthy node.
 type nodeHealth struct {
-	policy  VerdictPolicy
 	verdict Verdict
 	fails   int
 	oks     int
-}
-
-func newNodeHealth(p VerdictPolicy) *nodeHealth {
-	return &nodeHealth{policy: p.withDefaults()}
 }
 
 // observe records one outcome and returns the updated verdict. Any
 // failure interrupts recovery (the success counter resets); any
 // success resets the failure streak. A single failure degrades — one
 // dropped RPC is enough to deprioritize a node behind its clean peers —
-// and QuarantineAfter consecutive failures quarantine.
+// and quarantineAfter consecutive failures quarantine.
 func (h *nodeHealth) observe(ok bool) Verdict {
 	if ok {
 		h.fails = 0
 		h.oks++
-		if h.verdict != Healthy && h.oks >= h.policy.RecoverAfter {
+		if h.verdict != Healthy && h.oks >= recoverAfter {
 			h.verdict--
 			h.oks = 0
 		}
@@ -85,7 +69,7 @@ func (h *nodeHealth) observe(ok bool) Verdict {
 	}
 	h.oks = 0
 	h.fails++
-	if h.fails >= h.policy.QuarantineAfter {
+	if h.fails >= quarantineAfter {
 		h.verdict = Quarantined
 	} else {
 		h.verdict = Degraded

@@ -3,7 +3,7 @@ package fleet
 import "testing"
 
 func TestVerdictLadder(t *testing.T) {
-	h := newNodeHealth(VerdictPolicy{QuarantineAfter: 3, RecoverAfter: 2})
+	h := &nodeHealth{}
 	if h.Verdict() != Healthy {
 		t.Fatalf("fresh node is %s, want healthy", h.Verdict())
 	}
@@ -29,7 +29,7 @@ func TestVerdictLadder(t *testing.T) {
 }
 
 func TestVerdictFailureInterruptsRecovery(t *testing.T) {
-	h := newNodeHealth(VerdictPolicy{QuarantineAfter: 3, RecoverAfter: 2})
+	h := &nodeHealth{}
 	for i := 0; i < 3; i++ {
 		h.observe(false)
 	}
@@ -46,7 +46,7 @@ func TestVerdictFailureInterruptsRecovery(t *testing.T) {
 }
 
 func TestVerdictHealthyStaysHealthy(t *testing.T) {
-	h := newNodeHealth(VerdictPolicy{})
+	h := &nodeHealth{}
 	for i := 0; i < 10; i++ {
 		if v := h.observe(true); v != Healthy {
 			t.Fatalf("healthy node drifted to %s", v)
@@ -55,9 +55,8 @@ func TestVerdictHealthyStaysHealthy(t *testing.T) {
 }
 
 func TestVerdictPolicyDefaults(t *testing.T) {
-	p := VerdictPolicy{}.withDefaults()
-	if p.QuarantineAfter != 3 || p.RecoverAfter != 2 {
-		t.Fatalf("defaults = %+v, want quarantine after 3, recover after 2", p)
+	if quarantineAfter != 3 || recoverAfter != 2 {
+		t.Fatalf("ladder = quarantine after %d, recover after %d; want 3 and 2", quarantineAfter, recoverAfter)
 	}
 	if s := Quarantined.String(); s != "quarantined" {
 		t.Fatalf("Quarantined.String() = %q", s)

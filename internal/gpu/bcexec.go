@@ -16,7 +16,6 @@ import (
 // in (*bcThread).run.
 func (d *Device) runProgram(p *program, k *kir.Kernel, spec LaunchSpec) (*Result, error) {
 	res := &Result{Threads: spec.Grid * spec.Block, MaxLive: p.maxLive, Spill: p.spillExtra > 0}
-	warp := d.cfg.WarpSize
 	var sumWarpCycles, sumThreadCycles, sumLoopCycles float64
 
 	// One pooled register file for the whole launch: variable slots are
@@ -56,7 +55,7 @@ func (d *Device) runProgram(p *program, k *kir.Kernel, spec LaunchSpec) (*Result
 			if t.cycles > warpMax {
 				warpMax = t.cycles
 			}
-			if (tid+1)%warp == 0 || tid == spec.Block-1 {
+			if (tid+1)%warpSize == 0 || tid == spec.Block-1 {
 				sumWarpCycles += warpMax
 				warpMax = 0
 			}

@@ -228,13 +228,12 @@ func (p *program) getRegs() *[]uint32 {
 func (p *program) putRegs(r *[]uint32) { p.regPool.Put(r) }
 
 // progKey identifies a compiled program: the kernel (kernels are read-only
-// at launch time, so pointer identity is sound) plus everything the cost
-// folding depends on — the cost model values and the register file size
-// that determines the spill penalty. Every cached program is fused.
+// at launch time, so pointer identity is sound) plus the register file
+// size, which determines the spill penalty the cost folding charges. Every
+// cached program is fused.
 type progKey struct {
-	k     *kir.Kernel
-	costs CostModel
-	regs  int
+	k    *kir.Kernel
+	regs int
 }
 
 // progCacheCap bounds the cache; on overflow the whole cache is dropped
@@ -254,7 +253,7 @@ var progCacheHits, progCacheMisses atomic.Int64
 // the program came from the cache. The fast path is a read-locked map
 // lookup with no allocation.
 func programFor(k *kir.Kernel, cfg Config) (p *program, hit bool) {
-	key := progKey{k: k, costs: cfg.Costs, regs: cfg.RegsPerThread}
+	key := progKey{k: k, regs: cfg.RegsPerThread}
 	progCache.RLock()
 	p = progCache.m[key]
 	progCache.RUnlock()
@@ -262,7 +261,7 @@ func programFor(k *kir.Kernel, cfg Config) (p *program, hit bool) {
 		progCacheHits.Add(1)
 		return p, true
 	}
-	p = compileProgram(k, cfg.Costs, cfg.RegsPerThread, true, nil)
+	p = compileProgram(k, cfg.RegsPerThread, true, nil)
 	progCache.Lock()
 	if q := progCache.m[key]; q != nil {
 		p = q // another launch compiled it first

@@ -7,7 +7,7 @@ import (
 )
 
 // compileProgram lowers a kernel into a flat bytecode program with cycle
-// costs folded in for the given cost model and register file size.
+// costs folded in for the cost model (cost.go) and register file size.
 //
 // The lowering preserves the observable semantics of the tree-walking
 // oracle (oracle_test.go) exactly:
@@ -38,17 +38,16 @@ import (
 // accumulator update and detector call is preceded or followed by an
 // opNote for the trace recorder, which charges nothing and counts no step,
 // so the launch is otherwise the one every other program runs.
-func compileProgram(k *kir.Kernel, costs CostModel, regsPerThread int, fuse bool, delta *kir.Delta) *program {
+func compileProgram(k *kir.Kernel, regsPerThread int, fuse bool, delta *kir.Delta) *program {
 	an := kir.Analyze(k)
 	spill := 0.0
 	if an.MaxLive > regsPerThread {
 		frac := float64(an.MaxLive-regsPerThread) / float64(an.MaxLive)
-		spill = costs.SpillPenalty * frac
+		spill = costSpillPenalty * frac
 	}
 	c := &compiler{
-		costs:     costs,
 		spill:     spill,
-		wcost:     costs.RegMove + spill,
+		wcost:     costRegMove + spill,
 		nv:        k.NumVars(),
 		constSlot: make(map[uint32]int32),
 		delta:     delta,
@@ -75,7 +74,6 @@ func compileProgram(k *kir.Kernel, costs CostModel, regsPerThread int, fuse bool
 }
 
 type compiler struct {
-	costs CostModel
 	spill float64 // per-register-access spill charge (readReg)
 	wcost float64 // writeReg charge: RegMove + spill, one addition
 
@@ -253,12 +251,12 @@ func (c *compiler) stmt(s kir.Stmt) {
 			kind = noteStoreT
 		}
 		c.note(kind, inst{b: int32(n.Base.ID), c: ia})
-		c.emit(inst{op: opStore, a: int32(n.Base.ID), b: ia, c: va, cost: c.costs.Mem})
+		c.emit(inst{op: opStore, a: int32(n.Base.ID), b: ia, c: va, cost: costMem})
 		c.tempTop = mark
 	case *kir.If:
 		// The Branch cost is charged before the condition evaluates; the
 		// charge carrier also consumes the statement-entry step.
-		c.emit(inst{op: opCharge, cost: c.costs.Branch})
+		c.emit(inst{op: opCharge, cost: costBranch})
 		mark := c.tempTop
 		sa := c.operand(n.Cond)
 		jz := c.emit(inst{op: opJZ, b: sa})
@@ -281,13 +279,13 @@ func (c *compiler) stmt(s kir.Stmt) {
 		rstart := len(c.insts)
 		la := c.operand(n.Limit)
 		if rend := len(c.insts); rend > rstart {
-			c.regions = append(c.regions, errRegion{start: rstart, end: rend, charge: c.costs.LoopOver})
+			c.regions = append(c.regions, errRegion{start: rstart, end: rend, charge: costLoopOver})
 		}
-		test := c.emit(inst{op: opForTest, b: int32(n.Iter.ID), c: la, cost: c.costs.LoopOver})
+		test := c.emit(inst{op: opForTest, b: int32(n.Iter.ID), c: la, cost: costLoopOver})
 		c.tempTop = mark
 		c.block(n.Body)
 		sa := c.operand(n.Step)
-		c.emit(inst{op: opForInc, a: int32(n.Iter.ID), b: sa, cost: c.costs.IntOp})
+		c.emit(inst{op: opForInc, a: int32(n.Iter.ID), b: sa, cost: costIntOp})
 		c.tempTop = mark
 		c.emit(inst{op: opJmp, a: int32(head)})
 		c.insts[test].a = int32(len(c.insts))
@@ -301,24 +299,24 @@ func (c *compiler) stmt(s kir.Stmt) {
 		rstart := len(c.insts)
 		sa := c.operand(n.Cond)
 		if rend := len(c.insts); rend > rstart {
-			c.regions = append(c.regions, errRegion{start: rstart, end: rend, charge: c.costs.LoopOver})
+			c.regions = append(c.regions, errRegion{start: rstart, end: rend, charge: costLoopOver})
 		}
-		jz := c.emit(inst{op: opJZ, b: sa, cost: c.costs.LoopOver})
+		jz := c.emit(inst{op: opJZ, b: sa, cost: costLoopOver})
 		c.tempTop = mark
 		c.block(n.Body)
 		c.emit(inst{op: opJmp, a: int32(head)})
 		c.insts[jz].a = int32(len(c.insts))
 		c.loopDepth--
 	case kir.Sync:
-		c.emit(inst{op: opSync, cost: c.costs.Sync})
+		c.emit(inst{op: opSync, cost: costSync})
 	case kir.FIProbe:
 		c.emit(inst{op: opProbe, a: int32(n.Target.ID), b: int32(n.HW), imm: uint32(n.Site)})
 	case kir.CountExec:
 		c.emit(inst{op: opCountExec, imm: uint32(n.Site)})
 	case kir.RangeCheck:
-		cost := c.costs.RangeCheckInt
+		cost := costRangeCheckInt
 		if n.Accum.Type == kir.F32 {
-			cost = c.costs.RangeCheckFP
+			cost = costRangeCheckFP
 		}
 		in := inst{op: opRangeCheck, a: int32(n.Accum.ID), b: countSlot(n.Count),
 			c: avgKindOf(n.Accum.Type), imm: uint32(n.Detector), cost: cost}
@@ -326,7 +324,7 @@ func (c *compiler) stmt(s kir.Stmt) {
 		c.emit(in)
 	case kir.EqualCheck:
 		// The check cost is charged before Expected evaluates.
-		c.emit(inst{op: opCharge, cost: c.costs.EqualCheck})
+		c.emit(inst{op: opCharge, cost: costEqualCheck})
 		mark := c.tempTop
 		ea := c.operand(n.Expected)
 		in := inst{op: opEqualCheck, a: int32(n.Count.ID), b: ea, imm: uint32(n.Detector)}
@@ -339,7 +337,7 @@ func (c *compiler) stmt(s kir.Stmt) {
 		c.note(noteProfile, in)
 		c.emit(in)
 	case kir.SetSDC:
-		in := inst{op: opSetSDC, a: int32(n.Kind), imm: uint32(n.Detector), cost: c.costs.SetSDC}
+		in := inst{op: opSetSDC, a: int32(n.Kind), imm: uint32(n.Detector), cost: costSetSDC}
 		c.note(noteSDC, in)
 		c.emit(in)
 	default:
@@ -413,9 +411,9 @@ func (c *compiler) exprInto(d int32, e kir.Expr) {
 		opType := n.L.ResultType()
 		var cost float64
 		if n.Op.Comparison() || !n.Op.Logical() {
-			cost = c.costs.binCost(n.Op, opType)
+			cost = binCost(n.Op, opType)
 		} else {
-			cost = c.costs.IntOp
+			cost = costIntOp
 		}
 		mark := c.tempTop
 		la := c.operand(n.L)
@@ -434,14 +432,14 @@ func (c *compiler) exprInto(d int32, e kir.Expr) {
 		switch n.Op {
 		case kir.Neg:
 			if n.X.ResultType() == kir.F32 {
-				c.emit(inst{op: opNegF, a: d, b: xa, cost: c.costs.FPOp})
+				c.emit(inst{op: opNegF, a: d, b: xa, cost: costFPOp})
 			} else {
-				c.emit(inst{op: opNegI, a: d, b: xa, cost: c.costs.IntOp})
+				c.emit(inst{op: opNegI, a: d, b: xa, cost: costIntOp})
 			}
 		case kir.Not:
-			c.emit(inst{op: opNotL, a: d, b: xa, cost: c.costs.IntOp})
+			c.emit(inst{op: opNotL, a: d, b: xa, cost: costIntOp})
 		case kir.BNot:
-			c.emit(inst{op: opBNot, a: d, b: xa, cost: c.costs.IntOp})
+			c.emit(inst{op: opBNot, a: d, b: xa, cost: costIntOp})
 		default:
 			c.crashInst(0, fmt.Sprintf("unknown unary op %v", n.Op))
 		}
@@ -455,10 +453,10 @@ func (c *compiler) exprInto(d int32, e kir.Expr) {
 			kind, c.transparent = noteLoadT, false
 		}
 		c.note(kind, inst{b: int32(n.Base.ID), c: ia})
-		c.emit(inst{op: opLoad, a: d, b: int32(n.Base.ID), c: ia, cost: c.costs.Mem})
+		c.emit(inst{op: opLoad, a: d, b: int32(n.Base.ID), c: ia, cost: costMem})
 		c.tempTop = mark
 	case kir.Call:
-		cost := c.costs.callCost(n.Fn)
+		cost := callCost(n.Fn)
 		mark := c.tempTop
 		var a0, a1 int32
 		for i, a := range n.Args { // all args evaluate (and charge) in order
@@ -486,9 +484,9 @@ func (c *compiler) exprInto(d int32, e kir.Expr) {
 		c.tempTop = mark
 	case kir.Special:
 		if n.Kind <= kir.GridDim {
-			c.emit(inst{op: opSpecial, a: d, imm: uint32(n.Kind), cost: c.costs.RegMove})
+			c.emit(inst{op: opSpecial, a: d, imm: uint32(n.Kind), cost: costRegMove})
 		} else {
-			c.crashInst(c.costs.RegMove, fmt.Sprintf("unknown special %v", n.Kind))
+			c.crashInst(costRegMove, fmt.Sprintf("unknown special %v", n.Kind))
 		}
 	case kir.Convert:
 		mark := c.tempTop
@@ -504,12 +502,12 @@ func (c *compiler) exprInto(d int32, e kir.Expr) {
 		case from == kir.U32 && to == kir.F32:
 			op = opU2F
 		}
-		c.emit(inst{op: op, a: d, b: xa, cost: c.costs.Convert})
+		c.emit(inst{op: op, a: d, b: xa, cost: costConvert})
 		c.tempTop = mark
 	case kir.Bitcast:
 		mark := c.tempTop
 		xa := c.operand(n.X)
-		c.emit(inst{op: opMove, a: d, b: xa, cost: c.costs.RegMove})
+		c.emit(inst{op: opMove, a: d, b: xa, cost: costRegMove})
 		c.tempTop = mark
 	default:
 		c.crashInst(0, fmt.Sprintf("unknown expression %T", e))

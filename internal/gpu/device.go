@@ -57,7 +57,6 @@ const (
 type Config struct {
 	Mode          Mode
 	SMs           int // streaming multiprocessors
-	WarpSize      int // accounting width: a warp costs its slowest thread
 	RegsPerThread int // register file per thread, in 32-bit registers
 	// StepBudget bounds the number of statements one thread may execute;
 	// beyond it the launch reports a HangError. It is the backstop of the
@@ -66,7 +65,6 @@ type Config struct {
 	// LaunchSpec.StepBudget, and this one is left to the launches that are
 	// the baseline.
 	StepBudget int
-	Costs      CostModel
 }
 
 // DefaultConfig returns a GT200-like device: 30 SMs, 32-wide warps, 20
@@ -76,10 +74,8 @@ func DefaultConfig() Config {
 	return Config{
 		Mode:          ModeGPU,
 		SMs:           30,
-		WarpSize:      32,
 		RegsPerThread: 20,
 		StepBudget:    4 << 20,
-		Costs:         DefaultCosts(),
 	}
 }
 
@@ -128,7 +124,7 @@ type Device struct {
 
 // New creates a device with the given configuration.
 func New(cfg Config) *Device {
-	if cfg.SMs <= 0 || cfg.WarpSize <= 0 || cfg.RegsPerThread <= 0 {
+	if cfg.SMs <= 0 || cfg.RegsPerThread <= 0 {
 		panic("gpu: invalid configuration")
 	}
 	return &Device{cfg: cfg}

@@ -46,10 +46,10 @@ func (d *Device) launchOn(e engine, k *kir.Kernel, spec LaunchSpec) (res *Result
 	if e == engineTree {
 		return d.launchTree(k, spec)
 	}
-	key := progKey{k: k, costs: d.cfg.Costs, regs: d.cfg.RegsPerThread}
+	key := progKey{k: k, regs: d.cfg.RegsPerThread}
 	p, ok := unfusedPrograms.Load(key)
 	if !ok {
-		p, _ = unfusedPrograms.LoadOrStore(key, compileProgram(k, d.cfg.Costs, d.cfg.RegsPerThread, false, nil))
+		p, _ = unfusedPrograms.LoadOrStore(key, compileProgram(k, d.cfg.RegsPerThread, false, nil))
 	}
 	return d.runProgram(p.(*program), k, spec)
 }
@@ -94,5 +94,5 @@ func StatementCounts(k *kir.Kernel, cfg Config) (record, cached int) {
 		return n
 	}
 	cp, _ := programFor(k, cfg)
-	return count(compileProgram(k, cfg.Costs, cfg.RegsPerThread, true, kir.AnalyzeDelta(k))), count(cp)
+	return count(compileProgram(k, cfg.RegsPerThread, true, kir.AnalyzeDelta(k))), count(cp)
 }

@@ -17,8 +17,8 @@ func buildKernel(name string, build func(b *kir.Builder)) *kir.Kernel {
 // fusion pass.
 func compileBoth(k *kir.Kernel) (fused, unfused *program) {
 	cfg := DefaultConfig()
-	return compileProgram(k, cfg.Costs, cfg.RegsPerThread, true, nil),
-		compileProgram(k, cfg.Costs, cfg.RegsPerThread, false, nil)
+	return compileProgram(k, cfg.RegsPerThread, true, nil),
+		compileProgram(k, cfg.RegsPerThread, false, nil)
 }
 
 func hasOp(p *program, op opcode) bool {

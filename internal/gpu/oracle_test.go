@@ -13,7 +13,7 @@ import (
 // semantics and of the charge order, which is what lets it catch a
 // compiler or fusion bug. Everything that is not semantics it shares with
 // the production engine: checkLaunch, finishResult, convert, checkAccess,
-// CostModel.binCost/callCost and the device's load overlay.
+// binCost/callCost and the device's load overlay.
 
 // launchTree runs a validated launch through the recursive tree-walking
 // interpreter. It is the semantic oracle for the bytecode engine: the
@@ -25,16 +25,14 @@ func (d *Device) launchTree(k *kir.Kernel, spec LaunchSpec) (*Result, error) {
 		k:      k,
 		spec:   spec,
 		hooks:  spec.Hooks,
-		cost:   d.cfg.Costs,
 		budget: d.stepBudget(&spec),
 	}
 	if an.MaxLive > d.cfg.RegsPerThread {
 		frac := float64(an.MaxLive-d.cfg.RegsPerThread) / float64(an.MaxLive)
-		ex.spillExtra = d.cfg.Costs.SpillPenalty * frac
+		ex.spillExtra = costSpillPenalty * frac
 	}
 
 	res := &Result{Threads: spec.Grid * spec.Block, MaxLive: an.MaxLive, Spill: ex.spillExtra > 0}
-	warp := d.cfg.WarpSize
 	var sumWarpCycles, sumThreadCycles, sumLoopCycles float64
 
 	for blk := 0; blk < spec.Grid; blk++ {
@@ -58,7 +56,7 @@ func (d *Device) launchTree(k *kir.Kernel, spec LaunchSpec) (*Result, error) {
 			if t.cycles > warpMax {
 				warpMax = t.cycles
 			}
-			if (tid+1)%warp == 0 || tid == spec.Block-1 {
+			if (tid+1)%warpSize == 0 || tid == spec.Block-1 {
 				sumWarpCycles += warpMax
 				warpMax = 0
 			}
@@ -81,7 +79,6 @@ type exec struct {
 	k          *kir.Kernel
 	spec       LaunchSpec
 	hooks      Hooks
-	cost       CostModel
 	spillExtra float64
 	budget     int // statements one thread may execute
 }
@@ -124,7 +121,7 @@ func (t *thread) readReg(v *kir.Var) uint32 {
 }
 
 func (t *thread) writeReg(v *kir.Var, val uint32) {
-	t.charge(t.ex.cost.RegMove + t.ex.spillExtra)
+	t.charge(costRegMove + t.ex.spillExtra)
 	t.regs[v.ID] = val
 }
 
@@ -144,7 +141,6 @@ func (t *thread) stmt(s kir.Stmt, depth int) error {
 	if err := t.step(); err != nil {
 		return err
 	}
-	c := &t.ex.cost
 	switch n := s.(type) {
 	case kir.Define:
 		val, err := t.eval(n.E)
@@ -171,11 +167,11 @@ func (t *thread) stmt(s kir.Stmt, depth int) error {
 		if reason := t.ex.d.checkAccess(addr); reason != "" {
 			return t.crash("store: %s", reason)
 		}
-		t.charge(c.Mem)
+		t.charge(costMem)
 		t.stores++
 		t.ex.d.storeWord(addr, val)
 	case *kir.If:
-		t.charge(c.Branch)
+		t.charge(costBranch)
 		cond, err := t.eval(n.Cond)
 		if err != nil {
 			return err
@@ -196,7 +192,7 @@ func (t *thread) stmt(s kir.Stmt, depth int) error {
 			}
 			t.depth = depth + 1
 			limit, err := t.eval(n.Limit)
-			t.charge(c.LoopOver)
+			t.charge(costLoopOver)
 			if err != nil {
 				t.depth = depth
 				return err
@@ -216,7 +212,7 @@ func (t *thread) stmt(s kir.Stmt, depth int) error {
 				return err
 			}
 			t.regs[n.Iter.ID] = uint32(int32(t.regs[n.Iter.ID]) + int32(stepv))
-			t.charge(c.IntOp)
+			t.charge(costIntOp)
 			t.depth = depth
 		}
 	case *kir.While:
@@ -226,7 +222,7 @@ func (t *thread) stmt(s kir.Stmt, depth int) error {
 			}
 			t.depth = depth + 1
 			cond, err := t.eval(n.Cond)
-			t.charge(c.LoopOver)
+			t.charge(costLoopOver)
 			if err != nil {
 				t.depth = depth
 				return err
@@ -242,7 +238,7 @@ func (t *thread) stmt(s kir.Stmt, depth int) error {
 			t.depth = depth
 		}
 	case kir.Sync:
-		t.charge(c.Sync)
+		t.charge(costSync)
 	case kir.FIProbe:
 		if t.ex.hooks != nil {
 			val, changed := t.ex.hooks.Probe(t.tc, n.Site, n.Target, n.HW, t.regs[n.Target.ID])
@@ -256,15 +252,15 @@ func (t *thread) stmt(s kir.Stmt, depth int) error {
 		}
 	case kir.RangeCheck:
 		if n.Accum.Type == kir.F32 {
-			t.charge(c.RangeCheckFP)
+			t.charge(costRangeCheckFP)
 		} else {
-			t.charge(c.RangeCheckInt)
+			t.charge(costRangeCheckInt)
 		}
 		if t.ex.hooks != nil {
 			t.ex.hooks.RangeCheck(t.tc, n.Detector, t.averaged(n.Accum, n.Count))
 		}
 	case kir.EqualCheck:
-		t.charge(c.EqualCheck)
+		t.charge(costEqualCheck)
 		exp, err := t.eval(n.Expected)
 		if err != nil {
 			return err
@@ -277,7 +273,7 @@ func (t *thread) stmt(s kir.Stmt, depth int) error {
 			t.ex.hooks.ProfileSample(t.tc, n.Detector, t.averaged(n.Accum, n.Count))
 		}
 	case kir.SetSDC:
-		t.charge(c.SetSDC)
+		t.charge(costSetSDC)
 		if t.ex.hooks != nil {
 			t.ex.hooks.SetSDC(t.tc, n.Detector, n.Kind)
 		}
@@ -308,7 +304,6 @@ func (t *thread) averaged(accum, count *kir.Var) float64 {
 }
 
 func (t *thread) eval(e kir.Expr) (uint32, error) {
-	c := &t.ex.cost
 	switch n := e.(type) {
 	case kir.Const:
 		return n.Bits, nil
@@ -325,9 +320,9 @@ func (t *thread) eval(e kir.Expr) (uint32, error) {
 		}
 		opType := n.L.ResultType()
 		if n.Op.Comparison() || !n.Op.Logical() {
-			t.charge(c.binCost(n.Op, opType))
+			t.charge(binCost(n.Op, opType))
 		} else {
-			t.charge(c.IntOp)
+			t.charge(costIntOp)
 		}
 		return t.binop(n.Op, opType, l, r)
 	case kir.Un:
@@ -338,19 +333,19 @@ func (t *thread) eval(e kir.Expr) (uint32, error) {
 		switch n.Op {
 		case kir.Neg:
 			if n.X.ResultType() == kir.F32 {
-				t.charge(c.FPOp)
+				t.charge(costFPOp)
 				return math.Float32bits(-math.Float32frombits(x)), nil
 			}
-			t.charge(c.IntOp)
+			t.charge(costIntOp)
 			return uint32(-int32(x)), nil
 		case kir.Not:
-			t.charge(c.IntOp)
+			t.charge(costIntOp)
 			if x == 0 {
 				return 1, nil
 			}
 			return 0, nil
 		case kir.BNot:
-			t.charge(c.IntOp)
+			t.charge(costIntOp)
 			return ^x, nil
 		}
 		return 0, t.crash("unknown unary op %v", n.Op)
@@ -363,7 +358,7 @@ func (t *thread) eval(e kir.Expr) (uint32, error) {
 		if reason := t.ex.d.checkAccess(addr); reason != "" {
 			return 0, t.crash("load: %s", reason)
 		}
-		t.charge(c.Mem)
+		t.charge(costMem)
 		t.loads++
 		val := t.ex.d.loadWord(addr)
 		if f := t.ex.d.overlay; f != nil {
@@ -385,10 +380,10 @@ func (t *thread) eval(e kir.Expr) (uint32, error) {
 				a1 = v
 			}
 		}
-		t.charge(c.callCost(n.Fn))
+		t.charge(callCost(n.Fn))
 		return t.call(n.Fn, n.Args, a0, a1)
 	case kir.Special:
-		t.charge(c.RegMove)
+		t.charge(costRegMove)
 		switch n.Kind {
 		case kir.ThreadIdx:
 			return uint32(t.tc.Thread), nil
@@ -405,14 +400,14 @@ func (t *thread) eval(e kir.Expr) (uint32, error) {
 		if err != nil {
 			return 0, err
 		}
-		t.charge(c.Convert)
+		t.charge(costConvert)
 		return convert(n.X.ResultType(), n.To, x), nil
 	case kir.Bitcast:
 		x, err := t.eval(n.X)
 		if err != nil {
 			return 0, err
 		}
-		t.charge(c.RegMove)
+		t.charge(costRegMove)
 		return x, nil
 	}
 	return 0, t.crash("unknown expression %T", e)

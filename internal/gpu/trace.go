@@ -272,7 +272,7 @@ func (d *Device) newTracedLaunch(k *kir.Kernel, spec *LaunchSpec, record bool) (
 	}
 	var p *program
 	if record {
-		p = compileProgram(k, d.cfg.Costs, d.cfg.RegsPerThread, true, kir.AnalyzeDelta(k))
+		p = compileProgram(k, d.cfg.RegsPerThread, true, kir.AnalyzeDelta(k))
 	} else {
 		p, _ = programFor(k, d.cfg)
 	}
@@ -304,7 +304,7 @@ func (x *tracedLaunch) fold(serial int, cycles, loopCycles float64, loads, store
 	if cycles > x.warpMax {
 		x.warpMax = cycles
 	}
-	if tid := serial % x.spec.Block; (tid+1)%x.d.cfg.WarpSize == 0 || tid == x.spec.Block-1 {
+	if tid := serial % x.spec.Block; (tid+1)%warpSize == 0 || tid == x.spec.Block-1 {
 		x.warpCycles += x.warpMax
 		x.warpMax = 0
 	}

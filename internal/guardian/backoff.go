@@ -3,10 +3,11 @@ package guardian
 // BackoffPolicy is the guardian's exponential back-off schedule
 // (Section VI(ii)(c)): the recovery engine retests a disabled device after
 // Tbackoff, doubling the delay on every failed retest. The same schedule
-// governs the campaign engine's bounded injection retries, so one policy
-// describes every "wait longer each time" decision in the system. Units
-// are caller-defined: the device pool counts virtual ticks, the campaign
-// watchdog milliseconds.
+// paces procexec's restarts of a crashed or hung worker and the fleet
+// transport's RPC retries, so one policy describes every "wait longer
+// each time" decision in the system. Units are caller-defined: the device
+// pool counts virtual ticks, procexec and the fleet transport
+// milliseconds.
 type BackoffPolicy struct {
 	// Init is the first delay; non-positive values fall back to 1.
 	Init int64

@@ -111,7 +111,9 @@ func (d Diagnosis) ExitCode() int {
 	return 1
 }
 
-// Config tunes the guardian.
+// Config tunes the guardian. Preemptive hang detection is not here: it
+// is the simulator's step budget, which callers with a clean baseline
+// derive per launch through HangDeadline (see watchdog.go).
 type Config struct {
 	// Pool supplies devices; required.
 	Pool *DevicePool
@@ -127,11 +129,6 @@ type Config struct {
 	// OnFalseAlarm is invoked with the alarms of a diagnosed false
 	// positive so the caller can widen detector ranges (on-line
 	// learning). May be nil.
-	//
-	// Preemptive hang detection is handled by the simulator's step
-	// budget, which callers with a clean baseline derive per launch from
-	// the Watchdog type's rule (see watchdog.go); Watchdog also serves
-	// callers that track kernel execution times themselves.
 	OnFalseAlarm func(alarms []hrt.Alarm)
 	// Obs, when enabled, journals one event per Figure 11 state
 	// transition: each supervised execution, BIST self-tests, device

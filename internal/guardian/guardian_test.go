@@ -203,23 +203,6 @@ func TestPoolBackoffDoublesAndReenables(t *testing.T) {
 	}
 }
 
-func TestWatchdog(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{Factor: 10, MinCycles: 1000})
-	if w.WouldKill("k", 500) {
-		t.Fatalf("below the minimum interval nothing is killed")
-	}
-	if !w.WouldKill("k", 5000) {
-		t.Fatalf("with no history, exceeding the minimum is suspicious")
-	}
-	w.Observe("k", 2000)
-	if w.WouldKill("k", 19000) {
-		t.Fatalf("9.5x the previous time is under the 10x threshold")
-	}
-	if !w.WouldKill("k", 25000) {
-		t.Fatalf("12.5x the previous time must be killed")
-	}
-}
-
 func TestCheckpointRestore(t *testing.T) {
 	d := gpu.New(gpu.DefaultConfig())
 	buf := d.Alloc("b", kir.I32, 4)

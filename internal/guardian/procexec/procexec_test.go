@@ -28,11 +28,11 @@ func TestMain(m *testing.M) {
 		}
 		// A "quiet" worker all but stops heartbeating, so only its results
 		// show it is alive.
-		var hb time.Duration
+		hb := procexec.DefaultHeartbeat
 		if os.Getenv("PROCEXEC_TEST_WORKER") == "quiet" {
 			hb = time.Hour
 		}
-		err = procexec.Serve(os.Stdin, os.Stdout, testHandler, procexec.ServeOptions{Chaos: plan, Heartbeat: hb})
+		err = procexec.ServeEvery(os.Stdin, os.Stdout, testHandler, procexec.ServeOptions{Chaos: plan}, hb)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -74,12 +74,12 @@ func newSupervisor(t *testing.T, extraEnv []string, mut func(*procexec.Config)) 
 		Env:         append([]string{"PROCEXEC_TEST_WORKER=1"}, extraEnv...),
 		Backoff:     guardian.BackoffPolicy{Init: 1, Factor: 2, Max: 10},
 		WarmupGrace: 500 * time.Millisecond,
-		Obs:         tel,
 	}
 	if mut != nil {
 		mut(&cfg)
 	}
 	s := procexec.NewSupervisor(cfg)
+	s.SetObs(tel)
 	t.Cleanup(s.Close)
 	return s, tel
 }
@@ -173,7 +173,7 @@ func TestSupervisorChaosKillIsTransient(t *testing.T) {
 
 func TestSupervisorStallDetectedByHeartbeatMiss(t *testing.T) {
 	s, tel := newSupervisor(t, []string{chaos.EnvVar + "=stall@0"}, func(c *procexec.Config) {
-		c.HeartbeatMisses = 4 // 100ms window
+		procexec.SetHeartbeatMisses(c, 4) // 100ms window
 		c.MaxRestarts = -1
 	})
 	start := time.Now()
@@ -246,8 +246,8 @@ func TestSupervisorBadArgvIsErrSpawn(t *testing.T) {
 	tel := obs.New(&obs.MemSink{})
 	s := procexec.NewSupervisor(procexec.Config{
 		Argv: []string{"/nonexistent/hauberk-worker-binary"},
-		Obs:  tel,
 	})
+	s.SetObs(tel)
 	defer s.Close()
 	if _, err := s.Do(context.Background(), "echo", nil, time.Second); !errors.Is(err, procexec.ErrSpawn) {
 		t.Fatalf("bad argv: got %v, want ErrSpawn", err)
@@ -463,7 +463,7 @@ func TestRunCancelMidRunKillsWorker(t *testing.T) {
 // only sign of life.
 func TestRunLongerThanHeartbeatWindow(t *testing.T) {
 	s, tel := newSupervisor(t, []string{"PROCEXEC_TEST_WORKER=quiet"}, func(c *procexec.Config) {
-		c.HeartbeatMisses = 8 // a 200 ms window
+		procexec.SetHeartbeatMisses(c, 8) // a 200 ms window
 		c.MaxRestarts = -1
 	})
 	// Spawn first, so process start-up is not in the run's window.

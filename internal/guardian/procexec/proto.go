@@ -16,7 +16,7 @@
 //   - SIGCHLD → the supervisor's frame reader observing EOF and Wait
 //     classifying the exit (signal/non-zero status → WorkerCrashError);
 //   - the execution-time watchdog → a per-request deadline the caller
-//     derives from the profiled clean runtime (guardian.Watchdog's rule,
+//     derives from the profiled clean runtime (guardian.HangDeadline's rule,
 //     applied in harness) plus a heartbeat-miss window (→ WorkerHangError);
 //   - restart-on-failure → guardian.BackoffPolicy-paced respawns, bounded
 //     by MaxRestarts.

@@ -31,19 +31,12 @@ type Config struct {
 	Argv []string
 	// Env entries are appended to the inherited environment.
 	Env []string
-	// Heartbeat is the interval workers emit liveness frames at
-	// (default DefaultHeartbeat; must match the worker's ServeOptions).
-	Heartbeat time.Duration
-	// HeartbeatMisses is how many consecutive intervals may pass with no
-	// frame before the worker is presumed hung (default 40 — a one-second
-	// window at the default interval).
-	HeartbeatMisses int
 	// MaxRestarts bounds per-request respawns after a crash or hang
 	// (default 2, the guardian's diagnose-after-two-failures rule;
 	// negative disables restarting).
 	MaxRestarts int
-	// Backoff paces restarts, in milliseconds (default: the campaign
-	// engine's doubling policy from 25ms capped at 1s).
+	// Backoff paces restarts, in milliseconds (default: doubling from
+	// 25ms, capped at 1s).
 	Backoff guardian.BackoffPolicy
 	// WarmupGrace extends the request deadline for the first request of a
 	// freshly spawned worker, or of one told to Restage, which must stage
@@ -52,17 +45,20 @@ type Config struct {
 	// Chaos injects deterministic spawn failures (see the chaos
 	// package); worker-side chaos rides in Env/HAUBERK_CHAOS.
 	Chaos *chaos.Plan
-	// Obs, when enabled, journals worker lifecycle events and feeds the
-	// hauberk_worker_* metrics. May be nil.
-	Obs *obs.Telemetry
+
+	// misses, when positive, replaces heartbeatMisses; only this
+	// package's tests set it.
+	misses int
 }
 
+// heartbeatMisses is how many consecutive DefaultHeartbeat intervals may
+// pass with no frame before the worker is presumed hung: a one-second
+// window.
+const heartbeatMisses = 40
+
 func (c Config) withDefaults() Config {
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = DefaultHeartbeat
-	}
-	if c.HeartbeatMisses <= 0 {
-		c.HeartbeatMisses = 40
+	if c.misses <= 0 {
+		c.misses = heartbeatMisses
 	}
 	if c.MaxRestarts == 0 {
 		c.MaxRestarts = 2
@@ -84,6 +80,9 @@ func (c Config) withDefaults() Config {
 // parallelism).
 type Supervisor struct {
 	cfg Config
+	// obs, when enabled, journals worker lifecycle events and feeds the
+	// hauberk_worker_* metrics (see SetObs). May be nil.
+	obs *obs.Telemetry
 
 	opMu sync.Mutex // one in-flight Run
 	mu   sync.Mutex // guards the fields below
@@ -248,7 +247,7 @@ func (s *Supervisor) Run(ctx context.Context, reqs []Request, record func(i int,
 func (s *Supervisor) SetObs(t *obs.Telemetry) {
 	s.opMu.Lock()
 	defer s.opMu.Unlock()
-	s.cfg.Obs = t
+	s.obs = t
 }
 
 // Restage tells the supervisor that the live worker's next request stages
@@ -280,7 +279,7 @@ func (s *Supervisor) pass(ctx context.Context, reqs []Request, wire []byte, reco
 		// The pipe broke: the worker died between requests.
 		return 0, s.fail(w, &guardian.WorkerCrashError{ExitCode: -1, Reason: "run frame write failed: " + err.Error()}), nil
 	}
-	st := waitState{hbWindow: s.cfg.Heartbeat * time.Duration(s.cfg.HeartbeatMisses)}
+	st := waitState{hbWindow: DefaultHeartbeat * time.Duration(s.cfg.misses)}
 	st.head(reqs[0].ID, s.budget(w, reqs[0].Timeout), start)
 	timer := time.NewTimer(time.Until(st.expiry()))
 	defer timer.Stop()
@@ -499,13 +498,13 @@ func (s *Supervisor) worker() (*workerProc, error) {
 		}
 	}()
 	s.w = w
-	if s.cfg.Obs.Enabled() {
-		s.cfg.Obs.Emit(obs.EvWorkerSpawn,
+	if s.obs.Enabled() {
+		s.obs.Emit(obs.EvWorkerSpawn,
 			obs.Int("pid", int64(cmd.Process.Pid)),
 			obs.Int("pgid", int64(w.pgid)),
 			obs.Int("spawn_seq", int64(seq)),
 			obs.Str("argv0", s.cfg.Argv[0]))
-		s.cfg.Obs.Metrics().Counter("hauberk_worker_spawns_total").Inc()
+		s.obs.Metrics().Counter("hauberk_worker_spawns_total").Inc()
 	}
 	return w, nil
 }
@@ -602,42 +601,42 @@ func KillAllWorkers() int {
 var heartbeatLagBuckets = []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
 
 func (s *Supervisor) noteHeartbeat(lag time.Duration) {
-	if s.cfg.Obs.Enabled() {
-		s.cfg.Obs.Metrics().Histogram("hauberk_worker_heartbeat_lag_ms", heartbeatLagBuckets).
+	if s.obs.Enabled() {
+		s.obs.Metrics().Histogram("hauberk_worker_heartbeat_lag_ms", heartbeatLagBuckets).
 			Observe(float64(lag) / float64(time.Millisecond))
 	}
 }
 
 func (s *Supervisor) emitCrash(e *guardian.WorkerCrashError) {
-	if !s.cfg.Obs.Enabled() {
+	if !s.obs.Enabled() {
 		return
 	}
-	s.cfg.Obs.Emit(obs.EvWorkerCrash,
+	s.obs.Emit(obs.EvWorkerCrash,
 		obs.Int("exit", int64(e.ExitCode)),
 		obs.Str("signal", e.Signal),
 		obs.Str("reason", e.Reason))
-	s.cfg.Obs.Metrics().Counter("hauberk_worker_crashes_total").Inc()
+	s.obs.Metrics().Counter("hauberk_worker_crashes_total").Inc()
 }
 
 func (s *Supervisor) emitHang(e *guardian.WorkerHangError) {
-	if !s.cfg.Obs.Enabled() {
+	if !s.obs.Enabled() {
 		return
 	}
-	s.cfg.Obs.Emit(obs.EvWorkerHang,
+	s.obs.Emit(obs.EvWorkerHang,
 		obs.Bool("heartbeat_miss", e.HeartbeatMiss),
 		obs.Str("reason", e.Reason))
-	s.cfg.Obs.Metrics().Counter("hauberk_worker_hangs_total").Inc()
+	s.obs.Metrics().Counter("hauberk_worker_hangs_total").Inc()
 }
 
 func (s *Supervisor) emitRestart(id string, attempt int, delay time.Duration) {
-	if !s.cfg.Obs.Enabled() {
+	if !s.obs.Enabled() {
 		return
 	}
-	s.cfg.Obs.Emit(obs.EvWorkerRestart,
+	s.obs.Emit(obs.EvWorkerRestart,
 		obs.Str("id", id),
 		obs.Int("attempt", int64(attempt)),
 		obs.Int("backoff_ms", int64(delay/time.Millisecond)))
-	s.cfg.Obs.Metrics().Counter("hauberk_worker_restarts_total").Inc()
+	s.obs.Metrics().Counter("hauberk_worker_restarts_total").Inc()
 }
 
 // tailBuffer keeps the last chunk of the worker's stderr (a panic stack,

@@ -16,7 +16,7 @@ import (
 
 // DefaultHeartbeat is the interval at which a worker emits heartbeat
 // frames while a request executes. The supervisor's miss window is a
-// multiple of this (Config.HeartbeatMisses).
+// multiple of this (heartbeatMisses).
 const DefaultHeartbeat = 25 * time.Millisecond
 
 // Handler executes one request payload and returns the response payload.
@@ -29,8 +29,6 @@ type Handler func(id string, payload json.RawMessage) (json.RawMessage, error)
 
 // ServeOptions tunes the worker loop.
 type ServeOptions struct {
-	// Heartbeat is the liveness interval (default DefaultHeartbeat).
-	Heartbeat time.Duration
 	// Chaos, when non-nil, injects deterministic failures keyed by the
 	// per-process request sequence number (see the chaos package).
 	Chaos *chaos.Plan
@@ -47,10 +45,11 @@ type ServeOptions struct {
 // It must own out exclusively — any other write to the stream corrupts
 // the framing (which the supervisor would classify as a crash).
 func Serve(in io.Reader, out io.Writer, h Handler, opts ServeOptions) error {
-	hb := opts.Heartbeat
-	if hb <= 0 {
-		hb = DefaultHeartbeat
-	}
+	return serve(in, out, h, opts, DefaultHeartbeat)
+}
+
+// serve is Serve with a heartbeat interval of hb.
+func serve(in io.Reader, out io.Writer, h Handler, opts ServeOptions, hb time.Duration) error {
 	var (
 		wmu   sync.Mutex // serializes frames on out; guards cur and beats
 		cur   string     // the request in progress; "" between requests

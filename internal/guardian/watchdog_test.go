@@ -8,57 +8,26 @@ import (
 	"hauberk/internal/kir"
 )
 
-func TestWatchdogFirstRunWithoutBaseline(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{Factor: 10, MinCycles: 1e6})
-	// The conservative pre-seed rule: with no baseline, anything past the
-	// absolute minimum is presumed hung — which misclassifies a
-	// legitimately long clean first run.
-	if w.WouldKill("k", 1e6-1) {
-		t.Errorf("below MinCycles must never kill")
-	}
-	if !w.WouldKill("k", 2e6) {
-		t.Errorf("unknown kernel past MinCycles must kill (conservative rule)")
-	}
-}
-
-func TestWatchdogSeedFixesLongCleanFirstRun(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{Factor: 10, MinCycles: 1e6})
-	// A profiled clean runtime of 5e6 cycles seeds the baseline: the
-	// first real run taking 6e6 cycles (past MinCycles, well within
-	// Factor × baseline) is clean, not a hang.
-	w.Seed("k", 5e6)
-	if w.WouldKill("k", 6e6) {
-		t.Errorf("seeded kernel killed at 6e6 cycles with 5e6 baseline and factor 10")
-	}
-	if !w.WouldKill("k", 5e7+1) {
-		t.Errorf("seeded kernel not killed past Factor x baseline")
-	}
-	if got := w.Deadline("k"); got != 5e7 {
-		t.Errorf("Deadline = %g, want 5e7", got)
-	}
-}
-
-func TestWatchdogSeedDoesNotOverrideObservation(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{Factor: 10, MinCycles: 1})
-	w.Observe("k", 100)
-	w.Seed("k", 1e9)
-	if got, ok := w.Baseline("k"); !ok || got != 100 {
-		t.Errorf("Baseline = (%g,%v), want the real observation (100,true)", got, ok)
-	}
-	w.Seed("k2", -5)
-	if _, ok := w.Baseline("k2"); ok {
-		t.Errorf("non-positive seed must be ignored")
-	}
-}
-
-func TestWatchdogDeadlineFloor(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{Factor: 10, MinCycles: 1e6})
-	if got := w.Deadline("unknown"); got != 1e6 {
-		t.Errorf("Deadline without baseline = %g, want the MinCycles floor", got)
-	}
-	w.Seed("fast", 10) // Factor x 10 = 100 << floor
-	if got := w.Deadline("fast"); got != 1e6 {
-		t.Errorf("Deadline for fast kernel = %g, want the MinCycles floor", got)
+// TestHangDeadline pins the Section VI(i) rule: T × the previous
+// execution time, never below the minimum interval.
+func TestHangDeadline(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		baseline, floor float64
+		want            float64
+	}{
+		{"floor", 10, 1e6, 1e6},
+		{"no baseline", 0, 1e6, 1e6},
+		{"negative baseline", -5, 1e6, 1e6},
+		{"T times the baseline", 5e6, 1e6, 5e7},
+		{"boundary", 1e5, 1e6, 1e6},
+		{"just past the boundary", 1e5 + 1, 1e6, 1e6 + 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := HangDeadline(tc.baseline, tc.floor); got != tc.want {
+				t.Errorf("HangDeadline(%g, %g) = %g, want %g", tc.baseline, tc.floor, got, tc.want)
+			}
+		})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // forceBudget overrides the process-wide worker budget for one test (the
@@ -60,7 +59,7 @@ func TestCampaignWorkerSlotsReleasedOnEarlyReturn(t *testing.T) {
 	e.Scale.Workers = 4 // wants all 3 extra slots
 	pc := planTiny(t, e)
 
-	_, err := e.RunPrepared(context.Background(), pc, CampaignOptions{Dir: t.TempDir(), Isolation: "bogus", Timeout: time.Minute})
+	_, err := e.RunPrepared(context.Background(), pc, CampaignOptions{Dir: t.TempDir(), Isolation: "bogus"})
 	if err == nil || !strings.Contains(err.Error(), "unknown isolation mode") {
 		t.Fatalf("bogus isolation mode: got %v, want an unknown-isolation error", err)
 	}

@@ -76,8 +76,6 @@ type InjectionResult struct {
 	// TimedOut marks a run the campaign watchdog killed by wall clock
 	// (always a hang failure).
 	TimedOut bool
-	// Retries counts infrastructure-error retries before this result.
-	Retries int
 }
 
 // RunInjection executes one fault-injection experiment with the given

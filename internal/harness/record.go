@@ -62,7 +62,6 @@ func recordOf(idx int, inj Injection, r *InjectionResult) cstore.Record {
 		Activated: r.Activated,
 		Bits:      inj.Bits,
 		Class:     int(inj.Class),
-		Retries:   r.Retries,
 		TimedOut:  r.TimedOut,
 	}
 }
@@ -78,7 +77,6 @@ func resultFromRecord(rec cstore.Record) InjectionResult {
 		Hang:      rec.Hang,
 		Activated: rec.Activated,
 		TimedOut:  rec.TimedOut,
-		Retries:   rec.Retries,
 	}
 }
 

@@ -75,17 +75,6 @@ type CampaignOptions struct {
 	// this run owns plan indices where idx % Shards == Shard. The plan is
 	// seeded, so every shard derives the same list independently.
 	Shard, Shards int
-	// Timeout is the per-injection watchdog budget; 0 derives it from the
-	// clean run recorded with the golden trace (the guardian's T times its
-	// wall time, floored at watchdogFloor), mirroring the Section VI(i)
-	// hang rule of T times the previous execution time.
-	Timeout time.Duration
-	// Retries bounds per-injection retries of infrastructure errors
-	// (default 2; negative disables retrying).
-	Retries int
-	// Backoff is the retry delay schedule in milliseconds (default: the
-	// guardian's doubling policy from 25ms, capped at 1s).
-	Backoff guardian.BackoffPolicy
 	// OnResult, if set, observes progress after each recorded
 	// result (done counts completed injections of this shard, total the
 	// shard's size). Tests use it to interrupt mid-campaign.
@@ -107,26 +96,16 @@ type CampaignOptions struct {
 	// (worker-side chaos rides in the inherited HAUBERK_CHAOS variable;
 	// see internal/guardian/procexec/chaos).
 	Chaos *chaos.Plan
-	// WorkerWarmupGrace extends the first request's deadline on a worker
-	// that must stage the program before executing — a fresh one, or a
-	// pooled one that last served another experiment (0 = the procexec
-	// default). Tests shrink it.
-	WorkerWarmupGrace time.Duration
-}
 
-func (o CampaignOptions) withDefaults() CampaignOptions {
-	if o.Shards <= 0 {
-		o.Shards = 1
-	}
-	if o.Retries == 0 {
-		o.Retries = 2
-	} else if o.Retries < 0 {
-		o.Retries = 0
-	}
-	if o.Backoff == (guardian.BackoffPolicy{}) {
-		o.Backoff = guardian.BackoffPolicy{Init: 25, Factor: 2, Max: 1000}
-	}
-	return o
+	// Test-only overrides, assigned only by this package's tests; zero
+	// keeps the production value. timeout replaces the derived
+	// per-injection deadline; maxRestarts, backoff and warmupGrace replace
+	// procexec's worker restart count (negative: none), restart back-off
+	// and warm-up grace.
+	timeout     time.Duration
+	maxRestarts int
+	backoff     guardian.BackoffPolicy
+	warmupGrace time.Duration
 }
 
 // RunPrepared executes (or resumes) one shard of a prepared campaign and
@@ -136,15 +115,16 @@ func (o CampaignOptions) withDefaults() CampaignOptions {
 // campaign store before it counts as done — appended to the JSONL log
 // under opts.Dir, or kept in memory when there is none — each injection
 // runs under a wall-clock watchdog (expiry classifies the run as a hang
-// failure, Section VI(i)), and infrastructure errors are retried with the
-// guardian's exponential back-off. Cancelling ctx stops dispatch, flushes
+// failure, Section VI(i)). Cancelling ctx stops dispatch, flushes
 // the store and returns ErrCampaignInterrupted; a later call with Resume
 // set completes the remainder and yields aggregates byte-identical to an
 // uninterrupted run. The preparation is read-only during the run, so one
 // PreparedCampaign may back any number of concurrent RunPrepared calls
 // with distinct stores.
 func (e *Env) RunPrepared(ctx context.Context, pc *PreparedCampaign, opts CampaignOptions) (*CampaignResult, error) {
-	opts = opts.withDefaults()
+	if opts.Shards <= 0 {
+		opts.Shards = 1
+	}
 	if opts.Resume && opts.Dir == "" {
 		return nil, errors.New("harness: resuming a campaign needs its store dir")
 	}
@@ -206,7 +186,7 @@ func (e *Env) RunPrepared(ctx context.Context, pc *PreparedCampaign, opts Campai
 	if err != nil {
 		return nil, fmt.Errorf("harness: clean timing run of %s: %w", spec.Name, err)
 	}
-	timeout := opts.Timeout
+	timeout := opts.timeout
 	if timeout <= 0 {
 		timeout = deriveWatchdogTimeout(gt, watchdogFloor)
 	}
@@ -267,11 +247,11 @@ func (e *Env) RunPrepared(ctx context.Context, pc *PreparedCampaign, opts Campai
 	err = e.dispatch(ctx, len(pending), maxRun, func(ctx context.Context, slot, lo, hi int) error {
 		var err error
 		if iso != nil {
-			err = e.runIsolated(ctx, iso, slot, pc, gt, pending[lo:hi], timeout, opts, record)
+			err = e.runIsolated(ctx, iso, slot, pc, gt, pending[lo:hi], timeout, record)
 		} else {
 			idx := pending[lo]
 			var r *InjectionResult
-			if r, err = e.runInjectionGuarded(ctx, pc, gt, plan[idx], timeout, opts); err != nil {
+			if r, err = e.runInjectionGuarded(ctx, pc, gt, plan[idx], timeout); err != nil {
 				err = fmt.Errorf("injection %d: %w", idx, err)
 			} else {
 				err = record(idx, r)
@@ -320,21 +300,15 @@ func (e *Env) RunPrepared(ctx context.Context, pc *PreparedCampaign, opts Campai
 // deriveWatchdogTimeout derives the per-injection deadline from the wall
 // time of one full clean run of the instrumented kernel — measured once,
 // while the golden trace gt is recorded, and cached with it, so a campaign
-// pays no probe launch of its own — through the guardian watchdog's own
-// Section VI(i) rule: the clean wall time Seeds the kernel's baseline, and
-// Deadline applies "T (the guardian's default) times the baseline, floored
-// at floor". Routing the derivation through Watchdog (rather than
-// re-implementing the arithmetic) keeps the wall-clock rule and the
-// step-budget rule (hangBudget) on one definition. The baseline is the
-// whole grid's time, not a resumed injection's: an injection that runs to
-// its end, or on the full path, must still fit the deadline.
+// pays no probe launch of its own — through the guardian's Section VI(i)
+// rule, guardian.HangDeadline: T times the clean wall time, floored at
+// floor. The step-budget rule (hangBudget) goes through the same function.
+// The baseline is the whole grid's time, not a resumed injection's: an
+// injection that runs to its end, or on the full path, must still fit the
+// deadline.
 func deriveWatchdogTimeout(gt *goldenTrace, floor time.Duration) time.Duration {
-	wd := guardian.NewWatchdog(guardian.WatchdogConfig{
-		Factor:    guardian.DefaultWatchdog().Factor,
-		MinCycles: float64(floor) / float64(time.Millisecond),
-	})
-	wd.Seed(gt.spec.Name, float64(gt.cleanWall)/float64(time.Millisecond))
-	return time.Duration(wd.Deadline(gt.spec.Name) * float64(time.Millisecond))
+	ms := guardian.HangDeadline(float64(gt.cleanWall)/float64(time.Millisecond), float64(floor)/float64(time.Millisecond))
+	return time.Duration(ms * float64(time.Millisecond))
 }
 
 // heartbeatLagBuckets are the upper bounds (ms) for the campaign- and

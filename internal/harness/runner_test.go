@@ -191,7 +191,7 @@ func TestCampaignWatchdogClassifiesHang(t *testing.T) {
 	e := NewEnv(tinyScale())
 	pc := planTiny(t, e)
 	pc.Plan = pc.Plan[:4]
-	cr, err := e.RunPrepared(context.Background(), pc, CampaignOptions{Dir: t.TempDir(), Timeout: time.Nanosecond})
+	cr, err := e.RunPrepared(context.Background(), pc, CampaignOptions{Dir: t.TempDir(), timeout: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}

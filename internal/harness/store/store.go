@@ -77,23 +77,17 @@ type Record struct {
 	Bits int `json:"bits"`
 	// Class is the corrupted data class ordinal (Figure 1 axis).
 	Class int `json:"class"`
-	// Retries counts infrastructure-error retries before this result.
-	Retries int `json:"retries,omitempty"`
 	// TimedOut marks a watchdog kill (hang classified by wall clock
 	// rather than the simulator's step budget).
 	TimedOut bool `json:"timed_out,omitempty"`
 }
 
 // Conflicts reports whether two records claiming the same plan index
-// disagree on any figure-bearing field. Retries is excluded: the number
-// of infrastructure retries behind a result varies with the environment
-// (a chaos run retries where a clean one does not) while the classified
-// outcome must not, and no figure aggregates it. Everything else —
-// identity, outcome, hang/activation/timeout flags, bits, class — is
-// deterministic for a given plan index, so a disagreement means one of
-// the logs is corrupt or belongs to a different plan.
+// disagree on any field. Every field — identity, outcome,
+// hang/activation/timeout flags, bits, class — is deterministic for a
+// given plan index, so a disagreement means one of the logs is corrupt or
+// belongs to a different plan.
 func (r Record) Conflicts(o Record) bool {
-	r.Retries, o.Retries = 0, 0
 	return r != o
 }
 
@@ -237,11 +231,8 @@ func (s *Store) Close() error {
 	return err
 }
 
-// readRecords loads a shard log of an injections-long plan. A malformed
-// final line (the partial write of a killed process) is dropped; malformed
-// interior lines always abort, since they mean real corruption — as does a
-// record whose index lies outside the plan or outside shard/shards' share
-// of it, which would otherwise stand in for an injection that never ran.
+// readRecords loads a shard log of an injections-long plan (see
+// parseRecords); a missing log holds no records.
 func readRecords(path string, injections, shard, shards int) (map[int]Record, error) {
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -250,6 +241,15 @@ func readRecords(path string, injections, shard, shards int) (map[int]Record, er
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	return parseRecords(path, raw, injections, shard, shards)
+}
+
+// parseRecords decodes the shard log raw, read from path. A malformed
+// final line (the partial write of a killed process) is dropped; malformed
+// interior lines always abort, since they mean real corruption — as does a
+// record whose index lies outside the plan or outside shard/shards' share
+// of it, which would otherwise stand in for an injection that never ran.
+func parseRecords(path string, raw []byte, injections, shard, shards int) (map[int]Record, error) {
 	done := make(map[int]Record)
 	lines := strings.Split(string(raw), "\n")
 	for i, line := range lines {
@@ -284,8 +284,7 @@ func readRecords(path string, injections, shard, shards int) (map[int]Record, er
 // merged and sorted by plan index. Duplicate indices are legitimate only
 // when the records agree (a record appended twice across a resume
 // boundary, or a shard re-executed on another node after a failover —
-// deterministic execution makes the re-run's records equal, up to retry
-// counts). Records that claim the same index but disagree on any
+// deterministic execution makes the re-run's records equal). Records that claim the same index but disagree on any
 // figure-bearing field mean the directory mixes logs from different
 // plans or holds real corruption, and merging them would silently skew
 // the aggregate — that is an error, never a last-writer-wins.

@@ -45,13 +45,8 @@ const hangFloorSteps = 1 << 16
 // device-wide Config.StepBudget kept as the backstop. The longest thread is
 // the baseline because the modelled GPU runs threads in parallel: the
 // kernel's time is its slowest thread's.
-func hangBudget(cfg gpu.Config, kernel string, longest int) int {
-	wd := guardian.NewWatchdog(guardian.WatchdogConfig{
-		Factor:    guardian.DefaultWatchdog().Factor,
-		MinCycles: hangFloorSteps,
-	})
-	wd.Seed(kernel, float64(longest))
-	return min(cfg.StepBudget, int(wd.Deadline(kernel)))
+func hangBudget(cfg gpu.Config, longest int) int {
+	return min(cfg.StepBudget, int(guardian.HangDeadline(float64(longest), hangFloorSteps)))
 }
 
 // goldenTrace is one clean instrumented launch of a program, recorded once
@@ -178,7 +173,7 @@ func (e *Env) recordTrace(spec *workloads.Spec, golden *GoldenRun, store *ranges
 		return nil, fmt.Errorf("harness: clean %s run of %s misses the output requirement against the golden run", mode, spec.Name)
 	}
 	gt.cleanWall = time.Since(start)
-	gt.hangBudget = hangBudget(e.Config, spec.Name, res.MaxSteps)
+	gt.hangBudget = hangBudget(e.Config, res.MaxSteps)
 	if gt.mem != nil {
 		gt.alarms = cb.Alarms()
 		gt.layout, gt.inst = td.d.Layout(), *td.inst

@@ -184,12 +184,12 @@ func storeFor(prof *ProfileResult, mode translate.Mode) *ranges.Store {
 	return prof.Store
 }
 
-// TestHangBudgetRule pins the derivation: T (the guardian's default factor)
+// TestHangBudgetRule pins the derivation: T (guardian.HangFactor)
 // times the clean run's longest thread, never below the floor, never above
 // the device's backstop.
 func TestHangBudgetRule(t *testing.T) {
 	cfg := gpu.DefaultConfig()
-	T := int(guardian.DefaultWatchdog().Factor)
+	T := guardian.HangFactor
 	for _, c := range []struct{ longest, want int }{
 		{0, hangFloorSteps},
 		{3890, hangFloorSteps}, // TPACF: 10 x 3,890 is under the floor
@@ -197,7 +197,7 @@ func TestHangBudgetRule(t *testing.T) {
 		{cfg.StepBudget/T + 1, cfg.StepBudget},
 		{cfg.StepBudget, cfg.StepBudget},
 	} {
-		if got := hangBudget(cfg, "k", c.longest); got != c.want {
+		if got := hangBudget(cfg, c.longest); got != c.want {
 			t.Errorf("hangBudget(longest %d) = %d, want %d", c.longest, got, c.want)
 		}
 	}
@@ -435,9 +435,6 @@ func TestCampaignResumeEqualsFullPath(t *testing.T) {
 				if gotDigest != wantDigest {
 					t.Fatalf("%s: digest differs from the full-launch campaign:\n%s\nvs\n%s", leg, gotDigest, wantDigest)
 				}
-				for i := range got {
-					got[i].Retries = 0 // a killed worker's injection is retried; the record is otherwise the same
-				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: store records differ from the full-launch campaign:\n%+v\nvs\n%+v", leg, got, want)
 				}
@@ -480,9 +477,9 @@ func TestWatchdogBaselineIsFullLaunch(t *testing.T) {
 		t.Fatal(err)
 	}
 	timeout := deriveWatchdogTimeout(gt, time.Nanosecond)
-	T := guardian.DefaultWatchdog().Factor
+	T := guardian.HangFactor
 	if floor := time.Duration(T) * fullLaunch; timeout < floor {
-		t.Fatalf("derived deadline %v is below %v = %g x a full clean launch (%v)", timeout, floor, T, fullLaunch)
+		t.Fatalf("derived deadline %v is below %v = %d x a full clean launch (%v)", timeout, floor, T, fullLaunch)
 	}
 	// Run an injection (microseconds on the resumed path), then derive again.
 	if _, err := e.RunInjection(spec, golden, pc.Prof.Store, pc.Mode, Injection{Cmd: swifi.Command{Site: -1, Mask: 1}}); err != nil {

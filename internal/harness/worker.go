@@ -340,24 +340,18 @@ func (e *Env) newIsoCampaign(pc *PreparedCampaign, opts CampaignOptions) (*isoCa
 		}
 		argv = []string{exe, "-worker"}
 	}
-	// opts arrives normalized: Retries == 0 means the caller disabled
-	// retrying, which procexec spells as a negative MaxRestarts.
-	restarts := opts.Retries
-	if restarts <= 0 {
-		restarts = -1
-	}
 	return &isoCampaign{
 		pool: &e.shared.workers,
-		// The whole worker configuration, so a chaos campaign never
-		// inherits a clean worker nor a clean campaign a chaos one. The
-		// chaos plan counts by identity.
-		key: fmt.Sprintf("%q %q %p %d %v %v", argv, opts.WorkerEnv, opts.Chaos, restarts, opts.Backoff, opts.WorkerWarmupGrace),
+		// The whole worker configuration, test overrides included, so a
+		// chaos campaign never inherits a clean worker nor a clean
+		// campaign a chaos one. The chaos plan counts by identity.
+		key: fmt.Sprintf("%q %q %p %d %v %v", argv, opts.WorkerEnv, opts.Chaos, opts.maxRestarts, opts.backoff, opts.warmupGrace),
 		cfg: procexec.Config{
 			Argv:        argv,
 			Env:         opts.WorkerEnv,
-			MaxRestarts: restarts,
-			Backoff:     opts.Backoff,
-			WarmupGrace: opts.WorkerWarmupGrace,
+			MaxRestarts: opts.maxRestarts,
+			Backoff:     opts.backoff,
+			WarmupGrace: opts.warmupGrace,
 			Chaos:       opts.Chaos,
 		},
 		obs:     e.Obs,
@@ -423,7 +417,6 @@ func (e *Env) runIsolated(
 	gt *goldenTrace,
 	run []int,
 	timeout time.Duration,
-	opts CampaignOptions,
 	record func(idx int, r *InjectionResult) error,
 ) error {
 	reqs := make([]procexec.Request, len(run))
@@ -443,7 +436,7 @@ func (e *Env) runIsolated(
 	}
 	return ic.supervisor(slot).Run(ctx, reqs, func(k int, resp json.RawMessage, err error) error {
 		idx := run[k]
-		r, err := e.isolatedResult(ctx, pc, gt, pc.Plan[idx], resp, err, timeout, opts)
+		r, err := e.isolatedResult(ctx, pc, gt, pc.Plan[idx], resp, err, timeout)
 		if err != nil {
 			return fmt.Errorf("injection %d: %w", idx, err)
 		}
@@ -461,7 +454,6 @@ func (e *Env) isolatedResult(
 	resp json.RawMessage,
 	err error,
 	timeout time.Duration,
-	opts CampaignOptions,
 ) (*InjectionResult, error) {
 	var crash *guardian.WorkerCrashError
 	var hang *guardian.WorkerHangError
@@ -488,7 +480,7 @@ func (e *Env) isolatedResult(
 				obs.Str("reason", err.Error()))
 			e.Obs.Metrics().Counter("hauberk_worker_spawn_fallbacks_total").Inc()
 		}
-		return e.runInjectionGuarded(ctx, pc, gt, inj, timeout, opts)
+		return e.runInjectionGuarded(ctx, pc, gt, inj, timeout)
 
 	case errors.As(err, &crash):
 		return &InjectionResult{Injection: inj, Outcome: OutcomeFailure}, nil

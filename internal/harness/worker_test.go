@@ -52,7 +52,7 @@ func isoOpts(t *testing.T, dir, chaosSpec string) CampaignOptions {
 		Isolation:  IsolationProcess,
 		WorkerArgv: []string{exe},
 		WorkerEnv:  env,
-		Backoff:    guardian.BackoffPolicy{Init: 1, Factor: 2, Max: 10},
+		backoff:    guardian.BackoffPolicy{Init: 1, Factor: 2, Max: 10},
 	}
 }
 
@@ -291,9 +291,9 @@ func TestIsolatedCampaignPersistentFaultsClassified(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := isoOpts(t, t.TempDir(), tc.spec)
-			opts.Retries = -1                     // no worker restarts: fail fast
-			opts.Timeout = 400 * time.Millisecond // spin is caught by this deadline
-			opts.WorkerWarmupGrace = 5 * time.Millisecond
+			opts.maxRestarts = -1                 // no worker restarts: fail fast
+			opts.timeout = 400 * time.Millisecond // spin is caught by this deadline
+			opts.warmupGrace = 5 * time.Millisecond
 			out, err := e.RunPrepared(context.Background(), pc, opts)
 			if err != nil {
 				t.Fatalf("campaign under %s did not complete: %v", tc.spec, err)
@@ -374,8 +374,9 @@ func TestWorkerPoolOutlivesCampaigns(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolKeysByConfiguration: campaigns whose worker environment
-// or chaos plan differ never share a worker; the same configuration does.
+// TestWorkerPoolKeysByConfiguration: campaigns whose worker environment,
+// chaos plan or test overrides differ never share a worker; the same
+// configuration does.
 func TestWorkerPoolKeysByConfiguration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign is slow")
@@ -393,12 +394,15 @@ func TestWorkerPoolKeysByConfiguration(t *testing.T) {
 	if withChaos.Chaos, err = chaos.Parse("spawnfail@99"); err != nil {
 		t.Fatal(err)
 	}
+	// isoOpts overrides the restart back-off; this one keeps procexec's.
+	defaultBackoff := isoOpts(t, "", "")
+	defaultBackoff.backoff = guardian.BackoffPolicy{}
 	// Each campaign checks out right after the last one returned its
 	// worker, well inside workerIdleTimeout.
 	for i, step := range []struct {
 		opts   CampaignOptions
 		spawns int64
-	}{{clean, 1}, {clean, 1}, {otherEnv, 2}, {withChaos, 3}} {
+	}{{clean, 1}, {clean, 1}, {otherEnv, 2}, {withChaos, 3}, {defaultBackoff, 4}} {
 		if _, err := e.RunPrepared(context.Background(), pc, step.opts); err != nil {
 			t.Fatal(err)
 		}

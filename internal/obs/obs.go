@@ -60,7 +60,6 @@ const (
 
 	// Durable campaign engine (internal/harness campaign store + watchdog).
 	EvCampaignResume    = "campaign.resume"        // program, completed, remaining, shard, shards
-	EvCampaignRetry     = "campaign.retry"         // program, id, attempt, backoff_ms
 	EvCampaignWatchdog  = "campaign.watchdog_kill" // program, id, timeout_ms
 	EvCampaignInterrupt = "campaign.interrupt"     // program, completed, remaining (store flushed, run resumable)
 

@@ -8,7 +8,7 @@ import (
 // ProgressTracker aggregates the campaign- and worker-lifecycle events
 // of the journal into a live status document: per-shard completed/total
 // counts, an EWMA injection rate with an ETA, failure-class tallies,
-// retry/backoff state, and worker spawns/crashes/hangs/restarts. It is
+// watchdog kills, and worker spawns/crashes/hangs/restarts. It is
 // a Sink, attached synchronously to the Broadcaster so its view is
 // never behind the journal, and Snapshot renders the current state as
 // the progress of a campaign's status (GET /v1/campaigns/{id}, served by
@@ -71,10 +71,8 @@ type ProgressSnapshot struct {
 	// Hangs counts watchdog/heartbeat hang classifications among them.
 	Hangs int `json:"hangs"`
 
-	// Retry/backoff state of the injection envelope.
-	Retries       int   `json:"retries"`
-	WatchdogKills int   `json:"watchdog_kills"`
-	LastBackoffMs int64 `json:"last_backoff_ms,omitempty"`
+	// WatchdogKills counts injections the in-process watchdog timed out.
+	WatchdogKills int `json:"watchdog_kills"`
 
 	Workers WorkerStats `json:"workers"`
 
@@ -154,10 +152,6 @@ func (p *ProgressTracker) Emit(e Event) {
 		}
 		p.refold()
 		p.observeRate(e.Wall)
-
-	case EvCampaignRetry:
-		p.s.Retries++
-		p.s.LastBackoffMs = int64(f.int("backoff_ms"))
 
 	case EvCampaignWatchdog:
 		p.s.WatchdogKills++

@@ -54,11 +54,10 @@ func TestProgressTrackerCampaignLifecycle(t *testing.T) {
 		t.Fatalf("hangs %d, want 1", s.Hangs)
 	}
 
-	emitTo(p, 12, 10.5, EvCampaignRetry, Str("id", "x"), Int("attempt", 1), Int("backoff_ms", 50))
 	emitTo(p, 13, 10.6, EvCampaignWatchdog, Str("id", "y"), Int("timeout_ms", 250))
 	s = p.Snapshot()
-	if s.Retries != 1 || s.WatchdogKills != 1 || s.LastBackoffMs != 50 {
-		t.Fatalf("retry state: %+v", s)
+	if s.WatchdogKills != 1 {
+		t.Fatalf("watchdog kills: %+v", s)
 	}
 
 	// Worker lifecycle.

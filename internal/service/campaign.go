@@ -135,7 +135,7 @@ type Status struct {
 	Digest string `json:"digest,omitempty"`
 	Error  string `json:"error,omitempty"`
 	// Progress is the live tracker snapshot (completed/total, rate,
-	// ETA, outcome tallies, retry/backoff and worker lifecycle).
+	// ETA, outcome tallies, watchdog kills and worker lifecycle).
 	Progress obs.ProgressSnapshot `json:"progress"`
 }
 
