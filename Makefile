@@ -84,7 +84,7 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) }' || \
 		{ echo "coverage $$total% fell below the recorded $(COVER_FLOOR)% floor"; exit 1; }
 
-# fuzz spends 40 s on four targets, 10 s each. FuzzResumeCarry
+# fuzz spends 50 s on five targets, 10 s each. FuzzResumeCarry
 # (internal/gpu): generated histogram kernels, resumed with and without
 # carried differences, must equal a full launch bit for bit.
 # FuzzEventStream (internal/fleet): the one event-feed reader and the read
@@ -92,6 +92,9 @@ cover:
 # the worker protocol's frame reader over a buffered stream.
 # FuzzReadRecords (internal/harness/store): the campaign store's JSONL
 # reader, which must accept only records inside the plan and the shard.
+# FuzzReadJournal (internal/service): the daemon journal's replay, which
+# must accept only campaign IDs and lifecycle states, and whose compaction
+# must be a fixed point.
 # Plain `go test` replays only their seeds and committed corpora
 # (testdata/fuzz).
 fuzz:
@@ -99,6 +102,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEventStream$$' -fuzztime=10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime=10s ./internal/guardian/procexec
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime=10s ./internal/harness/store
+	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime=10s ./internal/service
 
 # bench-smoke is the does-it-still-run gate for the baseline kernels: one
 # iteration of every engine/workload pair, no timing claims. The benchmark

@@ -23,7 +23,9 @@ package store
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -112,10 +114,10 @@ type Store struct {
 }
 
 // Open creates or resumes shard shard/shards of the campaign identified
-// by m under dir. On a fresh directory it writes the manifest; on an
-// existing one it verifies the manifest matches (a mismatch means the
-// directory holds a different campaign — refusing protects the log from
-// silent corruption). When resume is false an existing non-empty shard
+// by m under dir. A directory it creates gets the manifest and is not
+// read; in an existing one it verifies the manifest matches (a mismatch
+// means the directory holds a different campaign — refusing protects the
+// log from silent corruption). When resume is false an existing non-empty shard
 // log is an error, so accidental re-launches don't double-append. An
 // empty dir opens a store that keeps its records in memory only.
 func Open(dir string, m Manifest, shard, shards int, resume bool) (*Store, error) {
@@ -125,20 +127,40 @@ func Open(dir string, m Manifest, shard, shards int, resume bool) (*Store, error
 	if dir == "" {
 		return &Store{done: make(map[int]Record)}, nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	// A directory this call creates holds no manifest and no log, so
+	// there is nothing to verify or load; a missing parent makes it new too.
+	err := os.Mkdir(dir, 0o755)
+	if errors.Is(err, fs.ErrNotExist) {
+		err = os.MkdirAll(dir, 0o755)
+	}
+	fresh := err == nil
+	if err != nil && !errors.Is(err, fs.ErrExist) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	mpath := filepath.Join(dir, manifestFile)
-	if raw, err := os.ReadFile(mpath); err == nil {
-		var have Manifest
-		if err := json.Unmarshal(raw, &have); err != nil {
-			return nil, fmt.Errorf("store: corrupt manifest %s: %w", mpath, err)
+	path := filepath.Join(dir, ShardFile(shard, shards))
+	done := make(map[int]Record)
+	verified := false
+	if !fresh {
+		if raw, err := os.ReadFile(mpath); err == nil {
+			var have Manifest
+			if err := json.Unmarshal(raw, &have); err != nil {
+				return nil, fmt.Errorf("store: corrupt manifest %s: %w", mpath, err)
+			}
+			if !have.Equal(m) {
+				return nil, fmt.Errorf("store: %s holds a different campaign (have %s/%s, want %s/%s)",
+					dir, have.Program, have.PlanHash, m.Program, m.PlanHash)
+			}
+			verified = true
 		}
-		if !have.Equal(m) {
-			return nil, fmt.Errorf("store: %s holds a different campaign (have %s/%s, want %s/%s)",
-				dir, have.Program, have.PlanHash, m.Program, m.PlanHash)
+		if done, err = readRecords(path, m.Injections, shard, shards); err != nil {
+			return nil, err
 		}
-	} else {
+		if !resume && len(done) > 0 {
+			return nil, fmt.Errorf("store: %s already holds %d results; pass resume to continue it", path, len(done))
+		}
+	}
+	if !verified {
 		raw, err := json.MarshalIndent(m, "", "  ")
 		if err != nil {
 			return nil, fmt.Errorf("store: encode manifest: %w", err)
@@ -146,15 +168,6 @@ func Open(dir string, m Manifest, shard, shards int, resume bool) (*Store, error
 		if err := os.WriteFile(mpath, append(raw, '\n'), 0o644); err != nil {
 			return nil, fmt.Errorf("store: write manifest: %w", err)
 		}
-	}
-
-	path := filepath.Join(dir, ShardFile(shard, shards))
-	done, err := readRecords(path, m.Injections, shard, shards)
-	if err != nil {
-		return nil, err
-	}
-	if !resume && len(done) > 0 {
-		return nil, fmt.Errorf("store: %s already holds %d results; pass resume to continue it", path, len(done))
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {

@@ -85,6 +85,42 @@ func TestStoreManifestMismatch(t *testing.T) {
 	}
 }
 
+// TestOpenFreshAndExistingDirs: a directory Open creates (here under a
+// missing parent) is written without being read, while a directory that
+// already exists is still checked — a foreign manifest and a non-empty log
+// without resume are refused even when Open did not write them.
+func TestOpenFreshAndExistingDirs(t *testing.T) {
+	m := testManifest()
+	fresh := filepath.Join(t.TempDir(), "a", "b", "campaign")
+	s, err := Open(fresh, m, 1, 2, false)
+	if err != nil {
+		t.Fatalf("Open on a fresh nested dir: %v", err)
+	}
+	if err := s.Append(Record{Idx: 1, ID: "b", Outcome: 1, Bits: 1}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if man, recs, err := Load(fresh); err != nil || man != m || len(recs) != 1 {
+		t.Fatalf("Load of the fresh dir: %+v %v %v, want the manifest and one record", man, recs, err)
+	}
+
+	foreign := t.TempDir()
+	if err := os.WriteFile(filepath.Join(foreign, manifestFile), []byte(`{"program":"CP","mode":3,"injections":6,"plan_hash":"deadbeefdeadbeef"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(foreign, m, 0, 1, true); err == nil || !strings.Contains(err.Error(), "holds a different campaign") {
+		t.Fatalf("Open over a foreign manifest: %v, want it refused", err)
+	}
+
+	logged := t.TempDir()
+	if err := os.WriteFile(filepath.Join(logged, ShardFile(0, 1)), []byte(`{"idx":0,"id":"a","outcome":1,"bits":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(logged, m, 0, 1, false); err == nil || !strings.Contains(err.Error(), "already holds 1 results") {
+		t.Fatalf("Open without resume over a non-empty log: %v, want it refused", err)
+	}
+}
+
 func TestStoreToleratesTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
 	m := testManifest()

@@ -2,10 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -30,6 +26,15 @@ const (
 // Terminal reports whether the state is final (no restart requeue).
 func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
+}
+
+// known reports whether s is one of the lifecycle states above.
+func (s State) known() bool {
+	switch s {
+	case StateQueued, StateRunning, StateDone, StateFailed, StateCanceled, StateInterrupted:
+		return true
+	}
+	return false
 }
 
 // settled reports whether the campaign has stopped executing in this
@@ -233,82 +238,7 @@ func (c *Campaign) await(ctx context.Context, stop <-chan struct{}, d time.Durat
 	}
 }
 
-// meta is the submission's durable form, persisted as submission.json
-// in the campaign directory next to the store's manifest and shard
-// logs. It is what lets a restarted daemon rebuild its campaign table
-// and requeue unfinished work.
-type meta struct {
-	ID          string    `json:"id"`
-	Tenant      string    `json:"tenant"`
-	Program     string    `json:"program"`
-	Scale       string    `json:"scale"`
-	Dataset     int       `json:"dataset"`
-	Isolation   string    `json:"isolation,omitempty"`
-	Shard       int       `json:"shard,omitempty"`
-	Shards      int       `json:"shards,omitempty"`
-	State       State     `json:"state"`
-	SubmittedAt time.Time `json:"submitted_at"`
-	StartedAt   time.Time `json:"started_at,omitzero"`
-	FinishedAt  time.Time `json:"finished_at,omitzero"`
-	Digest      string    `json:"digest,omitempty"`
-	Error       string    `json:"error,omitempty"`
-}
-
-const metaFile = "submission.json"
-
-// persist writes the campaign's durable form atomically (tmp + rename)
-// so a kill mid-write leaves the previous state, never a torn file.
-func (c *Campaign) persist() error {
-	c.mu.Lock()
-	m := meta{
-		ID:          c.ID,
-		Tenant:      c.Tenant,
-		Program:     c.Program,
-		Scale:       c.ScaleName,
-		Dataset:     c.Dataset,
-		Isolation:   c.Isolation,
-		Shard:       c.Shard,
-		Shards:      shardsField(c.Shards),
-		State:       c.state,
-		SubmittedAt: c.submittedAt,
-		StartedAt:   c.startedAt,
-		FinishedAt:  c.finishedAt,
-		Digest:      c.digest,
-		Error:       c.errMsg,
-	}
-	dir := c.dir
-	c.mu.Unlock()
-	raw, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("service: encode %s: %w", metaFile, err)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("service: %w", err)
-	}
-	tmp := filepath.Join(dir, metaFile+".tmp")
-	if err := os.WriteFile(tmp, append(raw, '\n'), 0o644); err != nil {
-		return fmt.Errorf("service: write %s: %w", metaFile, err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, metaFile)); err != nil {
-		return fmt.Errorf("service: commit %s: %w", metaFile, err)
-	}
-	return nil
-}
-
-// loadMeta reads a campaign directory's submission.json.
-func loadMeta(dir string) (meta, error) {
-	var m meta
-	raw, err := os.ReadFile(filepath.Join(dir, metaFile))
-	if err != nil {
-		return m, err
-	}
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return m, fmt.Errorf("service: corrupt %s in %s: %w", metaFile, dir, err)
-	}
-	return m, nil
-}
-
-// restoreCampaign rebuilds an in-memory record from its durable form
+// restoreCampaign rebuilds an in-memory record from its journal line
 // (daemon restart). The telemetry plane is fresh — event history from
 // the previous process is gone, but the durable store is complete.
 func restoreCampaign(m meta, dir string) *Campaign {

@@ -63,8 +63,9 @@ func applyTestOptsHook(c *Campaign, opts *harness.CampaignOptions) {
 type Config struct {
 	// Addr is the HTTP listen address (":0" picks an ephemeral port).
 	Addr string
-	// StoreRoot is the directory holding one subdirectory per campaign
-	// (submission.json + the durable store's manifest and shards).
+	// StoreRoot is the directory holding the daemon's campaign journal
+	// (journal.jsonl) and one subdirectory per campaign (the durable
+	// store's manifest and shards).
 	StoreRoot string
 	// Slots bounds concurrently executing campaigns; zero means 2.
 	// Within each slot, campaign-level worker parallelism still draws
@@ -127,8 +128,9 @@ type Daemon struct {
 	reg *obs.Registry
 	env *harness.Env // base env; cloned per campaign with its own telemetry
 
-	sched *scheduler
-	http  *obshttp.Server
+	sched   *scheduler
+	http    *obshttp.Server
+	journal *journal
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -141,10 +143,10 @@ type Daemon struct {
 	started   bool
 }
 
-// NewDaemon builds a daemon and recovers prior state from StoreRoot:
-// terminal campaigns are listed as-is, unfinished ones are requeued
-// (resuming from their durable store when a manifest exists). Nothing
-// listens or executes until Start.
+// NewDaemon builds a daemon and recovers prior state from StoreRoot's
+// journal: terminal campaigns are listed as-is, unfinished ones are
+// requeued (resuming from their durable store when a manifest exists).
+// Nothing listens or executes until Start.
 func NewDaemon(cfg Config) (*Daemon, error) {
 	if cfg.StoreRoot == "" {
 		return nil, errors.New("service: Config.StoreRoot is required")
@@ -191,27 +193,19 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
-// recover scans StoreRoot for persisted campaigns and rebuilds the
-// table. Unfinished campaigns go back to queued; whether they resume or
-// restart is decided by the durable store itself (manifest present →
-// completed injections are skipped, exactly `hauberk-run -resume`).
+// recover replays StoreRoot's journal and rebuilds the table, then
+// compacts the journal to one line per campaign and opens it for the
+// daemon's appends. Unfinished campaigns go back to queued; whether they
+// resume or restart is decided by the durable store itself (manifest
+// present → completed injections are skipped, exactly `hauberk-run
+// -resume`).
 func (d *Daemon) recover() error {
-	entries, err := os.ReadDir(d.cfg.StoreRoot)
+	ms, err := readJournal(d.cfg.StoreRoot)
 	if err != nil {
-		return fmt.Errorf("service: scan %s: %w", d.cfg.StoreRoot, err)
+		return err
 	}
-	for _, ent := range entries {
-		if !ent.IsDir() {
-			continue
-		}
-		dir := filepath.Join(d.cfg.StoreRoot, ent.Name())
-		m, err := loadMeta(dir)
-		if errors.Is(err, os.ErrNotExist) {
-			continue // not a campaign directory
-		}
-		if err != nil {
-			return err
-		}
+	for i, m := range ms {
+		dir := filepath.Join(d.cfg.StoreRoot, m.ID)
 		c := restoreCampaign(m, dir)
 		if !m.State.Terminal() {
 			c.mu.Lock()
@@ -219,18 +213,16 @@ func (d *Daemon) recover() error {
 			if _, statErr := os.Stat(filepath.Join(dir, "manifest.json")); statErr == nil {
 				c.resume = true
 			}
+			ms[i] = c.metaLocked()
 			c.mu.Unlock()
-			if err := c.persist(); err != nil {
-				return err
-			}
 		}
 		d.campaigns[c.ID] = c
-		var n int
-		if _, err := fmt.Sscanf(c.ID, "c%06d", &n); err == nil && n >= d.nextID {
+		if n, _ := campaignNumber(c.ID); n >= d.nextID {
 			d.nextID = n + 1
 		}
 	}
-	return nil
+	d.journal, err = openJournal(d.cfg.StoreRoot, ms)
+	return err
 }
 
 // Start begins listening and dispatching: the HTTP API binds (so Addr
@@ -327,11 +319,10 @@ func (d *Daemon) Submit(sub Submission) (*Campaign, error) {
 	d.campaigns[id] = c
 	d.mu.Unlock()
 
-	if err := c.persist(); err != nil {
-		// The campaign stays queued in memory; if the daemon dies before
-		// the disk recovers, the submission is lost — report that now.
-		d.cfg.Logf("hauberkd: persist %s: %v", id, err)
-	}
+	// If this append fails the campaign stays queued in memory, but a
+	// daemon that dies before the disk recovers loses the submission;
+	// persist reports that now.
+	d.persist(c)
 	d.reg.Counter("hauberkd_submissions_total", "tenant", sub.Tenant).Inc()
 	return c, nil
 }
@@ -432,9 +423,8 @@ func (d *Daemon) execute(c *Campaign) {
 	}
 	resume := c.resume
 	c.mu.Unlock()
-	if err := c.persist(); err != nil {
-		d.cfg.Logf("hauberkd: persist %s: %v", c.ID, err)
-	}
+	// No journal line for running: recovery requeues it like queued, and
+	// startedAt rides on the settled line.
 
 	pc, err := d.prepare(c.Program, c.ScaleName, c.Dataset)
 	if err != nil {
@@ -453,7 +443,7 @@ func (d *Daemon) execute(c *Campaign) {
 		Shards:    c.Shards,
 	}
 	applyTestOptsHook(c, &opts)
-	_, err = env.RunPrepared(ctx, pc, opts)
+	res, err := env.RunPrepared(ctx, pc, opts)
 	switch {
 	case errors.Is(err, harness.ErrCampaignInterrupted):
 		c.mu.Lock()
@@ -471,18 +461,14 @@ func (d *Daemon) execute(c *Campaign) {
 	default:
 		var digest string
 		if c.Shards <= 1 {
-			// Digest through the identical path the CLI prints: load the
-			// durable store back and fold the merged result. Byte-identity
-			// with `hauberk-run -campaign-dir` is the service's correctness
-			// contract. Shard campaigns skip this: a shard's store is a
-			// partial plan, and only the fleet coordinator's cross-node
-			// merge may fold the figures.
-			_, merged, derr := harness.LoadCampaignDir(c.dir)
-			if derr != nil {
-				d.fail(c, fmt.Errorf("load store: %w", derr))
-				return
-			}
-			digest = merged.FigureDigest()
+			// RunPrepared folds its result from the store's records, the
+			// resumed ones included — the derivation `hauberk-run
+			// -campaign-dir` prints from its read-back, so the digest is
+			// byte-identical to it, the service's correctness contract.
+			// Shard campaigns skip this: a shard's store is a partial plan,
+			// and only the fleet coordinator's cross-node merge may fold
+			// the figures.
+			digest = res.FigureDigest()
 		}
 		d.finish(c, StateDone, func() { c.digest = digest })
 	}
@@ -501,11 +487,17 @@ func (d *Daemon) finish(c *Campaign, state State, set func()) {
 	d.reg.Counter("hauberkd_campaign_outcomes_total",
 		"tenant", c.Tenant, "state", string(state)).Inc()
 	c.setState(state, set)
-	if err := c.persist(); err != nil {
-		d.cfg.Logf("hauberkd: persist %s: %v", c.ID, err)
-	}
+	d.persist(c)
 	d.cfg.Logf("hauberkd: %s %s (%s %s/%d) -> %s",
 		c.ID, c.Tenant, c.Program, c.ScaleName, c.Dataset, state)
+}
+
+// persist appends the campaign's current state to the journal, logging a
+// failure: the campaign carries on in memory either way.
+func (d *Daemon) persist(c *Campaign) {
+	if err := d.journal.append(c); err != nil {
+		d.cfg.Logf("hauberkd: persist %s: %v", c.ID, err)
+	}
 }
 
 // Draining reports whether Shutdown has begun (readiness turns false).
@@ -535,7 +527,11 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	drainCtx, cancel := context.WithTimeout(ctx, d.cfg.DrainTimeout)
 	defer cancel()
 	if err := d.sched.AwaitIdle(drainCtx); err != nil {
+		// A campaign still running past the window keeps the journal
+		// open, so it can journal the state it settles in.
 		d.cfg.Logf("hauberkd: drain incomplete: %v", err)
+	} else if err := d.journal.close(); err != nil {
+		d.cfg.Logf("hauberkd: close %s: %v", journalFile, err)
 	}
 	// The campaigns' isolated workers stay pooled between campaigns; none
 	// may outlive the daemon.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -102,6 +103,30 @@ func TestDaemonDigestMatchesDirectRun(t *testing.T) {
 	if st.Digest != want {
 		t.Fatalf("daemon digest diverged from direct run:\ndaemon:\n%s\ndirect:\n%s", st.Digest, want)
 	}
+	// The campaign's directory is its injection store and nothing else;
+	// its lifecycle lives in the daemon's one journal.
+	for dir, want := range map[string][]string{
+		d.cfg.StoreRoot: {c.ID, journalFile},
+		c.dir:           {"manifest.json", "shard-0of1.jsonl"},
+	} {
+		if got := dirNames(t, dir); strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("%s holds %v, want %v", dir, got, want)
+		}
+	}
+}
+
+// dirNames lists a directory's entries by name, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(des))
+	for i, de := range des {
+		names[i] = de.Name()
+	}
+	return names
 }
 
 // TestDaemonRestartResumeDigest interrupts a campaign mid-run via
@@ -442,8 +467,9 @@ func TestSubmissionValidation(t *testing.T) {
 }
 
 // TestSubmitRejectsOutOfRangeDataset: a dataset index the program does not
-// define is a 400 over HTTP that allocates no campaign directory and does
-// not count as a submission; the last valid index is still accepted.
+// define is a 400 over HTTP that allocates no campaign directory, writes no
+// journal line and does not count as a submission; the last valid index is
+// still accepted.
 func TestSubmitRejectsOutOfRangeDataset(t *testing.T) {
 	root := t.TempDir()
 	d := startDaemon(t, root, 1, 4)
@@ -474,18 +500,24 @@ func TestSubmitRejectsOutOfRangeDataset(t *testing.T) {
 		}
 		return ""
 	}
-	entries := func() int {
+	entries := func() string {
 		t.Helper()
-		des, err := os.ReadDir(root)
+		journal, err := os.ReadFile(filepath.Join(root, journalFile))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return len(des)
+		return strings.Join(dirNames(t, root), " ") + "\n" + string(journal)
 	}
 
 	last := workloads.ByName("CP").NumDatasets - 1
 	if code := post(last); code != http.StatusCreated {
 		t.Fatalf("dataset %d: %d, want 201", last, code)
+	}
+	// The accepted campaign makes its directory when it runs and journals
+	// when it settles; wait for both before taking the reference.
+	for _, st := range d.List() {
+		c, _ := d.Get(st.ID)
+		awaitState(t, c, State.Terminal, "completion")
 	}
 	wantSubs, wantEntries := submissions(), entries()
 	if wantSubs == "" {
@@ -500,43 +532,210 @@ func TestSubmitRejectsOutOfRangeDataset(t *testing.T) {
 		t.Errorf("rejected datasets moved the submission counter: %q -> %q", wantSubs, got)
 	}
 	if got := entries(); got != wantEntries {
-		t.Errorf("rejected datasets left %d store entries, want %d", got, wantEntries)
+		t.Errorf("rejected datasets changed the store root and journal:\n%s\nwant:\n%s", got, wantEntries)
 	}
 	if got := len(d.List()); got != 1 {
 		t.Errorf("daemon holds %d campaigns, want the one accepted", got)
 	}
 }
 
-// TestMetaRoundTrip checks the submission.json atomic persistence.
-func TestMetaRoundTrip(t *testing.T) {
-	dir := t.TempDir()
+// TestJournalRoundTrip: journal lines replay to the campaign table, the
+// last line for an ID winning; a torn final line is skipped, leaving its
+// campaign in the previous state, and a malformed interior line is an
+// error.
+func TestJournalRoundTrip(t *testing.T) {
+	root := t.TempDir()
+	j, err := openJournal(root, nil)
+	if err != nil {
+		t.Fatalf("openJournal: %v", err)
+	}
 	c := newCampaign("c000042", Submission{
 		Tenant: "acme", Program: "SAD", Scale: "quick", Dataset: 1,
 		Isolation: "process", Shard: 2, Shards: 3,
-	}, dir, nil)
+	}, filepath.Join(root, "c000042"), nil)
+	other := newCampaign("c000007", Submission{Tenant: "default", Program: "CP", Scale: "tiny"}, "", nil)
+	write := func(c *Campaign) {
+		t.Helper()
+		if err := j.append(c); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	write(c)
 	c.mu.Lock()
-	c.state = StateInterrupted
-	c.digest = "partial"
+	c.state, c.digest = StateInterrupted, "partial"
 	c.mu.Unlock()
-	if err := c.persist(); err != nil {
-		t.Fatalf("persist: %v", err)
+	write(c)
+	write(other)
+	if err := j.close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
-	m, err := loadMeta(dir)
+	if err := j.append(c); err == nil {
+		t.Error("append after close succeeded")
+	}
+	path := filepath.Join(root, journalFile)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
-		t.Fatalf("loadMeta: %v", err)
+		t.Fatal(err)
 	}
-	if m.ID != "c000042" || m.Tenant != "acme" || m.Program != "SAD" ||
-		m.Scale != "quick" || m.Dataset != 1 || m.Isolation != "process" ||
-		m.Shard != 2 || m.Shards != 3 ||
+	f.WriteString(`{"id":"c000042","tenant":"acme","program":"SAD","sta`) //nolint:errcheck
+	f.Close()                                                             //nolint:errcheck
+
+	ms, err := readJournal(root)
+	if err != nil {
+		t.Fatalf("readJournal: %v", err)
+	}
+	if len(ms) != 2 || ms[0].ID != "c000007" || ms[1].ID != "c000042" {
+		t.Fatalf("replayed %+v, want c000007 and c000042 in ID order", ms)
+	}
+	m := ms[1]
+	if m.Tenant != "acme" || m.Program != "SAD" || m.Scale != "quick" || m.Dataset != 1 ||
+		m.Isolation != "process" || m.Shard != 2 || m.Shards != 3 ||
 		m.State != StateInterrupted || m.Digest != "partial" {
 		t.Fatalf("round-trip mismatch: %+v", m)
 	}
-	r := restoreCampaign(m, dir)
+	r := restoreCampaign(m, c.dir)
 	if r.State() != StateInterrupted || r.ID != c.ID {
 		t.Fatalf("restore mismatch: %s %s", r.ID, r.State())
 	}
 	if r.Shard != 2 || r.Shards != 3 {
 		t.Fatalf("restore lost the shard scope: %d/%d", r.Shard, r.Shards)
+	}
+
+	raw, _ := os.ReadFile(path)
+	if err := os.WriteFile(path, append(raw, '\n', '{', '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readJournal(root); err == nil || !strings.Contains(err.Error(), "line 4") {
+		t.Fatalf("readJournal over a malformed interior line: %v, want an error naming line 4", err)
+	}
+}
+
+// TestNewDaemonRefusesLegacyStoreRoot: a store root holding the
+// per-campaign submission.json files of a daemon from before the journal
+// is refused, naming the directory, rather than opened empty — and is left
+// as it was, so the older binary can still drain it.
+func TestNewDaemonRefusesLegacyStoreRoot(t *testing.T) {
+	root := t.TempDir()
+	legacy := filepath.Join(root, "c000001")
+	if err := os.MkdirAll(legacy, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(legacy, "submission.json"), []byte(`{"id":"c000001","state":"queued"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := NewDaemon(Config{Addr: "127.0.0.1:0", StoreRoot: root, Logf: t.Logf})
+	if err == nil || !strings.Contains(err.Error(), root) || !strings.Contains(err.Error(), "move the directory aside") {
+		t.Fatalf("NewDaemon over a pre-journal store root: %v, want a refusal naming %s", err, root)
+	}
+	if _, err := os.Stat(filepath.Join(root, journalFile)); !os.IsNotExist(err) {
+		t.Errorf("refused store root gained a journal: %v", err)
+	}
+}
+
+// TestDaemonRestartRequeuesTornTerminalLine: a daemon killed while writing
+// a campaign's done line leaves that line torn. The restart skips it, so
+// the campaign is requeued from its submit line, resumes from its complete
+// store, and reaches the uninterrupted digest again.
+func TestDaemonRestartRequeuesTornTerminalLine(t *testing.T) {
+	root := t.TempDir()
+	d := startDaemon(t, root, 1, 4)
+	c, err := d.Submit(Submission{Program: "CP", Scale: "tiny"})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	awaitState(t, c, State.Terminal, "completion")
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := d.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	path := filepath.Join(root, journalFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if n := len(lines); n != 2 || !strings.Contains(lines[1], `"state":"done"`) {
+		t.Fatalf("journal holds %d lines ending %q, want the submit line and the done line", n, lines[n-1])
+	}
+	torn := lines[0] + lines[1][:len(lines[1])/2]
+	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d2 := startDaemon(t, root, 1, 4)
+	c2, err := d2.Get(c.ID)
+	if err != nil {
+		t.Fatalf("campaign %s lost across restart: %v", c.ID, err)
+	}
+	awaitState(t, c2, State.Terminal, "resumed completion")
+	st := c2.Status()
+	if st.State != StateDone {
+		t.Fatalf("requeued campaign finished %s (error %q), want done", st.State, st.Error)
+	}
+	if want := referenceDigest(t, "CP", "tiny", 0); st.Digest != want {
+		t.Fatalf("requeued digest diverged from the direct run:\nrequeued:\n%s\ndirect:\n%s", st.Digest, want)
+	}
+}
+
+// TestDaemonRestartKeepsTerminalCampaigns: concurrent tiny submissions
+// race their submit line against their own settled line. After a restart
+// no terminal campaign may be requeued (it would run again), and the
+// compacted journal holds one line per campaign.
+func TestDaemonRestartKeepsTerminalCampaigns(t *testing.T) {
+	root := t.TempDir()
+	d := startDaemon(t, root, 2, 64)
+	const n = 24
+	var wg sync.WaitGroup
+	cs := make([]*Campaign, n)
+	for i := range cs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := d.Submit(Submission{Program: "RPES", Scale: "tiny", Tenant: "t" + strconv.Itoa(i%4)})
+			if err != nil {
+				t.Errorf("submit %d: %v", i, err)
+				return
+			}
+			cs[i] = c
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	want := make(map[string]Status, n)
+	for _, c := range cs {
+		awaitState(t, c, State.Terminal, "completion")
+		want[c.ID] = c.Status()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := d.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+
+	d2, err := NewDaemon(Config{Addr: "127.0.0.1:0", StoreRoot: root, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("NewDaemon: %v", err)
+	}
+	defer d2.journal.close() //nolint:errcheck // never started, so no Shutdown
+	got := d2.List()
+	if len(got) != n {
+		t.Fatalf("restart recovered %d campaigns, want %d", len(got), n)
+	}
+	for _, st := range got {
+		w := want[st.ID]
+		if st.State != w.State || !st.State.Terminal() || st.Digest != w.Digest {
+			t.Errorf("%s recovered as %s (digest %q), want terminal %s (digest %q)", st.ID, st.State, st.Digest, w.State, w.Digest)
+		}
+	}
+	raw, err := os.ReadFile(filepath.Join(root, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(raw), "\n"); lines != n {
+		t.Errorf("compacted journal holds %d lines, want %d", lines, n)
 	}
 }
 

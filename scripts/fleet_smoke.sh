@@ -106,7 +106,7 @@ echo "fleet smoke: digest identical under netdrop/netstall chaos"
 # --- leg 3: kill -9 a node mid-shard, require failover -----------------
 # Fresh trio so the victim's store has exactly one campaign to watch.
 # Shard 0 always dispatches to the first roster node, so that node is
-# the victim. Its submission.json appears when it accepts the shard, a
+# the victim. Its journal gains the shard's line when it accepts it, a
 # fresh daemon then spends its first ~100 ms preparing the plan (golden
 # run, profile, trace), and the coordinator learns of completion at once
 # (status long-poll), so the kill lands as soon as the shard is accepted.
@@ -121,7 +121,7 @@ fleet_pid=$!
 
 started=""
 for _ in $(seq 1 2000); do
-  if ls "$work"/store-k1/*/submission.json >/dev/null 2>&1; then
+  if grep -q '"id":"c' "$work/store-k1/journal.jsonl" 2>/dev/null; then
     started=yes
     break
   fi

@@ -68,6 +68,14 @@ submit_id() { report -submit "$@" | awk '/^submitted /{print $2}'; }
 # client (fatal under pipefail) once a done campaign's digest follows.
 status_line() { report -id "$1" | sed -n 1p; }
 
+# last_state <id>: the state on the campaign's last line of the daemon
+# journal — what a restart replays for it. journal_lines <id> prints them all.
+last_state() {
+  awk -v id="\"id\":\"$1\"" 'index($0, id) { s = $0 }
+    END { if (match(s, /"state":"[a-z]+"/)) print substr(s, RSTART + 9, RLENGTH - 10) }' "$store/journal.jsonl"
+}
+journal_lines() { grep -F "\"id\":\"$1\"" "$store/journal.jsonl" || true; }
+
 start_daemon "$work/d1.log"
 echo "service smoke: hauberkd at $base"
 
@@ -126,13 +134,13 @@ for attempt in 1 2 3 4 5 6 7 8; do
       exit 1
     }
     daemon_pid=""
-    if grep -q '"state": "interrupted"' "$store/$rid/submission.json"; then
+    if [ "$(last_state "$rid")" = interrupted ]; then
       interrupted_id=$rid
       break
     fi
-    grep -q '"state": "done"' "$store/$rid/submission.json" || {
+    [ "$(last_state "$rid")" = done ] || {
       echo "service smoke: $rid neither interrupted nor done after the drain" >&2
-      cat "$store/$rid/submission.json" >&2
+      journal_lines "$rid" >&2
       exit 1
     }
     st="done before the drain reached it"
@@ -145,16 +153,17 @@ if [ -z "$interrupted_id" ]; then
   exit 1
 fi
 
-# The drain must have checkpointed a resumable state: submission.json says
-# interrupted, and the durable store (manifest + shards) is on disk.
-grep -q '"state": "interrupted"' "$store/$interrupted_id/submission.json" || {
+# The drain must have checkpointed a resumable state: the campaign's last
+# journal line says interrupted, and the durable store (manifest + shards)
+# is on disk.
+[ "$(last_state "$interrupted_id")" = interrupted ] || {
   echo "service smoke: $interrupted_id not persisted as interrupted after drain" >&2
-  cat "$store/$interrupted_id/submission.json" >&2
+  journal_lines "$interrupted_id" >&2
   exit 1
 }
 [ -f "$store/$interrupted_id/manifest.json" ] || {
   echo "service smoke: no durable manifest for $interrupted_id after drain" >&2; exit 1; }
-grep -q '"state": "canceled"' "$store/$canceled_id/submission.json" || {
+[ "$(last_state "$canceled_id")" = canceled ] || {
   echo "service smoke: canceled $canceled_id lost its state across the drain" >&2; exit 1; }
 echo "service smoke: SIGTERM drained with $interrupted_id interrupted and resumable"
 
