@@ -22,7 +22,7 @@ STATICCHECK_VERSION ?= 2025.1.1
 # fast, attributable failure.
 SMOKE_TIMEOUT ?= 600s
 
-.PHONY: all build test check fmt vet lint tools race cover fuzz bench-smoke bench-diff bench-digest report-digest campaign-smoke chaos-smoke monitor-smoke service-smoke fleet-smoke bench bench-obs bench-perf bench-service
+.PHONY: all build test check fmt vet lint tools race cover fuzz bench-smoke bench-diff bench-digest report-digest campaign-smoke chaos-smoke monitor-smoke service-smoke fleet-smoke bench
 
 all: build
 
@@ -48,14 +48,13 @@ vet:
 
 # lint is go vet, the HTTP-client guard and staticcheck. The guard keeps
 # one HTTP/retry idiom: an http.Client literal in non-test Go code is only
-# allowed in internal/fleet (the transport every client shares) and bench/,
-# plus cmd/hauberk-load until its recording role is retired or it moves
-# onto fleet.Client. CI installs the pinned staticcheck via `make tools`;
+# allowed in internal/fleet (the transport every client shares) and bench/.
+# CI installs the pinned staticcheck via `make tools`;
 # environments without it (and without network to fetch it) skip that
 # half with a note rather than failing.
 lint: vet
 	@sites=$$(grep -rn --include='*.go' --exclude='*_test.go' 'http\.Client{' . | \
-		grep -v -e '^\./internal/fleet/' -e '^\./bench/' -e '^\./cmd/hauberk-load/'); \
+		grep -v -e '^\./internal/fleet/' -e '^\./bench/'); \
 	if [ -n "$$sites" ]; then \
 		echo "http.Client built outside internal/fleet (use fleet.NewTransport):"; echo "$$sites"; exit 1; \
 	fi
@@ -164,38 +163,11 @@ fleet-smoke:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# bench-obs records the telemetry overhead comparison (nop vs enabled
-# hook path) to BENCH_obs.json.
-bench-obs:
-	BENCH_OBS_JSON=BENCH_obs.json $(GO) test -run TestWriteObsBenchJSON -v .
-
-# bench-perf records the execution-engine comparison (tree walker vs
-# fused/unfused bytecode) to BENCH_perf.json. go test runs in the package
-# directory, hence the absolute path.
-bench-perf:
-	BENCH_PERF_JSON=$(CURDIR)/BENCH_perf.json $(GO) test -count=1 -run TestWritePerfBenchJSON -v ./internal/gpu
-
-# bench-service records the campaign-service load profile to
-# BENCH_service.json: hauberk-load self-hosts a daemon and pushes
-# BENCH_SERVICE_N submissions through concurrent clients across tenants,
-# verifying zero lost or duplicated results and byte-identical digests
-# while measuring submit and end-to-end latency percentiles. The small
-# queue bound makes admission control (429 + Retry-After) engage under
-# the burst. Nightly CI runs the same harness at n=5000.
-BENCH_SERVICE_N ?= 1000
-bench-service:
-	$(GO) run $(LDFLAGS) ./cmd/hauberk-load -n $(BENCH_SERVICE_N) -queue-depth 8 -out BENCH_service.json
-
-# bench-diff is the perf regression gate: re-measure the engine comparison
-# into a scratch report and diff it against the committed BENCH_perf.json
-# baseline. Absolute ns/op is machine-dependent and the baseline may come
-# from different hardware, so the gate compares only the machine-independent
-# speedup ratios (tree->bytecode, unfused->fused), with
-# BENCH_DIFF_THRESHOLD percent of slack for benchmark noise.
-BENCH_DIFF_THRESHOLD ?= 15
+# bench-diff is the perf gate: the campaign benchmark (./bench, every
+# BENCHMARK.json workload) run for the parent commit and HEAD in five
+# alternating pairs by scripts/bench_pairs.sh (~3 min), then judged by
+# `hauberk-report -bench-diff` against BENCHMARK.json's end-to-end bounds.
+# It compares commits, not the working tree; bench_pairs.txt keeps the runs.
 bench-diff:
-	BENCH_PERF_JSON=$(CURDIR)/BENCH_perf.new.json $(GO) test -count=1 -run TestWritePerfBenchJSON ./internal/gpu
-	$(GO) run ./cmd/hauberk-report -bench-diff -bench-ratios-only \
-		-bench-threshold $(BENCH_DIFF_THRESHOLD) \
-		BENCH_perf.json BENCH_perf.new.json
-	rm -f BENCH_perf.new.json
+	timeout $(SMOKE_TIMEOUT) ./scripts/bench_pairs.sh HEAD~1 HEAD >bench_pairs.txt
+	$(GO) run ./cmd/hauberk-report -bench-diff BENCHMARK.json bench_pairs.txt

@@ -5,16 +5,15 @@
 //	go test -bench=. -benchmem
 //
 // Figures are emitted through b.Log (visible with -v) and the headline
-// numbers through b.ReportMetric, so CI trends catch regressions in the
-// reproduced results, not just in wall-clock speed. The simulator's own
-// engine benchmark (BenchmarkBaselineKernels, BENCH_perf.json) lives with
+// numbers through b.ReportMetric. These are developer benchmarks and gate
+// nothing: the one perf gate is the campaign benchmark run against the
+// parent commit (`make bench-diff`, scripts/bench_pairs.sh). The
+// simulator's own engine benchmark (BenchmarkBaselineKernels) lives with
 // the engine and its test-only oracles in internal/gpu.
 package hauberk_test
 
 import (
 	"context"
-	"encoding/json"
-	"os"
 	"testing"
 
 	"hauberk/internal/core/hrt"
@@ -501,81 +500,5 @@ func obsInjection(tb testing.TB, tel *obs.Telemetry) func() {
 		if _, err := e.RunInjection(pc.Spec, pc.Golden, pc.Prof.Store, pc.Mode, pc.Plan[0]); err != nil {
 			tb.Fatal(err)
 		}
-	}
-}
-
-// TestWriteObsBenchJSON measures the instrumented-vs-nop hook path and
-// writes the comparison to the file named by BENCH_OBS_JSON (skipped when
-// the variable is unset):
-//
-//	BENCH_OBS_JSON=BENCH_obs.json go test -run TestWriteObsBenchJSON .
-func TestWriteObsBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_OBS_JSON")
-	if path == "" {
-		t.Skip("set BENCH_OBS_JSON=<path> to measure and record the telemetry overhead")
-	}
-	measure := func(tel *obs.Telemetry) testing.BenchmarkResult {
-		launch := obsHookLaunch(t, tel)
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				launch()
-			}
-		})
-	}
-	nop := measure(obs.Nop())
-	enabled := measure(obs.New(nil))
-	report := struct {
-		Benchmark       string  `json:"benchmark"`
-		NopNsPerOp      int64   `json:"nop_ns_per_op"`
-		EnabledNsPerOp  int64   `json:"enabled_ns_per_op"`
-		NopAllocsPerOp  int64   `json:"nop_allocs_per_op"`
-		EnabledAllocsOp int64   `json:"enabled_allocs_per_op"`
-		OverheadPercent float64 `json:"overhead_percent"`
-	}{
-		Benchmark:       "instrumented CP launch, nop vs enabled telemetry",
-		NopNsPerOp:      nop.NsPerOp(),
-		EnabledNsPerOp:  enabled.NsPerOp(),
-		NopAllocsPerOp:  nop.AllocsPerOp(),
-		EnabledAllocsOp: enabled.AllocsPerOp(),
-		OverheadPercent: (float64(enabled.NsPerOp())/float64(nop.NsPerOp()) - 1) * 100,
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: nop %d ns/op, enabled %d ns/op (%.1f%% overhead)",
-		path, report.NopNsPerOp, report.EnabledNsPerOp, report.OverheadPercent)
-}
-
-// BenchmarkRecoveryCampaign drives injections through the full Figure 11
-// guardian loop (detect -> re-execute -> diagnose -> recover) and reports
-// how many faults the recovery engine fixed.
-func BenchmarkRecoveryCampaign(b *testing.B) {
-	e := quickEnv()
-	e.Scale.MaxSites = 8
-	e.Scale.MasksPerSite = 6
-	spec := workloads.CP()
-	ds := workloads.Dataset{Index: 0}
-	golden, err := e.Golden(spec, ds)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prof, err := e.Profile(spec, []workloads.Dataset{ds})
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan := e.PlanCampaign(spec, prof, []int{1, 6})
-	for i := 0; i < b.N; i++ {
-		stats, err := e.RunRecoveryCampaign(spec, golden, prof.Store, plan)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(stats.TransientFixed), "transient-recovered")
-		b.ReportMetric(float64(stats.Reexecutions), "re-executions")
-		b.ReportMetric(float64(stats.FinalCorrect), "final-correct")
 	}
 }

@@ -7,7 +7,8 @@
 // by -id (-wait to its terminal state, -events N of its event feed in
 // sequence order, -digest), and against hauberkd also submits and
 // cancels; -scrape health-checks either binary and strict-parses its live
-// /metrics exposition; -promlint strict-parses an exposition file.
+// /metrics exposition; -promlint strict-parses an exposition file;
+// -bench-diff is the perf gate's comparator.
 //
 // Usage:
 //
@@ -18,6 +19,7 @@
 //	hauberk-report -campaigns 127.0.0.1:8344 -id r012345 -wait
 //	hauberk-report -campaigns 127.0.0.1:8344 -id r012345 -events 25
 //	hauberk-report -scrape 127.0.0.1:8344
+//	hauberk-report -bench-diff BENCHMARK.json bench_pairs.txt
 package main
 
 import (
@@ -54,10 +56,8 @@ func main() {
 		digestOnly  = flag.Bool("digest", false, "-campaigns: print only the campaign's figure digest bytes")
 		waitTimeout = flag.Duration("wait-timeout", 5*time.Minute, "-campaigns: deadline for -wait and 429 retries")
 
-		benchDiff   = flag.Bool("bench-diff", false, "compare two BENCH_perf.json reports (old new, as positional args) and exit non-zero on regression")
-		benchThresh = flag.Float64("bench-threshold", 5, "allowed slowdown in percent before -bench-diff fails")
-		benchRatios = flag.Bool("bench-ratios-only", false, "-bench-diff compares only machine-independent speedup ratios (use across different hosts)")
-		verFlag     = flag.Bool("version", false, "print the build version and exit")
+		benchDiff = flag.Bool("bench-diff", false, "judge a paired campaign benchmark run (BENCHMARK.json pairs.txt, as positional args; see scripts/bench_pairs.sh) against BENCHMARK.json's bounds; exit 1 on a regression")
+		verFlag   = flag.Bool("version", false, "print the build version and exit")
 	)
 	flag.Parse()
 
@@ -66,10 +66,7 @@ func main() {
 		return
 	}
 	if *benchDiff {
-		os.Exit(benchDiffCmd(flag.Args(), harness.BenchDiffOptions{
-			ThresholdPct: *benchThresh,
-			RatiosOnly:   *benchRatios,
-		}))
+		os.Exit(benchDiffCmd(flag.Args(), os.Stdout))
 	}
 	if *scrape != "" {
 		os.Exit(scrapeMonitor(*scrape))

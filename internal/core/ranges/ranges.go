@@ -51,9 +51,9 @@ func (r Range) scaled(alpha float64) Range {
 
 // Detector is the learned range set for one loop error detector. Check,
 // Absorb, and SetAlpha synchronize internally, so a detector shared by
-// concurrent supervised executions (the parallel recovery campaign: one
-// worker's kernel checks values while another absorbs a confirmed false
-// alarm) needs no external locking. Direct field access remains fine for
+// concurrent supervised executions (one kernel checks values while
+// another execution absorbs a confirmed false alarm) needs no external
+// locking. Direct field access remains fine for
 // the sequential profiling/reporting paths.
 type Detector struct {
 	Name   string  `json:"name"` // "<kernel>/<protected variable>"

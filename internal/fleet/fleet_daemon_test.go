@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -306,4 +307,134 @@ func TestFleetPushesShardCompletion(t *testing.T) {
 			t.Errorf("node %s did not answer exactly one settled status wait:\n%s", d.Addr(), raw)
 		}
 	}
+}
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestDaemonBurstExactlyOnce is the service's contract under a submission
+// burst: concurrent clients across two tenants push campaigns through
+// Client at one dispatch slot behind a depth-2 queue, retrying the 429s
+// admission control answers. Admission control must engage, every
+// campaign must get a unique ID and reach done exactly once, and every
+// digest must equal a single uninterrupted run's.
+func TestDaemonBurstExactlyOnce(t *testing.T) {
+	const clients, tenants, perClient = 6, 2, 2
+	d, err := service.NewDaemon(service.Config{
+		Addr:       "127.0.0.1:0",
+		StoreRoot:  t.TempDir(),
+		Slots:      1,
+		QueueDepth: 2,
+		Logf:       t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		d.Shutdown(ctx) //nolint:errcheck // best-effort cleanup
+	})
+
+	// The first campaign holds the slot at its first result until a 429
+	// has come back (or 30 s have passed). The slot and the two queues take
+	// at most five campaigns, so the clients' first six submissions engage
+	// admission control on any host.
+	var rejected atomic.Int64
+	saw429 := make(chan struct{})
+	var once, hold sync.Once
+	var held atomic.Bool
+	service.SetTestOptsHook(func(_ *service.Campaign, opts *harness.CampaignOptions) {
+		if !held.CompareAndSwap(false, true) {
+			return
+		}
+		opts.OnResult = func(int, int) {
+			hold.Do(func() {
+				select {
+				case <-saw429:
+				case <-time.After(30 * time.Second):
+				}
+			})
+		}
+	})
+	defer service.SetTestOptsHook(nil)
+
+	tr := NewTransport(30 * time.Second)
+	tr.HTTP.Transport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		resp, err := http.DefaultTransport.RoundTrip(r)
+		if err == nil && resp.StatusCode == http.StatusTooManyRequests {
+			rejected.Add(1)
+			once.Do(func() { close(saw429) })
+		}
+		return resp, err
+	})
+	tr.MaxAttempts = 4096
+	tr.RetryAfterCap = 25 * time.Millisecond
+	tr.Backoff.Init, tr.Backoff.Max = 5, 25
+	c := tr.Client(d.Addr())
+
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+	final := make([]service.Status, clients*perClient)
+	errs := make(chan error, clients)
+	var wg sync.WaitGroup
+	for k := 0; k < clients; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			for j := 0; j < perClient; j++ {
+				st, err := c.Submit(ctx, service.Submission{
+					Tenant: fmt.Sprintf("tenant-%d", k%tenants), Program: "CP", Scale: "tiny",
+				})
+				for err == nil && !st.State.Terminal() {
+					st, err = c.Wait(ctx, st.ID, 10*time.Second)
+				}
+				if err != nil {
+					errs <- fmt.Errorf("client %d campaign %d: %w", k, j, err)
+					return
+				}
+				final[k*perClient+j] = st
+			}
+		}(k)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	if rejected.Load() == 0 {
+		t.Error("no submission was answered 429; admission control never engaged")
+	}
+	want := referenceDigest(t, "CP", "tiny", 0)
+	ids := make(map[string]bool, len(final))
+	for _, st := range final {
+		if ids[st.ID] {
+			t.Errorf("campaign ID %s returned twice", st.ID)
+		}
+		ids[st.ID] = true
+		if st.State != service.StateDone {
+			t.Errorf("campaign %s finished %s (%s), want done", st.ID, st.State, st.Error)
+		} else if st.Digest != want {
+			t.Errorf("campaign %s digest diverged from a single run:\n%s\nwant:\n%s", st.ID, st.Digest, want)
+		}
+	}
+	// Exactly once on the daemon's side too: no campaign a 429 retry left
+	// behind, none listed twice, all done.
+	listed := d.List()
+	if len(listed) != len(final) {
+		t.Errorf("daemon lists %d campaigns, clients submitted %d", len(listed), len(final))
+	}
+	for _, st := range listed {
+		if !ids[st.ID] || st.State != service.StateDone {
+			t.Errorf("daemon lists %s in state %s; want only the clients' campaigns, each done", st.ID, st.State)
+		}
+		delete(ids, st.ID)
+	}
+	t.Logf("%d campaigns, %d answered 429", len(final), rejected.Load())
 }
