@@ -83,14 +83,17 @@ cover:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) }' || \
 		{ echo "coverage $$total% fell below the recorded $(COVER_FLOOR)% floor"; exit 1; }
 
-# fuzz spends 50 s on five targets, 10 s each. FuzzResumeCarry
+# fuzz spends 60 s on six targets, 10 s each. FuzzResumeCarry
 # (internal/gpu): generated histogram kernels, resumed with and without
 # carried differences, must equal a full launch bit for bit.
 # FuzzEventStream (internal/fleet): the one event-feed reader and the read
 # API's ?wait=/?replay= parsing. FuzzReadFrame (internal/guardian/procexec):
-# the worker protocol's frame reader over a buffered stream.
+# the worker protocol's binary frame reader over a buffered stream.
 # FuzzReadRecords (internal/harness/store): the campaign store's JSONL
 # reader, which must accept only records inside the plan and the shard.
+# FuzzRecordCodec (internal/harness/store): the store's record encoder and
+# decoder, which must agree with encoding/json byte for byte and verdict
+# for verdict.
 # FuzzReadJournal (internal/service): the daemon journal's replay, which
 # must accept only campaign IDs and lifecycle states, and whose compaction
 # must be a fixed point.
@@ -101,6 +104,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEventStream$$' -fuzztime=10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime=10s ./internal/guardian/procexec
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRecords$$' -fuzztime=10s ./internal/harness/store
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordCodec$$' -fuzztime=10s ./internal/harness/store
 	$(GO) test -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime=10s ./internal/service
 
 # bench-smoke is the does-it-still-run gate for the baseline kernels: one

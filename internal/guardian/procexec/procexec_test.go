@@ -2,7 +2,6 @@ package procexec_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -45,7 +44,7 @@ func TestMain(m *testing.M) {
 // testHandler dispatches on the request ID: "echo" returns the payload,
 // "sleep" echoes it after 20 ms, "apperr" fails without dying, "panic"
 // dies with a stack trace.
-func testHandler(id string, payload json.RawMessage) (json.RawMessage, error) {
+func testHandler(id string, payload []byte) ([]byte, error) {
 	switch {
 	case strings.HasPrefix(id, "echo"):
 		return payload, nil
@@ -91,7 +90,7 @@ func counter(tel *obs.Telemetry, name string) int64 {
 func TestSupervisorEchoAndWorkerReuse(t *testing.T) {
 	s, tel := newSupervisor(t, nil, nil)
 	for i := 0; i < 3; i++ {
-		payload := json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))
+		payload := []byte(fmt.Sprintf(`{"i":%d}`, i))
 		resp, err := s.Do(context.Background(), fmt.Sprintf("echo-%d", i), payload, 5*time.Second)
 		if err != nil {
 			t.Fatalf("Do %d: %v", i, err)
@@ -112,7 +111,7 @@ func TestSupervisorApplicationErrorKeepsWorkerAlive(t *testing.T) {
 		t.Fatalf("apperr: got %v, want the handler's error", err)
 	}
 	// The failure was the handler's, not the process's: same worker serves on.
-	if _, err := s.Do(context.Background(), "echo", json.RawMessage(`1`), 5*time.Second); err != nil {
+	if _, err := s.Do(context.Background(), "echo", []byte(`1`), 5*time.Second); err != nil {
 		t.Fatalf("echo after apperr: %v", err)
 	}
 	if got := counter(tel, "hauberk_worker_spawns_total"); got != 1 {
@@ -141,7 +140,7 @@ func TestSupervisorPanicClassifiedAsCrash(t *testing.T) {
 		t.Errorf("crashes = %d, want 3", got)
 	}
 	// A crashed-out supervisor still serves the next request.
-	if _, err := s.Do(context.Background(), "echo", json.RawMessage(`1`), 5*time.Second); err != nil {
+	if _, err := s.Do(context.Background(), "echo", []byte(`1`), 5*time.Second); err != nil {
 		t.Fatalf("echo after crash: %v", err)
 	}
 }
@@ -150,10 +149,10 @@ func TestSupervisorChaosKillIsTransient(t *testing.T) {
 	// kill@1: each worker's second request SIGKILLs its process group, so
 	// the retry lands on a fresh worker at sequence 0 and succeeds.
 	s, tel := newSupervisor(t, []string{chaos.EnvVar + "=kill@1"}, nil)
-	if _, err := s.Do(context.Background(), "echo-0", json.RawMessage(`0`), 5*time.Second); err != nil {
+	if _, err := s.Do(context.Background(), "echo-0", []byte(`0`), 5*time.Second); err != nil {
 		t.Fatalf("request 0: %v", err)
 	}
-	resp, err := s.Do(context.Background(), "echo-1", json.RawMessage(`1`), 5*time.Second)
+	resp, err := s.Do(context.Background(), "echo-1", []byte(`1`), 5*time.Second)
 	if err != nil {
 		t.Fatalf("request 1 (chaos-killed, should retry to success): %v", err)
 	}
@@ -237,7 +236,7 @@ func TestSupervisorSpawnFailureIsErrSpawn(t *testing.T) {
 		t.Errorf("spawn failure must not be retried as a crash (restarts=%d)", got)
 	}
 	// The next spawn attempt (sequence 1) is past the chaos entry.
-	if _, err := s.Do(context.Background(), "echo", json.RawMessage(`1`), 5*time.Second); err != nil {
+	if _, err := s.Do(context.Background(), "echo", []byte(`1`), 5*time.Second); err != nil {
 		t.Fatalf("echo after spawnfail: %v", err)
 	}
 }
@@ -270,7 +269,7 @@ func TestSupervisorContextCancellationKillsWorker(t *testing.T) {
 
 func TestKillAllWorkers(t *testing.T) {
 	s, _ := newSupervisor(t, nil, nil)
-	if _, err := s.Do(context.Background(), "echo", json.RawMessage(`1`), 5*time.Second); err != nil {
+	if _, err := s.Do(context.Background(), "echo", []byte(`1`), 5*time.Second); err != nil {
 		t.Fatalf("warm-up echo: %v", err)
 	}
 	// One worker idles between requests; the signal-path sweep must reach it.
@@ -278,7 +277,7 @@ func TestKillAllWorkers(t *testing.T) {
 		t.Fatalf("KillAllWorkers signalled %d groups, want >= 1", n)
 	}
 	// The supervisor notices the death on the next request and respawns.
-	if _, err := s.Do(context.Background(), "echo", json.RawMessage(`2`), 10*time.Second); err != nil {
+	if _, err := s.Do(context.Background(), "echo", []byte(`2`), 10*time.Second); err != nil {
 		t.Fatalf("echo after KillAllWorkers: %v", err)
 	}
 }
@@ -300,7 +299,7 @@ func TestSupervisorCloseIsIdempotent(t *testing.T) {
 func echoRun(kind string, n int, timeout time.Duration) []procexec.Request {
 	reqs := make([]procexec.Request, n)
 	for i := range reqs {
-		reqs[i] = procexec.Request{ID: fmt.Sprintf("%s-%d", kind, i), Payload: json.RawMessage(fmt.Sprint(i)), Timeout: timeout}
+		reqs[i] = procexec.Request{ID: fmt.Sprintf("%s-%d", kind, i), Payload: []byte(fmt.Sprint(i)), Timeout: timeout}
 	}
 	return reqs
 }
@@ -340,7 +339,7 @@ func TestRunChaosInsideRun(t *testing.T) {
 					timeout = 300 * time.Millisecond // only the deadline sees a spin
 				}
 				var order []int
-				err := s.Run(context.Background(), echoRun("echo", n, timeout), func(i int, resp json.RawMessage, err error) error {
+				err := s.Run(context.Background(), echoRun("echo", n, timeout), func(i int, resp []byte, err error) error {
 					order = append(order, i)
 					if i == k && !retried {
 						var crash *guardian.WorkerCrashError
@@ -396,7 +395,7 @@ func TestRunApplicationErrorLeavesNoStaleFrame(t *testing.T) {
 	reqs[1].ID = "apperr-1"
 	var recorded []int
 	var tolerated error
-	if err := s.Run(context.Background(), reqs, func(i int, _ json.RawMessage, err error) error {
+	if err := s.Run(context.Background(), reqs, func(i int, _ []byte, err error) error {
 		recorded = append(recorded, i)
 		if err != nil {
 			tolerated = err
@@ -411,7 +410,7 @@ func TestRunApplicationErrorLeavesNoStaleFrame(t *testing.T) {
 
 	stop := errors.New("stop at the application error")
 	recorded = nil
-	err := s.Run(context.Background(), reqs, func(i int, _ json.RawMessage, err error) error {
+	err := s.Run(context.Background(), reqs, func(i int, _ []byte, err error) error {
 		recorded = append(recorded, i)
 		if err != nil {
 			return stop
@@ -421,7 +420,7 @@ func TestRunApplicationErrorLeavesNoStaleFrame(t *testing.T) {
 	if !errors.Is(err, stop) || fmt.Sprint(recorded) != "[0 1]" {
 		t.Fatalf("stopped run: err %v, recorded %v; want the record error after requests 0 and 1", err, recorded)
 	}
-	resp, err := s.Do(context.Background(), "echo-next", json.RawMessage(`"next"`), 5*time.Second)
+	resp, err := s.Do(context.Background(), "echo-next", []byte(`"next"`), 5*time.Second)
 	if err != nil || string(resp) != `"next"` {
 		t.Fatalf("Do after the stopped run: got %s, %v", resp, err)
 	}
@@ -440,7 +439,7 @@ func TestRunCancelMidRunKillsWorker(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	recorded := 0
-	err := s.Run(ctx, echoRun("sleep", 10, 5*time.Second), func(int, json.RawMessage, error) error {
+	err := s.Run(ctx, echoRun("sleep", 10, 5*time.Second), func(int, []byte, error) error {
 		if recorded++; recorded == 2 {
 			cancel()
 		}
@@ -467,11 +466,11 @@ func TestRunLongerThanHeartbeatWindow(t *testing.T) {
 		c.MaxRestarts = -1
 	})
 	// Spawn first, so process start-up is not in the run's window.
-	if _, err := s.Do(context.Background(), "echo", json.RawMessage(`0`), 5*time.Second); err != nil {
+	if _, err := s.Do(context.Background(), "echo", []byte(`0`), 5*time.Second); err != nil {
 		t.Fatalf("warm-up: %v", err)
 	}
 	start := time.Now()
-	if err := s.Run(context.Background(), echoRun("sleep", 25, 5*time.Second), func(i int, _ json.RawMessage, err error) error {
+	if err := s.Run(context.Background(), echoRun("sleep", 25, 5*time.Second), func(i int, _ []byte, err error) error {
 		if err != nil {
 			t.Errorf("request %d: %v", i, err)
 		}
@@ -493,9 +492,9 @@ func TestRunLongerThanHeartbeatWindow(t *testing.T) {
 // large request is fine.
 func TestRunRefusesOversizedRun(t *testing.T) {
 	s, tel := newSupervisor(t, nil, nil)
-	big := json.RawMessage(`"` + strings.Repeat("x", 20<<10) + `"`)
+	big := []byte(`"` + strings.Repeat("x", 20<<10) + `"`)
 	reqs := []procexec.Request{{ID: "echo-0", Payload: big}, {ID: "echo-1", Payload: big}}
-	err := s.Run(context.Background(), reqs, func(int, json.RawMessage, error) error { return nil })
+	err := s.Run(context.Background(), reqs, func(int, []byte, error) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "run encodes to") {
 		t.Fatalf("oversized run: got %v, want it refused", err)
 	}

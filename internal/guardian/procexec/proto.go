@@ -9,7 +9,7 @@
 //
 //   - fork/exec → Supervisor spawns the worker argv in its own process
 //     group (Setpgid), so a kill reaches every descendant;
-//   - the FT library's IPC execution-time reports → length-prefixed JSON
+//   - the FT library's IPC execution-time reports → length-prefixed binary
 //     frames on the worker's stdin/stdout: a pipelined run of run frames
 //     in, written ahead of their results, and per request periodic
 //     heartbeat frames and one result frame out, in request order;
@@ -27,54 +27,71 @@ package procexec
 
 import (
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
-// Frame types.
+// FrameType says what a frame carries.
+type FrameType uint8
+
+// Frame types. Zero is not a frame type, so a zeroed body never decodes.
 const (
 	// FrameRun carries a request from supervisor to worker.
-	FrameRun = "run"
+	FrameRun FrameType = iota + 1
 	// FrameResult carries the worker's response payload.
-	FrameResult = "result"
+	FrameResult
 	// FrameHeartbeat is the worker's periodic liveness report while a
 	// request is executing.
-	FrameHeartbeat = "heartbeat"
+	FrameHeartbeat
 	// FrameError reports a handler failure that is not a process death
 	// (the worker stays alive and serves the next request).
-	FrameError = "error"
+	FrameError
 )
 
-// Frame is one protocol message. Frames travel as a 4-byte big-endian
-// length prefix followed by the JSON body, so a reader can tell a cleanly
-// closed stream from a frame truncated mid-write by a dying worker.
-type Frame struct {
-	Type string `json:"type"`
-	// ID echoes the request identity so a late frame from a killed
-	// request is never attributed to its successor.
-	ID string `json:"id,omitempty"`
-	// Payload is the opaque request or response body.
-	Payload json.RawMessage `json:"payload,omitempty"`
-	// Error carries a FrameError description.
-	Error string `json:"error,omitempty"`
-	// Seq numbers heartbeats within one request.
-	Seq int `json:"seq,omitempty"`
+func (t FrameType) String() string {
+	switch t {
+	case FrameRun:
+		return "run"
+	case FrameResult:
+		return "result"
+	case FrameHeartbeat:
+		return "heartbeat"
+	case FrameError:
+		return "error"
+	}
+	return fmt.Sprintf("FrameType(%d)", uint8(t))
 }
 
-// maxFrameLen bounds a frame body. Real frames are tiny (a result payload
-// is a few hundred bytes); a length prefix beyond this is protocol
+// Frame is one protocol message. Frames travel as a 4-byte big-endian
+// length prefix followed by the body, so a reader can tell a cleanly
+// closed stream from a frame truncated mid-write by a dying worker. The
+// body is the type byte, the uvarint-prefixed ID, the uvarint Seq, the
+// uvarint-prefixed Error, then the payload to the end of the body. Both
+// ends are the same binary, so the layout has no version.
+type Frame struct {
+	Type FrameType
+	// ID echoes the request identity so a late frame from a killed
+	// request is never attributed to its successor.
+	ID string
+	// Payload is the opaque request or response body.
+	Payload []byte
+	// Error carries a FrameError description.
+	Error string
+	// Seq numbers heartbeats within one request.
+	Seq int
+}
+
+// maxFrameLen bounds a frame body. Real frames are tiny (a run frame is
+// under a hundred bytes); a length prefix beyond this is protocol
 // corruption, not a request to allocate gigabytes.
 const maxFrameLen = 16 << 20
 
 // WriteFrame writes one length-prefixed frame in a single write, so the
 // header and body of a frame never travel in separate pipe writes.
 func WriteFrame(w io.Writer, f *Frame) error {
-	buf, err := appendFrame(nil, f)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(buf); err != nil {
+	if _, err := w.Write(appendFrame(nil, f)); err != nil {
 		return fmt.Errorf("procexec: write frame: %w", err)
 	}
 	return nil
@@ -82,13 +99,17 @@ func WriteFrame(w io.Writer, f *Frame) error {
 
 // appendFrame appends f's length-prefixed encoding to dst, so a run of
 // frames can leave in one write.
-func appendFrame(dst []byte, f *Frame) ([]byte, error) {
-	body, err := json.Marshal(f)
-	if err != nil {
-		return dst, fmt.Errorf("procexec: encode frame: %w", err)
-	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(body)))
-	return append(dst, body...), nil
+func appendFrame(dst []byte, f *Frame) []byte {
+	at := len(dst)
+	dst = append(dst, 0, 0, 0, 0, byte(f.Type))
+	dst = binary.AppendUvarint(dst, uint64(len(f.ID)))
+	dst = append(dst, f.ID...)
+	dst = binary.AppendUvarint(dst, uint64(f.Seq))
+	dst = binary.AppendUvarint(dst, uint64(len(f.Error)))
+	dst = append(dst, f.Error...)
+	dst = append(dst, f.Payload...)
+	binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	return dst
 }
 
 // ReadFrame reads one length-prefixed frame; both ends read their stream
@@ -113,9 +134,41 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, fmt.Errorf("procexec: truncated frame body: %w", err)
 	}
-	f := &Frame{}
-	if err := json.Unmarshal(body, f); err != nil {
+	f, err := decodeFrame(body)
+	if err != nil {
 		return nil, fmt.Errorf("procexec: corrupt frame body: %w", err)
 	}
 	return f, nil
+}
+
+// decodeFrame parses a frame body; the payload aliases body.
+func decodeFrame(body []byte) (*Frame, error) {
+	f := &Frame{Type: FrameType(body[0])}
+	if f.Type < FrameRun || f.Type > FrameError {
+		return nil, fmt.Errorf("unknown frame type %#02x", body[0])
+	}
+	rest := body[1:]
+	id, rest, err := lenPrefixed(rest, "id")
+	if err != nil {
+		return nil, err
+	}
+	seq, k := binary.Uvarint(rest)
+	if k <= 0 || seq > math.MaxInt32 {
+		return nil, errors.New("bad heartbeat sequence number")
+	}
+	msg, rest, err := lenPrefixed(rest[k:], "error")
+	if err != nil {
+		return nil, err
+	}
+	f.ID, f.Seq, f.Error, f.Payload = string(id), int(seq), string(msg), rest
+	return f, nil
+}
+
+// lenPrefixed splits a uvarint-prefixed field named what off the front of b.
+func lenPrefixed(b []byte, what string) (field, rest []byte, err error) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || n > uint64(len(b)-k) {
+		return nil, nil, fmt.Errorf("%s length runs past the frame body", what)
+	}
+	return b[k : k+int(n)], b[k+int(n):], nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -41,17 +42,19 @@ func TestReadFrameTruncatedHeader(t *testing.T) {
 }
 
 func TestReadFrameTruncatedBody(t *testing.T) {
-	var buf bytes.Buffer
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 100)
-	buf.Write(hdr[:])
-	buf.WriteString(`{"type":"result"`) // dies mid-write
-	_, err := ReadFrame(&buf)
-	if err == nil || errors.Is(err, io.EOF) {
-		t.Fatalf("truncated body must be a distinct error, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "body") {
-		t.Errorf("error %q does not name the body", err)
+	// A 100-byte frame whose writer died after 8 bytes, and the exact
+	// bytes chaos ModeCorrupt writes before its worker exits.
+	for _, data := range [][]byte{
+		appendFrame(nil, &Frame{Type: FrameResult, ID: "inj-7", Payload: make([]byte, 93)})[:12],
+		{0x00, 0x00, 0x01, 0x00, 'g', 'a', 'r', 'b'},
+	} {
+		_, err := ReadFrame(bytes.NewReader(data))
+		if err == nil || errors.Is(err, io.EOF) {
+			t.Fatalf("% x: truncated body must be a distinct error, got %v", data, err)
+		}
+		if !strings.Contains(err.Error(), "truncated frame body") {
+			t.Errorf("% x: error %q does not name the body", data, err)
+		}
 	}
 }
 
@@ -67,14 +70,34 @@ func TestReadFrameCorruptLength(t *testing.T) {
 	}
 }
 
+// corruptBodies are whole frames whose body does not decode, by what the
+// error names.
+var corruptBodies = []struct {
+	name, want string
+	body       []byte
+}{
+	{"garbage", "unknown frame type", []byte("garb")},
+	{"type zero", "unknown frame type", []byte{0, 0, 0, 0}},
+	{"type past the last", "unknown frame type", []byte{byte(FrameError) + 1, 0, 0, 0}},
+	{"id past the body", "id length", []byte{byte(FrameRun), 5, 'a', 'b'}},
+	{"id length unterminated", "id length", []byte{byte(FrameRun), 0x80}},
+	{"seq missing", "sequence", []byte{byte(FrameHeartbeat), 1, 'a'}},
+	{"seq past MaxInt32", "sequence", binary.AppendUvarint([]byte{byte(FrameHeartbeat), 0}, math.MaxInt32+1)},
+	{"error past the body", "error length", []byte{byte(FrameError), 0, 0, 9, 'x'}},
+}
+
 func TestReadFrameGarbageBody(t *testing.T) {
-	var buf bytes.Buffer
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 4)
-	buf.Write(hdr[:])
-	buf.WriteString("garb")
-	if _, err := ReadFrame(&buf); err == nil || !strings.Contains(err.Error(), "corrupt") {
-		t.Errorf("garbage body: got %v, want corrupt-body error", err)
+	for _, tc := range corruptBodies {
+		data := append(frameHeader(uint32(len(tc.body))), tc.body...)
+		_, err := ReadFrame(bytes.NewReader(data))
+		if err == nil || !strings.Contains(err.Error(), "corrupt frame body") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want a corrupt-body error naming %q", tc.name, err, tc.want)
+		}
+	}
+	// The largest sequence number still decodes.
+	max := appendFrame(nil, &Frame{Type: FrameHeartbeat, ID: "a", Seq: math.MaxInt32})
+	if f, err := ReadFrame(bytes.NewReader(max)); err != nil || f.Seq != math.MaxInt32 {
+		t.Errorf("Seq MaxInt32: %+v, %v", f, err)
 	}
 }
 
@@ -117,23 +140,24 @@ func frameHeader(n uint32) []byte {
 func FuzzReadFrame(f *testing.F) {
 	// The negative cases above.
 	f.Add([]byte{0x00, 0x01})
-	f.Add(append(frameHeader(100), `{"type":"result"`...))
+	f.Add([]byte{0x00, 0x00, 0x01, 0x00, 'g', 'a', 'r', 'b'})
 	f.Add(frameHeader(0))
 	f.Add(frameHeader(maxFrameLen + 1))
-	f.Add(append(frameHeader(4), "garb"...))
-	// A well-formed run of frames.
+	for _, tc := range corruptBodies {
+		f.Add(append(frameHeader(uint32(len(tc.body))), tc.body...))
+	}
+	// A well-formed run of frames, then the same run torn mid-frame.
 	var run []byte
 	for _, fr := range []*Frame{
-		{Type: FrameRun, ID: "inj-7", Payload: []byte(`{"x":1}`)},
-		{Type: FrameHeartbeat, ID: "inj-7", Seq: 3},
+		{Type: FrameRun, ID: "7:-3:deadbeef:n4:p", Payload: []byte{2, 'C', 'P', 0, 6}},
+		{Type: FrameHeartbeat, ID: "7:-3:deadbeef:n4:p", Seq: 3},
+		{Type: FrameResult, ID: "7:-3:deadbeef:n4:p", Payload: []byte{4, 3}},
 		{Type: FrameError, ID: "inj-7", Error: "boom"},
 	} {
-		var err error
-		if run, err = appendFrame(run, fr); err != nil {
-			f.Fatal(err)
-		}
+		run = appendFrame(run, fr)
 	}
 	f.Add(run)
+	f.Add(run[:len(run)-3])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
@@ -148,19 +172,13 @@ func FuzzReadFrame(f *testing.F) {
 			if err != nil {
 				return
 			}
-			enc, err := appendFrame(nil, fr)
-			if err != nil {
-				t.Fatalf("decoded frame %+v does not encode: %v", fr, err)
-			}
+			enc := appendFrame(nil, fr)
 			again, err := ReadFrame(bytes.NewReader(enc))
 			if err != nil {
 				t.Fatalf("re-encoded frame does not decode: %v", err)
 			}
-			enc2, err := appendFrame(nil, again)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(enc, enc2) || again.Type != fr.Type || again.ID != fr.ID || again.Error != fr.Error || again.Seq != fr.Seq {
+			enc2 := appendFrame(nil, again)
+			if !bytes.Equal(enc, enc2) || again.Type != fr.Type || again.ID != fr.ID || again.Error != fr.Error || again.Seq != fr.Seq || !bytes.Equal(again.Payload, fr.Payload) {
 				t.Fatalf("frame does not re-encode equal:\n%q\n%q", enc, enc2)
 			}
 		}

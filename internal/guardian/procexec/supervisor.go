@@ -3,7 +3,6 @@ package procexec
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -122,7 +121,7 @@ type workerProc struct {
 type Request struct {
 	// ID names the request on the wire; frames echo it.
 	ID      string
-	Payload json.RawMessage
+	Payload []byte
 	// Timeout bounds the request's execution, from the arrival of the
 	// previous result (or from the write of the run, for its first
 	// request); 0: no deadline. On expiry the worker's process group is
@@ -143,10 +142,10 @@ const maxRunBytes = 32 << 10
 // it: a final *WorkerCrashError or *WorkerHangError for the caller to
 // classify, an ErrSpawn-wrapped error (degrade to in-process execution),
 // the handler's application error, or ctx's error.
-func (s *Supervisor) Do(ctx context.Context, id string, payload json.RawMessage, timeout time.Duration) (json.RawMessage, error) {
-	var resp json.RawMessage
+func (s *Supervisor) Do(ctx context.Context, id string, payload []byte, timeout time.Duration) ([]byte, error) {
+	var resp []byte
 	var rerr error
-	err := s.Run(ctx, []Request{{ID: id, Payload: payload, Timeout: timeout}}, func(_ int, r json.RawMessage, err error) error {
+	err := s.Run(ctx, []Request{{ID: id, Payload: payload, Timeout: timeout}}, func(_ int, r []byte, err error) error {
 		resp, rerr = r, err
 		return nil
 	})
@@ -178,7 +177,7 @@ func (s *Supervisor) Do(ctx context.Context, id string, payload json.RawMessage,
 // when ctx is cancelled (ctx's error). A worker with requests still in
 // flight is then killed, so the supervisor's next holder never reads
 // their results.
-func (s *Supervisor) Run(ctx context.Context, reqs []Request, record func(i int, resp json.RawMessage, err error) error) error {
+func (s *Supervisor) Run(ctx context.Context, reqs []Request, record func(i int, resp []byte, err error) error) error {
 	s.opMu.Lock()
 	defer s.opMu.Unlock()
 
@@ -188,10 +187,7 @@ func (s *Supervisor) Run(ctx context.Context, reqs []Request, record func(i int,
 	offs := make([]int, len(reqs))
 	for i, r := range reqs {
 		offs[i] = len(wire)
-		var err error
-		if wire, err = appendFrame(wire, &Frame{Type: FrameRun, ID: r.ID, Payload: r.Payload}); err != nil {
-			return err
-		}
+		wire = appendFrame(wire, &Frame{Type: FrameRun, ID: r.ID, Payload: r.Payload})
 	}
 	if len(reqs) > 1 && len(wire) > maxRunBytes {
 		return fmt.Errorf("procexec: a %d-request run encodes to %d bytes, over the %d a pipelined write may hold", len(reqs), len(wire), maxRunBytes)
@@ -210,7 +206,7 @@ func (s *Supervisor) Run(ctx context.Context, reqs []Request, record func(i int,
 			}
 		}
 		base := next
-		n, fail, err := s.pass(ctx, reqs[next:], wire[offs[next]:], func(i int, resp json.RawMessage, err error) error {
+		n, fail, err := s.pass(ctx, reqs[next:], wire[offs[next]:], func(i int, resp []byte, err error) error {
 			return record(base+i, resp, err)
 		})
 		if err != nil {
@@ -269,7 +265,7 @@ func (s *Supervisor) Restage() {
 // It returns how many it recorded and, when it ends early, either the
 // failure of the next request (a crash or hang, the worker discarded; or
 // a spawn error) or the error that stops the run (ctx's or record's).
-func (s *Supervisor) pass(ctx context.Context, reqs []Request, wire []byte, record func(int, json.RawMessage, error) error) (n int, fail, stop error) {
+func (s *Supervisor) pass(ctx context.Context, reqs []Request, wire []byte, record func(int, []byte, error) error) (n int, fail, stop error) {
 	w, err := s.worker()
 	if err != nil {
 		return 0, err, nil
@@ -402,7 +398,7 @@ func (st *waitState) expiry() time.Time {
 // result that lands late is a hang however select ordered it against the
 // timer, the rule guard.run applies in-process. A heartbeat of the head
 // request and its result restart the window; a stale heartbeat does not.
-func (st *waitState) judge(ev frameEvent) (verdict, json.RawMessage, error) {
+func (st *waitState) judge(ev frameEvent) (verdict, []byte, error) {
 	switch {
 	case !st.due.IsZero() && !ev.at.Before(st.due):
 		return failed, nil, &guardian.WorkerHangError{

@@ -17,7 +17,7 @@ import (
 func TestJudgeClassifiesByArrivalStamp(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	ms := func(n int) time.Time { return t0.Add(time.Duration(n) * time.Millisecond) }
-	frame := func(typ, id string, n int) frameEvent {
+	frame := func(typ FrameType, id string, n int) frameEvent {
 		return frameEvent{f: &Frame{Type: typ, ID: id, Payload: []byte(`1`), Error: "boom"}, at: ms(n)}
 	}
 	const (

@@ -2,7 +2,6 @@ package procexec
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -25,7 +24,7 @@ const DefaultHeartbeat = 25 * time.Millisecond
 // deliberately NOT recovered: the process dies with a stack trace and the
 // supervisor classifies the crash, which is the entire point of running
 // the computation out-of-process.
-type Handler func(id string, payload json.RawMessage) (json.RawMessage, error)
+type Handler func(id string, payload []byte) ([]byte, error)
 
 // ServeOptions tunes the worker loop.
 type ServeOptions struct {
@@ -44,8 +43,11 @@ type ServeOptions struct {
 // Serve is what `hauberk-run -worker` executes with os.Stdin/os.Stdout.
 // It must own out exclusively — any other write to the stream corrupts
 // the framing (which the supervisor would classify as a crash).
-func Serve(in io.Reader, out io.Writer, h Handler, opts ServeOptions) error {
-	return serve(in, out, h, opts, DefaultHeartbeat)
+//
+// h is a Handler over any byte-slice type, so a handler written against
+// json.RawMessage serves unchanged.
+func Serve[B ~[]byte](in io.Reader, out io.Writer, h func(id string, payload B) (B, error), opts ServeOptions) error {
+	return serve(in, out, func(id string, payload []byte) ([]byte, error) { return h(id, payload) }, opts, DefaultHeartbeat)
 }
 
 // serve is Serve with a heartbeat interval of hb.

@@ -22,6 +22,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,7 +30,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -63,7 +63,9 @@ func (m Manifest) Equal(o Manifest) bool {
 
 // Record is one completed injection's durable outcome. Bits and Class
 // duplicate plan metadata so aggregate figures can be rebuilt from the
-// log alone, without re-deriving the plan.
+// log alone, without re-deriving the plan. Its encoding/json form is the
+// log line; appendRecord and decodeRecord (codec.go) write and read it
+// without reflection, and a change to a field or tag changes them too.
 type Record struct {
 	// Idx is the injection's position in the full plan.
 	Idx int `json:"idx"`
@@ -185,13 +187,9 @@ func (s *Store) Append(r Record) error {
 		s.mu.Unlock()
 		return nil
 	}
-	raw, err := json.Marshal(r)
-	if err != nil {
-		return fmt.Errorf("store: encode record: %w", err)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.buf = append(append(s.buf[:0], raw...), '\n')
+	s.buf = append(appendRecord(s.buf[:0], r), '\n')
 	if _, err := s.w.Write(s.buf); err != nil {
 		return fmt.Errorf("store: append: %w", err)
 	}
@@ -263,15 +261,16 @@ func readRecords(path string, injections, shard, shards int) (map[int]Record, er
 // record whose index lies outside the plan or outside shard/shards' share
 // of it, which would otherwise stand in for an injection that never ran.
 func parseRecords(path string, raw []byte, injections, shard, shards int) (map[int]Record, error) {
-	done := make(map[int]Record)
-	lines := strings.Split(string(raw), "\n")
-	for i, line := range lines {
-		if strings.TrimSpace(line) == "" {
+	done := make(map[int]Record, bytes.Count(raw, []byte{'\n'}))
+	for i := 0; len(raw) > 0; i++ {
+		line, rest, ended := bytes.Cut(raw, []byte{'\n'})
+		raw = rest
+		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		var r Record
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			if i == len(lines)-1 {
+		r, err := decodeRecord(line)
+		if err != nil {
+			if !ended {
 				break // truncated final record: the in-flight injection re-runs
 			}
 			return nil, fmt.Errorf("store: %s line %d: %w", path, i+1, err)

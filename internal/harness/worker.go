@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -38,28 +37,173 @@ const (
 	IsolationProcess = "process"
 )
 
-// isoRequest is the wire form of one injection run shipped to a worker.
-// The worker stages the experiment itself from (program, dataset, mode) —
-// golden runs and range profiles are pure functions of them, which is
-// what keeps isolated campaigns byte-identical to in-process ones — and
-// Staging is the parent's stagingHash of the experiment it prepared: a
-// worker whose own staging hashes differently refuses the request rather
-// than run another experiment than the campaign's.
+// isoRequest is one injection run shipped to a worker. The worker stages
+// the experiment itself from (program, dataset, mode) — golden runs and
+// range profiles are pure functions of them, which is what keeps isolated
+// campaigns byte-identical to in-process ones — and Staging is the
+// parent's stagingHash of the experiment it prepared: a worker whose own
+// staging hashes differently refuses the request rather than run another
+// experiment than the campaign's.
 type isoRequest struct {
-	Program string       `json:"program"`
-	Dataset int          `json:"dataset"`
-	Mode    int          `json:"mode"`
-	Staging uint64       `json:"staging"`
-	Cmd     swifiCommand `json:"cmd"`
+	Program string
+	Dataset int
+	Mode    translate.Mode
+	Staging uint64
+	Cmd     swifi.Command
 }
 
-// isoResponse is the classified outcome shipped back. It carries exactly
-// the fields recordOf needs beyond the plan's own (bits, class), so the
-// store record is identical to the in-process one.
-type isoResponse struct {
-	Outcome   int  `json:"outcome"`
-	Hang      bool `json:"hang"`
-	Activated bool `json:"activated"`
+// appendIsoRequest appends req's wire form to dst: the uvarint-prefixed
+// program, varint dataset and mode, the 8-byte staging hash, varint site
+// and instance, the 4-byte mask, varint count and a persistent byte. Both
+// ends are the same binary, so the layout has no version.
+func appendIsoRequest(dst []byte, req *isoRequest) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(req.Program)))
+	dst = append(dst, req.Program...)
+	dst = binary.AppendVarint(dst, int64(req.Dataset))
+	dst = binary.AppendVarint(dst, int64(req.Mode))
+	dst = binary.LittleEndian.AppendUint64(dst, req.Staging)
+	dst = binary.AppendVarint(dst, int64(req.Cmd.Site))
+	dst = binary.AppendVarint(dst, req.Cmd.Instance)
+	dst = binary.LittleEndian.AppendUint32(dst, req.Cmd.Mask)
+	dst = binary.AppendVarint(dst, req.Cmd.Count)
+	return append(dst, wireBool(req.Cmd.Persistent))
+}
+
+// decodeIsoRequest parses appendIsoRequest's layout; a payload with bytes
+// missing or left over is an error.
+func decodeIsoRequest(p []byte) (isoRequest, error) {
+	d := wireDecoder{b: p}
+	req := isoRequest{
+		Program: string(d.bytes(int(d.uvarint()))),
+		Dataset: int(d.varint()),
+	}
+	if mode := d.varint(); mode < 0 || mode > math.MaxUint8 {
+		d.fail("mode")
+	} else {
+		req.Mode = translate.Mode(mode)
+	}
+	req.Staging = binary.LittleEndian.Uint64(d.bytes(8))
+	req.Cmd.Site = int(d.varint())
+	req.Cmd.Instance = d.varint()
+	req.Cmd.Mask = binary.LittleEndian.Uint32(d.bytes(4))
+	req.Cmd.Count = d.varint()
+	req.Cmd.Persistent = d.bool()
+	return req, d.done()
+}
+
+// Flags of an isolated result's flag byte.
+const (
+	isoHang = 1 << iota
+	isoActivated
+)
+
+// appendIsoResult appends what a worker reports of r: a varint outcome and
+// one flag byte. The rest of the record comes from the plan, so the store
+// record is identical to the in-process one.
+func appendIsoResult(dst []byte, r *InjectionResult) []byte {
+	dst = binary.AppendVarint(dst, int64(r.Outcome))
+	var flags byte
+	if r.Hang {
+		flags |= isoHang
+	}
+	if r.Activated {
+		flags |= isoActivated
+	}
+	return append(dst, flags)
+}
+
+// decodeIsoResult parses appendIsoResult's layout into inj's result.
+func decodeIsoResult(p []byte, inj Injection) (*InjectionResult, error) {
+	d := wireDecoder{b: p}
+	outcome := d.varint()
+	flags := d.bytes(1)
+	if err := d.done(); err != nil {
+		return nil, err
+	}
+	if outcome < 0 || outcome > math.MaxUint8 || flags[0]&^(isoHang|isoActivated) != 0 {
+		return nil, fmt.Errorf("bad result: outcome %d, flags %#02x", outcome, flags[0])
+	}
+	return &InjectionResult{
+		Injection: inj,
+		Outcome:   Outcome(outcome),
+		Hang:      flags[0]&isoHang != 0,
+		Activated: flags[0]&isoActivated != 0,
+	}, nil
+}
+
+func wireBool(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// wireDecoder reads the fields of a worker payload in order. The first
+// missing or malformed field sticks as its error, and later reads return
+// zero values.
+type wireDecoder struct {
+	b   []byte
+	err error
+}
+
+func (d *wireDecoder) fail(what string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("truncated or malformed %s", what)
+	}
+	d.b = nil
+}
+
+func (d *wireDecoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.fail("uvarint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *wireDecoder) varint() int64 {
+	v, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.fail("varint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+// bytes returns the next n bytes; once the payload has failed, 8 zero
+// bytes, enough for any fixed-size field.
+func (d *wireDecoder) bytes(n int) []byte {
+	if n < 0 || n > len(d.b) {
+		d.fail(fmt.Sprintf("%d-byte field", n))
+	}
+	if d.err != nil {
+		return make([]byte, 8)
+	}
+	v := d.b[:n]
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *wireDecoder) bool() bool {
+	switch d.bytes(1)[0] {
+	case 0:
+		return false
+	case 1:
+		return true
+	}
+	d.fail("boolean")
+	return false
+}
+
+// done is the decode's error: the first failure, or bytes left over.
+func (d *wireDecoder) done() error {
+	if d.err == nil && len(d.b) > 0 {
+		d.err = fmt.Errorf("%d trailing payload bytes", len(d.b))
+	}
+	return d.err
 }
 
 // stagingHash identifies the experiment injections run against, as far as
@@ -158,29 +302,41 @@ func (w *workerState) stage(program string, dataset int) (*staging, error) {
 	return st, nil
 }
 
+// serve is the worker's procexec handler: decode a request, run it, and
+// encode its result. A payload that does not decode runs nothing.
+func (w *workerState) serve(id string, payload []byte) ([]byte, error) {
+	req, err := decodeIsoRequest(payload)
+	if err != nil {
+		return nil, fmt.Errorf("harness: worker request %s: %w", id, err)
+	}
+	r, err := w.run(req)
+	if err != nil {
+		return nil, err
+	}
+	return appendIsoResult(nil, r), nil
+}
+
 // run serves one request: stage, refuse a request whose staging hash is
 // not the worker's, then inject against the staged golden trace.
-func (w *workerState) run(req isoRequest) (isoResponse, error) {
+func (w *workerState) run(req isoRequest) (*InjectionResult, error) {
 	st, err := w.stage(req.Program, req.Dataset)
 	if err != nil {
-		return isoResponse{}, err
+		return nil, err
 	}
-	mode := translate.Mode(req.Mode)
-	sm := st.modes[mode]
+	sm := st.modes[req.Mode]
 	if sm == nil {
-		gt, err := w.env.goldenTrace(st.spec, st.golden, st.store, mode)
+		gt, err := w.env.goldenTrace(st.spec, st.golden, st.store, req.Mode)
 		if err != nil {
-			return isoResponse{}, err
+			return nil, err
 		}
-		sm = &stagedMode{gt: gt, hash: stagingHash(st.spec, st.golden, st.store, mode, w.env.Config)}
-		st.modes[mode] = sm
+		sm = &stagedMode{gt: gt, hash: stagingHash(st.spec, st.golden, st.store, req.Mode, w.env.Config)}
+		st.modes[req.Mode] = sm
 	}
 	if sm.hash != req.Staging {
-		return isoResponse{}, fmt.Errorf("harness: worker staged %s dataset %d (%s) as %016x but the campaign prepared %016x: "+
-			"its range store or device config is not the worker's", req.Program, req.Dataset, mode, sm.hash, req.Staging)
+		return nil, fmt.Errorf("harness: worker staged %s dataset %d (%s) as %016x but the campaign prepared %016x: "+
+			"its range store or device config is not the worker's", req.Program, req.Dataset, req.Mode, sm.hash, req.Staging)
 	}
-	r := w.env.injectOn(sm.gt, st.golden, Injection{Cmd: req.Cmd.command()})
-	return isoResponse{Outcome: int(r.Outcome), Hang: r.Hang, Activated: r.Activated}, nil
+	return w.env.injectOn(sm.gt, st.golden, Injection{Cmd: req.Cmd}), nil
 }
 
 // WorkerMain is the body of `hauberk-run -worker`: serve injection
@@ -194,18 +350,7 @@ func WorkerMain(in io.Reader, out io.Writer) error {
 		return err
 	}
 	w := newWorkerState(workerStagings)
-	h := func(id string, payload json.RawMessage) (json.RawMessage, error) {
-		var req isoRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return nil, fmt.Errorf("harness: worker request %s: %w", id, err)
-		}
-		resp, err := w.run(req)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(resp)
-	}
-	return procexec.Serve(in, out, h, procexec.ServeOptions{Chaos: plan})
+	return procexec.Serve(in, out, w.serve, procexec.ServeOptions{Chaos: plan})
 }
 
 // workerIdleTimeout is how long a pooled worker may sit idle before its
@@ -395,8 +540,9 @@ func (ic *isoCampaign) release(interrupted bool) {
 }
 
 // isoRunMax is the longest run of injections an isolated slot takes and
-// pipelines through its worker: 16 requests of ≈ 200 bytes encode to
-// ≈ 3 KiB, far inside the pipe buffer procexec writes a whole run into.
+// pipelines through its worker: a run frame of a shipped program's
+// quick-scale plan is 45–53 bytes, so 16 encode to under 1 KiB, far
+// inside the pipe buffer procexec writes a whole run into.
 const isoRunMax = 16
 
 // runIsolated executes the injections at plan indices run (ascending) in
@@ -420,21 +566,20 @@ func (e *Env) runIsolated(
 	record func(idx int, r *InjectionResult) error,
 ) error {
 	reqs := make([]procexec.Request, len(run))
+	var wire []byte
 	for k, idx := range run {
 		inj := pc.Plan[idx]
-		payload, err := json.Marshal(isoRequest{
+		at := len(wire)
+		wire = appendIsoRequest(wire, &isoRequest{
 			Program: pc.Spec.Name,
 			Dataset: pc.Golden.Dataset.Index,
-			Mode:    int(pc.Mode),
+			Mode:    pc.Mode,
 			Staging: ic.staging,
-			Cmd:     wireCommand(inj.Cmd),
+			Cmd:     inj.Cmd,
 		})
-		if err != nil {
-			return err
-		}
-		reqs[k] = procexec.Request{ID: inj.Cmd.Key(), Payload: payload, Timeout: timeout}
+		reqs[k] = procexec.Request{ID: inj.Cmd.Key(), Payload: wire[at:len(wire):len(wire)], Timeout: timeout}
 	}
-	return ic.supervisor(slot).Run(ctx, reqs, func(k int, resp json.RawMessage, err error) error {
+	return ic.supervisor(slot).Run(ctx, reqs, func(k int, resp []byte, err error) error {
 		idx := run[k]
 		r, err := e.isolatedResult(ctx, pc, gt, pc.Plan[idx], resp, err, timeout)
 		if err != nil {
@@ -451,7 +596,7 @@ func (e *Env) isolatedResult(
 	pc *PreparedCampaign,
 	gt *goldenTrace,
 	inj Injection,
-	resp json.RawMessage,
+	resp []byte,
 	err error,
 	timeout time.Duration,
 ) (*InjectionResult, error) {
@@ -459,16 +604,11 @@ func (e *Env) isolatedResult(
 	var hang *guardian.WorkerHangError
 	switch {
 	case err == nil:
-		var out isoResponse
-		if err := json.Unmarshal(resp, &out); err != nil {
+		r, err := decodeIsoResult(resp, inj)
+		if err != nil {
 			return nil, fmt.Errorf("harness: worker response for %s: %w", inj.Cmd.Key(), err)
 		}
-		return &InjectionResult{
-			Injection: inj,
-			Outcome:   Outcome(out.Outcome),
-			Hang:      out.Hang,
-			Activated: out.Activated,
-		}, nil
+		return r, nil
 
 	case errors.Is(err, procexec.ErrSpawn):
 		// Isolation unavailable: degrade to the in-process path rather
@@ -488,25 +628,4 @@ func (e *Env) isolatedResult(
 		return &InjectionResult{Injection: inj, Outcome: OutcomeFailure, Hang: true, TimedOut: true}, nil
 	}
 	return nil, err
-}
-
-// swifiCommand is the JSON wire form of swifi.Command (declared here so
-// the wire schema is explicit and stable rather than borrowing whatever
-// field set the in-memory struct grows).
-type swifiCommand struct {
-	Site       int    `json:"site"`
-	Instance   int64  `json:"instance"`
-	Mask       uint32 `json:"mask"`
-	Count      int64  `json:"count,omitempty"`
-	Persistent bool   `json:"persistent,omitempty"`
-}
-
-func wireCommand(c swifi.Command) swifiCommand {
-	return swifiCommand{Site: c.Site, Instance: c.Instance, Mask: c.Mask,
-		Count: c.Count, Persistent: c.Persistent}
-}
-
-func (c swifiCommand) command() swifi.Command {
-	return swifi.Command{Site: c.Site, Instance: c.Instance, Mask: c.Mask,
-		Count: c.Count, Persistent: c.Persistent}
 }

@@ -1,21 +1,26 @@
 package harness
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"hauberk/internal/core/translate"
 	"hauberk/internal/guardian"
 	"hauberk/internal/guardian/procexec"
 	"hauberk/internal/guardian/procexec/chaos"
 	cstore "hauberk/internal/harness/store"
 	"hauberk/internal/obs"
+	"hauberk/internal/swifi"
 )
 
 // isoWorkerEnv re-execs the test binary as an injection worker, the same
@@ -553,9 +558,9 @@ func TestWorkerStagingLRU(t *testing.T) {
 	req := isoRequest{
 		Program: pc.Spec.Name,
 		Dataset: pc.Golden.Dataset.Index,
-		Mode:    int(pc.Mode),
+		Mode:    pc.Mode,
 		Staging: stagingHash(pc.Spec, pc.Golden, pc.Prof.Store, pc.Mode, e.Config),
-		Cmd:     wireCommand(pc.Plan[0].Cmd),
+		Cmd:     pc.Plan[0].Cmd,
 	}
 	want, err := e.RunInjection(pc.Spec, pc.Golden, pc.Prof.Store, pc.Mode, pc.Plan[0])
 	if err != nil {
@@ -596,7 +601,81 @@ func TestWorkerStagingLRU(t *testing.T) {
 	if got := strings.Join(keys(), " "); got != "CP|0 CP|1" {
 		t.Fatalf("after re-staging CP|0: LRU %q", got)
 	}
-	if first != again || first.Outcome != int(want.Outcome) || first.Hang != want.Hang || first.Activated != want.Activated {
-		t.Fatalf("re-staged outcome %+v, first %+v, in-process %+v", again, first, *want)
+	if *first != *again || first.Outcome != want.Outcome || first.Hang != want.Hang || first.Activated != want.Activated {
+		t.Fatalf("re-staged outcome %+v, first %+v, in-process %+v", *again, *first, *want)
+	}
+}
+
+// TestIsoPayloadRoundTrip: a request with extreme command values, and
+// every outcome with every flag combination, decode to what was encoded.
+func TestIsoPayloadRoundTrip(t *testing.T) {
+	for _, req := range []isoRequest{
+		{Program: "MRI-FHD", Dataset: 51, Mode: translate.ModeFIFT, Staging: math.MaxUint64,
+			Cmd: swifi.Command{Site: 123, Instance: -3, Mask: math.MaxUint32, Count: 10000, Persistent: true}},
+		{Program: "", Dataset: -1, Mode: math.MaxUint8, Staging: 0,
+			Cmd: swifi.Command{Site: math.MinInt, Instance: math.MinInt64, Mask: 0, Count: math.MaxInt64}},
+		{Program: "CP", Cmd: swifi.Command{Site: math.MaxInt, Instance: math.MaxInt64, Mask: 1, Count: -1}},
+	} {
+		got, err := decodeIsoRequest(appendIsoRequest(nil, &req))
+		if err != nil || got != req {
+			t.Errorf("request %+v decodes to %+v, %v", req, got, err)
+		}
+	}
+	inj := Injection{Cmd: swifi.Command{Site: 7, Instance: 3, Mask: 0x80}, Bits: 1}
+	for o := OutcomeFailure; o <= OutcomeUndetected; o++ {
+		for flags := 0; flags < 4; flags++ {
+			want := InjectionResult{Injection: inj, Outcome: o, Hang: flags&1 != 0, Activated: flags&2 != 0}
+			got, err := decodeIsoResult(appendIsoResult(nil, &want), inj)
+			if err != nil || *got != want {
+				t.Errorf("result %+v decodes to %+v, %v", want, got, err)
+			}
+		}
+	}
+}
+
+// TestIsoPayloadMalformed: a request or result payload cut short or with
+// bytes left over does not decode, and a worker handed such a request
+// answers with an error frame without running an injection.
+func TestIsoPayloadMalformed(t *testing.T) {
+	req := appendIsoRequest(nil, &isoRequest{Program: "CP", Mode: translate.ModeFI, Staging: 1,
+		Cmd: swifi.Command{Site: 1, Instance: 2, Mask: 4, Persistent: true}})
+	res := appendIsoResult(nil, &InjectionResult{Outcome: OutcomeDetected, Hang: true})
+	var bad [][]byte
+	for n := range req {
+		bad = append(bad, req[:n])
+	}
+	bad = append(bad, append(slices.Clone(req), 0))
+	for _, p := range bad {
+		if r, err := decodeIsoRequest(p); err == nil {
+			t.Errorf("request payload % x decodes to %+v", p, r)
+		}
+	}
+	for _, p := range [][]byte{nil, res[:1], append(slices.Clone(res), 0), {res[0], 4}, {0x7f, 0}} {
+		if r, err := decodeIsoResult(p, Injection{}); err == nil {
+			t.Errorf("result payload % x decodes to %+v", p, r)
+		}
+	}
+
+	var in, out bytes.Buffer
+	for i, p := range bad {
+		if err := procexec.WriteFrame(&in, &procexec.Frame{Type: procexec.FrameRun, ID: fmt.Sprint(i), Payload: p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := newWorkerState(workerStagings)
+	if err := procexec.Serve(&in, &out, w.serve, procexec.ServeOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range bad {
+		f, err := procexec.ReadFrame(&out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Type != procexec.FrameError || f.ID != fmt.Sprint(i) || !strings.Contains(f.Error, "worker request") {
+			t.Errorf("request %d (% x) answered with %+v, want an error frame", i, bad[i], f)
+		}
+	}
+	if len(w.lru) != 0 {
+		t.Errorf("malformed requests staged %d experiments, want none", len(w.lru))
 	}
 }
