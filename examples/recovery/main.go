@@ -7,9 +7,11 @@
 //     profiled ranges on every run; the guardian recognizes the identical
 //     alarmed outputs, widens the ranges (on-line learning), and the next
 //     execution passes;
-//  3. a permanent device fault — every run alarms with different outputs,
-//     the BIST self-test fails, the device is disabled with exponential
-//     back-off, and the program migrates to a healthy device.
+//  3. a device fault — every run alarms with different outputs, the BIST
+//     self-test fails, the device is disabled and the program migrates to
+//     a healthy device; the back-off daemon then retests the disabled
+//     device, doubling Tbackoff while the BIST fails, and re-enables it
+//     once the intermittent fault clears.
 //
 // Run with:
 //
@@ -18,7 +20,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"hauberk/internal/core/hrt"
 	"hauberk/internal/core/translate"
@@ -31,103 +35,144 @@ import (
 )
 
 func main() {
-	env := harness.NewEnv(harness.QuickScale())
-	spec := workloads.CP()
-	ds := workloads.Dataset{Index: 0}
-
-	prof, err := env.Profile(spec, []workloads.Dataset{ds})
-	if err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	tr, err := translate.Instrument(spec.Build(), translate.NewOptions(translate.ModeFIFT))
-	if err != nil {
-		log.Fatal(err)
+}
+
+// demo is the program every scenario supervises: CP, translated and
+// profiled once.
+type demo struct {
+	env  *harness.Env
+	spec *workloads.Spec
+	tr   *translate.Result
+	prof *harness.ProfileResult
+}
+
+func run(w io.Writer) error {
+	d := demo{env: harness.NewEnv(harness.QuickScale()), spec: workloads.CP()}
+	ds := workloads.Dataset{Index: 0}
+
+	var err error
+	if d.prof, err = d.env.Profile(d.spec, []workloads.Dataset{ds}); err != nil {
+		return err
+	}
+	if d.tr, err = translate.Instrument(d.spec.Build(), translate.NewOptions(translate.ModeFIFT)); err != nil {
+		return err
 	}
 
 	// Find a loop FP site to corrupt.
 	site := -1
-	for _, s := range tr.Sites {
+	for _, s := range d.tr.Sites {
 		if s.VarName == "e" {
 			site = s.ID
 		}
 	}
+	healthy := func() bool { return true }
 
-	fmt.Println("=== scenario 1: transient fault ===")
+	fmt.Fprintln(w, "=== scenario 1: transient fault ===")
 	{
 		first := true
-		rep := supervise(env, spec, tr, prof, ds, func(inj *swifi.Injector) {
+		rep, _, err := d.supervise(ds, healthy, func(inj *swifi.Injector) {
 			if first {
 				inj.Arm(swifi.Command{Site: site, Instance: 500, Mask: 1 << 30})
 				first = false
 			}
 		}, nil)
-		fmt.Printf("diagnosis: %s after %d executions\n\n", rep.Diagnosis, rep.Executions)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "diagnosis: %s after %d executions\n\n", rep.Diagnosis, rep.Executions)
 	}
 
-	fmt.Println("=== scenario 2: false positive + on-line learning ===")
+	fmt.Fprintln(w, "=== scenario 2: false positive + on-line learning ===")
 	{
 		// Evaluate on a dataset the detector was never trained on, with
 		// deliberately tight ranges (alpha stays 1).
 		newDS := workloads.Dataset{Index: 33}
-		store := prof.Store
+		store := d.prof.Store
 		learned := 0
 		onFalseAlarm := func(alarms []hrt.Alarm) {
 			for _, a := range alarms {
-				if det := store.Get(tr.Detectors[a.Detector].Name); det != nil {
+				if det := store.Get(d.tr.Detectors[a.Detector].Name); det != nil {
 					det.Absorb(a.Value)
 					learned++
 				}
 			}
 		}
-		rep := supervise(env, spec, tr, prof, newDS, nil, onFalseAlarm)
-		fmt.Printf("diagnosis: %s after %d executions; ranges widened for %d alarms\n",
+		rep, _, err := d.supervise(newDS, healthy, nil, onFalseAlarm)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "diagnosis: %s after %d executions; ranges widened for %d alarms\n",
 			rep.Diagnosis, rep.Executions, learned)
-		rep2 := supervise(env, spec, tr, prof, newDS, nil, onFalseAlarm)
-		fmt.Printf("after learning, re-run diagnosis: %s\n\n", rep2.Diagnosis)
+		rep2, _, err := d.supervise(newDS, healthy, nil, onFalseAlarm)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "after learning, re-run diagnosis: %s\n\n", rep2.Diagnosis)
 	}
 
-	fmt.Println("=== scenario 3: permanent device fault + migration ===")
+	fmt.Fprintln(w, "=== scenario 3: device fault + migration + back-off ===")
 	{
+		// The fault stays in the device until it clears: every run
+		// corrupts a random instance, and the BIST fails.
+		present := true
 		rng := stats.NewRng("recovery-example")
-		rep := supervise(env, spec, tr, prof, ds, func(inj *swifi.Injector) {
-			// The faulty device corrupts a random instance on every run.
-			inj.Arm(swifi.Command{Site: site, Instance: rng.Int63n(2000), Mask: 1 << 30})
+		rep, pool, err := d.supervise(ds, func() bool { return !present }, func(inj *swifi.Injector) {
+			if present {
+				inj.Arm(swifi.Command{Site: site, Instance: rng.Int63n(2000), Mask: 1 << 30})
+			}
 		}, nil)
-		fmt.Printf("diagnosis: %s after %d executions; disabled devices: %v\n",
-			rep.Diagnosis, rep.Executions, rep.DisabledDevices)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "diagnosis: %s after %d executions; disabled devices: %v; Tbackoff %d\n",
+			rep.Diagnosis, rep.Executions, rep.DisabledDevices, pool.Backoff(0))
+
+		// The back-off daemon (Section VI(ii)(c)) retests device 0 when
+		// its Tbackoff elapses: a failed BIST doubles Tbackoff, a passing
+		// one returns the device to service.
+		tick := 0
+		for first := pool.Backoff(0); pool.Backoff(0) == first; tick++ {
+			pool.Tick()
+		}
+		fmt.Fprintf(w, "tick %d: BIST still fails; Tbackoff %d\n", tick, pool.Backoff(0))
+		present = false
+		for pool.Enabled() < 2 {
+			pool.Tick()
+			tick++
+		}
+		fmt.Fprintf(w, "tick %d: fault cleared, BIST passes; device 0 re-enabled, %d devices in service\n",
+			tick, pool.Enabled())
 	}
+	return nil
 }
 
-// supervise wires one scenario through the guardian. arm, when non-nil,
-// (re-)arms the injector before every execution — emulating where the
-// fault physically lives.
-func supervise(
-	env *harness.Env,
-	spec *workloads.Spec,
-	tr *translate.Result,
-	prof *harness.ProfileResult,
+// supervise runs one scenario through the guardian on a pool of two
+// devices, the first of which holds the scenario's fault: arm, when
+// non-nil, (re-)arms the injector before every execution on it, and
+// faultyPasses is the BIST verdict on it (the second device always
+// passes). It returns the pool for the back-off daemon.
+func (d demo) supervise(
 	ds workloads.Dataset,
+	faultyPasses func() bool,
 	arm func(*swifi.Injector),
 	onFalseAlarm func([]hrt.Alarm),
-) *guardian.Report {
+) (*guardian.Report, *guardian.DevicePool, error) {
 	devs := []*gpu.Device{gpu.New(gpu.DefaultConfig()), gpu.New(gpu.DefaultConfig())}
 	faulty := devs[0]
-	pool := guardian.NewDevicePool(devs, func(d *gpu.Device) bool {
-		// The BIST program fails on the permanently faulty device in
-		// scenario 3 (arm != nil re-arms every run => fault persists).
-		return !(arm != nil && d == faulty && onFalseAlarm == nil && persistentScenario)
-	}, 2)
-
+	pool := guardian.NewDevicePool(devs, func(dev *gpu.Device) bool { return dev != faulty || faultyPasses() }, 2)
 	run := func(dev *gpu.Device) *guardian.RunOutcome {
-		inst := spec.Setup(dev, ds)
-		cb := hrt.NewControlBlock(tr.Detectors, prof.Store)
+		inst := d.spec.Setup(dev, ds)
+		cb := hrt.NewControlBlock(d.tr.Detectors, d.prof.Store)
 		rt := hrt.NewFT(cb)
 		if arm != nil && dev == faulty {
 			inj := &swifi.Injector{}
 			arm(inj)
 			rt.Inject = inj.Probe
 		}
-		res, lerr := dev.Launch(tr.Kernel, gpu.LaunchSpec{
+		res, lerr := dev.Launch(d.tr.Kernel, gpu.LaunchSpec{
 			Grid: inst.Grid, Block: inst.Block, Args: inst.Args, Hooks: rt,
 		})
 		out := &guardian.RunOutcome{Err: lerr, Cycles: res.Cycles}
@@ -139,12 +184,5 @@ func supervise(
 		return out
 	}
 	rep, err := guardian.Supervise(guardian.Config{Pool: pool, OnFalseAlarm: onFalseAlarm}, run)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return rep
+	return rep, pool, err
 }
-
-// persistentScenario is toggled by scenario 3's nature: a re-arming
-// injector with no false-alarm learning is the permanent-fault case.
-var persistentScenario = true

@@ -101,13 +101,6 @@ func (cb *ControlBlock) Alarms() []Alarm {
 	return append([]Alarm(nil), cb.alarms...)
 }
 
-// Reset clears recorded alarms for re-execution.
-func (cb *ControlBlock) Reset() {
-	cb.mu.Lock()
-	defer cb.mu.Unlock()
-	cb.alarms = cb.alarms[:0]
-}
-
 // ProbeFunc is the fault-injection delegate signature (implemented by
 // internal/swifi). It mirrors gpu.Hooks.Probe.
 type ProbeFunc func(tc gpu.ThreadCtx, site int, v *kir.Var, hw kir.HW, val uint32) (uint32, bool)

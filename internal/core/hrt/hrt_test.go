@@ -101,7 +101,7 @@ func TestProfilerCollectsAndMerges(t *testing.T) {
 	r2.CountExec(tc, 2)
 	r2.MergeProfiles(r1)
 
-	if got := r1.Learners[1].Samples(); got != 3 {
+	if got := len(r1.Learners[1].Raw()); got != 3 {
 		t.Fatalf("merged samples = %d, want 3", got)
 	}
 	store := ranges.NewStore()
@@ -128,4 +128,11 @@ func TestInjectDelegate(t *testing.T) {
 	if got, changed := rt.Probe(gpu.ThreadCtx{}, 0, v, kir.HWALU, 7); got != 6 || !changed {
 		t.Fatalf("delegate not invoked")
 	}
+}
+
+// Reset clears recorded alarms.
+func (cb *ControlBlock) Reset() {
+	cb.mu.Lock()
+	defer cb.mu.Unlock()
+	cb.alarms = cb.alarms[:0]
 }

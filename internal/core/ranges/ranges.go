@@ -162,9 +162,6 @@ func (l *Learner) Add(v float64) {
 	l.samples = append(l.samples, v)
 }
 
-// Samples returns the number of recorded samples.
-func (l *Learner) Samples() int { return len(l.samples) }
-
 // Raw returns the recorded samples; callers must not mutate the slice.
 func (l *Learner) Raw() []float64 { return l.samples }
 

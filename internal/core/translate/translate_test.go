@@ -212,7 +212,7 @@ func TestSiteNumberingIdenticalAcrossModes(t *testing.T) {
 
 func TestModeMatrix(t *testing.T) {
 	k := fig8Kernel()
-	baselineStmts := kir.CountStmts(k.Body)
+	baselineStmts := countStmts(k.Body)
 
 	prof := instrument(t, k, NewOptions(ModeProfiler))
 	profSrc := kir.Print(prof.Kernel)
@@ -241,7 +241,7 @@ func TestModeMatrix(t *testing.T) {
 	}
 
 	none := instrument(t, k, NewOptions(ModeNone))
-	if kir.CountStmts(none.Kernel.Body) != baselineStmts {
+	if countStmts(none.Kernel.Body) != baselineStmts {
 		t.Fatalf("baseline clone must be untransformed")
 	}
 }
@@ -403,4 +403,11 @@ func siteOf(res *Result, name string) string {
 		}
 	}
 	return "-1"
+}
+
+// countStmts counts all statements in b, including nested ones.
+func countStmts(b kir.Block) int {
+	n := 0
+	kir.WalkStmts(b, func(kir.Stmt) bool { n++; return true })
+	return n
 }

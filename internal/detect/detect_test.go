@@ -103,7 +103,9 @@ func TestRScatterDetectsCorruption(t *testing.T) {
 	}
 	// Corrupt the primary atom table only (models a memory fault in one
 	// copy of the data).
-	d.FlipBits(inst.Args[0].Buf, 3, 1<<30)
+	atoms := d.ReadWords(inst.Args[0].Buf)
+	atoms[3] ^= 1 << 30
+	d.WriteWords(inst.Args[0].Buf, atoms)
 	if _, err := d.Launch(rs.Kernel, gpu.LaunchSpec{Grid: inst.Grid, Block: inst.Block, Args: args}); err != nil {
 		t.Fatal(err)
 	}

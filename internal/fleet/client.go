@@ -308,13 +308,6 @@ func (c *Client) Store(ctx context.Context, id string) (service.StoreSnapshot, e
 	return snap, err
 }
 
-// Node fetches the daemon's own health document.
-func (c *Client) Node(ctx context.Context) (service.NodeStatus, error) {
-	var ns service.NodeStatus
-	err := c.do(ctx, http.MethodGet, "/v1/node", nil, http.StatusOK, &ns)
-	return ns, err
-}
-
 // Probe is a single-attempt readiness check (GET /readyz): no retry
 // envelope, because the caller is the health fold itself — a probe
 // failure is a signal to record, not a fault to absorb.

@@ -251,3 +251,10 @@ func TestClientWaitClampsToRPCDeadline(t *testing.T) {
 		t.Errorf("queries %q, want %q", queries, want)
 	}
 }
+
+// Node fetches the daemon's own health document.
+func (c *Client) Node(ctx context.Context) (service.NodeStatus, error) {
+	var ns service.NodeStatus
+	err := c.do(ctx, http.MethodGet, "/v1/node", nil, http.StatusOK, &ns)
+	return ns, err
+}

@@ -285,12 +285,3 @@ func ProgramCacheStats() (hits, misses int64, size int) {
 	progCache.RUnlock()
 	return progCacheHits.Load(), progCacheMisses.Load(), size
 }
-
-// resetProgramCache clears the cache and its counters (tests only).
-func resetProgramCache() {
-	progCache.Lock()
-	progCache.m = make(map[progKey]*program)
-	progCache.Unlock()
-	progCacheHits.Store(0)
-	progCacheMisses.Store(0)
-}

@@ -95,10 +95,10 @@ type launchRun struct {
 // call it off the test goroutine.
 func launchCase(tc diffCase, k *kir.Kernel, e engine) launchRun {
 	d := New(tc.cfg)
-	if tc.fault != nil {
-		d.SetMemFault(tc.fault)
-	}
 	args := tc.setup(d, k)
+	if tc.fault != nil {
+		d.overlay = tc.fault
+	}
 	hooks := &bcRecHooks{flipMask: tc.flipMask}
 	res, err := d.launchOn(e, k, LaunchSpec{Grid: tc.grid, Block: tc.block, Args: args, Hooks: hooks, StepBudget: tc.stepBudget})
 	var arenas [][]uint32
@@ -166,17 +166,13 @@ func diffEngines(t *testing.T, tc diffCase) (diffCase, *kir.Kernel, launchRun) {
 // resumeCase runs tc through the resumable entry: the kernel is recorded
 // with hooks that change nothing, then resumed from thread 0 with tc's
 // hooks and no early exit, which must reproduce the full launch. ok is
-// false when the launch is ineligible: an opaque overlay (Record must
-// refuse) or a clean launch that fails.
+// false when the launch is ineligible: a test's load overlay (a closure
+// whose state no trace holds) or a clean launch that fails.
 func resumeCase(t *testing.T, tc diffCase, k *kir.Kernel) (run launchRun, ok bool) {
 	t.Helper()
 	d := New(tc.cfg)
 	spec := LaunchSpec{Grid: tc.grid, Block: tc.block, Args: tc.setup(d, k), Hooks: &bcRecHooks{}}
 	if tc.fault != nil {
-		d.SetMemFault(tc.fault)
-		if tr, _, err := d.Record(k, spec, nil, nil); tr != nil || err == nil {
-			t.Fatalf("Record on a device with an opaque overlay: trace %v, err %v", tr, err)
-		}
 		return launchRun{}, false
 	}
 	tr, _, _ := d.Record(k, spec, nil, nil)
@@ -358,19 +354,19 @@ func TestEnginesDiffSemantics(t *testing.T) {
 			// 33 threads across warp boundaries; nested For + If/Else +
 			// While, unsigned compares, logical ops, conversions.
 			out := b.PtrParam("out", kir.U32)
-			acc := b.Def("acc", kir.U(0))
+			acc := b.Def("acc", kir.ConstU32(0))
 			b.For("i", kir.I(0), kir.I(6), func(i *kir.Var) {
 				b.For("j", kir.I(0), kir.XAdd(kir.V(i), kir.I(1)), func(j *kir.Var) {
-					b.If(kir.XLAnd(kir.XGe(kir.V(j), kir.I(1)), kir.XNe(kir.V(i), kir.I(3))), func() {
+					b.If(kir.XLAnd(kir.Bin{Op: kir.Ge, L: kir.V(j), R: kir.I(1)}, kir.XNe(kir.V(i), kir.I(3))), func() {
 						b.Set(acc, kir.XAdd(kir.V(acc), kir.AsU32(kir.XMul(kir.V(i), kir.V(j)))))
 					}, func() {
-						b.Set(acc, kir.XXor(kir.V(acc), kir.U(0x9e3779b9)))
+						b.Set(acc, kir.XXor(kir.V(acc), kir.ConstU32(0x9e3779b9)))
 					})
 				})
 			})
 			n := b.Def("n", kir.I(4))
 			b.While(kir.XGt(kir.V(n), kir.I(0)), func() {
-				b.Set(acc, kir.XOr(kir.XShl(kir.V(acc), kir.I(1)), kir.XShr(kir.V(acc), kir.I(31))))
+				b.Set(acc, kir.Bin{Op: kir.Or, L: kir.Bin{Op: kir.Shl, L: kir.V(acc), R: kir.I(1)}, R: kir.XShr(kir.V(acc), kir.I(31))})
 				b.Set(n, kir.XSub(kir.V(n), kir.I(1)))
 			})
 			b.Store(out, kir.GlobalID(), kir.V(acc))
@@ -380,7 +376,7 @@ func TestEnginesDiffSemantics(t *testing.T) {
 			x := b.Def("x", kir.XAdd(kir.ToF32(kir.TID()), kir.F(0.5)))
 			y := b.Def("y", kir.XAdd(kir.XSin(kir.V(x)), kir.XCos(kir.V(x))))
 			z := b.Def("z", kir.XAdd(kir.XExp(kir.XNeg(kir.V(x))), kir.XLog(kir.V(x))))
-			w := b.Def("w", kir.XAdd(kir.XRSqrt(kir.V(x)), kir.XFloor(kir.V(y))))
+			w := b.Def("w", kir.XAdd(kir.XRSqrt(kir.V(x)), kir.Call{Fn: kir.Floor, Args: []kir.Expr{kir.V(y)}}))
 			b.Store(out, kir.TID(), kir.XAdd(kir.XAdd(kir.V(y), kir.V(z)), kir.V(w)))
 		}},
 		"hook-intrinsics": {cfg: DefaultConfig(), block: 3, build: func(b *kir.Builder) {
@@ -402,7 +398,7 @@ func TestEnginesDiffSemantics(t *testing.T) {
 				b.Emit(kir.SetSDC{Detector: 1, Kind: kir.DetectRange})
 			}, nil)
 			b.Emit(kir.SetSDC{Detector: 0, Kind: kir.DetectChecksum})
-			b.Sync()
+			b.Emit(kir.Sync{})
 			b.Store(out, kir.TID(), kir.V(acc))
 			_ = k
 		}},

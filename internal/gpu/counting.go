@@ -18,11 +18,6 @@ type HookCounts struct {
 	PerSiteProbe []int64
 }
 
-// Total sums every hook invocation.
-func (c *HookCounts) Total() int64 {
-	return c.Probe + c.CountExec + c.RangeCheck + c.EqualCheck + c.ProfileSample + c.SetSDC
-}
-
 // CountingHooks wraps another Hooks implementation and counts every
 // callback before forwarding it. Like any Hooks value it is driven from
 // a single launch goroutine; share one wrapper across sequential

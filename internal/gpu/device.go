@@ -101,20 +101,14 @@ type Device struct {
 	// engine (Section VI(ii)(c)); launches fail until re-enabled.
 	Disabled bool
 
-	// fault is an optional memory-fault overlay used to emulate
-	// intermittent memory faults (Section II, Figure 3); see SetMemFault.
-	// It is opaque — the closure may carry state of its own — so a device
-	// with one installed cannot be traced or resumed (see Traceable).
-	fault func(addr uint32, val uint32) uint32
-
 	// volLo/volHi bound the volatile region (see SetVolatile); volTick
-	// counts the loads it has served. Unlike fault this is device-owned
-	// state: Snapshot, Restore and the golden trace all cover it.
+	// counts the loads it has served. It is device-owned state, so the
+	// golden trace covers it.
 	volLo, volHi uint32
 	volTick      uint32
 
 	// overlay is what the engine applies to every loaded word: the volatile
-	// model, then the fault closure; nil when neither is installed.
+	// model, or nil when there is no volatile region.
 	overlay func(addr uint32, val uint32) uint32
 
 	// resume is Resume's scratch, kept across calls so a pooled device
@@ -129,9 +123,6 @@ func New(cfg Config) *Device {
 	}
 	return &Device{cfg: cfg}
 }
-
-// Config returns the device configuration.
-func (d *Device) Config() Config { return d.cfg }
 
 // Alloc reserves a buffer of n elem-typed elements. Allocations are page
 // aligned with one unmapped guard page between buffers, so that in ModeCPU
@@ -173,7 +164,7 @@ type Layout struct {
 	volLo, volHi uint32
 }
 
-// Layout returns d's memory map. A SetMemFault closure is not part of it.
+// Layout returns d's memory map.
 func (d *Device) Layout() *Layout {
 	return &Layout{
 		cfg: d.cfg, words: len(d.arena), mapped: slices.Clone(d.mapped), buffers: slices.Clone(d.buffers),
@@ -207,23 +198,12 @@ func (l *Layout) Moved(d *Device, b *Buffer) *Buffer {
 // Buffers returns all allocations (for memory-footprint audits, Fig. 2).
 func (d *Device) Buffers() []*Buffer { return d.buffers }
 
-// ArenaWords returns the current arena size in words.
-func (d *Device) ArenaWords() int { return len(d.arena) }
-
-// SetMemFault installs an overlay applied to every loaded word; nil clears
-// it. It emulates intermittent faults in a memory module or bus
-// (Section II.A, Figure 3b).
-func (d *Device) SetMemFault(f func(addr, val uint32) uint32) {
-	d.fault = f
-	d.setOverlay()
-}
-
 // SetVolatile marks a buffer as memory that agents outside the simulation
 // (thread blocks of other kernels, a host work queue) keep rewriting: every
 // load from it returns the stored word plus a term that changes with each
 // such load, so no read-back ever matches what was written. The tick that
 // drives the term is device state, not closure state, which is what lets a
-// device with a volatile region be snapshotted, traced and resumed.
+// device with a volatile region be traced and resumed.
 func (d *Device) SetVolatile(b *Buffer) {
 	d.volLo, d.volHi = b.Off, b.Off+uint32(b.Len)
 	d.setOverlay()
@@ -238,13 +218,9 @@ func (d *Device) volatileLoad(addr, val uint32) uint32 {
 }
 
 func (d *Device) setOverlay() {
-	switch f := d.fault; {
-	case d.volHi == 0:
-		d.overlay = f
-	case f == nil:
+	d.overlay = nil
+	if d.volHi != 0 {
 		d.overlay = d.volatileLoad
-	default:
-		d.overlay = func(addr, val uint32) uint32 { return f(addr, d.volatileLoad(addr, val)) }
 	}
 }
 
@@ -282,24 +258,6 @@ func (d *Device) WriteI32(b *Buffer, off int, src []int32) {
 	}
 }
 
-// ReadF32 copies n floats out of a buffer starting at element off.
-func (d *Device) ReadF32(b *Buffer, off, n int) []float32 {
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(d.arena[int(b.Off)+off+i])
-	}
-	return out
-}
-
-// ReadI32 copies n integers out of a buffer starting at element off.
-func (d *Device) ReadI32(b *Buffer, off, n int) []int32 {
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(d.arena[int(b.Off)+off+i])
-	}
-	return out
-}
-
 // ReadWords returns the raw words of a buffer.
 func (d *Device) ReadWords(b *Buffer) []uint32 {
 	out := make([]uint32, b.Len)
@@ -312,38 +270,17 @@ func (d *Device) WriteWords(b *Buffer, src []uint32) {
 	copy(d.arena[b.Off:int(b.Off)+b.Len], src)
 }
 
-// FlipBits XORs a mask into one element of a buffer. Used by the memory
-// fault-injection experiments.
-func (d *Device) FlipBits(b *Buffer, idx int, mask uint32) {
-	d.arena[int(b.Off)+idx] ^= mask
-}
-
-// Zero clears a buffer.
-func (d *Device) Zero(b *Buffer) {
-	for i := 0; i < b.Len; i++ {
-		d.arena[int(b.Off)+i] = 0
-	}
-}
-
-// Snapshot is a checkpoint of a device's mutable state: the arena words
-// and the volatile-region tick.
+// Snapshot is a copy of a device's mutable state: the arena words and the
+// volatile-region tick. Tests compare two devices' Snapshots to prove that a
+// resumed launch leaves memory exactly as the full launch does.
 type Snapshot struct {
 	Words []uint32
 	tick  uint32
 }
 
-// Snapshot captures the full arena contents (checkpoint support).
+// Snapshot captures the full arena contents.
 func (d *Device) Snapshot() Snapshot {
 	out := make([]uint32, len(d.arena))
 	copy(out, d.arena)
 	return Snapshot{Words: out, tick: d.volTick}
-}
-
-// Restore reinstates a snapshot taken on this device.
-func (d *Device) Restore(snap Snapshot) {
-	if len(snap.Words) != len(d.arena) {
-		panic("gpu: snapshot size mismatch")
-	}
-	copy(d.arena, snap.Words)
-	d.volTick = snap.tick
 }

@@ -96,3 +96,50 @@ func StatementCounts(k *kir.Kernel, cfg Config) (record, cached int) {
 	cp, _ := programFor(k, cfg)
 	return count(compileProgram(k, cfg.RegsPerThread, true, kir.AnalyzeDelta(k))), count(cp)
 }
+
+// The helpers below are test-only: no shipped binary reads a device back
+// by element type, restores a Snapshot, or resets the program cache.
+
+// U32Arg passes an unsigned scalar.
+func U32Arg(v uint32) Arg { return Arg{Scalar: v} }
+
+// ReadF32 copies n floats out of a buffer starting at element off.
+func (d *Device) ReadF32(b *Buffer, off, n int) []float32 {
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = math.Float32frombits(d.arena[int(b.Off)+off+i])
+	}
+	return out
+}
+
+// ReadI32 copies n integers out of a buffer starting at element off.
+func (d *Device) ReadI32(b *Buffer, off, n int) []int32 {
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(d.arena[int(b.Off)+off+i])
+	}
+	return out
+}
+
+// Restore reinstates a snapshot taken on this device.
+func (d *Device) Restore(snap Snapshot) {
+	if len(snap.Words) != len(d.arena) {
+		panic("gpu: snapshot size mismatch")
+	}
+	copy(d.arena, snap.Words)
+	d.volTick = snap.tick
+}
+
+// resetProgramCache clears the cache and its counters.
+func resetProgramCache() {
+	progCache.Lock()
+	progCache.m = make(map[progKey]*program)
+	progCache.Unlock()
+	progCacheHits.Store(0)
+	progCacheMisses.Store(0)
+}
+
+// Total sums every hook invocation.
+func (c *HookCounts) Total() int64 {
+	return c.Probe + c.CountExec + c.RangeCheck + c.EqualCheck + c.ProfileSample + c.SetSDC
+}

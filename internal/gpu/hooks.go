@@ -8,9 +8,6 @@ type ThreadCtx struct {
 	Thread int // thread index within the block
 }
 
-// Global returns the global thread index.
-func (t ThreadCtx) Global(blockDim int) int { return t.Block*blockDim + t.Thread }
-
 // Hooks is the runtime interface behind the Hauberk intrinsic statements.
 // The FT library (internal/core/hrt), the profiler, and the fault injector
 // (internal/swifi) implement it; a launch without instrumentation passes

@@ -21,9 +21,6 @@ func BufArg(b *Buffer) Arg { return Arg{Buf: b} }
 // I32Arg passes a signed scalar.
 func I32Arg(v int32) Arg { return Arg{Scalar: uint32(v)} }
 
-// U32Arg passes an unsigned scalar.
-func U32Arg(v uint32) Arg { return Arg{Scalar: v} }
-
 // F32Arg passes a float scalar.
 func F32Arg(v float32) Arg { return Arg{Scalar: math.Float32bits(v)} }
 

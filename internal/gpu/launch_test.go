@@ -55,9 +55,9 @@ func TestParallelSerialIdentical(t *testing.T) {
 			setup: bigDiffSetup(5, 33),
 			build: func(b *kir.Builder) {
 				out := b.PtrParam("out", kir.U32)
-				acc := b.Def("acc", kir.U(0))
+				acc := b.Def("acc", kir.ConstU32(0))
 				b.For("i", kir.I(0), kir.XAdd(kir.TID(), kir.I(1)), func(i *kir.Var) {
-					b.Set(acc, kir.XXor(kir.XAdd(kir.V(acc), kir.AsU32(kir.V(i))), kir.U(0x9e3779b9)))
+					b.Set(acc, kir.XXor(kir.XAdd(kir.V(acc), kir.AsU32(kir.V(i))), kir.ConstU32(0x9e3779b9)))
 				})
 				b.Store(out, kir.GlobalID(), kir.V(acc))
 			}},
@@ -142,16 +142,16 @@ func TestWarpDivergenceShapes(t *testing.T) {
 	cases := map[string]func(b *kir.Builder){
 		"if-else-parity": func(b *kir.Builder) {
 			out := b.PtrParam("out", kir.U32)
-			acc := b.Def("acc", kir.U(0))
+			acc := b.Def("acc", kir.ConstU32(0))
 			b.If(kir.XEq(kir.XRem(kir.TID(), kir.I(2)), kir.I(0)), func() {
-				b.Set(acc, kir.XAdd(kir.V(acc), kir.U(1)))
+				b.Set(acc, kir.XAdd(kir.V(acc), kir.ConstU32(1)))
 				b.If(kir.XLt(kir.TID(), kir.I(8)), func() {
-					b.Set(acc, kir.XMul(kir.V(acc), kir.U(3)))
+					b.Set(acc, kir.XMul(kir.V(acc), kir.ConstU32(3)))
 				}, func() {
-					b.Set(acc, kir.XXor(kir.V(acc), kir.U(0xff)))
+					b.Set(acc, kir.XXor(kir.V(acc), kir.ConstU32(0xff)))
 				})
 			}, func() {
-				b.Set(acc, kir.XAdd(kir.V(acc), kir.U(2)))
+				b.Set(acc, kir.XAdd(kir.V(acc), kir.ConstU32(2)))
 			})
 			b.Store(out, kir.GlobalID(), kir.V(acc))
 		},
@@ -165,10 +165,10 @@ func TestWarpDivergenceShapes(t *testing.T) {
 		},
 		"else-less-in-loop": func(b *kir.Builder) {
 			out := b.PtrParam("out", kir.U32)
-			acc := b.Def("acc", kir.U(0))
+			acc := b.Def("acc", kir.ConstU32(0))
 			b.For("i", kir.I(0), kir.I(8), func(i *kir.Var) {
 				b.If(kir.XLt(kir.V(i), kir.XRem(kir.TID(), kir.I(4))), func() {
-					b.Set(acc, kir.XXor(kir.V(acc), kir.XShl(kir.U(1), kir.V(i))))
+					b.Set(acc, kir.XXor(kir.V(acc), kir.Bin{Op: kir.Shl, L: kir.ConstU32(1), R: kir.V(i)}))
 				}, nil)
 			})
 			b.Store(out, kir.GlobalID(), kir.V(acc))
@@ -185,13 +185,13 @@ func TestWarpDivergenceShapes(t *testing.T) {
 		},
 		"nested-loop-branch-mix": func(b *kir.Builder) {
 			out := b.PtrParam("out", kir.U32)
-			acc := b.Def("acc", kir.U(0))
+			acc := b.Def("acc", kir.ConstU32(0))
 			b.For("i", kir.I(0), kir.I(4), func(i *kir.Var) {
 				b.For("j", kir.I(0), kir.XAdd(kir.XRem(kir.TID(), kir.I(3)), kir.I(1)), func(j *kir.Var) {
 					b.If(kir.XGt(kir.V(j), kir.V(i)), func() {
-						b.Set(acc, kir.XAdd(kir.V(acc), kir.U(5)))
+						b.Set(acc, kir.XAdd(kir.V(acc), kir.ConstU32(5)))
 					}, func() {
-						b.Set(acc, kir.XOr(kir.XShl(kir.V(acc), kir.I(1)), kir.U(1)))
+						b.Set(acc, kir.Bin{Op: kir.Or, L: kir.Bin{Op: kir.Shl, L: kir.V(acc), R: kir.I(1)}, R: kir.ConstU32(1)})
 					})
 				})
 			})
@@ -314,16 +314,16 @@ func TestMemFaultLaunchStaysDeterministic(t *testing.T) {
 	b := kir.NewBuilder("memfault")
 	out := b.PtrParam("out", kir.U32)
 	v := b.Def("v", kir.Load{Base: out, Index: kir.GlobalID()})
-	b.Store(out, kir.GlobalID(), kir.XAdd(kir.V(v), kir.U(1)))
+	b.Store(out, kir.GlobalID(), kir.XAdd(kir.V(v), kir.ConstU32(1)))
 	k := b.Kernel()
 	run := func(e engine) []uint32 {
 		d := New(DefaultConfig())
 		buf := d.Alloc("out", kir.U32, 512)
 		calls := uint32(0)
-		d.SetMemFault(func(addr, val uint32) uint32 {
+		d.overlay = func(addr, val uint32) uint32 {
 			calls++
 			return val ^ (calls & 1) // value depends on the observation order
-		})
+		}
 		if _, err := d.launchOn(e, k, LaunchSpec{Grid: 8, Block: 64, Args: []Arg{BufArg(buf)}}); err != nil {
 			t.Fatal(err)
 		}

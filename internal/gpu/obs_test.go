@@ -45,7 +45,8 @@ func TestLaunchEmitsTelemetry(t *testing.T) {
 	if fields["kernel"] != "tiny" || fields["status"] != "ok" {
 		t.Fatalf("retire fields = %v", fields)
 	}
-	if c, ok := fields["cycles"].(float64); !ok || c <= 0 {
+	cycles, ok := fields["cycles"].(float64)
+	if !ok || cycles <= 0 {
 		t.Fatalf("retire cycles = %v", fields["cycles"])
 	}
 
@@ -53,8 +54,8 @@ func TestLaunchEmitsTelemetry(t *testing.T) {
 	if got := m.Counter("hauberk_kernel_launches_total", "kernel", "tiny", "status", "ok").Value(); got != 1 {
 		t.Fatalf("launch counter = %d, want 1", got)
 	}
-	if got := m.Histogram("hauberk_kernel_cycles", kernelCycleBuckets, "kernel", "tiny").Count(); got != 1 {
-		t.Fatalf("cycle histogram count = %d, want 1", got)
+	if got := m.Histogram("hauberk_kernel_cycles", kernelCycleBuckets, "kernel", "tiny").Sum(); got != cycles {
+		t.Fatalf("cycle histogram sum = %v, want the one retired launch's %v cycles", got, cycles)
 	}
 	// One engine, one mode: external readers (bench/trace.go) compute the
 	// serial share from this counter and must not see 0/0.

@@ -239,13 +239,6 @@ func wordRuns(last []int32) []wordRun {
 	return runs
 }
 
-// Traceable reports whether launches on this device can be recorded and
-// resumed: not with an opaque SetMemFault closure installed (its state is
-// invisible to Restore).
-func (d *Device) Traceable() bool {
-	return d.fault == nil
-}
-
 // tracedLaunch is one launch run thread by thread — the state Record and
 // Resume share. Per-thread counters, live or golden, are folded into the
 // Result in serial order with runProgram's arithmetic term for term, so
@@ -264,9 +257,6 @@ type tracedLaunch struct {
 // the kernel compiled with the recorder's notes (compileProgram), any other
 // the cached program every launch runs.
 func (d *Device) newTracedLaunch(k *kir.Kernel, spec *LaunchSpec, record bool) (*tracedLaunch, error) {
-	if !d.Traceable() {
-		return nil, &LaunchError{Reason: "device is not traceable"}
-	}
 	if err := d.checkLaunch(k, *spec); err != nil {
 		return nil, err
 	}

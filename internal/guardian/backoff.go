@@ -18,9 +18,6 @@ type BackoffPolicy struct {
 	Max int64
 }
 
-// DefaultBackoff is the paper's doubling schedule starting at one unit.
-func DefaultBackoff() BackoffPolicy { return BackoffPolicy{Init: 1, Factor: 2} }
-
 // normalized fills defaulted fields.
 func (p BackoffPolicy) normalized() BackoffPolicy {
 	if p.Init <= 0 {

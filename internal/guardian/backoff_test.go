@@ -7,7 +7,7 @@ import (
 )
 
 func TestBackoffPolicySchedule(t *testing.T) {
-	p := DefaultBackoff()
+	p := BackoffPolicy{Init: 1, Factor: 2}
 	if p.First() != 1 {
 		t.Fatalf("First() = %d, want 1", p.First())
 	}

@@ -21,7 +21,6 @@ package guardian
 
 import (
 	"errors"
-	"fmt"
 
 	"hauberk/internal/core/hrt"
 	"hauberk/internal/gpu"
@@ -370,13 +369,3 @@ func wordsEqual(a, b []uint32) bool {
 	}
 	return true
 }
-
-// ToleranceIdentical builds the nondeterministic-output comparison of
-// Section VI(ii)(a): outputs are treated as identical when every element
-// differs by no more than twice the program's correctness tolerance.
-func ToleranceIdentical(check func(golden, actual []uint32) bool) func(a, b []uint32) bool {
-	return func(a, b []uint32) bool { return check(a, b) }
-}
-
-// Error formats for gave-up cases in CLI contexts.
-var ErrNoDevices = fmt.Errorf("guardian: no healthy devices available")

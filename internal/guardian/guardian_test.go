@@ -203,27 +203,6 @@ func TestPoolBackoffDoublesAndReenables(t *testing.T) {
 	}
 }
 
-func TestCheckpointRestore(t *testing.T) {
-	d := gpu.New(gpu.DefaultConfig())
-	buf := d.Alloc("b", kir.I32, 4)
-	d.WriteI32(buf, 0, []int32{1, 2, 3, 4})
-	cp := Capture(d)
-	d.WriteI32(buf, 0, []int32{9, 8, 7, 6})
-	if err := cp.Restore(); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.ReadI32(buf, 0, 4); got[0] != 1 || got[3] != 4 {
-		t.Fatalf("restore failed: %v", got)
-	}
-	if cp.Words() == 0 {
-		t.Fatalf("checkpoint empty")
-	}
-	var nilCp *Checkpoint
-	if err := nilCp.Restore(); err == nil {
-		t.Fatalf("nil checkpoint restore must error")
-	}
-}
-
 func TestSuperviseRequiresPool(t *testing.T) {
 	if _, err := Supervise(Config{}, scripted(ok())); err == nil {
 		t.Fatalf("want error without a pool")

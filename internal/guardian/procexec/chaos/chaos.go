@@ -189,8 +189,3 @@ func (p *Plan) Net(seq int) Mode {
 	}
 	return p.net[seq]
 }
-
-// Empty reports whether the plan injects nothing.
-func (p *Plan) Empty() bool {
-	return p == nil || (len(p.worker) == 0 && len(p.spawn) == 0 && len(p.net) == 0)
-}

@@ -113,3 +113,8 @@ func TestModeString(t *testing.T) {
 		}
 	}
 }
+
+// Empty reports whether the plan injects nothing.
+func (p *Plan) Empty() bool {
+	return p == nil || (len(p.worker) == 0 && len(p.spawn) == 0 && len(p.net) == 0)
+}

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"hauberk/internal/core/translate"
 	"hauberk/internal/kir"
@@ -371,14 +370,4 @@ func AllFigures(e *Env) ([]*Table, error) {
 		out = append(out, tbl)
 	}
 	return out, nil
-}
-
-// RenderAll renders all tables as one text report.
-func RenderAll(tables []*Table) string {
-	var sb strings.Builder
-	for _, t := range tables {
-		sb.WriteString(t.Render())
-		sb.WriteString("\n")
-	}
-	return sb.String()
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"hauberk/internal/core/ranges"
 	"hauberk/internal/core/translate"
+	"hauberk/internal/kir"
 )
 
 // forceFullLaunch makes every injection against golden under (e.Config,
@@ -35,4 +36,22 @@ func (e *Env) forceBackstopBudget(golden *GoldenRun, store *ranges.Store, mode t
 // trace of the same launch.
 func (g *GoldenRun) twin() *GoldenRun {
 	return &GoldenRun{Spec: g.Spec, Dataset: g.Dataset, Output: g.Output, Result: g.Result}
+}
+
+// SDCRatio returns the SDC fraction for a data class.
+func (s *SensitivityResult) SDCRatio(c kir.DataClass) float64 {
+	t := s.ByClass[c]
+	if t == nil {
+		return 0
+	}
+	return t.Frac(OutcomeUndetected)
+}
+
+// FailureRatio returns the crash/hang fraction for a data class.
+func (s *SensitivityResult) FailureRatio(c kir.DataClass) float64 {
+	t := s.ByClass[c]
+	if t == nil {
+		return 0
+	}
+	return t.Frac(OutcomeFailure)
 }

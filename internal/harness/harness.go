@@ -23,7 +23,6 @@ type Variant string
 
 // Evaluation variants.
 const (
-	Baseline  Variant = "baseline"
 	RNaive    Variant = "r-naive"
 	RScatter  Variant = "r-scatter"
 	HauberkNL Variant = "hauberk-nl"

@@ -20,24 +20,6 @@ type SensitivityResult struct {
 	Runs int
 }
 
-// SDCRatio returns the SDC fraction for a data class.
-func (s *SensitivityResult) SDCRatio(c kir.DataClass) float64 {
-	t := s.ByClass[c]
-	if t == nil {
-		return 0
-	}
-	return t.Frac(OutcomeUndetected)
-}
-
-// FailureRatio returns the crash/hang fraction for a data class.
-func (s *SensitivityResult) FailureRatio(c kir.DataClass) float64 {
-	t := s.ByClass[c]
-	if t == nil {
-		return 0
-	}
-	return t.Frac(OutcomeFailure)
-}
-
 // Sensitivity runs the Figure 1 study for a program group: one FI-mode
 // campaign of single-bit errors (SEU emulation) per program, tallied per
 // data class. cpuMode runs the programs on a page-protected scalar device,

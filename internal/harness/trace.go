@@ -71,10 +71,9 @@ type goldenTrace struct {
 	// trace (see hangBudget), from the clean run's longest thread.
 	hangBudget int
 
-	// mem is nil when the launch is ineligible for resume: the device
-	// carries an opaque overlay closure, the engine is the tree-walking
-	// oracle, or the clean launch stores more than a trace holds. Such
-	// injections take a fresh device and the full Device.Launch.
+	// mem is nil when the launch is ineligible for resume: the clean
+	// launch stores more than a trace holds. Such injections take a fresh
+	// device and the full Device.Launch.
 	mem *gpu.Trace
 	// probes[site*threads+t] counts thread t's Probe calls at site. The
 	// state saved with each of a thread's checkpoints is the thread's
@@ -138,30 +137,26 @@ func (e *Env) recordTrace(spec *workloads.Spec, golden *GoldenRun, store *ranges
 	lspec := td.launchSpec(rt, 0)
 	var res *gpu.Result
 	var lerr error
-	if !td.d.Traceable() {
-		res, lerr = td.d.Launch(tr.Kernel, lspec)
-	} else {
-		threads := lspec.Grid * lspec.Block
-		counts := make([]uint32, len(tr.Sites))
-		gt.probes = make([]uint32, len(counts)*threads)
-		rt.Inject = func(_ gpu.ThreadCtx, site int, _ *kir.Var, _ kir.HW, val uint32) (uint32, bool) {
-			if site >= 0 && site < len(counts) {
-				counts[site]++
-			}
-			return val, false
+	threads := lspec.Grid * lspec.Block
+	counts := make([]uint32, len(tr.Sites))
+	gt.probes = make([]uint32, len(counts)*threads)
+	rt.Inject = func(_ gpu.ThreadCtx, site int, _ *kir.Var, _ kir.HW, val uint32) (uint32, bool) {
+		if site >= 0 && site < len(counts) {
+			counts[site]++
 		}
-		alarms := 0 // raised before the current thread
-		gt.mem, res, lerr = td.d.Record(tr.Kernel, lspec, func(t int) {
-			for site := range counts {
-				gt.probes[site*threads+t] = counts[site]
-				counts[site] = 0
-			}
-			alarms = len(cb.Alarms())
-			gt.alarmEnd = append(gt.alarmEnd, int32(alarms))
-		}, func(_ int, state []uint32) []uint32 {
-			return append(append(state, counts...), uint32(len(cb.Alarms())-alarms))
-		})
+		return val, false
 	}
+	alarms := 0 // raised before the current thread
+	gt.mem, res, lerr = td.d.Record(tr.Kernel, lspec, func(t int) {
+		for site := range counts {
+			gt.probes[site*threads+t] = counts[site]
+			counts[site] = 0
+		}
+		alarms = len(cb.Alarms())
+		gt.alarmEnd = append(gt.alarmEnd, int32(alarms))
+	}, func(_ int, state []uint32) []uint32 {
+		return append(append(state, counts...), uint32(len(cb.Alarms())-alarms))
+	})
 	// The clean run is the baseline of the watchdog, of the hang budget and
 	// of every resumed launch: one that fails, or computes something else
 	// than the golden run, must fail the campaign, not quietly run it on

@@ -296,7 +296,9 @@ func TestBrokenCleanRunFailsCampaign(t *testing.T) {
 		"wrong output": func(inst *workloads.Instance, d *gpu.Device) {
 			for _, a := range inst.Args {
 				if a.Buf != nil {
-					d.FlipBits(a.Buf, 0, 1<<30)
+					w := d.ReadWords(a.Buf)
+					w[0] ^= 1 << 30
+					d.WriteWords(a.Buf, w)
 				}
 			}
 		},
@@ -329,53 +331,6 @@ func TestBrokenCleanRunFailsCampaign(t *testing.T) {
 				t.Fatal("durable campaign against a broken clean run succeeded")
 			}
 		})
-	}
-}
-
-// TestOpaqueOverlayIsIneligible: a program whose set-up installs a
-// SetMemFault closure takes the full path — decided from the device, not
-// from its name — and still classifies as before.
-func TestOpaqueOverlayIsIneligible(t *testing.T) {
-	e := NewEnv(tinyScale())
-	base := workloads.ByName("RPES")
-	spec := *base
-	spec.Setup = func(d *gpu.Device, ds workloads.Dataset) *workloads.Instance {
-		inst := base.Setup(d, ds)
-		d.SetMemFault(func(_, v uint32) uint32 { return v })
-		return inst
-	}
-	ds := workloads.Dataset{}
-	golden, err := e.Golden(&spec, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, err := e.Profile(&spec, []workloads.Dataset{ds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gt, err := e.goldenTrace(&spec, golden, prof.Store, translate.ModeFIFT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gt.mem != nil {
-		t.Fatal("a launch with an opaque overlay closure was recorded")
-	}
-	plainGolden, err := e.Golden(base, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, inj := range e.PlanCampaign(&spec, prof, e.Scale.BitCounts) {
-		want, err := e.RunInjection(base, plainGolden, prof.Store, translate.ModeFIFT, inj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := e.RunInjection(&spec, golden, prof.Store, translate.ModeFIFT, inj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *want != *got {
-			t.Fatalf("%s: identity overlay changed the result: %+v vs %+v", inj.Cmd.Key(), want, got)
-		}
 	}
 }
 

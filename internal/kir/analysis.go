@@ -239,9 +239,6 @@ func (a *Analysis) computeOutputs() {
 	}
 }
 
-// RegionVar reports whether v is defined or assigned inside the region.
-func (li *LoopInfo) RegionVar(v *Var) bool { return li.regionVars[v] }
-
 // BackwardDep computes the cumulative backward dataflow dependency of v
 // within the loop region (Figure 9): the number of distinct region
 // variables that are directly or indirectly used to compute v, plus the
@@ -286,31 +283,6 @@ func (li *LoopInfo) BackwardCone(v *Var) map[*Var]bool {
 	}
 	dfs(v)
 	return visited
-}
-
-// ForwardDependents returns the set of region variables that (directly or
-// indirectly) consume v's value. Used by the selection algorithm: once a
-// variable is selected for protection, everything with forward dataflow to
-// it is already covered (Section V.B step i).
-func (li *LoopInfo) ForwardDependents(v *Var) map[*Var]bool {
-	out := make(map[*Var]bool)
-	changed := true
-	for changed {
-		changed = false
-		for dst, deps := range li.directDeps {
-			if out[dst] {
-				continue
-			}
-			for d := range deps {
-				if d == v || out[d] {
-					out[dst] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return out
 }
 
 // TripCount returns an expression for the loop's iteration count

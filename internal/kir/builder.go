@@ -129,9 +129,6 @@ func (b *Builder) If(cond Expr, then func(), els func()) {
 	b.emit(s)
 }
 
-// Sync emits a barrier.
-func (b *Builder) Sync() { b.emit(Sync{}) }
-
 // Emit appends an arbitrary statement at the current position. It is how
 // callers place the Hauberk intrinsic statements (RangeCheck, FIProbe, ...)
 // that have no dedicated builder verb.

@@ -13,12 +13,21 @@ import (
 func loadSites(k *kir.Kernel, d *kir.Delta) map[string]bool {
 	out := make(map[string]bool)
 	kir.WalkStmts(k.Body, func(s kir.Stmt) bool {
-		if def, ok := s.(kir.Define); ok && kir.HasLoad(def.E) {
+		if def, ok := s.(kir.Define); ok && hasLoad(def.E) {
 			_, out[def.Dst.Name] = d.Load(def)
 		}
 		return true
 	})
 	return out
+}
+
+func hasLoad(e kir.Expr) bool {
+	found := false
+	kir.WalkExpr(e, func(x kir.Expr) bool {
+		_, found = x.(kir.Load)
+		return !found
+	})
+	return found
 }
 
 func stores(k *kir.Kernel) []kir.Store {

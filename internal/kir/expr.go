@@ -255,12 +255,3 @@ func ConstI32(v int32) Const { return Const{T: I32, Bits: uint32(v)} }
 
 // ConstU32 builds a U32 literal.
 func ConstU32(v uint32) Const { return Const{T: U32, Bits: v} }
-
-// ConstBool builds a Bool literal.
-func ConstBool(v bool) Const {
-	var b uint32
-	if v {
-		b = 1
-	}
-	return Const{T: Bool, Bits: b}
-}

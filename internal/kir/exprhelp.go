@@ -13,9 +13,6 @@ func F(v float32) Expr { return ConstF32(v) }
 // I builds an I32 literal.
 func I(v int32) Expr { return ConstI32(v) }
 
-// U builds a U32 literal.
-func U(v uint32) Expr { return ConstU32(v) }
-
 // XAdd returns l + r.
 func XAdd(l, r Expr) Expr { return Bin{Op: Add, L: l, R: r} }
 
@@ -34,14 +31,8 @@ func XRem(l, r Expr) Expr { return Bin{Op: Rem, L: l, R: r} }
 // XAnd returns l & r.
 func XAnd(l, r Expr) Expr { return Bin{Op: And, L: l, R: r} }
 
-// XOr returns l | r.
-func XOr(l, r Expr) Expr { return Bin{Op: Or, L: l, R: r} }
-
 // XXor returns l ^ r.
 func XXor(l, r Expr) Expr { return Bin{Op: Xor, L: l, R: r} }
-
-// XShl returns l << r.
-func XShl(l, r Expr) Expr { return Bin{Op: Shl, L: l, R: r} }
 
 // XShr returns l >> r.
 func XShr(l, r Expr) Expr { return Bin{Op: Shr, L: l, R: r} }
@@ -55,14 +46,8 @@ func XNe(l, r Expr) Expr { return Bin{Op: Ne, L: l, R: r} }
 // XLt returns l < r.
 func XLt(l, r Expr) Expr { return Bin{Op: Lt, L: l, R: r} }
 
-// XLe returns l <= r.
-func XLe(l, r Expr) Expr { return Bin{Op: Le, L: l, R: r} }
-
 // XGt returns l > r.
 func XGt(l, r Expr) Expr { return Bin{Op: Gt, L: l, R: r} }
-
-// XGe returns l >= r.
-func XGe(l, r Expr) Expr { return Bin{Op: Ge, L: l, R: r} }
 
 // XLAnd returns l && r.
 func XLAnd(l, r Expr) Expr { return Bin{Op: LAnd, L: l, R: r} }
@@ -94,9 +79,6 @@ func XCos(x Expr) Expr { return Call{Fn: Cos, Args: []Expr{x}} }
 // XAbs returns |x|.
 func XAbs(x Expr) Expr { return Call{Fn: Abs, Args: []Expr{x}} }
 
-// XFloor returns floor(x).
-func XFloor(x Expr) Expr { return Call{Fn: Floor, Args: []Expr{x}} }
-
 // XMin returns min(l, r).
 func XMin(l, r Expr) Expr { return Call{Fn: Min, Args: []Expr{l, r}} }
 
@@ -120,9 +102,6 @@ func BID() Expr { return Special{Kind: BlockIdx} }
 
 // BDim is blockDim.x.
 func BDim() Expr { return Special{Kind: BlockDim} }
-
-// GDim is gridDim.x.
-func GDim() Expr { return Special{Kind: GridDim} }
 
 // GlobalID is blockIdx.x*blockDim.x + threadIdx.x.
 func GlobalID() Expr { return XAdd(XMul(BID(), BDim()), TID()) }

@@ -56,9 +56,6 @@ func (k *Kernel) VarByName(name string) *Var {
 	return nil
 }
 
-// Param returns the i-th parameter.
-func (k *Kernel) Param(i int) *Var { return k.Params[i] }
-
 func (k *Kernel) String() string {
 	return fmt.Sprintf("kernel %s (%d params, %d vars)", k.Name, len(k.Params), len(k.vars))
 }

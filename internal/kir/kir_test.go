@@ -164,9 +164,6 @@ func TestWalkStmtsVisitsNested(t *testing.T) {
 	if loops != 1 {
 		t.Fatalf("loops = %d, want 1", loops)
 	}
-	if count != CountStmts(k.Body) {
-		t.Fatalf("CountStmts disagrees with WalkStmts: %d", count)
-	}
 	// Pruning skips the loop body.
 	pruned := 0
 	WalkStmts(k.Body, func(s Stmt) bool {
@@ -206,9 +203,6 @@ func TestExprUsesAndReadsVar(t *testing.T) {
 	if !ReadsVar(yDef.E, x) || ReadsVar(yDef.E, y) {
 		t.Fatalf("ReadsVar misclassified")
 	}
-	if HasLoad(yDef.E) {
-		t.Fatalf("y's definition has no load")
-	}
 }
 
 func TestConstRoundTrips(t *testing.T) {
@@ -217,9 +211,6 @@ func TestConstRoundTrips(t *testing.T) {
 	}
 	if ConstI32(-7).Int() != -7 {
 		t.Fatalf("I32 round trip")
-	}
-	if ConstBool(true).Bits != 1 || ConstBool(false).Bits != 0 {
-		t.Fatalf("bool encoding")
 	}
 }
 
@@ -250,7 +241,7 @@ func TestPrintCoversAllStatementKinds(t *testing.T) {
 	b.While(XGt(V(x), I(0)), func() {
 		b.Set(x, XShr(V(x), I(1)))
 	})
-	b.Sync()
+	b.emit(Sync{})
 	b.Store(out, I(0), V(x))
 	k := b.Kernel()
 	k.Body = append(k.Body,
@@ -280,16 +271,16 @@ func TestPrintCoversAllStatementKinds(t *testing.T) {
 func TestExprStringOperators(t *testing.T) {
 	cases := map[string]Expr{
 		"(1 % 2)":         XRem(I(1), I(2)),
-		"(1u | 2u)":       XOr(U(1), U(2)),
-		"(1 << 2)":        XShl(I(1), I(2)),
+		"(1u | 2u)":       Bin{Op: Or, L: ConstU32(1), R: ConstU32(2)},
+		"(1 << 2)":        Bin{Op: Shl, L: I(1), R: I(2)},
 		"-x":              XNeg(VarRef{V: &Var{Name: "x", Type: I32}}),
 		"min(1f, 2f)":     XMin(F(1), F(2)),
-		"floor(1.5f)":     XFloor(F(1.5)),
+		"floor(1.5f)":     Call{Fn: Floor, Args: []Expr{F(1.5)}},
 		"(i32)1.5f":       ToI32(F(1.5)),
 		"__bits<u32>(1f)": AsU32(F(1)),
-		"(true && false)": XLAnd(ConstBool(true), ConstBool(false)),
+		"(true && false)": XLAnd(Const{T: Bool, Bits: 1}, Const{T: Bool}),
 		"blockDim.x":      BDim(),
-		"gridDim.x":       GDim(),
+		"gridDim.x":       Special{Kind: GridDim},
 	}
 	for want, e := range cases {
 		if got := ExprString(e); got != want {

@@ -40,18 +40,6 @@ func ExprUses(dst []*Var, e Expr) []*Var {
 	return dst
 }
 
-// HasLoad reports whether e contains a memory load.
-func HasLoad(e Expr) bool {
-	found := false
-	WalkExpr(e, func(x Expr) bool {
-		if _, ok := x.(Load); ok {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 // ReadsVar reports whether e reads v.
 func ReadsVar(e Expr, v *Var) bool {
 	found := false
@@ -123,11 +111,4 @@ func StmtDef(s Stmt) *Var {
 		return n.Iter
 	}
 	return nil
-}
-
-// CountStmts counts all statements in b, including nested ones.
-func CountStmts(b Block) int {
-	n := 0
-	WalkStmts(b, func(Stmt) bool { n++; return true })
-	return n
 }

@@ -169,10 +169,6 @@ func (s *Subscriber) Replay() []Event { return s.replay }
 // the broadcaster closes.
 func (s *Subscriber) Events() <-chan Event { return s.ch }
 
-// Dropped returns how many events this subscriber missed because its
-// buffer was full.
-func (s *Subscriber) Dropped() int64 { return s.dropped.Load() }
-
 // Close detaches the subscriber; its Events channel closes. Safe to
 // call more than once and concurrently with Emit: channel close happens
 // under the broadcaster's write lock, which excludes in-flight sends.

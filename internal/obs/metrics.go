@@ -186,16 +186,6 @@ func (r *Registry) Gauge(family string, labels ...string) *Gauge {
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add increments the gauge by delta (CAS loop).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -249,15 +239,8 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Sum returns the total of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// BucketCount returns the non-cumulative count of bucket i (i ==
-// len(bounds) is the +Inf overflow bucket).
-func (h *Histogram) BucketCount(i int) int64 { return h.buckets[i].Load() }
 
 func (h *Histogram) family() string   { return h.fam }
 func (h *Histogram) labels() string   { return h.lab }

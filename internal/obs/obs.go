@@ -43,15 +43,13 @@ const (
 
 	// Guardian / recovery (internal/guardian), one event per Figure 11
 	// state transition.
-	EvGuardianRun     = "guardian.execution"       // attempt, device, status, sdc, alarms, cycles
-	EvDiagnosis       = "guardian.diagnosis"       // diagnosis, executions, false_alarm, disabled
-	EvBIST            = "guardian.bist"            // device, pass
-	EvDeviceDisable   = "guardian.device_disable"  // device, backoff
-	EvDeviceReenable  = "guardian.device_reenable" // device
-	EvBackoff         = "guardian.backoff"         // device, backoff (failed retest, Tbackoff doubled)
-	EvAlpha           = "guardian.alpha"           // alpha, direction, fp_ratio
-	EvRangeWiden      = "guardian.range_widen"     // detector, value (on-line learning absorbed a value)
-	EvCheckpointStore = "guardian.checkpoint"      // words
+	EvGuardianRun    = "guardian.execution"       // attempt, device, status, sdc, alarms, cycles
+	EvDiagnosis      = "guardian.diagnosis"       // diagnosis, executions, false_alarm, disabled
+	EvBIST           = "guardian.bist"            // device, pass
+	EvDeviceDisable  = "guardian.device_disable"  // device, backoff
+	EvDeviceReenable = "guardian.device_reenable" // device
+	EvBackoff        = "guardian.backoff"         // device, backoff (failed retest, Tbackoff doubled)
+	EvRangeWiden     = "guardian.range_widen"     // detector, value (on-line learning absorbed a value)
 
 	// Campaign progress (internal/harness).
 	EvCampaignStart    = "campaign.start"    // program, injections, mode
@@ -244,9 +242,6 @@ func New(sink Sink) *Telemetry {
 	}
 	return &Telemetry{sink: sink, reg: NewRegistry(), clock: time.Now, enabled: true}
 }
-
-// SetClock replaces the wall-clock source (deterministic tests).
-func (t *Telemetry) SetClock(clock func() time.Time) { t.clock = clock }
 
 // Enabled reports whether anyone is listening. Hot paths check it before
 // building fields, which keeps the disabled path allocation-free.

@@ -27,9 +27,6 @@ func (t *Telemetry) Span(typ string) Span {
 	return Span{t: t, typ: typ, start: t.clock()}
 }
 
-// Active reports whether the span will emit on End.
-func (s Span) Active() bool { return s.t != nil }
-
 // End emits the span event with the caller's fields plus dur_ns.
 func (s Span) End(fields ...Field) {
 	if s.t == nil {
@@ -37,13 +34,4 @@ func (s Span) End(fields ...Field) {
 	}
 	dur := s.t.clock().Sub(s.start)
 	s.t.Emit(s.typ, append(fields, Int("dur_ns", dur.Nanoseconds()))...)
-}
-
-// Elapsed returns the time since the span started (zero for an inert
-// span).
-func (s Span) Elapsed() time.Duration {
-	if s.t == nil {
-		return 0
-	}
-	return s.t.clock().Sub(s.start)
 }

@@ -115,8 +115,6 @@ func describe(e *DecodedEvent) string {
 		return pick("device", "pass")
 	case EvDeviceDisable, EvBackoff:
 		return pick("device", "backoff")
-	case EvAlpha:
-		return pick("alpha", "direction", "fp_ratio")
 	case EvRangeWiden:
 		return pick("detector", "value")
 	case EvCampaignStart, EvCampaignProgress, EvCampaignDone:

@@ -135,16 +135,6 @@ func (s *scheduler) CancelQueued(id string) *Campaign {
 	return nil
 }
 
-// QueueDepth returns the tenant's current queue length.
-func (s *scheduler) QueueDepth(tenant string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t := s.tenants[tenant]; t != nil {
-		return len(t.queue)
-	}
-	return 0
-}
-
 // RetryAfter estimates (in whole seconds, minimum 1) how long a
 // rejected client should wait before resubmitting: one dispatch slot's
 // worth of the queue draining.
@@ -272,13 +262,6 @@ func (s *scheduler) AwaitIdle(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// Drain is StopDispatch followed by AwaitIdle — the full stop sequence
-// when the caller has no per-campaign contexts to cancel in between.
-func (s *scheduler) Drain(ctx context.Context) error {
-	s.StopDispatch()
-	return s.AwaitIdle(ctx)
 }
 
 // Running returns how many campaigns are currently executing.

@@ -210,3 +210,20 @@ func TestSchedulerDrainWaitsForRunning(t *testing.T) {
 		t.Fatalf("await idle after release: %v", err)
 	}
 }
+
+// QueueDepth returns the tenant's current queue length.
+func (s *scheduler) QueueDepth(tenant string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if t := s.tenants[tenant]; t != nil {
+		return len(t.queue)
+	}
+	return 0
+}
+
+// Drain is StopDispatch followed by AwaitIdle — the full stop sequence
+// when the caller has no per-campaign contexts to cancel in between.
+func (s *scheduler) Drain(ctx context.Context) error {
+	s.StopDispatch()
+	return s.AwaitIdle(ctx)
+}

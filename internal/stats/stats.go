@@ -92,33 +92,11 @@ func (h *DecadeHist) Peak() float64 {
 	return float64(best) / float64(h.Total)
 }
 
-// Peak2 returns the largest probability mass held by two adjacent decades
-// of the same sign (the paper's integer observation: values computed by
-// the same code fragment are "likely to be in adjacent two units of powers
-// of 10s").
-func (h *DecadeHist) Peak2() float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	best := h.Zero
-	scan := func(b []int64) {
-		for i := 0; i < len(b); i++ {
-			s := b[i]
-			if i+1 < len(b) {
-				s += b[i+1]
-			}
-			if s > best {
-				best = s
-			}
-		}
-	}
-	scan(h.Neg)
-	scan(h.Pos)
-	return float64(best) / float64(h.Total)
-}
-
-// MagPeak2 is Peak2 over magnitudes: negative and positive masses of the
-// same decade combine. The paper observes that a variable's negative and
+// MagPeak2 returns the largest probability mass held by two adjacent
+// decades of magnitude — negative and positive masses of the same decade
+// combine (the paper's integer observation: values computed by the same
+// code fragment are "likely to be in adjacent two units of powers of
+// 10s"). The paper observes that a variable's negative and
 // positive correlation points sit at similar magnitude ("most of [the]
 // correlation values have same order of magnitude"), so magnitude
 // concentration is the property the range detector exploits.
@@ -176,12 +154,4 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Percent formats a ratio as a percentage with one decimal.
-func Percent(num, den float64) string {
-	if den == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.1f%%", 100*num/den)
 }

@@ -50,8 +50,8 @@ func TestDecadeHistPeaks(t *testing.T) {
 	if got := h.Peak(); math.Abs(got-0.6) > 1e-9 {
 		t.Fatalf("Peak = %f, want 0.6", got)
 	}
-	if got := h.Peak2(); math.Abs(got-1.0) > 1e-9 {
-		t.Fatalf("Peak2 = %f, want 1.0 (adjacent decades)", got)
+	if got := h.MagPeak2(); math.Abs(got-1.0) > 1e-9 {
+		t.Fatalf("MagPeak2 = %f, want 1.0 (adjacent decades)", got)
 	}
 }
 
@@ -106,11 +106,5 @@ func TestMeanAndPercent(t *testing.T) {
 	}
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Fatalf("Mean = %f", got)
-	}
-	if got := Percent(1, 4); got != "25.0%" {
-		t.Fatalf("Percent = %s", got)
-	}
-	if got := Percent(1, 0); got != "n/a" {
-		t.Fatalf("Percent by zero = %s", got)
 	}
 }

@@ -140,9 +140,6 @@ func (inj *Injector) Probe(_ gpu.ThreadCtx, site int, v *kir.Var, hw kir.HW, val
 	return val ^ inj.Cmd.Mask, true
 }
 
-// Executions returns how many times the armed site ran.
-func (inj *Injector) Executions() int64 { return inj.count }
-
 // Preset tells an armed injector that the site already ran executions
 // times, none of them at or past the target instance — the state a launch
 // resumed part-way (gpu.Device.Resume) must start its hooks in.

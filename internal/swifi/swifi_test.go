@@ -296,3 +296,6 @@ func TestCommandKeyStability(t *testing.T) {
 		t.Fatalf("Count 1 key %q differs from Count 0 key %q", one.Key(), c.Key())
 	}
 }
+
+// Executions returns how many times the armed site ran.
+func (inj *Injector) Executions() int64 { return inj.count }

@@ -78,15 +78,15 @@ func TestSADSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := inst.ReadOutput()
-	cur := d.ReadI32(inst.Args[0].Buf, 0, sadFrame)
-	ref := d.ReadI32(inst.Args[1].Buf, 0, sadFrame)
+	cur := d.ReadWords(inst.Args[0].Buf)
+	ref := d.ReadWords(inst.Args[1].Buf)
 	for tid := 0; tid < 8; tid++ { // spot-check the first macroblocks
 		base := tid * sadPixels
 		best := int32(1 << 20)
 		for pos := 0; pos < sadPositions; pos++ {
 			acc := int32(0)
 			for px := 0; px < sadPixels; px++ {
-				dd := cur[base+px] - ref[base+pos*4+px]
+				dd := int32(cur[base+px]) - int32(ref[base+pos*4+px])
 				if dd < 0 {
 					dd = -dd
 				}
