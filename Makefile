@@ -46,17 +46,19 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# lint is go vet, the reachability guard, the HTTP-client guard and
-# staticcheck. The reachability guard (reach_test.go, ~5 s) fails on any
-# non-test declaration that no package main (cmd/*, examples/*, bench)
-# reaches; it also runs under `go test ./...`. The HTTP-client guard keeps
+# lint is go vet, the reachability and field guards, the HTTP-client guard
+# and staticcheck. The reachability guard (reach_test.go, ~5 s) fails on
+# any non-test declaration that no package main (cmd/*, examples/*, bench)
+# reaches; the field guard (same file, ~5 s) fails on any field of a
+# non-test struct type that no non-test code writes (a knob nothing sets);
+# both also run under `go test ./...`. The HTTP-client guard keeps
 # one HTTP/retry idiom: an http.Client literal in non-test Go code is only
 # allowed in internal/fleet (the transport every client shares) and bench/.
 # CI installs the pinned staticcheck via `make tools`;
 # environments without it (and without network to fetch it) skip that
 # half with a note rather than failing.
 lint: vet
-	$(GO) test -count=1 -run '^TestEveryDeclarationReachable$$' .
+	$(GO) test -count=1 -run '^(TestEveryDeclarationReachable|TestEveryFieldWritten)$$' .
 	@sites=$$(grep -rn --include='*.go' --exclude='*_test.go' 'http\.Client{' . | \
 		grep -v -e '^\./internal/fleet/' -e '^\./bench/'); \
 	if [ -n "$$sites" ]; then \

@@ -7,8 +7,7 @@
 // by -id (-wait to its terminal state, -events N of its event feed in
 // sequence order, -digest), and against hauberkd also submits and
 // cancels; -scrape health-checks either binary and strict-parses its live
-// /metrics exposition; -promlint strict-parses an exposition file;
-// -bench-diff is the perf gate's comparator.
+// /metrics exposition; -bench-diff is the perf gate's comparator.
 //
 // Usage:
 //
@@ -41,9 +40,8 @@ func main() {
 		trace    = flag.String("trace", "", "render this JSONL event journal as a detect/diagnose/recover timeline instead of regenerating figures")
 		campaign = flag.String("campaign", "", "merge the shard logs of this campaign store directory (written by `hauberk-run -campaign-dir`) and report the aggregate figures")
 
-		poll     = flag.Duration("poll", 500*time.Millisecond, "-campaigns -wait: the longest one status request parks on the server")
-		scrape   = flag.String("scrape", "", "GET /healthz, /readyz and /metrics from this hauberkd or `hauberk-run -http` base URL and strict-parse the exposition")
-		promlint = flag.String("promlint", "", "strict-parse this Prometheus text exposition file (\"-\" = stdin)")
+		poll   = flag.Duration("poll", 500*time.Millisecond, "-campaigns -wait: the longest one status request parks on the server")
+		scrape = flag.String("scrape", "", "GET /healthz, /readyz and /metrics from this hauberkd or `hauberk-run -http` base URL and strict-parse the exposition")
 
 		campaigns   = flag.String("campaigns", "", "hauberkd or `hauberk-run -http` base URL: list campaigns, or act on one with -submit/-id/-cancel/-wait/-events/-digest")
 		submit      = flag.String("submit", "", "-campaigns: submit a campaign of this program (scale from -scale, dataset from -dataset)")
@@ -70,9 +68,6 @@ func main() {
 	}
 	if *scrape != "" {
 		os.Exit(scrapeMonitor(*scrape))
-	}
-	if *promlint != "" {
-		os.Exit(promlintPath(*promlint))
 	}
 	if *campaigns != "" {
 		os.Exit(campaignsCmd(campaignsOpts{

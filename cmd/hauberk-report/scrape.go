@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"os"
 
 	"hauberk/internal/obs/promtext"
@@ -29,40 +28,19 @@ func scrapeMonitor(base string) int {
 		fmt.Fprintf(os.Stderr, "scrape: %v\n", err)
 		return 1
 	}
-	return lintProm(bytes.NewReader(exp))
-}
-
-// lintProm strict-parses a Prometheus text exposition and prints a
-// summary (the shared body of -scrape and -promlint).
-func lintProm(r io.Reader) int {
-	exp, err := promtext.Parse(r)
+	parsed, err := promtext.Parse(bytes.NewReader(exp))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "promlint: %v\n", err)
+		fmt.Fprintf(os.Stderr, "scrape: %v\n", err)
 		return 1
 	}
 	series := 0
-	for _, f := range exp.Families {
+	for _, f := range parsed.Families {
 		series += len(f.Samples)
 	}
 	fmt.Printf("/metrics: %d families, %d series, exposition parses strictly\n",
-		len(exp.Families), series)
-	for _, f := range exp.Families {
+		len(parsed.Families), series)
+	for _, f := range parsed.Families {
 		fmt.Printf("  %-45s %-9s %d series\n", f.Name, f.Type, len(f.Samples))
 	}
 	return 0
-}
-
-// promlintPath parses an exposition file ("-" = stdin).
-func promlintPath(path string) int {
-	var r io.Reader = os.Stdin
-	if path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "promlint: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		r = f
-	}
-	return lintProm(r)
 }

@@ -81,6 +81,10 @@ import (
 // durably flushed run: re-launch with -resume to continue.
 const exitResumable = 7
 
+// poolDevices sizes the recovery pool: two, the least that Figure 11's
+// migration off a faulty device needs.
+const poolDevices = 2
+
 func main() { os.Exit(run()) }
 
 // run does the work and returns the process exit code; deferred cleanup
@@ -93,7 +97,6 @@ func run() (code int) {
 		dataset     = flag.Int("dataset", 0, "dataset index")
 		injectSpec  = flag.String("inject", "", "fault to inject: site:instance:mask (mask hex ok)")
 		persistent  = flag.Bool("persistent", false, "make the injected fault persistent (emulates a permanent fault)")
-		devices     = flag.Int("devices", 2, "GPU devices in the recovery pool")
 		loadRanges  = flag.String("load-ranges", "", "load profiled value ranges from this JSON file instead of profiling")
 		saveRanges  = flag.String("save-ranges", "", "write the (possibly on-line-updated) value ranges to this JSON file at exit")
 		tracePath   = flag.String("trace", "", "write a JSONL telemetry event journal to this file")
@@ -136,17 +139,9 @@ func run() (code int) {
 		return 2
 	}
 
-	opts := translate.NewOptions(translate.ModeFIFT)
-	switch *variant {
-	case "hauberk":
-	case "hauberk-nl":
-		opts.Loop = false
-	case "hauberk-l":
-		opts.NonLoop = false
-	case "baseline":
-		opts.NonLoop, opts.Loop = false, false
-	default:
-		fmt.Fprintf(os.Stderr, "unknown variant %q\n", *variant)
+	opts, err := harness.Variant(*variant).Options(translate.ModeFIFT)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 
@@ -295,7 +290,7 @@ func run() (code int) {
 	// with a known output. A persistent fault lives in device 0's
 	// hardware, so the self test fails there and the recovery engine
 	// migrates the program.
-	devPool := makeDevices(*devices)
+	devPool := makeDevices(poolDevices)
 	faulty := devPool[0]
 	selfTest := func(d *gpu.Device) bool {
 		if *persistent && d == faulty {

@@ -8,6 +8,7 @@
 //	hauberk-translate -program CP -mode ft
 //	hauberk-translate -program MRI-Q -mode fi+ft -maxvar 2
 //	hauberk-translate -program CP -mode ft -naive   # Figure 8(b) ablation
+//	hauberk-translate -program CP -variant hauberk-l   # loop detectors only
 package main
 
 import (
@@ -16,6 +17,7 @@ import (
 	"os"
 
 	"hauberk/internal/core/translate"
+	"hauberk/internal/harness"
 	"hauberk/internal/kir"
 	"hauberk/internal/workloads"
 )
@@ -26,8 +28,7 @@ func main() {
 		mode    = flag.String("mode", "ft", "library mode: profiler, ft, fi, fi+ft")
 		maxvar  = flag.Int("maxvar", 1, "max virtual variables protected per loop")
 		naive   = flag.Bool("naive", false, "use naive duplication (Figure 8(b)) instead of checksum duplication")
-		noNL    = flag.Bool("no-nonloop", false, "disable non-loop detectors (HAUBERK-L)")
-		noLoop  = flag.Bool("no-loop", false, "disable loop detectors (HAUBERK-NL)")
+		variant = flag.String("variant", "hauberk", "detector families: baseline, hauberk, hauberk-nl, hauberk-l")
 		quiet   = flag.Bool("quiet", false, "suppress source listings, print only the summary")
 	)
 	flag.Parse()
@@ -52,11 +53,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := translate.NewOptions(m)
+	opts, err := harness.Variant(*variant).Options(m)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	opts.MaxVar = *maxvar
 	opts.NaiveDup = *naive
-	opts.NonLoop = !*noNL
-	opts.Loop = !*noLoop
 
 	orig := spec.Build()
 	res, err := translate.Instrument(orig, opts)

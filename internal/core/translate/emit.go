@@ -93,7 +93,7 @@ func (ins *instr) emitStmt(out kir.Block, s kir.Stmt) kir.Block {
 // the mode's probe/counter intrinsic after it (Figure 12 / Table I).
 func (ins *instr) emitSite(out kir.Block, v *kir.Var, hw kir.HW, inLoop bool) kir.Block {
 	id := ins.addSite(v, hw, inLoop)
-	if ins.opts.wantProbes() && (ins.opts.OnlyVar == "" || ins.opts.OnlyVar == v.Name) {
+	if ins.opts.wantProbes() {
 		out = append(out, kir.FIProbe{Site: id, Target: v, HW: hw})
 	}
 	if ins.opts.wantCounts() {

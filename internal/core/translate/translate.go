@@ -71,14 +71,6 @@ type Options struct {
 	// variable-granularity duplication of Figure 8(b) — the ablation
 	// showing why the checksum variant controls register pressure.
 	NaiveDup bool
-
-	// OnlyVar restricts FI probes to sites whose variable has this name —
-	// the compile-time target selection of the paper's footnote 2, used
-	// when the device cannot afford a call statement after every
-	// statement. Site IDs are still assigned to every state change, so
-	// campaign plans remain comparable; only the probe statements for
-	// other variables are omitted.
-	OnlyVar string
 }
 
 // NewOptions returns the default options for a mode (MaxVar 1, both

@@ -1,7 +1,6 @@
 package translate
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -375,34 +374,6 @@ func TestPropertyInstrumentationPreservesSemantics(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestOnlyVarRestrictsProbes(t *testing.T) {
-	opts := NewOptions(ModeFI)
-	opts.OnlyVar = "x"
-	res := instrument(t, fig8Kernel(), opts)
-	src := kir.Print(res.Kernel)
-	if !strings.Contains(src, "HauberkFI(cb, /*site*/"+siteOf(res, "x")+", &x") {
-		t.Fatalf("probe for x missing:\n%s", src)
-	}
-	if n := strings.Count(src, "HauberkFI("); n != 1 {
-		t.Fatalf("probes = %d, want exactly 1 (footnote 2 compile-time target)", n)
-	}
-	// Site numbering must stay identical to the full-probe binary so
-	// campaign plans transfer.
-	full := instrument(t, fig8Kernel(), NewOptions(ModeFI))
-	if len(full.Sites) != len(res.Sites) {
-		t.Fatalf("site tables differ: %d vs %d", len(full.Sites), len(res.Sites))
-	}
-}
-
-func siteOf(res *Result, name string) string {
-	for _, s := range res.Sites {
-		if s.VarName == name {
-			return fmt.Sprintf("%d", s.ID)
-		}
-	}
-	return "-1"
 }
 
 // countStmts counts all statements in b, including nested ones.

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -215,11 +216,18 @@ func TestClientBaseNormalization(t *testing.T) {
 func TestClientErrorNamesNode(t *testing.T) {
 	tr, _ := testTransport(100 * time.Millisecond)
 	tr.MaxAttempts = 1
-	// Unroutable per RFC 5737; the point is only that the error text
-	// carries the node name so fleet logs identify the culprit.
-	_, err := tr.Client("192.0.2.1:1").Node(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "192.0.2.1:1") {
-		t.Fatalf("err %v must name the node", err)
+	// A loopback port whose listener was just closed refuses the
+	// connection at once; the point is only that the error text carries
+	// the node name so fleet logs identify the culprit.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	_, err = tr.Client(addr).Node(context.Background())
+	if err == nil || !strings.Contains(err.Error(), addr) {
+		t.Fatalf("err %v must name the node %s", err, addr)
 	}
 }
 

@@ -40,15 +40,14 @@ type Config struct {
 	// status long-poll, so Poll does not pace a campaign whose shards all
 	// have a node.
 	Poll time.Duration
-	// ShardAttempts bounds dispatch attempts per shard before the whole
-	// campaign fails (default 3) — a shard that fails on distinct nodes
-	// is a plan problem, not a node problem.
-	ShardAttempts int
-	// Registry collects hauberk_fleet_* metrics; nil allocates one.
-	Registry *obs.Registry
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
+
+// shardAttempts bounds dispatch attempts per shard before the whole
+// campaign fails: a shard that fails on distinct nodes is a plan problem,
+// not a node problem.
+const shardAttempts = 3
 
 // stallTimeout declares an assignment hung when its progress counter
 // hasn't moved for this long: the node still answers status RPCs but its
@@ -129,12 +128,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Poll <= 0 {
 		cfg.Poll = 150 * time.Millisecond
 	}
-	if cfg.ShardAttempts <= 0 {
-		cfg.ShardAttempts = 3
-	}
-	if cfg.Registry == nil {
-		cfg.Registry = obs.NewRegistry()
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -145,7 +138,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if err := os.MkdirAll(cfg.MergeDir, 0o755); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	co := &Coordinator{cfg: cfg, tr: tr, reg: cfg.Registry}
+	co := &Coordinator{cfg: cfg, tr: tr, reg: obs.NewRegistry()}
 	for _, base := range cfg.Nodes {
 		co.nodes = append(co.nodes, &node{
 			client: tr.Client(base),
@@ -368,7 +361,7 @@ func (co *Coordinator) observe(ctx context.Context, ev watchEvent) error {
 		s := co.shards[shard]
 		s.inflight = false
 		co.cfg.Logf("fleet: %s: shard %d %s on node: %s", n.client.Name, shard, st.State, st.Error)
-		if s.attempts >= co.cfg.ShardAttempts {
+		if s.attempts >= shardAttempts {
 			return fmt.Errorf("fleet: shard %d failed %d times (last on %s: %s)",
 				shard, s.attempts, n.client.Name, st.Error)
 		}

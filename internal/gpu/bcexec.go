@@ -8,70 +8,6 @@ import (
 	"hauberk/internal/kir"
 )
 
-// runProgram executes a validated launch of k's compiled program p: one
-// serial (block, thread) loop with live hook delivery — for every launch,
-// hooked or not, faulted or not. The warp aggregation, SM spreading, and
-// early-exit-on-error behaviour replicate the tree-walking oracle's
-// (oracle_test.go) exactly; the per-thread inner loop is the flat dispatch
-// in (*bcThread).run.
-func (d *Device) runProgram(p *program, k *kir.Kernel, spec LaunchSpec) (*Result, error) {
-	res := &Result{Threads: spec.Grid * spec.Block, MaxLive: p.maxLive, Spill: p.spillExtra > 0}
-	var sumWarpCycles, sumThreadCycles, sumLoopCycles float64
-
-	// One pooled register file for the whole launch: variable slots are
-	// cleared per thread, the constant pool is loaded at slice creation
-	// (and stays valid across reuses — temporaries never alias constant
-	// slots), and temporaries are written before they are read within
-	// each straight-line segment.
-	regsRef := p.getRegs()
-	defer p.putRegs(regsRef)
-
-	budget := d.stepBudget(&spec)
-	t := bcThread{
-		d:      d,
-		p:      p,
-		spec:   &spec,
-		hooks:  spec.Hooks,
-		regs:   *regsRef,
-		budget: budget,
-		hang:   budget,
-		fault:  d.overlay,
-	}
-	// In GPU mode any address below the virtual limit is a valid access, so
-	// the dispatch loop can skip the (non-inlinable) checkAccess call on the
-	// fast path. CPU mode keeps the limit at zero: every access goes through
-	// the full page-map check.
-	if d.cfg.Mode == ModeGPU {
-		t.fastLimit = VirtualWords
-	}
-
-	for blk := 0; blk < spec.Grid; blk++ {
-		var warpMax float64
-		for tid := 0; tid < spec.Block; tid++ {
-			t.start(k, ThreadCtx{Block: blk, Thread: tid})
-			err := t.run()
-			sumThreadCycles += t.cycles
-			sumLoopCycles += t.loopCycles
-			if t.cycles > warpMax {
-				warpMax = t.cycles
-			}
-			if (tid+1)%warpSize == 0 || tid == spec.Block-1 {
-				sumWarpCycles += warpMax
-				warpMax = 0
-			}
-			res.Loads += t.loads
-			res.Stores += t.stores
-			res.MaxSteps = max(res.MaxSteps, t.steps)
-			if err != nil {
-				finishResult(res, d, sumWarpCycles, sumThreadCycles, sumLoopCycles)
-				return res, err
-			}
-		}
-	}
-	finishResult(res, d, sumWarpCycles, sumThreadCycles, sumLoopCycles)
-	return res, nil
-}
-
 // bcThread is the per-thread state of the bytecode engine. run continues
 // the thread from pc with the counters where the last run (or start, or a
 // restored checkpoint) left them.

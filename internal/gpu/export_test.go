@@ -51,7 +51,8 @@ func (d *Device) launchOn(e engine, k *kir.Kernel, spec LaunchSpec) (res *Result
 	if !ok {
 		p, _ = unfusedPrograms.LoadOrStore(key, compileProgram(k, d.cfg.RegsPerThread, false, nil))
 	}
-	return d.runProgram(p.(*program), k, spec)
+	x := d.newTracedLaunch(k, &spec, p.(*program))
+	return x.runAll()
 }
 
 // Engine and LaunchOn expose the engine choice to package gpu_test, whose

@@ -144,7 +144,8 @@ func (d *Device) launch(k *kir.Kernel, spec LaunchSpec) (res *Result, err error)
 			"bytecode launches by execution mode (always serial: there is one engine)")
 		m.Counter("hauberk_launch_modes_total", "kernel", k.Name, "mode", "serial").Inc()
 	}
-	return d.runProgram(p, k, spec)
+	x := d.newTracedLaunch(k, &spec, p)
+	return x.runAll()
 }
 
 // stepBudget resolves the launch's per-thread statement budget.

@@ -239,10 +239,10 @@ func wordRuns(last []int32) []wordRun {
 	return runs
 }
 
-// tracedLaunch is one launch run thread by thread — the state Record and
-// Resume share. Per-thread counters, live or golden, are folded into the
-// Result in serial order with runProgram's arithmetic term for term, so
-// a Result assembled from both is bit-identical to a full launch's.
+// tracedLaunch is one launch run thread by thread — the state Launch,
+// Record and Resume share. Per-thread counters, live or golden, are folded
+// into the Result in serial order, so a Result assembled from both is
+// bit-identical to a full launch's.
 type tracedLaunch struct {
 	bcThread
 	k       *kir.Kernel
@@ -252,21 +252,18 @@ type tracedLaunch struct {
 	warpCycles, threadCycles, loopSum, warpMax float64
 }
 
-// newTracedLaunch validates and compiles the launch and takes a register
-// file from the program's pool; close returns it. A recording launch runs
-// the kernel compiled with the recorder's notes (compileProgram), any other
-// the cached program every launch runs.
-func (d *Device) newTracedLaunch(k *kir.Kernel, spec *LaunchSpec, record bool) (*tracedLaunch, error) {
-	if err := d.checkLaunch(k, *spec); err != nil {
-		return nil, err
-	}
-	var p *program
-	if record {
-		p = compileProgram(k, d.cfg.RegsPerThread, true, kir.AnalyzeDelta(k))
-	} else {
-		p, _ = programFor(k, d.cfg)
-	}
-	x := &tracedLaunch{k: k, regsRef: p.getRegs()}
+// newTracedLaunch sets up a checked launch of k's compiled program p and
+// takes a register file from the program's pool; close returns it. Record
+// passes the kernel compiled with the recorder's notes (compileProgram),
+// every other launch the cached program (programFor).
+//
+// The one register file serves every thread: variable slots are cleared
+// per thread, the constant pool is loaded at slice creation (and stays
+// valid across reuses — temporaries never alias constant slots), and
+// temporaries are written before they are read within each straight-line
+// segment.
+func (d *Device) newTracedLaunch(k *kir.Kernel, spec *LaunchSpec, p *program) tracedLaunch {
+	x := tracedLaunch{k: k, regsRef: p.getRegs()}
 	budget := d.stepBudget(spec)
 	x.bcThread = bcThread{
 		d:      d,
@@ -278,11 +275,30 @@ func (d *Device) newTracedLaunch(k *kir.Kernel, spec *LaunchSpec, record bool) (
 		hang:   budget,
 		fault:  d.overlay,
 	}
+	// In GPU mode any address below the virtual limit is a valid access, so
+	// the dispatch loop can skip the (non-inlinable) checkAccess call on the
+	// fast path. CPU mode keeps the limit at zero: every access goes through
+	// the full page-map check.
 	if d.cfg.Mode == ModeGPU {
 		x.fastLimit = VirtualWords
 	}
 	x.res = &Result{Threads: spec.Grid * spec.Block, MaxLive: p.maxLive, Spill: p.spillExtra > 0}
-	return x, nil
+	return x
+}
+
+// runAll runs every thread live, in serial (block, thread) order, and
+// releases the register file. Like the tree-walking oracle
+// (oracle_test.go), it stops at the first thread that fails, with the
+// warp and SM terms folded up to it.
+func (x *tracedLaunch) runAll() (*Result, error) {
+	defer x.close()
+	for s := 0; s < x.res.Threads; s++ {
+		x.begin(s)
+		if err := x.runThread(s); err != nil {
+			return x.finish(), err
+		}
+	}
+	return x.finish(), nil
 }
 
 func (x *tracedLaunch) close() { x.p.putRegs(x.regsRef) }
@@ -472,10 +488,10 @@ func (d *Device) Record(k *kir.Kernel, spec LaunchSpec, threadDone func(serial i
 			tr, res, err = nil, &Result{}, &PanicError{Value: r, Stack: string(debug.Stack())}
 		}
 	}()
-	x, err := d.newTracedLaunch(k, &spec, true)
-	if err != nil {
+	if err := d.checkLaunch(k, spec); err != nil {
 		return nil, &Result{}, err
 	}
+	x := d.newTracedLaunch(k, &spec, compileProgram(k, d.cfg.RegsPerThread, true, kir.AnalyzeDelta(k)))
 	defer x.close()
 
 	tr = &Trace{
@@ -686,12 +702,13 @@ func (d *Device) Resume(k *kir.Kernel, spec LaunchSpec, tr *Trace, at ResumeAt, 
 			res, ex.Carried, err = &Result{}, false, &PanicError{Value: r, Stack: string(debug.Stack())}
 		}
 	}()
-	x, err := d.newTracedLaunch(k, &spec, false)
 	from := at.Thread
 	ex.Stop = from
-	if err != nil {
+	if err := d.checkLaunch(k, spec); err != nil {
 		return &Result{}, ex, err
 	}
+	p, _ := programFor(k, d.cfg)
+	x := d.newTracedLaunch(k, &spec, p)
 	defer x.close()
 	n := tr.Threads()
 	if k != tr.kernel || spec.Grid != tr.grid || spec.Block != tr.block || len(d.arena) != tr.arenaWords || x.p.nv != tr.nv ||

@@ -657,11 +657,10 @@ func TestPauseAllocatesNothing(t *testing.T) {
 	k := b.Kernel()
 	d := New(tc.cfg)
 	spec := LaunchSpec{Grid: tc.grid, Block: tc.block, Args: tc.setup(d, k)}
-	x, err := d.newTracedLaunch(k, &spec, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, _ := programFor(k, d.cfg)
+	x := d.newTracedLaunch(k, &spec, p)
 	defer x.close()
+	var err error
 	pauses := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		x.begin(0)

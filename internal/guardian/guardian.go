@@ -21,6 +21,7 @@ package guardian
 
 import (
 	"errors"
+	"slices"
 
 	"hauberk/internal/core/hrt"
 	"hauberk/internal/gpu"
@@ -110,21 +111,17 @@ func (d Diagnosis) ExitCode() int {
 	return 1
 }
 
+// maxFailures is how many times a crash or hang of the same kernel on the
+// same input repeats before the device is suspected: the paper diagnoses
+// after the failure repeats twice.
+const maxFailures = 2
+
 // Config tunes the guardian. Preemptive hang detection is not here: it
 // is the simulator's step budget, which callers with a clean baseline
 // derive per launch through HangDeadline (see watchdog.go).
 type Config struct {
 	// Pool supplies devices; required.
 	Pool *DevicePool
-	// MaxRestarts bounds crash/hang restarts of the same kernel with the
-	// same input before the device is suspected (the paper diagnoses
-	// after the failure repeats twice).
-	MaxRestarts int
-	// Identical compares two outputs; nil means exact word equality
-	// (deterministic programs). Nondeterministic programs pass a
-	// tolerance comparison of at most twice the output correctness
-	// requirement, per Section VI(ii)(a).
-	Identical func(a, b []uint32) bool
 	// OnFalseAlarm is invoked with the alarms of a diagnosed false
 	// positive so the caller can widen detector ranges (on-line
 	// learning). May be nil.
@@ -159,13 +156,6 @@ type Report struct {
 func Supervise(cfg Config, run RunFn) (*Report, error) {
 	if cfg.Pool == nil {
 		return nil, errors.New("guardian: config needs a device pool")
-	}
-	if cfg.MaxRestarts <= 0 {
-		cfg.MaxRestarts = 2
-	}
-	identical := cfg.Identical
-	if identical == nil {
-		identical = wordsEqual
 	}
 
 	rep := &Report{}
@@ -204,7 +194,7 @@ func Supervise(cfg Config, run RunFn) (*Report, error) {
 			// the checkpoint, which our RunFn does by re-setup). If the
 			// failure repeats, diagnose the device.
 			failures++
-			if failures < cfg.MaxRestarts {
+			if failures < maxFailures {
 				continue
 			}
 			if selfTest() {
@@ -256,9 +246,12 @@ func Supervise(cfg Config, run RunFn) (*Report, error) {
 			rep.Final = first
 			return rep, nil
 
-		case second.SDC && identical(first.Output, second.Output):
+		case second.SDC && slices.Equal(first.Output, second.Output):
 			// (a) False alarm: both executions alarm with identical
-			// output. Learn the reported values into the ranges.
+			// output, word for word (every shipped program is
+			// deterministic; a nondeterministic one would need Section
+			// VI(ii)(a)'s tolerance comparison). Learn the reported
+			// values into the ranges.
 			rep.Diagnosis = DiagFalseAlarm
 			rep.FalseAlarm = true
 			rep.Final = second
@@ -356,16 +349,4 @@ func (cfg *Config) emitDiagnosis(rep *Report) {
 	m := cfg.Obs.Metrics()
 	m.Help("hauberk_guardian_diagnoses_total", "terminal Figure 11 diagnoses, by kind")
 	m.Counter("hauberk_guardian_diagnoses_total", "diagnosis", rep.Diagnosis.String()).Inc()
-}
-
-func wordsEqual(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -30,8 +30,33 @@ const (
 	Hauberk   Variant = "hauberk"
 )
 
+// Baseline is the unprotected build: the translator's mode with both
+// detector families off. Figure 13's overheads are relative to it, so it
+// is not one of Variants.
+const Baseline Variant = "baseline"
+
 // Variants lists the comparison order of Figure 13.
 var Variants = []Variant{RNaive, RScatter, HauberkNL, HauberkL, Hauberk}
+
+// Options returns the translator options that build variant v in mode m:
+// Hauberk with both detector families, HauberkNL without the loop ones,
+// HauberkL without the non-loop ones, Baseline with neither. R-Naive and
+// R-Scatter are not translator builds.
+func (v Variant) Options(m translate.Mode) (translate.Options, error) {
+	opts := translate.NewOptions(m)
+	switch v {
+	case Hauberk:
+	case HauberkNL:
+		opts.Loop = false
+	case HauberkL:
+		opts.NonLoop = false
+	case Baseline:
+		opts.NonLoop, opts.Loop = false, false
+	default:
+		return opts, fmt.Errorf("unknown variant %q (want %s, %s, %s or %s)", v, Baseline, Hauberk, HauberkNL, HauberkL)
+	}
+	return opts, nil
+}
 
 // Scale sizes the experiments: Full approximates the paper's campaign
 // (~10,000 injections across seven programs); Quick is for tests and CI.
@@ -133,8 +158,15 @@ type Env struct {
 // out warm worker processes instead of spawning its own.
 type envShared struct {
 	mu      sync.Mutex // guards inst
-	inst    map[string]*translate.Result
+	inst    map[instKey]*translate.Result
 	workers workerPool
+}
+
+// instKey names one instrumentation: a program under one set of options,
+// every field of which is part of the key.
+type instKey struct {
+	program string
+	opts    translate.Options
 }
 
 // NewEnv builds an environment with the default simulated device.
@@ -143,7 +175,7 @@ func NewEnv(scale Scale) *Env {
 		Scale:  scale,
 		Config: gpu.DefaultConfig(),
 		Obs:    obs.Nop(),
-		shared: &envShared{inst: make(map[string]*translate.Result)},
+		shared: &envShared{inst: make(map[instKey]*translate.Result)},
 	}
 }
 
@@ -166,7 +198,7 @@ func (e *Env) Clone() *Env {
 // Instrument returns the (cached) instrumentation of a program for the
 // given options.
 func (e *Env) Instrument(spec *workloads.Spec, opts translate.Options) (*translate.Result, error) {
-	key := fmt.Sprintf("%s|%d|%d|%v|%v|%v|%s", spec.Name, opts.Mode, opts.MaxVar, opts.NonLoop, opts.Loop, opts.NaiveDup, opts.OnlyVar)
+	key := instKey{spec.Name, opts}
 	c := e.shared
 	c.mu.Lock()
 	if r, ok := c.inst[key]; ok {

@@ -72,12 +72,9 @@ func (e *Env) MeasurePerf(spec *workloads.Spec, ds workloads.Dataset, store *ran
 
 	// Hauberk variants.
 	for _, v := range []Variant{HauberkNL, HauberkL, Hauberk} {
-		opts := translate.NewOptions(translate.ModeFT)
-		switch v {
-		case HauberkNL:
-			opts.Loop = false
-		case HauberkL:
-			opts.NonLoop = false
+		opts, err := v.Options(translate.ModeFT)
+		if err != nil {
+			return nil, err
 		}
 		tr, err := e.Instrument(spec, opts)
 		if err != nil {

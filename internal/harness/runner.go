@@ -111,7 +111,7 @@ type CampaignOptions struct {
 // RunPrepared executes (or resumes) one shard of a prepared campaign and
 // is the only code that runs a list of injections: the library entry
 // behind `hauberk-run -campaign-dir`, a hauberkd submission, the figures
-// and `hauberk-inject`. Every classified outcome is recorded in the
+// and the examples. Every classified outcome is recorded in the
 // campaign store before it counts as done — appended to the JSONL log
 // under opts.Dir, or kept in memory when there is none — each injection
 // runs under a wall-clock watchdog (expiry classifies the run as a hang

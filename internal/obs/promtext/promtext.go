@@ -1,9 +1,10 @@
 // Package promtext is a strict line parser for the Prometheus text
 // exposition format (version 0.0.4). The obs registry's conformance
-// test round-trips its own exposition through it, and the monitor smoke
-// pipes live /metrics scrapes through `hauberk-report -promlint`, so a
-// malformed escape, an undeclared TYPE, or a non-numeric sample fails
-// fast instead of silently confusing a real scraper.
+// test round-trips its own exposition through it, and
+// `hauberk-report -scrape` (which the monitor smoke runs) parses live
+// /metrics scrapes with it, so a malformed escape, an undeclared TYPE, or
+// a non-numeric sample fails fast instead of silently confusing a real
+// scraper.
 //
 // It is deliberately stricter than many consumers: metric and label
 // names must match the spec grammar, label values must use only the

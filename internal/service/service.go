@@ -80,8 +80,6 @@ type Config struct {
 	// DrainTimeout bounds how long Shutdown waits for running campaigns
 	// to checkpoint after their contexts are canceled. Zero means 30s.
 	DrainTimeout time.Duration
-	// Registry collects the daemon's metrics; nil allocates a fresh one.
-	Registry *obs.Registry
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -163,9 +161,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 30 * time.Second
 	}
-	if cfg.Registry == nil {
-		cfg.Registry = obs.NewRegistry()
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -174,7 +169,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	}
 	d := &Daemon{
 		cfg:       cfg,
-		reg:       cfg.Registry,
+		reg:       obs.NewRegistry(),
 		env:       harness.NewEnv(harness.TinyScale()),
 		campaigns: make(map[string]*Campaign),
 		nextID:    1,

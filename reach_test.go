@@ -7,6 +7,9 @@ package hauberk_test
 // which a _test.go file cannot export, listed in reachAllow with the test
 // that needs it.
 //
+// The field guard at the end of the file holds struct fields to the same
+// bar: every field some non-test code writes, or it goes.
+//
 // Run it alone with:
 //
 //	go test -run '^TestEveryDeclarationReachable$' .
@@ -22,6 +25,7 @@ import (
 	"io/fs"
 	"path"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -90,6 +94,8 @@ func main() {
 `,
 		"fix/lib": `package lib
 
+import "errors"
+
 type Namer interface{ Name() string }
 
 type T struct{}
@@ -99,14 +105,17 @@ func (T) Name() string { return "t" }
 
 func (T) Dead() {}
 
+// ErrDead's initialiser runs at init, but nothing names ErrDead.
+var ErrDead = errors.New("x")
+
 func Used() {}
 
 func DeadFunc() {}
 
 const DeadConst = 1
 
-// registered's initialiser runs at init, so it is reached.
-var registered = register()
+// The initialiser runs at init, so register is reached.
+var _ = register()
 
 func register() int { return helperOfRegister() }
 
@@ -176,7 +185,7 @@ func f() int { return 1 }
 	for _, d := range found {
 		got = append(got, d.name)
 	}
-	want := []string{"lib.DeadA", "lib.DeadB", "lib.DeadConst", "lib.DeadFunc", "lib.T.Dead", "unused.f", "unused.x"}
+	want := []string{"lib.DeadA", "lib.DeadB", "lib.DeadConst", "lib.DeadFunc", "lib.ErrDead", "lib.T.Dead", "unused.f", "unused.x"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("unreached = %v, want %v", got, want)
 	}
@@ -270,29 +279,19 @@ type unreachedDecl struct {
 //
 // The roots are each main package's main func, and the init funcs and
 // effectful package-level var initialisers (a call, or a blank var) of
-// every package a main imports, directly or not. A declaration is reached when reached code names it
-// (types.Info.Uses). A method is reached when reached code selects it,
+// every package a main imports, directly or not. A declaration is reached
+// when reached code names it (types.Info.Uses). A root initialiser
+// reaches what it names, not its var: a var kept only for its
+// initialiser's effect is written `var _ = f()`. A method is reached when reached code selects it,
 // or when its receiver type is reached and the type satisfies an
 // interface (any declared in these packages or the standard library ones
 // they load, plus the standard library's unnamed probes) that has a
 // method of that name: a dynamic call through an interface is invisible
 // to Uses, so the rule errs towards keeping.
 func unreachedDecls(fset *token.FileSet, pkgs map[string][]*ast.File, allow map[string]string) (unreached []unreachedDecl, stale []string, err error) {
-	ld := &reachLoader{
-		fset:    fset,
-		files:   pkgs,
-		checked: map[string]*reachPkg{},
-		std:     importer.ForCompiler(fset, "source", nil),
-	}
-	paths := make([]string, 0, len(pkgs))
-	for p := range pkgs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if _, err := ld.load(p); err != nil {
-			return nil, nil, err
-		}
+	ld, paths, err := loadModule(fset, pkgs)
+	if err != nil {
+		return nil, nil, err
 	}
 	probes, err := ld.probes()
 	if err != nil {
@@ -333,11 +332,6 @@ func unreachedDecls(fset *token.FileSet, pkgs map[string][]*ast.File, allow map[
 		}
 		info := ld.checked[p].info
 		for _, n := range g.initRoots[p] {
-			if s, ok := n.(*ast.ValueSpec); ok {
-				for _, id := range s.Names {
-					g.mark(info.Defs[id])
-				}
-			}
 			g.walk(info, n)
 		}
 	}
@@ -373,6 +367,29 @@ func unreachedDecls(fset *token.FileSet, pkgs map[string][]*ast.File, allow map[
 	return unreached, stale, nil
 }
 
+// loadModule type-checks the packages (import path → files; imports
+// outside the set come from the standard library) and returns the loader
+// and the packages' import paths, sorted.
+func loadModule(fset *token.FileSet, pkgs map[string][]*ast.File) (*reachLoader, []string, error) {
+	ld := &reachLoader{
+		fset:    fset,
+		files:   pkgs,
+		checked: map[string]*reachPkg{},
+		std:     importer.ForCompiler(fset, "source", nil),
+	}
+	paths := make([]string, 0, len(pkgs))
+	for p := range pkgs {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		if _, err := ld.load(p); err != nil {
+			return nil, nil, err
+		}
+	}
+	return ld, paths, nil
+}
+
 // reachPkg is one type-checked module package.
 type reachPkg struct {
 	files []*ast.File
@@ -405,10 +422,11 @@ func (l *reachLoader) load(p string) (*reachPkg, error) {
 		return rp, nil
 	}
 	rp := &reachPkg{files: l.files[p], info: &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{},
-		Defs:      map[*ast.Ident]types.Object{},
-		Uses:      map[*ast.Ident]types.Object{},
-		Instances: map[*ast.Ident]types.Instance{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Instances:  map[*ast.Ident]types.Instance{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}}
 	conf := types.Config{Importer: l}
 	pkg, err := conf.Check(p, l.fset, rp.files, rp.info)
@@ -487,10 +505,7 @@ func newReachGraph() *reachGraph {
 }
 
 func (g *reachGraph) addPackage(rp *reachPkg) {
-	pkgName := rp.pkg.Name()
-	if pkgName == "main" {
-		pkgName = path.Base(rp.pkg.Path()) // e.g. hauberk-run.flagList
-	}
+	pkgName := qualifier(rp.pkg)
 	add := func(obj types.Object, name string, nodes ...ast.Node) {
 		if obj == nil || obj.Name() == "_" {
 			return
@@ -553,6 +568,16 @@ func (g *reachGraph) addPackage(rp *reachPkg) {
 			}
 		}
 	}
+}
+
+// qualifier is the package part of a declaration's name: the package
+// name, or for a main package the last element of its path (e.g.
+// hauberk-run.flagList).
+func qualifier(p *types.Package) string {
+	if p.Name() == "main" {
+		return path.Base(p.Path())
+	}
+	return p.Name()
 }
 
 // recvName is the receiver's type name without pointer or type arguments.
@@ -763,4 +788,327 @@ func (g *reachGraph) satisfy(n *types.Named) {
 			g.mark(have[it.Method(i).Name()].Obj())
 		}
 	}
+}
+
+// --- the field guard ---------------------------------------------------------
+
+// fieldAllow lists the struct fields that only tests write: production
+// keeps the zero value, which stands for a constant or a default, and the
+// named test (package-clause.TestName, as in reachAllow) needs another. An
+// entry that non-test code writes, that names no field, or whose test is
+// gone fails the guard.
+var fieldAllow = map[string]string{
+	"fleet.Transport.Jitter":              "fleet.TestClientBounds429Retries",
+	"fleet.Transport.Sleep":               "fleet.TestClientBounds429Retries",
+	"harness.CampaignOptions.WorkerArgv":  "harness.TestIsolatedCampaignDigestIdentical",
+	"harness.CampaignOptions.WorkerEnv":   "harness.TestWorkerPoolKeysByConfiguration",
+	"harness.CampaignOptions.backoff":     "harness.TestWorkerPoolKeysByConfiguration",
+	"harness.CampaignOptions.maxRestarts": "harness.TestIsolatedCampaignPersistentFaultsClassified",
+	"harness.CampaignOptions.timeout":     "harness.TestCampaignWatchdogClassifiesHang",
+	"harness.CampaignOptions.warmupGrace": "harness.TestIsolatedCampaignPersistentFaultsClassified",
+}
+
+// TestEveryFieldWritten fails on a field of a non-test struct type that no
+// non-test code writes: a knob nothing sets is a constant, or dead. Run it
+// alone with:
+//
+//	go test -run '^TestEveryFieldWritten$' .
+func TestEveryFieldWritten(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parseModule(fset, ".", "hauberk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	found, stale, err := unwrittenFields(fset, pkgs, fieldAllow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range found {
+		t.Errorf("%s: field %s is written by no non-test code (delete it, or make it a constant)", d.pos, d.name)
+	}
+	for _, name := range stale {
+		t.Errorf("fieldAllow: %s (for %s) is written by non-test code or names no field; drop the entry", name, fieldAllow[name])
+	}
+	tests, err := testFuncs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, test := range fieldAllow {
+		if !tests[test] {
+			t.Errorf("fieldAllow: %s names %s, which is no test in the module", name, test)
+		}
+	}
+	t.Logf("%d packages, %d allow-listed test-only fields", len(pkgs), len(fieldAllow))
+}
+
+// TestFieldGuardFlagsUnwrittenFields runs the field analysis on a fixture
+// package, so the guard cannot pass by finding nothing.
+func TestFieldGuardFlagsUnwrittenFields(t *testing.T) {
+	src := `package lib
+
+import (
+	"sync"
+	"sync/atomic"
+)
+
+type Counts struct{ Probe int }
+
+type Pair struct{ A, B int }
+
+// The promoted Lock writes Locked's mutex; n is only read.
+type Locked struct {
+	sync.Mutex
+	n int
+}
+
+type C struct {
+	mu     sync.Mutex
+	n      atomic.Int64
+	counts Counts
+	Name   string ` + "`json:\"name\"`" + `
+	Addr   int
+	Lit    int
+	Seam   int
+	Dead   int
+	shared *sync.Mutex // Lock writes the pointee, not the field
+}
+
+func New() *C { return &C{Lit: 1} }
+
+func (c *C) Use() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.n.Add(1)
+	c.counts.Probe++
+	p := &c.Addr
+	c.shared.Lock()
+	var l Locked
+	l.Lock()
+	pr := Pair{1, 2}
+	return c.Dead + c.Seam + *p + int(c.n.Load()) + len(c.Name) + pr.A + pr.B + l.n
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "fix/lib/x.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allow := map[string]string{"lib.C.Seam": "TestSeam", "lib.C.Lit": "TestLit", "lib.C.Gone": "TestGone"}
+	found, stale, err := unwrittenFields(fset, map[string][]*ast.File{"fix/lib": {f}}, allow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range found {
+		got = append(got, d.name)
+	}
+	if want := []string{"lib.C.Dead", "lib.C.shared", "lib.Locked.n"}; strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("unwritten = %v, want %v", got, want)
+	}
+	if want := []string{"lib.C.Gone", "lib.C.Lit"}; strings.Join(stale, " ") != strings.Join(want, " ") {
+		t.Errorf("stale allow-list entries = %v, want %v", stale, want)
+	}
+}
+
+// unwrittenFields type-checks the packages and returns, sorted by name,
+// every field of a struct type they spell out that none of their code
+// writes and the allow-list does not name, and the allow-list entries
+// that name a written field or none. A field is named after what encloses
+// its struct type: pkg.Type.Field, pkg.var.Field, pkg.Type.outer.Field.
+//
+// A field is written by a composite-literal key or position; by an
+// assignment, ++ or -- through a selector chain that contains it
+// (c.counts.Probe++ writes counts and Probe); by &x.F, which writes the
+// chain's fields too; and by a call of a pointer-receiver method on it,
+// or on a field it embeds, when the field holds the value and not a
+// pointer (a sync.Mutex's Lock, an atomic.Int64's Add). A field with a
+// json tag is exempt: decoding writes it.
+func unwrittenFields(fset *token.FileSet, pkgs map[string][]*ast.File, allow map[string]string) (unwritten []unreachedDecl, stale []string, err error) {
+	ld, paths, err := loadModule(fset, pkgs)
+	if err != nil {
+		return nil, nil, err
+	}
+	written := map[*types.Var]bool{}
+	fields := map[*types.Var]string{}
+	for _, p := range paths {
+		rp := ld.checked[p]
+		for _, f := range rp.files {
+			declaredFields(rp.info, f, qualifier(rp.pkg), fields)
+			markWrites(rp.info, f, written)
+		}
+	}
+	allowed := map[string]bool{}
+	for v, name := range fields {
+		if _, ok := allow[name]; ok {
+			allowed[name] = !written[v]
+		} else if !written[v] {
+			unwritten = append(unwritten, unreachedDecl{pos: fset.Position(v.Pos()), name: name})
+		}
+	}
+	for name := range allow {
+		if !allowed[name] {
+			stale = append(stale, name)
+		}
+	}
+	sort.Strings(stale)
+	sort.Slice(unwritten, func(i, j int) bool { return unwritten[i].name < unwritten[j].name })
+	return unwritten, stale, nil
+}
+
+// declaredFields adds to fields, with its qualified name, every field of
+// every struct type the file spells out, less blank, json-tagged and
+// stateless ones.
+func declaredFields(info *types.Info, f *ast.File, pkgName string, fields map[*types.Var]string) {
+	var stack []ast.Node
+	ast.Inspect(f, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, n)
+		lit, ok := n.(*ast.StructType)
+		if !ok {
+			return true
+		}
+		st := info.TypeOf(lit).(*types.Struct)
+		prefix := pkgName
+		for _, e := range stack {
+			switch e := e.(type) {
+			case *ast.FuncDecl:
+				prefix += "." + e.Name.Name
+			case *ast.TypeSpec:
+				prefix += "." + e.Name.Name
+			case *ast.ValueSpec:
+				prefix += "." + e.Names[0].Name
+			case *ast.Field:
+				if len(e.Names) > 0 {
+					prefix += "." + e.Names[0].Name
+				}
+			}
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			v := st.Field(i)
+			if _, tagged := reflect.StructTag(st.Tag(i)).Lookup("json"); v.Name() == "_" || tagged || stateless(v.Type()) {
+				continue
+			}
+			fields[v] = prefix + "." + v.Name()
+		}
+		return true
+	})
+}
+
+// markWrites adds to written every field the file's code writes.
+func markWrites(info *types.Info, f *ast.File, written map[*types.Var]bool) {
+	// chain marks the fields of every selector in the chain of an
+	// operand that is assigned, incremented or addressed.
+	chain := func(e ast.Expr) {
+		for e != nil {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.IndexListExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+					for _, v := range selectionPath(sel) {
+						written[v.Origin()] = true
+					}
+				}
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, l := range n.Lhs {
+				chain(l)
+			}
+		case *ast.IncDecStmt:
+			chain(n.X)
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				chain(n.Key)
+				chain(n.Value)
+			}
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				chain(n.X)
+			}
+		case *ast.CompositeLit:
+			st, ok := deref(info.TypeOf(n)).Underlying().(*types.Struct)
+			if !ok {
+				return true
+			}
+			for i, el := range n.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+						written[v.Origin()] = true
+					}
+				} else {
+					written[st.Field(i).Origin()] = true
+				}
+			}
+		case *ast.SelectorExpr:
+			sel := info.Selections[n]
+			if sel == nil || sel.Kind() != types.MethodVal {
+				return true
+			}
+			if _, ptr := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); !ptr {
+				return true
+			}
+			// The call takes the address of the receiver: the last
+			// embedded field on the path, or the operand itself, and
+			// of what holds it, up to the first pointer.
+			path := selectionPath(sel)
+			for i := len(path) - 1; i >= 0; i-- {
+				if _, ptr := path[i].Type().(*types.Pointer); ptr {
+					return true
+				}
+				written[path[i].Origin()] = true
+			}
+			if _, ptr := info.TypeOf(n.X).(*types.Pointer); !ptr {
+				chain(n.X)
+			}
+		}
+		return true
+	})
+}
+
+// selectionPath returns the fields a field or method selection passes
+// through: the embedded fields it is promoted through and, for a field,
+// the field itself.
+func selectionPath(sel *types.Selection) []*types.Var {
+	var out []*types.Var
+	t := sel.Recv()
+	idx := sel.Index()
+	if sel.Kind() == types.MethodVal {
+		idx = idx[:len(idx)-1]
+	}
+	for _, i := range idx {
+		v := deref(t).Underlying().(*types.Struct).Field(i)
+		out = append(out, v)
+		t = v.Type()
+	}
+	return out
+}
+
+// stateless reports whether t is an empty struct, which holds nothing to
+// write: such a field is embedded for its methods (gpu.NopHooks).
+func stateless(t types.Type) bool {
+	st, ok := t.Underlying().(*types.Struct)
+	return ok && st.NumFields() == 0
+}
+
+func deref(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
 }
