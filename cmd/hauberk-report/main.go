@@ -15,6 +15,7 @@
 //	hauberk-report -fig 13 -scale full
 //	hauberk-report -fig all -scale full -md > EXPERIMENTS-data.md
 //	hauberk-report -trace /tmp/t.jsonl
+//	hauberk-report -campaign /tmp/hauberkd-store -id c000003
 //	hauberk-report -campaigns 127.0.0.1:8344 -id r012345 -wait
 //	hauberk-report -campaigns 127.0.0.1:8344 -id r012345 -events 25
 //	hauberk-report -scrape 127.0.0.1:8344
@@ -28,7 +29,9 @@ import (
 	"time"
 
 	"hauberk/internal/harness"
+	cstore "hauberk/internal/harness/store"
 	"hauberk/internal/obs"
+	"hauberk/internal/service"
 	"hauberk/internal/version"
 )
 
@@ -38,7 +41,7 @@ func main() {
 		scale    = flag.String("scale", "quick", "experiment scale: quick or full (plus tiny for -campaigns -submit)")
 		md       = flag.Bool("md", false, "emit markdown instead of text tables")
 		trace    = flag.String("trace", "", "render this JSONL event journal as a detect/diagnose/recover timeline instead of regenerating figures")
-		campaign = flag.String("campaign", "", "merge the shard logs of this campaign store directory (written by `hauberk-run -campaign-dir`) and report the aggregate figures")
+		campaign = flag.String("campaign", "", "merge the shard logs of this campaign store directory (written by `hauberk-run -campaign-dir`) and report the aggregate figures; with -id, read that campaign from this hauberkd store root's journal instead")
 
 		poll   = flag.Duration("poll", 500*time.Millisecond, "-campaigns -wait: the longest one status request parks on the server")
 		scrape = flag.String("scrape", "", "GET /healthz, /readyz and /metrics from this hauberkd or `hauberk-run -http` base URL and strict-parse the exposition")
@@ -47,7 +50,7 @@ func main() {
 		submit      = flag.String("submit", "", "-campaigns: submit a campaign of this program (scale from -scale, dataset from -dataset)")
 		dataset     = flag.Int("dataset", 0, "-campaigns -submit: dataset index")
 		tenant      = flag.String("tenant", "default", "-campaigns -submit: tenant name")
-		id          = flag.String("id", "", "-campaigns: target campaign id")
+		id          = flag.String("id", "", "-campaigns: target campaign id; -campaign: the campaign to read from a hauberkd store root")
 		cancelFlag  = flag.Bool("cancel", false, "-campaigns: cancel the target campaign")
 		wait        = flag.Bool("wait", false, "-campaigns: long-poll the target campaign to a terminal state; non-zero exit unless done")
 		eventsN     = flag.Int("events", 0, "-campaigns: stream this many events from the target campaign's feed")
@@ -97,7 +100,13 @@ func main() {
 	}
 
 	if *campaign != "" {
-		man, cr, err := harness.LoadCampaignDir(*campaign)
+		load := harness.LoadCampaignDir
+		if *id != "" {
+			load = func(root string) (cstore.Manifest, *harness.CampaignResult, error) {
+				return service.LoadCampaign(root, *id)
+			}
+		}
+		man, cr, err := load(*campaign)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "report: %v\n", err)
 			os.Exit(1)

@@ -13,7 +13,6 @@ import (
 
 	"hauberk/internal/harness"
 	cstore "hauberk/internal/harness/store"
-	"hauberk/internal/obs"
 	"hauberk/internal/service"
 )
 
@@ -108,7 +107,6 @@ type Coordinator struct {
 	tr        *Transport
 	nodes     []*node
 	shards    []*shardState
-	reg       *obs.Registry
 	manifest  *cstore.Manifest
 	salvages  int
 	failovers int
@@ -138,7 +136,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if err := os.MkdirAll(cfg.MergeDir, 0o755); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	co := &Coordinator{cfg: cfg, tr: tr, reg: obs.NewRegistry()}
+	co := &Coordinator{cfg: cfg, tr: tr}
 	for _, base := range cfg.Nodes {
 		co.nodes = append(co.nodes, &node{
 			client: tr.Client(base),
@@ -149,12 +147,6 @@ func New(cfg Config) (*Coordinator, error) {
 	for i := 0; i < cfg.Shards; i++ {
 		co.shards = append(co.shards, &shardState{})
 	}
-	co.reg.Help("hauberk_fleet_dispatches_total", "shard dispatches per node")
-	co.reg.Help("hauberk_fleet_failovers_total", "shards re-dispatched after a node failure")
-	co.reg.Help("hauberk_fleet_salvaged_logs_total", "partial shard logs salvaged from failed nodes")
-	co.reg.Help("hauberk_fleet_rpc_retries_total", "retried RPC attempts across all nodes")
-	co.reg.Help("hauberk_fleet_node_verdict", "per-node verdict (0 healthy, 1 degraded, 2 quarantined)")
-	co.reg.Help("hauberk_fleet_shards_fetched", "shards merged so far")
 	return co, nil
 }
 
@@ -206,7 +198,6 @@ func (co *Coordinator) Run(ctx context.Context) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		co.stampMetrics()
 		// Forward-progress guard: nothing running, nothing dispatched,
 		// and no node will ever take work again means the roster is
 		// dead. Probation probes get many rounds to rescue a node that
@@ -420,7 +411,6 @@ func (co *Coordinator) failover(ctx context.Context, n *node, why string) error 
 	co.shards[shard].inflight = false
 	co.shards[shard].avoid = n
 	co.failovers++
-	co.reg.Counter("hauberk_fleet_failovers_total").Inc()
 	co.cfg.Logf("fleet: failover shard %d (%s); re-dispatching", shard, why)
 	return nil
 }
@@ -452,7 +442,6 @@ func (co *Coordinator) acceptSnapshot(n *node, snap service.StoreSnapshot, parti
 		out := name
 		if partial {
 			co.salvages++
-			co.reg.Counter("hauberk_fleet_salvaged_logs_total").Inc()
 			out = fmt.Sprintf("%s.partial%d.%s.jsonl",
 				strings.TrimSuffix(name, ".jsonl"), co.salvages, sanitize(n.client.Name))
 		}
@@ -533,7 +522,6 @@ func (co *Coordinator) dispatchPending(ctx context.Context) (bool, error) {
 		s.inflight = true
 		s.attempts++
 		dispatched = true
-		co.reg.Counter("hauberk_fleet_dispatches_total", "node", n.client.Name).Inc()
 		co.cfg.Logf("fleet: %s: shard %d/%d dispatched as %s (attempt %d)",
 			n.client.Name, shard, co.cfg.Shards, st.ID, s.attempts)
 	}
@@ -596,14 +584,4 @@ func (co *Coordinator) cancelInflight() {
 		n.client.Cancel(ctx, n.id) //nolint:errcheck // best-effort on shutdown
 		cancel()
 	}
-}
-
-// stampMetrics refreshes the gauge-shaped series each loop round.
-func (co *Coordinator) stampMetrics() {
-	for _, n := range co.nodes {
-		co.reg.Gauge("hauberk_fleet_node_verdict", "node", n.client.Name).
-			Set(float64(n.health.Verdict()))
-	}
-	co.reg.Gauge("hauberk_fleet_shards_fetched").Set(float64(co.fetchedCount()))
-	co.reg.Gauge("hauberk_fleet_rpc_retries_total").Set(float64(co.tr.Retries()))
 }

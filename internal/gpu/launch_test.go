@@ -397,11 +397,13 @@ func TestLaunchAllocsScaleWithWorkersNotThreads(t *testing.T) {
 	}
 
 	for _, shape := range []struct{ grid, block int }{{8, 32}, {8, 64}, {8, 128}} {
-		if clean := measure(shape.grid, shape.block, nil); clean > 4 {
+		// Under -race pooled register files are dropped at random (see
+		// raceEnabled): the launches run, their counts are not judged.
+		if clean := measure(shape.grid, shape.block, nil); clean > 4 && !raceEnabled {
 			t.Fatalf("warm %dx%d launch allocates %.1f objects/launch, want <= 4", shape.grid, shape.block, clean)
 		}
 		hooks := &sampleCounter{}
-		if hooked := measure(shape.grid, shape.block, hooks); hooked > 4 {
+		if hooked := measure(shape.grid, shape.block, hooks); hooked > 4 && !raceEnabled {
 			t.Fatalf("warm hooked %dx%d launch allocates %.1f objects/launch, want <= 4", shape.grid, shape.block, hooked)
 		}
 		if hooks.n == 0 {

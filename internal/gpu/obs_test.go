@@ -166,6 +166,9 @@ func TestNopTelemetryLaunchAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	if raceEnabled {
+		return // pooled register files are dropped at random; see raceEnabled
+	}
 	if instrumented != base {
 		t.Fatalf("nop telemetry changed allocations per launch: %v -> %v", base, instrumented)
 	}

@@ -104,14 +104,22 @@ func LoadCampaignDir(dir string) (cstore.Manifest, *CampaignResult, error) {
 	if err != nil {
 		return man, nil, err
 	}
+	out, err := FoldCampaign(dir, man, recs)
+	return man, out, err
+}
+
+// FoldCampaign aggregates the records of the campaign named name, sorted
+// by plan index, into its result; a campaign with records missing is an
+// error, as in LoadCampaignDir.
+func FoldCampaign(name string, man cstore.Manifest, recs []cstore.Record) (*CampaignResult, error) {
 	if missing := cstore.Missing(man, recs); missing > 0 {
-		return man, nil, fmt.Errorf("harness: campaign %s incomplete: %d of %d injections missing (resume it or merge all shards)",
-			dir, missing, man.Injections)
+		return nil, fmt.Errorf("harness: campaign %s incomplete: %d of %d injections missing (resume it or merge all shards)",
+			name, missing, man.Injections)
 	}
 	out := &CampaignResult{Results: make([]InjectionResult, 0, len(recs))}
 	for _, rec := range recs {
 		out.Results = append(out.Results, resultFromRecord(rec))
 	}
 	out.aggregate()
-	return man, out, nil
+	return out, nil
 }

@@ -71,6 +71,11 @@ type CampaignOptions struct {
 	// the remainder; without it a non-empty store is an error. It needs
 	// Dir.
 	Resume bool
+	// Store, if set, is the campaign's store already open, with its shard
+	// and resume settled (hauberkd opens each campaign's on its journal,
+	// store.Log.Open); the run appends to it instead of opening Dir, and
+	// leaves it open.
+	Store *cstore.Store
 	// Shard/Shards split the planned injection list across processes:
 	// this run owns plan indices where idx % Shards == Shard. The plan is
 	// seeded, so every shard derives the same list independently.
@@ -137,11 +142,14 @@ func (e *Env) RunPrepared(ctx context.Context, pc *PreparedCampaign, opts Campai
 		return nil, fmt.Errorf("harness: unknown isolation mode %q", opts.Isolation)
 	}
 	spec, plan := pc.Spec, pc.Plan
-	cs, err := cstore.Open(opts.Dir, e.CampaignManifest(spec, pc.Mode, plan), opts.Shard, opts.Shards, opts.Resume)
-	if err != nil {
-		return nil, err
+	cs := opts.Store
+	if cs == nil {
+		var err error
+		if cs, err = cstore.Open(opts.Dir, e.CampaignManifest(spec, pc.Mode, plan), opts.Shard, opts.Shards, opts.Resume); err != nil {
+			return nil, err
+		}
+		defer cs.Close()
 	}
-	defer cs.Close()
 
 	// This shard's slice of the plan, minus what the store already holds.
 	var pending []int

@@ -6,22 +6,26 @@
 // load the completed injection IDs and run only the remainder, and lets
 // shards produced by separate processes merge into one report.
 //
-// Layout of a campaign directory:
+// Layout of a campaign directory (`hauberk-run -campaign-dir`, the fleet's
+// merge directory):
 //
 //	manifest.json       — the campaign's identity (program, mode, plan hash)
 //	shard-IofN.jsonl    — one append-only result log per shard
 //
-// Every record is flushed as soon as it is appended, so a kill loses at
-// most the injection in flight; a truncated trailing line (the partial
-// write of the record being appended when the process died) is tolerated
-// and re-run on resume.
+// hauberkd keeps no directory per campaign: every campaign's store is
+// tagged lines of its one journal (Log, log.go), whose record lines carry
+// the same bytes as a shard log's.
+//
+// Every record is written to the OS as soon as it is appended, so a kill
+// loses at most the injection in flight; a truncated trailing line (the
+// partial write of the record being appended when the process died) is
+// tolerated and re-run on resume.
 //
 // A campaign whose results are consumed by the process that ran it opens
 // the store with no directory: same Store, no files, records in memory.
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -104,13 +108,15 @@ func ShardFile(shard, shards int) string {
 
 // Store is one shard's append-only result log plus the set of records
 // already completed (loaded at open, extended by Append). Safe for
-// concurrent Append calls. A store opened with no directory has no log (f
-// and w are nil): its records live in done alone, for campaigns whose
+// concurrent Append calls. Its log is a directory's shard file (f), or a
+// campaign's lines of a Log (log and lc); a store opened with no directory
+// has neither, and its records live in done alone, for campaigns whose
 // result is consumed by the process that ran them.
 type Store struct {
 	mu   sync.Mutex
 	f    *os.File
-	w    *bufio.Writer
+	log  *Log
+	lc   *logCampaign
 	buf  []byte
 	done map[int]Record
 }
@@ -175,26 +181,25 @@ func Open(dir string, m Manifest, shard, shards int, resume bool) (*Store, error
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return &Store{f: f, w: bufio.NewWriter(f), done: done}, nil
+	return &Store{f: f, done: done}, nil
 }
 
-// Append durably records one completed injection: the line is flushed to
-// the OS before Append returns, so a later kill cannot lose it.
+// Append durably records one completed injection: the line is written to
+// the OS, in one write(2), before Append returns, so a later kill cannot
+// lose it.
 func (s *Store) Append(r Record) error {
-	if s.f == nil {
-		s.mu.Lock()
-		s.done[r.Idx] = r
-		s.mu.Unlock()
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.buf = append(appendRecord(s.buf[:0], r), '\n')
-	if _, err := s.w.Write(s.buf); err != nil {
-		return fmt.Errorf("store: append: %w", err)
-	}
-	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("store: flush: %w", err)
+	switch {
+	case s.log != nil:
+		if err := s.log.appendRecord(s.lc, r); err != nil {
+			return err
+		}
+	case s.f != nil:
+		s.buf = append(appendRecord(s.buf[:0], r), '\n')
+		if _, err := s.f.Write(s.buf); err != nil {
+			return fmt.Errorf("store: append: %w", err)
+		}
 	}
 	s.done[r.Idx] = r
 	return nil
@@ -219,27 +224,24 @@ func (s *Store) Completed() int {
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
+	switch {
+	case s.log != nil:
+		return s.log.sync()
+	case s.f != nil:
+		return s.f.Sync()
 	}
-	if err := s.w.Flush(); err != nil {
-		return err
-	}
-	return s.f.Sync()
+	return nil
 }
 
-// Close flushes and closes the log.
+// Close closes a directory's shard log; a store on a Log leaves the log,
+// which is its owner's, open.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
 		return nil
 	}
-	err := s.w.Flush()
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return s.f.Close()
 }
 
 // readRecords loads a shard log of an injections-long plan (see
@@ -333,12 +335,17 @@ func Load(dir string) (Manifest, []Record, error) {
 			source[idx] = p
 		}
 	}
-	out := make([]Record, 0, len(merged))
-	for _, r := range merged {
+	return m, sorted(merged), nil
+}
+
+// sorted lists records by plan index.
+func sorted(recs map[int]Record) []Record {
+	out := make([]Record, 0, len(recs))
+	for _, r := range recs {
 		out = append(out, r)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Idx < out[j].Idx })
-	return m, out, nil
+	return out
 }
 
 // Missing returns how many of the manifest's injections have no record

@@ -80,7 +80,6 @@ type Campaign struct {
 	// enqueuedAt is stamped by the scheduler for queue-latency metrics.
 	enqueuedAt time.Time
 
-	dir     string
 	bcast   *obs.Broadcaster
 	tracker *obs.ProgressTracker
 	tel     *obs.Telemetry
@@ -90,7 +89,7 @@ type Campaign struct {
 // broadcaster over inner (nil in the daemon — the durable store is the
 // record of truth; the -trace journal under `hauberk-run -http`) with a
 // synchronous progress tracker. Shards < 1 means the whole plan.
-func newCampaign(id string, sub Submission, dir string, inner obs.Sink) *Campaign {
+func newCampaign(id string, sub Submission, inner obs.Sink) *Campaign {
 	b := obs.NewBroadcaster(inner)
 	tr := obs.NewProgressTracker()
 	b.Attach(tr)
@@ -110,7 +109,6 @@ func newCampaign(id string, sub Submission, dir string, inner obs.Sink) *Campaig
 		state:       StateQueued,
 		changed:     make(chan struct{}),
 		submittedAt: time.Now(),
-		dir:         dir,
 		bcast:       b,
 		tracker:     tr,
 		tel:         obs.New(b),
@@ -241,12 +239,12 @@ func (c *Campaign) await(ctx context.Context, stop <-chan struct{}, d time.Durat
 // restoreCampaign rebuilds an in-memory record from its journal line
 // (daemon restart). The telemetry plane is fresh — event history from
 // the previous process is gone, but the durable store is complete.
-func restoreCampaign(m meta, dir string) *Campaign {
+func restoreCampaign(m meta) *Campaign {
 	c := newCampaign(m.ID, Submission{
 		Tenant: m.Tenant, Program: m.Program, Scale: m.Scale,
 		Dataset: m.Dataset, Isolation: m.Isolation,
 		Shard: m.Shard, Shards: m.Shards,
-	}, dir, nil)
+	}, nil)
 	c.state = m.State
 	c.submittedAt = m.SubmittedAt
 	c.startedAt = m.StartedAt

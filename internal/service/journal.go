@@ -7,21 +7,29 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
+
+	"hauberk/internal/harness"
+	"hauberk/internal/harness/store"
 )
 
-// journalFile is the daemon's campaign journal, directly under StoreRoot
-// next to the per-campaign store directories.
+// journalFile is the daemon's one file, directly under StoreRoot: a
+// store.Log holding the campaign table and every campaign's injection
+// store. The table is the log's owner's lines, a meta line at a
+// campaign's submission and one when it settles; a campaign's store is
+// its tagged lines, the manifest line when it starts to run and then one
+// record line per completed injection. Every line is one write(2) on the
+// O_APPEND file and nothing is fsynced, so a kill loses at most the line
+// being written, whose torn tail replay skips.
 const journalFile = "journal.jsonl"
 
 // meta is a campaign's durable form: one line of the daemon journal. It
 // is what lets a restarted daemon rebuild its campaign table and requeue
-// unfinished work; the campaign's directory holds only its injection
-// store.
+// unfinished work.
 type meta struct {
 	ID          string    `json:"id"`
 	Tenant      string    `json:"tenant"`
@@ -59,50 +67,17 @@ func (c *Campaign) metaLocked() meta {
 	}
 }
 
-// journal is the daemon's append-only campaign log: one compact JSON meta
-// line per lifecycle write — a campaign's submission and its settled
-// state. Like the store's shard logs, a line is one write(2) on an
-// O_APPEND file and nothing is fsynced, so a kill loses at most the line
-// being written, whose torn tail replay skips.
-type journal struct {
-	mu  sync.Mutex
-	f   *os.File
-	buf []byte
-}
-
-// append writes c's current durable form as one line. The snapshot is
-// taken under the journal lock, so lines land in the order of the states
-// they record and a campaign's last line is never older than its latest
+// appendMeta journals c's current durable form. The snapshot is taken
+// under the journal's lock, so lines land in the order of the states they
+// record and a campaign's last line is never older than its latest
 // persisted state, however its writers interleave.
-func (j *journal) append(c *Campaign) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return errors.New("service: journal closed")
-	}
-	c.mu.Lock()
-	m := c.metaLocked()
-	c.mu.Unlock()
-	var err error
-	if j.buf, err = appendLine(j.buf[:0], m); err != nil {
-		return err
-	}
-	if _, err := j.f.Write(j.buf); err != nil {
-		return fmt.Errorf("service: append %s: %w", journalFile, err)
-	}
-	return nil
-}
-
-// close closes the journal file; later appends fail.
-func (j *journal) close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
+func appendMeta(j *store.Log, c *Campaign) error {
+	return j.Append(func(buf []byte) ([]byte, error) {
+		c.mu.Lock()
+		m := c.metaLocked()
+		c.mu.Unlock()
+		return appendLine(buf, m)
+	})
 }
 
 // appendLine appends m's journal line, newline included, to buf.
@@ -114,105 +89,115 @@ func appendLine(buf []byte, m meta) ([]byte, error) {
 	return append(append(buf, raw...), '\n'), nil
 }
 
-// openJournal rewrites root's journal as ms, one line per campaign
-// (tmp + fsync + rename, so a crash leaves the old journal or the new
-// one), and opens it for appending. The compaction keeps the journal the
-// size of the campaign table rather than of the daemon's history.
-func openJournal(root string, ms []meta) (*journal, error) {
+// openJournal rewrites root's journal compacted (compactJournal; tmp +
+// fsync + rename, so a crash leaves the old journal or the new one) and
+// opens it for appending. The compaction keeps the journal the size of
+// the campaign table and its stores rather than of the daemon's history.
+func openJournal(root string, ms []meta, j *store.Log) (*store.Log, error) {
+	raw, err := compactJournal(ms, j)
+	if err != nil {
+		return nil, err
+	}
+	return store.CreateLog(filepath.Join(root, journalFile), raw)
+}
+
+// compactJournal is the replayed journal j rewritten one campaign at a
+// time, in ID order: the campaign's meta line, then its store's lines
+// (store.Log.AppendCampaign). The store lines of a campaign with no meta
+// line are dropped: its submission never landed, so it was never
+// accepted.
+func compactJournal(ms []meta, j *store.Log) ([]byte, error) {
 	var buf []byte
 	for _, m := range ms {
 		var err error
 		if buf, err = appendLine(buf, m); err != nil {
 			return nil, err
 		}
+		if buf, err = j.AppendCampaign(buf, m.ID); err != nil {
+			return nil, err
+		}
 	}
-	path := filepath.Join(root, journalFile)
-	tmp, err := os.Create(path + ".tmp")
-	if err != nil {
-		return nil, fmt.Errorf("service: compact %s: %w", journalFile, err)
-	}
-	_, err = tmp.Write(buf)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("service: compact %s: %w", journalFile, err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
-	return &journal{f: f}, nil
+	return buf, nil
 }
 
-// readJournal replays root's journal (see parseJournal). A root without
-// one is empty, unless it holds the per-campaign submission.json files of
-// a daemon from before the journal: those campaigns would be silently
-// forgotten, so that root is refused.
-func readJournal(root string) ([]meta, error) {
-	path := filepath.Join(root, journalFile)
-	raw, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		legacy, gerr := filepath.Glob(filepath.Join(root, "*", "submission.json"))
-		if gerr != nil {
-			return nil, fmt.Errorf("service: scan %s: %w", root, gerr)
+// readJournal replays root's journal (see parseJournal); a root without
+// one is empty. A root that holds campaign directories of an older daemon
+// — a submission.json or manifest.json per campaign — is refused: those
+// campaigns would be silently forgotten.
+func readJournal(root string) ([]meta, *store.Log, error) {
+	for _, name := range []string{"submission.json", "manifest.json"} {
+		legacy, err := filepath.Glob(filepath.Join(root, "*", name))
+		if err != nil {
+			return nil, nil, fmt.Errorf("service: scan %s: %w", root, err)
 		}
 		if len(legacy) > 0 {
-			return nil, fmt.Errorf("service: store root %s holds %d campaign(s) of a daemon without %s (e.g. %s); drain them with that daemon's binary, or move the directory aside",
-				root, len(legacy), journalFile, legacy[0])
+			return nil, nil, fmt.Errorf("service: store root %s holds %d campaign director(ies) of an older daemon (e.g. %s); this one keeps every campaign in %s: drain them with that daemon's binary, or move the directory aside",
+				root, len(legacy), legacy[0], journalFile)
 		}
-		return nil, nil
 	}
-	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
+	path := filepath.Join(root, journalFile)
+	raw, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, nil, fmt.Errorf("service: %w", err)
 	}
 	return parseJournal(path, raw)
 }
 
+// LoadCampaign reads campaign id's store from the journal under root,
+// through the replay a starting daemon runs, and folds its records as
+// harness.LoadCampaignDir folds a campaign directory. It only reads: a
+// daemon may be running on root.
+func LoadCampaign(root, id string) (store.Manifest, *harness.CampaignResult, error) {
+	ms, j, err := readJournal(root)
+	if err != nil {
+		return store.Manifest{}, nil, err
+	}
+	if !slices.ContainsFunc(ms, func(m meta) bool { return m.ID == id }) {
+		return store.Manifest{}, nil, fmt.Errorf("%w %s in %s", ErrNotFound, id, root)
+	}
+	man, recs, err := j.Load(id)
+	if err != nil {
+		return man, nil, err
+	}
+	cr, err := harness.FoldCampaign(id, man, recs)
+	return man, cr, err
+}
+
 // parseJournal replays the journal raw, read from path, in order: the
-// last line for an ID wins. It returns one meta per campaign, by ID. A
-// malformed final line (the partial write of a killed daemon) is dropped;
-// a malformed interior line, or one naming no campaign ID or an unknown
-// state, is corruption and an error.
-func parseJournal(path string, raw []byte) ([]meta, error) {
+// last meta line for an ID wins, and each campaign's store lines are
+// indexed (store.ReadLog). It returns one meta per campaign, by ID, and
+// the index. A final line without its newline (the partial write of a
+// killed daemon) is dropped; a malformed interior line, or a meta line
+// naming no campaign ID or an unknown state, is corruption and an error.
+func parseJournal(path string, raw []byte) ([]meta, *store.Log, error) {
 	byID := make(map[string]meta)
-	lines := strings.Split(string(raw), "\n")
-	for i, line := range lines {
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
+	j, err := store.ReadLog(path, raw, func(n int, line []byte) error {
 		var m meta
-		if err := json.Unmarshal([]byte(line), &m); err != nil {
-			if i == len(lines)-1 {
-				break // torn final line: its campaign keeps its previous state
-			}
-			return nil, fmt.Errorf("service: %s line %d: %w", path, i+1, err)
+		if err := json.Unmarshal(line, &m); err != nil {
+			return fmt.Errorf("service: %s line %d: %w", path, n, err)
 		}
 		if _, ok := campaignNumber(m.ID); !ok {
-			return nil, fmt.Errorf("service: %s line %d: bad campaign id %q", path, i+1, m.ID)
+			return fmt.Errorf("service: %s line %d: bad campaign id %q", path, n, m.ID)
 		}
 		if !m.State.known() {
-			return nil, fmt.Errorf("service: %s line %d: campaign %s has unknown state %q", path, i+1, m.ID, m.State)
+			return fmt.Errorf("service: %s line %d: campaign %s has unknown state %q", path, n, m.ID, m.State)
 		}
 		byID[m.ID] = m
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	ms := make([]meta, 0, len(byID))
 	for _, m := range byID {
 		ms = append(ms, m)
 	}
 	sort.Slice(ms, func(i, j int) bool { return ms[i].ID < ms[j].ID })
-	return ms, nil
+	return ms, j, nil
 }
 
 // campaignNumber parses a daemon campaign ID, "c" and a decimal number
-// (the form Submit allocates), so it also names a directory of the store
-// root and nothing outside it.
+// (the form Submit allocates).
 func campaignNumber(id string) (int, bool) {
 	digits, ok := strings.CutPrefix(id, "c")
 	if !ok || digits == "" || strings.Trim(digits, "0123456789") != "" {

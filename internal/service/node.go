@@ -1,10 +1,7 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"hauberk/internal/harness/store"
 )
@@ -43,46 +40,36 @@ func (d *Daemon) NodeStatus() NodeStatus {
 }
 
 // StoreSnapshot is a campaign's durable store in wire form, served at
-// GET /v1/campaigns/{id}/store: the manifest plus the raw bytes of
-// every shard log. The coordinator writes the files verbatim into its
-// merge directory, where the read-side merge dedupes re-dispatched
-// records and rejects cross-plan conflicts. State rides along so the
-// coordinator can tell a complete shard from a partial salvage (an
-// interrupted node's log is valid JSONL up to a possibly truncated
-// tail, which the store's loader already tolerates).
+// GET /v1/campaigns/{id}/store: the manifest plus its shard log, the
+// bytes a `hauberk-run -campaign-dir` shard file of the same records
+// holds. The coordinator writes the files verbatim into its merge
+// directory, where the read-side merge dedupes re-dispatched records and
+// rejects cross-plan conflicts. State rides along so the coordinator can
+// tell a complete shard from a partial salvage.
 type StoreSnapshot struct {
 	State    State             `json:"state"`
 	Manifest store.Manifest    `json:"manifest"`
 	Files    map[string]string `json:"files"`
 }
 
-// StoreSnapshot reads a campaign's durable store for the fleet
-// coordinator. A campaign that has not begun executing has no manifest
-// yet; that surfaces as os.ErrNotExist (HTTP 404) and the coordinator
-// treats the shard as not-yet-started rather than failed.
+// StoreSnapshot reads a campaign's durable store — its lines of the
+// journal — for the fleet coordinator. A campaign that has not begun
+// executing has no manifest yet; that surfaces as os.ErrNotExist (HTTP
+// 404) and the coordinator treats the shard as not-yet-started rather
+// than failed.
 func (d *Daemon) StoreSnapshot(id string) (StoreSnapshot, error) {
 	c, err := d.Get(id)
 	if err != nil {
 		return StoreSnapshot{}, err
 	}
-	snap := StoreSnapshot{State: c.State(), Files: make(map[string]string)}
-	raw, err := os.ReadFile(filepath.Join(c.dir, "manifest.json"))
-	if err != nil {
-		return StoreSnapshot{}, fmt.Errorf("service: campaign %s has no store yet: %w", id, err)
-	}
-	if err := json.Unmarshal(raw, &snap.Manifest); err != nil {
-		return StoreSnapshot{}, fmt.Errorf("service: campaign %s manifest: %w", id, err)
-	}
-	paths, err := filepath.Glob(filepath.Join(c.dir, "shard-*.jsonl"))
+	state := c.State() // before the records, so a done state comes with all of them
+	m, raw, err := d.journal.Snapshot(id)
 	if err != nil {
 		return StoreSnapshot{}, fmt.Errorf("service: %w", err)
 	}
-	for _, p := range paths {
-		b, err := os.ReadFile(p)
-		if err != nil {
-			return StoreSnapshot{}, fmt.Errorf("service: %w", err)
-		}
-		snap.Files[filepath.Base(p)] = string(b)
-	}
-	return snap, nil
+	return StoreSnapshot{
+		State:    state,
+		Manifest: m,
+		Files:    map[string]string{store.ShardFile(c.Shard, c.Shards): string(raw)},
+	}, nil
 }

@@ -14,12 +14,12 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
 	"hauberk/internal/harness"
+	"hauberk/internal/harness/store"
 	"hauberk/internal/obs"
 	"hauberk/internal/obs/obshttp"
 	"hauberk/internal/workloads"
@@ -63,9 +63,9 @@ func applyTestOptsHook(c *Campaign, opts *harness.CampaignOptions) {
 type Config struct {
 	// Addr is the HTTP listen address (":0" picks an ephemeral port).
 	Addr string
-	// StoreRoot is the directory holding the daemon's campaign journal
-	// (journal.jsonl) and one subdirectory per campaign (the durable
-	// store's manifest and shards).
+	// StoreRoot is the directory holding the daemon's one journal,
+	// journal.jsonl: the campaign table and every campaign's durable
+	// store (manifest and records).
 	StoreRoot string
 	// Slots bounds concurrently executing campaigns; zero means 2.
 	// Within each slot, campaign-level worker parallelism still draws
@@ -112,11 +112,13 @@ type Submission struct {
 }
 
 // preparedEntry caches one (program, scale, dataset) preparation:
-// golden run, profile, and injection plan are deterministic, so every
-// matching submission shares them and pays setup cost once.
+// golden run, profile, injection plan and the store manifest naming them
+// are deterministic, so every matching submission shares them and pays
+// setup cost once.
 type preparedEntry struct {
 	once sync.Once
 	pc   *harness.PreparedCampaign
+	man  store.Manifest
 	err  error
 }
 
@@ -128,7 +130,7 @@ type Daemon struct {
 
 	sched   *scheduler
 	http    *obshttp.Server
-	journal *journal
+	journal *store.Log
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -143,7 +145,7 @@ type Daemon struct {
 
 // NewDaemon builds a daemon and recovers prior state from StoreRoot's
 // journal: terminal campaigns are listed as-is, unfinished ones are
-// requeued (resuming from their durable store when a manifest exists).
+// requeued (resuming from their durable store when it has a manifest).
 // Nothing listens or executes until Start.
 func NewDaemon(cfg Config) (*Daemon, error) {
 	if cfg.StoreRoot == "" {
@@ -189,25 +191,22 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 }
 
 // recover replays StoreRoot's journal and rebuilds the table, then
-// compacts the journal to one line per campaign and opens it for the
-// daemon's appends. Unfinished campaigns go back to queued; whether they
-// resume or restart is decided by the durable store itself (manifest
-// present → completed injections are skipped, exactly `hauberk-run
-// -resume`).
+// compacts the journal to one meta line per campaign followed by its
+// store and opens it for the daemon's appends. Unfinished campaigns go
+// back to queued; whether they resume or restart is decided by their
+// durable store (a manifest line → completed injections are skipped,
+// exactly `hauberk-run -resume`).
 func (d *Daemon) recover() error {
-	ms, err := readJournal(d.cfg.StoreRoot)
+	ms, j, err := readJournal(d.cfg.StoreRoot)
 	if err != nil {
 		return err
 	}
 	for i, m := range ms {
-		dir := filepath.Join(d.cfg.StoreRoot, m.ID)
-		c := restoreCampaign(m, dir)
+		c := restoreCampaign(m)
 		if !m.State.Terminal() {
 			c.mu.Lock()
 			c.state = StateQueued
-			if _, statErr := os.Stat(filepath.Join(dir, "manifest.json")); statErr == nil {
-				c.resume = true
-			}
+			c.resume = j.Started(m.ID)
 			ms[i] = c.metaLocked()
 			c.mu.Unlock()
 		}
@@ -216,7 +215,7 @@ func (d *Daemon) recover() error {
 			d.nextID = n + 1
 		}
 	}
-	d.journal, err = openJournal(d.cfg.StoreRoot, ms)
+	d.journal, err = openJournal(d.cfg.StoreRoot, ms, j)
 	return err
 }
 
@@ -259,8 +258,8 @@ func (d *Daemon) Start() error {
 // Addr is the bound HTTP address (valid after Start).
 func (d *Daemon) Addr() string { return d.http.Addr() }
 
-// Submit admits one campaign: allocate an id and directory, persist the
-// submission, enqueue it. ErrQueueFull and ErrDraining are admission
+// Submit admits one campaign: allocate an id, persist the submission,
+// enqueue it. ErrQueueFull and ErrDraining are admission
 // rejections; the record is not created in either case.
 func (d *Daemon) Submit(sub Submission) (*Campaign, error) {
 	if sub.Tenant == "" {
@@ -303,8 +302,7 @@ func (d *Daemon) Submit(sub Submission) (*Campaign, error) {
 		return nil, ErrDraining
 	}
 	id := fmt.Sprintf("c%06d", d.nextID)
-	dir := filepath.Join(d.cfg.StoreRoot, id)
-	c := newCampaign(id, sub, dir, nil)
+	c := newCampaign(id, sub, nil)
 	if err := d.sched.Submit(c, sub.Weight); err != nil {
 		d.mu.Unlock()
 		d.reg.Counter("hauberkd_rejections_total", "tenant", sub.Tenant).Inc()
@@ -379,8 +377,9 @@ func (d *Daemon) Cancel(id string) (Status, error) {
 }
 
 // prepare returns the shared preparation for one (program, scale,
-// dataset), computing it at most once per daemon lifetime.
-func (d *Daemon) prepare(program, scaleName string, dataset int) (*harness.PreparedCampaign, error) {
+// dataset) and its store manifest, computing them at most once per daemon
+// lifetime.
+func (d *Daemon) prepare(program, scaleName string, dataset int) (*harness.PreparedCampaign, store.Manifest, error) {
 	key := program + "|" + scaleName + "|" + fmt.Sprint(dataset)
 	d.mu.Lock()
 	e := d.prepared[key]
@@ -393,9 +392,11 @@ func (d *Daemon) prepare(program, scaleName string, dataset int) (*harness.Prepa
 		scale, _ := harness.ScaleByName(scaleName)
 		env := d.env.Clone()
 		env.Scale = scale
-		e.pc, e.err = env.PrepareCampaign(workloads.ByName(program), workloads.Dataset{Index: dataset})
+		if e.pc, e.err = env.PrepareCampaign(workloads.ByName(program), workloads.Dataset{Index: dataset}); e.err == nil {
+			e.man = env.CampaignManifest(e.pc.Spec, e.pc.Mode, e.pc.Plan)
+		}
 	})
-	return e.pc, e.err
+	return e.pc, e.man, e.err
 }
 
 // execute runs one dispatched campaign to a terminal (or resumable)
@@ -421,9 +422,16 @@ func (d *Daemon) execute(c *Campaign) {
 	// No journal line for running: recovery requeues it like queued, and
 	// startedAt rides on the settled line.
 
-	pc, err := d.prepare(c.Program, c.ScaleName, c.Dataset)
+	pc, man, err := d.prepare(c.Program, c.ScaleName, c.Dataset)
 	if err != nil {
 		d.fail(c, fmt.Errorf("prepare: %w", err))
+		return
+	}
+	// The campaign's store is its lines of the daemon's journal: the first
+	// run writes its manifest line, a resumed one loads its records.
+	cs, err := d.journal.Open(c.ID, man, c.Shard, c.Shards, resume)
+	if err != nil {
+		d.fail(c, err)
 		return
 	}
 	scale, _ := harness.ScaleByName(c.ScaleName)
@@ -431,8 +439,7 @@ func (d *Daemon) execute(c *Campaign) {
 	env.Scale = scale
 	env.Obs = c.tel
 	opts := harness.CampaignOptions{
-		Dir:       c.dir,
-		Resume:    resume,
+		Store:     cs,
 		Isolation: c.Isolation,
 		Shard:     c.Shard,
 		Shards:    c.Shards,
@@ -490,7 +497,7 @@ func (d *Daemon) finish(c *Campaign, state State, set func()) {
 // persist appends the campaign's current state to the journal, logging a
 // failure: the campaign carries on in memory either way.
 func (d *Daemon) persist(c *Campaign) {
-	if err := d.journal.append(c); err != nil {
+	if err := appendMeta(d.journal, c); err != nil {
 		d.cfg.Logf("hauberkd: persist %s: %v", c.ID, err)
 	}
 }
@@ -525,7 +532,7 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 		// A campaign still running past the window keeps the journal
 		// open, so it can journal the state it settles in.
 		d.cfg.Logf("hauberkd: drain incomplete: %v", err)
-	} else if err := d.journal.close(); err != nil {
+	} else if err := d.journal.Close(); err != nil {
 		d.cfg.Logf("hauberkd: close %s: %v", journalFile, err)
 	}
 	// The campaigns' isolated workers stay pooled between campaigns; none

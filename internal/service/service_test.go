@@ -8,9 +8,11 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -103,15 +105,10 @@ func TestDaemonDigestMatchesDirectRun(t *testing.T) {
 	if st.Digest != want {
 		t.Fatalf("daemon digest diverged from direct run:\ndaemon:\n%s\ndirect:\n%s", st.Digest, want)
 	}
-	// The campaign's directory is its injection store and nothing else;
-	// its lifecycle lives in the daemon's one journal.
-	for dir, want := range map[string][]string{
-		d.cfg.StoreRoot: {c.ID, journalFile},
-		c.dir:           {"manifest.json", "shard-0of1.jsonl"},
-	} {
-		if got := dirNames(t, dir); strings.Join(got, " ") != strings.Join(want, " ") {
-			t.Errorf("%s holds %v, want %v", dir, got, want)
-		}
+	// The campaign has no directory: its lifecycle and its injection store
+	// are lines of the daemon's one journal.
+	if got := dirNames(t, d.cfg.StoreRoot); strings.Join(got, " ") != journalFile {
+		t.Errorf("store root holds %v, want only %s", got, journalFile)
 	}
 }
 
@@ -467,9 +464,9 @@ func TestSubmissionValidation(t *testing.T) {
 }
 
 // TestSubmitRejectsOutOfRangeDataset: a dataset index the program does not
-// define is a 400 over HTTP that allocates no campaign directory, writes no
-// journal line and does not count as a submission; the last valid index is
-// still accepted.
+// define is a 400 over HTTP that changes nothing in the store root, writes
+// no journal line and does not count as a submission; the last valid index
+// is still accepted.
 func TestSubmitRejectsOutOfRangeDataset(t *testing.T) {
 	root := t.TempDir()
 	d := startDaemon(t, root, 1, 4)
@@ -513,7 +510,7 @@ func TestSubmitRejectsOutOfRangeDataset(t *testing.T) {
 	if code := post(last); code != http.StatusCreated {
 		t.Fatalf("dataset %d: %d, want 201", last, code)
 	}
-	// The accepted campaign makes its directory when it runs and journals
+	// The accepted campaign journals its store when it runs and its state
 	// when it settles; wait for both before taking the reference.
 	for _, st := range d.List() {
 		c, _ := d.Get(st.ID)
@@ -545,18 +542,18 @@ func TestSubmitRejectsOutOfRangeDataset(t *testing.T) {
 // error.
 func TestJournalRoundTrip(t *testing.T) {
 	root := t.TempDir()
-	j, err := openJournal(root, nil)
+	j, err := openJournal(root, nil, nil)
 	if err != nil {
 		t.Fatalf("openJournal: %v", err)
 	}
 	c := newCampaign("c000042", Submission{
 		Tenant: "acme", Program: "SAD", Scale: "quick", Dataset: 1,
 		Isolation: "process", Shard: 2, Shards: 3,
-	}, filepath.Join(root, "c000042"), nil)
-	other := newCampaign("c000007", Submission{Tenant: "default", Program: "CP", Scale: "tiny"}, "", nil)
+	}, nil)
+	other := newCampaign("c000007", Submission{Tenant: "default", Program: "CP", Scale: "tiny"}, nil)
 	write := func(c *Campaign) {
 		t.Helper()
-		if err := j.append(c); err != nil {
+		if err := appendMeta(j, c); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}
@@ -566,10 +563,10 @@ func TestJournalRoundTrip(t *testing.T) {
 	c.mu.Unlock()
 	write(c)
 	write(other)
-	if err := j.close(); err != nil {
+	if err := j.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if err := j.append(c); err == nil {
+	if err := appendMeta(j, c); err == nil {
 		t.Error("append after close succeeded")
 	}
 	path := filepath.Join(root, journalFile)
@@ -580,7 +577,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	f.WriteString(`{"id":"c000042","tenant":"acme","program":"SAD","sta`) //nolint:errcheck
 	f.Close()                                                             //nolint:errcheck
 
-	ms, err := readJournal(root)
+	ms, _, err := readJournal(root)
 	if err != nil {
 		t.Fatalf("readJournal: %v", err)
 	}
@@ -593,7 +590,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		m.State != StateInterrupted || m.Digest != "partial" {
 		t.Fatalf("round-trip mismatch: %+v", m)
 	}
-	r := restoreCampaign(m, c.dir)
+	r := restoreCampaign(m)
 	if r.State() != StateInterrupted || r.ID != c.ID {
 		t.Fatalf("restore mismatch: %s %s", r.ID, r.State())
 	}
@@ -605,30 +602,48 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, append(raw, '\n', '{', '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readJournal(root); err == nil || !strings.Contains(err.Error(), "line 4") {
+	if _, _, err := readJournal(root); err == nil || !strings.Contains(err.Error(), "line 4") {
 		t.Fatalf("readJournal over a malformed interior line: %v, want an error naming line 4", err)
 	}
 }
 
-// TestNewDaemonRefusesLegacyStoreRoot: a store root holding the
-// per-campaign submission.json files of a daemon from before the journal
-// is refused, naming the directory, rather than opened empty — and is left
-// as it was, so the older binary can still drain it.
+// TestNewDaemonRefusesLegacyStoreRoot: a store root holding the campaign
+// directories of an older daemon — the per-campaign submission.json of a
+// daemon from before the journal, or the journal plus a manifest and shard
+// log per campaign — is refused, naming the directory, rather than opened
+// without them, and is left as it was, so the older binary can still
+// drain it.
 func TestNewDaemonRefusesLegacyStoreRoot(t *testing.T) {
-	root := t.TempDir()
-	legacy := filepath.Join(root, "c000001")
-	if err := os.MkdirAll(legacy, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(legacy, "submission.json"), []byte(`{"id":"c000001","state":"queued"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := NewDaemon(Config{Addr: "127.0.0.1:0", StoreRoot: root, Logf: t.Logf})
-	if err == nil || !strings.Contains(err.Error(), root) || !strings.Contains(err.Error(), "move the directory aside") {
-		t.Fatalf("NewDaemon over a pre-journal store root: %v, want a refusal naming %s", err, root)
-	}
-	if _, err := os.Stat(filepath.Join(root, journalFile)); !os.IsNotExist(err) {
-		t.Errorf("refused store root gained a journal: %v", err)
+	for name, files := range map[string]map[string]string{
+		"pre-journal": {
+			"c000001/submission.json": `{"id":"c000001","state":"queued"}`,
+		},
+		"directory-per-campaign": {
+			journalFile:                `{"id":"c000001","tenant":"default","program":"CP","scale":"tiny","dataset":0,"state":"interrupted","submitted_at":"2026-01-02T03:04:05Z"}` + "\n",
+			"c000001/manifest.json":    `{"program":"CP","mode":3,"injections":4,"plan_hash":"00000000000000ab"}`,
+			"c000001/shard-0of1.jsonl": `{"idx":0,"id":"k0","outcome":1,"bits":1,"class":0}` + "\n",
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			root := t.TempDir()
+			for f, content := range files {
+				path := filepath.Join(root, f)
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err := NewDaemon(Config{Addr: "127.0.0.1:0", StoreRoot: root, Logf: t.Logf})
+			if err == nil || !strings.Contains(err.Error(), root) || !strings.Contains(err.Error(), "move the directory aside") {
+				t.Fatalf("NewDaemon over an older daemon's store root: %v, want a refusal naming %s", err, root)
+			}
+			journal, err := os.ReadFile(filepath.Join(root, journalFile))
+			if want, ok := files[journalFile]; string(journal) != want || (err == nil) != ok {
+				t.Errorf("refused store root's journal changed: %q (%v), want %q", journal, err, want)
+			}
+		})
 	}
 }
 
@@ -655,10 +670,11 @@ func TestDaemonRestartRequeuesTornTerminalLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.SplitAfter(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if n := len(lines); n != 2 || !strings.Contains(lines[1], `"state":"done"`) {
-		t.Fatalf("journal holds %d lines ending %q, want the submit line and the done line", n, lines[n-1])
+	last := lines[len(lines)-1]
+	if !strings.Contains(last, `"state":"done"`) {
+		t.Fatalf("journal ends %q, want the done line", last)
 	}
-	torn := lines[0] + lines[1][:len(lines[1])/2]
+	torn := strings.Join(lines[:len(lines)-1], "") + last[:len(last)/2]
 	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -681,7 +697,8 @@ func TestDaemonRestartRequeuesTornTerminalLine(t *testing.T) {
 // TestDaemonRestartKeepsTerminalCampaigns: concurrent tiny submissions
 // race their submit line against their own settled line. After a restart
 // no terminal campaign may be requeued (it would run again), and the
-// compacted journal holds one line per campaign.
+// compacted journal holds one meta line per campaign, each followed by
+// that campaign's store.
 func TestDaemonRestartKeepsTerminalCampaigns(t *testing.T) {
 	root := t.TempDir()
 	d := startDaemon(t, root, 2, 64)
@@ -719,7 +736,7 @@ func TestDaemonRestartKeepsTerminalCampaigns(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewDaemon: %v", err)
 	}
-	defer d2.journal.close() //nolint:errcheck // never started, so no Shutdown
+	defer d2.journal.Close() //nolint:errcheck // never started, so no Shutdown
 	got := d2.List()
 	if len(got) != n {
 		t.Fatalf("restart recovered %d campaigns, want %d", len(got), n)
@@ -734,8 +751,207 @@ func TestDaemonRestartKeepsTerminalCampaigns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lines := strings.Count(string(raw), "\n"); lines != n {
-		t.Errorf("compacted journal holds %d lines, want %d", lines, n)
+	var metas []string
+	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		if strings.HasPrefix(line, "{") {
+			metas = append(metas, line)
+			continue
+		}
+		tag, _, _ := strings.Cut(line, "\t")
+		if len(metas) == 0 || !strings.Contains(metas[len(metas)-1], `"id":"`+tag+`"`) {
+			t.Fatalf("compacted journal line %q does not follow its campaign's meta line", line)
+		}
+	}
+	if len(metas) != n {
+		t.Errorf("compacted journal holds %d meta lines, want %d", len(metas), n)
+	}
+}
+
+// TestThousandCampaignsOneEntry: however many campaigns a daemon runs,
+// its store root holds the journal alone — before and after a restart
+// compacts it.
+func TestThousandCampaignsOneEntry(t *testing.T) {
+	root := t.TempDir()
+	d := startDaemon(t, root, 2, 1000)
+	const n = 1000
+	cs := make([]*Campaign, n)
+	for i := range cs {
+		c, err := d.Submit(Submission{Program: "RPES", Scale: "tiny"})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		cs[i] = c
+	}
+	for _, c := range cs {
+		if st := awaitState(t, c, State.Terminal, "completion"); st != StateDone {
+			t.Fatalf("%s finished %s", c.ID, st)
+		}
+	}
+	if got := dirNames(t, root); strings.Join(got, " ") != journalFile {
+		t.Fatalf("after %d campaigns the store root holds %v, want only %s", n, got, journalFile)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := d.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	d2, err := NewDaemon(Config{Addr: "127.0.0.1:0", StoreRoot: root, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("NewDaemon: %v", err)
+	}
+	defer d2.journal.Close() //nolint:errcheck // never started, so no Shutdown
+	if got := len(d2.List()); got != n {
+		t.Errorf("restart recovered %d campaigns, want %d", got, n)
+	}
+	if got := dirNames(t, root); strings.Join(got, " ") != journalFile {
+		t.Errorf("after the restart the store root holds %v, want only %s", got, journalFile)
+	}
+}
+
+// TestStoreSnapshotSurvivesRestart: a shard campaign's snapshot — what the
+// fleet coordinator fetches — is the same before and after a restart
+// compacts the journal, and holds the records a `hauberk-run -campaign-dir`
+// run of the same shard writes to its shard file.
+func TestStoreSnapshotSurvivesRestart(t *testing.T) {
+	root := t.TempDir()
+	d := startDaemon(t, root, 1, 4)
+	c, err := d.Submit(Submission{Program: "CP", Scale: "tiny", Shard: 1, Shards: 2})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if st := awaitState(t, c, State.Terminal, "completion"); st != StateDone {
+		t.Fatalf("shard campaign finished %s", st)
+	}
+	before := snapshotJSON(t, d, c.ID)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := d.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	d2, err := NewDaemon(Config{Addr: "127.0.0.1:0", StoreRoot: root, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("NewDaemon: %v", err)
+	}
+	defer d2.journal.Close() //nolint:errcheck // never started, so no Shutdown
+	if after := snapshotJSON(t, d2, c.ID); after != before {
+		t.Fatalf("snapshot changed across a restart:\n%s\nthen\n%s", before, after)
+	}
+
+	snap, err := d2.StoreSnapshot(c.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := harness.NewEnv(harness.TinyScale())
+	pc, err := env.PrepareCampaign(workloads.ByName("CP"), workloads.Dataset{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := env.RunPrepared(context.Background(), pc, harness.CampaignOptions{Dir: dir, Shard: 1, Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(dir, "shard-1of2.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := snap.Files["shard-1of2.jsonl"]
+	if len(snap.Files) != 1 || !ok {
+		t.Fatalf("snapshot files %v, want shard-1of2.jsonl alone", snap.Files)
+	}
+	if sortedLines(got) != sortedLines(string(want)) {
+		t.Fatalf("snapshot shard log differs from hauberk-run's:\n%s\nwant (any order):\n%s", got, want)
+	}
+	if man := env.CampaignManifest(pc.Spec, pc.Mode, pc.Plan); !snap.Manifest.Equal(man) {
+		t.Fatalf("snapshot manifest %+v, want %+v", snap.Manifest, man)
+	}
+}
+
+// snapshotJSON is a campaign's store snapshot in its wire form.
+func snapshotJSON(t *testing.T, d *Daemon, id string) string {
+	t.Helper()
+	snap, err := d.StoreSnapshot(id)
+	if err != nil {
+		t.Fatalf("snapshot %s: %v", id, err)
+	}
+	raw, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
+// sortedLines is s's lines in sorted order.
+func sortedLines(s string) string {
+	lines := strings.SplitAfter(s, "\n")
+	sort.Strings(lines)
+	return strings.Join(lines, "")
+}
+
+// TestDaemonRestartRerunsTornRecord: a daemon killed while writing a
+// record line leaves it torn at the journal's end. The restart drops the
+// torn line, resumes the campaign from the records before it, re-runs
+// exactly that injection — its record line comes back byte for byte — and
+// reaches the uninterrupted digest.
+func TestDaemonRestartRerunsTornRecord(t *testing.T) {
+	root := t.TempDir()
+	d := startDaemon(t, root, 1, 4)
+	c, err := d.Submit(Submission{Program: "CP", Scale: "tiny"})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	awaitState(t, c, State.Terminal, "completion")
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := d.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	path := filepath.Join(root, journalFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(raw), "\n")
+	k := len(lines) - 1
+	for k >= 0 && !strings.HasPrefix(lines[k], c.ID+"\t{") {
+		k--
+	}
+	if k < 0 {
+		t.Fatalf("journal holds no record line of %s:\n%s", c.ID, raw)
+	}
+	// The kill came halfway through the last record line: nothing after
+	// it, the done line included, was written.
+	torn := lines[k]
+	if err := os.WriteFile(path, []byte(strings.Join(lines[:k], "")+torn[:len(torn)/2]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var reruns atomic.Int64
+	SetTestOptsHook(func(_ *Campaign, opts *harness.CampaignOptions) {
+		opts.OnResult = func(int, int) { reruns.Add(1) }
+	})
+	defer SetTestOptsHook(nil)
+	d2 := startDaemon(t, root, 1, 4)
+	c2, err := d2.Get(c.ID)
+	if err != nil {
+		t.Fatalf("campaign %s lost across restart: %v", c.ID, err)
+	}
+	awaitState(t, c2, State.Terminal, "resumed completion")
+	st := c2.Status()
+	if st.State != StateDone {
+		t.Fatalf("resumed campaign finished %s (error %q), want done", st.State, st.Error)
+	}
+	if n := reruns.Load(); n != 1 {
+		t.Errorf("resume ran %d injections, want the torn one alone", n)
+	}
+	if want := referenceDigest(t, "CP", "tiny", 0); st.Digest != want {
+		t.Fatalf("resumed digest diverged from the direct run:\nresumed:\n%s\ndirect:\n%s", st.Digest, want)
+	}
+	_, snap, err := d2.journal.Snapshot(c.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.TrimPrefix(torn, c.ID+"\t"); !strings.HasSuffix(string(snap), "\n"+want) {
+		t.Errorf("the re-run record is not the torn one %q:\n%s", want, snap)
 	}
 }
 

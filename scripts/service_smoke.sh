@@ -68,13 +68,16 @@ submit_id() { report -submit "$@" | awk '/^submitted /{print $2}'; }
 # client (fatal under pipefail) once a done campaign's digest follows.
 status_line() { report -id "$1" | sed -n 1p; }
 
-# last_state <id>: the state on the campaign's last line of the daemon
+# last_state <id>: the state on the campaign's last meta line of the daemon
 # journal — what a restart replays for it. journal_lines <id> prints them all.
+# has_manifest <id>: the journal holds the campaign's manifest line, the
+# head of its durable store.
 last_state() {
   awk -v id="\"id\":\"$1\"" 'index($0, id) { s = $0 }
     END { if (match(s, /"state":"[a-z]+"/)) print substr(s, RSTART + 9, RLENGTH - 10) }' "$store/journal.jsonl"
 }
 journal_lines() { grep -F "\"id\":\"$1\"" "$store/journal.jsonl" || true; }
+has_manifest() { grep -q "^$1	manifest	{" "$store/journal.jsonl"; }
 
 start_daemon "$work/d1.log"
 echo "service smoke: hauberkd at $base"
@@ -154,15 +157,15 @@ if [ -z "$interrupted_id" ]; then
 fi
 
 # The drain must have checkpointed a resumable state: the campaign's last
-# journal line says interrupted, and the durable store (manifest + shards)
-# is on disk.
+# meta line says interrupted, and its durable store (the manifest line and
+# its records) is in the journal.
 [ "$(last_state "$interrupted_id")" = interrupted ] || {
   echo "service smoke: $interrupted_id not persisted as interrupted after drain" >&2
   journal_lines "$interrupted_id" >&2
   exit 1
 }
-[ -f "$store/$interrupted_id/manifest.json" ] || {
-  echo "service smoke: no durable manifest for $interrupted_id after drain" >&2; exit 1; }
+has_manifest "$interrupted_id" || {
+  echo "service smoke: no durable manifest for $interrupted_id in the journal after drain" >&2; exit 1; }
 [ "$(last_state "$canceled_id")" = canceled ] || {
   echo "service smoke: canceled $canceled_id lost its state across the drain" >&2; exit 1; }
 echo "service smoke: SIGTERM drained with $interrupted_id interrupted and resumable"
@@ -179,12 +182,12 @@ report -id "$interrupted_id" -wait -wait-timeout 10m >/dev/null || {
 
 # The resumed campaign's digest must be byte-identical to an
 # uninterrupted hauberk-run of the same plan — over the API and straight
-# from the daemon's store directory.
+# from the daemon's journal on disk.
 "$work/hauberk-run" -program "$long" -scale full -campaign-dir "$work/ref-full" \
   | sed -n '/^figure digest:$/,$p' | tail -n +2 >"$work/ref-full.digest"
 report -id "$interrupted_id" -digest >"$work/resumed.digest"
 diff "$work/ref-full.digest" "$work/resumed.digest"
-"$work/hauberk-report" -campaign "$store/$interrupted_id" \
+"$work/hauberk-report" -campaign "$store" -id "$interrupted_id" \
   | sed -n '/^figure digest:$/,$p' | tail -n +2 >"$work/resumed-dir.digest"
 diff "$work/ref-full.digest" "$work/resumed-dir.digest"
 echo "service smoke: resumed digest identical to uninterrupted hauberk-run (full $long)"
