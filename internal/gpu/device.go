@@ -265,6 +265,13 @@ func (d *Device) ReadWords(b *Buffer) []uint32 {
 	return out
 }
 
+// Words returns a buffer's raw words in place, without copying: the view
+// is valid until the device's memory is next written.
+func (d *Device) Words(b *Buffer) []uint32 {
+	end := int(b.Off) + b.Len
+	return d.arena[b.Off:end:end]
+}
+
 // WriteWords overwrites the raw words of a buffer.
 func (d *Device) WriteWords(b *Buffer, src []uint32) {
 	copy(d.arena[b.Off:int(b.Off)+b.Len], src)

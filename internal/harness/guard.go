@@ -8,15 +8,17 @@ import (
 )
 
 // runInjectionGuarded runs one injection against the campaign's golden
-// trace gt under the in-process watchdog: a wall-clock expiry classifies
-// the run as a hang failure (the simulator's step budget catches
-// simulated hangs; the watchdog catches the harness itself wedging).
+// trace gt under the in-process watchdog, counting it into im: a
+// wall-clock expiry classifies the run as a hang failure (the simulator's
+// step budget catches simulated hangs; the watchdog catches the harness
+// itself wedging).
 func (e *Env) runInjectionGuarded(
 	ctx context.Context,
 	pc *PreparedCampaign,
 	gt *goldenTrace,
 	inj Injection,
 	timeout time.Duration,
+	im *injectionMetrics,
 ) (*InjectionResult, error) {
 	spec := pc.Spec
 	g := guard{
@@ -32,7 +34,7 @@ func (e *Env) runInjectionGuarded(
 		},
 	}
 	return g.run(ctx, inj, func() *InjectionResult {
-		return e.injectOn(gt, pc.Golden, inj)
+		return e.injectOn(gt, pc.Golden, inj, im)
 	})
 }
 

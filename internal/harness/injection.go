@@ -9,6 +9,7 @@ import (
 	"hauberk/internal/core/translate"
 	"hauberk/internal/gpu"
 	"hauberk/internal/kir"
+	"hauberk/internal/obs"
 	"hauberk/internal/stats"
 	"hauberk/internal/swifi"
 	"hauberk/internal/workloads"
@@ -95,30 +96,58 @@ func (e *Env) RunInjection(
 	if err != nil {
 		return nil, err
 	}
-	return e.injectOn(gt, golden, inj), nil
+	return e.injectOn(gt, golden, inj, e.injectionMetrics()), nil
+}
+
+// injectionMetrics are the series every injection launch counts into,
+// resolved once per campaign so the injection path looks nothing up.
+type injectionMetrics struct {
+	exit              [numExitReasons]*obs.Counter
+	executed, skipped *obs.Counter
+	live, restored    *obs.Counter
+}
+
+// injectionMetrics resolves the injection series in e's registry; nil
+// when e's telemetry is disabled.
+func (e *Env) injectionMetrics() *injectionMetrics {
+	if !e.Obs.Enabled() {
+		return nil
+	}
+	m := e.Obs.Metrics()
+	m.Help("hauberk_injection_exit_total", "injection launches by how they ended (golden-trace resume)")
+	m.Help("hauberk_injection_threads_total", "threads of injection launches executed live vs taken from the golden trace")
+	m.Help("hauberk_injection_steps_total", "statements of injection launches executed live vs taken from the golden trace")
+	im := &injectionMetrics{
+		executed: m.Counter("hauberk_injection_threads_total", "kind", "executed"),
+		skipped:  m.Counter("hauberk_injection_threads_total", "kind", "skipped"),
+		live:     m.Counter("hauberk_injection_steps_total", "kind", "live"),
+		restored: m.Counter("hauberk_injection_steps_total", "kind", "restored"),
+	}
+	for r := range im.exit {
+		im.exit[r] = m.Counter("hauberk_injection_exit_total", "reason", exitReason(r).String())
+	}
+	return im
 }
 
 // injectOn runs one injection against a resolved golden trace of golden
-// and classifies it.
-func (e *Env) injectOn(gt *goldenTrace, golden *GoldenRun, inj Injection) *InjectionResult {
+// and classifies it, counting the launch into im (nil: not counted).
+func (e *Env) injectOn(gt *goldenTrace, golden *GoldenRun, inj Injection, im *injectionMetrics) *InjectionResult {
 	l := gt.launch(inj.Cmd)
-	if e.Obs.Enabled() {
-		m := e.Obs.Metrics()
-		m.Help("hauberk_injection_exit_total", "injection launches by how they ended (golden-trace resume)")
-		m.Counter("hauberk_injection_exit_total", "reason", l.exit).Inc()
-		m.Help("hauberk_injection_threads_total", "threads of injection launches executed live vs taken from the golden trace")
-		m.Counter("hauberk_injection_threads_total", "kind", "executed").Add(int64(l.executed))
-		m.Counter("hauberk_injection_threads_total", "kind", "skipped").Add(int64(l.result.Threads - l.executed))
-		m.Help("hauberk_injection_steps_total", "statements of injection launches executed live vs taken from the golden trace")
-		m.Counter("hauberk_injection_steps_total", "kind", "live").Add(l.live)
-		m.Counter("hauberk_injection_steps_total", "kind", "restored").Add(l.restored)
+	if im != nil {
+		im.exit[l.exit].Inc()
+		im.executed.Add(int64(l.executed))
+		im.skipped.Add(int64(l.result.Threads - l.executed))
+		im.live.Add(l.live)
+		im.restored.Add(l.restored)
 	}
 	res := &InjectionResult{Injection: inj, Activated: l.activated}
 	if l.err != nil {
 		res.Outcome = OutcomeFailure
 		_, res.Hang = l.err.(*gpu.HangError)
 	} else {
-		meets := gt.spec.Requirement.Check(golden.Output, l.td.inst.ReadOutput())
+		// The output is read in place: the view is valid until the device
+		// goes back to the pool.
+		meets := gt.spec.Requirement.Check(golden.Output, l.td.inst.OutputView())
 		res.Outcome = Classify(false, l.cb.SDC(), meets)
 	}
 	gt.release(l.td)

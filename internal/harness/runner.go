@@ -207,6 +207,12 @@ func (e *Env) RunPrepared(ctx context.Context, pc *PreparedCampaign, opts Campai
 		// for the next campaign — unless this one was interrupted.
 		defer func() { iso.release(ctx.Err() != nil) }()
 	}
+	// The campaign's series are resolved once, not per injection.
+	im := e.injectionMetrics()
+	var heartbeatLag *obs.Histogram
+	if e.Obs.Enabled() {
+		heartbeatLag = e.Obs.Metrics().Histogram("hauberk_campaign_heartbeat_lag_ms", heartbeatLagBuckets)
+	}
 	var (
 		mu         sync.Mutex // guards done, lastAppend and the order of progress reports
 		done       = resumed
@@ -235,9 +241,7 @@ func (e *Env) RunPrepared(ctx context.Context, pc *PreparedCampaign, opts Campai
 				obs.Bool("hang", r.Hang))
 			now := time.Now()
 			if !lastAppend.IsZero() {
-				e.Obs.Metrics().Histogram("hauberk_campaign_heartbeat_lag_ms",
-					heartbeatLagBuckets).
-					Observe(float64(now.Sub(lastAppend)) / float64(time.Millisecond))
+				heartbeatLag.Observe(float64(now.Sub(lastAppend)) / float64(time.Millisecond))
 			}
 			lastAppend = now
 		}
@@ -259,7 +263,7 @@ func (e *Env) RunPrepared(ctx context.Context, pc *PreparedCampaign, opts Campai
 		} else {
 			idx := pending[lo]
 			var r *InjectionResult
-			if r, err = e.runInjectionGuarded(ctx, pc, gt, plan[idx], timeout); err != nil {
+			if r, err = e.runInjectionGuarded(ctx, pc, gt, plan[idx], timeout, im); err != nil {
 				err = fmt.Errorf("injection %d: %w", idx, err)
 			} else {
 				err = record(idx, r)

@@ -277,13 +277,40 @@ type injectionLaunch struct {
 	result    *gpu.Result
 	err       error
 	activated bool
-	// exit says how the launch ended (the hauberk_injection_exit_total
-	// reasons); executed counts the threads that ran live, and live and
-	// restored the statements executed and taken from the trace.
-	exit           string
+	// exit says how the launch ended; executed counts the threads that
+	// ran live, and live and restored the statements executed and taken
+	// from the trace.
+	exit           exitReason
 	executed       int
 	live, restored int64
 }
+
+// exitReason is how an injection launch ended: the reason label of
+// hauberk_injection_exit_total.
+type exitReason uint8
+
+const (
+	exitSettled exitReason = iota
+	exitCarried
+	exitRanToEnd
+	exitCrashed
+	exitHung
+	exitNeverFired
+	exitIneligible
+	numExitReasons
+)
+
+var exitReasonNames = [numExitReasons]string{
+	exitSettled:    "settled",
+	exitCarried:    "carried",
+	exitRanToEnd:   "ran_to_end",
+	exitCrashed:    "crashed",
+	exitHung:       "hung",
+	exitNeverFired: "never_fired",
+	exitIneligible: "ineligible",
+}
+
+func (r exitReason) String() string { return exitReasonNames[r] }
 
 // launch runs one injection against the trace. An eligible launch restores
 // what comes before the target instance's thread from the trace, and that
@@ -305,7 +332,7 @@ func (gt *goldenTrace) launch(cmd swifi.Command) injectionLaunch {
 		l.td = gt.newDevice()
 		l.result, l.err = l.td.d.Launch(gt.tr.Kernel, l.td.launchSpec(rt, gt.hangBudget))
 		l.activated = injector.Injected
-		l.exit, l.executed = "ineligible", l.result.Threads
+		l.exit, l.executed = exitIneligible, l.result.Threads
 		return l
 	}
 
@@ -323,17 +350,17 @@ func (gt *goldenTrace) launch(cmd swifi.Command) injectionLaunch {
 	l.executed, l.live, l.restored = ex.Stop-at.Thread, ex.Live, ex.Restored
 	switch _, hung := l.err.(*gpu.HangError); {
 	case hung:
-		l.exit = "hung"
+		l.exit = exitHung
 	case l.err != nil:
-		l.exit = "crashed"
+		l.exit = exitCrashed
 	case at.Thread == threads:
-		l.exit = "never_fired"
+		l.exit = exitNeverFired
 	case ex.Stop == threads:
-		l.exit = "ran_to_end"
+		l.exit = exitRanToEnd
 	case ex.Carried:
-		l.exit = "carried"
+		l.exit = exitCarried
 	default:
-		l.exit = "settled"
+		l.exit = exitSettled
 	}
 	if l.err == nil && !ex.Carried {
 		gt.replayAlarms(l.cb, gt.alarmsBefore(ex.Stop), len(gt.alarms))

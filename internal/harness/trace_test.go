@@ -118,7 +118,7 @@ func TestResumeEqualsFullLaunch(t *testing.T) {
 			for i, cmd := range cmds {
 				want, got := full.launch(cmd), resume.launch(cmd)
 				diffLaunches(t, cmd, want, got)
-				exits[got.exit]++
+				exits[got.exit.String()]++
 				if at, _, _ := resume.resumePoint(cmd); at.Checkpoint > 0 {
 					fromCheckpoint++
 				}

@@ -336,7 +336,9 @@ func (w *workerState) run(req isoRequest) (*InjectionResult, error) {
 		return nil, fmt.Errorf("harness: worker staged %s dataset %d (%s) as %016x but the campaign prepared %016x: "+
 			"its range store or device config is not the worker's", req.Program, req.Dataset, req.Mode, sm.hash, req.Staging)
 	}
-	return w.env.injectOn(sm.gt, st.golden, Injection{Cmd: req.Cmd}), nil
+	// The campaign counts the injection from the result; the worker's own
+	// telemetry is off.
+	return w.env.injectOn(sm.gt, st.golden, Injection{Cmd: req.Cmd}, nil), nil
 }
 
 // WorkerMain is the body of `hauberk-run -worker`: serve injection
@@ -620,7 +622,7 @@ func (e *Env) isolatedResult(
 				obs.Str("reason", err.Error()))
 			e.Obs.Metrics().Counter("hauberk_worker_spawn_fallbacks_total").Inc()
 		}
-		return e.runInjectionGuarded(ctx, pc, gt, inj, timeout)
+		return e.runInjectionGuarded(ctx, pc, gt, inj, timeout, e.injectionMetrics())
 
 	case errors.As(err, &crash):
 		return &InjectionResult{Injection: inj, Outcome: OutcomeFailure}, nil

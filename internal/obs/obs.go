@@ -237,10 +237,17 @@ func Nop() *Telemetry { return nop }
 // discards events but keeps metrics collection on — the -metrics-only
 // CLI configuration.
 func New(sink Sink) *Telemetry {
+	return NewWithRegistry(sink, NewRegistry())
+}
+
+// NewWithRegistry is New writing its metrics into reg, an existing
+// registry: a daemon's campaigns each have their own event stream, and
+// all count into the one registry its /metrics serves.
+func NewWithRegistry(sink Sink, reg *Registry) *Telemetry {
 	if sink == nil {
 		sink = NopSink{}
 	}
-	return &Telemetry{sink: sink, reg: NewRegistry(), clock: time.Now, enabled: true}
+	return &Telemetry{sink: sink, reg: reg, clock: time.Now, enabled: true}
 }
 
 // Enabled reports whether anyone is listening. Hot paths check it before

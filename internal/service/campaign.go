@@ -46,7 +46,9 @@ func (s State) settled() bool {
 
 // Campaign is one submitted campaign's record in the daemon: identity,
 // schedule state, and the per-campaign telemetry plane (broadcaster,
-// progress tracker) backing /v1/campaigns/{id} and its /events feed.
+// progress tracker, telemetry) backing /v1/campaigns/{id} and its /events
+// feed. A finished campaign may shed the plane (shed); it keeps its
+// status, with the progress frozen.
 type Campaign struct {
 	ID        string
 	Tenant    string
@@ -80,19 +82,34 @@ type Campaign struct {
 	// enqueuedAt is stamped by the scheduler for queue-latency metrics.
 	enqueuedAt time.Time
 
-	bcast   *obs.Broadcaster
-	tracker *obs.ProgressTracker
-	tel     *obs.Telemetry
+	// The telemetry plane, nil once shed; progress is the tracker's last
+	// snapshot from then on.
+	bcast    *obs.Broadcaster
+	tracker  *obs.ProgressTracker
+	tel      *obs.Telemetry
+	progress obs.ProgressSnapshot
 }
 
 // newCampaign wires the in-memory record with its telemetry plane: a
 // broadcaster over inner (nil in the daemon — the durable store is the
 // record of truth; the -trace journal under `hauberk-run -http`) with a
-// synchronous progress tracker. Shards < 1 means the whole plan.
-func newCampaign(id string, sub Submission, inner obs.Sink) *Campaign {
-	b := obs.NewBroadcaster(inner)
-	tr := obs.NewProgressTracker()
-	b.Attach(tr)
+// synchronous progress tracker, and a telemetry counting into reg (the
+// daemon's registry; nil: one of its own). Shards < 1 means the whole
+// plan.
+func newCampaign(id string, sub Submission, inner obs.Sink, reg *obs.Registry) *Campaign {
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	c := newRecord(id, sub)
+	c.bcast = obs.NewBroadcaster(inner)
+	c.tracker = obs.NewProgressTracker()
+	c.bcast.Attach(c.tracker)
+	c.tel = obs.NewWithRegistry(c.bcast, reg)
+	return c
+}
+
+// newRecord is a queued campaign's record without a telemetry plane.
+func newRecord(id string, sub Submission) *Campaign {
 	shards := sub.Shards
 	if shards < 1 {
 		shards = 1
@@ -109,9 +126,6 @@ func newCampaign(id string, sub Submission, inner obs.Sink) *Campaign {
 		state:       StateQueued,
 		changed:     make(chan struct{}),
 		submittedAt: time.Now(),
-		bcast:       b,
-		tracker:     tr,
-		tel:         obs.New(b),
 	}
 }
 
@@ -146,6 +160,10 @@ type Status struct {
 func (c *Campaign) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	progress := c.progress
+	if c.tracker != nil {
+		progress = c.tracker.Snapshot()
+	}
 	return Status{
 		ID:          c.ID,
 		Tenant:      c.Tenant,
@@ -161,8 +179,37 @@ func (c *Campaign) Status() Status {
 		FinishedAt:  c.finishedAt,
 		Digest:      c.digest,
 		Error:       c.errMsg,
-		Progress:    c.tracker.Snapshot(),
+		Progress:    progress,
 	}
+}
+
+// events returns the campaign's event broadcaster, nil once shed.
+func (c *Campaign) events() *obs.Broadcaster {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bcast
+}
+
+// droppedEvents is how many live events the campaign's broadcaster has
+// dropped; the campaign must not have shed.
+func (c *Campaign) droppedEvents() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bcast.Dropped()
+}
+
+// shed releases a finished campaign's telemetry plane and returns how
+// many live events its broadcaster dropped. The broadcaster closes first,
+// so live event streams end cleanly and drop nothing more; the progress
+// snapshot freezes, so Status answers as it did.
+func (c *Campaign) shed() (dropped int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.bcast.Close() //nolint:errcheck // its inner sink is NopSink
+	dropped = c.bcast.Dropped()
+	c.progress = c.tracker.Snapshot()
+	c.bcast, c.tracker, c.tel = nil, nil, nil
+	return dropped
 }
 
 // shardsField maps the internal "1 means whole plan" to the wire's
@@ -237,14 +284,23 @@ func (c *Campaign) await(ctx context.Context, stop <-chan struct{}, d time.Durat
 }
 
 // restoreCampaign rebuilds an in-memory record from its journal line
-// (daemon restart). The telemetry plane is fresh — event history from
-// the previous process is gone, but the durable store is complete.
-func restoreCampaign(m meta) *Campaign {
-	c := newCampaign(m.ID, Submission{
+// (daemon restart); an unfinished one gets a fresh telemetry plane
+// counting into reg. Event history from the previous process is gone, but
+// the durable store is complete, so a terminal campaign is born shed: an
+// idle progress snapshot and no event feed.
+func restoreCampaign(m meta, reg *obs.Registry) *Campaign {
+	sub := Submission{
 		Tenant: m.Tenant, Program: m.Program, Scale: m.Scale,
 		Dataset: m.Dataset, Isolation: m.Isolation,
 		Shard: m.Shard, Shards: m.Shards,
-	}, nil)
+	}
+	var c *Campaign
+	if m.State.Terminal() {
+		c = newRecord(m.ID, sub)
+		c.progress = obs.NewProgressTracker().Snapshot()
+	} else {
+		c = newCampaign(m.ID, sub, nil, reg)
+	}
 	c.state = m.State
 	c.submittedAt = m.SubmittedAt
 	c.startedAt = m.StartedAt

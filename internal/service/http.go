@@ -77,14 +77,15 @@ func newAPIServer(d *Daemon) *obshttp.Server {
 	return s
 }
 
-// droppedEvents sums the live events dropped across every campaign's
-// broadcaster.
+// droppedEvents is the live events dropped by every campaign's
+// broadcaster: summed over the campaigns that still have one, plus the
+// count the shed ones handed over, so the total never decreases.
 func (d *Daemon) droppedEvents() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var dropped int64
-	for _, c := range d.campaigns {
-		dropped += c.bcast.Dropped()
+	dropped := d.shedDropped
+	for c := range d.live {
+		dropped += c.droppedEvents()
 	}
 	return dropped
 }
@@ -97,9 +98,7 @@ type errorBody struct {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone mid-write is not actionable
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone mid-write is not actionable
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
@@ -141,13 +140,22 @@ func (a readAPI) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, c.Status())
 }
 
+// handleEvents streams the campaign's events. A campaign that has shed
+// its telemetry plane has none left: 410 Gone.
 func (a readAPI) handleEvents(w http.ResponseWriter, r *http.Request) {
 	c, err := a.get(r.PathValue("id"))
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	obshttp.EventsHandler(c.bcast)(w, r)
+	b := c.events()
+	if b == nil {
+		writeError(w, http.StatusGone, fmt.Errorf(
+			"campaign %s has no event history: a daemon keeps it for its newest %d finished campaigns, and for none finished before it started; its status and store remain",
+			c.ID, retainedCampaigns))
+		return
+	}
+	obshttp.EventsHandler(b)(w, r)
 }
 
 func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {

@@ -28,7 +28,7 @@ type Monitor struct {
 // closes it, as does a failed ServeMonitor. The campaign's ID is r<pid>.
 // /readyz answers 503 until the first event arrives.
 func ServeMonitor(addr string, sub Submission, journal obs.Sink) (*Monitor, error) {
-	c := newCampaign(fmt.Sprintf("r%06d", os.Getpid()), sub, journal)
+	c := newCampaign(fmt.Sprintf("r%06d", os.Getpid()), sub, journal, nil)
 	c.setState(StateRunning, func() { c.startedAt = c.submittedAt })
 	m := &Monitor{c: c, stop: make(chan struct{})}
 	m.srv = obshttp.New(obshttp.Config{

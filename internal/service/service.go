@@ -137,11 +137,23 @@ type Daemon struct {
 
 	mu        sync.Mutex
 	campaigns map[string]*Campaign
-	nextID    int
-	prepared  map[string]*preparedEntry
-	draining  bool
-	started   bool
+	// live holds the campaigns that have a telemetry plane; retained the
+	// finished ones among them, oldest first (retire). shedDropped counts
+	// the live events dropped by the broadcasters of shed campaigns.
+	live        map[*Campaign]struct{}
+	retained    []*Campaign
+	shedDropped int64
+	nextID      int
+	prepared    map[string]*preparedEntry
+	draining    bool
+	started     bool
 }
+
+// retainedCampaigns is how many finished campaigns keep their telemetry
+// plane (event history, progress tracker, telemetry). An older one sheds
+// it and keeps its status, digest and store, so the daemon's memory does
+// not grow with the telemetry of every campaign it has ever finished.
+const retainedCampaigns = 256
 
 // NewDaemon builds a daemon and recovers prior state from StoreRoot's
 // journal: terminal campaigns are listed as-is, unfinished ones are
@@ -174,6 +186,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		reg:       obs.NewRegistry(),
 		env:       harness.NewEnv(harness.TinyScale()),
 		campaigns: make(map[string]*Campaign),
+		live:      make(map[*Campaign]struct{}),
 		nextID:    1,
 		prepared:  make(map[string]*preparedEntry),
 	}
@@ -202,13 +215,14 @@ func (d *Daemon) recover() error {
 		return err
 	}
 	for i, m := range ms {
-		c := restoreCampaign(m)
+		c := restoreCampaign(m, d.reg)
 		if !m.State.Terminal() {
 			c.mu.Lock()
 			c.state = StateQueued
 			c.resume = j.Started(m.ID)
 			ms[i] = c.metaLocked()
 			c.mu.Unlock()
+			d.live[c] = struct{}{}
 		}
 		d.campaigns[c.ID] = c
 		if n, _ := campaignNumber(c.ID); n >= d.nextID {
@@ -302,7 +316,7 @@ func (d *Daemon) Submit(sub Submission) (*Campaign, error) {
 		return nil, ErrDraining
 	}
 	id := fmt.Sprintf("c%06d", d.nextID)
-	c := newCampaign(id, sub, nil)
+	c := newCampaign(id, sub, nil, d.reg)
 	if err := d.sched.Submit(c, sub.Weight); err != nil {
 		d.mu.Unlock()
 		d.reg.Counter("hauberkd_rejections_total", "tenant", sub.Tenant).Inc()
@@ -310,6 +324,7 @@ func (d *Daemon) Submit(sub Submission) (*Campaign, error) {
 	}
 	d.nextID++
 	d.campaigns[id] = c
+	d.live[c] = struct{}{}
 	d.mu.Unlock()
 
 	// If this append fails the campaign stays queued in memory, but a
@@ -417,7 +432,7 @@ func (d *Daemon) execute(c *Campaign) {
 	if c.startedAt.IsZero() {
 		c.startedAt = time.Now()
 	}
-	resume := c.resume
+	resume, tel := c.resume, c.tel
 	c.mu.Unlock()
 	// No journal line for running: recovery requeues it like queued, and
 	// startedAt rides on the settled line.
@@ -437,7 +452,7 @@ func (d *Daemon) execute(c *Campaign) {
 	scale, _ := harness.ScaleByName(c.ScaleName)
 	env := d.env.Clone()
 	env.Scale = scale
-	env.Obs = c.tel
+	env.Obs = tel
 	opts := harness.CampaignOptions{
 		Store:     cs,
 		Isolation: c.Isolation,
@@ -482,9 +497,10 @@ func (d *Daemon) fail(c *Campaign, err error) {
 }
 
 // finish moves a campaign to a terminal (or resumable) state, running set
-// (if any) under the same lock, records the per-tenant outcome metric and
-// persists. The metric is counted before the state is published, so
-// whoever observes the state also sees its outcome on /metrics.
+// (if any) under the same lock, records the per-tenant outcome metric,
+// persists and retires a terminal campaign. The metric is counted before
+// the state is published, so whoever observes the state also sees its
+// outcome on /metrics.
 func (d *Daemon) finish(c *Campaign, state State, set func()) {
 	d.reg.Counter("hauberkd_campaign_outcomes_total",
 		"tenant", c.Tenant, "state", string(state)).Inc()
@@ -492,6 +508,25 @@ func (d *Daemon) finish(c *Campaign, state State, set func()) {
 	d.persist(c)
 	d.cfg.Logf("hauberkd: %s %s (%s %s/%d) -> %s",
 		c.ID, c.Tenant, c.Program, c.ScaleName, c.Dataset, state)
+	if state.Terminal() {
+		d.retire(c)
+	}
+}
+
+// retire counts c, just finished, among the retained campaigns and sheds
+// the telemetry plane of the oldest past retainedCampaigns, folding its
+// dropped-event count into the daemon's.
+func (d *Daemon) retire(c *Campaign) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.retained = append(d.retained, c)
+	for len(d.retained) > retainedCampaigns {
+		old := d.retained[0]
+		d.retained[0] = nil
+		d.retained = d.retained[1:]
+		delete(d.live, old)
+		d.shedDropped += old.shed()
+	}
 }
 
 // persist appends the campaign's current state to the journal, logging a

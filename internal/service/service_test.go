@@ -549,8 +549,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	c := newCampaign("c000042", Submission{
 		Tenant: "acme", Program: "SAD", Scale: "quick", Dataset: 1,
 		Isolation: "process", Shard: 2, Shards: 3,
-	}, nil)
-	other := newCampaign("c000007", Submission{Tenant: "default", Program: "CP", Scale: "tiny"}, nil)
+	}, nil, nil)
+	other := newCampaign("c000007", Submission{Tenant: "default", Program: "CP", Scale: "tiny"}, nil, nil)
 	write := func(c *Campaign) {
 		t.Helper()
 		if err := appendMeta(j, c); err != nil {
@@ -590,7 +590,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		m.State != StateInterrupted || m.Digest != "partial" {
 		t.Fatalf("round-trip mismatch: %+v", m)
 	}
-	r := restoreCampaign(m)
+	r := restoreCampaign(m, nil)
 	if r.State() != StateInterrupted || r.ID != c.ID {
 		t.Fatalf("restore mismatch: %s %s", r.ID, r.State())
 	}

@@ -70,6 +70,10 @@ type Instance struct {
 // ReadOutput returns the raw output words.
 func (in *Instance) ReadOutput() []uint32 { return in.Device.ReadWords(in.Output) }
 
+// OutputView returns the output words in place (Device.Words): valid
+// until the device runs or is set up again.
+func (in *Instance) OutputView() []uint32 { return in.Device.Words(in.Output) }
+
 // Requirement is a program's output-correctness requirement: it reports
 // whether the actual output satisfies the requirement against the golden
 // run (Section VIII's per-program formulas).
@@ -117,13 +121,8 @@ func ByName(name string) *Spec {
 
 // --- requirement constructors --------------------------------------------
 
-func f32s(words []uint32) []float32 {
-	out := make([]float32, len(words))
-	for i, w := range words {
-		out[i] = math.Float32frombits(w)
-	}
-	return out
-}
+// f64 widens an output word holding a float32 to float64.
+func f64(w uint32) float64 { return float64(math.Float32frombits(w)) }
 
 // FPRelReq violates when |actual-golden| > max(absFloor, relFrac*|golden|)
 // for any element.
@@ -131,16 +130,16 @@ func FPRelReq(name string, absFloor, relFrac float64) Requirement {
 	return Requirement{
 		Name: name,
 		Check: func(golden, actual []uint32) bool {
-			g, a := f32s(golden), f32s(actual)
-			if len(g) != len(a) {
+			if len(golden) != len(actual) {
 				return false
 			}
-			for i := range g {
-				tol := relFrac * math.Abs(float64(g[i]))
+			for i := range golden {
+				g, a := f64(golden[i]), f64(actual[i])
+				tol := relFrac * math.Abs(g)
 				if tol < absFloor {
 					tol = absFloor
 				}
-				diff := math.Abs(float64(a[i]) - float64(g[i]))
+				diff := math.Abs(a - g)
 				if diff > tol || math.IsNaN(diff) {
 					return false
 				}
@@ -156,23 +155,23 @@ func MRIReq(name string, globalFrac, relFrac float64) Requirement {
 	return Requirement{
 		Name: name,
 		Check: func(golden, actual []uint32) bool {
-			g, a := f32s(golden), f32s(actual)
-			if len(g) != len(a) {
+			if len(golden) != len(actual) {
 				return false
 			}
 			maxG := 0.0
-			for _, v := range g {
-				if av := math.Abs(float64(v)); av > maxG {
+			for _, w := range golden {
+				if av := math.Abs(f64(w)); av > maxG {
 					maxG = av
 				}
 			}
 			floor := globalFrac * maxG
-			for i := range g {
-				tol := relFrac * math.Abs(float64(g[i]))
+			for i := range golden {
+				g, a := f64(golden[i]), f64(actual[i])
+				tol := relFrac * math.Abs(g)
 				if tol < floor {
 					tol = floor
 				}
-				diff := math.Abs(float64(a[i]) - float64(g[i]))
+				diff := math.Abs(a - g)
 				if diff > tol || math.IsNaN(diff) {
 					return false
 				}
@@ -234,13 +233,12 @@ func FrameReq(minPixels int, frac float64) Requirement {
 	return Requirement{
 		Name: "user-noticeable frame corruption",
 		Check: func(golden, actual []uint32) bool {
-			g, a := f32s(golden), f32s(actual)
-			if len(g) != len(a) {
+			if len(golden) != len(actual) {
 				return false
 			}
 			bad := 0
-			for i := range g {
-				diff := math.Abs(float64(a[i]) - float64(g[i]))
+			for i := range golden {
+				diff := math.Abs(f64(actual[i]) - f64(golden[i]))
 				if diff > frac || math.IsNaN(diff) {
 					bad++
 				}

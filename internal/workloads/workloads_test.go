@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"slices"
 	"testing"
 
 	"hauberk/internal/core/hrt"
@@ -158,5 +159,23 @@ func TestLoopTimeFractions(t *testing.T) {
 	}
 	if avg := total / 7; avg < 0.75 || avg > 0.95 {
 		t.Errorf("average loop fraction %.1f%%, want near the paper's 87%%", 100*avg)
+	}
+}
+
+// TestRequirementChecksAllocateNothing: a campaign checks every
+// injection's output against the requirement in place, through
+// OutputView, so neither the view nor any program's check may allocate.
+func TestRequirementChecksAllocateNothing(t *testing.T) {
+	for _, spec := range append(append(HPC(), Graphics()...), CPURef()) {
+		_, inst, golden := runBaseline(t, spec, Dataset{Index: 0})
+		if !slices.Equal(inst.OutputView(), golden) {
+			t.Fatalf("%s: the output view differs from ReadOutput", spec.Name)
+		}
+		if !spec.Requirement.Check(golden, inst.OutputView()) {
+			t.Errorf("%s: the golden output fails its own requirement", spec.Name)
+		}
+		if n := testing.AllocsPerRun(10, func() { spec.Requirement.Check(golden, inst.OutputView()) }); n != 0 {
+			t.Errorf("%s: checking the output allocates %.0f times, want 0", spec.Name, n)
+		}
 	}
 }
