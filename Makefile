@@ -128,11 +128,11 @@ bench-smoke:
 bench-digest:
 	timeout $(SMOKE_TIMEOUT) ./scripts/bench_digest.sh
 
-# report-digest pins the figures: `hauberk-report -fig all -scale quick -md`
+# report-digest pins the figures: `hauberk-report -fig all -scale S -md`
 # less its one wall-clock table (Section IX.D) must equal
-# results/report-quick.md (~6 s; UPDATE=1 re-pins). A change to the campaign
-# runner, the planner or the classification that moves a figure cell fails
-# here.
+# results/report-S.md, for S = quick and full (~9 s; UPDATE=1 re-pins). A
+# change to the campaign runner, the planner, profiling or the
+# classification that moves a figure cell fails here.
 report-digest:
 	timeout $(SMOKE_TIMEOUT) ./scripts/report_digest.sh
 

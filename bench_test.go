@@ -1,19 +1,18 @@
-// Package hauberk_test holds the benchmark harness that regenerates every
-// table and figure of the paper's evaluation (see DESIGN.md for the
-// experiment index). Run all of them with:
+// Package hauberk_test holds the module-wide developer benchmarks — the
+// DESIGN.md ablations, the translator and the telemetry hook path — and
+// the allocation check of a launch with the monitor off. The paper's
+// tables and figures are regenerated by `hauberk-report -fig`, not here.
+// Run the benchmarks with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem .
 //
-// Figures are emitted through b.Log (visible with -v) and the headline
-// numbers through b.ReportMetric. These are developer benchmarks and gate
-// nothing: the one perf gate is the campaign benchmark run against the
-// parent commit (`make bench-diff`, scripts/bench_pairs.sh). The
-// simulator's own engine benchmark (BenchmarkBaselineKernels) lives with
-// the engine and its test-only oracles in internal/gpu.
+// They gate nothing: the one perf gate is the campaign benchmark run
+// against the parent commit (`make bench-diff`, scripts/bench_pairs.sh).
+// The simulator's own engine benchmark (BenchmarkBaselineKernels) lives
+// with the engine and its test-only oracles in internal/gpu.
 package hauberk_test
 
 import (
-	"context"
 	"testing"
 
 	"hauberk/internal/core/hrt"
@@ -26,223 +25,6 @@ import (
 )
 
 func quickEnv() *harness.Env { return harness.NewEnv(harness.QuickScale()) }
-
-// BenchmarkFig01_Sensitivity regenerates Figure 1.
-func BenchmarkFig01_Sensitivity(b *testing.B) {
-	e := quickEnv()
-	for i := 0; i < b.N; i++ {
-		tbl, err := harness.Fig01(e)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Log("\n" + tbl.Render())
-	}
-}
-
-// BenchmarkFig02_MemoryFootprint regenerates Figure 2.
-func BenchmarkFig02_MemoryFootprint(b *testing.B) {
-	e := quickEnv()
-	for i := 0; i < b.N; i++ {
-		tbl, err := harness.Fig02(e)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Log("\n" + tbl.Render())
-	}
-}
-
-// BenchmarkFig03_GraphicsFaults regenerates Figure 3.
-func BenchmarkFig03_GraphicsFaults(b *testing.B) {
-	e := quickEnv()
-	for i := 0; i < b.N; i++ {
-		tbl, err := harness.Fig03(e)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Log("\n" + tbl.Render())
-	}
-}
-
-// BenchmarkFig04_LoopTimeFraction regenerates Figure 4 and reports the
-// average loop share (paper: 87%).
-func BenchmarkFig04_LoopTimeFraction(b *testing.B) {
-	e := quickEnv()
-	for i := 0; i < b.N; i++ {
-		sum := 0.0
-		for _, spec := range workloads.HPC() {
-			g, err := e.Golden(spec, workloads.Dataset{Index: 0})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sum += 100 * g.Result.LoopCycles / g.Result.Cycles
-		}
-		b.ReportMetric(sum/7, "avg-loop-%")
-	}
-}
-
-// BenchmarkFig10_ValueDistributions regenerates Figure 10 on MRI-Q and
-// reports the share of variables with a >50% single-decade peak.
-func BenchmarkFig10_ValueDistributions(b *testing.B) {
-	e := quickEnv()
-	for i := 0; i < b.N; i++ {
-		vt, err := e.TraceValues(workloads.MRIQ(), workloads.Dataset{Index: 0})
-		if err != nil {
-			b.Fatal(err)
-		}
-		peaked, counted := 0, 0
-		for _, h := range vt.Hists {
-			if h.Total == 0 {
-				continue
-			}
-			counted++
-			if h.Peak() > 0.5 {
-				peaked++
-			}
-		}
-		b.ReportMetric(100*float64(peaked)/float64(counted), "sharp-peak-vars-%")
-	}
-}
-
-// BenchmarkFig13_PerfOverhead regenerates Figure 13 per program and
-// reports each variant's overhead as a metric (paper: Hauberk avg 15.3%).
-func BenchmarkFig13_PerfOverhead(b *testing.B) {
-	e := quickEnv()
-	for _, spec := range workloads.HPC() {
-		spec := spec
-		b.Run(spec.Name, func(b *testing.B) {
-			prof, err := e.Profile(spec, []workloads.Dataset{{Index: 0}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				row, err := e.MeasurePerf(spec, workloads.Dataset{Index: 0}, prof.Store)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(row.Overheads[harness.Hauberk], "hauberk-overhead-%")
-				b.ReportMetric(row.Overheads[harness.RNaive], "rnaive-overhead-%")
-				b.ReportMetric(row.Overheads[harness.HauberkNL], "hauberk-nl-overhead-%")
-				b.ReportMetric(row.Overheads[harness.HauberkL], "hauberk-l-overhead-%")
-			}
-		})
-	}
-}
-
-// BenchmarkFig14_Coverage regenerates Figure 14 per program and reports
-// detection coverage (paper: 86.8% average).
-func BenchmarkFig14_Coverage(b *testing.B) {
-	e := quickEnv()
-	for _, spec := range workloads.HPC() {
-		spec := spec
-		b.Run(spec.Name, func(b *testing.B) {
-			pc, err := e.PrepareCampaign(spec, workloads.Dataset{Index: 0})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				cr, err := e.RunPrepared(context.Background(), pc, harness.CampaignOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(100*cr.All.Coverage(), "coverage-%")
-				b.ReportMetric(100*cr.All.Frac(harness.OutcomeUndetected), "undetected-%")
-				b.ReportMetric(float64(len(pc.Plan)), "injections")
-			}
-		})
-	}
-}
-
-// BenchmarkFig15_BitFlipMagnitude regenerates Figure 15 and reports the
-// fraction of >1e15 value changes for the highest bit count.
-func BenchmarkFig15_BitFlipMagnitude(b *testing.B) {
-	e := quickEnv()
-	bits := e.Scale.BitCounts
-	for i := 0; i < b.N; i++ {
-		res := e.Fig15(bits)
-		// Middle band (1e-3..1e3 originals), highest bit count, ">1e15"
-		// bucket: the paper's headline trend.
-		frac := res[2][len(bits)-1][8]
-		b.ReportMetric(100*frac, "over-1e15-%")
-	}
-}
-
-// BenchmarkFig16_FalsePositives regenerates Figure 16's alpha=1 curves and
-// reports the final false-positive ratio per program.
-func BenchmarkFig16_FalsePositives(b *testing.B) {
-	e := quickEnv()
-	for _, name := range []string{"CP", "MRI-FHD", "PNS", "TPACF"} {
-		name := name
-		b.Run(name, func(b *testing.B) {
-			spec := workloads.ByName(name)
-			for i := 0; i < b.N; i++ {
-				c, err := e.FalsePositiveStudy(spec, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(100*c.Ratio[len(c.Ratio)-1], "final-fp-%")
-				b.ReportMetric(100*c.Ratio[0], "initial-fp-%")
-			}
-		})
-	}
-}
-
-// BenchmarkFig16_AlphaSweep regenerates the MRI-FHD alpha sweep of
-// Figure 16 (right).
-func BenchmarkFig16_AlphaSweep(b *testing.B) {
-	e := quickEnv()
-	for _, alpha := range []float64{1, 2, 10, 100} {
-		alpha := alpha
-		b.Run(alphaName(alpha), func(b *testing.B) {
-			spec := workloads.ByName("MRI-FHD")
-			for i := 0; i < b.N; i++ {
-				c, err := e.FalsePositiveStudy(spec, alpha)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(100*c.Ratio[len(c.Ratio)-1], "final-fp-%")
-			}
-		})
-	}
-}
-
-func alphaName(a float64) string {
-	switch a {
-	case 1:
-		return "alpha1"
-	case 2:
-		return "alpha2"
-	case 10:
-		return "alpha10"
-	default:
-		return "alpha100"
-	}
-}
-
-// BenchmarkAlphaCoverage regenerates the Section IX.C coverage-vs-alpha
-// analysis on MRI-FHD.
-func BenchmarkAlphaCoverage(b *testing.B) {
-	e := quickEnv()
-	for i := 0; i < b.N; i++ {
-		rows, err := e.AlphaCoverage(workloads.ByName("MRI-FHD"), []float64{1, 1000, 10000, 100000})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*rows[0].Coverage, "coverage-alpha1-%")
-		b.ReportMetric(100*rows[len(rows)-1].Coverage, "coverage-alpha1e5-%")
-	}
-}
-
-// BenchmarkInstrumentationTime regenerates the Section IX.D measurement.
-func BenchmarkInstrumentationTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := harness.MeasureInstrumentation(workloads.HPC())
-		var total float64
-		for _, it := range rows {
-			total += it.Total.Seconds()
-		}
-		b.ReportMetric(total/float64(len(rows))*1000, "avg-instr-ms")
-	}
-}
 
 // BenchmarkAblationNaiveDup compares Figure 8(b) naive duplication against
 // Hauberk's checksum duplication (Figure 8(c)): the ablation DESIGN.md

@@ -10,7 +10,7 @@ import (
 )
 
 // This file assembles one Table per figure/table of the paper's
-// evaluation; cmd/hauberk-report and the root benchmarks drive these.
+// evaluation; cmd/hauberk-report drives these.
 
 // Fig01 reproduces Figure 1: error sensitivity by program type and data
 // class under single-bit injections.
@@ -268,19 +268,22 @@ func Fig16(e *Env) (*Table, error) {
 			"paper: PNS converges near zero after ~7 training sets; MRI-FHD stays ~30% at alpha=1 and reaches zero with alpha=100 after ~7 sets",
 		},
 	}
+	// MRI-FHD's alpha sweep shares its alpha=1 study's launches; its
+	// rows follow the four alpha=1 curves.
+	var sweep []*FPCurve
 	for _, name := range []string{"CP", "MRI-FHD", "PNS", "TPACF"} {
-		spec := workloads.ByName(name)
-		c, err := e.FalsePositiveStudy(spec, 1)
+		alphas := []float64{1}
+		if name == "MRI-FHD" {
+			alphas = []float64{1, 2, 10, 100}
+		}
+		cs, err := e.FalsePositiveStudy(workloads.ByName(name), alphas...)
 		if err != nil {
 			return nil, err
 		}
-		t.Rows = append(t.Rows, fpRow(c))
+		t.Rows = append(t.Rows, fpRow(cs[0]))
+		sweep = append(sweep, cs[1:]...)
 	}
-	for _, alpha := range []float64{2, 10, 100} {
-		c, err := e.FalsePositiveStudy(workloads.ByName("MRI-FHD"), alpha)
-		if err != nil {
-			return nil, err
-		}
+	for _, c := range sweep {
 		t.Rows = append(t.Rows, fpRow(c))
 	}
 	return t, nil

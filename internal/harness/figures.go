@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"hauberk/internal/core/hrt"
 	"hauberk/internal/core/translate"
 	"hauberk/internal/gpu"
 	"hauberk/internal/kir"
@@ -77,35 +78,14 @@ func (e *Env) GraphicsFaultStudy(spec *workloads.Spec, errorCounts []int) ([]Gra
 	if err != nil {
 		return nil, err
 	}
-	prof, err := e.Profile(spec, []workloads.Dataset{{Index: 0}})
+	cmd, err := e.intermittentFault(spec)
 	if err != nil {
 		return nil, err
 	}
-	// Pick the busiest FPU site inside the loop: that is where an
-	// intermittent FPU fault manifests.
-	bestSite := -1
-	var bestCount int64
-	for _, s := range prof.Sites {
-		if s.InLoop && s.HW == kir.HWFPU && prof.ExecCounts[s.ID] > bestCount {
-			bestSite, bestCount = s.ID, prof.ExecCounts[s.ID]
-		}
-	}
-	if bestSite < 0 {
-		return nil, fmt.Errorf("harness: %s has no loop FPU site", spec.Name)
-	}
-
 	var out []GraphicsFaultCase
 	for _, n := range errorCounts {
-		inj := Injection{
-			Cmd: swifi.Command{
-				Site:     bestSite,
-				Instance: bestCount / 4,
-				Count:    int64(n),
-				Mask:     1 << 22, // high-mantissa flip: a visible spike
-			},
-			Bits: 1,
-		}
-		r, err := e.RunInjection(spec, golden, nil, translate.ModeFI, inj)
+		cmd.Count = int64(n)
+		r, err := e.RunInjection(spec, golden, nil, translate.ModeFI, Injection{Cmd: cmd, Bits: 1})
 		if err != nil {
 			return nil, err
 		}
@@ -113,19 +93,13 @@ func (e *Env) GraphicsFaultStudy(spec *workloads.Spec, errorCounts []int) ([]Gra
 		if !c.Failed {
 			// Re-run to inspect the actual frame for pixel accounting, under
 			// the hang budget the injection above ran under.
-			d := e.NewDevice()
-			inst := spec.Setup(d, workloads.Dataset{Index: 0})
 			gt, err := e.goldenTrace(spec, golden, nil, translate.ModeFI)
 			if err != nil {
 				return nil, err
 			}
 			injector := &swifi.Injector{}
-			injector.Arm(inj.Cmd)
-			rt := newProbeOnly(injector.Probe)
-			if _, err := d.Launch(gt.tr.Kernel, gpu.LaunchSpec{
-				Grid: inst.Grid, Block: inst.Block, Args: inst.Args, Hooks: rt,
-				StepBudget: gt.hangBudget,
-			}); err == nil {
+			injector.Arm(cmd)
+			if inst, _, err := e.launch(spec, workloads.Dataset{Index: 0}, gt.tr.Kernel, &hrt.Runtime{Inject: injector.Probe}, gt.hangBudget); err == nil {
 				frame := inst.ReadOutput()
 				c.CorruptPixels = countCorrupt(golden.Output, frame, 0.05)
 				c.UserNoticeable = !spec.Requirement.Check(golden.Output, frame)
@@ -141,9 +115,32 @@ func (e *Env) GraphicsFaultStudy(spec *workloads.Spec, errorCounts []int) ([]Gra
 // GraphicsFaultFrame runs the intermittent-fault scenario once and returns
 // the corrupted frame words (for rendering the Figure 3 stripe).
 func (e *Env) GraphicsFaultFrame(spec *workloads.Spec, errors int) ([]uint32, error) {
-	prof, err := e.Profile(spec, []workloads.Dataset{{Index: 0}})
+	cmd, err := e.intermittentFault(spec)
 	if err != nil {
 		return nil, err
+	}
+	cmd.Count = int64(errors)
+	tr, err := e.Instrument(spec, translate.NewOptions(translate.ModeFI))
+	if err != nil {
+		return nil, err
+	}
+	injector := &swifi.Injector{}
+	injector.Arm(cmd)
+	inst, _, err := e.launch(spec, workloads.Dataset{Index: 0}, tr.Kernel, &hrt.Runtime{Inject: injector.Probe}, 0)
+	if err != nil {
+		return nil, err
+	}
+	return inst.ReadOutput(), nil
+}
+
+// intermittentFault is Figure 3's fault, less its error count: a
+// high-mantissa flip (a visible spike) at the busiest FPU site inside the
+// loop, where an intermittent FPU fault manifests, from a quarter of its
+// executions on.
+func (e *Env) intermittentFault(spec *workloads.Spec) (swifi.Command, error) {
+	prof, err := e.Profile(spec, []workloads.Dataset{{Index: 0}})
+	if err != nil {
+		return swifi.Command{}, err
 	}
 	bestSite := -1
 	var bestCount int64
@@ -153,22 +150,9 @@ func (e *Env) GraphicsFaultFrame(spec *workloads.Spec, errors int) ([]uint32, er
 		}
 	}
 	if bestSite < 0 {
-		return nil, fmt.Errorf("harness: %s has no loop FPU site", spec.Name)
+		return swifi.Command{}, fmt.Errorf("harness: %s has no loop FPU site", spec.Name)
 	}
-	tr, err := e.Instrument(spec, translate.NewOptions(translate.ModeFI))
-	if err != nil {
-		return nil, err
-	}
-	injector := &swifi.Injector{}
-	injector.Arm(swifi.Command{Site: bestSite, Instance: bestCount / 4, Count: int64(errors), Mask: 1 << 22})
-	d := e.NewDevice()
-	inst := spec.Setup(d, workloads.Dataset{Index: 0})
-	if _, err := d.Launch(tr.Kernel, gpu.LaunchSpec{
-		Grid: inst.Grid, Block: inst.Block, Args: inst.Args, Hooks: newProbeOnly(injector.Probe),
-	}); err != nil {
-		return nil, err
-	}
-	return inst.ReadOutput(), nil
+	return swifi.Command{Site: bestSite, Instance: bestCount / 4, Mask: 1 << 22}, nil
 }
 
 func countCorrupt(golden, frame []uint32, frac float64) int {
@@ -176,7 +160,7 @@ func countCorrupt(golden, frame []uint32, frac float64) int {
 	for i := range golden {
 		gf := float64(f32(golden[i]))
 		af := float64(f32(frame[i]))
-		if abs(af-gf) > frac || af != af {
+		if math.Abs(af-gf) > frac || math.IsNaN(af) {
 			n++
 		}
 	}
@@ -216,11 +200,7 @@ func (e *Env) TraceValues(spec *workloads.Spec, ds workloads.Dataset) (*ValueTra
 		}
 		return val, false
 	}
-	d := e.NewDevice()
-	inst := spec.Setup(d, ds)
-	if _, err := d.Launch(tr.Kernel, gpu.LaunchSpec{
-		Grid: inst.Grid, Block: inst.Block, Args: inst.Args, Hooks: newProbeOnly(rec),
-	}); err != nil {
+	if _, _, err := e.launch(spec, ds, tr.Kernel, &hrt.Runtime{Inject: rec}, 0); err != nil {
 		return nil, fmt.Errorf("harness: value trace of %s: %w", spec.Name, err)
 	}
 	return vt, nil
@@ -265,27 +245,4 @@ func MeasureInstrumentation(specs []*workloads.Spec) []InstrTiming {
 		out = append(out, it)
 	}
 	return out
-}
-
-// --- shared helpers --------------------------------------------------------
-
-// probeOnly adapts a bare probe function into gpu.Hooks.
-type probeOnly struct {
-	gpu.NopHooks
-	fn func(gpu.ThreadCtx, int, *kir.Var, kir.HW, uint32) (uint32, bool)
-}
-
-func newProbeOnly(fn func(gpu.ThreadCtx, int, *kir.Var, kir.HW, uint32) (uint32, bool)) gpu.Hooks {
-	return &probeOnly{fn: fn}
-}
-
-func (p *probeOnly) Probe(tc gpu.ThreadCtx, site int, v *kir.Var, hw kir.HW, val uint32) (uint32, bool) {
-	return p.fn(tc, site, v, hw, val)
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -1,9 +1,15 @@
 package harness
 
 import (
+	"context"
+	"fmt"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"hauberk/internal/core/hrt"
+	"hauberk/internal/core/ranges"
 	"hauberk/internal/kir"
 	"hauberk/internal/workloads"
 )
@@ -93,15 +99,11 @@ func TestFig16AlphaMonotone(t *testing.T) {
 		t.Skip("training study is slow")
 	}
 	e := NewEnv(QuickScale())
-	spec := workloads.ByName("MRI-FHD")
-	c1, err := e.FalsePositiveStudy(spec, 1)
+	cs, err := e.FalsePositiveStudy(workloads.ByName("MRI-FHD"), 1, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c100, err := e.FalsePositiveStudy(spec, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c1, c100 := cs[0], cs[1]
 	// alpha=100 must never have more false positives than alpha=1 at the
 	// same checkpoint (Section VI(iii)).
 	for i := range c1.Ratio {
@@ -113,6 +115,65 @@ func TestFig16AlphaMonotone(t *testing.T) {
 	// Training reduces false positives at alpha=1.
 	if c1.Ratio[len(c1.Ratio)-1] > c1.Ratio[0] {
 		t.Errorf("false positives should not grow with training: %v", c1.Ratio)
+	}
+}
+
+// TestFig16ReplayEqualsLaunch pins what makes Figure 16's replay exact: for
+// every (program, test dataset, range store) the quick-scale study
+// evaluates, replaying the dataset's logged clean FT calls raises the
+// alarms, in order, that a real FT launch against that store raises.
+func TestFig16ReplayEqualsLaunch(t *testing.T) {
+	e := NewEnv(QuickScale())
+	type eval struct {
+		spec  *workloads.Spec
+		data  *fpData
+		store *ranges.Store
+		ds    int
+	}
+	var evals []eval
+	for name, alphas := range map[string][]float64{"CP": {1}, "MRI-FHD": {1, 2, 10, 100}, "PNS": {1}, "TPACF": {1}} {
+		spec := workloads.ByName(name)
+		perms := e.fpPerms(spec, alphas)
+		data, err := e.collectFP(spec, perms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ai, alpha := range alphas {
+			for _, perm := range perms[ai] {
+				for _, n := range e.Scale.Fig16Checkpoints {
+					store := data.store(perm[:min(n, len(perm)-2)], alpha)
+					for _, ds := range perm[len(perm)-2:] {
+						evals = append(evals, eval{spec, data, store, ds})
+					}
+				}
+			}
+		}
+	}
+	var sdc atomic.Int64
+	err := e.dispatch(context.Background(), len(evals), 1, func(_ context.Context, _, lo, hi int) error {
+		for _, ev := range evals[lo:hi] {
+			replayed := hrt.NewControlBlock(ev.data.ft.Detectors, ev.store)
+			ev.data.logs[ev.ds].replay(hrt.NewFT(replayed))
+			launched := hrt.NewControlBlock(ev.data.ft.Detectors, ev.store)
+			if _, _, err := e.launch(ev.spec, workloads.Dataset{Index: ev.ds}, ev.data.ft.Kernel, hrt.NewFT(launched), 0); err != nil {
+				return err
+			}
+			if replayed.SDC() != launched.SDC() || !reflect.DeepEqual(replayed.Alarms(), launched.Alarms()) {
+				return fmt.Errorf("%s dataset %d: replay alarms %v, launch alarms %v",
+					ev.spec.Name, ev.ds, replayed.Alarms(), launched.Alarms())
+			}
+			if launched.SDC() {
+				sdc.Add(1)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both answers occur, so the comparison is not vacuous.
+	if n := int(sdc.Load()); n == 0 || n == len(evals) {
+		t.Fatalf("%d of %d evaluations alarm; want some of each", n, len(evals))
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"hauberk/internal/core/translate"
 	"hauberk/internal/detect"
 	"hauberk/internal/gpu"
-	"hauberk/internal/kir"
 	"hauberk/internal/workloads"
 )
 
@@ -44,7 +43,7 @@ func (e *Env) MeasurePerf(spec *workloads.Spec, ds workloads.Dataset, store *ran
 		HookCounts: make(map[Variant]gpu.HookCounts),
 	}
 
-	base, err := e.launchPlain(spec.Build(), spec, ds)
+	_, base, err := e.launch(spec, ds, spec.Build(), nil, 0)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s baseline: %w", spec.Name, err)
 	}
@@ -52,11 +51,8 @@ func (e *Env) MeasurePerf(spec *workloads.Spec, ds workloads.Dataset, store *ran
 
 	// R-Naive: the same kernel executes twice on two copies of the data;
 	// kernel time doubles (the CPU-side output compare is not GPU time).
-	second, err := e.launchPlain(spec.Build(), spec, ds)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s r-naive second run: %w", spec.Name, err)
-	}
-	row.Overheads[RNaive] = pct(base.Cycles+second.Cycles, base.Cycles)
+	// Launches are deterministic, so the second run is the first again.
+	row.Overheads[RNaive] = pct(2*base.Cycles, base.Cycles)
 
 	// R-Scatter: duplicated computation inside the kernel over shadow
 	// memory; refuses programs whose resources cannot double.
@@ -80,41 +76,21 @@ func (e *Env) MeasurePerf(spec *workloads.Spec, ds workloads.Dataset, store *ran
 		if err != nil {
 			return nil, err
 		}
-		cycles, counts, err := e.launchFT(tr, spec, ds, store)
+		// The hook counts attribute the overhead to intrinsic activity;
+		// they go to e.Obs's metrics registry when telemetry is on.
+		counting := gpu.NewCountingHooks(hrt.NewFT(hrt.NewControlBlock(tr.Detectors, store)))
+		_, res, err := e.launch(spec, ds, tr.Kernel, counting, 0)
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s %s: %w", spec.Name, v, err)
 		}
-		row.Overheads[v] = pct(cycles, base.Cycles)
-		row.HookCounts[v] = counts
+		counting.Publish(e.Obs, tr.Kernel.Name)
+		row.Overheads[v] = pct(res.Cycles, base.Cycles)
+		row.HookCounts[v] = counting.Counts()
 	}
 	return row, nil
 }
 
 func pct(cycles, base float64) float64 { return (cycles/base - 1) * 100 }
-
-func (e *Env) launchPlain(k *kir.Kernel, spec *workloads.Spec, ds workloads.Dataset) (*gpu.Result, error) {
-	d := e.NewDevice()
-	inst := spec.Setup(d, ds)
-	return d.Launch(k, gpu.LaunchSpec{Grid: inst.Grid, Block: inst.Block, Args: inst.Args})
-}
-
-// launchFT runs one instrumented launch with the hook-counting wrapper,
-// so the overhead figures can attribute cost to intrinsic activity. The
-// counts are published to e.Obs's metrics registry when telemetry is on.
-func (e *Env) launchFT(tr *translate.Result, spec *workloads.Spec, ds workloads.Dataset, store *ranges.Store) (float64, gpu.HookCounts, error) {
-	d := e.NewDevice()
-	inst := spec.Setup(d, ds)
-	cb := hrt.NewControlBlock(tr.Detectors, store)
-	counting := gpu.NewCountingHooks(hrt.NewFT(cb))
-	res, err := d.Launch(tr.Kernel, gpu.LaunchSpec{
-		Grid: inst.Grid, Block: inst.Block, Args: inst.Args, Hooks: counting,
-	})
-	if err != nil {
-		return 0, gpu.HookCounts{}, err
-	}
-	counting.Publish(e.Obs, tr.Kernel.Name)
-	return res.Cycles, counting.Counts(), nil
-}
 
 // launchRScatter allocates shadow copies of every pointer argument (the
 // doubled memory R-Scatter needs) and launches the duplicated kernel.

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"hauberk/internal/core/hrt"
 	"hauberk/internal/core/translate"
 	"hauberk/internal/gpu"
 	"hauberk/internal/kir"
@@ -170,7 +171,8 @@ func TestParallelLaunchBitIdentical(t *testing.T) {
 
 // TestParallelLaunchWithRuntimeHooks drives the real profiler and FT
 // runtimes (hrt) the way campaign workers do: concurrent environments
-// profiling and running the FT binary of one program (launchFT) must each
+// profiling and running the FT binary of one program (under the hook
+// counter, as MeasurePerf runs it) must each
 // match a lone run in cycles, hook-call counts, and golden output.
 func TestParallelLaunchWithRuntimeHooks(t *testing.T) {
 	spec := workloads.HPC()[0]
@@ -196,8 +198,12 @@ func TestParallelLaunchWithRuntimeHooks(t *testing.T) {
 		if err != nil {
 			return ftRun{err: fmt.Errorf("instrument: %w", err)}
 		}
-		r.cycles, r.counts, r.err = env.launchFT(tr, spec, ds, prof.Store)
-		r.output = golden.Output
+		counting := gpu.NewCountingHooks(hrt.NewFT(hrt.NewControlBlock(tr.Detectors, prof.Store)))
+		_, res, err := env.launch(spec, ds, tr.Kernel, counting, 0)
+		if err != nil {
+			return ftRun{err: err}
+		}
+		r.cycles, r.counts, r.output = res.Cycles, counting.Counts(), golden.Output
 		return r
 	}
 

@@ -28,6 +28,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -48,13 +49,35 @@ var reachAllow = map[string]string{
 	"service.SetTestOptsHook":    "fleet.TestFleetFailoverOnNodeDeath",
 }
 
-func TestEveryDeclarationReachable(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs, err := parseModule(fset, ".", "hauberk")
-	if err != nil {
-		t.Fatal(err)
+// moduleLoad is the module's non-test packages, type-checked once for
+// both guards.
+var moduleLoad struct {
+	once sync.Once
+	ld   *reachLoader
+	err  error
+}
+
+// loadRepo returns the module's type-checked packages.
+func loadRepo(t *testing.T) *reachLoader {
+	t.Helper()
+	moduleLoad.once.Do(func() {
+		fset := token.NewFileSet()
+		pkgs, err := parseModule(fset, ".", "hauberk")
+		if err != nil {
+			moduleLoad.err = err
+			return
+		}
+		moduleLoad.ld, moduleLoad.err = loadModule(fset, pkgs)
+	})
+	if moduleLoad.err != nil {
+		t.Fatal(moduleLoad.err)
 	}
-	found, stale, err := unreachedDecls(fset, pkgs, reachAllow)
+	return moduleLoad.ld
+}
+
+func TestEveryDeclarationReachable(t *testing.T) {
+	ld := loadRepo(t)
+	found, stale, err := unreachedDecls(ld, reachAllow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +96,7 @@ func TestEveryDeclarationReachable(t *testing.T) {
 			t.Errorf("reachAllow: %s names %s, which is no test in the module", name, test)
 		}
 	}
-	t.Logf("%d packages, %d allow-listed test seams", len(pkgs), len(reachAllow))
+	t.Logf("%d packages, %d allow-listed test seams", len(ld.paths), len(reachAllow))
 }
 
 // TestReachGuardFlagsDeadCode runs the analysis on a fixture module, so the
@@ -107,6 +130,23 @@ func (T) Dead() {}
 
 // ErrDead's initialiser runs at init, but nothing names ErrDead.
 var ErrDead = errors.New("x")
+
+// ErrWrapped's initialiser builds its value and does nothing else, so
+// neither the var nor the helper only it calls is reached.
+var ErrWrapped = wrapErr("y")
+
+func wrapErr(s string) error { return errors.New("lib: " + s) }
+
+// Nothing names registered, but its initialiser appends to hooks, so it
+// and what it names are reached.
+var registered = addHook()
+
+var hooks []int
+
+func addHook() int {
+	hooks = append(hooks, 1)
+	return len(hooks)
+}
 
 func Used() {}
 
@@ -177,7 +217,11 @@ func f() int { return 1 }
 		pkgs[p] = []*ast.File{f}
 	}
 	allow := map[string]string{"lib.Seam": "TestSeam", "lib.Used": "TestUsed", "lib.Gone": "TestGone"}
-	found, stale, err := unreachedDecls(fset, pkgs, allow)
+	ld, err := loadModule(fset, pkgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found, stale, err := unreachedDecls(ld, allow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +229,7 @@ func f() int { return 1 }
 	for _, d := range found {
 		got = append(got, d.name)
 	}
-	want := []string{"lib.DeadA", "lib.DeadB", "lib.DeadConst", "lib.DeadFunc", "lib.ErrDead", "lib.T.Dead", "unused.f", "unused.x"}
+	want := []string{"lib.DeadA", "lib.DeadB", "lib.DeadConst", "lib.DeadFunc", "lib.ErrDead", "lib.ErrWrapped", "lib.T.Dead", "lib.wrapErr", "unused.f", "unused.x"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("unreached = %v, want %v", got, want)
 	}
@@ -277,22 +321,21 @@ type unreachedDecl struct {
 // main nor an allow-list entry reaches, and the allow-list entries that a
 // package main reaches or that name no declaration.
 //
-// The roots are each main package's main func, and the init funcs and
-// effectful package-level var initialisers (a call, or a blank var) of
-// every package a main imports, directly or not. A declaration is reached
-// when reached code names it (types.Info.Uses). A root initialiser
-// reaches what it names, not its var: a var kept only for its
-// initialiser's effect is written `var _ = f()`. A method is reached when reached code selects it,
+// The roots are each main package's main func, and, in every package a
+// main imports, directly or not, the init funcs, the blank vars'
+// initialisers and the named vars whose initialiser has effects outside
+// the var (effects). A declaration is reached when reached code names it
+// (types.Info.Uses); a var, and so what its initialiser names, is
+// reached only that way or as a root. A var kept only for its
+// initialiser's effect is best written `var _ = f()`. A method is reached
+// when reached code selects it,
 // or when its receiver type is reached and the type satisfies an
 // interface (any declared in these packages or the standard library ones
 // they load, plus the standard library's unnamed probes) that has a
 // method of that name: a dynamic call through an interface is invisible
 // to Uses, so the rule errs towards keeping.
-func unreachedDecls(fset *token.FileSet, pkgs map[string][]*ast.File, allow map[string]string) (unreached []unreachedDecl, stale []string, err error) {
-	ld, paths, err := loadModule(fset, pkgs)
-	if err != nil {
-		return nil, nil, err
-	}
+func unreachedDecls(ld *reachLoader, allow map[string]string) (unreached []unreachedDecl, stale []string, err error) {
+	paths := ld.paths
 	probes, err := ld.probes()
 	if err != nil {
 		return nil, nil, err
@@ -334,6 +377,13 @@ func unreachedDecls(fset *token.FileSet, pkgs map[string][]*ast.File, allow map[
 		for _, n := range g.initRoots[p] {
 			g.walk(info, n)
 		}
+		for _, s := range g.varInits[p] {
+			if g.effects(info, s, map[types.Object]bool{}) {
+				for _, n := range s.Names {
+					g.mark(info.Defs[n])
+				}
+			}
+		}
 	}
 	g.drain()
 
@@ -360,7 +410,7 @@ func unreachedDecls(fset *token.FileSet, pkgs map[string][]*ast.File, allow map[
 
 	for obj, d := range g.decls {
 		if !g.reached[obj] {
-			unreached = append(unreached, unreachedDecl{pos: fset.Position(obj.Pos()), name: d.name})
+			unreached = append(unreached, unreachedDecl{pos: ld.fset.Position(obj.Pos()), name: d.name})
 		}
 	}
 	sort.Slice(unreached, func(i, j int) bool { return unreached[i].name < unreached[j].name })
@@ -368,26 +418,24 @@ func unreachedDecls(fset *token.FileSet, pkgs map[string][]*ast.File, allow map[
 }
 
 // loadModule type-checks the packages (import path → files; imports
-// outside the set come from the standard library) and returns the loader
-// and the packages' import paths, sorted.
-func loadModule(fset *token.FileSet, pkgs map[string][]*ast.File) (*reachLoader, []string, error) {
+// outside the set come from the standard library) and returns the loader.
+func loadModule(fset *token.FileSet, pkgs map[string][]*ast.File) (*reachLoader, error) {
 	ld := &reachLoader{
 		fset:    fset,
 		files:   pkgs,
 		checked: map[string]*reachPkg{},
 		std:     importer.ForCompiler(fset, "source", nil),
 	}
-	paths := make([]string, 0, len(pkgs))
 	for p := range pkgs {
-		paths = append(paths, p)
+		ld.paths = append(ld.paths, p)
 	}
-	sort.Strings(paths)
-	for _, p := range paths {
+	sort.Strings(ld.paths)
+	for _, p := range ld.paths {
 		if _, err := ld.load(p); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return ld, paths, nil
+	return ld, nil
 }
 
 // reachPkg is one type-checked module package.
@@ -402,6 +450,7 @@ type reachPkg struct {
 type reachLoader struct {
 	fset    *token.FileSet
 	files   map[string][]*ast.File
+	paths   []string // the module packages' import paths, sorted
 	checked map[string]*reachPkg
 	std     types.Importer
 }
@@ -489,8 +538,9 @@ type reachGraph struct {
 	decls      map[types.Object]*reachDecl
 	reached    map[types.Object]bool
 	work       []types.Object
-	initRoots  map[string][]ast.Node // import path → init funcs, var initialisers
-	named      []*types.Named        // reached named types awaiting the interface rule
+	initRoots  map[string][]ast.Node       // import path → init funcs, blank vars' initialisers
+	varInits   map[string][]*ast.ValueSpec // import path → named vars whose initialiser calls
+	named      []*types.Named              // reached named types awaiting the interface rule
 	interfaces []*types.Interface
 	ifaceNames map[string]bool // methods that module code's type arguments must have
 }
@@ -500,6 +550,7 @@ func newReachGraph() *reachGraph {
 		decls:      map[types.Object]*reachDecl{},
 		reached:    map[types.Object]bool{},
 		initRoots:  map[string][]ast.Node{},
+		varInits:   map[string][]*ast.ValueSpec{},
 		ifaceNames: map[string]bool{},
 	}
 }
@@ -547,10 +598,15 @@ func (g *reachGraph) addPackage(rp *reachPkg) {
 								nodes = append(nodes, implicit)
 							}
 						}
-						if d.Tok == token.VAR && len(s.Values) > 0 && (hasBlank(s.Names) || hasCall(rp.info, s)) {
+						if d.Tok == token.VAR && len(s.Values) > 0 {
 							// The initialiser runs at init whether or
-							// not anything names the var.
-							g.initRoots[rp.pkg.Path()] = append(g.initRoots[rp.pkg.Path()], s)
+							// not anything names the var; a named var's
+							// counts when it has effects (unreachedDecls).
+							if hasBlank(s.Names) {
+								g.initRoots[rp.pkg.Path()] = append(g.initRoots[rp.pkg.Path()], s)
+							} else if hasCall(rp.info, s) {
+								g.varInits[rp.pkg.Path()] = append(g.varInits[rp.pkg.Path()], s)
+							}
 						}
 						for _, n := range s.Names {
 							add(rp.info.Defs[n], pkgName+"."+n.Name, nodes...)
@@ -629,6 +685,80 @@ func hasCall(info *types.Info, s *ast.ValueSpec) bool {
 		})
 	}
 	return found
+}
+
+// pureStd names the standard-library packages, or package.Func, whose
+// functions build a value and change nothing else.
+var pureStd = map[string]bool{
+	"errors": true, "fmt.Errorf": true, "fmt.Sprintf": true, "math": true, "strconv": true, "strings": true,
+}
+
+// effects reports whether evaluating n may change state other than the
+// value it builds. It errs towards yes: n has effects when it names a
+// package-level variable (a read is not told from a write or from a
+// pointer passed on), starts a goroutine or sends, or calls anything but a
+// conversion, a builtin that only builds a value, a function literal
+// (whose body is inspected where it stands), a function of pureStd, or a
+// module function or method whose body passes the same test. seen breaks
+// recursion.
+func (g *reachGraph) effects(info *types.Info, n ast.Node, seen map[types.Object]bool) bool {
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Ident:
+			if v, ok := info.Uses[n].(*types.Var); ok && !v.IsField() && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+				found = true
+			}
+		case *ast.GoStmt, *ast.SendStmt:
+			found = true
+		case *ast.CallExpr:
+			found = g.callEffects(info, n, seen)
+		}
+		return !found
+	})
+	return found
+}
+
+func (g *reachGraph) callEffects(info *types.Info, c *ast.CallExpr, seen map[types.Object]bool) bool {
+	fun := ast.Unparen(c.Fun)
+	if info.Types[fun].IsType() {
+		return false
+	}
+	switch f := fun.(type) {
+	case *ast.FuncLit:
+		return false
+	case *ast.IndexExpr:
+		fun = f.X
+	case *ast.IndexListExpr:
+		fun = f.X
+	}
+	if sel, ok := fun.(*ast.SelectorExpr); ok {
+		fun = sel.Sel
+	}
+	id, _ := fun.(*ast.Ident)
+	if id == nil {
+		return true // a call through a function value
+	}
+	switch obj := info.Uses[id].(type) {
+	case *types.Builtin:
+		switch obj.Name() {
+		case "clear", "close", "copy", "delete", "panic", "print", "println":
+			return true
+		}
+		return false
+	case *types.Func:
+		obj = obj.Origin()
+		if d, ok := g.decls[obj]; ok {
+			if seen[obj] {
+				return false
+			}
+			seen[obj] = true
+			body := d.nodes[0].(*ast.FuncDecl).Body
+			return body == nil || g.effects(d.info, body, seen)
+		}
+		return obj.Pkg() == nil || !(pureStd[obj.Pkg().Path()] || pureStd[obj.Pkg().Path()+"."+obj.Name()])
+	}
+	return true
 }
 
 // collectInterfaces gathers every interface with methods: those in the
@@ -814,12 +944,8 @@ var fieldAllow = map[string]string{
 //
 //	go test -run '^TestEveryFieldWritten$' .
 func TestEveryFieldWritten(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs, err := parseModule(fset, ".", "hauberk")
-	if err != nil {
-		t.Fatal(err)
-	}
-	found, stale, err := unwrittenFields(fset, pkgs, fieldAllow)
+	ld := loadRepo(t)
+	found, stale, err := unwrittenFields(ld, fieldAllow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -838,7 +964,7 @@ func TestEveryFieldWritten(t *testing.T) {
 			t.Errorf("fieldAllow: %s names %s, which is no test in the module", name, test)
 		}
 	}
-	t.Logf("%d packages, %d allow-listed test-only fields", len(pkgs), len(fieldAllow))
+	t.Logf("%d packages, %d allow-listed test-only fields", len(ld.paths), len(fieldAllow))
 }
 
 // TestFieldGuardFlagsUnwrittenFields runs the field analysis on a fixture
@@ -894,7 +1020,11 @@ func (c *C) Use() int {
 		t.Fatal(err)
 	}
 	allow := map[string]string{"lib.C.Seam": "TestSeam", "lib.C.Lit": "TestLit", "lib.C.Gone": "TestGone"}
-	found, stale, err := unwrittenFields(fset, map[string][]*ast.File{"fix/lib": {f}}, allow)
+	ld, err := loadModule(fset, map[string][]*ast.File{"fix/lib": {f}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	found, stale, err := unwrittenFields(ld, allow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -923,14 +1053,10 @@ func (c *C) Use() int {
 // or on a field it embeds, when the field holds the value and not a
 // pointer (a sync.Mutex's Lock, an atomic.Int64's Add). A field with a
 // json tag is exempt: decoding writes it.
-func unwrittenFields(fset *token.FileSet, pkgs map[string][]*ast.File, allow map[string]string) (unwritten []unreachedDecl, stale []string, err error) {
-	ld, paths, err := loadModule(fset, pkgs)
-	if err != nil {
-		return nil, nil, err
-	}
+func unwrittenFields(ld *reachLoader, allow map[string]string) (unwritten []unreachedDecl, stale []string, err error) {
 	written := map[*types.Var]bool{}
 	fields := map[*types.Var]string{}
-	for _, p := range paths {
+	for _, p := range ld.paths {
 		rp := ld.checked[p]
 		for _, f := range rp.files {
 			declaredFields(rp.info, f, qualifier(rp.pkg), fields)
@@ -942,7 +1068,7 @@ func unwrittenFields(fset *token.FileSet, pkgs map[string][]*ast.File, allow map
 		if _, ok := allow[name]; ok {
 			allowed[name] = !written[v]
 		} else if !written[v] {
-			unwritten = append(unwritten, unreachedDecl{pos: fset.Position(v.Pos()), name: name})
+			unwritten = append(unwritten, unreachedDecl{pos: ld.fset.Position(v.Pos()), name: name})
 		}
 	}
 	for name := range allow {
