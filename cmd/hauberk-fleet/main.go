@@ -1,14 +1,14 @@
 // Command hauberk-fleet farms one SWIFI campaign over a roster of
 // hauberkd nodes: the plan is split into shards (the store's
-// shard-IofN layout), each shard is dispatched to a node over the
+// shard-IofN tags), each shard is dispatched to a node over the
 // daemon HTTP API, node health is folded into verdicts (degraded nodes
 // deprioritized, quarantined nodes drained and skipped), and a shard
 // whose node dies, drains or hangs mid-run fails over to another node.
-// Fetched shard logs merge through the store's read side, and the
-// printed figure digest is byte-identical to a single
-// `hauberk-run -campaign-dir` of the same plan — including under
-// chaos (HAUBERK_CHAOS netdrop/netstall entries fault the
-// coordinator's own RPCs).
+// Fetched shards are appended to the merge directory's log and merge
+// through the store's read side, and the printed figure digest is
+// byte-identical to a single `hauberk-run -campaign-dir` of the same
+// plan — including under chaos (HAUBERK_CHAOS netdrop/netstall entries
+// fault the coordinator's own RPCs).
 //
 // Usage:
 //
@@ -47,7 +47,7 @@ func run() int {
 	scale := flag.String("scale", "tiny", "campaign scale: tiny, quick or full")
 	dataset := flag.Int("dataset", 0, "input dataset index")
 	shards := flag.Int("shards", 0, "plan split width (0 = one shard per node)")
-	mergeDir := flag.String("merge-dir", "", "directory for fetched shard logs and the merged result (required)")
+	mergeDir := flag.String("merge-dir", "", "store directory whose journal.jsonl receives the fetched shards (required)")
 	tenant := flag.String("tenant", "fleet", "tenant name for the shard submissions")
 	isolation := flag.String("isolation", "", "worker isolation on the nodes: off or process (empty = node default)")
 	poll := flag.Duration("poll", 150*time.Millisecond, "retry cadence: dispatch retries while a shard waits for a node, and the least gap between status requests to one node (completion itself is long-polled)")

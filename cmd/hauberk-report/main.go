@@ -41,7 +41,7 @@ func main() {
 		scale    = flag.String("scale", "quick", "experiment scale: quick or full (plus tiny for -campaigns -submit)")
 		md       = flag.Bool("md", false, "emit markdown instead of text tables")
 		trace    = flag.String("trace", "", "render this JSONL event journal as a detect/diagnose/recover timeline instead of regenerating figures")
-		campaign = flag.String("campaign", "", "merge the shard logs of this campaign store directory (written by `hauberk-run -campaign-dir`) and report the aggregate figures; with -id, read that campaign from this hauberkd store root's journal instead")
+		campaign = flag.String("campaign", "", "merge the shards in this campaign store directory's journal.jsonl (written by `hauberk-run -campaign-dir` or `hauberk-fleet -merge-dir`) and report the aggregate figures; with -id, read that campaign from this hauberkd store root's journal instead")
 
 		poll   = flag.Duration("poll", 500*time.Millisecond, "-campaigns -wait: the longest one status request parks on the server")
 		scrape = flag.String("scrape", "", "GET /healthz, /readyz and /metrics from this hauberkd or `hauberk-run -http` base URL and strict-parse the exposition")

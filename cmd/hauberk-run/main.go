@@ -32,12 +32,14 @@
 //
 // With -campaign-dir the tool runs a durable fault-injection campaign for
 // the program instead of a single supervised run: every classified
-// outcome is appended to an append-only JSONL store under the directory
+// outcome is appended to the directory's append-only log, journal.jsonl,
 // before it counts as done, so a crash or Ctrl-C loses at most the
 // injections in flight. Re-launching with -resume loads the completed set
 // and runs only the remainder; -shard i/N splits the (seeded,
-// deterministic) plan across processes or CI jobs, whose shard logs
-// `hauberk-report -campaign <dir>` merges into one report:
+// deterministic) plan across processes or CI jobs, which may share one
+// directory at the same time (or concatenate their journal.jsonl files
+// later), and `hauberk-report -campaign <dir>` merges the shards into one
+// report:
 //
 //	hauberk-run -program CP -campaign-dir /tmp/cp-campaign
 //	hauberk-run -program CP -campaign-dir /tmp/cp-campaign -resume

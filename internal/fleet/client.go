@@ -1,5 +1,5 @@
 // Package fleet coordinates a SWIFI campaign across a roster of
-// hauberkd nodes: one plan, split over the store's shard-IofN layout,
+// hauberkd nodes: one plan, split over the store's shard-IofN tags,
 // dispatched shard-by-shard over the daemons' HTTP API, with per-node
 // health verdicts, failover re-dispatch when a node dies mid-shard,
 // and a read-side merge whose figure digest is byte-identical to a
@@ -300,7 +300,7 @@ func (c *Client) Cancel(ctx context.Context, id string) (service.Status, error) 
 	return st, err
 }
 
-// Store fetches a campaign's durable store (manifest + raw shard logs)
+// Store fetches a campaign's durable store (manifest + record lines)
 // for the coordinator's read-side merge.
 func (c *Client) Store(ctx context.Context, id string) (service.StoreSnapshot, error) {
 	var snap service.StoreSnapshot

@@ -2,12 +2,8 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"time"
 
@@ -30,8 +26,9 @@ type Config struct {
 	// shards than nodes is useful: smaller shards re-dispatch cheaper
 	// after a failover.
 	Shards int
-	// MergeDir is where fetched shard logs land and the read-side merge
-	// runs (required; the directory is created).
+	// MergeDir is the store directory whose log the fetched shards are
+	// appended to and the read-side merge reads (required; the directory
+	// is created).
 	MergeDir string
 	// Poll is the retry cadence (default 150ms): how often a shard that
 	// waits for a free node retries dispatch, and the least gap between
@@ -108,6 +105,7 @@ type Coordinator struct {
 	nodes     []*node
 	shards    []*shardState
 	manifest  *cstore.Manifest
+	merge     *cstore.Log
 	salvages  int
 	failovers int
 }
@@ -132,9 +130,6 @@ func New(cfg Config) (*Coordinator, error) {
 	tr := cfg.Transport
 	if tr == nil {
 		tr = NewTransport(10 * time.Second)
-	}
-	if err := os.MkdirAll(cfg.MergeDir, 0o755); err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	co := &Coordinator{cfg: cfg, tr: tr}
 	for _, base := range cfg.Nodes {
@@ -166,7 +161,7 @@ type watchEvent struct {
 
 // Run drives the campaign to completion: dispatch every shard, fold
 // node health, fail shards over when their node dies or drains, fetch
-// and merge the shard logs, and fold the merged figures. It returns
+// and merge the shards, and fold the merged figures. It returns
 // once every shard's records are merged and verified complete, or with
 // an error when the plan cannot finish (context expired, a shard
 // exhausted its attempts, every node quarantined, or the merge found
@@ -179,6 +174,12 @@ func (co *Coordinator) Run(ctx context.Context) (*Result, error) {
 	co.cfg.Logf("fleet: %d shards over %d nodes (%s %s/%d)",
 		co.cfg.Shards, len(co.nodes), co.cfg.Submission.Program,
 		co.cfg.Submission.Scale, co.cfg.Submission.Dataset)
+	merge, err := cstore.OpenLog(co.cfg.MergeDir)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
+	defer merge.Close() // on error paths; the merged run checks it below
+	co.merge = merge
 	// Long-polls run under their own context, cancelled and awaited on the
 	// way out so none outlives Run; each node has at most one in flight,
 	// so the buffer never blocks a sender.
@@ -226,6 +227,9 @@ func (co *Coordinator) Run(ctx context.Context) (*Result, error) {
 		}
 	}
 
+	if err := merge.Close(); err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
 	man, merged, err := harness.LoadCampaignDir(co.cfg.MergeDir)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: merge: %w", err)
@@ -370,7 +374,7 @@ func (co *Coordinator) observe(ctx context.Context, ev watchEvent) error {
 	return nil
 }
 
-// fetchShard pulls a completed assignment's store into the merge dir.
+// fetchShard appends a completed assignment's store to the merge log.
 func (co *Coordinator) fetchShard(ctx context.Context, n *node) error {
 	snap, err := n.client.Store(ctx, n.id)
 	if err != nil {
@@ -389,7 +393,7 @@ func (co *Coordinator) fetchShard(ctx context.Context, n *node) error {
 }
 
 // failover abandons a node's assignment: best-effort salvage of its
-// partial shard log (deduped by the read-side merge against the
+// partial shard (deduped by the read-side merge against the
 // re-run), best-effort cancel, then back to pending for another node.
 func (co *Coordinator) failover(ctx context.Context, n *node, why string) error {
 	shard := n.shard
@@ -415,54 +419,30 @@ func (co *Coordinator) failover(ctx context.Context, n *node, why string) error 
 	return nil
 }
 
-// acceptSnapshot folds one node's store snapshot into the merge dir.
+// acceptSnapshot appends one node's store snapshot to the merge log.
 // The first snapshot establishes the campaign manifest; every later one
 // must agree (a disagreement means the nodes planned different
 // campaigns — seed or scale drift — and their records must never mix).
-// Partial salvages land under node-tagged names so they coexist with
-// the re-run's canonical log; the store's read-side merge dedupes the
-// byte-equal overlap and rejects genuine conflicts.
+// Partial salvages land under node-tagged tags so they coexist with the
+// re-run's shard; the store's read-side merge dedupes the byte-equal
+// overlap and rejects genuine conflicts.
 func (co *Coordinator) acceptSnapshot(n *node, snap service.StoreSnapshot, partial bool) error {
-	if co.manifest == nil {
-		raw, err := json.MarshalIndent(snap.Manifest, "", "  ")
-		if err != nil {
-			return fmt.Errorf("fleet: encode manifest: %w", err)
-		}
-		if err := os.WriteFile(filepath.Join(co.cfg.MergeDir, "manifest.json"), append(raw, '\n'), 0o644); err != nil {
-			return fmt.Errorf("fleet: write manifest: %w", err)
-		}
-		m := snap.Manifest
-		co.manifest = &m
-	} else if !co.manifest.Equal(snap.Manifest) {
+	if co.manifest != nil && !co.manifest.Equal(snap.Manifest) {
 		return fmt.Errorf("fleet: node %s ran a different campaign (its plan %s/%s, fleet plan %s/%s); refusing to merge: %w",
 			n.client.Name, snap.Manifest.Program, snap.Manifest.PlanHash,
 			co.manifest.Program, co.manifest.PlanHash, errPlanMismatch)
 	}
-	for name, content := range snap.Files {
-		out := name
+	co.manifest = &snap.Manifest
+	for tag, lines := range snap.Files {
 		if partial {
 			co.salvages++
-			out = fmt.Sprintf("%s.partial%d.%s.jsonl",
-				strings.TrimSuffix(name, ".jsonl"), co.salvages, sanitize(n.client.Name))
+			tag = fmt.Sprintf("%s.partial%d.%s", tag, co.salvages, n.client.Name)
 		}
-		if err := os.WriteFile(filepath.Join(co.cfg.MergeDir, out), []byte(content), 0o644); err != nil {
-			return fmt.Errorf("fleet: write %s: %w", out, err)
+		if err := co.merge.AppendSnapshot(tag, snap.Manifest, []byte(lines)); err != nil {
+			return fmt.Errorf("fleet: merge %s: %w", tag, err)
 		}
 	}
 	return nil
-}
-
-// sanitize maps a node name into a filename-safe tag.
-func sanitize(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '.':
-		default:
-			b[i] = '-'
-		}
-	}
-	return string(b)
 }
 
 // probeIdle health-checks every idle node (busy nodes are already

@@ -31,9 +31,9 @@ const (
 )
 
 func fullSnapshot(shard int) service.StoreSnapshot {
-	log, name := shard0Log, cstore.ShardFile(0, 2)
+	log, name := shard0Log, cstore.ShardTag(0, 2)
 	if shard == 1 {
-		log, name = shard1Log, cstore.ShardFile(1, 2)
+		log, name = shard1Log, cstore.ShardTag(1, 2)
 	}
 	return service.StoreSnapshot{
 		State:    service.StateDone,
@@ -176,17 +176,17 @@ func fastConfig(t *testing.T, nodes ...string) Config {
 func expectedDigest(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	raw, err := json.Marshal(testManifest())
+	l, err := cstore.OpenLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for name, log := range map[string]string{cstore.ShardFile(0, 2): shard0Log, cstore.ShardFile(1, 2): shard1Log} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(log), 0o644); err != nil {
+	for shard, log := range []string{shard0Log, shard1Log} {
+		if err := l.AppendSnapshot(cstore.ShardTag(shard, 2), testManifest(), []byte(log)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
 	}
 	_, merged, err := harness.LoadCampaignDir(dir)
 	if err != nil {
@@ -234,7 +234,7 @@ func TestCoordinatorFailoverOnInterrupted(t *testing.T) {
 		State:    service.StateInterrupted,
 		Manifest: testManifest(),
 		Files: map[string]string{
-			cstore.ShardFile(0, 2): `{"idx":0,"id":"a","outcome":1,"bits":1}` + "\n" + `{"idx":2,"id":"c","outc`,
+			cstore.ShardTag(0, 2): `{"idx":0,"id":"a","outcome":1,"bits":1}` + "\n" + `{"idx":2,"id":"c","outc`,
 		},
 	}
 	a := newFakeNode(t, func(sub service.Submission) ([]service.State, service.StoreSnapshot) {
@@ -245,7 +245,7 @@ func TestCoordinatorFailoverOnInterrupted(t *testing.T) {
 	b := newFakeNode(t, func(sub service.Submission) ([]service.State, service.StoreSnapshot) {
 		snap := fullSnapshot(sub.Shard)
 		if sub.Shard == 0 {
-			snap.Files[cstore.ShardFile(0, 2)] = `{"idx":0,"id":"a","outcome":1,"bits":1,"retries":1}` + "\n" +
+			snap.Files[cstore.ShardTag(0, 2)] = `{"idx":0,"id":"a","outcome":1,"bits":1,"retries":1}` + "\n" +
 				`{"idx":2,"id":"c","outcome":4,"bits":6,"class":2}` + "\n"
 		}
 		return []service.State{service.StateDone}, snap
@@ -266,11 +266,20 @@ func TestCoordinatorFailoverOnInterrupted(t *testing.T) {
 	if got, want := res.Digest, expectedDigest(t); got != want {
 		t.Errorf("failover digest diverged:\nfleet:\n%s\nexpected:\n%s", got, want)
 	}
-	// The interrupted node's partial log was salvaged under a node tag
+	// The interrupted node's partial shard was salvaged under a node tag
 	// and its abandoned campaign was canceled (best-effort drain).
-	salvaged, err := filepath.Glob(filepath.Join(cfg.MergeDir, "shard-0of2.partial1.*.jsonl"))
-	if err != nil || len(salvaged) != 1 {
-		t.Errorf("salvaged partial logs: %v (err %v), want exactly one", salvaged, err)
+	journal, err := os.ReadFile(filepath.Join(cfg.MergeDir, cstore.JournalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var salvaged []string
+	for _, line := range strings.Split(string(journal), "\n") {
+		if tag, _, ok := strings.Cut(line, "\tmanifest\t"); ok && strings.HasPrefix(tag, "shard-0of2.partial1.") {
+			salvaged = append(salvaged, tag)
+		}
+	}
+	if len(salvaged) != 1 {
+		t.Errorf("salvaged partial shards %v, want exactly one", salvaged)
 	}
 	if len(a.cancels()) != 1 {
 		t.Errorf("node a saw cancels %v, want its abandoned campaign canceled once", a.cancels())

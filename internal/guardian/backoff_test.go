@@ -1,10 +1,6 @@
 package guardian
 
-import (
-	"testing"
-
-	"hauberk/internal/gpu"
-)
+import "testing"
 
 func TestBackoffPolicySchedule(t *testing.T) {
 	p := BackoffPolicy{Init: 1, Factor: 2}
@@ -37,23 +33,5 @@ func TestBackoffPolicyCapAndDefaults(t *testing.T) {
 	// A huge current delay must not overflow into a negative schedule.
 	if got := zero.Next(1 << 62); got <= 0 {
 		t.Fatalf("overflowed Next = %d", got)
-	}
-}
-
-func TestPoolUsesBackoffPolicy(t *testing.T) {
-	// A pool built with a custom policy caps Tbackoff at Max even after
-	// repeated failed retests.
-	devs := []*gpu.Device{gpu.New(gpu.DefaultConfig())}
-	p := NewDevicePoolPolicy(devs, func(*gpu.Device) bool { return false },
-		BackoffPolicy{Init: 2, Factor: 2, Max: 8})
-	p.Disable(0)
-	if got := p.Backoff(0); got != 2 {
-		t.Fatalf("initial Tbackoff = %d, want 2", got)
-	}
-	for i := 0; i < 40; i++ {
-		p.Tick()
-	}
-	if got := p.Backoff(0); got != 8 {
-		t.Fatalf("Tbackoff after repeated failed retests = %d, want the policy cap 8", got)
 	}
 }

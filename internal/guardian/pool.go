@@ -41,16 +41,9 @@ type pooledDevice struct {
 }
 
 // NewDevicePool wraps the devices with the given self test. backoffInit
-// seeds the doubling BackoffPolicy; use NewDevicePoolPolicy for a custom
-// schedule.
+// seeds the doubling Tbackoff schedule (BackoffPolicy).
 func NewDevicePool(devices []*gpu.Device, selfTest func(*gpu.Device) bool, backoffInit int64) *DevicePool {
-	return NewDevicePoolPolicy(devices, selfTest, BackoffPolicy{Init: backoffInit, Factor: 2})
-}
-
-// NewDevicePoolPolicy wraps the devices with the given self test and
-// Tbackoff schedule.
-func NewDevicePoolPolicy(devices []*gpu.Device, selfTest func(*gpu.Device) bool, policy BackoffPolicy) *DevicePool {
-	p := &DevicePool{selfTest: selfTest, policy: policy}
+	p := &DevicePool{selfTest: selfTest, policy: BackoffPolicy{Init: backoffInit, Factor: 2}}
 	for _, d := range devices {
 		p.devices = append(p.devices, &pooledDevice{dev: d})
 	}

@@ -95,8 +95,8 @@ func CampaignTable(man cstore.Manifest, cr *CampaignResult) *Table {
 	return t
 }
 
-// LoadCampaignDir merges every shard log in a campaign directory into one
-// aggregate result. An incomplete merge (missing shards or an interrupted
+// LoadCampaignDir merges every shard of a campaign directory's log into
+// one aggregate result. An incomplete merge (missing shards or an interrupted
 // run) is an error naming the missing count, so reports never silently
 // aggregate a partial campaign.
 func LoadCampaignDir(dir string) (cstore.Manifest, *CampaignResult, error) {

@@ -42,7 +42,7 @@ func TestLoadCampaignDirRejectsForeignIndex(t *testing.T) {
 	if _, _, err := LoadCampaignDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	log := filepath.Join(dir, cstore.ShardFile(0, 1))
+	log := filepath.Join(dir, cstore.JournalFile)
 	raw, err := os.ReadFile(log)
 	if err != nil {
 		t.Fatal(err)
@@ -56,6 +56,31 @@ func TestLoadCampaignDirRejectsForeignIndex(t *testing.T) {
 	}
 	if _, _, err := LoadCampaignDir(dir); err == nil || !strings.Contains(err.Error(), "injection 99 is outside the 3-injection plan") {
 		t.Fatalf("LoadCampaignDir over records {0, 1, 99}: got %v, want the out-of-plan index rejected", err)
+	}
+}
+
+// TestResumeDriftNamesStore: a store record that is for another injection
+// than the plan's at its index is refused, naming the store — for a daemon
+// campaign, which has no Dir, its journal and tag.
+func TestResumeDriftNamesStore(t *testing.T) {
+	e := NewEnv(tinyScale())
+	pc := planTiny(t, e)
+	path := filepath.Join(t.TempDir(), cstore.JournalFile)
+	l, err := cstore.CreateLog(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	cs, err := l.Open("c000001", e.CampaignManifest(pc.Spec, pc.Mode, pc.Plan), 0, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.Append(cstore.Record{Idx: 0, ID: "drifted"}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = e.RunPrepared(context.Background(), pc, CampaignOptions{Store: cs})
+	if want := path + " (campaign c000001) record 0 is for injection \"drifted\""; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("RunPrepared over a drifted daemon store: %v, want an error holding %q", err, want)
 	}
 }
 

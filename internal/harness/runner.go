@@ -63,9 +63,10 @@ const watchdogFloor = 250 * time.Millisecond
 
 // CampaignOptions tunes a campaign run.
 type CampaignOptions struct {
-	// Dir is the campaign store directory: every result is appended to a
-	// JSONL log there before it counts as done. Empty keeps the results in
-	// memory, for a campaign whose aggregate the caller consumes directly.
+	// Dir is the campaign store directory: every result is appended to its
+	// log, Dir/journal.jsonl, before it counts as done. Empty keeps the
+	// results in memory, for a campaign whose aggregate the caller consumes
+	// directly.
 	Dir string
 	// Resume loads completed injection IDs from the store and runs only
 	// the remainder; without it a non-empty store is an error. It needs
@@ -117,10 +118,10 @@ type CampaignOptions struct {
 // is the only code that runs a list of injections: the library entry
 // behind `hauberk-run -campaign-dir`, a hauberkd submission, the figures
 // and the examples. Every classified outcome is recorded in the
-// campaign store before it counts as done — appended to the JSONL log
-// under opts.Dir, or kept in memory when there is none — each injection
-// runs under a wall-clock watchdog (expiry classifies the run as a hang
-// failure, Section VI(i)). Cancelling ctx stops dispatch, flushes
+// campaign store before it counts as done — appended to the log of the
+// store directory opts.Dir, or kept in memory when there is none — each
+// injection runs under a wall-clock watchdog (expiry classifies the run
+// as a hang failure, Section VI(i)). Cancelling ctx stops dispatch, flushes
 // the store and returns ErrCampaignInterrupted; a later call with Resume
 // set completes the remainder and yields aggregates byte-identical to an
 // uninterrupted run. The preparation is read-only during the run, so one
@@ -162,7 +163,7 @@ func (e *Env) RunPrepared(ctx context.Context, pc *PreparedCampaign, opts Campai
 		if rec, ok := cs.Done(i); ok {
 			if rec.ID != plan[i].Cmd.Key() {
 				return nil, fmt.Errorf("harness: store %s record %d is for injection %q, plan has %q (plan/seed drift)",
-					opts.Dir, i, rec.ID, plan[i].Cmd.Key())
+					cs.Name(), i, rec.ID, plan[i].Cmd.Key())
 			}
 			continue
 		}

@@ -8,25 +8,34 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 )
 
-// Log is the stores of many campaigns in one append-only file: hauberkd's
-// journal. Each campaign line starts with the campaign's tag and a tab:
+// Log is the stores of many campaigns in one append-only file: a store
+// directory's journal.jsonl (store.go), hauberkd's journal among them.
+// Each campaign line starts with the campaign's tag and a tab:
 //
 //	<tag>\tmanifest\t<Manifest as JSON>   written when the campaign starts to run
-//	<tag>\t<record>                       one per completed injection
+//	<tag>\t<record>                       one per completed injection (codec.go)
 //
-// where <record> is the line a directory's shard log would hold (codec.go).
 // Every other line starts with '{' and is the owner's (the daemon's
 // campaign table): the log writes and replays those, but does not parse
 // them. Each line is one write(2) on the O_APPEND file under the log's
-// lock, so a record is on its way to disk before it counts, as in a
-// directory. In memory the log keeps each campaign's manifest and the
-// extents of its record lines, so a store opened on the log, or a
-// snapshot of a campaign, reads back only that campaign's bytes.
+// lock, so a record is on its way to disk before it counts, and lines of
+// separate processes appending to one file never interleave.
+//
+// In memory the log keeps each campaign's manifest and the extents of its
+// record lines, so a store opened on the log, or a snapshot of a campaign,
+// reads back only that campaign's bytes. The extents are this process's:
+// the lines it read when it opened the file and those it wrote. They stay
+// valid only while no other process appends, as no one does to hauberkd's
+// journal. A store directory may have a writer per shard, so its records
+// are read back through a fresh Load, not through a writer's index.
 type Log struct {
 	mu    sync.Mutex
+	path  string
 	f     *os.File    // nil in a log ReadLog returns, and after Close
 	src   io.ReaderAt // where extents are read from: f, or the bytes ReadLog indexed
 	end   int64       // the length of the indexed file: where the next line lands
@@ -63,7 +72,7 @@ func (c *logCampaign) add(off, n int64) {
 // campaign, is corruption and an error. Records are decoded only when a
 // store is opened on them.
 func ReadLog(path string, raw []byte, own func(n int, line []byte) error) (*Log, error) {
-	l := &Log{src: bytes.NewReader(raw), camps: make(map[string]*logCampaign)}
+	l := &Log{path: path, src: bytes.NewReader(raw), camps: make(map[string]*logCampaign)}
 	for n := 1; ; n++ {
 		i := bytes.IndexByte(raw[l.end:], '\n')
 		if i < 0 {
@@ -135,6 +144,35 @@ func CreateLog(path string, raw []byte) (*Log, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	l.src = l.f
+	return l, nil
+}
+
+// OpenLog opens the log of the store directory dir, DIR/journal.jsonl,
+// for appending, creating both as needed, and indexes the lines it holds.
+// It adds no fsync: a line is on its way to disk when it is written, as
+// everywhere in the store. A directory of the older format is refused.
+func OpenLog(dir string) (*Log, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	if err := refuseOldLayout(dir); err != nil {
+		return nil, err
+	}
+	path := filepath.Join(dir, JournalFile)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	var l *Log
+	raw, err := io.ReadAll(f)
+	if err == nil {
+		l, err = ReadLog(path, raw, nil)
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	l.f = f
 	return l, nil
 }
 
@@ -258,9 +296,8 @@ func (l *Log) Started(tag string) bool {
 	return m != nil
 }
 
-// Snapshot returns campaign tag's manifest and its record lines, byte for
-// byte the shard log a directory store would hold. A campaign that has not
-// started has no store: fs.ErrNotExist.
+// Snapshot returns campaign tag's manifest and its record lines, with the
+// tags cut. A campaign that has not started has no store: fs.ErrNotExist.
 func (l *Log) Snapshot(tag string) (Manifest, []byte, error) {
 	c, m := l.lookup(tag)
 	if m == nil {
@@ -270,15 +307,40 @@ func (l *Log) Snapshot(tag string) (Manifest, []byte, error) {
 	return *m, raw, err
 }
 
-// Load reads campaign tag's store as Load reads a directory: the manifest
-// and the records, sorted by plan index.
-func (l *Log) Load(tag string) (Manifest, []Record, error) {
-	m, raw, err := l.Snapshot(tag)
-	if err != nil {
-		return m, nil, err
+// Load merges the stores of campaigns tags as Load merges a store
+// directory's: the campaigns must share one manifest, and their records
+// are returned sorted by plan index, duplicates that agree once. A
+// campaign that has not started has no store: fs.ErrNotExist.
+func (l *Log) Load(tags ...string) (Manifest, []Record, error) {
+	var m Manifest
+	merged := make(map[int]Record)
+	source := make(map[int]string)
+	for i, tag := range tags {
+		have, raw, err := l.Snapshot(tag)
+		if err != nil {
+			return m, nil, err
+		}
+		if i > 0 && !m.Equal(have) {
+			return m, nil, fmt.Errorf("store: %s holds two campaigns: %s is %s/%s, %s is %s/%s",
+				l.path, tags[0], m.Program, m.PlanHash, tag, have.Program, have.PlanHash)
+		}
+		m = have
+		// Any campaign may hold any index of the plan here: salvaged
+		// partial shards merge under their own tags.
+		recs, err := parseRecords(tag, raw, m.Injections, 0, 1)
+		if err != nil {
+			return m, nil, err
+		}
+		for idx, r := range recs {
+			if have, ok := merged[idx]; ok && have.Conflicts(r) {
+				return m, nil, fmt.Errorf("store: conflicting records for injection %d: %s has outcome=%d hang=%v id=%q, %s has outcome=%d hang=%v id=%q (shards of different plans?)",
+					idx, source[idx], have.Outcome, have.Hang, have.ID, tag, r.Outcome, r.Hang, r.ID)
+			}
+			merged[idx] = r
+			source[idx] = tag
+		}
 	}
-	done, err := parseRecords(tag, raw, m.Injections, 0, 1)
-	return m, sorted(done), err
+	return m, sorted(merged), nil
 }
 
 // AppendCampaign appends campaign tag's lines, for a compacted log, to
@@ -296,16 +358,37 @@ func (l *Log) AppendCampaign(dst []byte, tag string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return appendLines(dst, tag, raw), nil
+}
+
+// AppendSnapshot appends a campaign's store as another log's Snapshot
+// returns it, under tag: its manifest line and each distinct whole record
+// line of raw, in one write(2). A final line without its newline is
+// dropped. The lines are not indexed: the log they land in is read back
+// through Load. tag, which may hold a node's name, must read back as one:
+// no tab or newline, and not the '{' of an owner's line.
+func (l *Log) AppendSnapshot(tag string, m Manifest, raw []byte) error {
+	if tag == "" || tag[0] == '{' || strings.ContainsAny(tag, "\t\n") {
+		return fmt.Errorf("store: %q cannot tag a campaign's lines", tag)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.buf = appendLines(appendManifestLine(l.buf[:0], tag, m), tag, raw)
+	_, err := l.write()
+	return err
+}
+
+// appendLines appends each distinct non-blank whole line of raw to dst
+// once, in order, behind tag and a tab.
+func appendLines(dst []byte, tag string, raw []byte) []byte {
 	seen := make(map[string]bool)
-	for len(raw) > 0 {
-		line, rest, _ := bytes.Cut(raw, []byte{'\n'})
-		raw = rest
-		if !seen[string(line)] {
+	for line, rest, ok := bytes.Cut(raw, []byte{'\n'}); ok; line, rest, ok = bytes.Cut(rest, []byte{'\n'}) {
+		if len(bytes.TrimSpace(line)) > 0 && !seen[string(line)] {
 			seen[string(line)] = true
 			dst = append(append(append(append(dst, tag...), '\t'), line...), '\n')
 		}
 	}
-	return dst, nil
+	return dst
 }
 
 // records reads c's record lines with their tags cut off.

@@ -10,8 +10,8 @@ import (
 )
 
 // TestLogCampaignsShareOneFile: two campaigns' stores and the owner's own
-// lines interleave in one file. Each campaign reads back exactly the shard
-// log a directory store of the same appends holds; a campaign that runs
+// lines interleave in one file. Each campaign reads back exactly the record
+// lines a directory store of the same appends holds; a campaign that runs
 // alone is one extent; a reopen resumes from the records, and compaction
 // keeps every campaign's store while dropping a torn final line.
 func TestLogCampaignsShareOneFile(t *testing.T) {
@@ -68,7 +68,15 @@ func TestLogCampaignsShareOneFile(t *testing.T) {
 		t.Errorf("b in 3 interleaved runs and one run alone holds %d extents", n)
 	}
 
-	want, err := os.ReadFile(filepath.Join(dir, ShardFile(1, 2)))
+	raw, err := os.ReadFile(filepath.Join(dir, JournalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dl, err := ReadLog(dir, raw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := dl.Snapshot(ShardTag(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +87,7 @@ func TestLogCampaignsShareOneFile(t *testing.T) {
 			t.Fatal(err)
 		}
 		if man != m || string(got) != string(want) {
-			t.Fatalf("%s: snapshot of a is %+v\n%s\nwant the directory's\n%s", when, man, got, want)
+			t.Fatalf("%s: snapshot of a is %+v\n%s\nwant the directory store's\n%s", when, man, got, want)
 		}
 		if _, _, err := l.Snapshot("c"); !errors.Is(err, fs.ErrNotExist) {
 			t.Fatalf("%s: snapshot of a campaign that never ran: %v, want not-exist", when, err)
@@ -96,8 +104,7 @@ func TestLogCampaignsShareOneFile(t *testing.T) {
 	// A torn final line, then a replay: the owner's lines come back in
 	// order, and compaction writes each campaign's manifest and records
 	// after the line the owner gives it.
-	raw, err := os.ReadFile(path)
-	if err != nil {
+	if raw, err = os.ReadFile(path); err != nil {
 		t.Fatal(err)
 	}
 	raw = append(raw, "a\t{\"idx\":7,"...)
@@ -148,5 +155,29 @@ func TestLogCampaignsShareOneFile(t *testing.T) {
 	}
 	if _, recs, err := l.Load("b"); err != nil || len(recs) != 5 || recs[0].Idx != 0 || recs[4].Idx != 4 {
 		t.Fatalf("Load(b) = %v, %v", recs, err)
+	}
+}
+
+// TestAppendSnapshotRefusesBadTags: a salvage tag carries a node's name
+// from the command line; one that would not read back as a tag — a tab or
+// newline inside, or the '{' of an owner's line — is refused, not written.
+func TestAppendSnapshotRefusesBadTags(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rec := []byte(`{"idx":0,"id":"a","outcome":1,"bits":1}` + "\n")
+	for _, tag := range []string{"", "shard-0of1.partial1.no\tde", "shard-0of1.partial1.no\nde", "{node}"} {
+		if err := l.AppendSnapshot(tag, testManifest(), rec); err == nil {
+			t.Errorf("AppendSnapshot under %q succeeded", tag)
+		}
+	}
+	if err := l.AppendSnapshot("shard-0of1.partial1.http://node-a:8345", testManifest(), rec); err != nil {
+		t.Fatal(err)
+	}
+	if _, recs, err := Load(dir); err != nil || len(recs) != 1 {
+		t.Fatalf("Load after the refusals: %v, %v; want the one good record", recs, err)
 	}
 }

@@ -6,15 +6,18 @@
 // load the completed injection IDs and run only the remainder, and lets
 // shards produced by separate processes merge into one report.
 //
-// Layout of a campaign directory (`hauberk-run -campaign-dir`, the fleet's
-// merge directory):
+// A store directory (`hauberk-run -campaign-dir`, the fleet's merge
+// directory, hauberkd's store root) is one file, its Log (log.go):
 //
-//	manifest.json       — the campaign's identity (program, mode, plan hash)
-//	shard-IofN.jsonl    — one append-only result log per shard
+//	journal.jsonl — tagged lines, one tag per campaign:
+//	  shard-IofN\tmanifest\t{…}        the campaign's identity (program, mode, plan hash)
+//	  shard-IofN\t{record}             one per completed injection of shard I of N
+//	  shard-IofN.partial<k>.<node>\t…  a failed-over shard's lines, salvaged by the fleet
 //
-// hauberkd keeps no directory per campaign: every campaign's store is
-// tagged lines of its one journal (Log, log.go), whose record lines carry
-// the same bytes as a shard log's.
+// hauberkd tags each campaign's lines with its campaign ID instead, and
+// adds its own untagged lines (log.go). Load merges every campaign of a
+// directory's log; shards of one plan may append to it from separate
+// processes at the same time, each line one write(2).
 //
 // Every record is written to the OS as soon as it is appended, so a kill
 // loses at most the injection in flight; a truncated trailing line (the
@@ -27,10 +30,7 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -99,35 +99,41 @@ func (r Record) Conflicts(o Record) bool {
 	return r != o
 }
 
-const manifestFile = "manifest.json"
+// JournalFile is a store directory's one file, the log of its campaigns:
+// DIR/journal.jsonl of `hauberk-run -campaign-dir`, the fleet's merge
+// directory and hauberkd's store root alike.
+const JournalFile = "journal.jsonl"
 
-// ShardFile names shard i's result log in an N-way split.
-func ShardFile(shard, shards int) string {
-	return fmt.Sprintf("shard-%dof%d.jsonl", shard, shards)
+// ShardTag is the tag of shard shard/shards' lines in a store directory's
+// log.
+func ShardTag(shard, shards int) string {
+	return fmt.Sprintf("shard-%dof%d", shard, shards)
 }
 
 // Store is one shard's append-only result log plus the set of records
 // already completed (loaded at open, extended by Append). Safe for
-// concurrent Append calls. Its log is a directory's shard file (f), or a
-// campaign's lines of a Log (log and lc); a store opened with no directory
-// has neither, and its records live in done alone, for campaigns whose
-// result is consumed by the process that ran them.
+// concurrent Append calls. Its log is a campaign's lines of a Log (log and
+// lc): a directory's, which the store opened and closes (owns), or its
+// owner's, such as hauberkd's journal. A store opened with no directory has
+// no log, and its records live in done alone, for campaigns whose result is
+// consumed by the process that ran them.
 type Store struct {
 	mu   sync.Mutex
-	f    *os.File
 	log  *Log
 	lc   *logCampaign
-	buf  []byte
+	owns bool
 	done map[int]Record
 }
 
 // Open creates or resumes shard shard/shards of the campaign identified
-// by m under dir. A directory it creates gets the manifest and is not
-// read; in an existing one it verifies the manifest matches (a mismatch
-// means the directory holds a different campaign — refusing protects the
-// log from silent corruption). When resume is false an existing non-empty shard
-// log is an error, so accidental re-launches don't double-append. An
-// empty dir opens a store that keeps its records in memory only.
+// by m in the store directory dir: the lines tagged ShardTag(shard,
+// shards) of DIR/journal.jsonl, both created as needed. Every campaign the
+// log already holds must be m (any other means the directory holds a
+// different campaign — refusing protects the log from silent corruption).
+// When resume is false a shard that already holds records is an error, so
+// accidental re-launches don't double-append. Shards may be opened by
+// separate processes at the same time: each writes its own manifest line.
+// An empty dir opens a store that keeps its records in memory only.
 func Open(dir string, m Manifest, shard, shards int, resume bool) (*Store, error) {
 	if shards < 1 || shard < 0 || shard >= shards {
 		return nil, fmt.Errorf("store: invalid shard %d/%d", shard, shards)
@@ -135,53 +141,32 @@ func Open(dir string, m Manifest, shard, shards int, resume bool) (*Store, error
 	if dir == "" {
 		return &Store{done: make(map[int]Record)}, nil
 	}
-	// A directory this call creates holds no manifest and no log, so
-	// there is nothing to verify or load; a missing parent makes it new too.
-	err := os.Mkdir(dir, 0o755)
-	if errors.Is(err, fs.ErrNotExist) {
-		err = os.MkdirAll(dir, 0o755)
-	}
-	fresh := err == nil
-	if err != nil && !errors.Is(err, fs.ErrExist) {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	mpath := filepath.Join(dir, manifestFile)
-	path := filepath.Join(dir, ShardFile(shard, shards))
-	done := make(map[int]Record)
-	verified := false
-	if !fresh {
-		if raw, err := os.ReadFile(mpath); err == nil {
-			var have Manifest
-			if err := json.Unmarshal(raw, &have); err != nil {
-				return nil, fmt.Errorf("store: corrupt manifest %s: %w", mpath, err)
-			}
-			if !have.Equal(m) {
-				return nil, fmt.Errorf("store: %s holds a different campaign (have %s/%s, want %s/%s)",
-					dir, have.Program, have.PlanHash, m.Program, m.PlanHash)
-			}
-			verified = true
-		}
-		if done, err = readRecords(path, m.Injections, shard, shards); err != nil {
-			return nil, err
-		}
-		if !resume && len(done) > 0 {
-			return nil, fmt.Errorf("store: %s already holds %d results; pass resume to continue it", path, len(done))
-		}
-	}
-	if !verified {
-		raw, err := json.MarshalIndent(m, "", "  ")
-		if err != nil {
-			return nil, fmt.Errorf("store: encode manifest: %w", err)
-		}
-		if err := os.WriteFile(mpath, append(raw, '\n'), 0o644); err != nil {
-			return nil, fmt.Errorf("store: write manifest: %w", err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	l, err := OpenLog(dir)
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, err
 	}
-	return &Store{f: f, done: done}, nil
+	for tag, c := range l.camps {
+		if c.manifest != nil && !c.manifest.Equal(m) {
+			l.Close()
+			return nil, fmt.Errorf("store: %s holds a different campaign (%s has %s/%s, want %s/%s)",
+				dir, tag, c.manifest.Program, c.manifest.PlanHash, m.Program, m.PlanHash)
+		}
+	}
+	s, err := l.Open(ShardTag(shard, shards), m, shard, shards, resume)
+	if err != nil {
+		l.Close()
+		return nil, err
+	}
+	s.owns = true
+	return s, nil
+}
+
+// Name names the store in messages: its log's path and campaign tag.
+func (s *Store) Name() string {
+	if s.log == nil {
+		return "(in memory)"
+	}
+	return fmt.Sprintf("%s (campaign %s)", s.log.path, s.lc.tag)
 }
 
 // Append durably records one completed injection: the line is written to
@@ -190,15 +175,9 @@ func Open(dir string, m Manifest, shard, shards int, resume bool) (*Store, error
 func (s *Store) Append(r Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch {
-	case s.log != nil:
+	if s.log != nil {
 		if err := s.log.appendRecord(s.lc, r); err != nil {
 			return err
-		}
-	case s.f != nil:
-		s.buf = append(appendRecord(s.buf[:0], r), '\n')
-		if _, err := s.f.Write(s.buf); err != nil {
-			return fmt.Errorf("store: append: %w", err)
 		}
 	}
 	s.done[r.Idx] = r
@@ -222,47 +201,28 @@ func (s *Store) Completed() int {
 
 // Sync forces the log to stable storage (fsync).
 func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch {
-	case s.log != nil:
-		return s.log.sync()
-	case s.f != nil:
-		return s.f.Sync()
-	}
-	return nil
-}
-
-// Close closes a directory's shard log; a store on a Log leaves the log,
-// which is its owner's, open.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
+	if s.log == nil {
 		return nil
 	}
-	return s.f.Close()
+	return s.log.sync()
 }
 
-// readRecords loads a shard log of an injections-long plan (see
-// parseRecords); a missing log holds no records.
-func readRecords(path string, injections, shard, shards int) (map[int]Record, error) {
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return map[int]Record{}, nil
+// Close closes a directory's log; a store on its owner's Log leaves the
+// log open.
+func (s *Store) Close() error {
+	if !s.owns {
+		return nil
 	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	return parseRecords(path, raw, injections, shard, shards)
+	return s.log.Close()
 }
 
-// parseRecords decodes the shard log raw, read from path. A malformed
-// final line (the partial write of a killed process) is dropped; malformed
-// interior lines always abort, since they mean real corruption — as does a
-// record whose index lies outside the plan or outside shard/shards' share
-// of it, which would otherwise stand in for an injection that never ran.
-func parseRecords(path string, raw []byte, injections, shard, shards int) (map[int]Record, error) {
+// parseRecords decodes raw, campaign name's record lines with their tags
+// cut, for an injections-long plan. A malformed final line (the partial
+// write of a killed process) is dropped; malformed interior lines always
+// abort, since they mean real corruption — as does a record whose index
+// lies outside the plan or outside shard/shards' share of it, which would
+// otherwise stand in for an injection that never ran.
+func parseRecords(name string, raw []byte, injections, shard, shards int) (map[int]Record, error) {
 	done := make(map[int]Record, bytes.Count(raw, []byte{'\n'}))
 	for i := 0; len(raw) > 0; i++ {
 		line, rest, ended := bytes.Cut(raw, []byte{'\n'})
@@ -275,67 +235,79 @@ func parseRecords(path string, raw []byte, injections, shard, shards int) (map[i
 			if !ended {
 				break // truncated final record: the in-flight injection re-runs
 			}
-			return nil, fmt.Errorf("store: %s line %d: %w", path, i+1, err)
+			return nil, fmt.Errorf("store: %s line %d: %w", name, i+1, err)
 		}
 		if r.Idx < 0 || r.Idx >= injections {
 			return nil, fmt.Errorf("store: %s line %d: record for injection %d is outside the %d-injection plan",
-				path, i+1, r.Idx, injections)
+				name, i+1, r.Idx, injections)
 		}
 		if r.Idx%shards != shard {
 			return nil, fmt.Errorf("store: %s line %d: record for injection %d does not belong to shard %d/%d",
-				path, i+1, r.Idx, shard, shards)
+				name, i+1, r.Idx, shard, shards)
 		}
 		if have, ok := done[r.Idx]; ok && have.Conflicts(r) {
 			return nil, fmt.Errorf("store: %s line %d: duplicate record for injection %d disagrees with an earlier line (outcome %d vs %d)",
-				path, i+1, r.Idx, r.Outcome, have.Outcome)
+				name, i+1, r.Idx, r.Outcome, have.Outcome)
 		}
 		done[r.Idx] = r
 	}
 	return done, nil
 }
 
-// Load reads a campaign directory: the manifest plus every shard log,
-// merged and sorted by plan index. Duplicate indices are legitimate only
-// when the records agree (a record appended twice across a resume
-// boundary, or a shard re-executed on another node after a failover —
-// deterministic execution makes the re-run's records equal). Records that claim the same index but disagree on any
-// figure-bearing field mean the directory mixes logs from different
-// plans or holds real corruption, and merging them would silently skew
-// the aggregate — that is an error, never a last-writer-wins.
+// Load reads the store directory dir: every campaign of its log, merged
+// and sorted by plan index. The campaigns are shards and salvaged partial
+// shards of one plan, so their manifests must agree. Duplicate indices are
+// legitimate only when the records agree (a record appended twice across a
+// resume boundary, or a shard re-executed on another node after a failover
+// — deterministic execution makes the re-run's records equal). Records that
+// claim the same index but disagree on any figure-bearing field mean the
+// directory mixes logs from different plans or holds real corruption, and
+// merging them would silently skew the aggregate — that is an error, never
+// a last-writer-wins.
 func Load(dir string) (Manifest, []Record, error) {
-	var m Manifest
-	raw, err := os.ReadFile(filepath.Join(dir, manifestFile))
+	if err := refuseOldLayout(dir); err != nil {
+		return Manifest{}, nil, err
+	}
+	path := filepath.Join(dir, JournalFile)
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		return m, nil, fmt.Errorf("store: %w", err)
+		return Manifest{}, nil, fmt.Errorf("store: %w", err)
 	}
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return m, nil, fmt.Errorf("store: corrupt manifest in %s: %w", dir, err)
-	}
-	paths, err := filepath.Glob(filepath.Join(dir, "shard-*.jsonl"))
+	return loadLog(path, raw)
+}
+
+// loadLog merges every campaign of the log raw, read from path (see Load).
+func loadLog(path string, raw []byte) (Manifest, []Record, error) {
+	l, err := ReadLog(path, raw, nil)
 	if err != nil {
-		return m, nil, fmt.Errorf("store: %w", err)
+		return Manifest{}, nil, err
 	}
-	sort.Strings(paths)
-	merged := make(map[int]Record)
-	source := make(map[int]string)
-	for _, p := range paths {
-		// Any log may hold any index of the plan here: salvaged partial logs
-		// of a failed-over shard merge under their own names.
-		recs, err := readRecords(p, m.Injections, 0, 1)
+	if len(l.camps) == 0 {
+		return Manifest{}, nil, fmt.Errorf("store: %s holds no campaign", path)
+	}
+	tags := make([]string, 0, len(l.camps))
+	for tag := range l.camps {
+		tags = append(tags, tag)
+	}
+	sort.Strings(tags)
+	return l.Load(tags...)
+}
+
+// refuseOldLayout refuses a campaign directory of the older format, a
+// manifest.json beside shard-IofN.jsonl logs, which this one would
+// otherwise silently ignore.
+func refuseOldLayout(dir string) error {
+	for _, pattern := range []string{"manifest.json", "shard-*.jsonl"} {
+		old, err := filepath.Glob(filepath.Join(dir, pattern))
 		if err != nil {
-			return m, nil, err
+			return fmt.Errorf("store: %w", err)
 		}
-		for idx, r := range recs {
-			if have, ok := merged[idx]; ok && have.Conflicts(r) {
-				return m, nil, fmt.Errorf("store: conflicting records for injection %d: %s has outcome=%d hang=%v id=%q, %s has outcome=%d hang=%v id=%q (shard logs from different plans?)",
-					idx, filepath.Base(source[idx]), have.Outcome, have.Hang, have.ID,
-					filepath.Base(p), r.Outcome, r.Hang, r.ID)
-			}
-			merged[idx] = r
-			source[idx] = p
+		if len(old) > 0 {
+			return fmt.Errorf("store: %s is a campaign directory of an older format (it holds %s); this one keeps a campaign in %s: finish it with the binary that started it, or move it aside",
+				dir, old[0], JournalFile)
 		}
 	}
-	return m, sorted(merged), nil
+	return nil
 }
 
 // sorted lists records by plan index.

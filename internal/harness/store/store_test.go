@@ -1,6 +1,8 @@
 package store
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -87,8 +89,9 @@ func TestStoreManifestMismatch(t *testing.T) {
 
 // TestOpenFreshAndExistingDirs: a directory Open creates (here under a
 // missing parent) is written without being read, while a directory that
-// already exists is still checked — a foreign manifest and a non-empty log
-// without resume are refused even when Open did not write them.
+// already exists is still checked — a foreign manifest, under any shard's
+// tag, and a non-empty shard without resume are refused even when Open did
+// not write them.
 func TestOpenFreshAndExistingDirs(t *testing.T) {
 	m := testManifest()
 	fresh := filepath.Join(t.TempDir(), "a", "b", "campaign")
@@ -105,19 +108,82 @@ func TestOpenFreshAndExistingDirs(t *testing.T) {
 	}
 
 	foreign := t.TempDir()
-	if err := os.WriteFile(filepath.Join(foreign, manifestFile), []byte(`{"program":"CP","mode":3,"injections":6,"plan_hash":"deadbeefdeadbeef"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeJournal(t, foreign, "shard-1of2\tmanifest\t"+`{"program":"CP","mode":3,"injections":6,"plan_hash":"deadbeefdeadbeef"}`)
 	if _, err := Open(foreign, m, 0, 1, true); err == nil || !strings.Contains(err.Error(), "holds a different campaign") {
 		t.Fatalf("Open over a foreign manifest: %v, want it refused", err)
 	}
 
 	logged := t.TempDir()
-	if err := os.WriteFile(filepath.Join(logged, ShardFile(0, 1)), []byte(`{"idx":0,"id":"a","outcome":1,"bits":1}`+"\n"), 0o644); err != nil {
+	writeJournal(t, logged, manifestLine(ShardTag(0, 1), m), ShardTag(0, 1)+"\t"+`{"idx":0,"id":"a","outcome":1,"bits":1}`)
+	if _, err := Open(logged, m, 0, 1, false); err == nil || !strings.Contains(err.Error(), "already holds 1 results") {
+		t.Fatalf("Open without resume over a non-empty shard: %v, want it refused", err)
+	}
+}
+
+// TestStoreConcurrentShardsOneDir: shards opened at the same time on one
+// fresh directory, each by its own Open (its own file, as separate
+// processes have), each write their manifest line and records to the one
+// log, and Load merges them all.
+func TestStoreConcurrentShardsOneDir(t *testing.T) {
+	const shards = 32
+	m := testManifest()
+	m.Injections = 4 * shards
+	dir := filepath.Join(t.TempDir(), "campaign")
+	errs := make(chan error, shards)
+	for shard := 0; shard < shards; shard++ {
+		go func() {
+			s, err := Open(dir, m, shard, shards, false)
+			if err != nil {
+				errs <- err
+				return
+			}
+			for i := shard; i < m.Injections && err == nil; i += shards {
+				err = s.Append(Record{Idx: i, ID: "id", Outcome: i % 5, Bits: 1})
+			}
+			if cerr := s.Close(); err == nil {
+				err = cerr
+			}
+			errs <- err
+		}()
+	}
+	for range shards {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	man, recs, err := Load(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(logged, m, 0, 1, false); err == nil || !strings.Contains(err.Error(), "already holds 1 results") {
-		t.Fatalf("Open without resume over a non-empty log: %v, want it refused", err)
+	if man != m || len(recs) != m.Injections || Missing(man, recs) != 0 {
+		t.Fatalf("merged %d records of %+v, want all %d of %+v", len(recs), man, m.Injections, m)
+	}
+	for i, r := range recs {
+		if r.Idx != i || r.Outcome != i%5 {
+			t.Fatalf("merged record %d = %+v", i, r)
+		}
+	}
+}
+
+// TestStoreRefusesOldLayout: a directory of the older format — a
+// manifest.json beside shard-IofN.jsonl logs — is refused by Open and Load
+// with a message naming the file, never read as an empty store.
+func TestStoreRefusesOldLayout(t *testing.T) {
+	for _, name := range []string{"manifest.json", "shard-0of1.jsonl"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := filepath.Join(dir, name)
+		if _, err := Open(dir, testManifest(), 0, 1, true); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Open over %s: %v, want a refusal naming it", name, err)
+		}
+		if _, _, err := Load(dir); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Load over %s: %v, want a refusal naming it", name, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, JournalFile)); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("refusing %s left a %s behind: %v", name, JournalFile, err)
+		}
 	}
 }
 
@@ -133,12 +199,12 @@ func TestStoreToleratesTruncatedTail(t *testing.T) {
 	s.Close()
 
 	// Simulate a kill mid-append: a truncated final line.
-	path := filepath.Join(dir, ShardFile(0, 1))
+	path := filepath.Join(dir, JournalFile)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, append(raw, `{"idx":2,"id":"c","outc`...), 0o644); err != nil {
+	if err := os.WriteFile(path, append(raw, ShardTag(0, 1)+"\t"+`{"idx":2,"id":"c","outc`...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -189,19 +255,41 @@ func TestStoreShardsMerge(t *testing.T) {
 	}
 }
 
-// writeShardLines writes a raw shard log under dir — the shape of a log
-// fetched from another node by the fleet coordinator, which may carry
-// any shard-*.jsonl name (canonical, or node-tagged partial salvage).
-func writeShardLines(t *testing.T, dir, name string, lines ...string) {
+// writeJournal appends raw lines to dir's log.
+func writeJournal(t *testing.T, dir string, lines ...string) {
 	t.Helper()
-	if err := os.WriteFile(filepath.Join(dir, name), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+	f, err := os.OpenFile(filepath.Join(dir, JournalFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteString(strings.Join(lines, "\n") + "\n"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// manifestLine is campaign tag's manifest line, without the newline.
+func manifestLine(tag string, m Manifest) string {
+	return strings.TrimSuffix(string(appendManifestLine(nil, tag, m)), "\n")
+}
+
+// appendSnapshot appends raw, a shard's record lines as the fleet
+// coordinator fetches them, to dir's log under tag.
+func appendSnapshot(t *testing.T, dir, tag string, m Manifest, raw string) {
+	t.Helper()
+	l, err := OpenLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.AppendSnapshot(tag, m, []byte(raw)); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestStoreMergeDedupesRedispatchedShard is the failover-idempotency
 // case: node A ran part of a shard and died mid-append (truncated
-// tail), the coordinator salvaged its partial log, and node B re-ran
+// tail), the coordinator salvaged its partial lines, and node B re-ran
 // the whole shard. The overlapping records are byte-equal because
 // execution is deterministic, so the merge must dedupe them — including
 // the record A lost to the truncated tail, which only B holds.
@@ -209,28 +297,18 @@ func TestStoreMergeDedupesRedispatchedShard(t *testing.T) {
 	dir := t.TempDir()
 	m := testManifest()
 	m.Injections = 4
-	s, err := Open(dir, m, 0, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Shard 1's records, completed normally elsewhere.
-	s.Close()
-	writeShardLines(t, dir, ShardFile(1, 2),
-		`{"idx":1,"id":"b","outcome":2,"bits":1}`,
-		`{"idx":3,"id":"d","outcome":3,"bits":6}`)
-
-	// Node A's salvaged partial shard-0 log: one complete record, then a
+	appendSnapshot(t, dir, ShardTag(1, 2), m,
+		`{"idx":1,"id":"b","outcome":2,"bits":1}`+"\n"+`{"idx":3,"id":"d","outcome":3,"bits":6}`+"\n")
+	// Node A's salvaged partial shard-0 lines: one complete record, then a
 	// truncated tail from the kill (no trailing newline — the append died
-	// mid-line).
-	partial := `{"idx":0,"id":"a","outcome":1,"bits":1}` + "\n" + `{"idx":2,"id":"c","outc`
-	if err := os.WriteFile(filepath.Join(dir, "shard-0of2.partial.node-a.jsonl"), []byte(partial), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// mid-line), which the append drops.
+	appendSnapshot(t, dir, ShardTag(0, 2)+".partial1.node-a", m,
+		`{"idx":0,"id":"a","outcome":1,"bits":1}`+"\n"+`{"idx":2,"id":"c","outc`)
 	// Node B's re-run of the full shard: same records (retries may
 	// differ — node B retried an infrastructure error node A never saw).
-	writeShardLines(t, dir, ShardFile(0, 2),
-		`{"idx":0,"id":"a","outcome":1,"bits":1,"retries":1}`,
-		`{"idx":2,"id":"c","outcome":4,"bits":6}`)
+	appendSnapshot(t, dir, ShardTag(0, 2), m,
+		`{"idx":0,"id":"a","outcome":1,"bits":1,"retries":1}`+"\n"+`{"idx":2,"id":"c","outcome":4,"bits":6}`+"\n")
 
 	man, recs, err := Load(dir)
 	if err != nil {
@@ -246,37 +324,36 @@ func TestStoreMergeDedupesRedispatchedShard(t *testing.T) {
 	}
 }
 
-// TestStoreMergeRejectsConflictingRecords: two shard logs claiming the
-// same plan index with different outcomes mean the directory mixes
-// campaigns (or one log is corrupt); the merge must refuse rather than
-// silently keep one of them.
+// TestStoreMergeRejectsConflictingRecords: two shards claiming the same
+// plan index with different outcomes, or of different plans, mean the
+// directory mixes campaigns (or one log is corrupt); the merge must refuse
+// rather than silently keep one of them.
 func TestStoreMergeRejectsConflictingRecords(t *testing.T) {
+	m := testManifest()
 	dir := t.TempDir()
-	s, err := Open(dir, testManifest(), 0, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	writeShardLines(t, dir, ShardFile(0, 2),
-		`{"idx":0,"id":"a","outcome":1,"bits":1}`)
-	writeShardLines(t, dir, "shard-0of2.partial.node-a.jsonl",
-		`{"idx":0,"id":"a","outcome":3,"bits":1}`)
+	appendSnapshot(t, dir, ShardTag(0, 2), m, `{"idx":0,"id":"a","outcome":1,"bits":1}`+"\n")
+	appendSnapshot(t, dir, ShardTag(0, 2)+".partial1.node-a", m, `{"idx":0,"id":"a","outcome":3,"bits":1}`+"\n")
 	if _, _, err := Load(dir); err == nil || !strings.Contains(err.Error(), "conflicting records") {
 		t.Fatalf("Load over conflicting duplicates: %v, want a conflicting-records error", err)
 	}
 
-	// A conflicting duplicate inside one log is equally corrupt.
+	// A conflicting duplicate inside one shard is equally corrupt.
 	dir2 := t.TempDir()
-	s, err = Open(dir2, testManifest(), 0, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	writeShardLines(t, dir2, ShardFile(0, 1),
-		`{"idx":0,"id":"a","outcome":1,"bits":1}`,
-		`{"idx":0,"id":"a","outcome":2,"bits":1}`)
+	writeJournal(t, dir2, manifestLine(ShardTag(0, 1), m),
+		ShardTag(0, 1)+"\t"+`{"idx":0,"id":"a","outcome":1,"bits":1}`,
+		ShardTag(0, 1)+"\t"+`{"idx":0,"id":"a","outcome":2,"bits":1}`)
 	if _, _, err := Load(dir2); err == nil || !strings.Contains(err.Error(), "duplicate record") {
-		t.Fatalf("Load over an in-file conflicting duplicate: %v, want a duplicate-record error", err)
+		t.Fatalf("Load over an in-shard conflicting duplicate: %v, want a duplicate-record error", err)
+	}
+
+	// Shards of two plans never merge, even with no index in common.
+	dir3 := t.TempDir()
+	other := m
+	other.PlanHash = "deadbeefdeadbeef"
+	appendSnapshot(t, dir3, ShardTag(0, 2), m, `{"idx":0,"id":"a","outcome":1,"bits":1}`+"\n")
+	appendSnapshot(t, dir3, ShardTag(1, 2), other, `{"idx":1,"id":"b","outcome":1,"bits":1}`+"\n")
+	if _, _, err := Load(dir3); err == nil || !strings.Contains(err.Error(), "holds two campaigns") {
+		t.Fatalf("Load over shards of two plans: %v, want them refused", err)
 	}
 }
 
@@ -312,15 +389,9 @@ func TestStoreInvalidShard(t *testing.T) {
 	}
 }
 
-func TestShardFileNaming(t *testing.T) {
-	if got := ShardFile(1, 4); !strings.Contains(got, "1of4") {
-		t.Fatalf("ShardFile = %q", got)
-	}
-}
-
 // TestStoreRejectsIndicesOutsidePlan: a record whose index the plan does
 // not hold — or, when a shard is resumed, one the shard does not own —
-// must fail the read, naming file, line and index; counted by length it
+// must fail the read, naming shard, line and index; counted by length it
 // would stand in for an injection that never ran.
 func TestStoreRejectsIndicesOutsidePlan(t *testing.T) {
 	m := testManifest()
@@ -338,15 +409,10 @@ func TestStoreRejectsIndicesOutsidePlan(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			s, err := Open(dir, m, 0, 2, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.Close()
-			writeShardLines(t, dir, ShardFile(0, 2),
-				`{"idx":0,"id":"a","outcome":1,"bits":1}`,
-				tc.line)
-			where := ShardFile(0, 2) + " line 2: "
+			writeJournal(t, dir, manifestLine(ShardTag(0, 2), m),
+				ShardTag(0, 2)+"\t"+`{"idx":0,"id":"a","outcome":1,"bits":1}`,
+				ShardTag(0, 2)+"\t"+tc.line)
+			where := ShardTag(0, 2) + " line 2: "
 
 			_, recs, err := Load(dir)
 			switch {

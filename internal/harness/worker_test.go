@@ -220,7 +220,15 @@ func TestIsolatedCampaignChaosInsideRuns(t *testing.T) {
 		if n := e.Obs.Metrics().Counter("hauberk_worker_crashes_total").Value(); n < 1 {
 			t.Errorf("%s: no worker crashed", spec)
 		}
-		raw, err := os.ReadFile(filepath.Join(dir, cstore.ShardFile(0, 1)))
+		journal, err := os.ReadFile(filepath.Join(dir, cstore.JournalFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := cstore.ReadLog(dir, journal, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, raw, err := l.Snapshot(cstore.ShardTag(0, 1))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,7 +46,7 @@ func (a readAPI) mount(s *obshttp.Server) {
 //	                                 503 while draining)
 //	DELETE /v1/campaigns/{id}        cancel (dequeue or interrupt)
 //	GET    /v1/campaigns/{id}/store  the campaign's durable store
-//	                                 (manifest + raw shard logs) for the
+//	                                 (manifest + record lines) for the
 //	                                 fleet coordinator's read-side merge
 //	GET    /v1/node                  the daemon's own health document
 //	                                 (draining, running/queued counts)

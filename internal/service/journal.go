@@ -25,7 +25,7 @@ import (
 // record line per completed injection. Every line is one write(2) on the
 // O_APPEND file and nothing is fsynced, so a kill loses at most the line
 // being written, whose torn tail replay skips.
-const journalFile = "journal.jsonl"
+const journalFile = store.JournalFile
 
 // meta is a campaign's durable form: one line of the daemon journal. It
 // is what lets a restarted daemon rebuild its campaign table and requeue

@@ -40,12 +40,12 @@ func (d *Daemon) NodeStatus() NodeStatus {
 }
 
 // StoreSnapshot is a campaign's durable store in wire form, served at
-// GET /v1/campaigns/{id}/store: the manifest plus its shard log, the
-// bytes a `hauberk-run -campaign-dir` shard file of the same records
-// holds. The coordinator writes the files verbatim into its merge
-// directory, where the read-side merge dedupes re-dispatched records and
-// rejects cross-plan conflicts. State rides along so the coordinator can
-// tell a complete shard from a partial salvage.
+// GET /v1/campaigns/{id}/store: the manifest plus its record lines, keyed
+// by the shard's tag in a store directory (store.ShardTag). The
+// coordinator appends them to its merge directory's log, where the
+// read-side merge dedupes re-dispatched records and rejects cross-plan
+// conflicts. State rides along so the coordinator can tell a complete
+// shard from a partial salvage.
 type StoreSnapshot struct {
 	State    State             `json:"state"`
 	Manifest store.Manifest    `json:"manifest"`
@@ -70,6 +70,6 @@ func (d *Daemon) StoreSnapshot(id string) (StoreSnapshot, error) {
 	return StoreSnapshot{
 		State:    state,
 		Manifest: m,
-		Files:    map[string]string{store.ShardFile(c.Shard, c.Shards): string(raw)},
+		Files:    map[string]string{store.ShardTag(c.Shard, c.Shards): string(raw)},
 	}, nil
 }

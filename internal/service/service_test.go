@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"hauberk/internal/harness"
+	"hauberk/internal/harness/store"
 	"hauberk/internal/workloads"
 )
 
@@ -811,7 +812,7 @@ func TestThousandCampaignsOneEntry(t *testing.T) {
 // TestStoreSnapshotSurvivesRestart: a shard campaign's snapshot — what the
 // fleet coordinator fetches — is the same before and after a restart
 // compacts the journal, and holds the records a `hauberk-run -campaign-dir`
-// run of the same shard writes to its shard file.
+// run of the same shard writes to its store directory.
 func TestStoreSnapshotSurvivesRestart(t *testing.T) {
 	root := t.TempDir()
 	d := startDaemon(t, root, 1, 4)
@@ -850,13 +851,21 @@ func TestStoreSnapshotSurvivesRestart(t *testing.T) {
 	if _, err := env.RunPrepared(context.Background(), pc, harness.CampaignOptions{Dir: dir, Shard: 1, Shards: 2}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(filepath.Join(dir, "shard-1of2.jsonl"))
+	journal, err := os.ReadFile(filepath.Join(dir, journalFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := snap.Files["shard-1of2.jsonl"]
+	l, err := store.ReadLog(dir, journal, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := l.Snapshot(store.ShardTag(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := snap.Files[store.ShardTag(1, 2)]
 	if len(snap.Files) != 1 || !ok {
-		t.Fatalf("snapshot files %v, want shard-1of2.jsonl alone", snap.Files)
+		t.Fatalf("snapshot files %v, want shard-1of2 alone", snap.Files)
 	}
 	if sortedLines(got) != sortedLines(string(want)) {
 		t.Fatalf("snapshot shard log differs from hauberk-run's:\n%s\nwant (any order):\n%s", got, want)
