@@ -142,7 +142,7 @@ campaign-smoke:
 	timeout $(SMOKE_TIMEOUT) ./scripts/campaign_smoke.sh
 
 # chaos-smoke proves crash containment through the real binaries: worker
-# SIGKILLs, corrupt frames, stalled heartbeats, failed spawns, and a
+# SIGKILLs, corrupt frames, silent workers, failed spawns, and a
 # mid-campaign SIGTERM must leave figure digests byte-identical and no
 # orphaned worker processes.
 chaos-smoke:

@@ -13,10 +13,11 @@
 //
 // The subpackage procexec restores the OS layer of Section VI for real:
 // it runs the supervised program in a worker subprocess (its own process
-// group), detects crashes via Wait status and hangs via heartbeat frames,
-// and surfaces process death to this automaton as *WorkerCrashError /
-// *WorkerHangError inside RunOutcome.Err — so the same Figure 11 states
-// now cover a worker that panics, spins, or is killed mid-run.
+// group), detects crashes via Wait status and hangs by the one hang rule
+// (HangDeadline) as a per-request deadline, and surfaces process death to
+// this automaton as *WorkerCrashError / *WorkerHangError inside
+// RunOutcome.Err — so the same Figure 11 states now cover a worker that
+// panics, never answers, or is killed mid-run.
 package guardian
 
 import (

@@ -1,6 +1,6 @@
 // Package chaos injects deterministic failures into the process-isolated
 // guardian executor so its crash containment can be *proven* rather than
-// assumed: workers are SIGKILLed mid-run, heartbeats stalled, response
+// assumed: workers are SIGKILLed mid-run, silenced, their response
 // frames corrupted, spawns failed — and the campaign must still complete
 // with byte-identical figure aggregates and no lost or duplicated store
 // records.
@@ -14,11 +14,11 @@
 //
 // Worker-side modes fire when a worker process's 0-based request sequence
 // number equals the entry's index: kill (SIGKILL own process group
-// mid-run), stall (stop heartbeating and never reply), corrupt (write a
-// garbled response frame and exit), panic (an uncaught Go panic — the
-// process dies with a stack trace on stderr, emulating a workload bug),
-// and spin (keep heartbeating but never finish, so only the execution-time
-// watchdog can catch it). spawnfail is supervisor-side: the Nth spawn
+// mid-run), stall (never reply, so only the supervisor's request deadline
+// can catch it — a workload that loops forever looks the same), corrupt
+// (write a garbled response frame and exit) and panic (an uncaught Go
+// panic — the process dies with a stack trace on stderr, emulating a
+// workload bug). spawnfail is supervisor-side: the Nth spawn
 // attempt of each supervisor errors before exec, exercising the graceful
 // in-process fallback.
 //
@@ -27,7 +27,7 @@
 // lands on a new process at sequence 0 and succeeds, which is what keeps
 // chaos campaigns byte-identical to clean ones. An entry at index 0 is
 // persistent — every attempt of the first request dies — which is how
-// tests model a deterministically panicking or spinning workload.
+// tests model a deterministically panicking or hanging workload.
 //
 // The net family (netdrop, netstall) injects failures into the fleet
 // coordinator's RPC fabric instead of worker processes: entries index the
@@ -58,8 +58,8 @@ const (
 	// ModeKill: SIGKILL the worker's own process group after reading the
 	// request, before running it — a crash with no goodbye.
 	ModeKill
-	// ModeStall: stop heartbeating and never reply; only the supervisor's
-	// heartbeat-miss rule can detect it.
+	// ModeStall: never reply; only the supervisor's request deadline can
+	// detect it.
 	ModeStall
 	// ModeCorrupt: write a garbled response frame, then exit 0 — the
 	// protocol-corruption face of a crash.
@@ -67,9 +67,6 @@ const (
 	// ModePanic: panic() without recovery, so the process dies with a Go
 	// stack trace on stderr (a workload bug inside the worker).
 	ModePanic
-	// ModeSpin: keep heartbeating but never finish the request; only the
-	// execution-time watchdog deadline can catch it.
-	ModeSpin
 	// ModeNetDrop: fail an RPC attempt before any bytes reach the wire —
 	// a dropped coordinator→daemon connection. Net-family; never fires in
 	// workers or supervisors, only in the fleet RPC fabric.
@@ -92,8 +89,6 @@ func (m Mode) String() string {
 		return "corrupt"
 	case ModePanic:
 		return "panic"
-	case ModeSpin:
-		return "spin"
 	case ModeNetDrop:
 		return "netdrop"
 	case ModeNetStall:
@@ -140,8 +135,6 @@ func Parse(spec string) (*Plan, error) {
 			p.worker[seq] = ModeCorrupt
 		case "panic":
 			p.worker[seq] = ModePanic
-		case "spin":
-			p.worker[seq] = ModeSpin
 		case "spawnfail":
 			p.spawn[seq] = true
 		case "netdrop":

@@ -5,11 +5,11 @@ import (
 )
 
 func TestParseFullSpec(t *testing.T) {
-	p, err := Parse("kill@1,corrupt@3,panic@5,stall@7,spin@9,spawnfail@2")
+	p, err := Parse("kill@1,corrupt@3,panic@5,stall@7,spawnfail@2")
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	want := map[int]Mode{1: ModeKill, 3: ModeCorrupt, 5: ModePanic, 7: ModeStall, 9: ModeSpin}
+	want := map[int]Mode{1: ModeKill, 3: ModeCorrupt, 5: ModePanic, 7: ModeStall}
 	for seq, mode := range want {
 		if got := p.Worker(seq); got != mode {
 			t.Errorf("Worker(%d) = %v, want %v", seq, got, mode)
@@ -39,7 +39,7 @@ func TestParseEmptyYieldsNil(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	for _, spec := range []string{"kill", "kill@", "kill@-1", "kill@x", "explode@1"} {
+	for _, spec := range []string{"kill", "kill@", "kill@-1", "kill@x", "explode@1", "spin@1"} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q): want error", spec)
 		}
@@ -103,7 +103,7 @@ func TestFromEnv(t *testing.T) {
 func TestModeString(t *testing.T) {
 	names := map[Mode]string{
 		ModeNone: "none", ModeKill: "kill", ModeStall: "stall",
-		ModeCorrupt: "corrupt", ModePanic: "panic", ModeSpin: "spin",
+		ModeCorrupt: "corrupt", ModePanic: "panic",
 		ModeNetDrop: "netdrop", ModeNetStall: "netstall",
 		Mode(99): "mode(?)",
 	}

@@ -25,14 +25,7 @@ func TestMain(m *testing.M) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		// A "quiet" worker all but stops heartbeating, so only its results
-		// show it is alive.
-		hb := procexec.DefaultHeartbeat
-		if os.Getenv("PROCEXEC_TEST_WORKER") == "quiet" {
-			hb = time.Hour
-		}
-		err = procexec.ServeEvery(os.Stdin, os.Stdout, testHandler, procexec.ServeOptions{Chaos: plan}, hb)
-		if err != nil {
+		if err := procexec.Serve(os.Stdin, os.Stdout, testHandler, procexec.ServeOptions{Chaos: plan}); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -170,41 +163,27 @@ func TestSupervisorChaosKillIsTransient(t *testing.T) {
 	}
 }
 
-func TestSupervisorStallDetectedByHeartbeatMiss(t *testing.T) {
+// TestSupervisorStallDetectedByDeadline: a worker that falls silent on
+// its first request is a hang once the request's deadline, warm-up grace
+// included, has passed, and not before.
+func TestSupervisorStallDetectedByDeadline(t *testing.T) {
+	const timeout, grace = 200 * time.Millisecond, 50 * time.Millisecond
 	s, tel := newSupervisor(t, []string{chaos.EnvVar + "=stall@0"}, func(c *procexec.Config) {
-		procexec.SetHeartbeatMisses(c, 4) // 100ms window
 		c.MaxRestarts = -1
+		c.WarmupGrace = grace
 	})
 	start := time.Now()
-	_, err := s.Do(context.Background(), "echo", nil, time.Minute)
+	_, err := s.Do(context.Background(), "echo", nil, timeout)
+	elapsed := time.Since(start)
 	var hang *guardian.WorkerHangError
 	if !errors.As(err, &hang) {
 		t.Fatalf("stalled worker: got %v, want *WorkerHangError", err)
 	}
-	if !hang.HeartbeatMiss {
-		t.Errorf("stall must be detected by heartbeat miss, got %+v", hang)
+	if !strings.Contains(hang.Reason, (timeout + grace).String()) {
+		t.Errorf("hang reason %q does not name the %v deadline", hang.Reason, timeout+grace)
 	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Errorf("heartbeat miss took %v, the minute-long deadline must not be the detector", elapsed)
-	}
-	if got := counter(tel, "hauberk_worker_hangs_total"); got != 1 {
-		t.Errorf("hangs = %d, want 1", got)
-	}
-}
-
-func TestSupervisorSpinDetectedByWatchdogDeadline(t *testing.T) {
-	// spin keeps heartbeating, so only the request deadline can see it.
-	s, tel := newSupervisor(t, []string{chaos.EnvVar + "=spin@0"}, func(c *procexec.Config) {
-		c.MaxRestarts = -1
-		c.WarmupGrace = 50 * time.Millisecond
-	})
-	_, err := s.Do(context.Background(), "echo", nil, 200*time.Millisecond)
-	var hang *guardian.WorkerHangError
-	if !errors.As(err, &hang) {
-		t.Fatalf("spinning worker: got %v, want *WorkerHangError", err)
-	}
-	if hang.HeartbeatMiss {
-		t.Errorf("spin keeps heartbeating; detection must be the watchdog deadline: %+v", hang)
+	if elapsed < timeout+grace || elapsed > 10*time.Second {
+		t.Errorf("stall detected after %v, want the %v deadline", elapsed, timeout+grace)
 	}
 	if got := counter(tel, "hauberk_worker_hangs_total"); got != 1 {
 		t.Errorf("hangs = %d, want 1", got)
@@ -254,7 +233,7 @@ func TestSupervisorBadArgvIsErrSpawn(t *testing.T) {
 }
 
 func TestSupervisorContextCancellationKillsWorker(t *testing.T) {
-	s, _ := newSupervisor(t, []string{chaos.EnvVar + "=spin@0"}, func(c *procexec.Config) {
+	s, _ := newSupervisor(t, []string{chaos.EnvVar + "=stall@0"}, func(c *procexec.Config) {
 		c.MaxRestarts = -1
 	})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -312,15 +291,13 @@ func echoRun(kind string, n int, timeout time.Duration) []procexec.Request {
 func TestRunChaosInsideRun(t *testing.T) {
 	const n, k = 6, 3
 	for _, tc := range []struct {
-		mode      string
-		hang      bool // classified as a hang, not a crash
-		heartbeat bool // caught by the heartbeat-miss window, not the deadline
+		mode string
+		hang bool // classified as a hang, not a crash
 	}{
-		{"kill", false, false},
-		{"corrupt", false, false},
-		{"panic", false, false},
-		{"stall", true, true},
-		{"spin", true, false},
+		{"kill", false},
+		{"corrupt", false},
+		{"panic", false},
+		{"stall", true},
 	} {
 		for _, retried := range []bool{true, false} {
 			name := tc.mode + "/classified"
@@ -335,8 +312,8 @@ func TestRunChaosInsideRun(t *testing.T) {
 					}
 				})
 				timeout := 10 * time.Second
-				if tc.mode == "spin" {
-					timeout = 300 * time.Millisecond // only the deadline sees a spin
+				if tc.hang {
+					timeout = 300 * time.Millisecond // only the deadline sees a stall
 				}
 				var order []int
 				err := s.Run(context.Background(), echoRun("echo", n, timeout), func(i int, resp []byte, err error) error {
@@ -346,9 +323,6 @@ func TestRunChaosInsideRun(t *testing.T) {
 						var hang *guardian.WorkerHangError
 						switch {
 						case tc.hang && errors.As(err, &hang):
-							if hang.HeartbeatMiss != tc.heartbeat {
-								t.Errorf("request %d: HeartbeatMiss = %v, want %v (%v)", i, hang.HeartbeatMiss, tc.heartbeat, hang)
-							}
 						case !tc.hang && errors.As(err, &crash):
 						default:
 							t.Errorf("request %d: got %v, want it classified as a %s", i, err, map[bool]string{true: "hang", false: "crash"}[tc.hang])
@@ -456,36 +430,6 @@ func TestRunCancelMidRunKillsWorker(t *testing.T) {
 	}
 }
 
-// TestRunLongerThanHeartbeatWindow: a run of short requests that together
-// outlast the heartbeat-miss window is not a hang — every result restarts
-// the window. The worker's heartbeat is slowed so that results are its
-// only sign of life.
-func TestRunLongerThanHeartbeatWindow(t *testing.T) {
-	s, tel := newSupervisor(t, []string{"PROCEXEC_TEST_WORKER=quiet"}, func(c *procexec.Config) {
-		procexec.SetHeartbeatMisses(c, 8) // a 200 ms window
-		c.MaxRestarts = -1
-	})
-	// Spawn first, so process start-up is not in the run's window.
-	if _, err := s.Do(context.Background(), "echo", []byte(`0`), 5*time.Second); err != nil {
-		t.Fatalf("warm-up: %v", err)
-	}
-	start := time.Now()
-	if err := s.Run(context.Background(), echoRun("sleep", 25, 5*time.Second), func(i int, _ []byte, err error) error {
-		if err != nil {
-			t.Errorf("request %d: %v", i, err)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 400*time.Millisecond {
-		t.Fatalf("the run took %v, not longer than two heartbeat windows; the test proves nothing", elapsed)
-	}
-	if got := counter(tel, "hauberk_worker_hangs_total"); got != 0 {
-		t.Errorf("hangs = %d, want 0", got)
-	}
-}
-
 // TestRunRefusesOversizedRun: a run of several requests must fit well
 // inside the worker's pipe buffer, since Run writes all of it before it
 // reads a result; a larger one is refused before any worker spawns. One
@@ -493,7 +437,8 @@ func TestRunLongerThanHeartbeatWindow(t *testing.T) {
 func TestRunRefusesOversizedRun(t *testing.T) {
 	s, tel := newSupervisor(t, nil, nil)
 	big := []byte(`"` + strings.Repeat("x", 20<<10) + `"`)
-	reqs := []procexec.Request{{ID: "echo-0", Payload: big}, {ID: "echo-1", Payload: big}}
+	reqs := echoRun("echo", 2, 5*time.Second)
+	reqs[0].Payload, reqs[1].Payload = big, big
 	err := s.Run(context.Background(), reqs, func(int, []byte, error) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "run encodes to") {
 		t.Fatalf("oversized run: got %v, want it refused", err)
@@ -503,5 +448,26 @@ func TestRunRefusesOversizedRun(t *testing.T) {
 	}
 	if resp, err := s.Do(context.Background(), "echo", big, 5*time.Second); err != nil || string(resp) != string(big) {
 		t.Fatalf("one large request: got %d bytes, %v", len(resp), err)
+	}
+}
+
+// TestRunRefusesRequestWithoutDeadline: the request deadline is the only
+// clock that ends a silent worker, so a run holding a request without a
+// positive Timeout is refused before any worker spawns.
+func TestRunRefusesRequestWithoutDeadline(t *testing.T) {
+	s, tel := newSupervisor(t, nil, nil)
+	for _, timeout := range []time.Duration{0, -time.Second} {
+		reqs := echoRun("echo", 3, 5*time.Second)
+		reqs[1].Timeout = timeout
+		err := s.Run(context.Background(), reqs, func(int, []byte, error) error {
+			t.Fatal("a refused run recorded a result")
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "no deadline") {
+			t.Fatalf("timeout %v: got %v, want the run refused", timeout, err)
+		}
+	}
+	if got := counter(tel, "hauberk_worker_spawns_total"); got != 0 {
+		t.Errorf("a refused run spawned %d workers", got)
 	}
 }

@@ -11,13 +11,15 @@
 //     group (Setpgid), so a kill reaches every descendant;
 //   - the FT library's IPC execution-time reports → length-prefixed binary
 //     frames on the worker's stdin/stdout: a pipelined run of run frames
-//     in, written ahead of their results, and per request periodic
-//     heartbeat frames and one result frame out, in request order;
+//     in, written ahead of their results, and one result frame per request
+//     out, in request order;
 //   - SIGCHLD → the supervisor's frame reader observing EOF and Wait
 //     classifying the exit (signal/non-zero status → WorkerCrashError);
 //   - the execution-time watchdog → a per-request deadline the caller
 //     derives from the profiled clean runtime (guardian.HangDeadline's rule,
-//     applied in harness) plus a heartbeat-miss window (→ WorkerHangError);
+//     applied in harness), the supervisor's only clock: no result by the
+//     deadline, whether the worker computes or has gone silent, is a
+//     WorkerHangError;
 //   - restart-on-failure → guardian.BackoffPolicy-paced respawns, bounded
 //     by MaxRestarts.
 //
@@ -27,10 +29,8 @@ package procexec
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
-	"math"
 )
 
 // FrameType says what a frame carries.
@@ -42,9 +42,6 @@ const (
 	FrameRun FrameType = iota + 1
 	// FrameResult carries the worker's response payload.
 	FrameResult
-	// FrameHeartbeat is the worker's periodic liveness report while a
-	// request is executing.
-	FrameHeartbeat
 	// FrameError reports a handler failure that is not a process death
 	// (the worker stays alive and serves the next request).
 	FrameError
@@ -56,8 +53,6 @@ func (t FrameType) String() string {
 		return "run"
 	case FrameResult:
 		return "result"
-	case FrameHeartbeat:
-		return "heartbeat"
 	case FrameError:
 		return "error"
 	}
@@ -67,9 +62,9 @@ func (t FrameType) String() string {
 // Frame is one protocol message. Frames travel as a 4-byte big-endian
 // length prefix followed by the body, so a reader can tell a cleanly
 // closed stream from a frame truncated mid-write by a dying worker. The
-// body is the type byte, the uvarint-prefixed ID, the uvarint Seq, the
-// uvarint-prefixed Error, then the payload to the end of the body. Both
-// ends are the same binary, so the layout has no version.
+// body is the type byte, the uvarint-prefixed ID, the uvarint-prefixed
+// Error, then the payload to the end of the body. Both ends are the same
+// binary, so the layout has no version.
 type Frame struct {
 	Type FrameType
 	// ID echoes the request identity so a late frame from a killed
@@ -79,8 +74,6 @@ type Frame struct {
 	Payload []byte
 	// Error carries a FrameError description.
 	Error string
-	// Seq numbers heartbeats within one request.
-	Seq int
 }
 
 // maxFrameLen bounds a frame body. Real frames are tiny (a run frame is
@@ -104,7 +97,6 @@ func appendFrame(dst []byte, f *Frame) []byte {
 	dst = append(dst, 0, 0, 0, 0, byte(f.Type))
 	dst = binary.AppendUvarint(dst, uint64(len(f.ID)))
 	dst = append(dst, f.ID...)
-	dst = binary.AppendUvarint(dst, uint64(f.Seq))
 	dst = binary.AppendUvarint(dst, uint64(len(f.Error)))
 	dst = append(dst, f.Error...)
 	dst = append(dst, f.Payload...)
@@ -152,15 +144,11 @@ func decodeFrame(body []byte) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	seq, k := binary.Uvarint(rest)
-	if k <= 0 || seq > math.MaxInt32 {
-		return nil, errors.New("bad heartbeat sequence number")
-	}
-	msg, rest, err := lenPrefixed(rest[k:], "error")
+	msg, rest, err := lenPrefixed(rest, "error")
 	if err != nil {
 		return nil, err
 	}
-	f.ID, f.Seq, f.Error, f.Payload = string(id), int(seq), string(msg), rest
+	f.ID, f.Error, f.Payload = string(id), string(msg), rest
 	return f, nil
 }
 

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -14,7 +13,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := &Frame{Type: FrameRun, ID: "inj-7", Payload: []byte(`{"x":1}`), Seq: 3}
+	in := &Frame{Type: FrameRun, ID: "inj-7", Payload: []byte(`{"x":1}`)}
 	if err := WriteFrame(&buf, in); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
 	}
@@ -22,7 +21,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadFrame: %v", err)
 	}
-	if out.Type != in.Type || out.ID != in.ID || out.Seq != in.Seq || string(out.Payload) != string(in.Payload) {
+	if out.Type != in.Type || out.ID != in.ID || string(out.Payload) != string(in.Payload) {
 		t.Errorf("round trip mismatch: %+v vs %+v", out, in)
 	}
 	// A second read on the drained stream is a clean EOF, not corruption.
@@ -81,9 +80,9 @@ var corruptBodies = []struct {
 	{"type past the last", "unknown frame type", []byte{byte(FrameError) + 1, 0, 0, 0}},
 	{"id past the body", "id length", []byte{byte(FrameRun), 5, 'a', 'b'}},
 	{"id length unterminated", "id length", []byte{byte(FrameRun), 0x80}},
-	{"seq missing", "sequence", []byte{byte(FrameHeartbeat), 1, 'a'}},
-	{"seq past MaxInt32", "sequence", binary.AppendUvarint([]byte{byte(FrameHeartbeat), 0}, math.MaxInt32+1)},
-	{"error past the body", "error length", []byte{byte(FrameError), 0, 0, 9, 'x'}},
+	{"error missing", "error length", []byte{byte(FrameResult), 1, 'a'}},
+	{"error length unterminated", "error length", []byte{byte(FrameError), 0, 0x80}},
+	{"error past the body", "error length", []byte{byte(FrameError), 0, 9, 'x'}},
 }
 
 func TestReadFrameGarbageBody(t *testing.T) {
@@ -93,11 +92,6 @@ func TestReadFrameGarbageBody(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "corrupt frame body") || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want a corrupt-body error naming %q", tc.name, err, tc.want)
 		}
-	}
-	// The largest sequence number still decodes.
-	max := appendFrame(nil, &Frame{Type: FrameHeartbeat, ID: "a", Seq: math.MaxInt32})
-	if f, err := ReadFrame(bytes.NewReader(max)); err != nil || f.Seq != math.MaxInt32 {
-		t.Errorf("Seq MaxInt32: %+v, %v", f, err)
 	}
 }
 
@@ -150,7 +144,6 @@ func FuzzReadFrame(f *testing.F) {
 	var run []byte
 	for _, fr := range []*Frame{
 		{Type: FrameRun, ID: "7:-3:deadbeef:n4:p", Payload: []byte{2, 'C', 'P', 0, 6}},
-		{Type: FrameHeartbeat, ID: "7:-3:deadbeef:n4:p", Seq: 3},
 		{Type: FrameResult, ID: "7:-3:deadbeef:n4:p", Payload: []byte{4, 3}},
 		{Type: FrameError, ID: "inj-7", Error: "boom"},
 	} {
@@ -178,7 +171,7 @@ func FuzzReadFrame(f *testing.F) {
 				t.Fatalf("re-encoded frame does not decode: %v", err)
 			}
 			enc2 := appendFrame(nil, again)
-			if !bytes.Equal(enc, enc2) || again.Type != fr.Type || again.ID != fr.ID || again.Error != fr.Error || again.Seq != fr.Seq || !bytes.Equal(again.Payload, fr.Payload) {
+			if !bytes.Equal(enc, enc2) || again.Type != fr.Type || again.ID != fr.ID || again.Error != fr.Error || !bytes.Equal(again.Payload, fr.Payload) {
 				t.Fatalf("frame does not re-encode equal:\n%q\n%q", enc, enc2)
 			}
 		}

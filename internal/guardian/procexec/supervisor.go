@@ -44,21 +44,9 @@ type Config struct {
 	// Chaos injects deterministic spawn failures (see the chaos
 	// package); worker-side chaos rides in Env/HAUBERK_CHAOS.
 	Chaos *chaos.Plan
-
-	// misses, when positive, replaces heartbeatMisses; only this
-	// package's tests set it.
-	misses int
 }
 
-// heartbeatMisses is how many consecutive DefaultHeartbeat intervals may
-// pass with no frame before the worker is presumed hung: a one-second
-// window.
-const heartbeatMisses = 40
-
 func (c Config) withDefaults() Config {
-	if c.misses <= 0 {
-		c.misses = heartbeatMisses
-	}
 	if c.MaxRestarts == 0 {
 		c.MaxRestarts = 2
 	} else if c.MaxRestarts < 0 {
@@ -124,8 +112,9 @@ type Request struct {
 	Payload []byte
 	// Timeout bounds the request's execution, from the arrival of the
 	// previous result (or from the write of the run, for its first
-	// request); 0: no deadline. On expiry the worker's process group is
-	// killed and the request classified as a hang.
+	// request); it must be positive, since it is the only clock that ends
+	// a worker gone silent. On expiry the worker's process group is killed
+	// and the request classified as a hang.
 	Timeout time.Duration
 }
 
@@ -136,12 +125,12 @@ type Request struct {
 const maxRunBytes = 32 << 10
 
 // Do executes one request on the worker: a one-request Run. timeout
-// bounds the request's execution (0: no deadline; the campaign runner
-// derives one per request from the clean run's time, the Section VI(i)
-// rule). It returns the response, or the request's error as Run records
-// it: a final *WorkerCrashError or *WorkerHangError for the caller to
-// classify, an ErrSpawn-wrapped error (degrade to in-process execution),
-// the handler's application error, or ctx's error.
+// bounds the request's execution (the campaign runner derives one per
+// request from the clean run's time, the Section VI(i) rule). It returns
+// the response, or the request's error as Run records it: a final
+// *WorkerCrashError or *WorkerHangError for the caller to classify, an
+// ErrSpawn-wrapped error (degrade to in-process execution), the handler's
+// application error, or ctx's error.
 func (s *Supervisor) Do(ctx context.Context, id string, payload []byte, timeout time.Duration) ([]byte, error) {
 	var resp []byte
 	var rerr error
@@ -176,7 +165,8 @@ func (s *Supervisor) Do(ctx context.Context, id string, payload []byte, timeout 
 // Run stops early when record returns an error, which Run returns, or
 // when ctx is cancelled (ctx's error). A worker with requests still in
 // flight is then killed, so the supervisor's next holder never reads
-// their results.
+// their results. A run holding a request without a positive Timeout is
+// refused before any worker spawns.
 func (s *Supervisor) Run(ctx context.Context, reqs []Request, record func(i int, resp []byte, err error) error) error {
 	s.opMu.Lock()
 	defer s.opMu.Unlock()
@@ -186,6 +176,9 @@ func (s *Supervisor) Run(ctx context.Context, reqs []Request, record func(i int,
 	var wire []byte
 	offs := make([]int, len(reqs))
 	for i, r := range reqs {
+		if r.Timeout <= 0 {
+			return fmt.Errorf("procexec: request %q has no deadline (timeout %v)", r.ID, r.Timeout)
+		}
 		offs[i] = len(wire)
 		wire = appendFrame(wire, &Frame{Type: FrameRun, ID: r.ID, Payload: r.Payload})
 	}
@@ -275,9 +268,9 @@ func (s *Supervisor) pass(ctx context.Context, reqs []Request, wire []byte, reco
 		// The pipe broke: the worker died between requests.
 		return 0, s.fail(w, &guardian.WorkerCrashError{ExitCode: -1, Reason: "run frame write failed: " + err.Error()}), nil
 	}
-	st := waitState{hbWindow: DefaultHeartbeat * time.Duration(s.cfg.misses)}
+	var st waitState
 	st.head(reqs[0].ID, s.budget(w, reqs[0].Timeout), start)
-	timer := time.NewTimer(time.Until(st.expiry()))
+	timer := time.NewTimer(time.Until(st.due))
 	defer timer.Stop()
 	for {
 		ev, err := w.await(ctx, timer.C)
@@ -288,13 +281,10 @@ func (s *Supervisor) pass(ctx context.Context, reqs []Request, wire []byte, reco
 			s.fail(w, nil) //nolint:errcheck
 			return n, nil, err
 		}
-		prev := st.beat
 		v, resp, err := st.judge(ev)
 		switch v {
 		case failed:
 			return n, s.fail(w, err), nil
-		case beat:
-			s.noteHeartbeat(ev.at.Sub(prev))
 		case answered:
 			w.served++
 			n++
@@ -315,14 +305,14 @@ func (s *Supervisor) pass(ctx context.Context, reqs []Request, wire []byte, reco
 			default:
 			}
 		}
-		timer.Reset(time.Until(st.expiry()))
+		timer.Reset(time.Until(st.due))
 	}
 }
 
 // budget is a request's watchdog budget on w: its timeout, plus the
 // warm-up grace while w has served nothing since it last staged.
 func (s *Supervisor) budget(w *workerProc, timeout time.Duration) time.Duration {
-	if timeout > 0 && w.served == 0 {
+	if w.served == 0 {
 		timeout += s.cfg.WarmupGrace
 	}
 	return timeout
@@ -352,15 +342,13 @@ func (w *workerProc) await(ctx context.Context, timer <-chan time.Time) (frameEv
 }
 
 // waitState is the frame-wait loop's view of a pass: the request awaiting
-// its result and the two clocks that can declare the worker hung. judge
-// holds every classification rule, apart from pipes and timers, so tests
-// can feed it synthetic (frame, arrival) sequences.
+// its result and the deadline that declares the worker hung. judge holds
+// every classification rule, apart from pipes and timers, so tests can
+// feed it synthetic (frame, arrival) sequences.
 type waitState struct {
-	id       string        // the head request: the first without a result
-	budget   time.Duration // its watchdog budget (0: none), grace included
-	due      time.Time     // its deadline; zero without one
-	beat     time.Time     // the last sign of life the window counts from
-	hbWindow time.Duration // the heartbeat-miss window
+	id     string        // the head request: the first without a result
+	budget time.Duration // its watchdog budget, grace included
+	due    time.Time     // its deadline
 }
 
 // verdict is judge's decision on one event.
@@ -368,46 +356,25 @@ type verdict int
 
 const (
 	waiting  verdict = iota // nothing resolved
-	beat                    // a heartbeat of the head request restarted the window
 	answered                // the head request's result or application error
 	failed                  // the worker crashed or hung: kill it
 )
 
 // head makes id the request awaiting its result, armed at at: its
-// deadline and the heartbeat window both count from there.
+// deadline counts from there.
 func (st *waitState) head(id string, budget time.Duration, at time.Time) {
-	st.id, st.budget, st.beat, st.due = id, budget, at, time.Time{}
-	if budget > 0 {
-		st.due = at.Add(budget)
-	}
-}
-
-// expiry is when the loop's timer must tick: the head's deadline or the
-// end of the heartbeat window, whichever comes first.
-func (st *waitState) expiry() time.Time {
-	t := st.beat.Add(st.hbWindow)
-	if !st.due.IsZero() && st.due.Before(t) {
-		t = st.due
-	}
-	return t
+	st.id, st.budget, st.due = id, budget, at.Add(budget)
 }
 
 // judge classifies one event. Whatever it carries, an event stamped on or
-// past the head's deadline is a watchdog hang, and one stamped a whole
-// heartbeat window after the last sign of life a heartbeat-miss hang: a
-// result that lands late is a hang however select ordered it against the
-// timer, the rule guard.run applies in-process. A heartbeat of the head
-// request and its result restart the window; a stale heartbeat does not.
+// past the head's deadline is a hang: a result that lands late is a hang
+// however select ordered it against the timer, the rule guard.run applies
+// in-process.
 func (st *waitState) judge(ev frameEvent) (verdict, []byte, error) {
 	switch {
-	case !st.due.IsZero() && !ev.at.Before(st.due):
+	case !ev.at.Before(st.due):
 		return failed, nil, &guardian.WorkerHangError{
 			Reason: fmt.Sprintf("request exceeded %v (watchdog)", st.budget),
-		}
-	case ev.at.Sub(st.beat) >= st.hbWindow:
-		return failed, nil, &guardian.WorkerHangError{
-			HeartbeatMiss: true,
-			Reason:        fmt.Sprintf("no frame for %v", st.hbWindow),
 		}
 	case ev.err != nil:
 		// The stream ended: clean EOF mid-request and corrupt frames
@@ -418,15 +385,10 @@ func (st *waitState) judge(ev frameEvent) (verdict, []byte, error) {
 		}
 		return failed, nil, &guardian.WorkerCrashError{ExitCode: -1, Reason: reason}
 	case ev.f == nil:
-		return waiting, nil, nil // a tick before either clock ran out
+		return waiting, nil, nil // a tick before the deadline
 	}
 	f := ev.f
 	switch {
-	case f.Type == FrameHeartbeat && f.ID == st.id:
-		st.beat = ev.at
-		return beat, nil, nil
-	case f.Type == FrameHeartbeat:
-		return waiting, nil, nil
 	case f.Type == FrameResult && f.ID == st.id:
 		return answered, f.Payload, nil
 	case f.Type == FrameError && f.ID == st.id:
@@ -590,19 +552,6 @@ func KillAllWorkers() int {
 
 // --- telemetry ------------------------------------------------------------
 
-// heartbeatLagBuckets are the upper bounds (ms) for the worker
-// heartbeat-lag histogram: the observed gap between consecutive
-// liveness frames, whose tail is the early-warning signal for a worker
-// drifting toward its heartbeat-miss window.
-var heartbeatLagBuckets = []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
-
-func (s *Supervisor) noteHeartbeat(lag time.Duration) {
-	if s.obs.Enabled() {
-		s.obs.Metrics().Histogram("hauberk_worker_heartbeat_lag_ms", heartbeatLagBuckets).
-			Observe(float64(lag) / float64(time.Millisecond))
-	}
-}
-
 func (s *Supervisor) emitCrash(e *guardian.WorkerCrashError) {
 	if !s.obs.Enabled() {
 		return
@@ -618,9 +567,7 @@ func (s *Supervisor) emitHang(e *guardian.WorkerHangError) {
 	if !s.obs.Enabled() {
 		return
 	}
-	s.obs.Emit(obs.EvWorkerHang,
-		obs.Bool("heartbeat_miss", e.HeartbeatMiss),
-		obs.Str("reason", e.Reason))
+	s.obs.Emit(obs.EvWorkerHang, obs.Str("reason", e.Reason))
 	s.obs.Metrics().Counter("hauberk_worker_hangs_total").Inc()
 }
 

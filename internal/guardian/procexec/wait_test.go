@@ -10,10 +10,10 @@ import (
 )
 
 // TestJudgeClassifiesByArrivalStamp feeds the frame-wait loop's decision
-// synthetic (frame, arrival) sequences against a 100 ms deadline and a
-// 50 ms heartbeat window, no process involved. Every verdict follows from
-// the stamps alone: in particular a result stamped on or past its
-// deadline is a hang, whichever channel select would have picked.
+// synthetic (frame, arrival) sequences against a 100 ms deadline, no
+// process involved. Every verdict follows from the stamps alone: in
+// particular a result stamped on or past its deadline is a hang, whichever
+// channel select would have picked, and silence before it is not.
 func TestJudgeClassifiesByArrivalStamp(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	ms := func(n int) time.Time { return t0.Add(time.Duration(n) * time.Millisecond) }
@@ -25,7 +25,6 @@ func TestJudgeClassifiesByArrivalStamp(t *testing.T) {
 		appErr
 		crash
 		watchdog
-		heartbeatMiss
 	)
 	for _, tc := range []struct {
 		name   string
@@ -34,20 +33,18 @@ func TestJudgeClassifiesByArrivalStamp(t *testing.T) {
 		last   int       // what the last verdict carries
 	}{
 		{"result on time", []frameEvent{frame(FrameResult, "a", 49)}, []verdict{answered}, ok},
-		{"result at the deadline", []frameEvent{frame(FrameHeartbeat, "a", 40), frame(FrameHeartbeat, "a", 80), frame(FrameResult, "a", 100)}, []verdict{beat, beat, failed}, watchdog},
-		{"result past the deadline", []frameEvent{frame(FrameHeartbeat, "a", 40), frame(FrameHeartbeat, "a", 80), frame(FrameResult, "a", 120)}, []verdict{beat, beat, failed}, watchdog},
-		{"heartbeats keep the window open", []frameEvent{frame(FrameHeartbeat, "a", 45), frame(FrameResult, "a", 90)}, []verdict{beat, answered}, ok},
-		{"a stale heartbeat does not", []frameEvent{frame(FrameHeartbeat, "old", 45), frame(FrameResult, "a", 90)}, []verdict{waiting, failed}, heartbeatMiss},
-		{"silence then a result", []frameEvent{frame(FrameResult, "a", 50)}, []verdict{failed}, heartbeatMiss},
+		{"result at the deadline", []frameEvent{frame(FrameResult, "a", 100)}, []verdict{failed}, watchdog},
+		{"result past the deadline", []frameEvent{frame(FrameResult, "a", 120)}, []verdict{failed}, watchdog},
+		{"silence then a result", []frameEvent{frame(FrameResult, "a", 99)}, []verdict{answered}, ok},
 		{"an early tick", []frameEvent{{at: ms(30)}, frame(FrameResult, "a", 31)}, []verdict{waiting, answered}, ok},
-		{"a tick at the window's end", []frameEvent{{at: ms(50)}}, []verdict{failed}, heartbeatMiss},
+		{"a tick at the deadline", []frameEvent{{at: ms(100)}}, []verdict{failed}, watchdog},
 		{"application error", []frameEvent{frame(FrameError, "a", 10)}, []verdict{answered}, appErr},
 		{"another request's result", []frameEvent{frame(FrameResult, "b", 10)}, []verdict{failed}, crash},
 		{"the stream ends", []frameEvent{{err: io.EOF, at: ms(10)}}, []verdict{failed}, crash},
-		{"the stream ends past the deadline", []frameEvent{frame(FrameHeartbeat, "a", 45), frame(FrameHeartbeat, "a", 90), {err: io.EOF, at: ms(100)}}, []verdict{beat, beat, failed}, watchdog},
+		{"the stream ends past the deadline", []frameEvent{{err: io.EOF, at: ms(100)}}, []verdict{failed}, watchdog},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			st := waitState{hbWindow: 50 * time.Millisecond}
+			var st waitState
 			st.head("a", 100*time.Millisecond, t0)
 			var err error
 			var resp []byte
@@ -73,26 +70,26 @@ func TestJudgeClassifiesByArrivalStamp(t *testing.T) {
 				if !errors.As(err, &ce) {
 					t.Fatalf("got %v, want a crash", err)
 				}
-			case watchdog, heartbeatMiss:
-				if !errors.As(err, &he) || he.HeartbeatMiss != (tc.last == heartbeatMiss) {
-					t.Fatalf("got %v, want a hang with HeartbeatMiss %v", err, tc.last == heartbeatMiss)
+			case watchdog:
+				if !errors.As(err, &he) {
+					t.Fatalf("got %v, want a hang", err)
 				}
 			}
 		})
 	}
 
-	// The next request's deadline and window count from the arrival of
-	// the result before it, not from the write of the run.
-	st := waitState{hbWindow: 50 * time.Millisecond}
+	// The next request's deadline counts from the arrival of the result
+	// before it, not from the write of the run.
+	var st waitState
 	st.head("a", 100*time.Millisecond, t0)
 	if v, _, _ := st.judge(frame(FrameResult, "a", 40)); v != answered {
 		t.Fatalf("first result: verdict %d", v)
 	}
 	st.head("b", 100*time.Millisecond, ms(40))
-	if got := st.expiry(); !got.Equal(ms(90)) {
-		t.Fatalf("expiry %v after a result at 40 ms, want the window's end at 90 ms", got.Sub(t0))
+	if !st.due.Equal(ms(140)) {
+		t.Fatalf("deadline %v after a result at 40 ms, want 140 ms", st.due.Sub(t0))
 	}
-	if v, _, err := st.judge(frame(FrameResult, "b", 85)); v != answered {
-		t.Fatalf("a result 45 ms after its predecessor: verdict %d (%v)", v, err)
+	if v, _, err := st.judge(frame(FrameResult, "b", 130)); v != answered {
+		t.Fatalf("a result 90 ms after its predecessor: verdict %d (%v)", v, err)
 	}
 }

@@ -20,8 +20,9 @@ const HangFactor = 10
 // gpu.Config.StepBudget is only the backstop for launches that have no
 // clean baseline) — and host wall time, where the campaign runner derives
 // an injection's deadline from the clean run's measured duration
-// (harness.deriveWatchdogTimeout) and sends it to the procexec supervisor
-// with each request.
+// (harness.deriveWatchdogTimeout), judges each in-process result by it
+// and sends it to the procexec supervisor with each request. Nothing else
+// decides a hang in either executor.
 func HangDeadline(baseline, floor float64) float64 {
 	return max(floor, HangFactor*baseline)
 }

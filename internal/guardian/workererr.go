@@ -5,8 +5,8 @@ import "fmt"
 // This file defines the failure vocabulary of the process-isolated
 // executor (internal/guardian/procexec): when the supervised program runs
 // in a worker OS process instead of an in-process RunFn, real process
-// death replaces the simulator's CrashError and missed heartbeats replace
-// the step budget. The errors live in this package — not in procexec — so
+// death replaces the simulator's CrashError and the request deadline
+// replaces the step budget. The errors live in this package — not in procexec — so
 // the Figure 11 automaton and its telemetry can classify them without an
 // import cycle (procexec imports guardian for the back-off and watchdog
 // policies).
@@ -43,23 +43,16 @@ func (e *WorkerCrashError) Error() string {
 }
 
 // WorkerHangError reports that the supervisor presumed a worker
-// subprocess hung — it missed its heartbeat window or overran the
-// watchdog's execution-time deadline (Section VI(i)) — and killed its
-// process group.
+// subprocess hung — it delivered no result by the watchdog's
+// execution-time deadline (Section VI(i)), whether it kept computing or
+// fell silent — and killed its process group.
 type WorkerHangError struct {
-	// HeartbeatMiss distinguishes a silent worker (no heartbeat frames)
-	// from one that kept beating but overran the request deadline.
-	HeartbeatMiss bool
 	// Reason describes the deadline that fired.
 	Reason string
 }
 
 func (e *WorkerHangError) Error() string {
-	kind := "request deadline exceeded"
-	if e.HeartbeatMiss {
-		kind = "heartbeats stopped"
-	}
-	msg := "guardian: worker process hung (" + kind + ")"
+	msg := "guardian: worker process hung (request deadline exceeded)"
 	if e.Reason != "" {
 		msg += ": " + e.Reason
 	}

@@ -119,10 +119,11 @@ type CampaignOptions struct {
 // behind `hauberk-run -campaign-dir`, a hauberkd submission, the figures
 // and the examples. Every classified outcome is recorded in the
 // campaign store before it counts as done — appended to the log of the
-// store directory opts.Dir, or kept in memory when there is none — each
-// injection runs under a wall-clock watchdog (expiry classifies the run
-// as a hang failure, Section VI(i)). Cancelling ctx stops dispatch, flushes
-// the store and returns ErrCampaignInterrupted; a later call with Resume
+// store directory opts.Dir, or kept in memory when there is none — and
+// each injection has a wall-clock deadline (a result past it classifies
+// the run as a hang failure, Section VI(i)). Cancelling ctx stops
+// dispatch once the injections in flight return, flushes the store and
+// returns ErrCampaignInterrupted; a later call with Resume
 // set completes the remainder and yields aggregates byte-identical to an
 // uninterrupted run. The preparation is read-only during the run, so one
 // PreparedCampaign may back any number of concurrent RunPrepared calls
@@ -260,15 +261,10 @@ func (e *Env) RunPrepared(ctx context.Context, pc *PreparedCampaign, opts Campai
 	err = e.dispatch(ctx, len(pending), maxRun, func(ctx context.Context, slot, lo, hi int) error {
 		var err error
 		if iso != nil {
-			err = e.runIsolated(ctx, iso, slot, pc, gt, pending[lo:hi], timeout, record)
+			err = e.runIsolated(ctx, iso, slot, pc, gt, pending[lo:hi], timeout, im, record)
 		} else {
 			idx := pending[lo]
-			var r *InjectionResult
-			if r, err = e.runInjectionGuarded(ctx, pc, gt, plan[idx], timeout, im); err != nil {
-				err = fmt.Errorf("injection %d: %w", idx, err)
-			} else {
-				err = record(idx, r)
-			}
+			err = record(idx, e.runInjectionGuarded(pc, gt, plan[idx], timeout, im))
 		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return nil // an interrupt, reported below from ctx; or a sibling failed first
@@ -324,9 +320,9 @@ func deriveWatchdogTimeout(gt *goldenTrace, floor time.Duration) time.Duration {
 	return time.Duration(ms * float64(time.Millisecond))
 }
 
-// heartbeatLagBuckets are the upper bounds (ms) for the campaign- and
-// worker-heartbeat-lag histograms exposed at /metrics: the gap between
-// consecutive recorded results (campaign) or liveness frames (worker).
+// heartbeatLagBuckets are the upper bounds (ms) for the campaign
+// heartbeat-lag histogram exposed at /metrics: the gap between
+// consecutive recorded results.
 var heartbeatLagBuckets = []float64{1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
 
 // ErrCampaignInterrupted reports that a campaign stopped before completing

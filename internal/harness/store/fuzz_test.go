@@ -16,7 +16,8 @@ type readRecordsSeed struct {
 // shards of a plan, a salvaged partial shard that agrees with its re-run,
 // duplicates that disagree across tags and inside one, a torn final line,
 // a tab inside a node's salvage tag, out-of-plan and another shard's
-// indices, and owner lines beside shards of two plans.
+// indices, owner lines beside shards of two plans, and torn lines that a
+// resumed writer ended with a newline.
 var readRecordsSeeds = func() []readRecordsSeed {
 	m := Manifest{Program: "CP", Mode: 3, Injections: 4, PlanHash: "00c0ffee00c0ffee"}
 	other := m
@@ -37,6 +38,7 @@ var readRecordsSeeds = func() []readRecordsSeed {
 		{lines(manifestLine(s0, m), rec(s0, a), "shard-0of2.partial1.no\tde\t"+c), 0, 2},
 		{lines(manifestLine(s0, m), rec(s0, a), rec(s0, b), rec(s0, `{"idx":99,"id":"z","outcome":1,"bits":1}`)), 0, 2},
 		{lines(`{"id":"c000001"}`, manifestLine(s0, m), rec(s0, a), manifestLine(s1, other), rec(s1, b)), 1, 2},
+		{lines(manifestLine(s0, m), rec(s0, a), rec(s0, `{"idx":2,"id":"c","outc`), s0+"\tmani", rec(s0, c)), 0, 2},
 	}
 }()
 

@@ -65,10 +65,11 @@ func (c *logCampaign) add(off, n int64) {
 
 // ReadLog indexes raw, a log read from path, for reading; own, if not
 // nil, receives each of the owner's lines, in order, with its line
-// number. A final line
-// without its newline is the partial write of a killed process and is
-// dropped, whatever its kind. A campaign line that is neither a manifest
-// nor a record, or a manifest that disagrees with an earlier one of its
+// number. Every line a writer completes ends in '}', so a line that does
+// not is the partial write of a killed process and is skipped, whatever
+// its kind: a final line without its newline, or one that a later writer
+// ended (OpenLog). A campaign line that is neither a manifest nor a
+// record, or a manifest that disagrees with an earlier one of its
 // campaign, is corruption and an error. Records are decoded only when a
 // store is opened on them.
 func ReadLog(path string, raw []byte, own func(n int, line []byte) error) (*Log, error) {
@@ -82,8 +83,8 @@ func ReadLog(path string, raw []byte, own func(n int, line []byte) error) (*Log,
 		line := raw[off : off+int64(i)]
 		l.end += int64(i) + 1
 		switch {
-		case len(bytes.TrimSpace(line)) == 0:
-			continue
+		case len(bytes.TrimSpace(line)) == 0, line[len(line)-1] != '}':
+			continue // blank, or a torn write
 		case line[0] == '{':
 			if own != nil {
 				if err := own(n, line); err != nil {
@@ -149,8 +150,11 @@ func CreateLog(path string, raw []byte) (*Log, error) {
 
 // OpenLog opens the log of the store directory dir, DIR/journal.jsonl,
 // for appending, creating both as needed, and indexes the lines it holds.
-// It adds no fsync: a line is on its way to disk when it is written, as
-// everywhere in the store. A directory of the older format is refused.
+// A file whose last line is torn (the partial write of a killed process)
+// gets a newline first, so the torn line stays a line of its own, which
+// readers skip, and the next line lands whole. It adds no fsync: a line is
+// on its way to disk when it is written, as everywhere in the store. A
+// directory of the older format is refused.
 func OpenLog(dir string) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -168,11 +172,15 @@ func OpenLog(dir string) (*Log, error) {
 	if err == nil {
 		l, err = ReadLog(path, raw, nil)
 	}
+	if err == nil && len(raw) > 0 && raw[len(raw)-1] != '\n' {
+		raw = append(raw, '\n')
+		_, err = f.Write(raw[len(raw)-1:])
+	}
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	l.f = f
+	l.f, l.end = f, int64(len(raw)) // past the torn line and its newline
 	return l, nil
 }
 

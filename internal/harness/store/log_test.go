@@ -181,3 +181,48 @@ func TestAppendSnapshotRefusesBadTags(t *testing.T) {
 		t.Fatalf("Load after the refusals: %v, %v; want the one good record", recs, err)
 	}
 }
+
+// TestOpenLogEndsTornTail: a log whose last line is torn, opened to
+// append, gets a newline before its next line, and the index's extents
+// are the offsets the lines really landed at in the file.
+func TestOpenLogEndsTornTail(t *testing.T) {
+	dir := t.TempDir()
+	m := testManifest()
+	tag := ShardTag(0, 1)
+	path := filepath.Join(dir, JournalFile)
+	torn := manifestLine(tag, m) + "\n" + tag + "\t" + `{"idx":0,"id":"a","outcome":1,"bits":1}` + "\n" + tag + "\t" + `{"idx":1,"id":"b","out`
+	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := l.Open(tag, m, 0, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Completed() != 1 {
+		t.Fatalf("resumed %d records over a torn tail, want 1", s.Completed())
+	}
+	if err := s.Append(Record{Idx: 1, ID: "b", Outcome: 2, Bits: 1}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(raw), torn+"\n") {
+		t.Fatalf("the torn line was not ended before the next line:\n%s", raw)
+	}
+	c := l.camps[tag]
+	var got string
+	for _, e := range c.extents {
+		got += string(raw[e.off : e.off+e.n])
+	}
+	want := tag + "\t" + `{"idx":0,"id":"a","outcome":1,"bits":1}` + "\n" + tag + "\t" + `{"idx":1,"id":"b","outcome":2,"bits":1,"class":0}` + "\n"
+	if got != want {
+		t.Fatalf("extents read\n%q\nfrom the file, want\n%q", got, want)
+	}
+}

@@ -20,9 +20,10 @@
 // processes at the same time, each line one write(2).
 //
 // Every record is written to the OS as soon as it is appended, so a kill
-// loses at most the injection in flight; a truncated trailing line (the
-// partial write of the record being appended when the process died) is
-// tolerated and re-run on resume.
+// loses at most the injection in flight; a truncated line (the partial
+// write of the record being appended when the process died) is skipped by
+// readers, its injection re-run on resume, and a resumed writer ends it
+// with a newline before its first line.
 //
 // A campaign whose results are consumed by the process that ran it opens
 // the store with no directory: same Store, no files, records in memory.
@@ -217,18 +218,19 @@ func (s *Store) Close() error {
 }
 
 // parseRecords decodes raw, campaign name's record lines with their tags
-// cut, for an injections-long plan. A malformed final line (the partial
-// write of a killed process) is dropped; malformed interior lines always
-// abort, since they mean real corruption — as does a record whose index
-// lies outside the plan or outside shard/shards' share of it, which would
-// otherwise stand in for an injection that never ran.
+// cut, for an injections-long plan. A line that does not end in '}' is the
+// partial write of a killed process (see ReadLog) and is skipped, as is a
+// malformed final line; any other malformed line aborts, since it means
+// real corruption — as does a record whose index lies outside the plan or
+// outside shard/shards' share of it, which would otherwise stand in for an
+// injection that never ran.
 func parseRecords(name string, raw []byte, injections, shard, shards int) (map[int]Record, error) {
 	done := make(map[int]Record, bytes.Count(raw, []byte{'\n'}))
 	for i := 0; len(raw) > 0; i++ {
 		line, rest, ended := bytes.Cut(raw, []byte{'\n'})
 		raw = rest
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
+		if len(bytes.TrimSpace(line)) == 0 || line[len(line)-1] != '}' {
+			continue // blank, or a torn write: its injection re-runs
 		}
 		r, err := decodeRecord(line)
 		if err != nil {

@@ -215,14 +215,38 @@ func TestStoreToleratesTruncatedTail(t *testing.T) {
 	if s.Completed() != 2 {
 		t.Fatalf("Completed() = %d after truncated tail, want 2 (the in-flight record re-runs)", s.Completed())
 	}
-	// The re-run of the lost record appends cleanly after the garbage.
+	// The re-run of the lost record lands on a line of its own: the
+	// resumed writer ended the torn line first, and readers skip it.
 	if err := s.Append(Record{Idx: 2, ID: "c", Outcome: 1, Bits: 1}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	// A truncated line mid-log is real corruption and must abort.
+	_, recs, err := Load(dir)
+	if err != nil {
+		t.Fatalf("Load after resuming over a torn tail: %v", err)
+	}
+	if len(recs) != 3 || recs[0].ID != "a" || recs[1].ID != "b" || recs[2].ID != "c" {
+		t.Fatalf("Load = %+v, want records 0-2", recs)
+	}
+	// A second resume reads the same three records and appends after them.
+	s, err = Open(dir, m, 0, 1, true)
+	if err != nil {
+		t.Fatalf("second resume: %v", err)
+	}
+	if s.Completed() != 3 {
+		t.Fatalf("Completed() = %d on the second resume, want 3", s.Completed())
+	}
+	s.Close()
+	// A malformed line that does end in '}' is real corruption and must
+	// abort.
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(ShardTag(0, 1) + "\t" + `{"idx":3,"outcome":}` + "\n") //nolint:errcheck
+	f.Close()                                                            //nolint:errcheck
 	if _, _, err := Load(dir); err == nil {
-		t.Fatal("Load accepted a log with an interior malformed line")
+		t.Fatal("Load accepted a log with a malformed line")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"math"
 	"os"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -549,14 +550,15 @@ const isoRunMax = 16
 
 // runIsolated executes the injections at plan indices run (ascending) in
 // the worker slot holds, pipelined, and records each result in order as it
-// arrives. It maps process deaths onto the campaign's classification: a
-// worker crash (panic, SIGKILL, corrupt protocol) that survives the
-// supervisor's restarts is a crash failure, a worker hang (heartbeat miss
-// or watchdog deadline) a hang failure — the same outcomes the in-process
-// path produces for *gpu.CrashError and watchdog expiry, which is what
-// keeps figure digests byte-identical across isolation modes. When the
-// worker cannot be spawned at all an injection degrades gracefully to the
-// in-process guarded path against gt.
+// arrives; a request's ID on the wire is its plan index. It maps process
+// deaths onto the campaign's classification: a worker crash (panic,
+// SIGKILL, corrupt protocol) that survives the supervisor's restarts is a
+// crash failure, a worker hang (no result by the deadline) a hang failure
+// — the same outcomes the in-process path produces for *gpu.CrashError and
+// a late result, which is what keeps figure digests byte-identical across
+// isolation modes. When the worker cannot be spawned at all an injection
+// degrades gracefully to the in-process guarded path against gt, counted
+// into the campaign's im.
 func (e *Env) runIsolated(
 	ctx context.Context,
 	ic *isoCampaign,
@@ -565,6 +567,7 @@ func (e *Env) runIsolated(
 	gt *goldenTrace,
 	run []int,
 	timeout time.Duration,
+	im *injectionMetrics,
 	record func(idx int, r *InjectionResult) error,
 ) error {
 	reqs := make([]procexec.Request, len(run))
@@ -579,11 +582,11 @@ func (e *Env) runIsolated(
 			Staging: ic.staging,
 			Cmd:     inj.Cmd,
 		})
-		reqs[k] = procexec.Request{ID: inj.Cmd.Key(), Payload: wire[at:len(wire):len(wire)], Timeout: timeout}
+		reqs[k] = procexec.Request{ID: strconv.Itoa(idx), Payload: wire[at:len(wire):len(wire)], Timeout: timeout}
 	}
 	return ic.supervisor(slot).Run(ctx, reqs, func(k int, resp []byte, err error) error {
 		idx := run[k]
-		r, err := e.isolatedResult(ctx, pc, gt, pc.Plan[idx], resp, err, timeout)
+		r, err := e.isolatedResult(pc, gt, pc.Plan[idx], resp, err, timeout, im)
 		if err != nil {
 			return fmt.Errorf("injection %d: %w", idx, err)
 		}
@@ -594,13 +597,13 @@ func (e *Env) runIsolated(
 // isolatedResult classifies one injection's worker response, or its
 // error as procexec recorded it.
 func (e *Env) isolatedResult(
-	ctx context.Context,
 	pc *PreparedCampaign,
 	gt *goldenTrace,
 	inj Injection,
 	resp []byte,
 	err error,
 	timeout time.Duration,
+	im *injectionMetrics,
 ) (*InjectionResult, error) {
 	var crash *guardian.WorkerCrashError
 	var hang *guardian.WorkerHangError
@@ -622,7 +625,7 @@ func (e *Env) isolatedResult(
 				obs.Str("reason", err.Error()))
 			e.Obs.Metrics().Counter("hauberk_worker_spawn_fallbacks_total").Inc()
 		}
-		return e.runInjectionGuarded(ctx, pc, gt, inj, timeout, e.injectionMetrics())
+		return e.runInjectionGuarded(pc, gt, inj, timeout, im), nil
 
 	case errors.As(err, &crash):
 		return &InjectionResult{Injection: inj, Outcome: OutcomeFailure}, nil

@@ -286,7 +286,7 @@ func TestIsolatedCampaignSpawnFallback(t *testing.T) {
 // TestIsolatedCampaignPersistentFaultsClassified arms persistent chaos
 // (every fresh worker fails its first request) and requires the campaign
 // to finish anyway with every injection classified — crashes for panic@0,
-// watchdog hangs for spin@0 — instead of wedging or dying.
+// deadline hangs for stall@0 — instead of wedging or dying.
 func TestIsolatedCampaignPersistentFaultsClassified(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign is slow")
@@ -300,12 +300,12 @@ func TestIsolatedCampaignPersistentFaultsClassified(t *testing.T) {
 		wantHang   bool
 	}{
 		{"panic-crash", "panic@0", false},
-		{"spin-hang", "spin@0", true},
+		{"stall-hang", "stall@0", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := isoOpts(t, t.TempDir(), tc.spec)
 			opts.maxRestarts = -1                 // no worker restarts: fail fast
-			opts.timeout = 400 * time.Millisecond // spin is caught by this deadline
+			opts.timeout = 400 * time.Millisecond // stall is caught by this deadline
 			opts.warmupGrace = 5 * time.Millisecond
 			out, err := e.RunPrepared(context.Background(), pc, opts)
 			if err != nil {

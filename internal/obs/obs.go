@@ -64,7 +64,7 @@ const (
 	// Process-isolated executor (internal/guardian/procexec).
 	EvWorkerSpawn    = "worker.spawn"    // pid, pgid, spawn_seq, argv0
 	EvWorkerCrash    = "worker.crash"    // exit, signal, reason
-	EvWorkerHang     = "worker.hang"     // heartbeat_miss, reason
+	EvWorkerHang     = "worker.hang"     // reason
 	EvWorkerRestart  = "worker.restart"  // id, attempt, backoff_ms
 	EvWorkerFallback = "worker.fallback" // program, reason (spawn failed; ran in-process)
 )

@@ -68,10 +68,11 @@ type ProgressSnapshot struct {
 
 	// Outcomes tallies completed injections by outcome class name.
 	Outcomes map[string]int `json:"outcomes,omitempty"`
-	// Hangs counts watchdog/heartbeat hang classifications among them.
+	// Hangs counts watchdog hang classifications among them.
 	Hangs int `json:"hangs"`
 
-	// WatchdogKills counts injections the in-process watchdog timed out.
+	// WatchdogKills counts in-process injections whose result came past
+	// their deadline.
 	WatchdogKills int `json:"watchdog_kills"`
 
 	Workers WorkerStats `json:"workers"`

@@ -64,7 +64,7 @@ func TestProgressTrackerCampaignLifecycle(t *testing.T) {
 	emitTo(p, 14, 11, EvWorkerSpawn, Int("pid", 1))
 	emitTo(p, 15, 12, EvWorkerCrash, Int("exit", 2))
 	emitTo(p, 16, 13, EvWorkerRestart, Int("attempt", 1))
-	emitTo(p, 17, 14, EvWorkerHang, Bool("heartbeat_miss", true))
+	emitTo(p, 17, 14, EvWorkerHang, Str("reason", "request exceeded 15.2s (watchdog)"))
 	emitTo(p, 18, 15, EvWorkerFallback, Str("reason", "spawn failed"))
 	s = p.Snapshot()
 	if s.Workers != (WorkerStats{Spawns: 1, Crashes: 1, Hangs: 1, Restarts: 1, Fallbacks: 1}) {

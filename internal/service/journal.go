@@ -166,8 +166,8 @@ func LoadCampaign(root, id string) (store.Manifest, *harness.CampaignResult, err
 // parseJournal replays the journal raw, read from path, in order: the
 // last meta line for an ID wins, and each campaign's store lines are
 // indexed (store.ReadLog). It returns one meta per campaign, by ID, and
-// the index. A final line without its newline (the partial write of a
-// killed daemon) is dropped; a malformed interior line, or a meta line
+// the index. A line that does not end in '}' (the partial write of a
+// killed daemon) is skipped; any other malformed line, or a meta line
 // naming no campaign ID or an unknown state, is corruption and an error.
 func parseJournal(path string, raw []byte) ([]meta, *store.Log, error) {
 	byID := make(map[string]meta)

@@ -538,9 +538,9 @@ func TestSubmitRejectsOutOfRangeDataset(t *testing.T) {
 }
 
 // TestJournalRoundTrip: journal lines replay to the campaign table, the
-// last line for an ID winning; a torn final line is skipped, leaving its
-// campaign in the previous state, and a malformed interior line is an
-// error.
+// last line for an ID winning; a torn line is skipped, final or not,
+// leaving its campaign in the previous state, and a malformed interior
+// line that ends in '}' is an error.
 func TestJournalRoundTrip(t *testing.T) {
 	root := t.TempDir()
 	j, err := openJournal(root, nil, nil)
@@ -600,11 +600,17 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 
 	raw, _ := os.ReadFile(path)
-	if err := os.WriteFile(path, append(raw, '\n', '{', '\n'), 0o644); err != nil {
+	if err := os.WriteFile(path, append(raw, "\n{\n"...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := readJournal(root); err == nil || !strings.Contains(err.Error(), "line 4") {
-		t.Fatalf("readJournal over a malformed interior line: %v, want an error naming line 4", err)
+	if ms, _, err := readJournal(root); err != nil || len(ms) != 2 || ms[1].State != StateInterrupted {
+		t.Fatalf("readJournal over two torn interior lines: %+v, %v; want them skipped", ms, err)
+	}
+	if err := os.WriteFile(path, append(raw, "\n{\"id\":}\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := readJournal(root); err == nil || !strings.Contains(err.Error(), "line 5") {
+		t.Fatalf("readJournal over a malformed interior line: %v, want an error naming line 5", err)
 	}
 }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Chaos smoke for the process-isolated campaign executor: run the real
 # binaries with deterministic fault injection armed (HAUBERK_CHAOS) and
-# require that worker SIGKILLs, corrupt frames, stalled heartbeats and
-# failed spawns never move the figure aggregates — plus the SIGTERM
+# require that worker SIGKILLs, corrupt frames, silent workers (caught by
+# the request deadline) and failed spawns never move the figure aggregates — plus the SIGTERM
 # guarantee: a mid-campaign signal kills every worker process group before
 # the resumable exit, leaving no orphans, and the resumed campaign is
 # byte-identical to an undisturbed one. Complements the in-process

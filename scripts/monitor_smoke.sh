@@ -90,7 +90,7 @@ diff "$work/ref.txt" "$work/mon.txt"
 sed -n '/^figure digest:$/,$p' "$work/ref.txt" | tail -n +2 | diff - "$work/served-digest.txt"
 
 # Same identity under subprocess isolation, where the monitor additionally
-# sees worker heartbeat telemetry.
+# sees worker lifecycle telemetry.
 "$work/hauberk-run" -program CP -campaign-dir "$work/iso" \
   -isolation process -http 127.0.0.1:0 >/dev/null
 "$work/hauberk-report" -campaign "$work/iso" >"$work/iso.txt"
